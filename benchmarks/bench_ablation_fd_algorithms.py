@@ -61,7 +61,7 @@ def report(results: Dict[str, Dict[str, float]]) -> str:
             "Ablation — Full Disjunction algorithm substrate (IMDB benchmark)",
             "",
             format_markdown_table(
-                ["Algorithm", "Seconds", "Output tuples", "Components", "Pair comparisons"], rows
+                ["Algorithm", "Seconds", "Output tuples", "Components", "Candidate rows examined"], rows
             ),
         ]
     )

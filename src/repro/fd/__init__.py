@@ -5,13 +5,18 @@ introduced by Galindo-Legaria: it combines the tuples of a set of tables in a
 *maximal* way so that every input tuple is represented and no output tuple is
 subsumed by (i.e. strictly less informative than) another.
 
-This package provides four interchangeable implementations of the same
-semantics (outer union → complementation closure → subsumption removal):
+This package registers six interchangeable implementations of the same
+semantics.  Four run outer union → complementation closure → subsumption
+removal through the one coded kernel of :mod:`repro.fd.complementation`
+(``alite``, ``incremental``, ``partitioned``, ``streaming``); two are
+definition-level oracles (``naive``, ``outer_join_sequence``):
 
 * :class:`~repro.fd.naive.NaiveFullDisjunction` — the definitional fixpoint;
   quadratic pair scanning, used as the reference oracle in tests.
+* :class:`~repro.fd.naive.OuterJoinSequence` — Galindo-Legaria's all-orders
+  outer-join characterisation; a second, independently derived oracle.
 * :class:`~repro.fd.alite.AliteFullDisjunction` — the paper's substrate [18]:
-  hash-indexed complementation with duplicate elimination, practical at the
+  posting-indexed complementation with duplicate elimination, practical at the
   IMDB-benchmark scale.
 * :class:`~repro.fd.incremental.IncrementalFullDisjunction` — decomposes the
   input into connected components of the join-value graph and closes each
@@ -19,6 +24,9 @@ semantics (outer union → complementation closure → subsumption removal):
 * :class:`~repro.fd.parallel.PartitionedFullDisjunction` — the component
   decomposition executed by a pool of workers (Paganelli-style
   parallelisation; falls back to sequential execution for small inputs).
+* :class:`~repro.fd.iterator.StreamingFullDisjunction` — the component
+  decomposition as a generator: tuples of a component are emitted as soon as
+  it is closed.
 """
 
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult

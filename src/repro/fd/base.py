@@ -5,11 +5,14 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.table.coded import CodeValues, decode_rows
 from repro.table.operations import outer_union
-from repro.table.subsumption import remove_subsumed
-from repro.table.table import Table
+from repro.table.subsumption import reduce_coded, remove_subsumed
+from repro.table.table import Provenance, Table
 
 
 @dataclass
@@ -53,6 +56,9 @@ class FullDisjunctionAlgorithm(abc.ABC):
 
     #: Short registry name; subclasses override.
     name: str = "abstract"
+    #: Whether ``_integrate`` already returns a table without subsumed tuples.
+    #: False is the safe default for algorithms registered from outside.
+    subsumption_free: bool = False
 
     def __init__(self, result_name: str = "full_disjunction") -> None:
         self.result_name = result_name
@@ -74,7 +80,8 @@ class FullDisjunctionAlgorithm(abc.ABC):
         start = time.perf_counter()
         statistics: Dict[str, float] = {}
         integrated = self._integrate(prepared, statistics)
-        integrated = remove_subsumed(integrated)
+        if not self.subsumption_free:
+            integrated = remove_subsumed(integrated)
         elapsed = time.perf_counter() - start
         integrated = integrated.with_name(self.result_name)
         return FullDisjunctionResult(
@@ -100,7 +107,19 @@ class FullDisjunctionAlgorithm(abc.ABC):
         """Outer union of the inputs with plain nulls and preserved provenance."""
         return outer_union(tables, name="outer_union")
 
-    @staticmethod
-    def shared_value_positions(table: Table) -> List[int]:
-        """All column positions of ``table`` (used to index join candidates)."""
-        return list(range(table.num_columns))
+    def _reduced_table(
+        self,
+        union: Table,
+        values: CodeValues,
+        closed: Sequence[Tuple[np.ndarray, List[Provenance]]],
+    ) -> Table:
+        """The subsumption-free table of coded closures of (parts of) ``union``.
+
+        Subsumption runs on the codes, so only the surviving tuples are ever
+        decoded back to cell values.
+        """
+        empty = np.empty((union.num_columns, 0), dtype=np.int32)
+        codes = np.concatenate([empty] + [codes for codes, _ in closed], axis=1)
+        kept, provenance = reduce_coded(codes, [sources for _, part in closed for sources in part])
+        rows = decode_rows(codes[:, kept], values)
+        return Table(self.result_name, union.schema, rows, provenance=provenance)

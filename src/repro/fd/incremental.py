@@ -10,17 +10,19 @@ so the closure touches far fewer candidate pairs than a global pass.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.fd.complementation import ComplementationEngine, connected_components
-from repro.table.table import Provenance, RowValues, Table
+from repro.table.coded import encode_rows
+from repro.table.table import Table
 
 
 class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
     """Connected-component decomposition followed by per-component closure."""
 
     name = "incremental"
+    subsumption_free = True
 
     def __init__(
         self,
@@ -32,21 +34,14 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
 
     def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
         union = self._outer_union(tables)
-        provenance = union.provenance or [
-            frozenset({f"{union.name}:{index}"}) for index in range(union.num_rows)
-        ]
+        codes, values = encode_rows(union.rows, union.num_columns)
         components = connected_components(union.rows)
         statistics["outer_union_tuples"] = float(union.num_rows)
         statistics["components"] = float(len(components))
-
-        rows: List[RowValues] = []
-        prov: List[Provenance] = []
-        for component in components:
-            component_rows = [union.rows[index] for index in component]
-            component_prov = [provenance[index] for index in component]
-            closed_rows, closed_prov = self._engine.close(
-                component_rows, component_prov, statistics
+        closed = [
+            self._engine.close_coded(
+                codes[:, component], [union.provenance[index] for index in component], statistics
             )
-            rows.extend(closed_rows)
-            prov.extend(closed_prov)
-        return Table(self.result_name, union.schema, rows, provenance=prov)
+            for component in components
+        ]
+        return self._reduced_table(union, values, closed)

@@ -16,12 +16,16 @@ the eager algorithms (a property checked by the test suite).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, Sequence, Tuple
+
+import numpy as np
 
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.fd.complementation import ComplementationEngine, connected_components
-from repro.table.operations import outer_union
-from repro.table.subsumption import remove_subsumed
+from repro.table.coded import decode_rows, encode_rows
+from repro.table.nulls import NULL
+from repro.table.subsumption import reduce_coded
 from repro.table.table import Provenance, RowValues, Table
 
 
@@ -35,6 +39,7 @@ class StreamingFullDisjunction(FullDisjunctionAlgorithm):
     """
 
     name = "streaming"
+    subsumption_free = True
 
     def __init__(
         self,
@@ -51,58 +56,53 @@ class StreamingFullDisjunction(FullDisjunctionAlgorithm):
         self, tables: Sequence[Table]
     ) -> Iterator[Tuple[RowValues, Provenance]]:
         """Yield Full Disjunction tuples (with provenance) component by component."""
-        if not tables:
-            return
-        prepared = [
-            table if table.provenance is not None else table.with_default_provenance()
-            for table in tables
-        ]
-        union = outer_union(prepared, name=self.result_name)
-        provenance = union.provenance or [
-            frozenset({f"{union.name}:{index}"}) for index in range(union.num_rows)
-        ]
+        if tables:
+            yield from self._iter_union(self._outer_union(tables))
+
+    def _iter_union(self, union: Table) -> Iterator[Tuple[RowValues, Provenance]]:
+        codes, values = encode_rows(union.rows, union.num_columns)
         components = connected_components(union.rows)
         if self.largest_components_last:
             components = sorted(components, key=len)
+        # Fully-null tuples are subsumed by any tuple with information: they
+        # are never emitted, and the first emitted tuple carries their provenance.
+        informative = (codes >= 0).any(axis=0)
+        leftover = frozenset().union(
+            *(union.provenance[index] for index in np.flatnonzero(~informative).tolist())
+        )
         for component in components:
-            component_rows = [union.rows[index] for index in component]
-            component_prov = [provenance[index] for index in component]
-            closed_rows, closed_prov = self._engine.close(component_rows, component_prov)
+            if not informative[component[0]]:
+                continue
+            closed, provenance = self._engine.close_coded(
+                codes[:, component], [union.provenance[index] for index in component]
+            )
             # Subsumption removal is local to the component: tuples of different
             # components can never subsume each other because they never share a
             # non-null value.
-            closed_table = remove_subsumed(
-                Table(self.result_name, union.schema, closed_rows, provenance=closed_prov)
-            )
-            closed_provenance = closed_table.provenance or []
-            for index, values in enumerate(closed_table.rows):
-                yield values, closed_provenance[index]
+            kept, provenance = reduce_coded(closed, provenance)
+            for row, sources in zip(decode_rows(closed[:, kept], values), provenance):
+                yield row, sources | leftover
+                leftover = frozenset()
+        if union.num_rows and not informative.any():
+            yield (NULL,) * union.num_columns, leftover
 
     def preview(self, tables: Sequence[Table], limit: int = 10) -> Table:
         """Return the first ``limit`` Full Disjunction tuples as a table."""
         if not tables:
             raise ValueError("preview() requires at least one table")
-        union_schema = outer_union(
-            [table if table.provenance is not None else table.with_default_provenance() for table in tables]
-        ).schema
-        rows: List[RowValues] = []
-        provenance: List[Provenance] = []
-        for values, sources in self.iter_tuples(tables):
-            rows.append(values)
-            provenance.append(sources)
-            if len(rows) >= limit:
-                break
-        return Table(self.result_name, union_schema, rows, provenance=provenance)
+        return self._collect(self._outer_union(tables), limit)
+
+    def _collect(self, union: Table, limit: int | None = None) -> Table:
+        emitted = list(islice(self._iter_union(union), limit))
+        return Table(
+            self.result_name,
+            union.schema,
+            [values for values, _ in emitted],
+            provenance=[sources for _, sources in emitted],
+        )
 
     # -- eager API (FullDisjunctionAlgorithm) --------------------------------------------
     def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
-        union = outer_union(tables, name=self.result_name)
-        rows: List[RowValues] = []
-        provenance: List[Provenance] = []
-        emitted = 0
-        for values, sources in self.iter_tuples(tables):
-            rows.append(values)
-            provenance.append(sources)
-            emitted += 1
-        statistics["emitted_tuples"] = float(emitted)
-        return Table(self.result_name, union.schema, rows, provenance=provenance)
+        integrated = self._collect(self._outer_union(tables))
+        statistics["emitted_tuples"] = float(integrated.num_rows)
+        return integrated

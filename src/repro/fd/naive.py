@@ -19,13 +19,39 @@ import itertools
 from typing import Dict, List, Sequence, Set
 
 from repro.fd.base import FullDisjunctionAlgorithm
-from repro.fd.complementation import (
-    _join_consistent_same_schema,
-    _merge_same_schema,
-    _normalise,
-)
+from repro.table.nulls import NULL, is_null
 from repro.table.operations import full_outer_join, outer_union
-from repro.table.table import Provenance, RowValues, Table
+from repro.table.table import CellValue, Provenance, RowValues, Table
+
+
+def _normalise(values: RowValues) -> RowValues:
+    """Map every flavour of null to the plain NULL so tuples hash consistently."""
+    return tuple(NULL if is_null(value) else value for value in values)
+
+
+def _join_consistent_same_schema(left: RowValues, right: RowValues) -> bool:
+    """Join-consistency for tuples over the same schema (all positions shared)."""
+    agreed = False
+    for left_value, right_value in zip(left, right):
+        left_null = is_null(left_value)
+        right_null = is_null(right_value)
+        if left_null or right_null:
+            continue
+        if left_value != right_value:
+            return False
+        agreed = True
+    return agreed
+
+
+def _merge_same_schema(left: RowValues, right: RowValues) -> RowValues:
+    """Merge two join-consistent tuples over the same schema (non-null wins)."""
+    merged: List[CellValue] = []
+    for left_value, right_value in zip(left, right):
+        if is_null(left_value):
+            merged.append(NULL if is_null(right_value) else right_value)
+        else:
+            merged.append(left_value)
+    return tuple(merged)
 
 
 class NaiveFullDisjunction(FullDisjunctionAlgorithm):
@@ -43,12 +69,9 @@ class NaiveFullDisjunction(FullDisjunctionAlgorithm):
 
     def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
         union = self._outer_union(tables)
-        provenance = union.provenance or [
-            frozenset({f"{union.name}:{index}"}) for index in range(union.num_rows)
-        ]
 
         known: Dict[RowValues, Set[str]] = {}
-        for values, sources in zip(union.rows, provenance):
+        for values, sources in zip(union.rows, union.provenance):
             normalised = _normalise(values)
             known.setdefault(normalised, set()).update(sources)
 

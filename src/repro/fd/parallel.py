@@ -18,32 +18,36 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.fd.complementation import ComplementationEngine, connected_components
-from repro.table.table import Provenance, RowValues, Table
+from repro.table.coded import encode_rows
+from repro.table.table import Provenance, Table
 from repro.utils.executor import ExecutorConfig, run_partitioned
 
-#: One work unit: the rows and provenance sets of one connected component.
-ComponentWork = Tuple[List[RowValues], List[Provenance]]
+#: One work unit: the coded tuples and provenance sets of one connected component.
+ComponentWork = Tuple[np.ndarray, List[Provenance]]
 
 
 def _close_component(
     engine: ComplementationEngine, work: ComponentWork
-) -> Tuple[List[RowValues], List[Provenance], Dict[str, float]]:
+) -> Tuple[np.ndarray, List[Provenance], Dict[str, float]]:
     """Close one component (module-level so process pools can pickle it).
 
     Each worker records its closure counters into a private dict (sharing
     one dict across a pool would race); the caller sums them.
     """
     statistics: Dict[str, float] = {}
-    rows, provenance = engine.close(work[0], work[1], statistics)
-    return rows, provenance, statistics
+    codes, provenance = engine.close_coded(work[0], work[1], statistics)
+    return codes, provenance, statistics
 
 
 class PartitionedFullDisjunction(FullDisjunctionAlgorithm):
     """Per-component complementation executed by a worker pool."""
 
     name = "partitioned"
+    subsumption_free = True
 
     def __init__(
         self,
@@ -55,6 +59,7 @@ class PartitionedFullDisjunction(FullDisjunctionAlgorithm):
     ) -> None:
         super().__init__(result_name)
         self._engine = ComplementationEngine(max_tuples=max_tuples)
+        self.min_parallel_components = min_parallel_components
         self.executor = ExecutorConfig(
             backend=backend,
             max_workers=max_workers,
@@ -71,47 +76,37 @@ class PartitionedFullDisjunction(FullDisjunctionAlgorithm):
 
         The component threshold below which the work stays serial is an
         algorithm property, not a pipeline one, so the incoming config's
-        ``min_parallel_items`` is overridden with this algorithm's own.
+        ``min_parallel_items`` is replaced by the constructor's
+        ``min_parallel_components``.
         """
         self.executor = ExecutorConfig(
             backend=config.backend,
             max_workers=config.max_workers,
             batch_size=config.batch_size,
-            min_parallel_items=max(config.min_parallel_items, 8),
+            min_parallel_items=self.min_parallel_components,
         )
 
     def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
         union = self._outer_union(tables)
-        provenance = union.provenance or [
-            frozenset({f"{union.name}:{index}"}) for index in range(union.num_rows)
-        ]
+        codes, values = encode_rows(union.rows, union.num_columns)
         components = connected_components(union.rows)
         statistics["outer_union_tuples"] = float(union.num_rows)
         statistics["components"] = float(len(components))
 
         work: List[ComponentWork] = [
-            (
-                [union.rows[index] for index in component],
-                [provenance[index] for index in component],
-            )
+            (codes[:, component], [union.provenance[index] for index in component])
             for component in components
         ]
-
         closed = run_partitioned(
             work,
             partial(_close_component, self._engine),
             self.executor,
-            weight=lambda item: len(item[0]),
+            weight=lambda item: len(item[1]),
         )
-        rows: List[RowValues] = []
-        prov: List[Provenance] = []
-        for closed_rows, closed_prov, closed_statistics in closed:
-            rows.extend(closed_rows)
-            prov.extend(closed_prov)
+        for _, _, closed_statistics in closed:
             for key, value in closed_statistics.items():
                 statistics[key] = statistics.get(key, 0.0) + value
         if self.executor.should_parallelise(len(work)):
             statistics["parallel_workers"] = float(self.executor.max_workers)
             statistics["parallel_backend_" + self.executor.backend] = 1.0
-
-        return Table(self.result_name, union.schema, rows, provenance=prov)
+        return self._reduced_table(union, values, [part[:2] for part in closed])

@@ -7,10 +7,28 @@ test modules stay focused on behaviour.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.embeddings import ExactEmbedder, FastTextEmbedder, MistralEmbedder
-from repro.table import Table
+from repro.table import Table, is_null
+
+
+@pytest.fixture(scope="session")
+def ordered_digest():
+    """Digest of ``(rows, provenance)`` *in order*: pins tuple ids and row order,
+    not just the row set (nulls of every flavour digest alike)."""
+
+    def digest(rows, provenance) -> str:
+        state = hashlib.blake2b(digest_size=16)
+        for values, sources in zip(rows, provenance):
+            cells = [None if is_null(value) else value for value in values]
+            state.update(json.dumps([cells, sorted(sources)]).encode("utf-8"))
+        return state.hexdigest()
+
+    return digest
 
 
 @pytest.fixture(scope="session")

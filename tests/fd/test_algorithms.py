@@ -23,6 +23,7 @@ from repro.fd import (
 )
 from repro.table import NULL, Table, subsumes
 from repro.table.operations import outer_union
+from repro.utils.executor import ExecutorConfig
 
 ALL_ALGORITHMS = [
     NaiveFullDisjunction,
@@ -79,6 +80,19 @@ class TestPartitionedStatistics:
     def test_parallel_workers_recorded_when_pool_engages(self):
         result = PartitionedFullDisjunction(max_workers=4).integrate(self._disjoint_tables())
         assert result.statistics.get("parallel_workers") == 4.0
+
+    def test_configure_executor_keeps_the_constructor_threshold(self):
+        # Regression: the pipeline-wide config used to reset the threshold to
+        # a hard-coded 8, so min_parallel_components was silently ignored.
+        algorithm = PartitionedFullDisjunction(min_parallel_components=2)
+        algorithm.configure_executor(ExecutorConfig(backend="thread", max_workers=3))
+        assert algorithm.executor.min_parallel_items == 2
+        engaged = algorithm.integrate(self._disjoint_tables(n_components=2))
+        assert engaged.statistics["components"] == 2.0
+        assert engaged.statistics.get("parallel_workers") == 3.0
+        default = PartitionedFullDisjunction()
+        default.configure_executor(ExecutorConfig(backend="thread", max_workers=3))
+        assert "parallel_workers" not in default.integrate(self._disjoint_tables(2)).statistics
 
 
 class TestBasicBehaviour:

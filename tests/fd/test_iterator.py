@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fd import AliteFullDisjunction, StreamingFullDisjunction, get_algorithm
-from repro.table import Table
+from repro.table import NULL, Table
 
 
 @pytest.fixture()
@@ -66,3 +66,38 @@ class TestStreamingFullDisjunction:
     def test_statistics_report_emitted_tuples(self, tables):
         result = StreamingFullDisjunction().integrate(tables)
         assert result.statistics["emitted_tuples"] == float(result.table.num_rows)
+
+    def test_outer_union_is_built_once(self, tables, monkeypatch):
+        import repro.fd.base as base
+
+        calls = []
+        original = base.outer_union
+        monkeypatch.setattr(
+            base, "outer_union", lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
+        )
+        StreamingFullDisjunction().integrate(tables)
+        assert len(calls) == 1
+        StreamingFullDisjunction().preview(tables, limit=2)
+        assert len(calls) == 2
+
+    def test_integrate_does_not_remove_subsumed_tuples_twice(self, tables, monkeypatch):
+        import repro.fd.base as base
+
+        def fail(table):
+            raise AssertionError("iter_tuples already emits subsumption-free tuples")
+
+        monkeypatch.setattr(base, "remove_subsumed", fail)
+        assert StreamingFullDisjunction().integrate(tables).table.num_rows == 4
+
+    def test_fully_null_tuples_fold_into_the_first_emitted_tuple(self):
+        # A fully-null tuple is its own component; it is subsumed by any tuple
+        # with information, exactly as the eager algorithms decide.
+        left = Table("L", ["k", "a"], [(NULL, NULL), ("1", "x")])
+        right = Table("R", ["k", "b"], [("1", "p"), (NULL, NULL)])
+        emitted = list(StreamingFullDisjunction().iter_tuples([left, right]))
+        assert emitted == [(("1", "x", "p"), frozenset({"L:0", "L:1", "R:0", "R:1"}))]
+        alite = AliteFullDisjunction().integrate([left, right]).table
+        streaming = StreamingFullDisjunction().integrate([left, right]).table
+        assert (streaming.rows, streaming.provenance) == (alite.rows, alite.provenance)
+        only_nulls = list(StreamingFullDisjunction().iter_tuples([Table("N", ["k"], [(NULL,), (NULL,)])]))
+        assert only_nulls == [((NULL,), frozenset({"N:0", "N:1"}))]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,6 +149,48 @@ class TestCrossProductAndConcat:
         assert doubled.num_rows == 6
 
 
+def reference_remove_subsumed(rows, provenance):
+    """Row-by-row subsumption removal, the reference for the coded core.
+
+    The first of equal rows stands for them; the rest are visited in order and
+    a row is absorbed by the first not-yet-removed row, in order, among the
+    holders of its rarest (position, value) pair that strictly subsumes it.
+    Provenance follows the chain of absorbers to a survivor.
+    """
+    information = [{(p, v) for p, v in enumerate(row) if not is_null(v)} for row in rows]
+    absorbed_by = {}
+    first_of = {}
+    for index, pairs in enumerate(information):
+        first = first_of.setdefault(frozenset(pairs), index)
+        if first != index:
+            absorbed_by[index] = first
+    distinct = list(first_of.values())
+    holders = {}
+    for index in distinct:
+        for position, value in enumerate(rows[index]):
+            if not is_null(value):
+                holders.setdefault((position, value), []).append(index)
+    for index in distinct:
+        if not information[index]:
+            if len(distinct) > 1:
+                absorbed_by[index] = next(other for other in distinct if other != index)
+            continue
+        rarest = min(
+            (holders[(p, v)] for p, v in enumerate(rows[index]) if not is_null(v)), key=len
+        )
+        for candidate in rarest:
+            if candidate not in absorbed_by and information[candidate] > information[index]:
+                absorbed_by[index] = candidate
+                break
+    folded = {index: set(provenance[index]) for index in range(len(rows)) if index not in absorbed_by}
+    for index in absorbed_by:
+        survivor = absorbed_by[index]
+        while survivor in absorbed_by:
+            survivor = absorbed_by[survivor]
+        folded[survivor] |= provenance[index]
+    return [rows[index] for index in folded], [frozenset(sources) for sources in folded.values()]
+
+
 class TestSubsumption:
     def test_tuple_subsumes_itself(self):
         assert subsumes(("a", "b"), ("a", "b"))
@@ -208,3 +253,87 @@ class TestSubsumption:
         # Every original tuple is subsumed by some kept tuple.
         for row in rows:
             assert any(subsumes(keeper, row) for keeper in kept)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda width: st.lists(
+                st.tuples(*[st.sampled_from([NULL, NULL, None, "a", "b", 1, 1.0])] * width),
+                max_size=16,
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_coded_core_equals_row_by_row_reference(self, rows):
+        provenance = [frozenset({f"t:{index}"}) for index in range(len(rows))]
+        width = len(rows[0]) if rows else 1
+        table = Table("t", [f"c{p}" for p in range(width)], rows, provenance=provenance)
+        reduced = remove_subsumed(table)
+        expected_rows, expected_provenance = reference_remove_subsumed(rows, provenance)
+        assert [tuple(map(id, row)) for row in reduced.rows] == [tuple(map(id, row)) for row in expected_rows]
+        assert reduced.provenance == expected_provenance
+
+    @pytest.mark.parametrize(
+        "rows, survivors",
+        [
+            # Exactly 1 << 14 (row, holder) pairs: the last block would start at the end.
+            ([(f"u{index}", NULL) for index in range(1 << 14)], 1 << 14),
+            # The last row's rarest pair has 10 001 holders, so pair 1 << 14 falls inside it.
+            ([("k", f"u{index}") for index in range(10_000)] + [("k", NULL)], 10_000),
+            # Eight blocks; subsumers, chains of them, duplicates and a fully-null row.
+            (
+                [
+                    tuple(NULL if rng.random() < nulls else rng.randrange(50) for nulls in (0.0, 0.4, 0.4, 0.7))
+                    for rng in [random.Random(14)]
+                    for _ in range(4000)
+                ]
+                + [(NULL, NULL, NULL, NULL)],
+                2726,
+            ),
+        ],
+        ids=["pairs-end-on-a-boundary", "boundary-inside-the-last-row", "many-blocks"],
+    )
+    def test_coded_core_equals_reference_across_pair_blocks(self, rows, survivors):
+        provenance = [frozenset({f"t:{index}"}) for index in range(len(rows))]
+        table = Table("t", [f"c{p}" for p in range(len(rows[0]))], rows, provenance=provenance)
+        reduced = remove_subsumed(table)
+        expected_rows, expected_provenance = reference_remove_subsumed(rows, provenance)
+        assert reduced.rows == expected_rows
+        assert reduced.provenance == expected_provenance
+        assert reduced.num_rows == survivors
+
+    def test_same_survivors_order_and_provenance_as_before_the_coded_core(self, ordered_digest):
+        # 60 seeded tables (1-6 low-cardinality columns, 45 % nulls, so chains
+        # of subsumers, duplicates and fully-null rows all occur); the digest
+        # was recorded from the object-level loop the coded core replaced.
+        rng = random.Random(20260930)
+        state = hashlib.blake2b(digest_size=16)
+        survivors = 0
+        for number in range(60):
+            width = rng.randint(1, 6)
+            rows = [
+                tuple(NULL if rng.random() < 0.45 else f"v{rng.randint(0, 2)}" for _ in range(width))
+                for _ in range(rng.randint(0, 60))
+            ]
+            provenance = [frozenset({f"t{number}:{index}"}) for index in range(len(rows))]
+            table = Table(f"t{number}", [f"c{p}" for p in range(width)], rows, provenance=provenance)
+            reduced = remove_subsumed(table)
+            assert frozenset().union(*reduced.provenance) == frozenset().union(*provenance)
+            survivors += reduced.num_rows
+            state.update(ordered_digest(reduced.rows, reduced.provenance).encode())
+        assert survivors == 752
+        assert state.hexdigest() == "2ed6445d185f957b9b56436b3cf01055"
+
+    def test_survivors_keep_their_original_cells(self):
+        # Coding is internal: the kept rows are the input's own tuples, whatever
+        # flavour of null they hold, and a fully-null row folds into a survivor.
+        marked = LabeledNull()
+        table = Table(
+            "t",
+            ["a", "b"],
+            [(None, marked), ("x", marked), ("x", None)],
+            provenance=[{"p:0"}, {"p:1"}, {"p:2"}],
+        )
+        reduced = remove_subsumed(table)
+        assert reduced.rows == [("x", marked)]
+        assert reduced.rows[0][1] is marked
+        assert reduced.provenance == [frozenset({"p:0", "p:1", "p:2"})]
