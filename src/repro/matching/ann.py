@@ -40,18 +40,26 @@ Three retrieval strategies, chosen per column pair by size and shape:
   ``IVF_PROBES`` nearest centroids.  Same ``top_k``/similarity-floor
   semantics, same both-direction probing.
 
-The probe phase is fully vectorised: all query codes and their single-bit
-multiprobe variants are one ``(n_queries, n_bits + 1)`` XOR against the
-precomputed flip masks per table, bucket membership is a
-``np.searchsorted`` span over the stably-sorted index codes, and the per-query
-top-k is one stable lexsort over the deduplicated ``(query, candidate)``
-pairs.  The only remaining per-query step is the BLAS matvec scoring each
-query's candidate rows, kept operand-for-operand identical to the old loop
-so similarity bits — and therefore tie-breaks — match it exactly (see
-``_select_top_k``).  ``_probe_direction_reference`` /
-``_brute_force_reference`` keep the original per-query loops as the test
-oracle (and the benchmark's pre-vectorisation baseline); the equivalence
-property tests assert byte-identical candidate sets against them.
+A candidate pair is one int64 key ``query * n_index + candidate`` from the
+probe to the caller (:func:`pairs_from_keys` turns a key array back into
+tuples), and no loop runs per query or per pair: all query codes and their
+single-bit multiprobe variants are one ``(n_queries, n_bits + 1)`` XOR against
+the precomputed flip masks per table, bucket membership is a span lookup over
+the stably-sorted index codes, the spans are expanded and sort-deduplicated
+into ``(query, candidate)``-sorted keys, :func:`_pair_similarities` scores
+them a block at a time, and :meth:`SemanticBlocker._select_top_k` cuts each
+query's segment to its ``top_k`` best.
+
+**Tie rule, stated once.**  A query keeps its ``top_k`` candidates of highest
+similarity *as* :func:`_pair_similarities` *computes it*; equal similarities go
+to the lowest candidate index; the similarity floor is applied to the
+survivors.  BLAS results depend on operand position in the last bit, so two
+bit-identical index rows can score one ULP apart and which of them "ties" is
+a property of that function, not of the vectors — which is why
+``_probe_direction_reference`` (the per-query Python oracle: dict buckets, set
+unions, a stable argsort per query) ranks with similarities from the same
+function.  ``_brute_force_reference`` is the row/column-loop oracle of the
+exact path.
 
 Determinism: hyperplanes and k-means seeding come from a seeded
 :func:`numpy.random.default_rng`, bucket iteration follows input positions,
@@ -141,6 +149,18 @@ IVF_ITERATIONS = 5
 #: (not part of the artifact fingerprint), like ``top_k``.
 IVF_PROBES = 4
 
+#: Scratch budget of :func:`_pair_similarities`, in float64 cells per block
+#: (32 MB): the query rows of one GEMM block times the index size, or twice
+#: the gathered rows of one slab.
+PAIR_BLOCK_CELLS = 4_000_000
+
+#: Similarity-matrix cells per probe pair above which :func:`_pair_similarities`
+#: gathers rows instead of running the block GEMM.  Measured break-even on one
+#: core, 10 000 × 10 000 values: ≈ 100 cells per pair at d = 64, ≈ 120 at
+#: d = 256 (docs/blocking.md, "The top-k kernel").
+GEMM_CELLS_PER_PAIR = 100
+
+
 def _ivf_cluster_count(n_values: int) -> int:
     """Cluster count of an IVF index over ``n_values`` vectors (≈ √n)."""
     return max(1, min(n_values, int(round(math.sqrt(n_values)))))
@@ -174,6 +194,62 @@ def _expand_spans(
     return query_ids, np.asarray(order, dtype=np.int64)[flat]
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sort a fresh key array in place and drop its repeats.
+
+    What ``np.unique`` returns, without its hash pass — more than ten times
+    slower than this at probe volumes (hundreds of thousands to millions of
+    keys), where the sort also reuses the caller's concatenation buffer.
+    """
+    keys.sort()
+    return keys[np.r_[True, keys[1:] != keys[:-1]][: len(keys)]]
+
+
+def pairs_from_keys(keys: np.ndarray, n_right: int) -> List[Tuple[int, int]]:
+    """``(left, right)`` tuples of a ``left * n_right + right`` key array, in key order."""
+    return list(zip((keys // n_right).tolist(), (keys % n_right).tolist()))
+
+
+def _pair_similarities(
+    query_ids: np.ndarray,
+    candidate_ids: np.ndarray,
+    query_vectors: np.ndarray,
+    index_vectors: np.ndarray,
+) -> np.ndarray:
+    """Cosine similarity of every ``(query, candidate)`` pair, sorted by query.
+
+    The one place probe similarities are computed (see the module docstring's
+    tie rule).  Dense probes — the default 8-bit / 8-table shape always
+    touches about a quarter of the cells — take the query rows in blocks of
+    at most :data:`PAIR_BLOCK_CELLS` cells, one GEMM ``Q[block] @ I.T`` and
+    one gather per block: cheaper than materialising a vector per pair.
+    Below one pair per :data:`GEMM_CELLS_PER_PAIR` cells the GEMM would
+    mostly compute cells nobody asked for, so sparse probes take the gathered
+    row-wise product instead, in slabs of the same scratch size.  The two
+    agree to a few ULP; which one ran depends only on the pair density.
+    """
+    n_pairs = len(query_ids)
+    n_index, dimension = index_vectors.shape
+    similarities = np.empty(n_pairs, dtype=np.float64)
+    if n_pairs == 0:
+        return similarities
+    if n_pairs * GEMM_CELLS_PER_PAIR < query_vectors.shape[0] * n_index:
+        slab = max(1, PAIR_BLOCK_CELLS // (2 * dimension))
+        for start in range(0, n_pairs, slab):
+            rows = slice(start, start + slab)
+            similarities[rows] = np.einsum(
+                "ij,ij->i", index_vectors[candidate_ids[rows]], query_vectors[query_ids[rows]]
+            )
+        return similarities
+    block_rows = max(1, PAIR_BLOCK_CELLS // n_index)
+    for first in range(int(query_ids[0]), int(query_ids[-1]) + 1, block_rows):
+        start, stop = np.searchsorted(query_ids, (first, first + block_rows))
+        if start < stop:
+            block = query_vectors[first : first + block_rows] @ index_vectors.T
+            similarities[start:stop] = block[query_ids[start:stop] - first, candidate_ids[start:stop]]
+    return similarities
+
+
 def _probe_direction_reference(
     query_vectors: np.ndarray,
     query_codes: np.ndarray,
@@ -184,42 +260,35 @@ def _probe_direction_reference(
     n_bits: int,
     top_k: int,
     min_similarity: float,
+    shared_similarities: bool = False,
 ) -> Set[Tuple[int, int]]:
-    """The original per-query Python probe loop, kept as the test oracle.
+    """The per-query Python probe loop, kept as the test oracle.
 
-    This is the exact pre-vectorisation implementation (dict buckets, per
-    query set union over tables and bit flips, stable argsort top-k).  The
-    equivalence property tests assert the vectorised
-    :meth:`SemanticBlocker._probe_direction` returns byte-identical pairs,
-    and the ANN benchmark times it as the speedup baseline.  Not called on
-    any production path.
+    Dict buckets and per-query set unions over tables and bit flips
+    (:func:`_probe_candidates_reference`), then one gathered matvec and one
+    stable argsort per query — the pre-vectorisation implementation, and the
+    ANN benchmark's speedup baseline.  With ``shared_similarities`` the
+    matvec is replaced by the query's slice of one :func:`_pair_similarities`
+    call over all pairs: the oracle for inputs with bit-identical duplicate
+    rows, where the last bit of a BLAS result decides a tie (module
+    docstring, "Tie rule").  Not called on any production path.
     """
-    buckets: List[dict] = []
-    for table in range(n_tables):
-        table_buckets: dict = {}
-        for index_position, code in enumerate(index_codes[table]):
-            table_buckets.setdefault(int(code), []).append(index_position)
-        buckets.append(table_buckets)
-
-    flips = [1 << bit for bit in range(n_bits)]
+    query_ids, candidate_ids = _probe_candidates_reference(
+        query_codes, index_codes, n_tables=n_tables, n_bits=n_bits
+    )
+    if shared_similarities:
+        shared = _pair_similarities(query_ids, candidate_ids, query_vectors, index_vectors)
     pairs: Set[Tuple[int, int]] = set()
-    candidate_set: Set[int] = set()
-    for query_index in range(query_vectors.shape[0]):
-        candidate_set.clear()
-        for table in range(n_tables):
-            table_buckets = buckets[table]
-            code = int(query_codes[table][query_index])
-            bucket = table_buckets.get(code)
-            if bucket:
-                candidate_set.update(bucket)
-            for flip in flips:
-                bucket = table_buckets.get(code ^ flip)
-                if bucket:
-                    candidate_set.update(bucket)
-        if not candidate_set:
-            continue
-        candidates = np.fromiter(sorted(candidate_set), dtype=np.int64)
-        similarities = index_vectors[candidates] @ query_vectors[query_index]
+    if not len(query_ids):
+        return pairs
+    bounds = np.flatnonzero(np.r_[True, query_ids[1:] != query_ids[:-1], True])
+    for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        query_index = int(query_ids[start])
+        candidates = candidate_ids[start:end]
+        if shared_similarities:
+            similarities = shared[start:end]
+        else:
+            similarities = index_vectors[candidates] @ query_vectors[query_index]
         order = np.argsort(-similarities, kind="stable")[:top_k]
         for position in order:
             if similarities[position] > min_similarity:
@@ -434,12 +503,18 @@ class SemanticBlocker:
         self, left_values: Sequence[object], right_values: Sequence[object]
     ) -> List[Tuple[int, int]]:
         """Sorted embedding-neighbour index pairs between the two value lists."""
+        return pairs_from_keys(self.candidate_keys(left_values, right_values), len(right_values))
+
+    def candidate_keys(
+        self, left_values: Sequence[object], right_values: Sequence[object]
+    ) -> np.ndarray:
+        """The same pairs as sorted-unique ``left * len(right_values) + right`` keys."""
         self.last_bucket_skew = 0.0
         self.last_probe_candidates = 0
         if not left_values or not right_values:
             self.last_used_lsh = False
             self.last_index_kind = "brute"
-            return []
+            return np.empty(0, dtype=np.int64)
         # One text conversion, shared by the embedding lookup and the corpus
         # fingerprints — embedding_text is exactly what embed_many applies,
         # so the ordered fingerprint names exactly the rows embedded below.
@@ -450,18 +525,16 @@ class SemanticBlocker:
         if len(left_values) * len(right_values) <= self.brute_force_cells:
             self.last_used_lsh = False
             self.last_index_kind = "brute"
-            pairs = self._brute_force_pairs(left_vectors, right_vectors)
-        else:
-            self.last_used_lsh = True
-            if self.store is None:
-                left_texts = right_texts = None  # fingerprints unused
-            pairs = self._indexed_pairs(left_vectors, right_vectors, left_texts, right_texts)
-        return sorted(pairs)
+            return self._brute_force_pairs(left_vectors, right_vectors)
+        self.last_used_lsh = True
+        if self.store is None:
+            left_texts = right_texts = None  # fingerprints unused
+        return self._indexed_pairs(left_vectors, right_vectors, left_texts, right_texts)
 
     # -- exact path -----------------------------------------------------------------
     def _brute_force_pairs(
         self, left_vectors: np.ndarray, right_vectors: np.ndarray
-    ) -> Set[Tuple[int, int]]:
+    ) -> np.ndarray:
         """Exact top-k in both directions over one dense similarity matrix.
 
         Both directions matter: per-row top-k alone can starve a right value
@@ -476,19 +549,20 @@ class SemanticBlocker:
         :func:`_brute_force_reference`).
         """
         similarities = left_vectors @ right_vectors.T
-        pairs = self._dense_top_k_rows(similarities)
-        for right_index, left_index in self._dense_top_k_rows(similarities.T):
-            pairs.add((left_index, right_index))
-        return pairs
+        n_right = similarities.shape[1]
+        left_ids, right_ids = self._dense_top_k_rows(similarities)
+        reverse_right, reverse_left = self._dense_top_k_rows(similarities.T)
+        return _sorted_unique(
+            np.concatenate((left_ids * n_right + right_ids, reverse_left * n_right + reverse_right))
+        )
 
-    def _dense_top_k_rows(self, similarities: np.ndarray) -> Set[Tuple[int, int]]:
-        """Per-row exact top-k of a dense similarity matrix, as index pairs."""
+    def _dense_top_k_rows(self, similarities: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row exact top-k of a dense similarity matrix: ``(rows, columns)``."""
         n_rows, n_cols = similarities.shape
         floor = self.min_similarity
         k = min(self.top_k, n_cols)
         if k == n_cols:
-            rows, cols = np.nonzero(similarities > floor)
-            return set(zip(rows.tolist(), cols.tolist()))
+            return np.nonzero(similarities > floor)
         selected = np.argpartition(-similarities, k - 1, axis=1)[:, :k]
         selected_sims = np.take_along_axis(similarities, selected, axis=1)
         kth = selected_sims.min(axis=1)
@@ -504,7 +578,7 @@ class SemanticBlocker:
             )
         keep = selected_sims > floor
         row_ids = np.broadcast_to(np.arange(n_rows)[:, None], (n_rows, k))[keep]
-        return set(zip(row_ids.tolist(), selected[keep].tolist()))
+        return row_ids, selected[keep]
 
     # -- indexed paths ----------------------------------------------------------------
     def _indexed_pairs(
@@ -513,15 +587,17 @@ class SemanticBlocker:
         right_vectors: np.ndarray,
         left_texts: Optional[List[str]],
         right_texts: Optional[List[str]],
-    ) -> Set[Tuple[int, int]]:
+    ) -> np.ndarray:
         """Route one above-cutoff column pair to the LSH or IVF index.
 
         ``ann_index="lsh"`` computes the codes first and measures bucket
         occupancy; a side whose largest bucket exceeds ``skew_threshold``
         falls back to IVF (counted in :attr:`skew_fallbacks`) because its
         hyperplanes are not separating the corpus.  ``ann_index="ivf"``
-        skips the codes entirely.
+        skips the codes entirely.  Each direction returns ``query * n_index +
+        candidate`` keys; the reverse direction is re-keyed, not re-tupled.
         """
+        n_left, n_right = left_vectors.shape[0], right_vectors.shape[0]
         kind = self.ann_index
         if kind == "lsh":
             dimension = left_vectors.shape[1]
@@ -532,21 +608,16 @@ class SemanticBlocker:
             if skew > self.skew_threshold:
                 self.skew_fallbacks += 1
                 kind = "ivf"
-            else:
-                self.last_index_kind = "lsh"
-                pairs = self._probe_direction(
-                    left_vectors, left_codes, right_vectors, right_codes
-                )
-                reverse = self._probe_direction(
-                    right_vectors, right_codes, left_vectors, left_codes
-                )
-                pairs.update((left, right) for right, left in reverse)
-                return pairs
-        self.last_index_kind = "ivf"
-        pairs = self._ivf_probe(left_vectors, right_vectors, right_texts)
-        reverse = self._ivf_probe(right_vectors, left_vectors, left_texts)
-        pairs.update((left, right) for right, left in reverse)
-        return pairs
+        self.last_index_kind = kind
+        if kind == "lsh":
+            forward = self._probe_direction(left_vectors, left_codes, right_vectors, right_codes)
+            reverse = self._probe_direction(right_vectors, right_codes, left_vectors, left_codes)
+        else:
+            forward = self._ivf_probe(left_vectors, right_vectors, right_texts)
+            reverse = self._ivf_probe(right_vectors, left_vectors, left_texts)
+        return _sorted_unique(
+            np.concatenate((forward, reverse % n_left * n_right + reverse // n_left))
+        )
 
     @staticmethod
     def _bucket_skew(codes: np.ndarray) -> float:
@@ -623,10 +694,10 @@ class SemanticBlocker:
         query_codes: np.ndarray,
         index_vectors: np.ndarray,
         index_codes: np.ndarray,
-    ) -> Set[Tuple[int, int]]:
-        """``(query, index)`` pairs: each query keeps its top-k bucket-mates.
+    ) -> np.ndarray:
+        """``query * n_index + candidate`` keys: each query keeps its top-k bucket-mates.
 
-        Fully vectorised, byte-identical to the old per-query loop
+        Fully vectorised, the same pairs as the per-query loop
         (:func:`_probe_direction_reference`, property-tested): per table the
         index codes are stably sorted once, every query's code and its
         ``n_bits`` single-bit flips become one ``(n_queries, n_bits + 1)``
@@ -678,17 +749,8 @@ class SemanticBlocker:
                 lo = np.searchsorted(sorted_codes, probes, side="left")
                 hi = np.searchsorted(sorted_codes, probes, side="right")
             query_ids, candidate_ids = _expand_spans(lo, hi, order)
-            if len(query_ids):
-                key_parts.append(query_ids * n_index + candidate_ids)
-        if not key_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # Sort-based dedupe: same sorted-ascending keys np.unique would give,
-        # several times faster than its hash path at probe volumes (millions
-        # of combined keys), and the in-place sort reuses the concat buffer.
-        keys = np.concatenate(key_parts) if len(key_parts) > 1 else key_parts[0]
-        keys.sort()
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+            key_parts.append(query_ids * n_index + candidate_ids)
+        keys = _sorted_unique(np.concatenate(key_parts))
         return keys // n_index, keys % n_index
 
     # -- IVF index --------------------------------------------------------------------
@@ -748,8 +810,8 @@ class SemanticBlocker:
         query_vectors: np.ndarray,
         index_vectors: np.ndarray,
         index_texts: Optional[List[str]],
-    ) -> Set[Tuple[int, int]]:
-        """``(query, index)`` pairs via the IVF index over ``index_vectors``.
+    ) -> np.ndarray:
+        """``query * n_index + candidate`` keys via the IVF index over ``index_vectors``.
 
         Each query probes its :data:`IVF_PROBES` most similar centroids
         (stable selection) and ranks the members of those clusters by true
@@ -766,13 +828,11 @@ class SemanticBlocker:
         lo = np.searchsorted(sorted_assignments, probed, side="left")
         hi = np.searchsorted(sorted_assignments, probed, side="right")
         query_ids, candidate_ids = _expand_spans(lo, hi, order)
-        if not len(query_ids):
-            return set()
         # Probed clusters are distinct per query, so spans cannot overlap —
-        # but unique() also sorts pairs by (query, candidate), which the
-        # selection's tie-breaking relies on.
+        # the point is the (query, candidate) order the selection's
+        # tie-breaking relies on.
         n_index = index_vectors.shape[0]
-        keys = np.unique(query_ids * n_index + candidate_ids)
+        keys = _sorted_unique(query_ids * n_index + candidate_ids)
         return self._select_top_k(
             keys // n_index, keys % n_index, query_vectors, index_vectors
         )
@@ -784,44 +844,40 @@ class SemanticBlocker:
         candidate_ids: np.ndarray,
         query_vectors: np.ndarray,
         index_vectors: np.ndarray,
-    ) -> Set[Tuple[int, int]]:
-        """Per-query top-k over ``(query, candidate)`` pairs, above the floor.
+    ) -> np.ndarray:
+        """Per-query top-k over ``(query, candidate)`` pairs, as sorted keys.
 
         Pairs must arrive sorted by ``(query, candidate)`` (the sorted key
-        dedupe guarantees it).  Similarities and the top-k cut are computed
-        one query group at a time as ``index_vectors[candidates] @ query``
-        plus a stable argsort — the *same* gathered operands, the same BLAS
-        matvec and the same sort the reference loop uses, deliberately: BLAS
-        kernels are position-dependent at the ULP level (two bit-identical
-        duplicate rows can produce similarities one ULP apart depending on
-        where they sit in the gathered matrix), so computing the
-        similarities any other way can flip duplicate-row ties and break
-        byte-identity with the old loop.  The group loop is a few numpy
-        calls per query over C-sized work; the per-element Python of the old
-        path (dict probes, set unions, ``sorted``/``fromiter``) is what the
-        vectorisation removed.  Selecting inside the group also keeps the
-        pass O(pairs) in memory — a global rank (e.g. one lexsort over every
-        pair) costs minutes at the tens of millions of pairs a skewed index
-        can emit.
+        dedupe guarantees it), so every query is one contiguous segment.
+        Pairs at or below the similarity floor are dropped first — a query's
+        above-floor pairs outrank its others, so the cut is the same whether
+        the floor is applied before or after it.  Then ``top_k`` rounds of a
+        segmented maximum (``np.maximum.reduceat``): each round selects, per
+        segment, the *first* position holding the segment's maximum and
+        retires it, so equal similarities go to the lowest candidate index —
+        what a stable argsort per query does, without the per-query loop.
         """
-        n_pairs = len(query_ids)
-        self.last_probe_candidates += n_pairs
-        if n_pairs == 0:
-            return set()
-        top_k = self.top_k
-        min_similarity = self.min_similarity
-        bounds = np.flatnonzero(np.r_[True, query_ids[1:] != query_ids[:-1], True])
-        pairs: Set[Tuple[int, int]] = set()
-        for group in range(len(bounds) - 1):
-            start, end = bounds[group], bounds[group + 1]
-            candidates = candidate_ids[start:end]
-            similarities = index_vectors[candidates] @ query_vectors[query_ids[start]]
-            order = np.argsort(-similarities, kind="stable")[:top_k]
-            query = int(query_ids[start])
-            for position in order:
-                if similarities[position] > min_similarity:
-                    pairs.add((query, int(candidates[position])))
-        return pairs
+        self.last_probe_candidates += len(query_ids)
+        similarities = _pair_similarities(query_ids, candidate_ids, query_vectors, index_vectors)
+        above = similarities > self.min_similarity
+        keys = (query_ids * index_vectors.shape[0] + candidate_ids)[above]
+        query_ids, work = query_ids[above], similarities[above]
+        if len(keys) == 0:
+            return keys
+        starts = np.flatnonzero(np.r_[True, query_ids[1:] != query_ids[:-1]])
+        lengths = np.diff(np.r_[starts, len(keys)])
+        segment = np.repeat(np.arange(len(starts)), lengths)
+        selected = np.zeros(len(keys), dtype=bool)
+        for _ in range(min(self.top_k, int(lengths.max()))):
+            best = np.maximum.reduceat(work, starts)
+            # An exhausted segment's maximum is the -inf of its retired pairs:
+            # it re-selects one it already selected, which changes nothing.
+            hits = np.flatnonzero(work == best[segment])
+            hit_segments = segment[hits]
+            first = hits[np.r_[True, hit_segments[1:] != hit_segments[:-1]]]
+            selected[first] = True
+            work[first] = -np.inf
+        return keys[selected]
 
     def __repr__(self) -> str:
         return (

@@ -10,10 +10,11 @@ values the quadratic matrix dominates.  This module replaces it with a
    n-grams sampled evenly across the value, token prefixes, optional lexicon
    concepts) to every value; only value pairs sharing at least one key become
    candidates.
-2. **Decompose.**  The candidate-pair graph is split into connected components
-   with an integer union-find.  Values in different
-   components can never be matched to each other, so the global assignment
-   decomposes exactly into one independent assignment per component.
+2. **Decompose.**  The candidate-pair graph — one sorted int64 key
+   ``left * n_right + right`` per pair, never a tuple — is split into
+   connected components by a numpy hook-and-shortcut labelling.  Values in
+   different components can never be matched to each other, so the global
+   assignment decomposes exactly into one independent assignment per component.
 3. **Score in batch.**  Every participating value is embedded once via
    ``embedder.embed_many``; each component's cost matrix is then a single
    vectorised :func:`~repro.matching.distance.cosine_distance_matrix` call
@@ -88,7 +89,7 @@ import numpy as np
 
 from repro.embeddings.base import ValueEmbedder
 from repro.embeddings.lexicon import SemanticLexicon, default_lexicon
-from repro.matching.ann import SemanticBlocker
+from repro.matching.ann import SemanticBlocker, _expand_spans, _sorted_unique, pairs_from_keys
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
 from repro.matching.bipartite import ValueMatch, split_exact_matches
 from repro.matching.distance import EmbeddingDistance, cosine_distance_matrix
@@ -116,6 +117,12 @@ KEY_MEMO_LIMIT = 200_000
 #: in-process: n-gram sampling per value is microseconds, so a fan-out has to
 #: amortise pool dispatch over thousands of values to win.
 PARALLEL_KEYS_MIN_VALUES = 2048
+
+#: Candidate pairs one slab of :meth:`ValueBlocker.candidate_keys` expands
+#: before deduplicating (32 MB of int64 keys): a key shared by thousands of
+#: values on one side repeats its pairs under every other shared key, and the
+#: raw expansion is never held whole.
+PAIR_SLAB = 4_000_000
 
 #: Lazily built lexicon shared by every ValueBlocker that does not bring its
 #: own.  ``default_lexicon()`` rebuilds the whole knowledge base per call;
@@ -224,6 +231,91 @@ def _keys_for_text_batch(
         )
         for text in texts[start:stop]
     ]
+
+
+def _postings(
+    value_keys: Sequence[Tuple[str, ...]], interned: Dict[str, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(key id, value position)`` of every key occurrence, in position order.
+
+    Key strings are interned to dense ints in ``interned`` (shared by the two
+    sides of a column pair) — the last place a candidate is a Python object.
+    """
+    lengths = np.fromiter(map(len, value_keys), dtype=np.int64, count=len(value_keys))
+    key_ids = np.fromiter(
+        (interned.setdefault(key, len(interned)) for keys in value_keys for key in keys),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    return key_ids, np.repeat(np.arange(len(value_keys), dtype=np.int64), lengths)
+
+
+def _component_labels(
+    pair_left: np.ndarray, pair_right: np.ndarray, n_left: int, n_right: int
+) -> np.ndarray:
+    """Connected-component root of every node of the bipartite candidate graph.
+
+    Nodes are the left rows ``0 .. n_left`` then the right rows; the returned
+    array maps each node to the smallest node of its component — a left row,
+    since every component holds one.  Hook-and-shortcut over the whole edge
+    array: each round hooks the larger of an edge's two roots under the
+    smaller (``np.minimum.at``, so a root hooked by several edges takes the
+    smallest) and then compresses every path, until all edges are internal.
+    Roots only ever decrease, so the forest stays acyclic; rounds are
+    logarithmic in practice, never more than the node count.
+    """
+    parent = np.arange(n_left + n_right, dtype=np.int64)
+    right_nodes = pair_right + n_left
+    while True:
+        left_roots, right_roots = parent[pair_left], parent[right_nodes]
+        if np.array_equal(left_roots, right_roots):
+            return parent
+        np.minimum.at(
+            parent, np.maximum(left_roots, right_roots), np.minimum(left_roots, right_roots)
+        )
+        while True:
+            grandparent = parent[parent]
+            if np.array_equal(grandparent, parent):
+                break
+            parent = grandparent
+
+
+def _compact(ids: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``ids`` (all in ``[0, size)``), ascending, and each id's rank among them.
+
+    ``np.unique(ids, return_inverse=True)`` for bounded ids, in one pass and no sort.
+    """
+    present = np.zeros(size, dtype=bool)
+    present[ids] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
+
+
+def _group_by_component(component: np.ndarray, n_components: int):
+    """``(order, bounds)``: ``order[bounds[c]:bounds[c + 1]]`` are the items
+    labelled ``c``, in their original (ascending) order."""
+    order = np.argsort(component, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(component, minlength=n_components))))
+    return order, bounds
+
+
+def _components(pair_left: np.ndarray, pair_right: np.ndarray, n_left: int, n_right: int):
+    """Split the candidate graph (edges between embedding rows) into components.
+
+    Components are numbered by their smallest left row — the order in which
+    the sorted pair list first reaches them.  Returns every pair's component
+    number and the :func:`_group_by_component` pairs of the left rows, the
+    right rows and the pairs.
+    """
+    roots, node_component = _compact(
+        _component_labels(pair_left, pair_right, n_left, n_right), n_left + n_right
+    )
+    pair_component = node_component[pair_left]
+    return (
+        pair_component,
+        _group_by_component(node_component[:n_left], len(roots)),
+        _group_by_component(node_component[n_left:], len(roots)),
+        _group_by_component(pair_component, len(roots)),
+    )
 
 
 @dataclass(frozen=True)
@@ -526,7 +618,44 @@ class ValueBlocker:
         self, left_values: Sequence[object], right_values: Sequence[object]
     ) -> List[Tuple[int, int]]:
         """Index pairs (into left/right) sharing at least one blocking key."""
-        return sorted(self.iter_candidate_pairs(left_values, right_values))
+        return pairs_from_keys(self.candidate_keys(left_values, right_values), len(right_values))
+
+    def candidate_keys(
+        self, left_values: Sequence[object], right_values: Sequence[object]
+    ) -> np.ndarray:
+        """The same pairs as sorted-unique ``left * len(right_values) + right`` keys.
+
+        The array form the matcher consumes — ``sorted(set(...))`` of what
+        :meth:`iter_candidate_pairs` streams, without a tuple per pair: every
+        left key occurrence is a query whose span is its key's right posting
+        list, the frequent-key cap is a mask over key ids, and the spans are
+        expanded :data:`PAIR_SLAB` pairs at a time and merge-deduplicated.
+        Sets :attr:`last_skipped_keys` like the streaming form.
+        """
+        n_right = len(right_values)
+        interned: Dict[str, int] = {}
+        left_keys, left_positions = _postings(self._value_keys(left_values), interned)
+        right_keys, right_positions = _postings(self._value_keys(right_values), interned)
+        left_counts = np.bincount(left_keys, minlength=len(interned))
+        right_counts = np.bincount(right_keys, minlength=len(interned))
+        # The cap compares the smaller posting list (see iter_candidate_pairs).
+        cap = self.frequent_key_cap
+        capped = np.minimum(left_counts, right_counts) > (np.inf if cap is None else cap)
+        self.last_skipped_keys = int(capped.sum())
+        entries = np.flatnonzero(~capped[left_keys])
+        entry_left = left_positions[entries]
+        offsets = np.concatenate(([0], np.cumsum(right_counts)))
+        lo, hi = offsets[left_keys[entries]], offsets[left_keys[entries] + 1]
+        posting_order = right_positions[np.argsort(right_keys, kind="stable")]
+        # Entries whose expansion starts inside the same PAIR_SLAB window of
+        # the concatenated spans form one slab (one oversized span is its own).
+        window = (np.cumsum(hi - lo) - (hi - lo)) // PAIR_SLAB
+        cuts = np.concatenate(([0], np.flatnonzero(np.diff(window)) + 1, [len(entries)]))
+        slabs = []
+        for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            entry, right = _expand_spans(lo[start:stop, None], hi[start:stop, None], posting_order)
+            slabs.append(_sorted_unique(entry_left[start:stop][entry] * n_right + right))
+        return slabs[0] if len(slabs) == 1 else _sorted_unique(np.concatenate(slabs))
 
 
 def _score_and_solve_component(
@@ -554,10 +683,11 @@ def _score_and_solve_component(
     cost = cosine_distance_matrix(left_matrix[left_rows], right_matrix[right_rows])
     if pair_rows is not None:
         # Values connected only transitively are not candidates of each
-        # other; keep them unmatchable.
-        allowed = np.zeros(cost.shape, dtype=bool)
-        allowed[pair_rows, pair_cols] = True
-        cost = np.where(allowed, cost, PROHIBITIVE_COST)
+        # other; keep them unmatchable.  In place: ``cost`` is this function's
+        # own fresh array, and a second full matrix is the request's peak.
+        forbidden = np.ones(cost.shape, dtype=bool)
+        forbidden[pair_rows, pair_cols] = False
+        np.putmask(cost, forbidden, PROHIBITIVE_COST)
     # A 1×1 component has exactly one possible assignment; skip the solver
     # round-trip (only reached when singleton batching is disabled).
     assignment = [(0, 0)] if cost.shape == (1, 1) else solver.solve(cost)
@@ -635,75 +765,55 @@ class BlockedValueMatcher:
         merge deterministically, so every backend/worker-count combination
         returns exactly what the serial loop returns.
         """
-        candidates = self._candidates_or_none(left_values, right_values)
-        if candidates is None:
+        keys = self._candidate_keys(left_values, right_values)
+        if keys is None:
             return []
-        components = self._connected_components(candidates)
-
         # Embed every participating value once, in two batched calls; each
-        # component then scores its cells by slicing these matrices.
-        left_used = sorted({left for left, _ in candidates})
-        right_used = sorted({right for _, right in candidates})
-        left_vectors = self.embedder.embed_many([left_values[index] for index in left_used])
-        right_vectors = self.embedder.embed_many([right_values[index] for index in right_used])
-        left_row = {index: row for row, index in enumerate(left_used)}
-        right_row = {index: row for row, index in enumerate(right_used)}
-        left_used_array = np.asarray(left_used, dtype=np.int64)
-        right_used_array = np.asarray(right_used, dtype=np.int64)
+        # component then scores its cells by slicing these matrices.  From
+        # here on a value is its row in them.
+        left_used, pair_left = _compact(keys // len(right_values), len(left_values))
+        right_used, pair_right = _compact(keys % len(right_values), len(right_values))
+        left_vectors = self.embedder.embed_many([left_values[i] for i in left_used.tolist()])
+        right_vectors = self.embedder.embed_many([right_values[i] for i in right_used.tolist()])
 
-        component_cells = tuple(
-            len(component_left) * len(component_right)
-            for component_left, component_right, _ in components
-        )
-        if self.singleton_batching:
-            trivial = [
-                component
-                for component in components
-                if len(component[0]) == 1 or len(component[1]) == 1
-            ]
-            general = [
-                component
-                for component in components
-                if len(component[0]) > 1 and len(component[1]) > 1
-            ]
-        else:
-            trivial = []
-            general = components
+        (
+            pair_component,
+            (left_order, left_bounds),
+            (right_order, right_bounds),
+            (pair_order, pair_bounds),
+        ) = _components(pair_left, pair_right, len(left_used), len(right_used))
+        left_sizes, right_sizes = np.diff(left_bounds), np.diff(right_bounds)
+        component_cells = tuple((left_sizes * right_sizes).tolist())
+        trivial = (left_sizes == 1) | (right_sizes == 1)
+        if not self.singleton_batching:
+            trivial[:] = False
 
-        matches: List[ValueMatch] = []
-        matches.extend(
-            self._match_trivial_batched(
-                trivial,
-                left_values,
-                right_values,
-                left_vectors,
-                right_vectors,
-                left_used_array,
-                right_used_array,
-            )
+        # Accepted (left row, right row, distance) triples: the star
+        # components' in one batch, then each general component's.
+        star_pairs = pair_order[trivial[pair_component[pair_order]]]
+        accepted = self._match_trivial_batched(
+            pair_left[star_pairs],
+            pair_right[star_pairs],
+            pair_component[star_pairs],
+            left_vectors,
+            right_vectors,
         )
 
         payloads = []
-        for component_left, component_right, component_pairs in general:
-            left_block_rows = np.asarray(
-                [left_row[index] for index in component_left], dtype=np.int64
-            )
-            right_block_rows = np.asarray(
-                [right_row[index] for index in component_right], dtype=np.int64
-            )
-            if len(component_pairs) < len(component_left) * len(component_right):
-                pair_array = np.asarray(component_pairs, dtype=np.int64)
-                # Component index lists are sorted, so the component-local
-                # coordinates of each candidate cell are a binary search away.
-                pair_rows = np.searchsorted(
-                    np.asarray(component_left, dtype=np.int64), pair_array[:, 0]
-                )
-                pair_cols = np.searchsorted(
-                    np.asarray(component_right, dtype=np.int64), pair_array[:, 1]
+        for component in np.flatnonzero(~trivial).tolist():
+            rows = left_order[left_bounds[component] : left_bounds[component + 1]]
+            columns = right_order[right_bounds[component] : right_bounds[component + 1]]
+            members = pair_order[pair_bounds[component] : pair_bounds[component + 1]]
+            if len(members) < len(rows) * len(columns):
+                # Rows and columns ascend, so the component-local coordinates
+                # of each candidate cell are a binary search away.
+                cells = (
+                    np.searchsorted(rows, pair_left[members]),
+                    np.searchsorted(columns, pair_right[members]),
                 )
             else:
-                pair_rows = pair_cols = None
-            payloads.append((left_block_rows, right_block_rows, pair_rows, pair_cols))
+                cells = (None, None)
+            payloads.append((rows, columns, *cells))
         # The embedding matrices travel via shared= (bound directly in
         # process-free backends, published once as memmaps for the process
         # pool); each payload is just the component's index arrays.
@@ -714,21 +824,24 @@ class BlockedValueMatcher:
             weight=lambda payload: len(payload[0]) * len(payload[1]),
             shared={"left_matrix": left_vectors, "right_matrix": right_vectors},
         )
-        for (component_left, component_right, _), accepted in zip(general, solved):
-            for row, column, pair_distance in accepted:
-                matches.append(
-                    ValueMatch(
-                        left=left_values[component_left[row]],
-                        right=right_values[component_right[column]],
-                        distance=pair_distance,
-                    )
-                )
+        for (rows, columns, _, _), component_accepted in zip(payloads, solved):
+            accepted.extend(
+                (rows[row], columns[column], distance) for row, column, distance in component_accepted
+            )
+        matches = [
+            ValueMatch(
+                left=left_values[left_used[row]],
+                right=right_values[right_used[column]],
+                distance=distance,
+            )
+            for row, column, distance in accepted
+        ]
 
         self.last_statistics = BlockingStatistics(
             left_values=len(left_values),
             right_values=len(right_values),
-            candidate_pairs=len(candidates),
-            components=len(components),
+            candidate_pairs=len(keys),
+            components=len(component_cells),
             largest_component=max(component_cells, default=0),
             pairs_scored=sum(component_cells),
             component_cells=component_cells,
@@ -745,45 +858,27 @@ class BlockedValueMatcher:
 
     def _match_trivial_batched(
         self,
-        trivial: Sequence[Tuple[List[int], List[int], List[Tuple[int, int]]]],
-        left_values: Sequence[object],
-        right_values: Sequence[object],
+        pair_left: np.ndarray,
+        pair_right: np.ndarray,
+        groups: np.ndarray,
         left_vectors: np.ndarray,
         right_vectors: np.ndarray,
-        left_used_array: np.ndarray,
-        right_used_array: np.ndarray,
-    ) -> List[ValueMatch]:
+    ) -> List[Tuple[int, int, float]]:
         """One vectorised pass over every 1×1 / 1×N / N×1 component.
 
         A component with a single value on one side is a star graph: every
         cell is a candidate (each edge touches the hub), and the optimal
         assignment is simply its cheapest cell.  So instead of one cost
         matrix + solver call per component, score *all* their candidate cells
-        with a single einsum and pick each component's winner with one grouped
-        (stable, therefore deterministic) argmin.
+        (embedding rows ``pair_left`` / ``pair_right``, component numbers
+        ``groups``) with a single einsum and pick each component's winner with
+        one grouped (stable, therefore deterministic) argmin.  Returns the
+        accepted ``(left row, right row, distance)`` triples in group order.
         """
-        if not trivial:
+        if not len(groups):
             return []
-        pair_left: List[int] = []
-        pair_right: List[int] = []
-        group_ids: List[int] = []
-        for group, (_, _, component_pairs) in enumerate(trivial):
-            for left_index, right_index in component_pairs:
-                pair_left.append(left_index)
-                pair_right.append(right_index)
-                group_ids.append(group)
-        left_indices = np.asarray(pair_left, dtype=np.int64)
-        right_indices = np.asarray(pair_right, dtype=np.int64)
-        groups = np.asarray(group_ids, dtype=np.int64)
-        # The used-index arrays are sorted, so original index -> embedding row
-        # is one vectorised binary search (no per-pair dict lookups).
         distances = np.clip(
-            1.0
-            - np.einsum(
-                "ij,ij->i",
-                left_vectors[np.searchsorted(left_used_array, left_indices), :],
-                right_vectors[np.searchsorted(right_used_array, right_indices), :],
-            ),
+            1.0 - np.einsum("ij,ij->i", left_vectors[pair_left, :], right_vectors[pair_right, :]),
             0.0,
             1.0,
         )
@@ -794,14 +889,9 @@ class BlockedValueMatcher:
         is_first[1:] = groups[order][1:] != groups[order][:-1]
         winners = order[is_first]
         winners = winners[distances[winners] < self.threshold]
-        return [
-            ValueMatch(
-                left=left_values[int(left_indices[winner])],
-                right=right_values[int(right_indices[winner])],
-                distance=float(distances[winner]),
-            )
-            for winner in winners
-        ]
+        return list(
+            zip(pair_left[winners].tolist(), pair_right[winners].tolist(), distances[winners].tolist())
+        )
 
     def match_dense(
         self, left_values: Sequence[object], right_values: Sequence[object]
@@ -813,9 +903,10 @@ class BlockedValueMatcher:
         component-wise engine and for the ablation benchmark's speedup
         measurement; prefer :meth:`match`.
         """
-        candidates = self._candidates_or_none(left_values, right_values)
-        if candidates is None:
+        keys = self._candidate_keys(left_values, right_values)
+        if keys is None:
             return []
+        candidates = pairs_from_keys(keys, len(right_values))
         left_used = sorted({left for left, _ in candidates})
         right_used = sorted({right for _, right in candidates})
         left_position = {index: position for position, index in enumerate(left_used)}
@@ -919,10 +1010,10 @@ class BlockedValueMatcher:
         return matches
 
     # -- helpers --------------------------------------------------------------------
-    def _candidates_or_none(
+    def _candidate_keys(
         self, left_values: Sequence[object], right_values: Sequence[object]
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Surface ∪ semantic candidate pairs, or ``None`` when nothing matches."""
+    ) -> Optional[np.ndarray]:
+        """Surface ∪ semantic candidate keys, or ``None`` when nothing matches."""
         self._last_ann_added = 0
         self._last_ann_duplicate = 0
         self._last_ann_kind = ""
@@ -932,26 +1023,24 @@ class BlockedValueMatcher:
         if not left_values or not right_values:
             self.last_statistics = BlockingStatistics(len(left_values), len(right_values), 0)
             return None
-        candidates = self.blocker.candidate_pairs(left_values, right_values)
+        keys = self.blocker.candidate_keys(left_values, right_values)
         if self.semantic_blocker is not None and self._semantic_engages(
-            candidates, len(left_values), len(right_values)
+            keys, len(left_values), len(right_values)
         ):
             fallbacks_before = self.semantic_blocker.skew_fallbacks
-            semantic_pairs = self.semantic_blocker.candidate_pairs(left_values, right_values)
+            semantic_keys = self.semantic_blocker.candidate_keys(left_values, right_values)
             self._last_ann_kind = self.semantic_blocker.last_index_kind
             self._last_ann_skew = self.semantic_blocker.last_bucket_skew
             self._last_ann_fallbacks = (
                 self.semantic_blocker.skew_fallbacks - fallbacks_before
             )
             self._last_ann_probe = self.semantic_blocker.last_probe_candidates
-            if semantic_pairs:
-                surface_set = set(candidates)
-                added = [pair for pair in semantic_pairs if pair not in surface_set]
-                self._last_ann_added = len(added)
-                self._last_ann_duplicate = len(semantic_pairs) - len(added)
-                if added:
-                    candidates = sorted(surface_set.union(added))
-        if not candidates:
+            # Both channels are sorted-unique, so the counters are lengths.
+            union = _sorted_unique(np.concatenate((keys, semantic_keys)))
+            self._last_ann_added = len(union) - len(keys)
+            self._last_ann_duplicate = len(semantic_keys) - self._last_ann_added
+            keys = union
+        if not len(keys):
             # skipped_keys matters most here: an all-capped key set is
             # indistinguishable from "nothing blocks together" without it.
             self.last_statistics = BlockingStatistics(
@@ -961,68 +1050,20 @@ class BlockedValueMatcher:
                 skipped_keys=self.blocker.last_skipped_keys,
             )
             return None
-        return candidates
+        return keys
 
-    def _semantic_engages(
-        self, surface_candidates: Sequence[Tuple[int, int]], n_left: int, n_right: int
-    ) -> bool:
+    def _semantic_engages(self, surface_keys: np.ndarray, n_left: int, n_right: int) -> bool:
         """Whether the ANN channel runs for this column pair.
 
         ``"on"`` always engages.  ``"auto"`` engages exactly when the surface
         channel left some value with no candidate at all: a fully covered
         graph can still be missing *better* pairs, but an uncovered value is
-        a guaranteed recall hole — and checking coverage costs one set pass,
-        not an index build.
+        a guaranteed recall hole — and checking coverage costs two
+        ``np.bincount`` over the keys, not an index build.
         """
         if self.semantic_mode == "on":
             return True
-        if len(surface_candidates) == 0:
-            return True
-        covered_left: Set[int] = set()
-        covered_right: Set[int] = set()
-        for left_index, right_index in surface_candidates:
-            covered_left.add(left_index)
-            covered_right.add(right_index)
-        return len(covered_left) < n_left or len(covered_right) < n_right
-
-    @staticmethod
-    def _connected_components(
-        candidates: Sequence[Tuple[int, int]],
-    ) -> List[Tuple[List[int], List[int], List[Tuple[int, int]]]]:
-        """Split the candidate-pair graph into connected components.
-
-        Returns ``(left_indices, right_indices, pairs)`` per component, in a
-        deterministic order (first appearance of the component's earliest
-        pair).  Uses an inline integer union-find (left node ``i``, right node
-        ``n_left + j``) — the generic :class:`~repro.utils.unionfind.UnionFind`
-        hashes a tuple key per operation, which dominates this hot path on
-        graphs with tens of thousands of candidate pairs.
-        """
-        n_left = 1 + max(left_index for left_index, _ in candidates)
-        n_right = 1 + max(right_index for _, right_index in candidates)
-        parent = list(range(n_left + n_right))
-
-        def find(node: int) -> int:
-            root = node
-            while parent[root] != root:
-                root = parent[root]
-            while parent[node] != root:  # path compression
-                parent[node], node = root, parent[node]
-            return root
-
-        for left_index, right_index in candidates:
-            left_root = find(left_index)
-            right_root = find(n_left + right_index)
-            if left_root != right_root:
-                parent[right_root] = left_root
-        pairs_by_root: Dict[int, List[Tuple[int, int]]] = {}
-        for left_index, right_index in candidates:
-            pairs_by_root.setdefault(find(left_index), []).append(
-                (left_index, right_index)
-            )
-        components: List[Tuple[List[int], List[int], List[Tuple[int, int]]]] = []
-        for pairs in pairs_by_root.values():
-            component_left = sorted({left for left, _ in pairs})
-            component_right = sorted({right for _, right in pairs})
-            components.append((component_left, component_right, pairs))
-        return components
+        return not (
+            np.bincount(surface_keys // n_right, minlength=n_left).all()
+            and np.bincount(surface_keys % n_right, minlength=n_right).all()
+        )

@@ -196,6 +196,22 @@ class TestAnnAblationHarness:
         written = module.write_json(payload, str(tmp_path / "BENCH_ann.json"))
         assert written.exists()
 
+    def test_check_floor_guards_probe_and_top_k(self, tmp_path, monkeypatch, capsys):
+        """``--check-floor`` re-times both the probe and probe + top-k (2x limit each)."""
+        module = _load("bench_ablation_ann")
+        record = tmp_path / "BENCH_ann.json"
+        committed = {"n_values": 600, "floor_seconds": 0.25, "end_to_end_seconds": 1.0}
+        module.write_json({"probe_speedup": committed}, str(record))
+        assert module.check_floor(str(record)) == 0  # a real, small run is well inside
+        assert "probe + top-k floor check" in capsys.readouterr().out
+        for current, status in (
+            ({"vectorised_seconds": 0.4, "end_to_end_seconds": 1.9}, 0),
+            ({"vectorised_seconds": 0.4, "end_to_end_seconds": 2.1}, 1),
+            ({"vectorised_seconds": 0.6, "end_to_end_seconds": 1.0}, 1),
+        ):
+            monkeypatch.setattr(module, "run_probe_speedup_benchmark", lambda current=current, **_: current)
+            assert module.check_floor(str(record)) == status
+
     def test_workloads_are_deterministic(self):
         module = _load("bench_ablation_ann")
         first = module.synonym_vocabulary(30)
