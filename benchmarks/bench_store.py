@@ -8,8 +8,10 @@ records what each mechanism buys:
 
 1. **Cold vs warm engine start**: a fresh engine integrates a workload and
    publishes its artifacts; a second fresh engine over the same directory
-   serves the same request warm.  The warm run must make *zero* raw embed
-   calls, produce identical output, and be faster.
+   serves the same request warm.  The cold run embeds every distinct value
+   once and publishes it; the warm run must make *zero* raw embed calls,
+   read every one of those rows from the store and produce identical output
+   (:func:`warm_start_violations`).  Seconds are recorded, not asserted.
 2. **Durable ANN indexes**: LSH code matrices built + published cold, then
    loaded by a fresh blocker — zero rebuilds, identical candidate pairs.
 3. **Process hand-off**: ``run_partitioned`` over the process backend with
@@ -21,11 +23,12 @@ Results land in ``BENCH_store.json`` (committed to the repo and uploaded as
 a CI artifact), so the cold→warm trajectory is recorded over time.  The
 committed file's ``warm_start.floor_seconds`` is a perf floor:
 ``--check-floor PATH`` re-times the warm start at the committed scale and
-exits 1 on a >2x regression (or any raw embed call on the warm side) — the
-same CI guard treatment ``BENCH_ann.json`` got.  Absolute speedups are
-hardware- and workload-honest: the simulated embedders are cheap, so the
-warm-start ratio here is a *floor* — real model-backed embedders make the
-cold side arbitrarily slower while the warm side stays memmap-bound.
+exits 1 on a >2x regression (or any broken store guarantee) — the same CI
+guard treatment ``BENCH_ann.json`` got.  The cold ÷ warm ratio measures how
+slow the *embedder* is, not what the store guarantees: the simulated
+embedders are cheap (and got ~5x cheaper with the batched kernel), so the
+ratio here is small — real model-backed embedders make the cold side
+arbitrarily slower while the warm side stays memmap-bound.
 
 Run with ``python benchmarks/bench_store.py`` (``--smoke`` for a small CI
 run, ``--output PATH`` to choose the JSON location) or via
@@ -63,9 +66,9 @@ class CountingEmbedder(MistralEmbedder):
         super().__init__(*args, **kwargs)
         self.raw_embeds = 0
 
-    def _embed_text(self, text):
-        self.raw_embeds += 1
-        return super()._embed_text(text)
+    def _embed_texts(self, texts):
+        self.raw_embeds += len(texts)
+        return super()._embed_texts(texts)
 
 
 # ---------------------------------------------------------------------------------
@@ -150,6 +153,25 @@ def run_warm_start_benchmark(n_values: int = 1500, seed: int = 7) -> Dict[str, f
         }
 
 
+def warm_start_violations(warm_start: Dict[str, float]) -> List[str]:
+    """The store's guarantees a warm-start record breaks (empty when it holds).
+
+    The cold side is checked too: a counter that never moves would make the
+    warm zero vacuous.
+    """
+    rows = warm_start["published_rows"]
+    checks = {
+        "the cold run embedded nothing": rows > 0,
+        "cold raw embeds != rows published": warm_start["cold_raw_embeds"] == rows,
+        "the warm start made raw embed calls — the store went cold": (
+            warm_start["warm_raw_embeds"] == 0.0
+        ),
+        "warm store hits != rows published": warm_start["warm_store_hits"] == rows,
+        "warm output differs from cold output": warm_start["identical_output"] == 1.0,
+    }
+    return [problem for problem, holds in checks.items() if not holds]
+
+
 def check_floor(path: str) -> int:
     """CI guard: 1 if the warm start regressed >2x vs the committed floor."""
     committed = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -165,8 +187,10 @@ def check_floor(path: str) -> int:
         f"warm-start floor check at {warm_start['n_values']:,.0f} values: "
         f"{seconds:.3f}s current vs {floor:.3f}s committed floor (limit {limit:.3f}s)"
     )
-    if current["warm_raw_embeds"] != 0.0:
-        print("FAIL: the warm start made raw embed calls — the store went cold")
+    violations = warm_start_violations(current)
+    for problem in violations:
+        print(f"FAIL: {problem}")
+    if violations:
         return 1
     if seconds > limit:
         print("FAIL: warm start regressed more than 2x vs the committed floor")
@@ -374,9 +398,7 @@ def test_warm_start(benchmark):
     warm_start = benchmark.pedantic(
         run_warm_start_benchmark, kwargs={"n_values": 600}, rounds=1, iterations=1
     )
-    assert warm_start["warm_raw_embeds"] == 0.0
-    assert warm_start["identical_output"] == 1.0
-    assert warm_start["speedup"] > 1.0
+    assert warm_start_violations(warm_start) == []
 
 
 def test_ann_durability(benchmark):

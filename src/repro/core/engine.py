@@ -182,7 +182,7 @@ class IntegrationEngine:
             # with deterministic backoff plus a circuit breaker, configured by
             # the retry_*/breaker_* knobs.  A caller-supplied ResilientEmbedder
             # passes through so its own (possibly test-injected) clock and
-            # knobs win.  The wrapper mirrors name/dimension/cache, so store
+            # knobs win.  The wrapper mirrors name/dimension/revision/cache, so store
             # fingerprints and the cache attach below are unchanged.
             resolved = ResilientEmbedder(
                 resolved,
@@ -206,6 +206,7 @@ class IntegrationEngine:
                 self.embedder.name,
                 self.embedder.dimension,
                 max_entries=self.embedder.cache.max_entries,
+                revision=self.embedder.revision,
             )
             self.embedder.use_cache(self._store_cache)
         self.requests_served = 0

@@ -7,7 +7,8 @@ of fuzzily-joinable columns over 17 topics), the ALITE open-data benchmark
 samples of 5K–30K tuples) for runtime.  This package generates seeded,
 deterministic stand-ins with the same structure and the same corruption
 classes (typos, case changes, abbreviations, synonyms, format changes), each
-with exact ground truth.  See DESIGN.md ("Substitutions") for the mapping.
+with exact ground truth.  See ``docs/architecture.md`` ("Supporting layers")
+for where each generator is used.
 """
 
 from repro.datasets.corruptions import CorruptionProfile, Corruptor

@@ -8,7 +8,8 @@ provides *simulated* embedders that preserve the property the fuzzy-matching
 pipeline relies on — surface forms of the same real-world value land close in
 cosine space, unrelated values land far apart — with per-model fidelity knobs
 (semantic-lexicon coverage, noise) that reproduce the relative ordering of
-Table 1.  See DESIGN.md ("Substitutions") for the full rationale.
+Table 1.  See ``docs/embeddings.md`` for the model (features × scales ×
+directions) and what Table 1 depends on.
 
 All embedders are deterministic: the same value always maps to the same
 vector, across processes and platforms.

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import abc
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,15 +20,27 @@ def embedding_text(value: object) -> str:
     return "" if value is None else str(value)
 
 
-class ValueEmbedder(abc.ABC):
+#: Texts per raw-embed slab: bounds the working set of one ``_embed_texts``
+#: call and is how often a cold batch takes the cache lock.  A constant, not
+#: a knob — rows are bit-identical for any value (tests patch it to 1 / 2 / 7).
+EMBED_SLAB = 256
+
+
+class ValueEmbedder:
     """Maps cell values to fixed-dimension unit vectors.
 
-    Subclasses implement :meth:`_embed_text`; callers use :meth:`embed` and
+    Subclasses implement the batch seam :meth:`_embed_texts` (or, one text at
+    a time, :meth:`_embed_text`); callers use :meth:`embed` and
     :meth:`embed_many`, which handle caching and normalisation.
     """
 
     #: Registry name of the model (e.g. ``"mistral"``); subclasses override.
     name: str = "abstract"
+
+    #: Bumped when the model's vectors change for the same name and
+    #: dimension, so persisted vectors of the old family miss instead of
+    #: being served (see :func:`repro.storage.fingerprint.embedder_fingerprint`).
+    revision: int = 1
 
     def __init__(self, dimension: int = 256, cache: Optional["EmbeddingCache"] = None) -> None:
         if dimension <= 0:
@@ -56,24 +67,7 @@ class ValueEmbedder(abc.ABC):
 
     def embed(self, value: object) -> np.ndarray:
         """Return the unit-norm embedding of one cell value."""
-        text = embedding_text(value)
-        cached = self._cache.get(self.name, text)
-        if cached is not None:
-            return cached
-        return self._embed_and_cache(text)
-
-    def _embed_and_cache(self, text: str) -> np.ndarray:
-        """Compute, validate, normalise and cache the embedding of ``text``."""
-        vector = np.asarray(self._embed_text(text), dtype=np.float64)
-        if vector.shape != (self.dimension,):
-            raise ValueError(
-                f"{self.name} produced shape {vector.shape}, expected ({self.dimension},)"
-            )
-        norm = np.linalg.norm(vector)
-        if norm > 0:
-            vector = vector / norm
-        self._cache.put(self.name, text, vector)
-        return vector
+        return self.embed_many([value])[0]
 
     def embed_many(self, values: Sequence[object]) -> np.ndarray:
         """Return an ``(n, dimension)`` matrix of embeddings for ``values``.
@@ -82,20 +76,39 @@ class ValueEmbedder(abc.ABC):
         cache-lock acquisition (:meth:`EmbeddingCache.fill_many`) — on warm
         caches this is the hot path of the blocked matcher, and one lock
         round instead of ``n`` matters once a worker pool shares the cache.
+        The distinct uncached texts are embedded in slabs of
+        :data:`EMBED_SLAB`, each validated, normalised and cached as a whole.
         """
         if not values:
             return np.zeros((0, self.dimension), dtype=np.float64)
         texts = [embedding_text(value) for value in values]
         matrix = np.empty((len(texts), self.dimension), dtype=np.float64)
-        computed: Dict[str, np.ndarray] = {}
-        for index in self._cache.fill_many(self.name, texts, matrix):
-            text = texts[index]
+        missing = self._cache.fill_many(self.name, texts, matrix)
+        if missing:
             # Duplicate texts within one cold batch embed exactly once.
-            vector = computed.get(text)
-            if vector is None:
-                vector = computed[text] = self._embed_and_cache(text)
-            matrix[index] = vector
+            row_of: Dict[str, int] = {}
+            for index in missing:
+                row_of.setdefault(texts[index], len(row_of))
+            distinct = list(row_of)
+            computed = np.empty((len(distinct), self.dimension), dtype=np.float64)
+            for start in range(0, len(distinct), EMBED_SLAB):
+                slab = distinct[start : start + EMBED_SLAB]
+                computed[start : start + len(slab)] = self._embed_slab(slab)
+            matrix[missing] = computed[[row_of[texts[index]] for index in missing]]
         return matrix
+
+    def _embed_slab(self, texts: Sequence[str]) -> np.ndarray:
+        """Compute, validate, normalise and cache the embeddings of ``texts``."""
+        rows = np.asarray(self._embed_texts(texts), dtype=np.float64)
+        if rows.shape != (len(texts), self.dimension):
+            raise ValueError(
+                f"{self.name} produced shape {rows.shape}, "
+                f"expected ({len(texts)}, {self.dimension})"
+            )
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = rows / np.where(norms > 0, norms, 1.0)
+        self._cache.put_many(self.name, texts, rows)
+        return rows
 
     def cosine_similarity(self, left: object, right: object) -> float:
         """Cosine similarity between two values' embeddings."""
@@ -106,9 +119,17 @@ class ValueEmbedder(abc.ABC):
         return float(np.clip(1.0 - self.cosine_similarity(left, right), 0.0, 2.0))
 
     # -- extension point --------------------------------------------------------------
-    @abc.abstractmethod
+    def _embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed raw, distinct strings: ``(len(texts), dimension)``, any row norm.
+
+        The one seam every raw embed goes through.  The default stacks
+        :meth:`_embed_text`; batch-capable models override this instead.
+        """
+        return np.stack([np.asarray(self._embed_text(text), dtype=np.float64) for text in texts])
+
     def _embed_text(self, text: str) -> np.ndarray:
         """Embed a single (raw, un-normalised) string."""
+        raise NotImplementedError(f"{type(self).__name__} implements neither embed seam")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dimension={self.dimension})"
@@ -182,24 +203,28 @@ class EmbeddingCache:
         return missing
 
     def put(self, model: str, text: str, vector: np.ndarray) -> None:
-        """Insert a vector, evicting arbitrary entries if over capacity.
+        """Insert one vector (see :meth:`put_many`)."""
+        self.put_many(model, (text,), (vector,))
 
-        Overwriting an existing key never evicts: the store size does not
-        grow, so no live entry needs to make room.
+    def put_many(self, model: str, texts: Sequence[str], vectors: Sequence[np.ndarray]) -> None:
+        """Insert ``vectors[i]`` under ``texts[i]``, one lock round for the batch.
+
+        Entries over capacity evict the oldest inserted one.  Overwriting an
+        existing key never evicts: the store size does not grow, so no live
+        entry needs to make room.
         """
-        key = (model, text)
         with self._lock:
-            if key not in self._store:
-                self.fills += 1
-                if (
-                    self.max_entries is not None
-                    and len(self._store) >= self.max_entries
-                    and self._store
-                ):
-                    # Simple eviction: drop the oldest inserted entry.
-                    oldest = next(iter(self._store))
-                    del self._store[oldest]
-            self._store[key] = vector
+            for text, vector in zip(texts, vectors):
+                key = (model, text)
+                if key not in self._store:
+                    self.fills += 1
+                    if (
+                        self.max_entries is not None
+                        and len(self._store) >= self.max_entries
+                        and self._store
+                    ):
+                        del self._store[next(iter(self._store))]
+                self._store[key] = vector
 
     def clear(self) -> None:
         """Drop every cached vector and reset the statistics."""
@@ -225,10 +250,3 @@ class EmbeddingCache:
                 "size": len(self._store),
             }
 
-
-def mean_pool(vectors: Iterable[np.ndarray], dimension: int) -> np.ndarray:
-    """Mean-pool a collection of vectors (returns zeros if empty)."""
-    stacked: List[np.ndarray] = [np.asarray(vector, dtype=np.float64) for vector in vectors]
-    if not stacked:
-        return np.zeros(dimension, dtype=np.float64)
-    return np.mean(np.vstack(stacked), axis=0)

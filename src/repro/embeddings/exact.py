@@ -10,13 +10,12 @@ values untouched.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
-from repro.embeddings.base import ValueEmbedder
-from repro.utils.hashing import stable_vector
+from repro.embeddings.hashed import Bag, HashedFeatureEmbedder
 
 
-class ExactEmbedder(ValueEmbedder):
+class ExactEmbedder(HashedFeatureEmbedder):
     """One direction per distinct raw value; no fuzziness at all."""
 
     name = "exact"
@@ -24,7 +23,7 @@ class ExactEmbedder(ValueEmbedder):
     def __init__(self, dimension: int = 64, cache=None) -> None:
         super().__init__(dimension=dimension, cache=cache)
 
-    def _embed_text(self, text: str) -> np.ndarray:
+    def _features(self, text: str) -> Sequence[Bag]:
         # The raw text (not normalised) is hashed so that case differences —
         # which an equi-join would not bridge — stay far apart.
-        return stable_vector(f"exact:{text}", self.dimension, seed=41)
+        return ((1.0, (f"exact:{text}",)),)

@@ -11,16 +11,13 @@ which is exactly the weakness Table 1 of the paper shows for FastText.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Sequence
 
-import numpy as np
-
-from repro.embeddings.base import ValueEmbedder
-from repro.utils.hashing import stable_vector
+from repro.embeddings.hashed import EMPTY_BAG, Bag, HashedFeatureEmbedder, pooled
 from repro.utils.text import character_ngrams, normalize_value, tokenize
 
 
-class FastTextEmbedder(ValueEmbedder):
+class FastTextEmbedder(HashedFeatureEmbedder):
     """Bag-of-character-n-grams embedding (word-level model baseline)."""
 
     name = "fasttext"
@@ -38,27 +35,19 @@ class FastTextEmbedder(ValueEmbedder):
         self.token_weight = token_weight
         self.noise_level = noise_level
 
-    def _embed_text(self, text: str) -> np.ndarray:
+    def _features(self, text: str) -> Sequence[Bag]:
+        """Classes: character n-grams, tokens, per-value noise."""
         normalised = normalize_value(text)
         if not normalised:
-            return stable_vector("__empty__", self.dimension, seed=11)
-
-        grams: List[str] = []
-        for size in self.ngram_sizes:
-            grams.extend(character_ngrams(normalised, n=size))
-        vector = np.zeros(self.dimension, dtype=np.float64)
-        for gram in grams:
-            vector += stable_vector(f"gram:{gram}", self.dimension, seed=17)
-        if grams:
-            vector /= np.sqrt(len(grams))
-
-        tokens = tokenize(normalised)
-        if tokens:
-            token_vector = np.zeros(self.dimension, dtype=np.float64)
-            for token in tokens:
-                token_vector += stable_vector(f"word:{token}", self.dimension, seed=19)
-            vector += self.token_weight * token_vector / np.sqrt(len(tokens))
-
-        if self.noise_level > 0:
-            vector += self.noise_level * stable_vector(f"noise:{self.name}:{text}", self.dimension, seed=23)
-        return vector
+            return EMPTY_BAG, EMPTY_BAG, (1.0, ("__empty__",))
+        grams = [
+            f"gram:{gram}"
+            for size in self.ngram_sizes
+            for gram in character_ngrams(normalised, n=size, normalized=True)
+        ]
+        tokens = [f"word:{token}" for token in tokenize(normalised, normalized=True)]
+        return (
+            pooled(1.0, grams),
+            pooled(self.token_weight, tokens),
+            (self.noise_level, (f"noise:{self.name}:{text}",)) if self.noise_level > 0 else EMPTY_BAG,
+        )

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.embeddings.base import EmbeddingCache, ValueEmbedder
-from repro.utils.hashing import stable_vector
+from repro.embeddings.hashed import EMPTY_BAG, Bag, hashed_feature_rows
 from repro.utils.text import normalize_value
 from repro.utils.unionfind import UnionFind
 
@@ -48,6 +48,7 @@ class FineTunedEmbedder(ValueEmbedder):
     """
 
     name = "finetuned"
+    revision = 2  # anchors come from the ±1 direction family (see hashed.py)
 
     def __init__(
         self,
@@ -108,26 +109,28 @@ class FineTunedEmbedder(ValueEmbedder):
         return len(self._anchor_of)
 
     # -- embedding ---------------------------------------------------------------------
-    def _embed_text(self, text: str) -> np.ndarray:
-        vector = np.array(self.base.embed(text), dtype=np.float64)
+    def _features(self, text: str) -> Sequence[Bag]:
+        """Classes: the value's own anchor (+), its negative partners' anchors (−)."""
         key = normalize_value(text)
+        anchor = self._anchor_of.get(key)
+        partners = [self._anchor_of.get(repelled) for repelled in sorted(self._repulsion_of.get(key, ()))]
+        return (
+            (self.anchor_weight, (f"finetuned-anchor:{anchor}",)) if anchor is not None else EMPTY_BAG,
+            (
+                -self.repulsion_weight,
+                [f"finetuned-anchor:{p}" for p in partners if p not in (None, anchor)],
+            ),
+        )
 
-        anchor_id = self._anchor_of.get(key)
-        if anchor_id is not None:
-            vector = vector + self.anchor_weight * stable_vector(
-                f"finetuned-anchor:{anchor_id}", self.dimension, seed=47
-            )
-
-        # Negative supervision: subtract a fraction of the partner's *base*
+    def _embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        rows = self.base.embed_many(texts) + hashed_feature_rows(
+            [self._features(text) for text in texts], self.dimension
+        )
+        # Negative supervision: subtract a fraction of each partner's *base*
         # embedding, which directly lowers the cosine similarity of the pair
         # (the contrastive push-apart of a real fine-tuning run).
-        for repelled in self._repulsion_of.get(key, ()):
-            vector = vector - self.repulsion_weight * np.asarray(
-                self.base.embed(repelled), dtype=np.float64
-            )
-            partner_anchor = self._anchor_of.get(repelled)
-            if partner_anchor is not None and partner_anchor != anchor_id:
-                vector = vector - self.repulsion_weight * stable_vector(
-                    f"finetuned-anchor:{partner_anchor}", self.dimension, seed=47
-                )
-        return vector
+        for row, text in zip(rows, texts):
+            repelled = sorted(self._repulsion_of.get(normalize_value(text), ()))
+            if repelled:
+                row -= self.repulsion_weight * self.base.embed_many(repelled).sum(axis=0)
+        return rows

@@ -77,17 +77,21 @@ class SemanticLexicon:
         """The surface forms registered for ``concept`` (sorted)."""
         return sorted(self._forms_by_concept.get(normalize_value(concept), set()))
 
-    def lookup(self, value: object) -> Optional[str]:
-        """Return the concept whose surface form equals ``value``, if any."""
-        return self._concept_by_form.get(normalize_value(value))
+    def lookup(self, value: object, *, normalized: bool = False) -> Optional[str]:
+        """Return the concept whose surface form equals ``value``, if any.
 
-    def token_concept(self, token: str) -> Optional[str]:
+        ``normalized=True`` skips re-normalising a ``value`` that already
+        went through :func:`~repro.utils.text.normalize_value`.
+        """
+        return self._concept_by_form.get(value if normalized else normalize_value(value))
+
+    def token_concept(self, token: str, *, normalized: bool = False) -> Optional[str]:
         """Return the concept of a single-token surface form (or ``None``).
 
         Only concepts all of whose forms are single tokens participate, so
         "st" resolves to *street* but "new" never resolves to *new york*.
         """
-        return self._token_concepts.get(normalize_value(token))
+        return self._token_concepts.get(token if normalized else normalize_value(token))
 
     def same_concept(self, left: object, right: object) -> bool:
         """Return whether two values are registered forms of the same concept."""

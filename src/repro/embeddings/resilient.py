@@ -29,8 +29,8 @@ transitions produce :class:`EmbedderUnavailable`: the exhausted call that
 trips the breaker open (chained from the original error), every
 short-circuited call while it is open, and a failed half-open probe.
 
-The wrapper is transparent to everything else: ``name``, ``dimension`` and
-the cache plumbing mirror the inner embedder (store fingerprints and the
+The wrapper is transparent to everything else: ``name``, ``dimension``,
+``revision`` and the cache plumbing mirror the inner embedder (store fingerprints and the
 :class:`~repro.storage.cache.StoreBackedEmbeddingCache` attach exactly as
 they would to the bare embedder), and unknown attributes delegate to the
 inner instance, so engine code — and tests poking custom attributes — never
@@ -95,11 +95,12 @@ class DelegatingEmbedder(ValueEmbedder):
 
     Base class of every wrapper that must be indistinguishable from the
     embedder it wraps (:class:`ResilientEmbedder`, the fault injector's
-    ``FaultyEmbedder``): ``name`` / ``dimension`` copy the inner values so
-    store fingerprints are unchanged, the cache property and ``use_cache``
-    forward so a store-backed cache attached through the wrapper lands on
-    the inner embedder, and unknown attribute access falls through to the
-    inner instance (tests reading custom counters keep working).
+    ``FaultyEmbedder``): ``name`` / ``dimension`` / ``revision`` copy the
+    inner values so store fingerprints are unchanged, the cache property and
+    ``use_cache`` forward so a store-backed cache attached through the
+    wrapper lands on the inner embedder, and unknown attribute access falls
+    through to the inner instance (tests reading custom counters keep
+    working).
     """
 
     def __init__(self, inner: ValueEmbedder) -> None:
@@ -108,6 +109,7 @@ class DelegatingEmbedder(ValueEmbedder):
         self.inner = inner
         self.name = inner.name
         self.dimension = inner.dimension
+        self.revision = inner.revision
 
     @property
     def cache(self) -> EmbeddingCache:
@@ -121,9 +123,6 @@ class DelegatingEmbedder(ValueEmbedder):
 
     def embed_many(self, values: Sequence[object]) -> np.ndarray:
         return self.inner.embed_many(values)
-
-    def _embed_text(self, text: str) -> np.ndarray:
-        return self.inner._embed_text(text)
 
     def __getattr__(self, attribute: str):
         # Only reached when normal lookup fails.  ``inner`` must not recurse

@@ -18,22 +18,21 @@ reproduces that metric deterministically from three ingredients:
 Coverage and noise are the two fidelity knobs.  BERT and RoBERTa get partial
 lexicon coverage and higher noise; the LLM simulators in
 :mod:`repro.embeddings.llm` get broad coverage and low noise.  This reproduces
-the ordering of the paper's Table 1 (see DESIGN.md, substitution #1).
+the ordering of the paper's Table 1 (see ``docs/embeddings.md``, "What Table 1
+depends on").
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.embeddings.base import ValueEmbedder
+from repro.embeddings.hashed import EMPTY_BAG, Bag, HashedFeatureEmbedder, pooled
 from repro.embeddings.lexicon import SemanticLexicon, default_lexicon
-from repro.utils.hashing import stable_hash, stable_vector
+from repro.utils.hashing import stable_hash
 from repro.utils.text import character_ngrams, normalize_value, tokenize
 
 
-class SimulatedTransformerEmbedder(ValueEmbedder):
+class SimulatedTransformerEmbedder(HashedFeatureEmbedder):
     """Deterministic simulation of a pre-trained language-model embedder.
 
     Parameters
@@ -78,6 +77,7 @@ class SimulatedTransformerEmbedder(ValueEmbedder):
         self.token_weight = token_weight
         self.char_weight = char_weight
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
+        self._known: Dict[str, bool] = {}
 
     # -- knowledge gates -----------------------------------------------------------
     def knows_concept(self, concept: str) -> bool:
@@ -88,77 +88,64 @@ class SimulatedTransformerEmbedder(ValueEmbedder):
         how real language models generalise.  The decision is deterministic per
         (model, concept), so the same model always makes the same mistakes.
         """
-        bucket = stable_hash(f"knows:{self.name}:{concept}", seed=29) % 10_000
-        return bucket < int(self.lexicon_coverage * 10_000)
+        known = self._known.get(concept)
+        if known is None:
+            bucket = stable_hash(f"knows:{self.name}:{concept}", seed=29) % 10_000
+            known = self._known[concept] = bucket < int(self.lexicon_coverage * 10_000)
+        return known
 
     def knows_value(self, value: object) -> bool:
         """Whether the model recognises ``value`` as a form of a known concept."""
-        concept = self.lexicon.lookup(value)
-        return concept is not None and self.knows_concept(concept)
+        return self._semantic_concept(normalize_value(value)) is not None
 
-    def _semantic_concept(self, text: str) -> Optional[str]:
-        concept = self.lexicon.lookup(text)
+    def _semantic_concept(self, normalised: str) -> Optional[str]:
+        concept = self.lexicon.lookup(normalised, normalized=True)
         if concept is not None and self.knows_concept(concept):
             return concept
         return None
 
-    def _canonical_text(self, text: str) -> str:
-        """Token-level canonicalisation ("Main St" -> "main street").
+    def _canonical_text(self, normalised: str) -> str:
+        """Token-level canonicalisation ("main st" -> "main street").
 
         Full-value lexicon hits keep their own surface (the semantic anchor is
         what pulls e.g. "ES" and "Spain" together); only known single-token
         abbreviations are expanded so that multi-token values sharing the rest
         of their surface stay close.
         """
-        tokens = tokenize(text)
         expanded = []
-        for token in tokens:
-            concept = self.lexicon.token_concept(token)
+        for token in tokenize(normalised, normalized=True):
+            concept = self.lexicon.token_concept(token, normalized=True)
             if concept is not None and self.knows_concept(concept):
                 expanded.append(concept)
             else:
                 expanded.append(token)
-        return " ".join(expanded) if expanded else normalize_value(text)
+        return " ".join(expanded) if expanded else normalised
 
     # -- embedding ------------------------------------------------------------------
-    def _embed_text(self, text: str) -> np.ndarray:
+    def _features(self, text: str) -> Sequence[Bag]:
+        """Classes: character n-grams, tokens, semantic anchor, model noise."""
         normalised = normalize_value(text)
         if not normalised:
-            return stable_vector("__empty__", self.dimension, seed=11)
-
-        canonical = self._canonical_text(text)
-        vector = np.zeros(self.dimension, dtype=np.float64)
-
-        # Surface component over the canonicalised text (handles typos, case,
+            return EMPTY_BAG, EMPTY_BAG, EMPTY_BAG, (1.0, ("__empty__",))
+        # Surface classes run over the canonicalised text (typos, case and
         # token-level abbreviations such as "Main St" vs "Main Street").
-        grams: List[str] = []
-        for size in (3, 4):
-            grams.extend(character_ngrams(canonical, n=size))
-        if grams:
-            char_vector = np.zeros(self.dimension, dtype=np.float64)
-            for gram in grams:
-                char_vector += stable_vector(f"gram:{gram}", self.dimension, seed=17)
-            vector += self.char_weight * char_vector / np.sqrt(len(grams))
-
-        tokens = tokenize(canonical)
-        if tokens:
-            token_vector = np.zeros(self.dimension, dtype=np.float64)
-            for token in tokens:
-                token_vector += stable_vector(f"word:{token}", self.dimension, seed=19)
-            vector += self.token_weight * token_vector / np.sqrt(len(tokens))
-
+        canonical = self._canonical_text(normalised)
+        grams = [
+            f"gram:{gram}"
+            for size in (3, 4)
+            for gram in character_ngrams(canonical, n=size, normalized=True)
+        ]
+        tokens = [f"word:{token}" for token in tokenize(canonical, normalized=True)]
         # Semantic anchor: every known form of a concept shares this direction.
-        concept = self._semantic_concept(text)
-        if concept is not None:
-            vector += self.semantic_weight * stable_vector(
-                f"concept:{concept}", self.dimension, seed=31
-            )
-
-        if self.noise_level > 0:
-            vector += self.noise_level * stable_vector(
-                f"noise:{self.name}:{normalised}", self.dimension, seed=23
-            )
-        return vector
+        concept = self._semantic_concept(normalised)
+        return (
+            pooled(self.char_weight, grams),
+            pooled(self.token_weight, tokens),
+            (self.semantic_weight, (f"concept:{concept}",)) if concept is not None else EMPTY_BAG,
+            (self.noise_level, (f"noise:{self.name}:{normalised}",))
+            if self.noise_level > 0
+            else EMPTY_BAG,
+        )
 
 
 class BertEmbedder(SimulatedTransformerEmbedder):

@@ -491,7 +491,9 @@ class SemanticBlocker:
         self.index_loads = 0
         self.index_builds = 0
         self.index_saves = 0
-        self._embedder_fp = embedder_fingerprint(embedder.name, embedder.dimension)
+        self._embedder_fp = embedder_fingerprint(
+            embedder.name, embedder.dimension, embedder.revision
+        )
         self._params_fp = ann_params_fingerprint(n_tables, n_bits, seed)
         self._ivf_params_fp = ivf_params_fingerprint(IVF_ITERATIONS, seed)
         # Hyperplanes are a function of (seed, tables, bits, dimension) only,

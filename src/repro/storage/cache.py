@@ -42,7 +42,7 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
     ----------
     store:
         The artifact store to attach to (and publish into, if writable).
-    model_name / dimension:
+    model_name / dimension / revision:
         Identity of the embedder this cache serves — together they form the
         embedder fingerprint that keys every segment.  Lookups for *other*
         model names fall through to plain in-memory behaviour (the cold
@@ -59,12 +59,13 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
         model_name: str,
         dimension: int,
         max_entries: Optional[int] = None,
+        revision: int = 1,
     ) -> None:
         super().__init__(max_entries)
         self.store = store
         self.model_name = model_name
         self.dimension = int(dimension)
-        self.embedder_fp = embedder_fingerprint(model_name, dimension)
+        self.embedder_fp = embedder_fingerprint(model_name, dimension, revision)
         self.store_hits = 0
         self.store_misses = 0
         self.published_rows = 0

@@ -10,11 +10,12 @@ the same store directory agree on every key.
 
 Scheme (documented in ``docs/storage.md``):
 
-* **Embedder fingerprint** — ``"<registry name>.d<dimension>"``.  Two
+* **Embedder fingerprint** — ``"<registry name>.d<dimension>"``, plus
+  ``".r<revision>"`` once the model's ``revision`` is past 1.  Two
   embedders agree on a fingerprint exactly when they agree on the registry
-  name and the output dimension; a vector stored by one is valid for the
-  other.  Human-readable on purpose: the store layout is debuggable with
-  ``ls``.
+  name, the output dimension and the revision of the vector family; a
+  vector stored by one is valid for the other.  Human-readable on purpose:
+  the store layout is debuggable with ``ls``.
 * **Corpus fingerprint** — 16 hex characters of a BLAKE2b digest over the
   length-prefixed value texts.  Length prefixing makes the encoding
   injective (``["ab", "c"]`` and ``["a", "bc"]`` digest differently).
@@ -39,10 +40,17 @@ from typing import Iterable, Sequence
 _DIGEST_HEX_CHARS = 16
 
 
-def embedder_fingerprint(name: str, dimension: int) -> str:
-    """Fingerprint of an embedding model: registry name + output dimension."""
+def embedder_fingerprint(name: str, dimension: int, revision: int = 1) -> str:
+    """Fingerprint of an embedding model: registry name, dimension, revision.
+
+    Revision 1 keeps the bare ``"<name>.d<dimension>"`` every existing store
+    was published under; a model whose vectors changed bumps its
+    :attr:`~repro.embeddings.base.ValueEmbedder.revision`, so stores of the
+    old family miss instead of being served.
+    """
     safe = "".join(ch if (ch.isalnum() or ch in "-_.") else "_" for ch in str(name))
-    return f"{safe}.d{int(dimension)}"
+    suffix = "" if int(revision) == 1 else f".r{int(revision)}"
+    return f"{safe}.d{int(dimension)}{suffix}"
 
 
 def _digest_texts(texts: Iterable[str]) -> str:

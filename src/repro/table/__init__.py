@@ -8,7 +8,8 @@ Disjunction algorithms, relational operations (projection, selection, rename,
 natural/outer joins, outer union), tuple subsumption, and CSV/JSON I/O.
 
 It deliberately replaces pandas, which is not available in this environment,
-with a small purpose-built implementation (see DESIGN.md, substitution list).
+with a small purpose-built implementation (see ``docs/architecture.md``,
+"Supporting layers").
 """
 
 from repro.table.nulls import NULL, LabeledNull, is_null, non_null

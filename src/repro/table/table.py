@@ -12,7 +12,8 @@ paper's Figure 1, which input tuples were merged into each output tuple.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.table.nulls import NULL, is_null
 from repro.table.schema import Schema

@@ -15,7 +15,7 @@ from repro.utils.executor import (
     partition_batches,
     run_partitioned,
 )
-from repro.utils.hashing import stable_hash, stable_hash_floats
+from repro.utils.hashing import stable_hash
 from repro.utils.text import (
     character_ngrams,
     damerau_levenshtein,
@@ -36,7 +36,6 @@ __all__ = [
     "Timer",
     "timed",
     "stable_hash",
-    "stable_hash_floats",
     "normalize_value",
     "tokenize",
     "character_ngrams",

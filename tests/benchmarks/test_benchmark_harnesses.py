@@ -148,7 +148,22 @@ class TestStoreHarnessFloor:
         warm_start = module.run_warm_start_benchmark(n_values=120)
         assert warm_start["floor_seconds"] >= warm_start["warm_seconds"]
         assert warm_start["floor_seconds"] >= 0.25
+        # 120 cities + their 120 one-character variants, each embedded once
+        # cold and read back from the store warm.
+        assert warm_start["cold_raw_embeds"] == warm_start["published_rows"] == 240.0
         assert warm_start["warm_raw_embeds"] == 0.0
+        assert module.warm_start_violations(warm_start) == []
+
+    def test_a_counter_that_never_moves_is_a_violation(self):
+        module = _load("bench_store")
+        vacuous = {
+            "cold_raw_embeds": 0.0,
+            "warm_raw_embeds": 0.0,
+            "published_rows": 240.0,
+            "warm_store_hits": 240.0,
+            "identical_output": 1.0,
+        }
+        assert module.warm_start_violations(vacuous) == ["cold raw embeds != rows published"]
 
     def test_check_floor_passes_on_a_fresh_record(self, tmp_path, capsys):
         module = _load("bench_store")

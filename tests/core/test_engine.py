@@ -23,9 +23,9 @@ class CountingMistralEmbedder(MistralEmbedder):
         super().__init__(**kwargs)
         self.embed_calls = 0
 
-    def _embed_text(self, text):
-        self.embed_calls += 1
-        return super()._embed_text(text)
+    def _embed_texts(self, texts):
+        self.embed_calls += len(texts)
+        return super()._embed_texts(texts)
 
 
 class TestEngineConstruction:
@@ -252,6 +252,9 @@ class TestIntegrateMany:
         engine = IntegrationEngine(FuzzyFDConfig(embedder=embedder))
         engine.integrate(covid_tables)
         calls_after_first = embedder.embed_calls
+        # Cold side: one raw embed per distinct text, so the zero below
+        # cannot come from a counter that never moves.
+        assert calls_after_first == len(engine.embedding_cache) > 0
         engine.integrate_many([covid_tables] * 4, max_workers=4)
         assert embedder.embed_calls == calls_after_first
 
@@ -333,7 +336,7 @@ class TestWarmEmbeddingCache:
 
         engine.integrate(covid_tables, threshold=0.7)
         calls_after_first = embedder.embed_calls
-        assert calls_after_first > 0
+        assert calls_after_first == len(engine.embedding_cache) > 0
 
         for theta in (0.6, 0.8, 0.9):
             engine.integrate(covid_tables, threshold=theta)

@@ -68,9 +68,9 @@ class TestCacheUnderConcurrency:
         calls = []
 
         class Counting(MistralEmbedder):
-            def _embed_text(self, text):
-                calls.append(text)
-                return super()._embed_text(text)
+            def _embed_texts(self, texts):
+                calls.extend(texts)
+                return super()._embed_texts(texts)
 
         embedder = Counting()
         matrix = embedder.embed_many(["a", "a", "b", "a"])

@@ -60,9 +60,9 @@ class CountingEmbedder(SimulatedTransformerEmbedder):
         )
         self.embed_calls = 0
 
-    def _embed_text(self, text):
-        self.embed_calls += 1
-        return super()._embed_text(text)
+    def _embed_texts(self, texts):
+        self.embed_calls += len(texts)
+        return super()._embed_texts(texts)
 
 
 class TestSemanticBlockerValidation:

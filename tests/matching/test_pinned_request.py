@@ -1,10 +1,17 @@
-"""One blocked + ANN request, pinned against the values the parent commit produced.
+"""One blocked + ANN request, pinned value by value.
 
-The array-native candidate graph (int64 pair keys, segmented top-k kernel,
-numpy component labelling) must return what the tuple-based code returned:
-the same matches with the same distance bits, the same blocking statistics,
-the same integrated table.  The inputs are the pipeline benchmark's
+Everything between the embedder and the integrated table — surface keys,
+int64 pair keys, the LSH probe and segmented top-k kernel, component
+labelling, scoring, assignment, rewriting, FD — must keep returning exactly
+this: the same matches with the same distance bits, the same blocking
+statistics, the same table.  The inputs are the pipeline benchmark's
 ``lake_mixed`` tables under the ``scale`` preset with one worker.
+
+The pin follows the embedder's vectors, so it is re-recorded — on its own,
+with every changed statistic listed in CHANGES.md — exactly when the
+embedder's ``revision`` is bumped (last: revision 2, the ±1 direction family
+of ``docs/embeddings.md``).  What a re-record may *not* change is checked by
+``test_pinned_request_structure``.
 
 They are built with 900 entities, not the benchmark's ``SMOKE`` 400: at 400
 the columns hold 400 × 400 = 160 k cells, under the preset's 250 k
@@ -18,6 +25,7 @@ digest only) so the dense route of the same input cannot drift either.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
 from dataclasses import replace
@@ -44,8 +52,9 @@ def _sha(lines) -> str:
     return state.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
 def observe(lake_entities: int) -> dict:
-    """Everything the pin compares, computed from the public engine."""
+    """Everything the pin compares, computed from the public engine (once per size)."""
     sizes = replace(workloads.SMOKE, lake_entities=lake_entities)
     workload = workloads.build("lake_mixed", SEED, sizes)
     tables = workload.requests[0]
@@ -74,7 +83,12 @@ def observe(lake_entities: int) -> dict:
         right = tables[1].distinct_values(ENTITY_COLUMN)
         matches = matcher.match_exact_first(left, right)
         statistics = matcher.last_statistics
+        threshold = config.threshold
     return {
+        "within_threshold": all(match.distance <= threshold for match in matches),
+        "one_to_one": len({match.left for match in matches})
+        == len({match.right for match in matches})
+        == len(matches),
         "table_digest": workloads.table_digest(result.table),
         "rows_in_order": _sha(repr(row) for row in result.table.rows),
         "match_sets": _sha(
@@ -102,16 +116,49 @@ def observe(lake_entities: int) -> dict:
     }
 
 
-#: Recorded at 6592c57 (the parent of the array-native candidate graph).
+#: The ``blocking_*`` statistics a blocked request reports: a re-record may
+#: change their values, never this set.
+BLOCKING_KEYS = frozenset(
+    {
+        "blocked_assignments",
+        "blocking_ann_pairs_added",
+        "blocking_ann_pairs_duplicate",
+        "blocking_ann_probe_candidates",
+        "blocking_ann_skew_fallbacks",
+        "blocking_component_size_1",
+        "blocking_component_size_17-64",
+        "blocking_component_size_2-4",
+        "blocking_component_size_257-1024",
+        "blocking_component_size_5-16",
+        "blocking_component_size_65-256",
+        "blocking_component_size_>1024",
+        "blocking_components",
+        "blocking_largest_component",
+        "blocking_pairs_avoided",
+        "blocking_pairs_scored",
+        "blocking_skipped_keys",
+    }
+)
+
+#: Recorded with the embedders at revision 2 (±1 directions).  Against the
+#: values recorded at 6592c57 with revision 1 (Gaussian directions) the
+#: vectors moved, so the ANN channel proposes a slightly different candidate
+#: set: ann_pairs_added 72 -> 88, ann_pairs_duplicate 2 427 -> 2 384,
+#: ann_probe_candidates 257 868 -> 259 252, candidate pairs 21 250 -> 21 266,
+#: pairs_scored = largest_component 427 518 -> 426 114, pairs_avoided
+#: 65 286 -> 66 690, matches 723 -> 725; every other statistic is unchanged
+#: (1 component, 0 skipped keys, 0 skew fallbacks, lsh index, 2 assignments).
 PINNED_900: dict = {
-    "table_digest": "db00d2381cfa929e954d993c3eccad9a",
-    "rows_in_order": "e38acd672ec4b8b22de979b66c6637a27fdf07ecd88e98b9d8d404e652d4e999",
-    "match_sets": "d55ad3ca74a11d2ae3efcfb4b9bd7153a80d75d6616e439647efc4298ec6c3f2",
+    "within_threshold": True,
+    "one_to_one": True,
+    "table_digest": "a767a111503395b51f3b37fa3396ff00",
+    "rows_in_order": "0733e8185dcc3eab8f19204531647584419770d201bd50a186592a1ff4610bd6",
+    "match_sets": "6fe6bbc5803ac1012eed2d1f59f560aa097d6122c0ad3d5caa59a5194cda4c70",
     "blocking": {
         "blocked_assignments": 2.0,
-        "blocking_ann_pairs_added": 72.0,
-        "blocking_ann_pairs_duplicate": 2427.0,
-        "blocking_ann_probe_candidates": 257868.0,
+        "blocking_ann_pairs_added": 88.0,
+        "blocking_ann_pairs_duplicate": 2384.0,
+        "blocking_ann_probe_candidates": 259252.0,
         "blocking_ann_skew_fallbacks": 0.0,
         "blocking_component_size_1": 0.0,
         "blocking_component_size_17-64": 0.0,
@@ -121,28 +168,38 @@ PINNED_900: dict = {
         "blocking_component_size_65-256": 0.0,
         "blocking_component_size_>1024": 1.0,
         "blocking_components": 1.0,
-        "blocking_largest_component": 427518.0,
-        "blocking_pairs_avoided": 65286.0,
-        "blocking_pairs_scored": 427518.0,
+        "blocking_largest_component": 426114.0,
+        "blocking_pairs_avoided": 66690.0,
+        "blocking_pairs_scored": 426114.0,
         "blocking_skipped_keys": 0.0,
     },
-    "matches": 723,
-    "match_list": "da1254bd0d619fdfbedfba3024071d44133daa13a5d7cf4fb6b3d8afa252bc04",
+    "matches": 725,
+    "match_list": "c805c1eb1e6812a21ce889df878c4a38cfde3621384cfb12bcac2f362942ac7c",
     "pair_statistics": (
-        21250,
+        21266,
         1,
-        427518,
-        427518,
+        426114,
+        426114,
         0,
-        72,
-        2427,
+        88,
+        2384,
         "lsh",
-        257868,
-        "c5cc37a19a2afcb48f2b65343e721142c81fe8c3aa1ea84b96e5ea54bbbb677f",
+        259252,
+        "fee0eefbb1c21547cb0fe5dfc33764df124a113e1c46a8d35d8ac28d4098f482",
     ),
 }
 
-PINNED_SMOKE_TABLE_DIGEST = "963588e3ac0c70b15b65cb12ac9265e8"
+PINNED_SMOKE_TABLE_DIGEST = "4d14be46c6a656bf0d26862f146a26fc"
+
+
+def test_pinned_request_structure():
+    """What no re-record may change: the key set, >= 1 component, every match <= theta."""
+    observed = observe(900)
+    assert set(observed["blocking"]) == set(PINNED_900["blocking"]) == BLOCKING_KEYS
+    assert observed["blocking"]["blocking_components"] >= 1.0
+    assert observed["pair_statistics"][1] >= 1
+    assert observed["within_threshold"] and observed["one_to_one"]
+    assert 0 < observed["matches"] <= 900
 
 
 def test_blocked_ann_request_is_pinned():

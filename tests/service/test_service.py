@@ -35,21 +35,21 @@ class CountingEmbedder(MistralEmbedder):
         super().__init__(*args, **kwargs)
         self.raw_embeds = 0
 
-    def _embed_text(self, text):
-        self.raw_embeds += 1
-        return super()._embed_text(text)
+    def _embed_texts(self, texts):
+        self.raw_embeds += len(texts)
+        return super()._embed_texts(texts)
 
 
 class SlowEmbedder(MistralEmbedder):
-    """Embedder whose every raw embed sleeps — makes the match stage overrun."""
+    """Embedder that sleeps per raw-embedded text — makes the match stage overrun."""
 
     def __init__(self, delay_seconds: float, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.delay_seconds = delay_seconds
 
-    def _embed_text(self, text):
-        time.sleep(self.delay_seconds)
-        return super()._embed_text(text)
+    def _embed_texts(self, texts):
+        time.sleep(self.delay_seconds * len(texts))
+        return super()._embed_texts(texts)
 
 
 class GatedEmbedder(MistralEmbedder):
@@ -60,10 +60,10 @@ class GatedEmbedder(MistralEmbedder):
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def _embed_text(self, text):
+    def _embed_texts(self, texts):
         self.started.set()
         self.release.wait(timeout=30)
-        return super()._embed_text(text)
+        return super()._embed_texts(texts)
 
 
 def _tables():
@@ -168,9 +168,12 @@ class TestTrace:
             async with IntegrationService(cfg) as service:
                 return await service.integrate(covid_tables)
 
-        cold = asyncio.run(serve_once(config()))
-        assert cold.trace.raw_embed_calls > 0
-        assert cold.trace.store_published_rows > 0
+        cold_config = config()
+        cold = asyncio.run(serve_once(cold_config))
+        # The cold side moves both counters by the number of distinct texts,
+        # so the warm zeros below are not a counter that cannot move.
+        assert cold.trace.raw_embed_calls == cold_config.embedder.raw_embeds > 0
+        assert cold.trace.store_published_rows == cold_config.embedder.raw_embeds
 
         warm_config = config()
         warm = asyncio.run(serve_once(warm_config))

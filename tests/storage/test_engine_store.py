@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.embeddings import MistralEmbedder
 from repro.matching.ann import SemanticBlocker
-from repro.storage import ArtifactStore
+from repro.storage import ArtifactStore, corpus_fingerprint, embedder_fingerprint
 from repro.table import Table
 
 
@@ -18,9 +19,9 @@ class CountingEmbedder(MistralEmbedder):
         super().__init__(*args, **kwargs)
         self.raw_embeds = 0
 
-    def _embed_text(self, text):
-        self.raw_embeds += 1
-        return super()._embed_text(text)
+    def _embed_texts(self, texts):
+        self.raw_embeds += len(texts)
+        return super()._embed_texts(texts)
 
 
 @pytest.fixture()
@@ -52,8 +53,10 @@ class TestWarmStart:
     def test_restarted_engine_makes_zero_raw_embed_calls(self, tmp_path, tables):
         cold = _engine(tmp_path / "store")
         cold_result = cold.integrate(tables)
-        assert cold.embedder.raw_embeds > 0
-        assert cold_result.timings.get("store_published_rows", 0) > 0
+        # One raw embed per distinct text: the warm zero below is measured by
+        # a counter that is known to move.
+        assert cold.embedder.raw_embeds == len(cold.embedding_cache) > 0
+        assert cold_result.timings.get("store_published_rows", 0) == cold.embedder.raw_embeds
 
         warm = _engine(tmp_path / "store")
         warm_result = warm.integrate(tables)
@@ -65,12 +68,46 @@ class TestWarmStart:
     def test_second_concurrent_engine_attaches(self, tmp_path, tables):
         first = _engine(tmp_path / "store")
         first.integrate(tables)
+        assert first.embedder.raw_embeds == len(first.embedding_cache) > 0
         # Not a restart: both engines alive, second attaches the first's
         # published segments at construction.
         second = _engine(tmp_path / "store")
         assert second.embedding_cache.cold_rows > 0
         second.integrate(tables)
         assert second.embedder.raw_embeds == 0
+
+    def test_store_of_the_old_direction_family_misses(self, tmp_path, tables):
+        """A store published before the embedder's revision bump is never served.
+
+        ``embeddings/mistral.d256/`` is where revision 1 (the Gaussian
+        direction family) published; the engine must attach nothing from it
+        and publish its own vectors under ``mistral.d256.r2``.
+        """
+        store_dir = tmp_path / "store"
+        texts = sorted({str(value) for table in tables for row in table.rows for value in row})
+        stale = np.ones((len(texts), 256)) / 16.0
+        old_fp = embedder_fingerprint("mistral", 256)
+        assert old_fp == "mistral.d256"
+        assert ArtifactStore(store_dir).save_embedding_segment(
+            old_fp, corpus_fingerprint(texts), texts, stale
+        )
+
+        engine = _engine(store_dir)
+        assert engine.embedding_cache.embedder_fp == "mistral.d256.r2"
+        assert engine.embedding_cache.cold_rows == 0
+        result = engine.integrate(tables)
+        embedded = len(engine.embedding_cache)
+        assert engine.embedder.raw_embeds == embedded > 0
+        assert result.timings["cache_store_hits"] == 0
+        assert result.timings["store_published_rows"] == embedded
+        assert sorted(path.name for path in (store_dir / "embeddings").iterdir()) == [
+            "mistral.d256",
+            "mistral.d256.r2",
+        ]
+        restarted = _engine(store_dir)
+        assert restarted.embedding_cache.cold_rows == embedded
+        assert restarted.integrate(tables).table.rows == result.table.rows
+        assert restarted.embedder.raw_embeds == 0
 
     def test_save_publishes_pending_embeddings(self, tmp_path):
         engine = _engine(tmp_path / "store")
