@@ -117,13 +117,14 @@ def engine_api(tables: list[Table]) -> None:
 
 
 def concurrency_api(tables: list[Table]) -> None:
-    """The parallel execution layer: one knob set, three layers.
+    """The parallel execution layer: one knob set, two layers.
 
     ``max_workers`` / ``parallel_backend`` (or the ``scale`` preset, or the
-    CLI's ``--workers``) parallelise component solving and the partitioned
-    FD inside one request; ``integrate_many`` serves whole requests from a
-    bounded thread pool.  Every parallel path is deterministic — the results
-    below are asserted identical to the serial ones.
+    CLI's ``--workers``) parallelise component solving inside one request
+    (the Full Disjunction stage runs vectorised closure passes and takes no
+    workers); ``integrate_many`` serves whole requests from a bounded thread
+    pool.  Every parallel path is deterministic — the results below are
+    asserted identical to the serial ones.
     """
     serial_engine = IntegrationEngine(FuzzyFDConfig(blocking="auto"))
     parallel_engine = IntegrationEngine(
@@ -144,7 +145,7 @@ def concurrency_api(tables: list[Table]) -> None:
           f"on a warm, thread-safe cache")
 
     # The ``scale`` preset bundles the data-lake settings: blocking=auto,
-    # partitioned FD, 4 thread workers.
+    # component-decomposed ("partitioned") FD, 4 thread workers for matching.
     scaled = IntegrationEngine("scale").integrate(tables)
     print(f"  'scale' preset: {scaled.table.num_rows} tuples "
           f"(same rows: {scaled.table.same_rows(serial_results[0].table)})")

@@ -114,9 +114,9 @@ class FuzzyFDConfig:
     max_workers:
         Worker bound of the parallel execution layer.  ``1`` (the paper's
         single-threaded setting, the default) disables every pool; larger
-        values let the blocked matcher solve components concurrently, the
-        partitioned FD close tuple components concurrently, and
+        values let the blocked matcher solve components concurrently and
         ``IntegrationEngine.integrate_many`` serve requests concurrently.
+        (Full Disjunction runs vectorised closure passes and takes no workers.)
     parallel_backend:
         Executor backend used when ``max_workers > 1``: ``"thread"`` (numpy/
         scipy release the GIL — the usual choice), ``"process"`` (true CPU
@@ -299,19 +299,8 @@ class FuzzyFDConfig:
         return ASSIGNMENT_SOLVERS.resolve(self.assignment_solver, AssignmentSolver)
 
     def resolve_fd_algorithm(self) -> FullDisjunctionAlgorithm:
-        """Return the Full Disjunction algorithm instance.
-
-        Algorithms resolved *by name* that expose ``configure_executor``
-        (e.g. ``"partitioned"``) are handed this config's executor settings;
-        a caller-supplied instance is passed through untouched — its own
-        worker configuration wins.
-        """
-        algorithm = FD_ALGORITHMS.resolve(self.fd_algorithm, FullDisjunctionAlgorithm)
-        if isinstance(self.fd_algorithm, str):
-            configure = getattr(algorithm, "configure_executor", None)
-            if configure is not None:
-                configure(self.executor_config())
-        return algorithm
+        """Return the Full Disjunction algorithm instance."""
+        return FD_ALGORITHMS.resolve(self.fd_algorithm, FullDisjunctionAlgorithm)
 
     def executor_config(self) -> ExecutorConfig:
         """The parallel-execution settings as an :class:`ExecutorConfig`."""
@@ -398,10 +387,11 @@ class FuzzyFDConfig:
 #: Named operating points.  ``"paper"`` is the paper's exact configuration;
 #: ``"fast"`` trades effectiveness for speed (cheap surface embedder, greedy
 #: assignment); ``"scale"`` keeps the paper's models but engages blocking
-#: (with the semantic ANN channel on ``"auto"``), the partitioned FD
-#: substrate and the parallel execution layer (4 thread workers) for wide
-#: data-lake inputs; it also opts into ``store_mode="readwrite"`` so that a
-#: caller who supplies ``store_dir`` gets persistent, warm-startable state.
+#: (with the semantic ANN channel on ``"auto"``), the component-decomposed
+#: (``partitioned``) FD substrate and the parallel execution layer (4 thread
+#: workers, for matching and ``integrate_many``) for wide data-lake inputs;
+#: it also opts into ``store_mode="readwrite"`` so that a caller who supplies
+#: ``store_dir`` gets persistent, warm-startable state.
 PRESETS: Registry[Dict[str, Any]] = Registry(
     "config preset",
     {

@@ -27,7 +27,8 @@ the :class:`~repro.service.IntegrationService` front-end, never a fresh pool
 per call; the embedding cache is thread-safe and matchers are
 per-worker-thread), and the ``max_workers`` / ``parallel_backend`` config
 knobs additionally parallelise the inside of a single request
-(component-wise matching, partitioned FD).
+(component-wise matching; the FD stage runs vectorised closure passes and
+takes no workers).
 
 With ``store_dir`` configured the warmth outlives the process: construction
 attaches a :class:`~repro.storage.cache.StoreBackedEmbeddingCache` (so a
@@ -460,8 +461,9 @@ class IntegrationEngine:
             else 0
         )
         if isinstance(tables, MatchStage):
-            # Executor knobs still steer the FD stage that is about to run;
-            # everything else configures work that already happened.
+            # Executor knobs stay legal (a caller may pass one set of overrides
+            # to every stage) though the FD stage that is left takes no
+            # workers; everything else configures work that already happened.
             executor_overrides = {
                 key: overrides.pop(key)
                 for key in ("max_workers", "parallel_backend")
@@ -522,7 +524,7 @@ class IntegrationEngine:
             else:
                 # Without the matching stage, matching-only overrides would
                 # be silently ignored — reject them loudly.  The executor
-                # knobs stay legal: they still steer the FD stage.
+                # knobs stay legal: they never change a result.
                 ignored = sorted(set(overrides) - {"max_workers", "parallel_backend"})
                 if ignored:
                     raise TypeError(
@@ -720,28 +722,10 @@ class IntegrationEngine:
         fd_algorithm: Union[str, FullDisjunctionAlgorithm, None],
         effective: FuzzyFDConfig,
     ) -> FullDisjunctionAlgorithm:
-        """The FD algorithm for one request, honouring executor overrides.
-
-        A caller-supplied instance always keeps its own configuration.  A
-        name (per-request or from the engine config) is resolved fresh and
-        configured from the *effective* config, so ``max_workers`` /
-        ``parallel_backend`` overrides reach the FD stage too — the shared
-        ``self.fd_algorithm`` is never mutated (``integrate_many`` workers
-        run through here concurrently).
-        """
+        """The FD algorithm for one request: the engine's, or the per-request
+        override — a name resolved fresh, an instance passed through."""
         if fd_algorithm is None:
-            executor_overridden = (
-                effective.max_workers != self.config.max_workers
-                or effective.parallel_backend != self.config.parallel_backend
-            )
-            if not (executor_overridden and isinstance(self.config.fd_algorithm, str)):
-                return self.fd_algorithm
-            # ``effective`` carries the engine's fd_algorithm name plus the
-            # overridden executor knobs; resolving through it yields a fresh,
-            # correctly configured instance.
-            return effective.resolve_fd_algorithm()
-        # One resolve-then-configure protocol, owned by the config: names get
-        # a fresh configured instance, instances pass through untouched.
+            return self.fd_algorithm
         return effective.replace(fd_algorithm=fd_algorithm).resolve_fd_algorithm()
 
     @staticmethod

@@ -7,8 +7,10 @@ subsumed by (i.e. strictly less informative than) another.
 
 This package registers six interchangeable implementations of the same
 semantics.  Four run outer union → complementation closure → subsumption
-removal through the one coded kernel of :mod:`repro.fd.complementation`
-(``alite``, ``incremental``, ``partitioned``, ``streaming``); two are
+removal through the one coded, generation-batched kernel of
+:mod:`repro.fd.complementation` (``alite``, ``incremental``, ``partitioned``,
+``streaming``) and differ in what they close at a time, hence in the order
+they list the result in, and in whether they compute it lazily; two are
 definition-level oracles (``naive``, ``outer_join_sequence``):
 
 * :class:`~repro.fd.naive.NaiveFullDisjunction` — the definitional fixpoint;
@@ -16,17 +18,18 @@ definition-level oracles (``naive``, ``outer_join_sequence``):
 * :class:`~repro.fd.naive.OuterJoinSequence` — Galindo-Legaria's all-orders
   outer-join characterisation; a second, independently derived oracle.
 * :class:`~repro.fd.alite.AliteFullDisjunction` — the paper's substrate [18]:
-  posting-indexed complementation with duplicate elimination, practical at the
-  IMDB-benchmark scale.
-* :class:`~repro.fd.incremental.IncrementalFullDisjunction` — decomposes the
-  input into connected components of the join-value graph and closes each
-  component independently.
-* :class:`~repro.fd.parallel.PartitionedFullDisjunction` — the component
-  decomposition executed by a pool of workers (Paganelli-style
-  parallelisation; falls back to sequential execution for small inputs).
-* :class:`~repro.fd.iterator.StreamingFullDisjunction` — the component
-  decomposition as a generator: tuples of a component are emitted as soon as
-  it is closed.
+  posting-indexed complementation with duplicate elimination over the whole
+  input at once, practical at the IMDB-benchmark scale.
+* :class:`~repro.fd.incremental.IncrementalFullDisjunction` — closes the
+  connected components of the join-value graph apart, a bounded batch of
+  them per pass of the kernel; linear where tables of unrelated schemas make
+  the whole-input closure quadratic.
+* :class:`~repro.fd.parallel.PartitionedFullDisjunction` — the incremental
+  algorithm under the registry name of the former worker-pool variant (a
+  batch of components closes faster than a pool is handed them).
+* :class:`~repro.fd.iterator.StreamingFullDisjunction` — the incremental
+  algorithm as a generator: a batch's tuples are emitted as soon as it is
+  closed, before later components are touched.
 """
 
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult

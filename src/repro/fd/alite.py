@@ -15,7 +15,7 @@ from typing import Dict, Sequence
 
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.fd.complementation import ComplementationEngine
-from repro.table.coded import encode_rows
+from repro.table.coded import decode_rows, encode_rows
 from repro.table.table import Table
 
 
@@ -37,5 +37,7 @@ class AliteFullDisjunction(FullDisjunctionAlgorithm):
         union = self._outer_union(tables)
         statistics["outer_union_tuples"] = float(union.num_rows)
         codes, values = encode_rows(union.rows, union.num_columns)
-        closed = self._engine.close_coded(codes, union.provenance, statistics)
-        return self._reduced_table(union, values, [closed])
+        # Only the surviving tuples are ever decoded back to cell values.
+        survivors, provenance = self._engine.disjunction_coded(codes, union.provenance, statistics)
+        rows = decode_rows(survivors, values)
+        return Table(self.result_name, union.schema, rows, provenance=provenance)

@@ -5,14 +5,11 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
-import numpy as np
-
-from repro.table.coded import CodeValues, decode_rows
 from repro.table.operations import outer_union
-from repro.table.subsumption import reduce_coded, remove_subsumed
-from repro.table.table import Provenance, Table
+from repro.table.subsumption import remove_subsumed
+from repro.table.table import Table
 
 
 @dataclass
@@ -106,20 +103,3 @@ class FullDisjunctionAlgorithm(abc.ABC):
     def _outer_union(tables: Sequence[Table]) -> Table:
         """Outer union of the inputs with plain nulls and preserved provenance."""
         return outer_union(tables, name="outer_union")
-
-    def _reduced_table(
-        self,
-        union: Table,
-        values: CodeValues,
-        closed: Sequence[Tuple[np.ndarray, List[Provenance]]],
-    ) -> Table:
-        """The subsumption-free table of coded closures of (parts of) ``union``.
-
-        Subsumption runs on the codes, so only the surviving tuples are ever
-        decoded back to cell values.
-        """
-        empty = np.empty((union.num_columns, 0), dtype=np.int32)
-        codes = np.concatenate([empty] + [codes for codes, _ in closed], axis=1)
-        kept, provenance = reduce_coded(codes, [sources for _, part in closed for sources in part])
-        rows = decode_rows(codes[:, kept], values)
-        return Table(self.result_name, union.schema, rows, provenance=provenance)

@@ -13,56 +13,35 @@ terminates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.table.coded import decode_rows, encode_rows, tuple_keys
-from repro.table.nulls import is_null
-from repro.table.table import CellValue, Provenance, RowValues, Table
-
-
-class _Posting:
-    """Growable array of tuple ids, appended (hence stored) in ascending order."""
-
-    __slots__ = ("ids", "size")
-
-    def __init__(self) -> None:
-        self.ids = np.empty(4, dtype=np.int64)
-        self.size = 0
-
-    def append(self, tuple_id: int) -> None:
-        if self.size == self.ids.shape[0]:
-            grown = np.empty(2 * self.size, dtype=np.int64)
-            grown[: self.size] = self.ids
-            self.ids = grown
-        self.ids[self.size] = tuple_id
-        self.size += 1
-
-    def below(self, bound: int) -> np.ndarray:
-        """The posted ids smaller than ``bound``.
-
-        ``bisect``, not ``searchsorted``: numpy drops the GIL there, and with
-        two requests in flight every drop is a thread switch — two per tuple
-        doubled the served latency of paper-size requests.
-        """
-        return self.ids[: bisect_left(self.ids, bound, 0, self.size)]
+from repro.table.coded import PairPostings, decode_rows, encode_rows, span_blocks, tuple_keys
+from repro.table.subsumption import reduce_coded, subsumers, union_sources
+from repro.table.table import Provenance, RowValues, Table
+from repro.utils.components import component_labels
 
 
 class ComplementationEngine:
     """Closes a set of same-schema tuples under pairwise complementation.
 
     The closure runs over the integer coding of :mod:`repro.table.coded`,
-    stored column-major — ``data[p]`` is column ``p`` of every known tuple —
-    with one posting of tuple ids per (column, code), the code ``-1`` (null)
-    included.  A partner ``c`` of a tuple ``t`` holds ``t[p]`` or null at
-    *every* non-null position ``p`` of ``t``, so for any single position the
-    partners are among ``posting(p, t[p]) ∪ posting(p, null)``; the engine
-    picks the position where that union is smallest and tests, on it alone and
-    only at the non-null positions of ``t``, "no conflict" and "shares a
-    value" — the same pairs ALITE's hash index on shared values finds, from
-    far fewer candidates when a column such as ``genres`` is low-cardinality.
+    stored column-major — ``data[p]`` is column ``p`` of every known tuple.
+    A partner ``c`` of a tuple ``t`` holds ``t[p]`` or null at *every*
+    non-null position ``p`` of ``t``, so for any single position the partners
+    are among ``posting(p, t[p]) ∪ posting(p, null)``; the engine picks the
+    position where that union is smallest and tests, on it alone, "no
+    conflict" and "shares a value" — the same pairs ALITE's hash index on
+    shared values finds, from far fewer candidates when a column such as
+    ``genres`` is low-cardinality.
+
+    A tuple is only ever tested against tuples with smaller ids, and the
+    tuples created while one *generation* (the inputs, then what the inputs'
+    merges created, ...) is tested get the next, contiguous ids.  So a whole
+    generation is tested against everything before it in one vectorised pass
+    and its merges, taken in (tuple, partner) order, receive exactly the ids
+    a tuple-at-a-time loop would assign.
 
     Parameters
     ----------
@@ -91,8 +70,9 @@ class ComplementationEngine:
         if not rows:
             return [], []
         codes, values = encode_rows(rows, len(rows[0]))
-        closed, closed_provenance = self.close_coded(codes, provenance, statistics)
-        return decode_rows(closed, values), closed_provenance
+        closed = self.close_coded(codes, statistics)
+        empty_to = np.flatnonzero((closed < 0).all(axis=0))
+        return decode_rows(closed, values), subsumed_sources(closed, codes, provenance, empty_to)[0]
 
     def close_table(self, table: Table, statistics: Dict[str, float] | None = None) -> Table:
         """Close a whole (outer-unioned) table under complementation."""
@@ -101,123 +81,164 @@ class ComplementationEngine:
         rows, provenance = self.close(table.rows, table.provenance, statistics)
         return Table(table.name, table.schema, rows, provenance=provenance)
 
-    def close_coded(
+    def disjunction_coded(
         self,
         codes: np.ndarray,
         provenance: Sequence[Provenance],
         statistics: Dict[str, float] | None = None,
+        labels: np.ndarray | None = None,
     ) -> Tuple[np.ndarray, List[Provenance]]:
-        """:meth:`close` over a ``(width, rows)`` code matrix, coded in and out."""
+        """Full Disjunction of coded tuples: closure, then subsumption removal.
+
+        Returns the surviving tuples, coded, and their provenance.  With
+        ``labels`` — one per input, equal within and distinct across the
+        connected components of the value-sharing graph — the survivors come
+        component by component in label order, each component's in closure
+        order: what closing the components one after the other would list.
+        """
+        closed = self.close_coded(codes, statistics)
+        kept, stands_for = reduce_coded(closed)
+        # Fully-null inputs ride on the survivor standing for the closure's fully-null tuple.
+        empty_to = np.searchsorted(kept, stands_for[(closed < 0).all(axis=0)])
+        survivors = closed[:, kept]
+        sources, stem = subsumed_sources(survivors, codes, provenance, empty_to)
+        if labels is not None:
+            order = np.argsort(labels[stem], kind="stable")
+            survivors, sources = survivors[:, order], [sources[index] for index in order.tolist()]
+        return survivors, sources
+
+    def close_coded(
+        self, codes: np.ndarray, statistics: Dict[str, float] | None = None
+    ) -> np.ndarray:
+        """:meth:`close` over a ``(width, rows)`` code matrix, coded in and out.
+
+        Provenance is not carried through: a closed tuple stems from the
+        inputs it subsumes (:func:`subsumed_sources`).
+        """
         statistics = statistics if statistics is not None else {}
         width = codes.shape[0]
+        codes_per_column = codes.max(axis=1, initial=-1) + 1
         data = np.empty((width, max(16, 2 * codes.shape[1])), dtype=np.int32)
-        prov: List[Set[str]] = []
-        known: Dict[bytes, int] = {}
-        postings: List[Dict[int, _Posting]] = [{-1: _Posting()} for _ in range(width)]
-        count = 0
-        merges = 0
-        comparisons = 0
+        known: Set[bytes] = set()
 
-        def add(columns: np.ndarray, sources: Iterable[Iterable[str]]) -> None:
-            """Add the ``(width, n)`` coded tuples; a known tuple only gains provenance."""
-            nonlocal data, count
-            start = count
+        def add(columns: np.ndarray) -> None:
+            """Append those of the ``(width, n)`` coded tuples that are not known yet."""
+            nonlocal data
+            start = len(known)
             fresh = []
-            for offset, (key, tuple_sources) in enumerate(zip(tuple_keys(columns), sources)):
-                existing = known.get(key)
-                if existing is not None:
-                    prov[existing] |= tuple_sources
+            for offset, key in enumerate(tuple_keys(columns)):
+                if key in known:
                     continue
-                if count >= self.max_tuples:
+                if len(known) >= self.max_tuples:
                     raise RuntimeError(
                         f"complementation closure exceeded {self.max_tuples} tuples; "
                         "the input is pathological for Full Disjunction"
                     )
-                known[key] = count
-                prov.append(set(tuple_sources))
-                for position, code in enumerate(columns[:, offset].tolist()):
-                    posting = postings[position].get(code)
-                    if posting is None:
-                        posting = postings[position][code] = _Posting()
-                    posting.append(count)
+                known.add(key)
                 fresh.append(offset)
-                count += 1
-            if count > data.shape[1]:
-                grown = np.empty((width, 2 * count), dtype=np.int32)
+            if len(known) > data.shape[1]:
+                grown = np.empty((width, 2 * len(known)), dtype=np.int32)
                 grown[:, :start] = data[:, :start]
                 data = grown
-            if fresh:
-                data[:, start:count] = columns[:, fresh]
+            data[:, start : len(known)] = columns[:, fresh]
 
-        add(codes, provenance)
+        add(codes)
+        merges = 0
+        comparisons = 0
+        # Candidates tested and ruled out at each position so far: the
+        # positions that rule out the most go first, the rest see fewer.
+        tested, conflicting = np.ones(width), np.zeros(width)
+        generation_start = 0
+        while generation_start < len(known):
+            count = len(known)
+            postings = PairPostings(data[:, :count], codes_per_column)
+            held = data[:, :count] >= 0
+            information = held.sum(axis=0)
+            # One bit per non-null position (modulo the word).  Partners share
+            # a value, so their bits meet; on a lake of several schemas most
+            # holders of a null do not meet the tuple anywhere and are dropped
+            # by this one test instead of riding through every position.
+            pattern = np.bitwise_or.reduce(held << (np.arange(width) % 63)[:, None], axis=0, initial=0)
+            owners = generation_start + np.flatnonzero(information[generation_start:])
+            generation_start = count
+            if not owners.size:
+                continue
+            # Candidates of a tuple: the holders of its value and of null at its
+            # most selective position.  Holders are listed in id order, so the
+            # ones with smaller ids are a prefix of each list, found in the
+            # (pair, id) order the lists are stored in.
+            selected, pair = postings.selective(data[:, owners], with_nulls=True)
+            pairs = np.stack((pair, postings.nulls[selected]), axis=1)
+            listed = np.repeat(np.arange(postings.held_by.size), postings.held_by) * count
+            listed += postings.holders
+            smaller = np.searchsorted(listed, pairs * count + owners[:, None]) - postings.starts[pairs]
+            comparisons += int(smaller.sum())
+            for owner, index in span_blocks(postings.starts[pairs], smaller):
+                owner, candidate = owners.take(owner), postings.holders.take(index)
+                meet = (pattern.take(owner) & pattern.take(candidate)) != 0
+                owner, candidate = owner[meet], candidate[meet]
+                shared = np.zeros(owner.size, dtype=np.intp)  # values the two agree on
+                for position in np.argsort(-conflicting / tested, kind="stable").tolist():
+                    mine, theirs = data[position].take(owner), data[position].take(candidate)
+                    both = (mine | theirs) >= 0  # neither is null (-1)
+                    agree = mine == theirs
+                    shared += both & agree
+                    tested[position] += owner.size
+                    conflict = both & ~agree
+                    if conflict.any():
+                        owner, candidate, shared = owner[~conflict], candidate[~conflict], shared[~conflict]
+                        conflicting[position] += conflict.size - owner.size
+                merges += int(np.count_nonzero(shared))
+                # A partner holds the owner's code or null wherever the owner is
+                # non-null, so the merge is the larger code; it is one of the
+                # two (a known tuple) unless each side adds a value to the other.
+                # An owner's merges are taken in partner order, as if tested one by one.
+                novel = (shared > 0) & (shared < np.minimum(information[owner], information[candidate]))
+                order = np.lexsort((candidate[novel], owner[novel]))
+                owner, candidate = owner[novel][order], candidate[novel][order]
+                add(np.maximum(data[:, owner], data[:, candidate]))
 
-        # Tuples are processed in id order, so when tuple ``b`` is processed
-        # every tuple with a smaller id already exists; restricting the scan
-        # to candidates with id < b examines each unordered pair exactly once.
-        processed = 0
-        while processed < count:
-            current_id = processed
-            processed += 1
-            current = data[:, current_id].tolist()
-            held = [position for position, code in enumerate(current) if code >= 0]
-            if not held:
-                continue
-            # Selective posting: the position whose value + null postings are smallest.
-            selected = min(
-                held, key=lambda p: postings[p][current[p]].size + postings[p][-1].size
-            )
-            agreeing = postings[selected][current[selected]].below(current_id)
-            candidates = np.concatenate((agreeing, postings[selected][-1].below(current_id)))
-            if candidates.size == 0:
-                continue
-            comparisons += int(candidates.size)
-            # Test the candidates on the other non-null positions only (one
-            # gather for all of them: fewer GIL drops than one per position).
-            others = [position for position in held if position != selected]
-            block = data[np.array(others, dtype=np.intp)[:, None], candidates]
-            agrees = block == data[others, current_id, None]
-            shares = np.logical_or.reduce(agrees)
-            shares[: agreeing.size] = True
-            consistent = np.logical_and.reduce(agrees | (block < 0))
-            partners = sorted(candidates[shares & consistent].tolist())
-            if not partners:
-                continue
-            merges += len(partners)
-            # A partner holds the current tuple's code or null (-1) wherever
-            # the current tuple is non-null, so the merge is the larger code.
-            merged = np.maximum(data[:, partners], data[:, current_id, None])
-            current_sources = frozenset(prov[current_id])
-            add(merged, (current_sources | prov[partner] for partner in partners))
-
-        for name, value in (("comparisons", comparisons), ("merges", merges), ("tuples", count)):
+        for name, value in (("comparisons", comparisons), ("merges", merges), ("tuples", len(known))):
             key = f"complementation_{name}"
             statistics[key] = statistics.get(key, 0.0) + float(value)
-        return data[:, :count], [frozenset(sources) for sources in prov]
+        return data[:, : len(known)]
 
 
-def connected_components(
-    rows: Sequence[RowValues],
-) -> List[List[int]]:
-    """Partition tuple ids into connected components of the value-sharing graph.
+def subsumed_sources(
+    closed: np.ndarray, codes: np.ndarray, provenance: Sequence[Provenance], empty_to: np.ndarray
+) -> Tuple[List[Provenance], np.ndarray]:
+    """Provenance of tuples ``closed`` of the closure of the inputs ``codes``.
+
+    A closed tuple ``t`` stems from the non-empty inputs it subsumes: each such
+    input is a partner of ``t`` whose merge is ``t`` itself, and every tuple
+    merged into ``t`` is subsumed by ``t``, hence so are the inputs it stems
+    from.  Fully-null inputs merge with nothing; the tuple ``empty_to`` (none
+    or one index) takes their sources.  Also returns, per closed tuple, one
+    input it stems from.
+    """
+    inputs, holders = subsumers(codes, closed)
+    stem = np.zeros(closed.shape[1], dtype=np.int64)
+    stem[holders] = inputs
+    empty = np.flatnonzero((codes < 0).all(axis=0))
+    inputs = np.concatenate((inputs, empty))
+    holders = np.concatenate((holders, np.repeat(empty_to, empty.size)))
+    return union_sources(provenance, inputs, holders, closed.shape[1]), stem
+
+
+def connected_components(codes: np.ndarray) -> List[np.ndarray]:
+    """The tuple ids of every component of the value-sharing graph of a code matrix.
 
     Two tuples are connected when they share a non-null value in the same
     column.  Complementation can never merge tuples across components (a merge
     requires a shared value, and merged tuples only carry values from their
-    sources), so each component can be closed independently — this is the key
-    optimisation of the incremental and partitioned algorithms.
+    sources), so the closure of the whole input is the closures of its
+    components side by side — what lets the component algorithms close a few
+    of them at a time.  Components come ordered by their smallest tuple id.
     """
-    from repro.utils.unionfind import UnionFind
-
-    uf = UnionFind(range(len(rows)))
-    first_seen: Dict[Tuple[int, CellValue], int] = {}
-    for row_id, values in enumerate(rows):
-        for position, value in enumerate(values):
-            if is_null(value):
-                continue
-            key = (position, value)
-            if key in first_seen:
-                uf.union(first_seen[key], row_id)
-            else:
-                first_seen[key] = row_id
-    groups = uf.groups()
-    return [sorted(group) for group in groups]
+    position, row = np.nonzero(codes >= 0)
+    codes_per_column = codes.max(axis=1, initial=-1) + 1
+    value = codes[position, row] + (np.cumsum(codes_per_column) - codes_per_column)[position]
+    count = codes.shape[1]
+    labels = component_labels(row, value, count, int(codes_per_column.sum()))[:count]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if count else []

@@ -93,6 +93,7 @@ from repro.matching.ann import SemanticBlocker, _expand_spans, _sorted_unique, p
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
 from repro.matching.bipartite import ValueMatch, split_exact_matches
 from repro.matching.distance import EmbeddingDistance, cosine_distance_matrix
+from repro.utils.components import component_labels
 from repro.utils.executor import ExecutorConfig, contiguous_ranges, run_partitioned
 from repro.utils.text import character_ngrams, normalize_value, tokenize
 
@@ -250,36 +251,6 @@ def _postings(
     return key_ids, np.repeat(np.arange(len(value_keys), dtype=np.int64), lengths)
 
 
-def _component_labels(
-    pair_left: np.ndarray, pair_right: np.ndarray, n_left: int, n_right: int
-) -> np.ndarray:
-    """Connected-component root of every node of the bipartite candidate graph.
-
-    Nodes are the left rows ``0 .. n_left`` then the right rows; the returned
-    array maps each node to the smallest node of its component — a left row,
-    since every component holds one.  Hook-and-shortcut over the whole edge
-    array: each round hooks the larger of an edge's two roots under the
-    smaller (``np.minimum.at``, so a root hooked by several edges takes the
-    smallest) and then compresses every path, until all edges are internal.
-    Roots only ever decrease, so the forest stays acyclic; rounds are
-    logarithmic in practice, never more than the node count.
-    """
-    parent = np.arange(n_left + n_right, dtype=np.int64)
-    right_nodes = pair_right + n_left
-    while True:
-        left_roots, right_roots = parent[pair_left], parent[right_nodes]
-        if np.array_equal(left_roots, right_roots):
-            return parent
-        np.minimum.at(
-            parent, np.maximum(left_roots, right_roots), np.minimum(left_roots, right_roots)
-        )
-        while True:
-            grandparent = parent[parent]
-            if np.array_equal(grandparent, parent):
-                break
-            parent = grandparent
-
-
 def _compact(ids: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``ids`` (all in ``[0, size)``), ascending, and each id's rank among them.
 
@@ -307,7 +278,7 @@ def _components(pair_left: np.ndarray, pair_right: np.ndarray, n_left: int, n_ri
     right rows and the pairs.
     """
     roots, node_component = _compact(
-        _component_labels(pair_left, pair_right, n_left, n_right), n_left + n_right
+        component_labels(pair_left, pair_right, n_left, n_right), n_left + n_right
     )
     pair_component = node_component[pair_left]
     return (

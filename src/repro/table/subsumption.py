@@ -8,11 +8,11 @@ result is "partial" with respect to another (Galindo-Legaria 1994).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.table.coded import encode_rows, tuple_keys
+from repro.table.coded import PairPostings, encode_rows, span_blocks, tuple_keys
 from repro.table.nulls import is_null
 from repro.table.table import Provenance, RowValues, Table
 
@@ -33,19 +33,50 @@ def subsumes(superior: RowValues, inferior: RowValues) -> bool:
     return True
 
 
-def _absorbers(codes: np.ndarray) -> np.ndarray:
-    """Who absorbs whom among the rows of a ``(width, rows)`` code matrix.
+def subsumers(inferior: np.ndarray, superior: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, j)`` such that tuple ``j`` of ``superior`` subsumes tuple ``i`` of ``inferior``.
 
-    Returns, per row, ``-1`` if the row survives — it is the first of its
-    duplicates and no other row strictly subsumes it — or else the row that
-    absorbs it: its first duplicate, or the first surviving-so-far row, in id
-    order, among the holders of its rarest (position, code) pair that strictly
-    subsumes it.  A row can only be subsumed by rows holding *all* of its
-    pairs, so the holders of one pair include every subsumer; "surviving so far"
-    means later in id order or not subsumed itself, which is what processing
-    the rows in id order would see.
+    Both are ``(width, tuples)`` matrices over the same codes.  Pairs come
+    sorted by ``i``, then ``j``; fully-null tuples of ``inferior`` (subsumed
+    by everything) are left out.  A subsumer holds *all* pairs of the tuple
+    it subsumes, so the holders of the tuple's rarest (position, code) pair
+    include every one of them: those are the candidates, tested position by
+    position in blocks of :data:`~repro.table.coded.PAIR_BLOCK`.
     """
-    width, count = codes.shape
+    offered = (superior >= 0).sum(axis=0)
+    needed = (inferior >= 0).sum(axis=0)
+    rows = np.flatnonzero(needed)
+    if not rows.size:
+        return rows, rows
+    codes_per_column = np.maximum(inferior.max(axis=1), superior.max(axis=1, initial=-1)) + 1
+    postings = PairPostings(superior, codes_per_column)
+    _, rarest = postings.selective(inferior[:, rows], with_nulls=False)
+    owners, found = [rows[:0]], [rows[:0]]
+    for owner, index in span_blocks(postings.starts[rarest][:, None], postings.held_by[rarest][:, None]):
+        owner, candidate = rows[owner], postings.holders[index]
+        keep = offered[candidate] >= needed[owner]
+        owner, candidate = owner[keep], candidate[keep]
+        for position in range(len(inferior)):
+            mine = inferior[position].take(owner)
+            keep = (mine < 0) | (mine == superior[position].take(candidate))
+            owner, candidate = owner[keep], candidate[keep]
+        owners.append(owner)
+        found.append(candidate)
+    return np.concatenate(owners), np.concatenate(found)
+
+
+def reduce_coded(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Subsumption over a ``(width, rows)`` code matrix (:mod:`repro.table.coded`).
+
+    Returns the ids of the surviving rows, in order, and per row the survivor
+    that stands for it.  A row survives if it is the first of its duplicates
+    and no other row strictly subsumes it.  Any other row is absorbed by its
+    first duplicate or else by the first surviving-so-far row, in id order,
+    that strictly subsumes it ("surviving so far": later in id order or not
+    subsumed itself, which is what processing the rows in id order would
+    see), and is stood for by the survivor its chain of absorbers ends at.
+    """
+    count = codes.shape[1]
     absorbed_by = np.full(count, -1, dtype=np.int64)
     first_of: Dict[bytes, int] = {}
     for index, key in enumerate(tuple_keys(codes)):
@@ -54,80 +85,35 @@ def _absorbers(codes: np.ndarray) -> np.ndarray:
             absorbed_by[index] = original
     del first_of  # as large as the matrix; the peak of this function comes later
     distinct = np.flatnonzero(absorbed_by < 0)
-    if distinct.size <= 1:
-        return absorbed_by
-    codes = codes[:, distinct]
-    held = codes >= 0
-    information = held.sum(axis=0)
-
-    # One number per (position, code) pair, ``nulls`` for every null cell.  One
-    # stable sort of all cells then lists the holders of every pair, grouped by
-    # pair and in id order: ``holders[starts[pair] : starts[pair] + held_by[pair]]``.
-    codes_per_column = codes.max(axis=1) + 1
-    nulls = int(codes_per_column.sum())
-    pairs = np.where(held, codes + (np.cumsum(codes_per_column) - codes_per_column)[:, None], nulls)
-    held_by = np.bincount(pairs.ravel(), minlength=nulls + 1)
-    starts = np.cumsum(held_by) - held_by
-    holders = np.argsort(pairs.ravel(), kind="stable") % distinct.size
-    held_by[nulls] = count + 1  # a null cell is never the rarest pair
-    rows = np.flatnonzero(information > 0)
-    rarest = pairs[held_by[pairs[:, rows]].argmin(axis=0), rows]
-    sizes = held_by[rarest]
-    offsets = np.cumsum(sizes) - sizes
-
-    # (row, holder of its rarest pair) in blocks of about 16k, keeping the strict
-    # subsumers.  A block starts at the row that owns every 16384th pair.
-    owners: List[np.ndarray] = []
-    subsumers: List[np.ndarray] = []
-    every = np.arange(0, int(sizes.sum()), 1 << 14)
-    bounds = np.unique(np.searchsorted(offsets, every, side="right") - 1).tolist()
-    for low, high in zip(bounds, bounds[1:] + [rows.size]):
-        block = np.repeat(np.arange(low, high), sizes[low:high])
-        within = np.arange(block.size) - (offsets[block] - offsets[low])
-        owner = rows[block]
-        candidate = holders[starts[rarest[block]] + within]
-        keep = information[candidate] > information[owner]
+    if distinct.size > 1:
+        rows = codes[:, distinct]
+        owner, candidate = subsumers(rows, rows)
+        keep = owner != candidate
         owner, candidate = owner[keep], candidate[keep]
-        for position in range(width):
-            keep = ~held[position, owner] | (codes[position, owner] == codes[position, candidate])
-            owner, candidate = owner[keep], candidate[keep]
-        owners.append(owner)
-        subsumers.append(candidate)
-    owner, candidate = np.concatenate(owners), np.concatenate(subsumers)
-    subsumed = np.zeros(distinct.size, dtype=bool)
-    subsumed[owner] = True
-    keep = (candidate > owner) | ~subsumed[candidate]
-    owner, earliest = np.unique(owner[keep], return_index=True)
-    absorbed_by[distinct[owner]] = distinct[candidate[keep][earliest]]
-    # A fully-null row is subsumed by any row with information.
-    empty = distinct[information == 0]
-    absorbed_by[empty] = np.where(empty == distinct[0], distinct[1], distinct[0])
-    return absorbed_by
-
-
-def reduce_coded(
-    codes: np.ndarray, provenance: Optional[Sequence[Provenance]]
-) -> Tuple[np.ndarray, Optional[List[Provenance]]]:
-    """Subsumption over a ``(width, rows)`` code matrix (:mod:`repro.table.coded`).
-
-    Returns the ids of the surviving rows, in order, and their provenance:
-    the provenance of a removed row is folded into the survivor its chain of
-    absorbers ends at, so no source tuple id is lost.
-    """
-    absorbed_by = _absorbers(codes)
-    kept = np.flatnonzero(absorbed_by < 0)
-    if provenance is None:
-        return kept, None
-    target = np.arange(absorbed_by.size)
-    removed = np.flatnonzero(absorbed_by >= 0)
-    moving = removed
+        subsumed = np.zeros(distinct.size, dtype=bool)
+        subsumed[owner] = True
+        keep = (candidate > owner) | ~subsumed[candidate]
+        owner, earliest = np.unique(owner[keep], return_index=True)
+        absorbed_by[distinct[owner]] = distinct[candidate[keep][earliest]]
+        # A fully-null row is subsumed by any row with information.
+        empty = distinct[(rows < 0).all(axis=0)]
+        absorbed_by[empty] = np.where(empty == distinct[0], distinct[1], distinct[0])
+    stands_for = np.arange(count)
+    moving = np.flatnonzero(absorbed_by >= 0)
     while moving.size:
-        target[moving] = absorbed_by[target[moving]]
-        moving = moving[absorbed_by[target[moving]] >= 0]
-    folded = list(provenance)
-    for index, survivor in zip(removed.tolist(), target[removed].tolist()):
-        folded[survivor] = folded[survivor] | provenance[index]
-    return kept, [folded[index] for index in kept.tolist()]
+        stands_for[moving] = absorbed_by[stands_for[moving]]
+        moving = moving[absorbed_by[stands_for[moving]] >= 0]
+    return np.flatnonzero(absorbed_by < 0), stands_for
+
+
+def union_sources(
+    provenance: Sequence[Provenance], members: np.ndarray, groups: np.ndarray, count: int
+) -> List[Provenance]:
+    """``count`` provenance sets: set ``g`` unites ``provenance[m]`` over the pairs ``(m, g)``."""
+    gathered: List[List[Provenance]] = [[] for _ in range(count)]
+    for member, group in zip(members.tolist(), groups.tolist()):
+        gathered[group].append(provenance[member])
+    return [frozenset().union(*parts) for parts in gathered]
 
 
 def remove_subsumed(table: Table) -> Table:
@@ -141,6 +127,10 @@ def remove_subsumed(table: Table) -> Table:
     if table.num_rows <= 1:
         return table
     codes, _ = encode_rows(table.rows, table.num_columns)
-    kept, provenance = reduce_coded(codes, table.provenance)
+    kept, stands_for = reduce_coded(codes)
     rows = [table.rows[index] for index in kept.tolist()]
-    return Table(table.name, table.schema, rows, provenance=provenance)
+    if table.provenance is None:
+        return Table(table.name, table.schema, rows)
+    groups = np.searchsorted(kept, stands_for)
+    folded = union_sources(table.provenance, np.arange(table.num_rows), groups, kept.size)
+    return Table(table.name, table.schema, rows, provenance=folded)

@@ -2,7 +2,9 @@
 
 The utilities here are intentionally dependency-light: text normalisation and
 string-distance helpers, a union-find (disjoint-set) structure used by value
-and entity clustering, deterministic hashing used by the simulated embedding
+and entity clustering, the array connected-component labelling
+(:mod:`repro.utils.components`) shared by the blocked matcher and the Full
+Disjunction algorithms, deterministic hashing used by the simulated embedding
 models, small timing helpers used by the benchmark harnesses, and the shared
 parallel execution layer (:class:`~repro.utils.executor.ExecutorConfig` +
 :func:`~repro.utils.executor.run_partitioned`) behind every worker pool in

@@ -1,11 +1,10 @@
 """Shared parallel execution layer for partitioned workloads.
 
-Three layers of the pipeline are embarrassingly parallel over independent
+Two layers of the pipeline are embarrassingly parallel over independent
 partitions: the component-wise blocked matcher solves one assignment per
-connected component, the partitioned Full Disjunction closes one tuple
-component at a time, and the :class:`~repro.core.engine.IntegrationEngine`
+connected component, and the :class:`~repro.core.engine.IntegrationEngine`
 can serve independent integration requests concurrently.  This module is the
-one abstraction they all share:
+one abstraction they share:
 
 * :class:`ExecutorConfig` — the validated knob set (``backend``,
   ``max_workers``, ``batch_size``, ``min_parallel_items``), carried end to end

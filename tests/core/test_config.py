@@ -114,16 +114,31 @@ class TestEagerValidation:
         assert executor.backend == "thread"
         assert executor.max_workers == 3
 
-    def test_partitioned_fd_resolved_by_name_inherits_executor(self):
-        config = FuzzyFDConfig(fd_algorithm="partitioned", max_workers=5)
-        assert config.resolve_fd_algorithm().executor.max_workers == 5
+    def test_partitioned_fd_resolved_by_name_inherits_executor(self, covid_tables):
+        # The FD stage takes no workers: whatever executor the config carries,
+        # the algorithm resolved by name gives the same table and statistics.
+        results = [
+            FuzzyFDConfig(fd_algorithm="partitioned", max_workers=workers, parallel_backend=backend)
+            .resolve_fd_algorithm()
+            .integrate(covid_tables)
+            for workers, backend in ((1, "thread"), (5, "thread"), (2, "process"))
+        ]
+        for result in results[1:]:
+            assert result.table.rows == results[0].table.rows
+            assert result.table.provenance == results[0].table.provenance
+            assert result.statistics == results[0].statistics
+        assert not [key for key in results[0].statistics if key.startswith("parallel")]
 
-    def test_fd_instance_keeps_its_own_executor(self):
+    def test_fd_instance_keeps_its_own_executor(self, covid_tables):
+        # A caller-supplied instance is passed through untouched.
         from repro.fd import PartitionedFullDisjunction
 
-        algorithm = PartitionedFullDisjunction(max_workers=2)
+        algorithm = PartitionedFullDisjunction(result_name="mine")
         config = FuzzyFDConfig(fd_algorithm=algorithm, max_workers=7)
-        assert config.resolve_fd_algorithm().executor.max_workers == 2
+        assert config.resolve_fd_algorithm() is algorithm
+        result = algorithm.integrate(covid_tables)
+        assert result.table.name == "mine"
+        assert not [key for key in result.statistics if key.startswith("parallel")]
 
 
 class TestSerialisation:

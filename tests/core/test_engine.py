@@ -305,27 +305,38 @@ class TestParallelConfigKnobs:
         assert serial.table.same_rows(pooled.table)
         assert engine.config.max_workers == 1  # engine config untouched
 
-    def test_partitioned_fd_inherits_engine_executor(self):
-        engine = IntegrationEngine(FuzzyFDConfig(fd_algorithm="partitioned", max_workers=3))
-        assert engine.fd_algorithm.executor.max_workers == 3
+    def test_partitioned_fd_inherits_engine_executor(self, covid_tables):
+        # The FD stage takes no workers: engines that differ only in executor
+        # settings integrate to the same table with the same FD statistics.
+        plain = IntegrationEngine(FuzzyFDConfig(fd_algorithm="partitioned")).integrate(covid_tables)
+        pooled = IntegrationEngine(
+            FuzzyFDConfig(fd_algorithm="partitioned", max_workers=3)
+        ).integrate(covid_tables)
+        assert (pooled.table.rows, pooled.table.provenance) == (plain.table.rows, plain.table.provenance)
+        assert pooled.fd_result.statistics == plain.fd_result.statistics
 
     def test_fd_override_by_name_inherits_executor(self, covid_tables):
         engine = IntegrationEngine(FuzzyFDConfig(max_workers=2, parallel_backend="thread"))
         result = engine.integrate(covid_tables, fd_algorithm="partitioned")
         assert result.fd_result.algorithm == "partitioned"
+        assert not [key for key in result.fd_result.statistics if key.startswith("parallel")]
 
     def test_request_executor_override_reaches_fd_stage(self):
-        # 10 disjoint join keys -> 10 FD components, enough to engage a pool.
+        # 10 disjoint join keys -> 10 FD components.  Executor overrides stay
+        # legal per request and change neither the table nor an FD counter.
         left = Table("L", ["k", "a"], [(f"k{i}", f"a{i}") for i in range(10)])
         right = Table("R", ["k", "b"], [(f"k{i}", f"b{i}") for i in range(10)])
         engine = IntegrationEngine(FuzzyFDConfig(fd_algorithm="partitioned"))
         default = engine.integrate([left, right])
-        assert "parallel_workers" not in default.fd_result.statistics
-        pooled = engine.integrate([left, right], max_workers=4)
-        assert pooled.fd_result.statistics.get("parallel_workers") == 4.0
-        assert pooled.table.same_rows(default.table)
-        # The shared engine instance was never mutated by the override.
-        assert engine.fd_algorithm.executor.max_workers == 1
+        assert default.fd_result.statistics["components"] == 10.0
+        for overrides in ({"max_workers": 4}, {"max_workers": 2, "parallel_backend": "process"}):
+            pooled = engine.integrate([left, right], **overrides)
+            assert (pooled.table.rows, pooled.table.provenance) == (
+                default.table.rows,
+                default.table.provenance,
+            )
+            assert pooled.fd_result.statistics == default.fd_result.statistics
+        assert not [key for key in default.fd_result.statistics if key.startswith("parallel")]
 
 
 class TestWarmEmbeddingCache:

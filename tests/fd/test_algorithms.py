@@ -23,7 +23,6 @@ from repro.fd import (
 )
 from repro.table import NULL, Table, subsumes
 from repro.table.operations import outer_union
-from repro.utils.executor import ExecutorConfig
 
 ALL_ALGORITHMS = [
     NaiveFullDisjunction,
@@ -68,31 +67,48 @@ class TestPartitionedStatistics:
         assert result.statistics["complementation_tuples"] >= 10.0
 
     def test_statistics_identical_serial_vs_parallel(self):
+        # The closure is one vectorised pass: no executor setting reaches it,
+        # so whatever the pipeline is configured with, table and statistics agree.
+        from repro.core.config import FuzzyFDConfig
+
         tables = self._disjoint_tables()
-        serial = PartitionedFullDisjunction(max_workers=1).integrate(tables)
-        parallel = PartitionedFullDisjunction(max_workers=4).integrate(tables)
-        assert parallel.table.same_rows(serial.table)
-        for key, value in serial.statistics.items():
-            if key.endswith("_seconds") or key.startswith("parallel"):
-                continue
-            assert parallel.statistics[key] == value
+        serial = FuzzyFDConfig(fd_algorithm="partitioned", max_workers=1)
+        parallel = FuzzyFDConfig(fd_algorithm="partitioned", max_workers=4, parallel_backend="process")
+        serial, parallel = (
+            config.resolve_fd_algorithm().integrate(tables) for config in (serial, parallel)
+        )
+        assert (parallel.table.rows, parallel.table.provenance) == (serial.table.rows, serial.table.provenance)
+        assert parallel.statistics == serial.statistics
 
     def test_parallel_workers_recorded_when_pool_engages(self):
-        result = PartitionedFullDisjunction(max_workers=4).integrate(self._disjoint_tables())
-        assert result.statistics.get("parallel_workers") == 4.0
+        # There is no pool to engage any more, and no trace of one in the counters.
+        result = PartitionedFullDisjunction().integrate(self._disjoint_tables())
+        assert not [key for key in result.statistics if key.startswith("parallel")]
+        assert sorted(result.statistics) == [
+            "complementation_comparisons",
+            "complementation_merges",
+            "complementation_tuples",
+            "components",
+            "outer_union_tuples",
+        ]
 
     def test_configure_executor_keeps_the_constructor_threshold(self):
-        # Regression: the pipeline-wide config used to reset the threshold to
-        # a hard-coded 8, so min_parallel_components was silently ignored.
-        algorithm = PartitionedFullDisjunction(min_parallel_components=2)
-        algorithm.configure_executor(ExecutorConfig(backend="thread", max_workers=3))
-        assert algorithm.executor.min_parallel_items == 2
-        engaged = algorithm.integrate(self._disjoint_tables(n_components=2))
-        assert engaged.statistics["components"] == 2.0
-        assert engaged.statistics.get("parallel_workers") == 3.0
-        default = PartitionedFullDisjunction()
-        default.configure_executor(ExecutorConfig(backend="thread", max_workers=3))
-        assert "parallel_workers" not in default.integrate(self._disjoint_tables(2)).statistics
+        # The executor path is gone, constructor arguments and hook included:
+        # ``partitioned`` is the incremental algorithm under its registry name.
+        with pytest.raises(TypeError):
+            PartitionedFullDisjunction(min_parallel_components=2)
+        with pytest.raises(TypeError):
+            PartitionedFullDisjunction(max_workers=3)
+        assert not hasattr(PartitionedFullDisjunction(), "configure_executor")
+        tables = self._disjoint_tables(n_components=2)
+        partitioned = PartitionedFullDisjunction().integrate(tables)
+        incremental = IncrementalFullDisjunction().integrate(tables)
+        assert partitioned.statistics["components"] == 2.0
+        assert partitioned.statistics == incremental.statistics
+        assert (partitioned.table.rows, partitioned.table.provenance) == (
+            incremental.table.rows,
+            incremental.table.provenance,
+        )
 
 
 class TestBasicBehaviour:

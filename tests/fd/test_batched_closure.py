@@ -1,0 +1,337 @@
+"""The generation-batched closure kernel against its definitions.
+
+Three test-side references, none of which shares code with the kernel:
+
+* ``reference_closure`` (``test_complementation``) — the definitional pairwise
+  fixpoint: which tuples, with which provenance;
+* :func:`sequential_closure` — the tuple-at-a-time loop the kernel replaced:
+  ids in creation order, provenance carried through every merge;
+* :func:`component_at_a_time` — that loop run on one connected component
+  after the other, which is what ``incremental`` / ``partitioned`` /
+  ``streaming`` list.
+
+Mutations of the kernel and the first test here that fails on each (the
+pinned digests of ``test_complementation`` catch all three as well):
+
+* candidates not cut at ``id < owner`` (whole posting lists) —
+  ``test_chain_of_four_generations`` at every block size (a pair met from
+  both sides creates its merge too early) and the 12 / 12 counter pin;
+* an owner's partners not sorted by id — ``test_chain_of_four_generations``
+  (value-posting partners then come before smaller null-posting ones);
+* the null posting skipped — ``test_close_equals_the_pairwise_fixpoint``
+  (partners that are null at the selective position are never met).
+"""
+
+from __future__ import annotations
+
+import random
+from unittest.mock import patch
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.fd import (
+    AliteFullDisjunction,
+    IncrementalFullDisjunction,
+    PartitionedFullDisjunction,
+    StreamingFullDisjunction,
+    get_algorithm,
+)
+from repro.fd import incremental
+from repro.fd.complementation import ComplementationEngine
+from repro.table import NULL, Table, remove_subsumed, subsumes
+from repro.table import coded
+from repro.table.coded import encode_rows
+from repro.table.subsumption import subsumers
+from test_complementation import low_cardinality_rows, reference_closure
+
+
+#: Pair blocks so small that every generation crosses block boundaries, and the real one.
+BLOCKS = pytest.mark.parametrize("block", [1, 5, 7, 1 << 16])
+
+
+def blocks_of(block):
+    return patch.object(coded, "PAIR_BLOCK", block)
+
+
+def sources_of(rows):
+    return [frozenset({f"s{index}"}) for index in range(len(rows))]
+
+
+def sequential_closure(rows, provenance):
+    """Tuple-at-a-time closure: every tuple, in id order, meets the smaller ids
+    in id order; a new merge gets the next id, a known one gains provenance."""
+    closed, sources = [], []
+    for values, tuple_sources in zip(rows, provenance):
+        if values in closed:
+            sources[closed.index(values)] |= tuple_sources
+        else:
+            closed.append(values)
+            sources.append(set(tuple_sources))
+    generation = [0] * len(closed)
+    current = -1
+    while (current := current + 1) < len(closed):
+        current_sources = frozenset(sources[current])
+        for partner in range(current):
+            pairs = list(zip(closed[current], closed[partner]))
+            agreements = [l == r for l, r in pairs if l is not NULL and r is not NULL]
+            if not agreements or not all(agreements):
+                continue
+            merged = tuple(r if l is NULL else l for l, r in pairs)
+            if merged not in closed:
+                closed.append(merged)
+                sources.append(set())
+                generation.append(generation[current] + 1)
+            sources[closed.index(merged)] |= current_sources | sources[partner]
+    return closed, [frozenset(entry) for entry in sources], max(generation, default=0)
+
+
+def component_at_a_time(rows, provenance):
+    """The closures of the connected components of the value-sharing graph,
+    one after the other in the order of each component's first row."""
+    label = list(range(len(rows)))
+    changed = True
+    while changed:
+        changed = False
+        for left in range(len(rows)):
+            for right in range(left):
+                shares = any(l == r and l is not NULL for l, r in zip(rows[left], rows[right]))
+                if shares and label[left] != label[right]:
+                    low, high = sorted((label[left], label[right]))
+                    label = [low if entry == high else entry for entry in label]
+                    changed = True
+    closed, sources = [], []
+    for component in sorted(set(label)):
+        members = [index for index in range(len(rows)) if label[index] == component]
+        part, part_sources, _ = sequential_closure(
+            [rows[index] for index in members], [provenance[index] for index in members]
+        )
+        closed += part
+        sources += part_sources
+    return closed, sources, len(set(label))
+
+
+def reduced(rows, provenance):
+    """Subsumption removal of a closure (``remove_subsumed`` has its own reference)."""
+    table = remove_subsumed(Table("closed", [f"c{p}" for p in range(len(rows[0]))], rows, provenance=provenance))
+    return table.rows, table.provenance
+
+
+@st.composite
+def multi_component_rows(draw):
+    """2-4 groups of rows over disjoint vocabularies (so at least that many
+    components), interleaved, with duplicates and fully-null rows among them."""
+    width = draw(st.integers(3, 5))
+    rows = []
+    for group in range(draw(st.integers(2, 4))):
+        cell = st.one_of(st.just(NULL), st.sampled_from([f"g{group}a", f"g{group}b"]))
+        rows += draw(st.lists(st.tuples(*[cell] * width), min_size=1, max_size=4))
+    return draw(st.permutations(rows))
+
+
+class TestClosureAgainstTheDefinition:
+    @BLOCKS
+    @given(rows=low_cardinality_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_close_equals_the_pairwise_fixpoint(self, block, rows):
+        with blocks_of(block):
+            closed, provenance = ComplementationEngine().close(rows, sources_of(rows))
+        assert len(set(closed)) == len(closed)
+        assert dict(zip(closed, provenance)) == reference_closure(rows, sources_of(rows))
+
+    @BLOCKS
+    @given(rows=low_cardinality_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_same_ids_and_provenance_as_the_sequential_loop(self, block, rows):
+        statistics = {}
+        with blocks_of(block):
+            closed, provenance = ComplementationEngine().close(rows, sources_of(rows), statistics)
+        expected, expected_provenance, _ = sequential_closure(rows, sources_of(rows))
+        assert (closed, provenance) == (expected, expected_provenance)
+        assert statistics.get("complementation_tuples", 0.0) == len(expected)
+
+    @given(low_cardinality_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_provenance_is_the_sources_of_the_subsumed_inputs(self, rows):
+        provenance = sources_of(rows)
+        for values, sources in zip(*ComplementationEngine().close(rows, provenance)):
+            informative = any(cell is not NULL for cell in values)
+            expected = [
+                entry
+                for row, entry in zip(rows, provenance)
+                # A fully-null input merges with nothing: it is its own closed tuple.
+                if (any(cell is not NULL for cell in row) and subsumes(values, row))
+                or (not informative and row == values)
+            ]
+            assert sources == frozenset().union(*expected)
+
+    @BLOCKS
+    def test_chain_of_four_generations(self, block):
+        # Each input overlaps the next in one column and a merge spans what
+        # its two sides span, so the spans double per generation: 17 links
+        # need five generations of merges.
+        width = 18
+        rows = [
+            tuple(f"v{p}" if link <= p <= link + 1 else NULL for p in range(width))
+            for link in range(width - 1)
+        ]
+        expected, expected_provenance, generations = sequential_closure(rows, sources_of(rows))
+        assert generations >= 4
+        with blocks_of(block):
+            closed, provenance = ComplementationEngine().close(rows, sources_of(rows))
+        assert (closed, provenance) == (expected, expected_provenance)
+        full = closed.index(tuple(f"v{p}" for p in range(width)))
+        assert provenance[full] == frozenset().union(*sources_of(rows))
+
+    def test_more_positions_than_bits_of_the_pattern_word(self):
+        # The quick "hold a position in common" test keeps one bit per position
+        # modulo 63, so positions 0, 63 and 126 look alike: tuples that only
+        # look alike must not merge, partners that meet beyond bit 62 must.
+        rng = random.Random(63)
+        positions = [0, 1, 63, 64, 126, 129]
+        rows = [
+            tuple(rng.choice("uv") if p in held else NULL for p in range(130))
+            for held in [rng.sample(positions, 2) for _ in range(24)]
+        ]
+        closed, provenance = ComplementationEngine().close(rows, sources_of(rows))
+        expected, expected_provenance, generations = sequential_closure(rows, sources_of(rows))
+        assert (closed, provenance) == (expected, expected_provenance)
+        assert generations >= 2 and len(closed) > 2 * len(set(rows))
+
+    @BLOCKS
+    def test_duplicate_inputs_and_fully_null_rows(self, block):
+        empty = (NULL, NULL, NULL)
+        rows = [empty, ("k", "x", NULL), ("k", "x", NULL), empty, ("k", NULL, "y"), ("k", "x", NULL)]
+        with blocks_of(block):
+            closed, provenance = ComplementationEngine().close(rows, sources_of(rows))
+        assert closed == [empty, ("k", "x", NULL), ("k", NULL, "y"), ("k", "x", "y")]
+        assert provenance == [
+            frozenset({"s0", "s3"}),
+            frozenset({"s1", "s2", "s5"}),
+            frozenset({"s4"}),
+            frozenset({"s1", "s2", "s4", "s5"}),
+        ]
+        assert (closed, provenance) == sequential_closure(rows, sources_of(rows))[:2]
+
+    @BLOCKS
+    def test_max_tuples_is_exact_mid_generation_and_mid_block(self, block):
+        # Generation 0 (three inputs) creates ids 3-5, generation 1 the 7th
+        # tuple: the bound is hit inside a generation and, with one-pair
+        # blocks, between two blocks of it.
+        rows = [("k", "x", NULL, NULL), ("k", NULL, "y", NULL), ("k", NULL, NULL, "z")]
+        with blocks_of(block):
+            closed, _ = ComplementationEngine(max_tuples=7).close(rows, sources_of(rows))
+            assert len(closed) == 7
+            for bound in (6, 4, 3, 2):
+                with pytest.raises(RuntimeError, match=f"exceeded {bound} tuples"):
+                    ComplementationEngine(max_tuples=bound).close(rows, sources_of(rows))
+
+
+class TestAlgorithmsAgainstTheSequentialLoop:
+    @BLOCKS
+    @given(rows=multi_component_rows())
+    @settings(max_examples=40, deadline=None)
+    def test_alite_lists_the_closure_in_id_order(self, block, rows):
+        table = Table("t", [f"c{p}" for p in range(len(rows[0]))], rows).with_default_provenance()
+        closed, provenance, _ = sequential_closure(table.rows, table.provenance)
+        with blocks_of(block):
+            result = AliteFullDisjunction().integrate([table]).table
+        assert (result.rows, result.provenance) == reduced(closed, provenance)
+
+    @BLOCKS
+    @given(rows=multi_component_rows())
+    @settings(max_examples=40, deadline=None)
+    def test_component_algorithms_list_one_component_after_the_other(self, block, rows):
+        table = Table("t", [f"c{p}" for p in range(len(rows[0]))], rows).with_default_provenance()
+        closed, provenance, components = component_at_a_time(table.rows, table.provenance)
+        expected_rows, expected_provenance = reduced(closed, provenance)
+        for algorithm in (IncrementalFullDisjunction(), PartitionedFullDisjunction(), StreamingFullDisjunction()):
+            with blocks_of(block), patch.object(incremental, "COMPONENT_BATCH", 3):
+                result = algorithm.integrate([table])
+            assert (result.table.rows, result.table.provenance) == (expected_rows, expected_provenance)
+            assert result.statistics["components"] == components
+
+    def test_all_four_record_the_same_counters(self):
+        # Tables joined on a first column that is never null: no list of
+        # candidates is shorter than the holders of a tuple's key, whether the
+        # components are closed together (alite) or a batch at a time (the
+        # other three: 375 tuples, two batches).
+        keys = random.Random(20).sample(range(1000), 150)
+        tables = [
+            Table(name, ["k", name], [(f"k{key}", f"{name}{key}") for key in keys[:size]])
+            for name, size in (("a", 150), ("b", 150), ("c", 75))
+        ]
+        statistics = {name: get_algorithm(name).integrate(tables).statistics for name in
+                      ("alite", "incremental", "partitioned", "streaming")}
+        counters = ["outer_union_tuples"] + [f"complementation_{kind}" for kind in ("comparisons", "merges", "tuples")]
+        for name, recorded in statistics.items():
+            assert [recorded[key] for key in counters] == [statistics["alite"][key] for key in counters], name
+            assert recorded["complementation_merges"] > 0
+        assert statistics["alite"].get("components") is None
+        assert len({statistics[name]["components"] for name in ("incremental", "partitioned", "streaming")}) == 1
+        assert statistics["streaming"]["components"] > 1
+
+    def test_component_algorithms_never_meet_the_other_schemas(self):
+        # Two unrelated join groups over different schemas.  Every tuple of
+        # the second is null wherever the first holds a value, so closed
+        # together (alite) each is a candidate of all of the first: quadratic.
+        # Closed a batch of components at a time, a tuple meets at most the
+        # tuples of its batch: linear, and the same Full Disjunction.
+        entities = 500
+        tables = [
+            Table(f"{side}{group}", [f"k{group}", f"{side}{group}"],
+                  [(f"e{group}.{index}", f"{side}{index}") for index in range(entities)])
+            for group in range(2)
+            for side in "ab"
+        ]
+        alite = get_algorithm("alite").integrate(tables)
+        assert alite.statistics["complementation_comparisons"] > (2 * entities) ** 2
+        for name in ("incremental", "partitioned", "streaming"):
+            result = get_algorithm(name).integrate(tables)
+            assert result.statistics["components"] == 2 * entities
+            assert result.statistics["complementation_comparisons"] < alite.statistics["complementation_comparisons"] / 100
+            assert sorted(zip(result.table.rows, map(sorted, result.table.provenance)), key=repr) == sorted(
+                zip(alite.table.rows, map(sorted, alite.table.provenance)), key=repr
+            )
+        # Batches that hold one group's components only: exactly the three
+        # tests of each two-tuple component (tuple, tuple, their merge).
+        with patch.object(incremental, "COMPONENT_BATCH", entities // 5):
+            aligned = get_algorithm("incremental").integrate(tables).statistics
+        assert aligned["complementation_comparisons"] == 3 * 2 * entities
+
+    def test_fully_null_rows_ride_on_the_survivor_standing_for_the_first_row(self):
+        # The first component has two survivors and its first row folds into
+        # the second of them: that one takes the fully-null row's source,
+        # whichever algorithm lists it (streaming used to pick the first emitted).
+        rows = [("k", NULL, NULL, "p"), ("j", "x", NULL, "p"), ("k", NULL, "y", NULL), (NULL,) * 4]
+        for name in ("alite", "incremental", "partitioned", "streaming"):
+            result = get_algorithm(name).integrate([Table("t", list("abcd"), rows)]).table
+            assert result.rows == [("j", "x", NULL, "p"), ("k", NULL, "y", "p")], name
+            assert result.provenance == [frozenset({"t:1"}), frozenset({"t:0", "t:2", "t:3"})], name
+
+    def test_tables_without_columns(self):
+        for name in ("alite", "incremental", "partitioned", "streaming"):
+            result = get_algorithm(name).integrate([Table("t", [], [(), ()])]).table
+            assert (result.rows, result.provenance) == ([()], [frozenset({"t:0", "t:1"})])
+
+
+class TestSubsumptionJoin:
+    def test_join_equals_pairwise_subsumes_across_blocks(self, monkeypatch):
+        rng = random.Random(7)
+        width = 4
+        lower = [tuple(NULL if rng.random() < 0.5 else rng.randrange(3) for _ in range(width)) for _ in range(60)]
+        upper = [tuple(NULL if rng.random() < 0.2 else rng.randrange(3) for _ in range(width)) for _ in range(50)]
+        codes, _ = encode_rows(lower + upper, width)
+        inferior, superior = codes[:, : len(lower)], codes[:, len(lower) :]
+        expected = [
+            (i, j)
+            for i, low in enumerate(lower)
+            if any(cell is not NULL for cell in low)
+            for j, high in enumerate(upper)
+            if subsumes(high, low)
+        ]
+        assert len(expected) > 3 * 16
+        for block in (1, 16, 1 << 16):
+            monkeypatch.setattr(coded, "PAIR_BLOCK", block)
+            owner, found = subsumers(inferior, superior)
+            assert list(zip(owner.tolist(), found.tolist())) == expected

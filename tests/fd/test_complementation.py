@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import ImdbBenchmark
-from repro.fd.complementation import ComplementationEngine, connected_components
+from repro.fd import complementation
+from repro.fd.complementation import ComplementationEngine
 from repro.fd.naive import _join_consistent_same_schema, _merge_same_schema
 from repro.table import NULL, Table, outer_union, remove_subsumed
+from repro.table.coded import encode_rows
 
 
 class TestJoinConsistency:
@@ -176,6 +178,10 @@ class TestSelectivePostingKernel:
         reduced = remove_subsumed(Table("closed", union.schema, rows, provenance=provenance))
         assert reduced.num_rows == 155
         assert ordered_digest(reduced.rows, reduced.provenance) == "0a9d87cf967d7bcf4f8e2570863be226"
+
+
+def connected_components(rows):
+    return complementation.connected_components(encode_rows(rows, len(rows[0]))[0])
 
 
 class TestConnectedComponents:

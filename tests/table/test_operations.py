@@ -21,6 +21,7 @@ from repro.table import (
     remove_subsumed,
     subsumes,
 )
+from repro.table import coded
 from repro.table.nulls import LabeledNull
 from repro.table.operations import join_consistent, merge_rows
 from repro.table.schema import Schema
@@ -273,26 +274,35 @@ class TestSubsumption:
         assert reduced.provenance == expected_provenance
 
     @pytest.mark.parametrize(
-        "rows, survivors",
+        "rows_for, survivors_for",
         [
-            # Exactly 1 << 14 (row, holder) pairs: the last block would start at the end.
-            ([(f"u{index}", NULL) for index in range(1 << 14)], 1 << 14),
-            # The last row's rarest pair has 10 001 holders, so pair 1 << 14 falls inside it.
-            ([("k", f"u{index}") for index in range(10_000)] + [("k", NULL)], 10_000),
-            # Eight blocks; subsumers, chains of them, duplicates and a fully-null row.
+            # Exactly one block of (row, holder) pairs: the next block would start at the end.
+            (lambda block: [(f"u{index}", NULL) for index in range(block)], lambda block: block),
+            # The last row's rarest pair is held by every row, so the pair a
+            # block away from the start falls inside it.
             (
-                [
+                lambda block: [("k", f"u{index}") for index in range(block * 5 // 8)] + [("k", NULL)],
+                lambda block: block * 5 // 8,
+            ),
+            # Eight blocks and more; subsumers, chains of them, duplicates and a fully-null row.
+            (
+                lambda block: [
                     tuple(NULL if rng.random() < nulls else rng.randrange(50) for nulls in (0.0, 0.4, 0.4, 0.7))
                     for rng in [random.Random(14)]
-                    for _ in range(4000)
+                    for _ in range(4000 * block >> 14)
                 ]
                 + [(NULL, NULL, NULL, NULL)],
-                2726,
+                {1 << 14: 2726, 1 << 16: 8179}.get,
             ),
         ],
         ids=["pairs-end-on-a-boundary", "boundary-inside-the-last-row", "many-blocks"],
     )
-    def test_coded_core_equals_reference_across_pair_blocks(self, rows, survivors):
+    @pytest.mark.parametrize("block", [1 << 14, 1 << 16])
+    def test_coded_core_equals_reference_across_pair_blocks(self, block, rows_for, survivors_for, monkeypatch):
+        # The shipped block size and the one before it, each on inputs cut for its boundaries.
+        assert block <= coded.PAIR_BLOCK, "add the shipped block size to the parameters"
+        monkeypatch.setattr(coded, "PAIR_BLOCK", block)
+        rows, survivors = rows_for(block), survivors_for(block)
         provenance = [frozenset({f"t:{index}"}) for index in range(len(rows))]
         table = Table("t", [f"c{p}" for p in range(len(rows[0]))], rows, provenance=provenance)
         reduced = remove_subsumed(table)
