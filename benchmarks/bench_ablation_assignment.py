@@ -1,8 +1,9 @@
 """Ablation ``abl-assignment`` — choice of bipartite assignment solver.
 
 The paper uses scipy's linear sum assignment.  This ablation compares it with
-the from-scratch Hungarian solver (must match exactly) and with the greedy
-heuristic (cheaper, possibly less effective) on the Auto-Join benchmark.
+the greedy heuristic (cheaper, possibly less effective) on the Auto-Join
+benchmark.  (The from-scratch Hungarian that must match scipy exactly is a
+test oracle, ``repro.testing.hungarian``, checked in tier-1.)
 
 Run with ``pytest benchmarks/bench_ablation_assignment.py --benchmark-only -s``
 or ``python benchmarks/bench_ablation_assignment.py``.
@@ -19,7 +20,7 @@ from repro.embeddings import MistralEmbedder
 from repro.evaluation import format_markdown_table, macro_average, score_integration_set
 from repro.matching.assignment import get_assignment_solver
 
-DEFAULT_SOLVERS = ("scipy", "hungarian", "greedy")
+DEFAULT_SOLVERS = ("scipy", "greedy")
 
 
 def run_assignment_ablation(
@@ -70,11 +71,9 @@ def report(results: Dict[str, Dict[str, float]]) -> str:
 def test_assignment_ablation(benchmark):
     results = benchmark.pedantic(run_assignment_ablation, rounds=1, iterations=1)
     print(report(results))
-    # The two optimal solvers must agree in effectiveness.  Greedy minimises a
-    # different objective (cheapest-pair-first rather than total cost), so its
-    # effectiveness can land slightly above or below optimal assignment — it
-    # only needs to stay in the same band.
-    assert abs(results["scipy"]["f1"] - results["hungarian"]["f1"]) < 1e-9
+    # Greedy minimises a different objective (cheapest-pair-first rather than
+    # total cost), so its effectiveness can land slightly above or below
+    # optimal assignment — it only needs to stay in the same band.
     assert abs(results["greedy"]["f1"] - results["scipy"]["f1"]) < 0.05
 
 

@@ -137,8 +137,8 @@ def _warm_matcher(
 
 
 def _timed_match(matcher: BlockedValueMatcher, left, right) -> Tuple[float, list]:
-    # Warm the lazy imports (scipy.optimize loads on the first solve) so the
-    # first timed configuration isn't charged ~0.25s of module loading.
+    # Warm the lazy loads (the first solve binds scipy's compiled LSAP
+    # routine, ~1 ms) so the first timed configuration isn't charged for them.
     import numpy as np
 
     matcher.solver.solve(np.zeros((2, 2)))

@@ -66,9 +66,10 @@ def run_engine_theta_sweep(
     ).generate()
     table_sets = [s.tables() for s in integration_sets]
 
-    # Untimed warm-up: pay the process-wide one-time costs (scipy import,
-    # default lexicon construction) before either timer starts, so the
-    # comparison measures embedding reuse rather than interpreter warm-up.
+    # Untimed warm-up: pay the process-wide one-time costs (default lexicon
+    # construction, binding the solver's compiled routine) before either
+    # timer starts, so the comparison measures embedding reuse rather than
+    # interpreter warm-up.
     FuzzyFullDisjunction(FuzzyFDConfig()).integrate(table_sets[0])
 
     engine = IntegrationEngine(FuzzyFDConfig())

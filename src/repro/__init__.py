@@ -36,7 +36,6 @@ from repro.core import (
     integrate,
 )
 from repro.registry import Registry, UnknownNameError
-from repro.service import IntegrationService
 from repro.table import Table, read_csv, write_csv
 
 __version__ = "1.2.0"
@@ -58,3 +57,13 @@ __all__ = [
     "Registry",
     "UnknownNameError",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the serving layer (asyncio and friends) loads on first use, so
+    # a one-shot ``import repro`` / ``repro integrate`` does not pay for it.
+    if name == "IntegrationService":
+        from repro.service import IntegrationService
+
+        return IntegrationService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -52,8 +52,8 @@ class FuzzyFDConfig:
     threshold:
         Matching threshold θ of Definition 2.  The paper reports θ = 0.7.
     assignment_solver:
-        Bipartite assignment solver (``"scipy"`` as in the paper,
-        ``"hungarian"`` or ``"greedy"``).
+        Bipartite assignment solver (``"scipy"`` as in the paper, or
+        ``"greedy"``).
     fd_algorithm:
         Full Disjunction substrate (``"alite"`` as in the paper, or
         ``"naive"`` / ``"incremental"`` / ``"partitioned"``).

@@ -27,7 +27,7 @@ from repro.core.representatives import REPRESENTATIVE_POLICIES, select_represent
 from repro.embeddings.base import ValueEmbedder
 from repro.embeddings.resilient import DEGRADED_MODES, EmbedderUnavailable
 from repro.matching.assignment import AssignmentSolver
-from repro.matching.bipartite import BipartiteValueMatcher, ValueMatch
+from repro.matching.bipartite import BipartiteValueMatcher
 from repro.matching.ann import (
     DEFAULT_ANN_BITS,
     DEFAULT_ANN_TABLES,
@@ -249,20 +249,6 @@ class ValueMatcher:
         )
 
     # -- public API ---------------------------------------------------------------
-    def match_pair(
-        self, left: ColumnValues, right: ColumnValues
-    ) -> List[ValueMatch]:
-        """Bipartite matches between two columns (used directly by benchmarks)."""
-        matcher = self._matcher_for(len(left.values), len(right.values))
-        try:
-            if self.exact_first:
-                return matcher.match_exact_first(left.values, right.values)
-            return matcher.match(left.values, right.values)
-        except EmbedderUnavailable:
-            if self.degraded_mode != "surface":
-                raise
-            return self._degraded_fallback().match_degraded(left.values, right.values)
-
     def match_columns(self, columns: Sequence[ColumnValues]) -> ValueMatchingResult:
         """Run the full sequential combined-column procedure over ``columns``."""
         if not columns:

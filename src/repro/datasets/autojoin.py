@@ -122,17 +122,6 @@ class AutoJoinBenchmark:
             sets.append(self._generate_set(index, topic, profile))
         return sets
 
-    def generate_small(self, n_sets: int = 3, values_per_column: int = 25) -> List[AutoJoinIntegrationSet]:
-        """A tiny variant used by tests and the benchmark smoke tests."""
-        small = AutoJoinBenchmark(
-            n_sets=n_sets,
-            values_per_column=values_per_column,
-            overlap=self.overlap,
-            three_column_fraction=self.three_column_fraction,
-            seed=self.seed,
-        )
-        return small.generate()
-
     # -- internals -------------------------------------------------------------------
     def _topics_cycle(self) -> List[str]:
         """The paper's 17 topics, interleaving semantic and surface topics.

@@ -94,10 +94,6 @@ class SimulatedTransformerEmbedder(HashedFeatureEmbedder):
             known = self._known[concept] = bucket < int(self.lexicon_coverage * 10_000)
         return known
 
-    def knows_value(self, value: object) -> bool:
-        """Whether the model recognises ``value`` as a form of a known concept."""
-        return self._semantic_concept(normalize_value(value)) is not None
-
     def _semantic_concept(self, normalised: str) -> Optional[str]:
         concept = self.lexicon.lookup(normalised, normalized=True)
         if concept is not None and self.knows_concept(concept):

@@ -3,8 +3,8 @@
 This package implements the building blocks of the paper's *Match Values*
 component (Sec. 2.2): distance functions between cell values (cosine distance
 over embeddings, plus lexical baselines), optimal bipartite assignment between
-the value sets of two aligned columns (scipy's linear sum assignment, an
-independent Hungarian implementation, and a greedy baseline), and the
+the value sets of two aligned columns (scipy's linear sum assignment and a
+greedy baseline), and the
 bookkeeping that accumulates pairwise matches into disjoint value-match sets.
 """
 
@@ -12,7 +12,6 @@ from repro.matching.assignment import (
     ASSIGNMENT_SOLVERS,
     AssignmentSolver,
     GreedyAssignment,
-    HungarianAssignment,
     ScipyAssignment,
     available_solvers,
     get_assignment_solver,
@@ -42,7 +41,6 @@ __all__ = [
     "cosine_distance_matrix",
     "AssignmentSolver",
     "ScipyAssignment",
-    "HungarianAssignment",
     "GreedyAssignment",
     "ASSIGNMENT_SOLVERS",
     "available_solvers",

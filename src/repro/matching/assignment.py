@@ -2,10 +2,11 @@
 
 The paper performs bipartite matching with scipy's linear sum assignment
 (Crouse's shortest-augmenting-path algorithm).  :class:`ScipyAssignment` wraps
-exactly that; :class:`HungarianAssignment` is an independent from-scratch
-Hungarian (Kuhn–Munkres) implementation used to cross-validate scipy and to
-keep the library self-contained; :class:`GreedyAssignment` is the obvious
-cheaper heuristic used as an ablation baseline.
+exactly that, bound straight from the compiled extension it lives in so that
+a one-shot request does not import all of ``scipy.optimize`` for one function;
+:class:`GreedyAssignment` is the obvious cheaper heuristic used as an ablation
+baseline.  (The from-scratch Hungarian that cross-validates scipy is a test
+oracle: :mod:`repro.testing.hungarian`.)
 
 All solvers accept rectangular cost matrices and return a list of
 ``(row, column)`` index pairs: every row and every column is used at most
@@ -15,7 +16,12 @@ once, and the number of pairs equals ``min(rows, columns)``.
 from __future__ import annotations
 
 import abc
-from typing import List, Tuple
+import importlib.util
+import os
+import sys
+import threading
+from importlib.machinery import PathFinder
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,96 +55,59 @@ class AssignmentSolver(abc.ABC):
         return float(sum(matrix[row, col] for row, col in self.solve(matrix)))
 
 
+_LSAP_MODULE = "scipy.optimize._lsap"
+_lsap_lock = threading.Lock()
+_lsap: Optional[Callable] = None
+
+
+def _bind_linear_sum_assignment() -> Callable:
+    """scipy's ``linear_sum_assignment``, without ``import scipy.optimize`` if possible.
+
+    The routine is all of ``scipy/optimize/_lsap.*.so``.  ``PathFinder`` is
+    handed that directory, so neither parent package runs (≈ 1 ms and 5
+    modules against 0.28 s and 547), and the module goes into ``sys.modules``
+    under its real name, so a later ``import scipy.optimize`` reuses it.  A
+    scipy that moved the file fails somewhere on that route; any failure
+    there means the public import.
+    """
+    public = sys.modules.get("scipy.optimize")
+    if hasattr(public, "linear_sum_assignment"):
+        return public.linear_sum_assignment
+    try:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = PathFinder.find_spec(_LSAP_MODULE, [os.path.join(root, "optimize")])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_LSAP_MODULE] = module
+        return module.linear_sum_assignment
+    except Exception:
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment
+
+
+def _linear_sum_assignment() -> Callable:
+    """The process-wide bound routine; the first caller binds it, once."""
+    global _lsap
+    if _lsap is None:
+        with _lsap_lock:
+            if _lsap is None:
+                _lsap = _bind_linear_sum_assignment()
+    return _lsap
+
+
 class ScipyAssignment(AssignmentSolver):
     """scipy.optimize.linear_sum_assignment (the paper's solver)."""
 
     name = "scipy"
 
     def solve(self, cost_matrix: np.ndarray) -> Assignment:
-        from scipy.optimize import linear_sum_assignment
-
+        solve = _linear_sum_assignment()
         matrix = self._validate(cost_matrix)
         if matrix.size == 0:
             return []
-        rows, cols = linear_sum_assignment(matrix)
+        rows, cols = solve(matrix)
         return list(zip(rows.tolist(), cols.tolist()))
-
-
-class HungarianAssignment(AssignmentSolver):
-    """From-scratch Kuhn–Munkres algorithm (O(n³), potentials + augmenting paths).
-
-    Implemented over the transposed matrix when there are more rows than
-    columns so the inner loop always iterates over the larger side.
-    """
-
-    name = "hungarian"
-
-    def solve(self, cost_matrix: np.ndarray) -> Assignment:
-        matrix = self._validate(cost_matrix)
-        if matrix.size == 0:
-            return []
-        transposed = matrix.shape[0] > matrix.shape[1]
-        if transposed:
-            matrix = matrix.T
-        pairs = self._solve_rectangular(matrix)
-        if transposed:
-            pairs = [(col, row) for row, col in pairs]
-        return sorted(pairs)
-
-    @staticmethod
-    def _solve_rectangular(matrix: np.ndarray) -> Assignment:
-        """Hungarian algorithm for matrices with rows <= columns.
-
-        Classic potentials formulation (JV-style): ``u`` over rows, ``v`` over
-        columns, ``way`` tracks the augmenting path.  Indices are 1-based
-        internally, matching the textbook presentation.
-        """
-        n_rows, n_cols = matrix.shape
-        INF = float("inf")
-        u = [0.0] * (n_rows + 1)
-        v = [0.0] * (n_cols + 1)
-        match_of_col = [0] * (n_cols + 1)  # row matched to each column (0 = free)
-        way = [0] * (n_cols + 1)
-
-        for row in range(1, n_rows + 1):
-            match_of_col[0] = row
-            free_col = 0
-            min_value = [INF] * (n_cols + 1)
-            used = [False] * (n_cols + 1)
-            while True:
-                used[free_col] = True
-                current_row = match_of_col[free_col]
-                delta = INF
-                next_col = 0
-                for col in range(1, n_cols + 1):
-                    if used[col]:
-                        continue
-                    reduced = matrix[current_row - 1, col - 1] - u[current_row] - v[col]
-                    if reduced < min_value[col]:
-                        min_value[col] = reduced
-                        way[col] = free_col
-                    if min_value[col] < delta:
-                        delta = min_value[col]
-                        next_col = col
-                for col in range(n_cols + 1):
-                    if used[col]:
-                        u[match_of_col[col]] += delta
-                        v[col] -= delta
-                    else:
-                        min_value[col] -= delta
-                free_col = next_col
-                if match_of_col[free_col] == 0:
-                    break
-            while free_col != 0:
-                previous = way[free_col]
-                match_of_col[free_col] = match_of_col[previous]
-                free_col = previous
-
-        pairs: Assignment = []
-        for col in range(1, n_cols + 1):
-            if match_of_col[col] != 0:
-                pairs.append((match_of_col[col] - 1, col - 1))
-        return pairs
 
 
 class GreedyAssignment(AssignmentSolver):
@@ -177,7 +146,6 @@ ASSIGNMENT_SOLVERS = Registry(
     "assignment solver",
     {
         "scipy": ScipyAssignment,
-        "hungarian": HungarianAssignment,
         "greedy": GreedyAssignment,
     },
 )

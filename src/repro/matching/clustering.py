@@ -67,12 +67,6 @@ class MatchSetBuilder:
             self._registered.setdefault(right_key, None)
             self._uf.union(left_key, right_key)
 
-    def add_equivalence(self, left: ValueKey, right: ValueKey) -> None:
-        """Directly union two value keys (used when folding combined columns)."""
-        self._registered.setdefault(left, None)
-        self._registered.setdefault(right, None)
-        self._uf.union(left, right)
-
     def sets(self) -> List[ValueMatchSet]:
         """Return the current disjoint sets (deterministic member order)."""
         groups = self._uf.groups()

@@ -35,6 +35,9 @@ from collections import deque
 from functools import partial
 from typing import Any, Deque, Dict, Optional, Sequence, Union
 
+import numpy as np
+import numpy.ma  # noqa: F401 — np.unique loads it lazily; a server pays at boot, not in a request
+
 from repro.core.config import FuzzyFDConfig
 from repro.core.engine import FuzzyIntegrationResult, IntegrationEngine
 from repro.embeddings.resilient import EmbedderUnavailable
@@ -121,6 +124,8 @@ class IntegrationService:
         self._executing = 0
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._closed = False
+        # Boot, not the first request, binds the solver's compiled routine.
+        self.engine.solver.solve(np.zeros((1, 1)))
 
     # -- the request path ----------------------------------------------------------
     async def integrate(

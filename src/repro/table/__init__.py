@@ -23,8 +23,6 @@ from repro.table.operations import (
     left_outer_join,
     outer_union,
     project,
-    rename_columns,
-    select_rows,
 )
 from repro.table.subsumption import remove_subsumed, subsumes
 from repro.table.io import read_csv, read_json_records, write_csv, write_json_records
@@ -38,8 +36,6 @@ __all__ = [
     "is_null",
     "non_null",
     "project",
-    "select_rows",
-    "rename_columns",
     "inner_join",
     "left_outer_join",
     "full_outer_join",

@@ -1,7 +1,7 @@
 """Relational operations over :class:`~repro.table.table.Table`.
 
 These implement the algebra the Full Disjunction algorithms are built from:
-projection, selection, renaming, natural inner/outer joins (hash based), the
+projection, natural inner/outer joins (hash based), the
 outer union (schema union with labelled or plain nulls for missing
 attributes), and the cross product.  Joins are *natural*: tuples combine when
 they agree on every shared attribute on which both are non-null, and share at
@@ -11,30 +11,20 @@ the FD literature).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.table.nulls import NULL, fresh_labeled_null, is_null
 from repro.table.schema import Schema
-from repro.table.table import CellValue, Provenance, Row, RowValues, Table
+from repro.table.table import CellValue, Provenance, RowValues, Table
 
 # ---------------------------------------------------------------------------------
-# simple unary operations (thin wrappers so callers can use a functional style)
+# simple unary operations (a thin wrapper so callers can use a functional style)
 # ---------------------------------------------------------------------------------
 
 
 def project(table: Table, columns: Sequence[str]) -> Table:
     """Project ``table`` onto ``columns``."""
     return table.project(columns)
-
-
-def select_rows(table: Table, predicate: Callable[[Row], bool]) -> Table:
-    """Keep only rows satisfying ``predicate``."""
-    return table.filter_rows(predicate)
-
-
-def rename_columns(table: Table, mapping: Dict[str, str]) -> Table:
-    """Rename columns of ``table`` according to ``mapping``."""
-    return table.rename(mapping)
 
 
 def concat_rows(name: str, tables: Sequence[Table]) -> Table:

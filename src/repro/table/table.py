@@ -261,14 +261,6 @@ class Table:
         """Return a copy of the table under a different name."""
         return Table(name, self.schema, self._rows, provenance=self._provenance)
 
-    def with_rows(
-        self,
-        rows: Iterable[Sequence[CellValue] | Mapping[str, CellValue]],
-        provenance: Optional[Iterable[Iterable[str]]] = None,
-    ) -> "Table":
-        """Return a table with the same name/schema but different rows."""
-        return Table(self.name, self.schema, rows, provenance=provenance)
-
     def with_default_provenance(self, prefix: Optional[str] = None) -> "Table":
         """Attach singleton provenance ``{prefix:index}`` to every row.
 
@@ -387,10 +379,6 @@ class Table:
         )
 
     # -- export ----------------------------------------------------------------------
-    def to_dicts(self) -> List[Dict[str, CellValue]]:
-        """Return the rows as dictionaries."""
-        return [dict(zip(self.schema.columns, values)) for values in self._rows]
-
     def rows_as_set(self) -> frozenset:
         """Return the rows as a frozenset (for order-insensitive comparison).
 

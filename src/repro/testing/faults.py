@@ -196,21 +196,6 @@ class FaultInjector:
                 self._injected[operation] = self._injected.get(operation, 0) + 1
             raise TransientFault(f"injected fault in {operation!r} (call #{index})")
 
-    def wrap_callable(
-        self, fn: Callable[..., object], operation: str = "task"
-    ) -> Callable[..., object]:
-        """``fn`` with :meth:`before` prepended (serial/thread executors).
-
-        The returned closure holds this injector (and its lock), so it is
-        not process-pool-safe — use :func:`crash_once` for process workers.
-        """
-
-        def injected(*args: object, **kwargs: object) -> object:
-            self.before(operation)
-            return fn(*args, **kwargs)
-
-        return injected
-
     def statistics(self) -> Dict[str, Dict[str, int]]:
         """Per-operation ``{"calls": n, "injected": m}`` counters."""
         with self._lock:

@@ -9,11 +9,40 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.embeddings import ExactEmbedder, FastTextEmbedder, MistralEmbedder
 from repro.table import Table, is_null
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run a script in a new interpreter and return the JSON object it prints last.
+
+    What a process has imported or bound is process-wide state; the tests of
+    the cold-start path need a process that has not run the rest of the suite.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def run(script: str) -> dict:
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    return run
 
 
 @pytest.fixture(scope="session")

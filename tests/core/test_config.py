@@ -10,7 +10,7 @@ import pytest
 from repro.core import FuzzyFDConfig, available_presets
 from repro.embeddings import ExactEmbedder
 from repro.fd import AliteFullDisjunction
-from repro.matching.assignment import HungarianAssignment
+from repro.matching.assignment import GreedyAssignment
 
 
 class TestEagerValidation:
@@ -163,12 +163,12 @@ class TestSerialisation:
     def test_to_dict_serialises_instances_by_name(self):
         config = FuzzyFDConfig(
             embedder=ExactEmbedder(),
-            assignment_solver=HungarianAssignment(),
+            assignment_solver=GreedyAssignment(),
             fd_algorithm=AliteFullDisjunction(),
         )
         data = config.to_dict()
         assert data["embedder"] == "exact"
-        assert data["assignment_solver"] == "hungarian"
+        assert data["assignment_solver"] == "greedy"
         assert data["fd_algorithm"] == "alite"
         # and the serialised form loads back into a valid (name-based) config
         loaded = FuzzyFDConfig.from_dict(data)

@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.embeddings import ExactEmbedder, MistralEmbedder
 from repro.fd import AliteFullDisjunction
-from repro.matching.assignment import HungarianAssignment
+from repro.testing.hungarian import HungarianAssignment
 from repro.schema_matching import ColumnAlignment
 from repro.table import Table
 
@@ -127,7 +127,7 @@ class TestFuzzyFullDisjunction:
             RegularFullDisjunction().integrate([])
 
     def test_hungarian_solver_gives_same_figure1_result(self, covid_tables):
-        config = FuzzyFDConfig(assignment_solver="hungarian")
+        config = FuzzyFDConfig(assignment_solver=HungarianAssignment())
         result = FuzzyFullDisjunction(config).integrate(covid_tables)
         assert result.table.num_rows == 5
 
