@@ -3,9 +3,10 @@
 Surface blocking keys (n-grams, token prefixes) cannot propose a candidate
 pair whose two strings share no characters — the out-of-lexicon synonym and
 abbreviation joins that embedding-distance matching exists to resolve.  The
-:class:`~repro.matching.ann.SemanticBlocker` adds an LSH candidate channel
-over the value embeddings; this benchmark records what that channel buys and
-what it costs, in three sections:
+:class:`~repro.matching.ann.SemanticBlocker` adds a semantic candidate channel
+over the value embeddings (an exact tiled top-k at the default shape, an LSH /
+IVF index from 14 hash bits); this benchmark records what that channel buys
+and what it costs, in five sections:
 
 1. **Synonym recall**: a planted vocabulary of surface-*disjoint* synonym
    pairs (left forms drawn from one alphabet half, right forms from the
@@ -31,6 +32,13 @@ what it costs, in three sections:
    times ``--check-floor PATH`` compares a fresh run against (exit 1 when the
    probe, or probe + similarities + top-k, regresses more than 2x), which CI
    runs before regenerating the JSON.
+5. **Exact vs index**: the tiled exact pass
+   (:func:`~repro.matching.ann.scored_candidates`) against the LSH index at
+   8 / 12 / 16 bits on seeded unit vectors with planted neighbours — seconds,
+   and the index's recall of the exact top-k pairs — the table behind
+   ``SemanticBlocker``'s routing rule (docs/architecture.md, knob ledger).
+   Its assertion is an identity, not a time: the exact pass returns
+   ``_brute_force_reference``'s pairs (also checked by ``--check-floor``).
 
 Results land in ``BENCH_ann.json`` (CI uploads it as an artifact next to
 ``BENCH_parallel.json``).  Run with ``python benchmarks/bench_ablation_ann.py``
@@ -54,9 +62,11 @@ from repro.embeddings.transformer import SimulatedTransformerEmbedder
 from repro.evaluation import format_markdown_table
 from repro.matching.ann import (
     SemanticBlocker,
+    _brute_force_reference,
     _probe_candidates_reference,
     _probe_direction_reference,
     pairs_from_keys,
+    scored_candidates,
 )
 from repro.matching.blocking import BlockedValueMatcher, ValueBlocker
 
@@ -203,9 +213,9 @@ def run_synonym_recall_benchmark(
 ) -> Dict[str, object]:
     """The headline claim: ANN recovers what surface blocking cannot see.
 
-    Above the blocker's brute-force cutoff the LSH index engages
-    (``used_lsh`` records which path ran), so the full-scale run measures the
-    approximate path while the smoke run measures the exact one.
+    The default 8 x 8 shape runs the exact pass at every size (``used_lsh``
+    records which route ran), so smoke and full-scale runs measure the same
+    route; section 5 measures the index against it.
     """
     left, right, lexicon = synonym_vocabulary(n_pairs, seed=seed)
     planted = set(zip(left, right))
@@ -428,8 +438,109 @@ def run_probe_speedup_benchmark(
     return result
 
 
+# ---------------------------------------------------------------------------------
+# section 5: the exact tiled pass vs the LSH index (the routing rule's evidence)
+# ---------------------------------------------------------------------------------
+
+#: Index configurations expected to expand more probe pairs than this are
+#: skipped (recorded as such): 8 bits at 10 000 x 10 000 is 28 M pairs per
+#: direction — over a gigabyte of int64 scratch to learn that it is slow.
+MAX_EXPECTED_PROBE_PAIRS = 10_000_000
+
+
+def _planted_sides(n_values: int, dimension: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit vectors; half of the right side is a left vector plus noise (cosine ~ 0.7)."""
+    rng = np.random.default_rng(seed)
+    left = _unit_vectors(rng, n_values, dimension)
+    right = _unit_vectors(rng, n_values, dimension)
+    planted = n_values // 2
+    noisy = left[:planted] + rng.standard_normal((planted, dimension)) / np.sqrt(dimension)
+    right[:planted] = noisy / np.linalg.norm(noisy, axis=1, keepdims=True)
+    return left, right
+
+
+def _exact_keys(left: np.ndarray, right: np.ndarray, top_k: int, floor: float) -> np.ndarray:
+    return scored_candidates(left, right, np.empty(0, dtype=np.int64), top_k, floor)[0]
+
+
+def assert_exact_pass_identity(
+    n_values: int = 600, dimension: int = 64, top_k: int = 5, floor: float = 0.3, seed: int = 43
+) -> bool:
+    """The section's guard: the exact pass == the row/column-loop oracle."""
+    left, right = _planted_sides(n_values, dimension, seed)
+    exact = set(pairs_from_keys(_exact_keys(left, right, top_k, floor), n_values))
+    reference = _brute_force_reference(left, right, top_k=top_k, min_similarity=floor)
+    assert exact == reference, "the exact pass diverged from _brute_force_reference"
+    return True
+
+
+def run_exact_vs_index_benchmark(
+    sizes: Sequence[int] = (1700, 5000, 10_000),
+    bits: Sequence[int] = (8, 12, 16),
+    dimension: int = 256,
+    top_k: int = 5,
+    floor: float = 0.3,
+    seed: int = 43,
+) -> Dict[str, object]:
+    """Seconds of the exact pass and of the LSH route, and the index's recall.
+
+    Best of three for the exact pass, one run per index configuration; the
+    index is forced (``brute_force_cells=0``) with the skew fallback off, on
+    the same vectors.  Recall is the share of the exact top-k pairs the index
+    also returns — the exact pass is the ground truth it approximates.
+    """
+    rows: List[Dict[str, object]] = []
+    for n_values in sizes:
+        left, right = _planted_sides(n_values, dimension, seed)
+        exact_seconds = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            exact = _exact_keys(left, right, top_k, floor)
+            exact_seconds = min(exact_seconds, time.perf_counter() - start)
+        row: Dict[str, object] = {
+            "n_values": n_values,
+            "exact_seconds": exact_seconds,
+            "exact_pairs": int(len(exact)),
+            "index": {},
+        }
+        for n_bits in bits:
+            blocker = SemanticBlocker(
+                SimulatedTransformerEmbedder(model_name="probe_bench"),
+                top_k=top_k,
+                n_bits=n_bits,
+                min_similarity=floor,
+                brute_force_cells=0,
+                skew_threshold=1.0,
+            )
+            expected = blocker.n_tables * (n_bits + 1) / 2**n_bits * n_values * n_values
+            if expected > MAX_EXPECTED_PROBE_PAIRS:
+                row["index"][str(n_bits)] = {"skipped_expected_probe_pairs": int(expected)}
+                continue
+            start = time.perf_counter()
+            keys = blocker._indexed_pairs(left, right, None, None)
+            seconds = time.perf_counter() - start
+            found = np.intersect1d(keys, exact, assume_unique=True)
+            row["index"][str(n_bits)] = {
+                "seconds": seconds,
+                "pairs": int(len(keys)),
+                "recall": len(found) / len(exact) if len(exact) else 1.0,
+                "runs_exact_by_default": SemanticBlocker(
+                    blocker.embedder, n_bits=n_bits
+                )._runs_exact(n_values, n_values),
+            }
+        rows.append(row)
+    return {
+        "dimension": dimension,
+        "top_k": top_k,
+        "floor": floor,
+        "identical_to_reference": assert_exact_pass_identity(top_k=top_k, floor=floor),
+        "rows": rows,
+    }
+
+
 def check_floor(path: str) -> int:
-    """CI guard: 1 if the probe, or probe + top-k, regressed >2x vs the committed times."""
+    """CI guard: 1 if the probe, or probe + top-k, regressed >2x vs the committed
+    times; raises if the exact pass no longer equals its oracle."""
     committed = json.loads(Path(path).read_text(encoding="utf-8"))
     probe = committed.get("probe_speedup")
     if not isinstance(probe, dict) or "floor_seconds" not in probe:
@@ -463,6 +574,9 @@ def check_floor(path: str) -> int:
             status = 1
     if not status:
         print("OK: within the floor")
+    # Not a time: the exact pass must return the loop oracle's pairs.
+    assert_exact_pass_identity()
+    print("OK: exact pass == _brute_force_reference")
     return status
 
 
@@ -476,6 +590,8 @@ def report(results: Dict[str, object]) -> str:
     sweep = results["top_k_sweep"]
     mixed = results["mixed_corruption"]
     probe = results["probe_speedup"]
+    exact = results["exact_vs_index"]
+    exact_bits = list(exact["rows"][0]["index"]) if exact["rows"] else []
     lines = [
         "",
         "Ablation — semantic ANN blocking channel",
@@ -537,8 +653,29 @@ def report(results: Dict[str, object]) -> str:
             f"{bool(probe['identical_pairs'])}; committed floor "
             f"{probe['floor_seconds']:.3f}s"
         ),
+        "",
+        (
+            f"Exact tiled pass vs the LSH index (dim {exact['dimension']}, top_k "
+            f"{exact['top_k']}, floor {exact['floor']}; seconds / recall of the exact "
+            f"pairs; exact == reference: {bool(exact['identical_to_reference'])}):"
+        ),
+        "",
+        format_markdown_table(
+            ["values", "exact pass"] + [f"LSH {bits} bits" for bits in exact_bits],
+            [
+                [f"{row['n_values']:,}", f"{row['exact_seconds']:.3f}s"]
+                + [_index_cell(row["index"][bits]) for bits in exact_bits]
+                for row in exact["rows"]
+            ],
+        ),
     ]
     return "\n".join(lines)
+
+
+def _index_cell(run: Dict[str, object]) -> str:
+    if "seconds" not in run:
+        return f"skipped ({run['skipped_expected_probe_pairs']:,} probe pairs)"
+    return f"{run['seconds']:.3f}s / {run['recall']:.2f}"
 
 
 def run_all(
@@ -546,6 +683,7 @@ def run_all(
     mixed_pairs: int = 1000,
     top_ks: Sequence[int] = (1, 2, 5, 10),
     probe_values: int = 10_000,
+    exact_values: Sequence[int] = (1700, 5000, 10_000),
 ) -> Dict[str, object]:
     """Run every section at the given scale (the JSON payload)."""
     return {
@@ -555,6 +693,7 @@ def run_all(
         "top_k_sweep": run_top_k_sweep(n_pairs=n_pairs, top_ks=list(top_ks)),
         "mixed_corruption": run_mixed_corruption_benchmark(n_pairs=mixed_pairs),
         "probe_speedup": run_probe_speedup_benchmark(n_values=probe_values),
+        "exact_vs_index": run_exact_vs_index_benchmark(sizes=list(exact_values)),
     }
 
 
@@ -577,7 +716,15 @@ def test_synonym_recall(benchmark):
     # The acceptance claim: strict recall improvement at sub-dense cost.
     assert recall["semantic"]["recall"] > recall["surface"]["recall"]
     assert recall["semantic"]["pairs_scored"] < recall["dense_cells"]
-    assert recall["used_lsh"]
+    assert not recall["used_lsh"]  # the default shape routes to the exact pass
+
+
+def test_exact_pass_equals_reference(benchmark):
+    exact = benchmark.pedantic(
+        run_exact_vs_index_benchmark, kwargs={"sizes": (800,)}, rounds=1, iterations=1
+    )
+    assert exact["identical_to_reference"]
+    assert all(0.0 < run["recall"] <= 1.0 for run in exact["rows"][0]["index"].values())
 
 
 def test_probe_speedup(benchmark):
@@ -623,7 +770,9 @@ if __name__ == "__main__":
     if arguments.check_floor:
         raise SystemExit(check_floor(arguments.check_floor))
     if arguments.smoke:
-        payload = run_all(n_pairs=200, mixed_pairs=160, top_ks=(1, 5), probe_values=2000)
+        payload = run_all(
+            n_pairs=200, mixed_pairs=160, top_ks=(1, 5), probe_values=2000, exact_values=(800,)
+        )
     else:
         payload = run_all()
     print(report(payload))

@@ -92,15 +92,16 @@ class FuzzyFDConfig:
         higher recall, linearly more probing.
     ann_bits:
         Random-hyperplane bits per LSH table.  Fewer bits, bigger buckets:
-        higher recall, more similarity evaluations.
+        higher recall, more similarity evaluations — up to 13 (with 8
+        tables) the probe would be dense and the exact pass runs instead.
     ann_top_k:
         Candidate pairs the semantic channel emits per value (its nearest
         counterparts by cosine similarity; both sides probe).  Bounds the
         extra pairs the channel can add to roughly
         ``top_k × (|left| + |right|)``.
     ann_index:
-        Retrieval index of the semantic channel above the brute-force
-        cutoff: ``"lsh"`` (random-hyperplane tables, the default — falls
+        Retrieval index of the semantic channel for shapes that probe
+        sparsely: ``"lsh"`` (random-hyperplane tables, the default — falls
         back to IVF per column pair when hyperplane buckets skew past the
         blocker's threshold) or ``"ivf"`` (force the seeded k-means
         inverted-file index everywhere).  Both are deterministic under the

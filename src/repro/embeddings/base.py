@@ -105,6 +105,11 @@ class ValueEmbedder:
                 f"{self.name} produced shape {rows.shape}, "
                 f"expected ({len(texts)}, {self.dimension})"
             )
+        if not np.isfinite(rows).all():
+            # Rejected here, before the cache and the store can keep them: a
+            # NaN / inf row normalises to NaN and every comparison on it is false.
+            first = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+            raise ValueError(f"{self.name} produced a non-finite embedding for {texts[first]!r}")
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         rows = rows / np.where(norms > 0, norms, 1.0)
         self._cache.put_many(self.name, texts, rows)

@@ -18,48 +18,50 @@ pairs are unioned with the surface channel's pairs by
 decomposition, so the downstream engine is unchanged — the semantic channel
 only ever *adds* edges to the candidate graph.
 
-Three retrieval strategies, chosen per column pair by size and shape:
+Three retrieval strategies, chosen per column pair by shape:
 
-* **Brute-force top-k** (small pairs): one dense similarity matrix, exact
-  top-k in both directions.  Below ``brute_force_cells`` cells this is cheaper
-  and strictly more accurate than any index.
-* **Random-hyperplane LSH** (large pairs): ``n_tables`` independent hash
-  tables of ``n_bits`` signed random projections each.  Values whose codes
-  collide in any table (exactly, or — via single-bit multiprobe — at Hamming
-  distance 1) become candidates; each value keeps its ``top_k`` nearest by
-  true cosine similarity among its collision set, probing in both directions
-  (left over the right tables and vice versa) so neither side can be starved
-  by the other's top-k competition.  Numpy-only, no external index library.
-* **Seeded k-means IVF** (large, *skewed* pairs): hyperplane buckets degrade
-  when the embeddings concentrate — duplicate-heavy or low-variance columns
-  push most values into a handful of buckets, and probing degenerates toward
-  the dense cross product.  When the largest LSH bucket of either side holds
-  more than ``skew_threshold`` of its values (or when ``ann_index="ivf"`` is
-  forced), retrieval switches to an inverted-file index: a few Lloyd
-  iterations of seeded k-means over the index side, each query probing its
-  ``IVF_PROBES`` nearest centroids.  Same ``top_k``/similarity-floor
-  semantics, same both-direction probing.
+* **Exact tiled top-k** (:func:`scored_candidates`): one GEMM per block of
+  left rows, exact top-k in both directions, and the surface channel's keys
+  scored in the same pass.  Runs whenever the configured index would probe
+  densely (:meth:`SemanticBlocker._runs_exact`) — at the default 8 × 8 shape
+  that is every size — because scoring a dense probe computes every cell
+  anyway, and the exact pass then costs no more and misses nothing.
+* **Random-hyperplane LSH** (sparse shapes, ``n_bits >= 14``): ``n_tables``
+  independent hash tables of ``n_bits`` signed random projections each.
+  Values whose codes collide in any table (exactly, or — via single-bit
+  multiprobe — at Hamming distance 1) become candidates; each value keeps its
+  ``top_k`` nearest by true cosine similarity among its collision set, probing
+  in both directions (left over the right tables and vice versa) so neither
+  side can be starved by the other's top-k competition.  Numpy-only.
+* **Seeded k-means IVF** (*skewed* pairs): hyperplane buckets degrade when
+  the embeddings concentrate — duplicate-heavy or low-variance columns push
+  most values into a handful of buckets.  When the largest LSH bucket of
+  either side holds more than ``skew_threshold`` of its values (or when
+  ``ann_index="ivf"`` is forced), retrieval switches to an inverted-file
+  index: a few Lloyd iterations of seeded k-means over the index side, each
+  query probing its ``IVF_PROBES`` nearest centroids.  Same
+  ``top_k``/similarity-floor semantics, same both-direction probing.
 
 A candidate pair is one int64 key ``query * n_index + candidate`` from the
 probe to the caller (:func:`pairs_from_keys` turns a key array back into
-tuples), and no loop runs per query or per pair: all query codes and their
-single-bit multiprobe variants are one ``(n_queries, n_bits + 1)`` XOR against
-the precomputed flip masks per table, bucket membership is a span lookup over
-the stably-sorted index codes, the spans are expanded and sort-deduplicated
-into ``(query, candidate)``-sorted keys, :func:`_pair_similarities` scores
-them a block at a time, and :meth:`SemanticBlocker._select_top_k` cuts each
-query's segment to its ``top_k`` best.
+tuples), and no loop runs per query or per pair.  On the index routes all
+query codes and their single-bit multiprobe variants are one ``(n_queries,
+n_bits + 1)`` XOR against the precomputed flip masks per table, bucket
+membership is a span lookup over the stably-sorted index codes, the spans are
+expanded and sort-deduplicated into ``(query, candidate)``-sorted keys,
+:func:`_pair_similarities` scores them a block at a time, and
+:func:`_segment_top_k` cuts each query's segment to its ``top_k`` best.
 
 **Tie rule, stated once.**  A query keeps its ``top_k`` candidates of highest
-similarity *as* :func:`_pair_similarities` *computes it*; equal similarities go
-to the lowest candidate index; the similarity floor is applied to the
-survivors.  BLAS results depend on operand position in the last bit, so two
+similarity *as the pass computes it*; equal similarities go to the lowest
+candidate index; only pairs above the similarity floor are kept.  BLAS results
+depend on operand position and block shape in the last bit, so two
 bit-identical index rows can score one ULP apart and which of them "ties" is
-a property of that function, not of the vectors — which is why
+a property of the GEMM that ran, not of the vectors — which is why
 ``_probe_direction_reference`` (the per-query Python oracle: dict buckets, set
-unions, a stable argsort per query) ranks with similarities from the same
-function.  ``_brute_force_reference`` is the row/column-loop oracle of the
-exact path.
+unions, a stable argsort per query) can rank with :func:`_pair_similarities`'
+values.  ``_brute_force_reference`` is the row/column-loop oracle of the
+exact pass.
 
 Determinism: hyperplanes and k-means seeding come from a seeded
 :func:`numpy.random.default_rng`, bucket iteration follows input positions,
@@ -106,7 +108,7 @@ DEFAULT_ANN_TABLES = 8
 DEFAULT_ANN_BITS = 8
 
 #: Default candidates kept per probing value (nearest by true cosine
-#: similarity among the collision set, or exact top-k on the brute path;
+#: similarity among the collision set, or exact top-k on the exact pass;
 #: both sides probe, so the pair budget is ~``top_k × (|left| + |right|)``).
 DEFAULT_ANN_TOP_K = 5
 
@@ -114,10 +116,6 @@ DEFAULT_ANN_TOP_K = 5
 #: Fixed so that two matchers built independently (e.g. one per engine worker
 #: thread) block identically.
 DEFAULT_ANN_SEED = 97
-
-#: Column pairs with at most this many cells (``|left| × |right|``) take the
-#: exact brute-force path; above it the configured index engages.
-DEFAULT_BRUTE_FORCE_CELLS = 250_000
 
 #: Index kinds accepted by :class:`SemanticBlocker` (and the ``ann_index``
 #: configuration knob).  ``"lsh"`` still falls back to IVF per column pair
@@ -134,8 +132,7 @@ DEFAULT_SKEW_THRESHOLD = 0.25
 #: Value lists smaller than this report a bucket skew of 0.0 and never
 #: trigger the IVF fallback: with a handful of values the largest-bucket
 #: share is quantised so coarsely (3 of 12 values colliding already reads as
-#: 0.25) that it measures luck, not hyperplane degradation — and lists this
-#: small are within a constant factor of the brute-force cutoff anyway.
+#: 0.25) that it measures luck, not hyperplane degradation.
 SKEW_MIN_VALUES = 64
 
 #: Lloyd iterations of the seeded k-means IVF build.  Few on purpose: the
@@ -149,9 +146,9 @@ IVF_ITERATIONS = 5
 #: (not part of the artifact fingerprint), like ``top_k``.
 IVF_PROBES = 4
 
-#: Scratch budget of :func:`_pair_similarities`, in float64 cells per block
-#: (32 MB): the query rows of one GEMM block times the index size, or twice
-#: the gathered rows of one slab.
+#: Scratch budget of :func:`scored_candidates` and :func:`_pair_similarities`,
+#: in float64 cells per block (32 MB): the rows of one GEMM block times the
+#: other side's size, or twice the gathered rows of one slab.
 PAIR_BLOCK_CELLS = 4_000_000
 
 #: Similarity-matrix cells per probe pair above which :func:`_pair_similarities`
@@ -218,11 +215,11 @@ def _pair_similarities(
 ) -> np.ndarray:
     """Cosine similarity of every ``(query, candidate)`` pair, sorted by query.
 
-    The one place probe similarities are computed (see the module docstring's
-    tie rule).  Dense probes — the default 8-bit / 8-table shape always
-    touches about a quarter of the cells — take the query rows in blocks of
-    at most :data:`PAIR_BLOCK_CELLS` cells, one GEMM ``Q[block] @ I.T`` and
-    one gather per block: cheaper than materialising a vector per pair.
+    Scores the index routes' probes and the blocked matcher's keys when no
+    exact pass ran (see the module docstring's tie rule).  Dense pair sets
+    take the query rows in blocks of at most :data:`PAIR_BLOCK_CELLS` cells,
+    one GEMM ``Q[block] @ I.T`` and one gather per block: cheaper than
+    materialising a vector per pair.
     Below one pair per :data:`GEMM_CELLS_PER_PAIR` cells the GEMM would
     mostly compute cells nobody asked for, so sparse probes take the gathered
     row-wise product instead, in slabs of the same scratch size.  The two
@@ -248,6 +245,92 @@ def _pair_similarities(
             block = query_vectors[first : first + block_rows] @ index_vectors.T
             similarities[start:stop] = block[query_ids[start:stop] - first, candidate_ids[start:stop]]
     return similarities
+
+
+def _segment_top_k(segment_ids: np.ndarray, similarities: np.ndarray, top_k: int) -> np.ndarray:
+    """Mask of the ``top_k`` highest similarities of every contiguous segment.
+
+    ``top_k`` rounds of a segmented maximum (``np.maximum.reduceat``): each
+    round selects, per segment, the *first* position holding the segment's
+    maximum and retires it, so equal similarities go to the earliest position
+    — what a stable argsort per segment does, without the per-segment loop.
+    """
+    selected = np.zeros(len(segment_ids), dtype=bool)
+    if not len(segment_ids):
+        return selected
+    starts = np.flatnonzero(np.r_[True, segment_ids[1:] != segment_ids[:-1]])
+    lengths = np.diff(np.r_[starts, len(segment_ids)])
+    segment = np.repeat(np.arange(len(starts)), lengths)
+    work = similarities.copy()
+    for _ in range(min(top_k, int(lengths.max()))):
+        best = np.maximum.reduceat(work, starts)
+        # An exhausted segment's maximum is the -inf of its retired pairs:
+        # it re-selects one it already selected, which changes nothing.
+        hits = np.flatnonzero(work == best[segment])
+        hit_segments = segment[hits]
+        first = hits[np.r_[True, hit_segments[1:] != hit_segments[:-1]]]
+        selected[first] = True
+        work[first] = -np.inf
+    return selected
+
+
+def _column_top_k(keys: np.ndarray, similarities: np.ndarray, n_right: int, top_k: int):
+    """Cut row-major ``keys`` to each *column's* ``top_k``: one stable argsort
+    by column keeps rows ascending inside a column, so ties go to the lowest row."""
+    columns = keys % n_right
+    order = np.argsort(columns, kind="stable")
+    order = order[_segment_top_k(columns[order], similarities[order], top_k)]
+    return keys[order], similarities[order]
+
+
+def scored_candidates(
+    left_vectors: np.ndarray,
+    right_vectors: np.ndarray,
+    surface_keys: np.ndarray,
+    top_k: int,
+    floor: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One tiled exact similarity pass over a column pair: ``(keys, similarities, semantic)``.
+
+    ``keys`` is the sorted-unique union of ``surface_keys`` (sorted ``left *
+    n_right + right`` keys, all kept whatever they score) and the exact
+    top-k in both directions — every cell above ``floor`` that is among the
+    ``top_k`` best of its row or of its column, equal similarities to the
+    lowest index (oracle: :func:`_brute_force_reference`); ``semantic`` marks
+    the latter.  Left rows are taken in blocks of at most
+    :data:`PAIR_BLOCK_CELLS` cells, one GEMM ``L[block] @ R.T`` each, from
+    which the block gathers its surface keys' similarities, masks the cells
+    above the floor and cuts them per row and per column; the column cuts of
+    the blocks are merged by one more cut, so memory is one block at any size
+    and every similarity the caller sees comes from this one pass.
+    """
+    n_left, n_right = left_vectors.shape[0], right_vectors.shape[0]
+    surface_similarities = np.empty(len(surface_keys), dtype=np.float64)
+    parts = [(surface_keys, surface_similarities)]  # (keys, similarities) to union
+    columns = []  # each block's per-column cut
+    block_rows = max(1, PAIR_BLOCK_CELLS // max(1, n_right))
+    for first in range(0, n_left if n_right else 0, block_rows):
+        cells = (left_vectors[first : first + block_rows] @ right_vectors.T).ravel()
+        origin = first * n_right
+        start, stop = np.searchsorted(surface_keys, (origin, origin + len(cells)))
+        surface_similarities[start:stop] = cells[surface_keys[start:stop] - origin]
+        above = np.flatnonzero(cells > floor)
+        keys, similarities = above + origin, cells[above]
+        rows = _segment_top_k(above // n_right, similarities, top_k)
+        parts.append((keys[rows], similarities[rows]))
+        columns.append(_column_top_k(keys, similarities, n_right, top_k))
+    if columns:
+        parts.append(_column_top_k(*map(np.concatenate, zip(*columns)), n_right, top_k))
+    keys, similarities = map(np.concatenate, zip(*parts))
+    # Stable: a key's surface copy sorts before its top-k copies (all score
+    # the same — one cell of one GEMM), so the run's last entry tells whether
+    # the top-k proposed it.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first_of_run = np.r_[True, keys[1:] != keys[:-1]][: len(keys)]
+    last_of_run = np.r_[first_of_run[1:], True][: len(keys)]
+    semantic = (order >= len(surface_keys))[last_of_run]
+    return keys[first_of_run], similarities[order][first_of_run], semantic
 
 
 def _probe_direction_reference(
@@ -391,14 +474,16 @@ class SemanticBlocker:
     top_k:
         Candidates emitted per probing value (each side probes the other).
     n_tables / n_bits:
-        LSH shape (see module docstring).  Only consulted above the
-        brute-force cutoff.
+        LSH shape (see module docstring); also decides, with
+        ``brute_force_cells`` unset, whether the index runs at all.
     seed:
         Seed of the random hyperplanes and of the IVF k-means seeding; same
         seed, same candidates.
     brute_force_cells:
-        Cell-count cutoff below which the exact dense path runs instead of
-        an index.
+        ``None`` (default): the exact pass runs whenever the configured index
+        would probe densely (:meth:`_runs_exact`).  An integer is a
+        cell-count cutoff at or below which the exact pass runs instead of
+        the index (``0`` forces the index).
     min_similarity:
         Cosine-similarity floor on emitted pairs.  A top-k list is padded
         with whatever neighbours exist, however distant; below-floor pairs
@@ -435,7 +520,7 @@ class SemanticBlocker:
         n_tables: int = DEFAULT_ANN_TABLES,
         n_bits: int = DEFAULT_ANN_BITS,
         seed: int = DEFAULT_ANN_SEED,
-        brute_force_cells: int = DEFAULT_BRUTE_FORCE_CELLS,
+        brute_force_cells: Optional[int] = None,
         min_similarity: float = 0.0,
         ann_index: str = "lsh",
         skew_threshold: float = DEFAULT_SKEW_THRESHOLD,
@@ -447,7 +532,7 @@ class SemanticBlocker:
             raise ValueError(f"n_tables must be >= 1, got {n_tables}")
         if not 1 <= n_bits <= 30:
             raise ValueError(f"n_bits must be in [1, 30], got {n_bits}")
-        if brute_force_cells < 0:
+        if brute_force_cells is not None and brute_force_cells < 0:
             raise ValueError(f"brute_force_cells must be >= 0, got {brute_force_cells}")
         if not 0.0 <= min_similarity < 1.0:
             raise ValueError(f"min_similarity must be in [0, 1), got {min_similarity}")
@@ -467,20 +552,22 @@ class SemanticBlocker:
         self.ann_index = ann_index
         self.skew_threshold = skew_threshold
         self.store = store
-        #: Whether the last :meth:`candidate_pairs` call used an ANN index
-        #: (``False`` means the exact brute-force path ran).
+        #: Whether the last call used an ANN index (``False``: the exact pass).
         self.last_used_lsh = False
         #: Index kind of the last call: ``""`` (no call yet), ``"brute"``,
         #: ``"lsh"`` or ``"ivf"`` — ``"ivf"`` either forced or by skew
         #: fallback; :attr:`skew_fallbacks` distinguishes the two.
         self.last_index_kind = ""
         #: Largest LSH bucket share observed on the last LSH-routed call
-        #: (``0.0`` when no codes were computed — brute path or forced IVF).
+        #: (``0.0`` when no codes were computed — exact pass or forced IVF).
         self.last_bucket_skew = 0.0
         #: Deduplicated ``(query, candidate)`` similarity evaluations of the
         #: last call's probe phase, both directions — the probe-cost counter
-        #: surfaced in ``BlockingStatistics``.
+        #: surfaced in ``BlockingStatistics`` (``0`` on the exact pass).
         self.last_probe_candidates = 0
+        #: Keys the channel itself proposed on the last call (the exact
+        #: top-k, or the index's candidates), surface duplicates included.
+        self.last_semantic_pairs = 0
         #: Cumulative count of LSH→IVF skew fallbacks over this blocker's
         #: lifetime (one per direction-index whose buckets tripped the
         #: threshold — the per-call delta lands in ``BlockingStatistics``).
@@ -511,12 +598,25 @@ class SemanticBlocker:
         self, left_values: Sequence[object], right_values: Sequence[object]
     ) -> np.ndarray:
         """The same pairs as sorted-unique ``left * len(right_values) + right`` keys."""
+        return self.scored_keys(left_values, right_values, np.empty(0, dtype=np.int64))[0]
+
+    def scored_keys(
+        self, left_values: Sequence[object], right_values: Sequence[object], surface_keys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``surface_keys`` ∪ this channel's keys, sorted-unique, each with its similarity.
+
+        What the blocked matcher consumes: scored edges.  The exact route is
+        one :func:`scored_candidates` pass; an index route proposes its keys
+        first and scores the union with :func:`_pair_similarities`.
+        :attr:`last_semantic_pairs` counts the keys this channel proposed.
+        """
         self.last_bucket_skew = 0.0
         self.last_probe_candidates = 0
+        self.last_semantic_pairs = 0
+        self.last_used_lsh = False
+        self.last_index_kind = "brute"
         if not left_values or not right_values:
-            self.last_used_lsh = False
-            self.last_index_kind = "brute"
-            return np.empty(0, dtype=np.int64)
+            return surface_keys, np.empty(len(surface_keys), dtype=np.float64)
         # One text conversion, shared by the embedding lookup and the corpus
         # fingerprints — embedding_text is exactly what embed_many applies,
         # so the ordered fingerprint names exactly the rows embedded below.
@@ -524,63 +624,41 @@ class SemanticBlocker:
         right_texts = [embedding_text(value) for value in right_values]
         left_vectors = self.embedder.embed_many(left_texts)
         right_vectors = self.embedder.embed_many(right_texts)
-        if len(left_values) * len(right_values) <= self.brute_force_cells:
-            self.last_used_lsh = False
-            self.last_index_kind = "brute"
-            return self._brute_force_pairs(left_vectors, right_vectors)
+        if self._runs_exact(len(left_values), len(right_values)):
+            keys, similarities, semantic = scored_candidates(
+                left_vectors, right_vectors, surface_keys, self.top_k, self.min_similarity
+            )
+            self.last_semantic_pairs = int(semantic.sum())
+            return keys, similarities
         self.last_used_lsh = True
         if self.store is None:
             left_texts = right_texts = None  # fingerprints unused
-        return self._indexed_pairs(left_vectors, right_vectors, left_texts, right_texts)
+        semantic_keys = self._indexed_pairs(left_vectors, right_vectors, left_texts, right_texts)
+        self.last_semantic_pairs = len(semantic_keys)
+        keys = _sorted_unique(np.concatenate((surface_keys, semantic_keys)))
+        left_ids, right_ids = np.divmod(keys, len(right_values))
+        return keys, _pair_similarities(left_ids, right_ids, left_vectors, right_vectors)
 
-    # -- exact path -----------------------------------------------------------------
-    def _brute_force_pairs(
-        self, left_vectors: np.ndarray, right_vectors: np.ndarray
-    ) -> np.ndarray:
-        """Exact top-k in both directions over one dense similarity matrix.
+    def _runs_exact(self, n_left: int, n_right: int) -> bool:
+        """Whether a column pair takes the exact pass instead of the configured index.
 
-        Both directions matter: per-row top-k alone can starve a right value
-        whose nearest lefts all have closer neighbours of their own, and a
-        starved value never enters the candidate graph at all.
-
-        Selection is ``np.argpartition``-based: one O(n) partition per row
-        instead of a full sort, with a stable-argsort fixup only for rows
-        whose k-th similarity ties across the selection boundary — those are
-        the only rows where the partition's arbitrary tie choice could differ
-        from the old stable-sort loop (oracle:
-        :func:`_brute_force_reference`).
+        An explicit ``brute_force_cells`` is a cell-count cutoff.  The default
+        (``None``) asks whether the index would probe densely: its expected
+        probe share of the cells — ``n_tables · (n_bits + 1) / 2^n_bits`` for
+        multiprobe LSH, ``IVF_PROBES / clusters`` for IVF — at or above one
+        pair per :data:`GEMM_CELLS_PER_PAIR` cells is exactly when scoring the
+        probe would take :func:`_pair_similarities`' GEMM route and compute
+        every cell anyway, so the exact pass costs no more and finds
+        everything.  The default 8 × 8 shape (share 0.28) is exact at every
+        size; ``n_bits >= 14`` keeps the sub-quadratic route.
         """
-        similarities = left_vectors @ right_vectors.T
-        n_right = similarities.shape[1]
-        left_ids, right_ids = self._dense_top_k_rows(similarities)
-        reverse_right, reverse_left = self._dense_top_k_rows(similarities.T)
-        return _sorted_unique(
-            np.concatenate((left_ids * n_right + right_ids, reverse_left * n_right + reverse_right))
-        )
-
-    def _dense_top_k_rows(self, similarities: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row exact top-k of a dense similarity matrix: ``(rows, columns)``."""
-        n_rows, n_cols = similarities.shape
-        floor = self.min_similarity
-        k = min(self.top_k, n_cols)
-        if k == n_cols:
-            return np.nonzero(similarities > floor)
-        selected = np.argpartition(-similarities, k - 1, axis=1)[:, :k]
-        selected_sims = np.take_along_axis(similarities, selected, axis=1)
-        kth = selected_sims.min(axis=1)
-        # A row needs the stable tie-break only when values equal to its k-th
-        # similarity straddle the boundary; otherwise the top-k *set* is
-        # unique and the partition already found it.
-        ambiguous = np.flatnonzero((similarities >= kth[:, None]).sum(axis=1) > k)
-        if len(ambiguous):
-            fixed = np.argsort(-similarities[ambiguous], axis=1, kind="stable")[:, :k]
-            selected[ambiguous] = fixed
-            selected_sims[ambiguous] = np.take_along_axis(
-                similarities[ambiguous], fixed, axis=1
-            )
-        keep = selected_sims > floor
-        row_ids = np.broadcast_to(np.arange(n_rows)[:, None], (n_rows, k))[keep]
-        return row_ids, selected[keep]
+        if self.brute_force_cells is not None:
+            return n_left * n_right <= self.brute_force_cells
+        if self.ann_index == "lsh":
+            share = self.n_tables * (self.n_bits + 1) / 2**self.n_bits
+        else:
+            share = IVF_PROBES / _ivf_cluster_count(min(n_left, n_right))
+        return share * GEMM_CELLS_PER_PAIR >= 1.0
 
     # -- indexed paths ----------------------------------------------------------------
     def _indexed_pairs(
@@ -703,14 +781,12 @@ class SemanticBlocker:
         (:func:`_probe_direction_reference`, property-tested): per table the
         index codes are stably sorted once, every query's code and its
         ``n_bits`` single-bit flips become one ``(n_queries, n_bits + 1)``
-        XOR, and bucket membership is a pair of ``searchsorted`` calls whose
-        spans are expanded and deduplicated with ``np.unique`` — the same
-        candidate sets the dict buckets produced, in sorted candidate order.
+        XOR, and bucket membership is a span lookup whose spans are expanded
+        and sort-deduplicated — the same candidate sets the dict buckets
+        produced, in sorted candidate order.
         """
         query_ids, candidate_ids = self._probe_candidates(query_codes, index_codes)
-        return self._select_top_k(
-            query_ids, candidate_ids, query_vectors, index_vectors
-        )
+        return self._select_top_k(query_ids, candidate_ids, query_vectors, index_vectors)
 
     def _probe_candidates(
         self, query_codes: np.ndarray, index_codes: np.ndarray
@@ -851,35 +927,15 @@ class SemanticBlocker:
 
         Pairs must arrive sorted by ``(query, candidate)`` (the sorted key
         dedupe guarantees it), so every query is one contiguous segment.
-        Pairs at or below the similarity floor are dropped first — a query's
-        above-floor pairs outrank its others, so the cut is the same whether
-        the floor is applied before or after it.  Then ``top_k`` rounds of a
-        segmented maximum (``np.maximum.reduceat``): each round selects, per
-        segment, the *first* position holding the segment's maximum and
-        retires it, so equal similarities go to the lowest candidate index —
-        what a stable argsort per query does, without the per-query loop.
+        Pairs at or below the similarity floor are dropped first (a query's
+        above-floor pairs outrank its others, so the order does not matter),
+        then :func:`_segment_top_k`: ties go to the lowest candidate index.
         """
         self.last_probe_candidates += len(query_ids)
         similarities = _pair_similarities(query_ids, candidate_ids, query_vectors, index_vectors)
         above = similarities > self.min_similarity
         keys = (query_ids * index_vectors.shape[0] + candidate_ids)[above]
-        query_ids, work = query_ids[above], similarities[above]
-        if len(keys) == 0:
-            return keys
-        starts = np.flatnonzero(np.r_[True, query_ids[1:] != query_ids[:-1]])
-        lengths = np.diff(np.r_[starts, len(keys)])
-        segment = np.repeat(np.arange(len(starts)), lengths)
-        selected = np.zeros(len(keys), dtype=bool)
-        for _ in range(min(self.top_k, int(lengths.max()))):
-            best = np.maximum.reduceat(work, starts)
-            # An exhausted segment's maximum is the -inf of its retired pairs:
-            # it re-selects one it already selected, which changes nothing.
-            hits = np.flatnonzero(work == best[segment])
-            hit_segments = segment[hits]
-            first = hits[np.r_[True, hit_segments[1:] != hit_segments[:-1]]]
-            selected[first] = True
-            work[first] = -np.inf
-        return keys[selected]
+        return keys[_segment_top_k(query_ids[above], similarities[above], self.top_k)]
 
     def __repr__(self) -> str:
         return (

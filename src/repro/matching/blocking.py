@@ -9,36 +9,38 @@ values the quadratic matrix dominates.  This module replaces it with a
 1. **Block.**  :class:`ValueBlocker` assigns cheap surface keys (character
    n-grams sampled evenly across the value, token prefixes, optional lexicon
    concepts) to every value; only value pairs sharing at least one key become
-   candidates.
-2. **Decompose.**  The candidate-pair graph — one sorted int64 key
-   ``left * n_right + right`` per pair, never a tuple — is split into
-   connected components by a numpy hook-and-shortcut labelling.  Values in
-   different components can never be matched to each other, so the global
-   assignment decomposes exactly into one independent assignment per component.
-3. **Score in batch.**  Every participating value is embedded once via
-   ``embedder.embed_many``; each component's cost matrix is then a single
-   vectorised :func:`~repro.matching.distance.cosine_distance_matrix` call
-   over the component's embedding rows — no per-pair Python round-trips.
-4. **Solve small.**  One dense assignment is solved per component.  The
-   largest matrix ever allocated is the largest component, not the full
-   ``|A| × |B|`` cross product; :class:`BlockingStatistics` reports both.
+   candidates — one sorted int64 key ``left * n_right + right`` per pair,
+   never a tuple.
+2. **Score once.**  Every candidate becomes a *scored edge*: when the
+   semantic channel engages, its tiled exact pass
+   (:func:`~repro.matching.ann.scored_candidates`) scores the surface keys
+   from the same GEMM blocks it cuts its top-k from; otherwise only the
+   values some key reaches are embedded and
+   :func:`~repro.matching.ann._pair_similarities` scores the keys.  Nothing
+   downstream touches an embedding again.
+3. **Decompose.**  The edge graph is split into connected components by a
+   numpy hook-and-shortcut labelling.  Values in different components can
+   never be matched to each other, so the global assignment decomposes
+   exactly into one independent assignment per component.
+4. **Solve small.**  One dense assignment is solved per component, its cost
+   matrix filled from the component's edges.  The largest matrix ever
+   allocated is the largest component, not the full ``|A| × |B|`` cross
+   product; :class:`BlockingStatistics` reports both.
 
 Two executions of step 4 are layered on top of the decomposition:
 
 * **Vectorised singleton batching.**  Components with a single value on
   either side (1×1, 1×N, N×1 — the overwhelming majority in sparse candidate
   graphs) have a closed-form optimal assignment: the cheapest candidate cell.
-  All of them are batched into one einsum + grouped-argmin pass that never
-  touches the assignment solver — a hot-path win even single-threaded.
+  All of them are batched into one grouped-argmin pass over their edges that
+  never touches the assignment solver — a hot-path win even single-threaded.
 * **Parallel component solving.**  The remaining general components are
-  independent, so they are scored and solved through
+  independent, so they are solved through
   :func:`repro.utils.executor.run_partitioned` (serial, thread or process
-  backend, weight-balanced batches).  Each work item carries only the
-  component's *row indices*; the embedding matrices travel through the
-  executor's ``shared=`` hand-off, so process workers attach them as
-  read-only memmaps instead of receiving pickled embedding rows.  The merge
-  is positional, so the result is byte-identical to the serial loop for
-  every backend and worker count.
+  backend, weight-balanced batches).  A work item is the component's edges —
+  a few small arrays, no embedding rows.  The merge is positional, so the
+  result is byte-identical to the serial loop for every backend and worker
+  count.
 
 Non-candidate cells inside a component keep a prohibitive cost so the
 semantics stay "each value matched at most once, never above the threshold θ,
@@ -50,9 +52,9 @@ benchmarks quantify the trade-off, the component-wise speedup and the
 parallel scaling.
 
 Step 1 optionally runs a second, *semantic* candidate channel next to the
-surface keys: a :class:`~repro.matching.ann.SemanticBlocker` (LSH over the
-value embeddings) proposes embedding-nearest pairs, which are **unioned**
-with the surface pairs before the component decomposition of step 2.  The
+surface keys: a :class:`~repro.matching.ann.SemanticBlocker` (exact top-k, or
+an index, over the value embeddings) proposes embedding-nearest pairs, which
+are **unioned** with the surface pairs before the decomposition of step 3.  The
 union restores candidates whose surfaces share nothing at all;
 :class:`BlockingStatistics` reports how many pairs the channel contributed
 (``ann_pairs_added``) and how many it re-proposed (``ann_pairs_duplicate``).
@@ -65,8 +67,8 @@ embedder, threshold, blocker configuration)`` — the executor configuration
 change which matches are returned, only how fast:
 
 * Candidate generation visits blocks in sorted key order and the semantic
-  channel's LSH uses a fixed seed with stable tie-breaking, so the candidate
-  set is identical run to run.
+  channel breaks ties by index (its indexes use a fixed seed), so the
+  candidate set is identical run to run.
 * Components are solved independently and merged *positionally*
   (:func:`repro.utils.executor.run_partitioned` returns results in input
   order whatever the backend), so serial == thread == process, byte for
@@ -89,10 +91,15 @@ import numpy as np
 
 from repro.embeddings.base import ValueEmbedder
 from repro.embeddings.lexicon import SemanticLexicon, default_lexicon
-from repro.matching.ann import SemanticBlocker, _expand_spans, _sorted_unique, pairs_from_keys
+from repro.matching.ann import (
+    SemanticBlocker,
+    _expand_spans,
+    _pair_similarities,
+    _sorted_unique,
+    pairs_from_keys,
+)
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
 from repro.matching.bipartite import ValueMatch, split_exact_matches
-from repro.matching.distance import EmbeddingDistance, cosine_distance_matrix
 from repro.utils.components import component_labels
 from repro.utils.executor import ExecutorConfig, contiguous_ranges, run_partitioned
 from repro.utils.text import character_ngrams, normalize_value, tokenize
@@ -269,23 +276,30 @@ def _group_by_component(component: np.ndarray, n_components: int):
     return order, bounds
 
 
-def _components(pair_left: np.ndarray, pair_right: np.ndarray, n_left: int, n_right: int):
-    """Split the candidate graph (edges between embedding rows) into components.
+def _components(
+    pair_left: np.ndarray, pair_right: np.ndarray, n_left: int, n_right: int, decompose: bool = True
+):
+    """Split the candidate graph (edges between used rows) into components.
 
     Components are numbered by their smallest left row — the order in which
-    the sorted pair list first reaches them.  Returns every pair's component
-    number and the :func:`_group_by_component` pairs of the left rows, the
-    right rows and the pairs.
+    the sorted pair list first reaches them; without ``decompose`` the whole
+    graph is one.  Returns every pair's component number and the
+    :func:`_group_by_component` pairs of the left rows, the right rows and
+    the pairs.
     """
-    roots, node_component = _compact(
-        component_labels(pair_left, pair_right, n_left, n_right), n_left + n_right
-    )
+    if decompose:
+        roots, node_component = _compact(
+            component_labels(pair_left, pair_right, n_left, n_right), n_left + n_right
+        )
+        n_components = len(roots)
+    else:
+        node_component, n_components = np.zeros(n_left + n_right, dtype=np.int64), 1
     pair_component = node_component[pair_left]
     return (
         pair_component,
-        _group_by_component(node_component[:n_left], len(roots)),
-        _group_by_component(node_component[n_left:], len(roots)),
-        _group_by_component(pair_component, len(roots)),
+        _group_by_component(node_component[:n_left], n_components),
+        _group_by_component(node_component[n_left:], n_components),
+        _group_by_component(pair_component, n_components),
     )
 
 
@@ -294,10 +308,10 @@ class BlockingStatistics:
     """How much work blocking saved for one column pair.
 
     ``candidate_pairs`` counts the blocked pairs; ``pairs_scored`` counts the
-    distance-matrix cells actually computed (the sum of component matrix
-    sizes, which can exceed ``candidate_pairs`` because each component is
-    scored as one dense batch).  ``largest_component`` is the cell count of
-    the biggest matrix allocated — the engine's peak memory driver.
+    cost-matrix cells the solver sees (the sum of component matrix sizes,
+    which can exceed ``candidate_pairs``: a component is solved as one dense
+    matrix).  ``largest_component`` is the cell count of the biggest matrix
+    allocated — the engine's peak memory driver.
     """
 
     left_values: int
@@ -323,8 +337,8 @@ class BlockingStatistics:
     #: duplicate share means the surfaces carry the semantics and the ANN
     #: channel is paying for little.
     ann_pairs_duplicate: int = 0
-    #: Retrieval strategy the semantic channel used: ``"brute"``, ``"lsh"``
-    #: or ``"ivf"`` (``""`` when the channel is off or did not engage).
+    #: Retrieval strategy the semantic channel used: ``"brute"`` (the tiled
+    #: exact pass), ``"lsh"`` or ``"ivf"`` (``""``: channel off or not engaged).
     ann_index_kind: str = ""
     #: Largest LSH bucket share observed while routing the semantic channel
     #: (0.0 off the LSH route or below the skew measurement size).
@@ -334,8 +348,8 @@ class BlockingStatistics:
     #: ``ann_index_kind == "ivf"`` was chosen *for* the data, not by config.
     ann_skew_fallbacks: int = 0
     #: Deduplicated ``(query, candidate)`` similarity evaluations of the
-    #: semantic channel's probe phase — the probe-cost counter (compare
-    #: against ``full_matrix_pairs`` to see what the index saved).
+    #: semantic channel's index probe — compare against ``full_matrix_pairs``
+    #: to see what the index saved (0 on the exact pass: nothing is probed).
     ann_probe_candidates: int = 0
     #: True when this column pair was matched in degraded mode (embedder
     #: unavailable: exact + surface-blocking equality only, no embeddings,
@@ -629,45 +643,33 @@ class ValueBlocker:
         return slabs[0] if len(slabs) == 1 else _sorted_unique(np.concatenate(slabs))
 
 
-def _score_and_solve_component(
-    payload: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]],
-    left_matrix: np.ndarray,
-    right_matrix: np.ndarray,
+def _solve_component(
+    payload: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     solver: AssignmentSolver,
     threshold: float,
 ) -> List[Tuple[int, int, float]]:
-    """Score and solve one general component; the executor's work unit.
+    """Solve one general component from its scored edges; the executor's work unit.
 
-    ``payload`` is ``(left_rows, right_rows, pair_rows, pair_cols)``: the
-    component's *row indices* into the shared embedding matrices plus the
-    component-local coordinates of its candidate cells (``None`` when the
-    component is complete).  The matrices themselves arrive through the
-    executor's ``shared=`` hand-off — on the process backend the workers
-    attach them as read-only memmaps, so a payload is a few small integer
-    arrays rather than pickled embedding rows.  Module-level (and fed
-    picklable arguments) so the process backend can ship it.  Returns
-    accepted ``(row, column, distance)`` triples in solver order.
+    ``payload`` is ``(rows, columns, pair_rows, pair_cols, distances)``: the
+    component's used rows and columns and, per candidate edge, its
+    component-local cell and its distance.  Every other cell — values
+    connected only transitively are not candidates of each other — keeps the
+    prohibitive cost.  No similarity is computed here: the edges were scored
+    once, by the pass that proposed them.  Module-level (and fed picklable
+    arguments) so the process backend can ship it.  Returns accepted
+    ``(row, column, distance)`` triples in solver order.
     """
-    left_rows, right_rows, pair_rows, pair_cols = payload
-    # Fancy indexing materialises the rows as ordinary float64 arrays whether
-    # the matrix is in-memory or a memmap — identical values either way.
-    cost = cosine_distance_matrix(left_matrix[left_rows], right_matrix[right_rows])
-    if pair_rows is not None:
-        # Values connected only transitively are not candidates of each
-        # other; keep them unmatchable.  In place: ``cost`` is this function's
-        # own fresh array, and a second full matrix is the request's peak.
-        forbidden = np.ones(cost.shape, dtype=bool)
-        forbidden[pair_rows, pair_cols] = False
-        np.putmask(cost, forbidden, PROHIBITIVE_COST)
+    rows, columns, pair_rows, pair_cols, distances = payload
+    cost = np.full((len(rows), len(columns)), PROHIBITIVE_COST, dtype=np.float64)
+    cost[pair_rows, pair_cols] = distances
     # A 1×1 component has exactly one possible assignment; skip the solver
     # round-trip (only reached when singleton batching is disabled).
     assignment = [(0, 0)] if cost.shape == (1, 1) else solver.solve(cost)
-    accepted: List[Tuple[int, int, float]] = []
-    for row, column in assignment:
-        pair_distance = float(cost[row, column])
-        if pair_distance < threshold:
-            accepted.append((row, column, pair_distance))
-    return accepted
+    return [
+        (row, column, float(cost[row, column]))
+        for row, column in assignment
+        if cost[row, column] < threshold
+    ]
 
 
 class BlockedValueMatcher:
@@ -677,8 +679,8 @@ class BlockedValueMatcher:
     (``match(left_values, right_values) -> list[ValueMatch]``), so it can be
     dropped into the Match Values component for very wide columns.  ``match``
     uses the component-wise engine described in the module docstring;
-    ``match_dense`` keeps the legacy single-matrix prohibitive-cost path for
-    cross-validation and the ablation benchmark.
+    ``match_dense`` is the same engine told not to decompose (one
+    prohibitive-cost matrix), for cross-validation and the ablation benchmark.
 
     ``executor`` distributes the general (≥2×≥2) components over a worker
     pool; the default runs serially.  ``singleton_batching`` routes 1×1 / 1×N
@@ -710,7 +712,6 @@ class BlockedValueMatcher:
         if semantic_mode not in ("on", "auto"):
             raise ValueError(f"semantic_mode must be 'on' or 'auto', got {semantic_mode!r}")
         self.embedder = embedder
-        self.distance = EmbeddingDistance(embedder)
         self.threshold = threshold
         self.solver = solver if solver is not None else ScipyAssignment()
         self.blocker = blocker if blocker is not None else ValueBlocker()
@@ -719,12 +720,6 @@ class BlockedValueMatcher:
         self.executor = executor if executor is not None else ExecutorConfig()
         self.singleton_batching = singleton_batching
         self.last_statistics: Optional[BlockingStatistics] = None
-        self._last_ann_added = 0
-        self._last_ann_duplicate = 0
-        self._last_ann_kind = ""
-        self._last_ann_skew = 0.0
-        self._last_ann_fallbacks = 0
-        self._last_ann_probe = 0
 
     def match(
         self, left_values: Sequence[object], right_values: Sequence[object]
@@ -736,23 +731,34 @@ class BlockedValueMatcher:
         merge deterministically, so every backend/worker-count combination
         returns exactly what the serial loop returns.
         """
-        keys = self._candidate_keys(left_values, right_values)
-        if keys is None:
+        return self._match(left_values, right_values, decompose=True)
+
+    def match_dense(
+        self, left_values: Sequence[object], right_values: Sequence[object]
+    ) -> List[ValueMatch]:
+        """The same scored edges solved as *one* component: every used row and
+        column in a single prohibitive-cost matrix.  Kept for cross-validating
+        the decomposition and for the ablation benchmark; prefer :meth:`match`.
+        """
+        return self._match(left_values, right_values, decompose=False)
+
+    def _match(
+        self, left_values: Sequence[object], right_values: Sequence[object], decompose: bool
+    ) -> List[ValueMatch]:
+        edges = self._scored_edges(left_values, right_values)
+        if edges is None:
             return []
-        # Embed every participating value once, in two batched calls; each
-        # component then scores its cells by slicing these matrices.  From
-        # here on a value is its row in them.
+        # From here on a value is its rank among the used values of its side
+        # and an edge is (left rank, right rank, distance).
+        keys, distances, ann_statistics = edges
         left_used, pair_left = _compact(keys // len(right_values), len(left_values))
         right_used, pair_right = _compact(keys % len(right_values), len(right_values))
-        left_vectors = self.embedder.embed_many([left_values[i] for i in left_used.tolist()])
-        right_vectors = self.embedder.embed_many([right_values[i] for i in right_used.tolist()])
-
         (
             pair_component,
             (left_order, left_bounds),
             (right_order, right_bounds),
             (pair_order, pair_bounds),
-        ) = _components(pair_left, pair_right, len(left_used), len(right_used))
+        ) = _components(pair_left, pair_right, len(left_used), len(right_used), decompose)
         left_sizes, right_sizes = np.diff(left_bounds), np.diff(right_bounds)
         component_cells = tuple((left_sizes * right_sizes).tolist())
         trivial = (left_sizes == 1) | (right_sizes == 1)
@@ -761,13 +767,9 @@ class BlockedValueMatcher:
 
         # Accepted (left row, right row, distance) triples: the star
         # components' in one batch, then each general component's.
-        star_pairs = pair_order[trivial[pair_component[pair_order]]]
+        star = pair_order[trivial[pair_component[pair_order]]]
         accepted = self._match_trivial_batched(
-            pair_left[star_pairs],
-            pair_right[star_pairs],
-            pair_component[star_pairs],
-            left_vectors,
-            right_vectors,
+            pair_left[star], pair_right[star], pair_component[star], distances[star]
         )
 
         payloads = []
@@ -775,39 +777,25 @@ class BlockedValueMatcher:
             rows = left_order[left_bounds[component] : left_bounds[component + 1]]
             columns = right_order[right_bounds[component] : right_bounds[component + 1]]
             members = pair_order[pair_bounds[component] : pair_bounds[component + 1]]
-            if len(members) < len(rows) * len(columns):
-                # Rows and columns ascend, so the component-local coordinates
-                # of each candidate cell are a binary search away.
-                cells = (
-                    np.searchsorted(rows, pair_left[members]),
-                    np.searchsorted(columns, pair_right[members]),
-                )
-            else:
-                cells = (None, None)
-            payloads.append((rows, columns, *cells))
-        # The embedding matrices travel via shared= (bound directly in
-        # process-free backends, published once as memmaps for the process
-        # pool); each payload is just the component's index arrays.
+            # Rows and columns ascend, so the component-local coordinates of
+            # each candidate cell are a binary search away.
+            local_rows = np.searchsorted(rows, pair_left[members])
+            local_columns = np.searchsorted(columns, pair_right[members])
+            payloads.append((rows, columns, local_rows, local_columns, distances[members]))
         solved = run_partitioned(
             payloads,
-            partial(_score_and_solve_component, solver=self.solver, threshold=self.threshold),
+            partial(_solve_component, solver=self.solver, threshold=self.threshold),
             self.executor,
             weight=lambda payload: len(payload[0]) * len(payload[1]),
-            shared={"left_matrix": left_vectors, "right_matrix": right_vectors},
         )
-        for (rows, columns, _, _), component_accepted in zip(payloads, solved):
+        for (rows, columns, *_), component_accepted in zip(payloads, solved):
             accepted.extend(
                 (rows[row], columns[column], distance) for row, column, distance in component_accepted
             )
         matches = [
-            ValueMatch(
-                left=left_values[left_used[row]],
-                right=right_values[right_used[column]],
-                distance=distance,
-            )
+            ValueMatch(left_values[left_used[row]], right_values[right_used[column]], distance)
             for row, column, distance in accepted
         ]
-
         self.last_statistics = BlockingStatistics(
             left_values=len(left_values),
             right_values=len(right_values),
@@ -817,12 +805,7 @@ class BlockedValueMatcher:
             pairs_scored=sum(component_cells),
             component_cells=component_cells,
             skipped_keys=self.blocker.last_skipped_keys,
-            ann_pairs_added=self._last_ann_added,
-            ann_pairs_duplicate=self._last_ann_duplicate,
-            ann_index_kind=self._last_ann_kind,
-            ann_bucket_skew=self._last_ann_skew,
-            ann_skew_fallbacks=self._last_ann_fallbacks,
-            ann_probe_candidates=self._last_ann_probe,
+            **ann_statistics,
         )
         matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
         return matches
@@ -832,27 +815,21 @@ class BlockedValueMatcher:
         pair_left: np.ndarray,
         pair_right: np.ndarray,
         groups: np.ndarray,
-        left_vectors: np.ndarray,
-        right_vectors: np.ndarray,
+        distances: np.ndarray,
     ) -> List[Tuple[int, int, float]]:
         """One vectorised pass over every 1×1 / 1×N / N×1 component.
 
         A component with a single value on one side is a star graph: every
         cell is a candidate (each edge touches the hub), and the optimal
         assignment is simply its cheapest cell.  So instead of one cost
-        matrix + solver call per component, score *all* their candidate cells
-        (embedding rows ``pair_left`` / ``pair_right``, component numbers
-        ``groups``) with a single einsum and pick each component's winner with
-        one grouped (stable, therefore deterministic) argmin.  Returns the
-        accepted ``(left row, right row, distance)`` triples in group order.
+        matrix + solver call per component, pick each component's winner
+        among its edges (rows ``pair_left`` / ``pair_right``, component
+        numbers ``groups``, scored ``distances``) with one grouped (stable,
+        therefore deterministic) argmin.  Returns the accepted ``(left row,
+        right row, distance)`` triples in group order.
         """
         if not len(groups):
             return []
-        distances = np.clip(
-            1.0 - np.einsum("ij,ij->i", left_vectors[pair_left, :], right_vectors[pair_right, :]),
-            0.0,
-            1.0,
-        )
         # Stable sort by (group, distance): the first row of each group is its
         # cheapest cell, ties resolved by candidate order — deterministic.
         order = np.lexsort((distances, groups))
@@ -863,59 +840,6 @@ class BlockedValueMatcher:
         return list(
             zip(pair_left[winners].tolist(), pair_right[winners].tolist(), distances[winners].tolist())
         )
-
-    def match_dense(
-        self, left_values: Sequence[object], right_values: Sequence[object]
-    ) -> List[ValueMatch]:
-        """Legacy path: one global matrix with prohibitive non-candidate cells.
-
-        Builds a dense ``left_used × right_used`` matrix and scores candidate
-        cells with per-pair distance calls.  Kept for cross-validating the
-        component-wise engine and for the ablation benchmark's speedup
-        measurement; prefer :meth:`match`.
-        """
-        keys = self._candidate_keys(left_values, right_values)
-        if keys is None:
-            return []
-        candidates = pairs_from_keys(keys, len(right_values))
-        left_used = sorted({left for left, _ in candidates})
-        right_used = sorted({right for _, right in candidates})
-        left_position = {index: position for position, index in enumerate(left_used)}
-        right_position = {index: position for position, index in enumerate(right_used)}
-        cost = np.full((len(left_used), len(right_used)), PROHIBITIVE_COST, dtype=np.float64)
-        for left_index, right_index in candidates:
-            cost[left_position[left_index], right_position[right_index]] = self.distance.distance(
-                left_values[left_index], right_values[right_index]
-            )
-        self.last_statistics = BlockingStatistics(
-            left_values=len(left_values),
-            right_values=len(right_values),
-            candidate_pairs=len(candidates),
-            components=1,
-            largest_component=len(left_used) * len(right_used),
-            pairs_scored=len(candidates),
-            component_cells=(len(left_used) * len(right_used),),
-            skipped_keys=self.blocker.last_skipped_keys,
-            ann_pairs_added=self._last_ann_added,
-            ann_pairs_duplicate=self._last_ann_duplicate,
-            ann_index_kind=self._last_ann_kind,
-            ann_bucket_skew=self._last_ann_skew,
-            ann_skew_fallbacks=self._last_ann_fallbacks,
-            ann_probe_candidates=self._last_ann_probe,
-        )
-        matches: List[ValueMatch] = []
-        for row, column in self.solver.solve(cost):
-            pair_distance = float(cost[row, column])
-            if pair_distance < self.threshold:
-                matches.append(
-                    ValueMatch(
-                        left=left_values[left_used[row]],
-                        right=right_values[right_used[column]],
-                        distance=pair_distance,
-                    )
-                )
-        matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
-        return matches
 
     def match_exact_first(
         self, left_values: Sequence[object], right_values: Sequence[object]
@@ -981,47 +905,54 @@ class BlockedValueMatcher:
         return matches
 
     # -- helpers --------------------------------------------------------------------
-    def _candidate_keys(
+    def _scored_edges(
         self, left_values: Sequence[object], right_values: Sequence[object]
-    ) -> Optional[np.ndarray]:
-        """Surface ∪ semantic candidate keys, or ``None`` when nothing matches."""
-        self._last_ann_added = 0
-        self._last_ann_duplicate = 0
-        self._last_ann_kind = ""
-        self._last_ann_skew = 0.0
-        self._last_ann_fallbacks = 0
-        self._last_ann_probe = 0
-        if not left_values or not right_values:
-            self.last_statistics = BlockingStatistics(len(left_values), len(right_values), 0)
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, Dict[str, object]]]:
+        """Surface ∪ semantic candidate keys, each one's cosine distance, and the
+        semantic channel's ``BlockingStatistics`` fields (``None`` when nothing
+        blocks together).
+
+        When the semantic channel engages, its pass scores the surface keys
+        as it goes; otherwise only the values some key reaches are embedded
+        and :func:`_pair_similarities` scores the keys.
+        """
+        ann_statistics: Dict[str, object] = {}
+        n_left, n_right = len(left_values), len(right_values)
+        if not n_left or not n_right:
+            self.last_statistics = BlockingStatistics(n_left, n_right, 0)
             return None
         keys = self.blocker.candidate_keys(left_values, right_values)
-        if self.semantic_blocker is not None and self._semantic_engages(
-            keys, len(left_values), len(right_values)
-        ):
-            fallbacks_before = self.semantic_blocker.skew_fallbacks
-            semantic_keys = self.semantic_blocker.candidate_keys(left_values, right_values)
-            self._last_ann_kind = self.semantic_blocker.last_index_kind
-            self._last_ann_skew = self.semantic_blocker.last_bucket_skew
-            self._last_ann_fallbacks = (
-                self.semantic_blocker.skew_fallbacks - fallbacks_before
+        semantic = self.semantic_blocker
+        if semantic is not None and self._semantic_engages(keys, n_left, n_right):
+            fallbacks_before = semantic.skew_fallbacks
+            n_surface = len(keys)
+            keys, similarities = semantic.scored_keys(left_values, right_values, keys)
+            added = len(keys) - n_surface
+            ann_statistics = dict(
+                ann_pairs_added=added,
+                ann_pairs_duplicate=semantic.last_semantic_pairs - added,
+                ann_index_kind=semantic.last_index_kind,
+                ann_bucket_skew=semantic.last_bucket_skew,
+                ann_skew_fallbacks=semantic.skew_fallbacks - fallbacks_before,
+                ann_probe_candidates=semantic.last_probe_candidates,
             )
-            self._last_ann_probe = self.semantic_blocker.last_probe_candidates
-            # Both channels are sorted-unique, so the counters are lengths.
-            union = _sorted_unique(np.concatenate((keys, semantic_keys)))
-            self._last_ann_added = len(union) - len(keys)
-            self._last_ann_duplicate = len(semantic_keys) - self._last_ann_added
-            keys = union
+        else:
+            left_used, pair_left = _compact(keys // n_right, n_left)
+            right_used, pair_right = _compact(keys % n_right, n_right)
+            similarities = _pair_similarities(
+                pair_left,
+                pair_right,
+                self.embedder.embed_many([left_values[i] for i in left_used.tolist()]),
+                self.embedder.embed_many([right_values[i] for i in right_used.tolist()]),
+            )
         if not len(keys):
             # skipped_keys matters most here: an all-capped key set is
             # indistinguishable from "nothing blocks together" without it.
             self.last_statistics = BlockingStatistics(
-                len(left_values),
-                len(right_values),
-                0,
-                skipped_keys=self.blocker.last_skipped_keys,
+                n_left, n_right, 0, skipped_keys=self.blocker.last_skipped_keys
             )
             return None
-        return keys
+        return keys, np.clip(1.0 - similarities, 0.0, 1.0), ann_statistics
 
     def _semantic_engages(self, surface_keys: np.ndarray, n_left: int, n_right: int) -> bool:
         """Whether the ANN channel runs for this column pair.

@@ -193,7 +193,7 @@ class TestAnnAblationHarness:
         # probe_values stays small: the >= 5x speedup assert only arms at
         # full scale, and wall-clock ratios are too noisy for a unit test.
         payload = module.run_all(
-            n_pairs=80, mixed_pairs=60, top_ks=(1, 3), probe_values=600
+            n_pairs=80, mixed_pairs=60, top_ks=(1, 3), probe_values=600, exact_values=(300,)
         )
         recall = payload["synonym_recall"]
         # Strict recall improvement at sub-dense cost — the PR's claim.
@@ -207,6 +207,15 @@ class TestAnnAblationHarness:
         # the floor recorded here is what --check-floor guards in CI.
         assert probe["identical_pairs"]
         assert probe["floor_seconds"] >= probe["vectorised_seconds"]
+        # An identity, not a time: the exact pass equals its loop oracle, and
+        # the index it is measured against finds a share of its pairs.
+        exact = payload["exact_vs_index"]
+        assert exact["identical_to_reference"]
+        (row,) = exact["rows"]
+        assert set(row["index"]) == {"8", "12", "16"} and row["exact_pairs"] > 0
+        assert all(0.0 < run["recall"] <= 1.0 for run in row["index"].values())
+        assert row["index"]["8"]["runs_exact_by_default"]
+        assert not row["index"]["16"]["runs_exact_by_default"]
         assert module.report(payload)
         written = module.write_json(payload, str(tmp_path / "BENCH_ann.json"))
         assert written.exists()

@@ -238,6 +238,34 @@ class TestBatchSeam:
         with pytest.raises(ValueError, match=r"short produced shape \(2, 7\), expected \(2, 8\)"):
             Short(dimension=8).embed_many(["a", "b"])
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_from_the_seam_are_rejected_before_the_cache(self, poison):
+        class Faulty(MistralEmbedder):
+            def _embed_texts(self, texts):
+                rows = super()._embed_texts(texts)
+                rows[[text.startswith("bad") for text in texts], 3] = poison
+                return rows
+
+        embedder = Faulty()
+        with pytest.raises(ValueError, match="mistral.* produced a non-finite embedding for 'bad one'"):
+            embedder.embed_many(["fine", "bad one", "bad two", "fine"])
+        # The whole slab is refused, its healthy rows included: nothing was cached.
+        assert embedder.cache.stats()["size"] == 0
+        assert np.isfinite(embedder.embed_many(["fine", "good"])).all()
+        assert embedder.cache.stats()["size"] == 2
+
+    def test_an_all_zero_row_stays_legal(self):
+        class Silent(MistralEmbedder):
+            def _embed_texts(self, texts):
+                rows = super()._embed_texts(texts)
+                rows[[text == "mute" for text in texts]] = 0.0
+                return rows
+
+        embedder = Silent()
+        matrix = embedder.embed_many(["mute", "berlin"])
+        assert not matrix[0].any() and np.linalg.norm(matrix[1]) == pytest.approx(1.0)
+        assert embedder.cosine_distance("mute", "berlin") == 1.0
+
     def test_an_embedder_with_neither_seam_says_so(self):
         with pytest.raises(NotImplementedError, match="neither embed seam"):
             ValueEmbedder(dimension=4).embed("a")

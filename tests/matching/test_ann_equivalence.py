@@ -26,6 +26,7 @@ from repro.matching.ann import (
     _brute_force_reference,
     _probe_direction_reference,
     pairs_from_keys,
+    scored_candidates,
 )
 from repro.embeddings.transformer import SimulatedTransformerEmbedder
 from repro.storage.store import ArtifactStore
@@ -80,7 +81,11 @@ def _probe(blocker, queries, query_codes, index, index_codes):
 
 
 def _brute(blocker, left, right):
-    return set(pairs_from_keys(blocker._brute_force_pairs(left, right), right.shape[0]))
+    keys, _, semantic = scored_candidates(
+        left, right, np.empty(0, dtype=np.int64), blocker.top_k, blocker.min_similarity
+    )
+    assert semantic.all()  # no surface keys: every key is the top-k's
+    return set(pairs_from_keys(keys, right.shape[0]))
 
 
 class TestProbeEquivalence:
@@ -182,7 +187,7 @@ class TestProbeEquivalence:
 
 
 class TestBruteForceEquivalence:
-    """argpartition top-k == the removed row/column sort loops."""
+    """The tiled exact pass == the removed row/column sort loops."""
 
     @pytest.mark.parametrize("vocabulary", sorted(VOCABULARIES))
     @pytest.mark.parametrize("seed", [0, 13])

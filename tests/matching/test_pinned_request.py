@@ -1,26 +1,34 @@
 """One blocked + ANN request, pinned value by value.
 
 Everything between the embedder and the integrated table — surface keys,
-int64 pair keys, the LSH probe and segmented top-k kernel, component
-labelling, scoring, assignment, rewriting, FD — must keep returning exactly
-this: the same matches with the same distance bits, the same blocking
-statistics, the same table.  The inputs are the pipeline benchmark's
-``lake_mixed`` tables under the ``scale`` preset with one worker.
+int64 pair keys, the tiled exact similarity pass and its segmented top-k
+kernel, component labelling, edge-filled cost matrices, assignment,
+rewriting, FD — must keep returning exactly this: the same matches with the
+same distance bits, the same blocking statistics, the same table.  The inputs
+are the pipeline benchmark's ``lake_mixed`` tables under the ``scale`` preset
+with one worker.
 
-The pin follows the embedder's vectors, so it is re-recorded — on its own,
-with every changed statistic listed in CHANGES.md — exactly when the
-embedder's ``revision`` is bumped (last: revision 2, the ±1 direction family
-of ``docs/embeddings.md``).  What a re-record may *not* change is checked by
+The pin follows the embedder's vectors and the candidate set, so it is
+re-recorded — on its own, with every changed statistic listed in CHANGES.md —
+when the embedder's ``revision`` is bumped (revision 2, the ±1 direction
+family of ``docs/embeddings.md``) or the semantic channel's route changes
+(last: the exact pass replacing the dense LSH probe at the default shape).
+What a re-record may *not* change is checked by
 ``test_pinned_request_structure``.
 
 They are built with 900 entities, not the benchmark's ``SMOKE`` 400: at 400
 the columns hold 400 × 400 = 160 k cells, under the preset's 250 k
 ``blocking_cutoff``, so the dense matcher serves the request and every
 ``blocking_*`` statistic reads 0.  900 is the smallest round size at which the
-blocked matcher engages *and* the remainder after exact matches is past the
-semantic channel's 250 k ``brute_force_cells``, so the LSH probe and the top-k
-kernel run too.  The literal ``SMOKE`` request is pinned beside it (table
-digest only) so the dense route of the same input cannot drift either.
+blocked matcher engages.  The semantic channel no longer has a size at which
+an index takes over under the preset: the default 8-table × 8-bit shape would
+probe 28 % of the cells, so ``SemanticBlocker`` runs
+:func:`~repro.matching.ann.scored_candidates` — one GEMM per block of left
+rows, the surface keys scored and the exact top-k cut in the same pass — at
+this and every other size (``ann_index_kind == "brute"``, no probe
+candidates, no index build), and every component is solved from those edges.
+The literal ``SMOKE`` request is pinned beside it (table digest only) so the
+dense route of the same input cannot drift either.
 """
 
 from __future__ import annotations
@@ -97,6 +105,7 @@ def observe(lake_entities: int) -> dict:
         "blocking": {
             key: value for key, value in sorted(matching.statistics.items()) if key.startswith("block")
         },
+        "ann_index_builds": matching.statistics["ann_index_builds"],
         "matches": len(matches),
         "match_list": _sha(
             f"{match.left!r}|{match.right!r}|{float(match.distance).hex()}" for match in matches
@@ -140,25 +149,29 @@ BLOCKING_KEYS = frozenset(
     }
 )
 
-#: Recorded with the embedders at revision 2 (±1 directions).  Against the
-#: values recorded at 6592c57 with revision 1 (Gaussian directions) the
-#: vectors moved, so the ANN channel proposes a slightly different candidate
-#: set: ann_pairs_added 72 -> 88, ann_pairs_duplicate 2 427 -> 2 384,
-#: ann_probe_candidates 257 868 -> 259 252, candidate pairs 21 250 -> 21 266,
-#: pairs_scored = largest_component 427 518 -> 426 114, pairs_avoided
-#: 65 286 -> 66 690, matches 723 -> 725; every other statistic is unchanged
-#: (1 component, 0 skipped keys, 0 skew fallbacks, lsh index, 2 assignments).
+#: Recorded with the embedders at revision 2 (±1 directions) and the semantic
+#: channel on the exact pass.  Against the values recorded at 9311ecd, when the
+#: 8 × 8 LSH probe served this request, the exact top-k proposes more pairs:
+#: ann_index_kind "lsh" -> "brute", ann_pairs_added 88 -> 97,
+#: ann_pairs_duplicate 2 384 -> 2 875, ann_probe_candidates 259 252 -> 0 (no
+#: probe runs), candidate pairs 21 266 -> 21 275; the match list, match sets,
+#: rows and table digest follow (still 725 matches).  Every other statistic is
+#: unchanged (1 component of 426 114 cells, 66 690 pairs avoided, 0 skipped
+#: keys, 0 skew fallbacks, 2 assignments).  These are the parent's values with
+#: its ``brute_force_cells`` cutoff lifted, except ``match_list``, which hashes
+#: distance bits: the same 725 pairs, one distance 3.3e-16 apart (one GEMM
+#: over the column pair instead of one per component).
 PINNED_900: dict = {
     "within_threshold": True,
     "one_to_one": True,
-    "table_digest": "a767a111503395b51f3b37fa3396ff00",
-    "rows_in_order": "0733e8185dcc3eab8f19204531647584419770d201bd50a186592a1ff4610bd6",
-    "match_sets": "6fe6bbc5803ac1012eed2d1f59f560aa097d6122c0ad3d5caa59a5194cda4c70",
+    "table_digest": "954bbada8ff85edd8536d8dbc5588a80",
+    "rows_in_order": "5eda65c68e958601557df16dd029031ba3a7736551403c6a60dd3a791112461d",
+    "match_sets": "8cd3d1290c3ef30f51282f495f8d3025e5bd5ee11fc2d454a73709bca56e3038",
     "blocking": {
         "blocked_assignments": 2.0,
-        "blocking_ann_pairs_added": 88.0,
-        "blocking_ann_pairs_duplicate": 2384.0,
-        "blocking_ann_probe_candidates": 259252.0,
+        "blocking_ann_pairs_added": 97.0,
+        "blocking_ann_pairs_duplicate": 2875.0,
+        "blocking_ann_probe_candidates": 0.0,
         "blocking_ann_skew_fallbacks": 0.0,
         "blocking_component_size_1": 0.0,
         "blocking_component_size_17-64": 0.0,
@@ -173,18 +186,19 @@ PINNED_900: dict = {
         "blocking_pairs_scored": 426114.0,
         "blocking_skipped_keys": 0.0,
     },
+    "ann_index_builds": 0.0,
     "matches": 725,
-    "match_list": "c805c1eb1e6812a21ce889df878c4a38cfde3621384cfb12bcac2f362942ac7c",
+    "match_list": "eaadcff84bae458a1159fb1b38a1a5fe4ea6f541a0fa3bc8d33b59a71c6da21c",
     "pair_statistics": (
-        21266,
+        21275,
         1,
         426114,
         426114,
         0,
-        88,
-        2384,
-        "lsh",
-        259252,
+        97,
+        2875,
+        "brute",
+        0,
         "fee0eefbb1c21547cb0fe5dfc33764df124a113e1c46a8d35d8ac28d4098f482",
     ),
 }
@@ -206,7 +220,7 @@ def test_blocked_ann_request_is_pinned():
     observed = observe(900)
     # The pin is only worth something while the request takes the route it names.
     assert observed["blocking"]["blocked_assignments"] == 2.0
-    assert observed["pair_statistics"][7] == "lsh"
+    assert observed["pair_statistics"][7] == "brute"
     assert observed == PINNED_900
 
 

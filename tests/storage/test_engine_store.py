@@ -254,3 +254,69 @@ class TestDurableAnnIndexes:
             embedder, brute_force_cells=1, store=ArtifactStore(tmp_path)
         )
         assert rewarmed.candidate_pairs(left, right) == plain.candidate_pairs(left, right)
+
+
+class PoisonedEmbedder(CountingEmbedder):
+    """Returns a NaN row for ``"Berlin"`` and an all-zero row for ``"Toronto"``
+    until ``healed`` — a model that overflowed on one input and said nothing
+    about another."""
+
+    healed = False
+
+    def _embed_texts(self, texts):
+        rows = super()._embed_texts(texts)
+        rows[[text == "Toronto" for text in texts]] = 0.0
+        if not self.healed:
+            rows[[text == "Berlin" for text in texts], 0] = np.nan
+        return rows
+
+
+class TestNonFiniteEmbeddings:
+    """A non-finite row fails typed at the cache boundary on every route: it is
+    never cached, never published, and never reaches the solver (dense route)
+    or silently fails every comparison (scored edges)."""
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {},  # dense: one |A| x |B| assignment
+            {"blocking": "on"},
+            {"blocking": "on", "semantic_blocking": "on"},  # the exact pass embeds every value
+        ],
+        ids=["dense", "blocked", "blocked+semantic"],
+    )
+    def test_rejected_before_cache_and_store(self, tmp_path, tables, knobs):
+        store_dir = tmp_path / "store"
+        config = FuzzyFDConfig(
+            embedder=PoisonedEmbedder(),
+            store_dir=str(store_dir),
+            store_mode="readwrite",
+            retry_backoff_ms=0.0,
+            **knobs,
+        )
+        engine = IntegrationEngine(config)
+        with pytest.raises(ValueError, match="produced a non-finite embedding for 'Berlin'"):
+            engine.integrate(tables)
+        # Whatever healthy slabs went before it, the poisoned slab left nothing
+        # behind — in this engine's cache, or (published by hand) for a restart.
+        assert engine.embedding_cache.get("mistral", "Berlin") is None
+        engine.save()
+        restarted = _engine(store_dir)
+        assert restarted.embedding_cache.get("mistral", "Berlin") is None
+        assert np.isfinite(restarted.embedder.embed_many(["Berlinn", "Barcelona", "Germany"])).all()
+
+        # Healed, the same engine serves the request; the all-zero row is at
+        # distance 1 from everything, so "Toronto" only ever matches itself.
+        engine.embedder.inner.healed = True
+        result = engine.integrate(tables)
+        assert result.timings.get("store_published_rows", 0) > 0
+        rewritten = {
+            (old, new)
+            for matching in result.value_matching.values()
+            for match_set in matching.sets
+            for _, old in match_set.members
+            for new in [match_set.representative]
+            if old != new
+        }
+        assert all("Toronto" not in pair for pair in rewritten)
+        assert ("Berlinn", "Berlin") in rewritten or ("Berlin", "Berlinn") in rewritten
