@@ -9,16 +9,14 @@ bounded worker pool.  This benchmark records what each layer buys:
 
 1. **Singleton fast path** (single-threaded): per-component solver calls vs
    the vectorised batch on a workload of thousands of 1×1 components.
-2. **Worker scaling**: serial vs thread/process backends at 1/2/4 workers on
-   a solver-bound workload of k×k components, matches asserted identical.
+2. **Worker scaling**: serial vs the thread backend at 1/2/4 workers on a
+   solver-bound workload of k×k components, matches asserted identical.
 3. **Engine request pool**: ``integrate_many`` over a batch of integration
    requests, 1 vs 4 workers, results asserted identical to the serial loop.
-4. **Surface-key scaling**: blocking-key generation (n-grams, token
-   prefixes, lexicon keys) for tens of thousands of distinct values, serial
-   vs the process-backend fan-out, key tuples asserted identical per
-   position.  A fresh :class:`~repro.matching.blocking.ValueBlocker` per
-   configuration keeps its key memo from serving one configuration the
-   previous one's work.
+
+The per-call process backend and the process fan-out of surface-key
+generation were measured here (0.06–0.10× and 0.69× serial) and removed;
+process-level parallelism is ``repro serve --processes N``.
 
 Results land in ``BENCH_parallel.json`` (CI uploads it as an artifact), so
 the perf trajectory of the executor is recorded over time.  Worker *scaling*
@@ -228,7 +226,7 @@ def run_worker_scaling_benchmark(
     n_values: int = 5000,
     group_size: int = 8,
     workers: Sequence[int] = (1, 2, 4),
-    backends: Sequence[str] = ("thread", "process"),
+    backends: Sequence[str] = ("thread",),
     seed: int = 11,
 ) -> Dict[str, object]:
     """Serial vs pooled component solving; every configuration must agree.
@@ -287,75 +285,7 @@ def run_worker_scaling_benchmark(
 
 
 # ---------------------------------------------------------------------------------
-# section 4: surface-key generation, serial vs the process fan-out
-# ---------------------------------------------------------------------------------
-
-
-def surface_key_workload(n_values: int, tokens: int = 4, seed: int = 17) -> List[str]:
-    """Distinct multi-token values with enough text that key generation works."""
-    rng = random.Random(seed)
-    values = set()
-    while len(values) < n_values:
-        values.add(
-            " ".join(
-                "".join(rng.choice(string.ascii_lowercase) for _ in range(8))
-                for _ in range(tokens)
-            )
-        )
-    return sorted(values)
-
-
-def run_surface_key_scaling_benchmark(
-    n_values: int = 30_000,
-    workers: Sequence[int] = (2, 4),
-    seed: int = 17,
-) -> Dict[str, object]:
-    """Serial vs process-parallel blocking-key generation, keys identical.
-
-    Every configuration gets a *fresh* :class:`ValueBlocker` — the key memo
-    persists per blocker, so a reused instance would hand later
-    configurations the earlier ones' keys and time nothing.  The default
-    (lexicon-on) blocker is measured because that is the production path:
-    workers receive the ``"default"`` lexicon spec and rebuild the shared
-    lexicon once per process, a startup cost the numbers honestly include.
-    """
-    values = surface_key_workload(n_values, seed=seed)
-
-    def timed_keys(executor=None):
-        blocker = ValueBlocker(executor=executor)
-        start = time.perf_counter()
-        keys = blocker._value_keys(values)
-        return time.perf_counter() - start, keys
-
-    serial_seconds, serial_keys = timed_keys()
-    runs: List[Dict[str, object]] = [
-        {
-            "backend": "serial",
-            "workers": 1,
-            "seconds": serial_seconds,
-            "speedup_vs_serial": 1.0,
-            "identical_keys": True,
-        }
-    ]
-    for worker_count in workers:
-        if worker_count <= 1:
-            continue
-        executor = ExecutorConfig(backend="process", max_workers=worker_count)
-        seconds, keys = timed_keys(executor)
-        runs.append(
-            {
-                "backend": "process",
-                "workers": worker_count,
-                "seconds": seconds,
-                "speedup_vs_serial": serial_seconds / seconds if seconds else float("inf"),
-                "identical_keys": keys == serial_keys,
-            }
-        )
-    return {"n_values": n_values, "distinct_values": len(values), "runs": runs}
-
-
-# ---------------------------------------------------------------------------------
-# section 3: the engine's request pool (integrate_many)
+# section 4: the engine's request pool (integrate_many)
 # ---------------------------------------------------------------------------------
 
 
@@ -423,7 +353,6 @@ def report(results: Dict[str, object]) -> str:
     end_to_end = results["end_to_end"]
     scaling = results["worker_scaling"]
     engine = results["engine_pool"]
-    keys = results["surface_keys"]
 
     lines = [
         "",
@@ -477,25 +406,6 @@ def report(results: Dict[str, object]) -> str:
             f"at {engine['workers']:.0f} workers ({engine['speedup']:.2f}x, "
             f"identical results: {bool(engine['identical_results'])})"
         ),
-        "",
-        (
-            f"Surface-key generation ({keys['distinct_values']:,} distinct values, "
-            f"fresh blocker per configuration):"
-        ),
-        "",
-        format_markdown_table(
-            ["Backend", "Workers", "Seconds", "vs serial", "Identical keys"],
-            [
-                [
-                    run["backend"],
-                    run["workers"],
-                    f"{run['seconds']:.2f}",
-                    f"{run['speedup_vs_serial']:.2f}x",
-                    str(bool(run["identical_keys"])),
-                ]
-                for run in keys["runs"]
-            ],
-        ),
     ]
     return "\n".join(lines)
 
@@ -504,14 +414,8 @@ def run_all(
     n_values: int = 5000,
     group_size: int = 8,
     n_requests: int = 12,
-    key_values: int = 30_000,
 ) -> Dict[str, object]:
-    """Run every section at the given scale (the JSON payload).
-
-    ``key_values`` stays well above the fan-out gate
-    (:data:`~repro.matching.blocking.PARALLEL_KEYS_MIN_VALUES`) even in smoke
-    runs, or the section would silently time the serial path twice.
-    """
+    """Run every section at the given scale (the JSON payload)."""
     return {
         "benchmark": "abl-parallel",
         "n_values": n_values,
@@ -521,7 +425,6 @@ def run_all(
             n_values=max(n_values // 2, 64), group_size=group_size
         ),
         "engine_pool": run_engine_pool_benchmark(n_requests=n_requests),
-        "surface_keys": run_surface_key_scaling_benchmark(n_values=key_values),
     }
 
 
@@ -558,23 +461,11 @@ def test_end_to_end_speedup(benchmark):
 def test_worker_scaling_determinism(benchmark):
     scaling = benchmark.pedantic(
         run_worker_scaling_benchmark,
-        kwargs={"n_values": 2000, "workers": (1, 2, 4), "backends": ("thread", "process")},
+        kwargs={"n_values": 2000, "workers": (1, 2, 4)},
         rounds=1,
         iterations=1,
     )
     assert all(run["identical_matches"] for run in scaling["runs"])
-
-
-def test_surface_key_scaling(benchmark):
-    keys = benchmark.pedantic(
-        run_surface_key_scaling_benchmark,
-        kwargs={"n_values": 4000, "workers": (2,)},
-        rounds=1,
-        iterations=1,
-    )
-    # Determinism is the claim; speedup is hardware-honest (see module doc).
-    assert all(run["identical_keys"] for run in keys["runs"])
-    assert len(keys["runs"]) == 2
 
 
 def test_engine_pool(benchmark):
@@ -597,7 +488,7 @@ if __name__ == "__main__":
     )
     arguments = parser.parse_args()
     if arguments.smoke:
-        payload = run_all(n_values=400, group_size=6, n_requests=4, key_values=6000)
+        payload = run_all(n_values=400, group_size=6, n_requests=4)
     else:
         payload = run_all()
     print(report(payload))

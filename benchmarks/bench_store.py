@@ -2,9 +2,8 @@
 
 The storage PR made engine warmth durable: embedding matrices live in
 memmapped segments of an :class:`~repro.storage.store.ArtifactStore`, the
-semantic blocker's LSH codes persist next to them, and process workers
-attach shared memmaps instead of unpickling embedding rows.  This benchmark
-records what each mechanism buys:
+semantic blocker's LSH codes persist next to them.  This benchmark records
+what each mechanism buys:
 
 1. **Cold vs warm engine start**: a fresh engine integrates a workload and
    publishes its artifacts; a second fresh engine over the same directory
@@ -14,10 +13,7 @@ records what each mechanism buys:
    (:func:`warm_start_violations`).  Seconds are recorded, not asserted.
 2. **Durable ANN indexes**: LSH code matrices built + published cold, then
    loaded by a fresh blocker — zero rebuilds, identical candidate pairs.
-3. **Process hand-off**: ``run_partitioned`` over the process backend with
-   the embedding matrix shipped the old way (pickled into every batch's
-   closure) vs the new way (``shared=`` memmap handles).
-4. **Store-on vs store-off identity**: the store never changes results.
+3. **Store-on vs store-off identity**: the store never changes results.
 
 Results land in ``BENCH_store.json`` (committed to the repo and uploaded as
 a CI artifact), so the cold→warm trajectory is recorded over time.  The
@@ -38,23 +34,18 @@ run, ``--output PATH`` to choose the JSON location) or via
 from __future__ import annotations
 
 import json
-import pickle
 import random
 import string
 import tempfile
 import time
-from functools import partial
 from pathlib import Path
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.embeddings import MistralEmbedder
 from repro.matching.ann import SemanticBlocker
 from repro.storage import ArtifactStore
 from repro.table import Table
-from repro.utils.executor import ExecutorConfig, run_partitioned
 
 DEFAULT_OUTPUT = "BENCH_store.json"
 
@@ -243,57 +234,7 @@ def run_ann_durability_benchmark(n_values: int = 2000, seed: int = 11) -> Dict[s
 
 
 # ---------------------------------------------------------------------------------
-# section 3: process hand-off — pickled rows vs shared memmaps
-# ---------------------------------------------------------------------------------
-
-
-def _row_norm_shared(index: int, matrix: np.ndarray) -> float:
-    """Worker body for the ``shared=`` hand-off (matrix arrives as a kwarg)."""
-    return float(np.linalg.norm(matrix[index]))
-
-
-def _row_norm_captured(index: int, matrix: np.ndarray) -> float:
-    """Worker body with the matrix captured — pickled into every batch."""
-    return float(np.linalg.norm(matrix[index]))
-
-
-def run_process_handoff_benchmark(
-    n_rows: int = 20_000, dimension: int = 256, workers: int = 2
-) -> Dict[str, float]:
-    """Shipping one embedding matrix to process workers, both ways."""
-    rng = np.random.default_rng(3)
-    matrix = rng.standard_normal((n_rows, dimension))
-    items = list(range(n_rows))
-    config = ExecutorConfig(
-        backend="process", max_workers=workers, min_parallel_items=2
-    )
-
-    captured_fn = partial(_row_norm_captured, matrix=matrix)
-    start = time.perf_counter()
-    captured = run_partitioned(items, captured_fn, config)
-    captured_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    shared = run_partitioned(
-        items, _row_norm_shared, config, shared={"matrix": matrix}
-    )
-    shared_seconds = time.perf_counter() - start
-
-    return {
-        "n_rows": float(n_rows),
-        "dimension": float(dimension),
-        "workers": float(workers),
-        "matrix_bytes": float(matrix.nbytes),
-        "captured_pickle_bytes": float(len(pickle.dumps(captured_fn))),
-        "captured_seconds": captured_seconds,
-        "shared_seconds": shared_seconds,
-        "speedup": captured_seconds / shared_seconds if shared_seconds else float("inf"),
-        "identical_results": float(shared == captured),
-    }
-
-
-# ---------------------------------------------------------------------------------
-# section 4: the store never changes results
+# section 3: the store never changes results
 # ---------------------------------------------------------------------------------
 
 
@@ -321,7 +262,6 @@ def run_identity_check(n_values: int = 400, seed: int = 13) -> Dict[str, float]:
 def report(results: Dict[str, object]) -> str:
     warm_start = results["warm_start"]
     ann = results["ann_durability"]
-    handoff = results["process_handoff"]
     identity = results["identity"]
     lines = [
         "",
@@ -347,17 +287,6 @@ def report(results: Dict[str, object]) -> str:
         ),
         "",
         (
-            f"Process hand-off ({handoff['n_rows']:,.0f}x{handoff['dimension']:.0f} "
-            f"matrix, {handoff['matrix_bytes'] / 1e6:.0f} MB, "
-            f"{handoff['workers']:.0f} workers): "
-            f"{handoff['captured_seconds']:.2f}s pickled-per-batch "
-            f"({handoff['captured_pickle_bytes'] / 1e6:.0f} MB per pickle) -> "
-            f"{handoff['shared_seconds']:.2f}s shared memmap — "
-            f"{handoff['speedup']:.1f}x, identical results: "
-            f"{bool(handoff['identical_results'])}"
-        ),
-        "",
-        (
             f"Identity ({identity['n_values']:,.0f} values/side, semantic blocking on): "
             f"store-off == cold store: {bool(identity['cold_identical'])}, "
             f"store-off == warm store: {bool(identity['warm_identical'])}"
@@ -369,7 +298,6 @@ def report(results: Dict[str, object]) -> str:
 def run_all(
     n_values: int = 1500,
     ann_values: int = 2000,
-    handoff_rows: int = 20_000,
     identity_values: int = 400,
 ) -> Dict[str, object]:
     """Run every section at the given scale (the JSON payload)."""
@@ -377,7 +305,6 @@ def run_all(
         "benchmark": "bench-store",
         "warm_start": run_warm_start_benchmark(n_values=n_values),
         "ann_durability": run_ann_durability_benchmark(n_values=ann_values),
-        "process_handoff": run_process_handoff_benchmark(n_rows=handoff_rows),
         "identity": run_identity_check(n_values=identity_values),
     }
 
@@ -409,13 +336,6 @@ def test_ann_durability(benchmark):
     assert ann["identical_pairs"] == 1.0
 
 
-def test_process_handoff(benchmark):
-    handoff = benchmark.pedantic(
-        run_process_handoff_benchmark, kwargs={"n_rows": 4000}, rounds=1, iterations=1
-    )
-    assert handoff["identical_results"] == 1.0
-
-
 def test_identity(benchmark):
     identity = benchmark.pedantic(
         run_identity_check, kwargs={"n_values": 200}, rounds=1, iterations=1
@@ -445,7 +365,7 @@ if __name__ == "__main__":
         raise SystemExit(check_floor(arguments.check_floor))
     if arguments.smoke:
         payload = run_all(
-            n_values=400, ann_values=600, handoff_rows=4000, identity_values=150
+            n_values=400, ann_values=600, identity_values=150
         )
     else:
         payload = run_all()

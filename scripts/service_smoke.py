@@ -18,12 +18,20 @@ Then a second server boots with a hard-down chaos embedder
 ``degraded: true`` in its trace, and ``GET /healthz`` must report
 ``degraded`` — an open breaker never becomes an unhandled 500.
 
+Both servers run with ``--processes N`` when the script is given it (CI runs
+it with 1 and with 2): with two processes the second request may land on the
+process that did not embed the values, and ``/healthz`` may be answered by
+the process whose own breaker never opened — the checks above must hold
+anyway.
+
 Exits non-zero (with the server log on stderr) on any failure, so the CI
-job fails loudly.  Run locally with ``python scripts/service_smoke.py``.
+job fails loudly.  Run locally with ``python scripts/service_smoke.py
+[--processes N]``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import subprocess
@@ -122,9 +130,14 @@ def serve(extra_args: list[str] | None = None, extra_env: dict | None = None, **
     )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="repro serve smoke test")
+    parser.add_argument("--processes", type=int, default=None, help="passed to repro serve")
+    args = parser.parse_args(argv)
+    extra_args = [] if args.processes is None else ["--processes", str(args.processes)]
+
     with tempfile.TemporaryDirectory() as store_dir:
-        process = serve(["--store-dir", store_dir])
+        process = serve(["--store-dir", store_dir, *extra_args])
         try:
             port = wait_for_port(process)
 
@@ -175,6 +188,7 @@ def main() -> int:
             "1",
             "--retry-backoff-ms",
             "1",
+            *extra_args,
         ],
         extra_env={"REPRO_CHAOS_EMBED_FAILURES": "all"},
     )

@@ -19,10 +19,11 @@ Four subcommands expose the library to shell users:
     chosen scale and print the resulting table/series.
 
 ``repro serve``
-    Start the HTTP serving layer (:mod:`repro.service`): one long-lived
-    warm engine behind ``/integrate``, ``/stats`` and ``/healthz``, with
+    Start the HTTP serving layer (:mod:`repro.service`): long-lived warm
+    engines behind ``/integrate``, ``/stats`` and ``/healthz``, with
     admission control and per-request deadlines.  ``--store-dir`` attaches
-    the persistent artifact store so restarts are warm.
+    the persistent artifact store so restarts are warm; ``--processes N``
+    pre-forks N server processes on one socket (default: one per CPU).
 
 Installed as the ``repro`` console script; also runnable with
 ``python -m repro.cli``.
@@ -259,14 +260,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import IntegrationService
     from repro.service.http import serve_forever
+    from repro.service.processes import default_processes, serve_processes
 
+    processes = default_processes() if args.processes is None else args.processes
+    if processes < 1:
+        raise SystemExit(f"error: --processes must be >= 1, got {processes}")
     config = _build_config(args, flags=_SERVE_CONFIG_FLAGS)
     service = IntegrationService(config)
     store = service.engine.store
     if store is not None:
         print(f"artifact store attached at {store.root} (mode={config.store_mode})")
     try:
-        asyncio.run(serve_forever(service, host=args.host, port=args.port))
+        if processes == 1:
+            asyncio.run(serve_forever(service, host=args.host, port=args.port))
+        else:
+            serve_processes(service, args.host, args.port, processes)
     except KeyboardInterrupt:
         pass
     finally:
@@ -361,7 +369,7 @@ def _add_engine_config_flags(parser: argparse.ArgumentParser) -> None:
         "--parallel-backend",
         dest="parallel_backend",
         default="thread",
-        choices=["serial", "thread", "process"],
+        choices=["serial", "thread"],
         action=_TrackedStore,
         help="executor backend used when --workers > 1",
     )
@@ -503,6 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--port", type=int, default=8080,
         help="bind port (0 = let the OS pick; the bound port is printed)",
+    )
+    serve_parser.add_argument(
+        "--processes", type=int, default=None,
+        help="server processes pre-forked after boot, sharing one listening "
+        "socket (default: the CPUs this process may run on; 1 = one process, "
+        "no fork)",
     )
     _add_engine_config_flags(serve_parser)
     serve_parser.add_argument(

@@ -120,10 +120,9 @@ class FuzzyFDConfig:
         (Full Disjunction runs vectorised closure passes and takes no workers.)
     parallel_backend:
         Executor backend used when ``max_workers > 1``: ``"thread"`` (numpy/
-        scipy release the GIL — the usual choice), ``"process"`` (true CPU
-        parallelism for pure-Python closures at a pickling cost), or
-        ``"serial"`` (force the plain loop regardless of ``max_workers``).
-        Results are identical across backends by construction.
+        scipy release the GIL — the usual choice) or ``"serial"`` (force the
+        plain loop regardless of ``max_workers``).  Results are identical
+        across backends by construction.
     store_dir:
         Directory of the persistent artifact store
         (:class:`~repro.storage.store.ArtifactStore`): memmapped embedding

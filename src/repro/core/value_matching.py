@@ -235,11 +235,7 @@ class ValueMatcher:
                 embedder,
                 threshold=threshold,
                 solver=solver,
-                # The blocker shares the executor so surface-key generation
-                # can fan out over the same (process) pool as the solver.
-                blocker=ValueBlocker(
-                    frequent_key_cap=blocking_key_cap, executor=self.executor
-                ),
+                blocker=ValueBlocker(frequent_key_cap=blocking_key_cap),
                 executor=self.executor,
                 semantic_blocker=semantic_blocker,
                 semantic_mode=semantic_blocking if semantic_blocking != "off" else "on",

@@ -5,8 +5,8 @@ _features` — per text, one bag per feature class in a fixed class order
 (grams, tokens, concept anchor, noise, …), each bag a scale and the feature
 strings it sums.  *How* is shared: :func:`hashed_feature_rows` sums every
 bag's ±1 directions in **integers**, so a text's row has the same bits
-whatever else shares the call — what serial == thread == process and store
-on == off rest on.  See ``docs/embeddings.md``.
+whatever else shares the call — what serial == thread and store on == off
+rest on.  See ``docs/embeddings.md``.
 """
 
 from __future__ import annotations

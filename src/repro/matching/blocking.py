@@ -36,8 +36,8 @@ Two executions of step 4 are layered on top of the decomposition:
   never touches the assignment solver — a hot-path win even single-threaded.
 * **Parallel component solving.**  The remaining general components are
   independent, so they are solved through
-  :func:`repro.utils.executor.run_partitioned` (serial, thread or process
-  backend, weight-balanced batches).  A work item is the component's edges —
+  :func:`repro.utils.executor.run_partitioned` (serial or thread backend,
+  weight-balanced batches).  A work item is the component's edges —
   a few small arrays, no embedding rows.  The merge is positional, so the
   result is byte-identical to the serial loop for every backend and worker
   count.
@@ -71,8 +71,8 @@ change which matches are returned, only how fast:
   candidate set is identical run to run.
 * Components are solved independently and merged *positionally*
   (:func:`repro.utils.executor.run_partitioned` returns results in input
-  order whatever the backend), so serial == thread == process, byte for
-  byte, for every worker count.
+  order whatever the backend), so serial == thread, byte for byte, for
+  every worker count.
 * The singleton fast path picks each star component's winner with a stable
   grouped argmin — the same cell the per-component solver would pick.
 
@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -101,7 +101,7 @@ from repro.matching.ann import (
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
 from repro.matching.bipartite import ValueMatch, split_exact_matches
 from repro.utils.components import component_labels
-from repro.utils.executor import ExecutorConfig, contiguous_ranges, run_partitioned
+from repro.utils.executor import ExecutorConfig, run_partitioned
 from repro.utils.text import character_ngrams, normalize_value, tokenize
 
 #: Cost written into cells the assignment must never select (non-candidate
@@ -120,11 +120,6 @@ DEFAULT_FREQUENT_KEY_CAP: Optional[int] = 1000
 #: below this; a workload that actually overflows it was getting no reuse
 #: worth preserving.
 KEY_MEMO_LIMIT = 200_000
-
-#: Distinct *uncached* texts below which surface-key generation always runs
-#: in-process: n-gram sampling per value is microseconds, so a fan-out has to
-#: amortise pool dispatch over thousands of values to win.
-PARALLEL_KEYS_MIN_VALUES = 2048
 
 #: Candidate pairs one slab of :meth:`ValueBlocker.candidate_keys` expands
 #: before deduplicating (32 MB of int64 keys): a key shared by thousands of
@@ -157,8 +152,6 @@ def _sample_ngrams(grams: List[str], max_ngrams: int) -> List[str]:
     Taking the *first* ``max_ngrams`` grams would make long values block
     solely on their prefix; even sampling always includes the first and last
     gram, so pairs sharing any region (suffixes included) remain candidates.
-    Module-level (not a method) so process workers compute the exact same
-    sample from pickled parameters alone.
     """
     if max_ngrams <= 0 or len(grams) <= max_ngrams:
         return grams
@@ -189,10 +182,9 @@ def _surface_keys_for_text(
     """Blocking keys of one already-normalised text, as a sorted tuple.
 
     A pure function of its arguments — the single source of truth for what
-    :meth:`ValueBlocker.keys` computes, shared verbatim by the in-process
-    memo and the process-pool fan-out so a key set never depends on *where*
-    it was computed.  The tuple is sorted (not a set) so its ordering is
-    identical across worker interpreters regardless of hash randomisation.
+    :meth:`ValueBlocker.keys` computes.  The tuple is sorted (not a set) so
+    its ordering is identical across interpreters regardless of hash
+    randomisation.
     """
     keys: Set[str] = set()
     for token in tokenize(normalised, normalized=True):
@@ -207,38 +199,6 @@ def _surface_keys_for_text(
     if not keys and normalised:
         keys.add(f"p:{normalised[:prefix_length]}")
     return tuple(sorted(keys))
-
-
-def _keys_for_text_batch(
-    bounds: Tuple[int, int],
-    *,
-    texts: np.ndarray,
-    ngram_size: int,
-    max_ngrams: int,
-    prefix_length: int,
-    lexicon_spec: object,
-) -> List[Tuple[str, ...]]:
-    """Executor work unit: key tuples for one contiguous span of texts.
-
-    ``texts`` is the deduplicated normalised-text array travelling through
-    the executor's ``shared=`` hand-off (a memmap in process workers), so the
-    pickled item is just the ``(start, stop)`` bounds.  ``lexicon_spec`` is
-    ``None`` (no lexicon), the string ``"default"`` (rebuild the process-wide
-    shared default lexicon in the worker instead of pickling it per batch),
-    or a pickled custom :class:`~repro.embeddings.lexicon.SemanticLexicon`.
-    """
-    lexicon = _shared_default_lexicon() if lexicon_spec == "default" else lexicon_spec
-    start, stop = bounds
-    return [
-        _surface_keys_for_text(
-            str(text),
-            ngram_size=ngram_size,
-            max_ngrams=max_ngrams,
-            prefix_length=prefix_length,
-            lexicon=lexicon,
-        )
-        for text in texts[start:stop]
-    ]
 
 
 def _postings(
@@ -421,13 +381,8 @@ class ValueBlocker:
     ``None`` disables the cap.
 
     Key computation is memoised per normalised text (duplicate-heavy columns
-    recompute nothing) and — given a process-backend ``executor`` — fans the
-    distinct uncached texts of a large column out over the worker pool
-    (:data:`PARALLEL_KEYS_MIN_VALUES` gates the fan-out).  Both are pure
-    performance knobs: every key set comes from the same
-    :func:`_surface_keys_for_text`, merged positionally, so candidate pairs
-    are identical however the keys were computed.  The memo assumes the key
-    parameters (``ngram_size`` etc.) are fixed after construction.
+    recompute nothing); the memo assumes the key parameters (``ngram_size``
+    etc.) are fixed after construction.
     """
 
     def __init__(
@@ -438,7 +393,6 @@ class ValueBlocker:
         use_lexicon: bool = True,
         lexicon: Optional[SemanticLexicon] = None,
         frequent_key_cap: Optional[int] = DEFAULT_FREQUENT_KEY_CAP,
-        executor: Optional[ExecutorConfig] = None,
     ) -> None:
         if frequent_key_cap is not None and frequent_key_cap < 1:
             raise ValueError(f"frequent_key_cap must be >= 1 or None, got {frequent_key_cap}")
@@ -446,15 +400,10 @@ class ValueBlocker:
         self.max_ngrams = max_ngrams
         self.prefix_length = prefix_length
         self.use_lexicon = use_lexicon
-        # Remembered *before* the default is materialised: a worker process
-        # can rebuild the shared default lexicon locally, but a custom one
-        # has to be pickled to it.
-        self._lexicon_is_default = lexicon is None and use_lexicon
         self.lexicon = lexicon if lexicon is not None else (
             _shared_default_lexicon() if use_lexicon else None
         )
         self.frequent_key_cap = frequent_key_cap
-        self.executor = executor if executor is not None else ExecutorConfig()
         #: Keys skipped by the frequent-key cap in the last candidate pass.
         self.last_skipped_keys = 0
         self._key_memo: Dict[str, Tuple[str, ...]] = {}
@@ -481,68 +430,8 @@ class ValueBlocker:
         return keys
 
     def _value_keys(self, values: Sequence[object]) -> List[Tuple[str, ...]]:
-        """Key tuples for every value, positionally.
-
-        Normalises once, pre-fills the memo for the distinct uncached texts
-        (in parallel when the workload and executor warrant it), then reads
-        every position's keys back from the memo — so the result is
-        independent of whether (and where) the fan-out ran.
-        """
-        normalised = [normalize_value(value) for value in values]
-        self._fill_key_memo(normalised)
-        return [self._keys_for_normalised(text) for text in normalised]
-
-    def _fill_key_memo(self, normalised_texts: Sequence[str]) -> None:
-        """Compute the distinct uncached texts' keys, fanning out if worth it.
-
-        Only the ``"process"`` backend fans out: key generation is pure
-        Python (tokenise + n-gram sampling + dict lookups), so threads would
-        serialise on the GIL.  The distinct texts ship once through the
-        executor's ``shared=`` hand-off as a fixed-width unicode array; each
-        dispatched item is a ``(start, stop)`` span into it, and the merge
-        back into the memo is positional.
-        """
-        memo = self._key_memo
-        seen: Set[str] = set()
-        missing: List[str] = []
-        for text in normalised_texts:
-            if text not in memo and text not in seen:
-                seen.add(text)
-                missing.append(text)
-        executor = self.executor
-        if (
-            len(missing) < PARALLEL_KEYS_MIN_VALUES
-            or not executor.is_parallel
-            or executor.backend != "process"
-        ):
-            return
-        spans = contiguous_ranges(len(missing), executor)
-        if len(spans) <= 1:
-            return
-        lexicon_spec: object = None
-        if self.use_lexicon and self.lexicon is not None:
-            lexicon_spec = "default" if self._lexicon_is_default else self.lexicon
-        # Each span already is a balanced batch, so dispatch them one per
-        # task (batch_size=1) however few there are (min_parallel_items=2).
-        dispatch = dataclass_replace(executor, batch_size=1, min_parallel_items=2)
-        results = run_partitioned(
-            spans,
-            partial(
-                _keys_for_text_batch,
-                ngram_size=self.ngram_size,
-                max_ngrams=self.max_ngrams,
-                prefix_length=self.prefix_length,
-                lexicon_spec=lexicon_spec,
-            ),
-            dispatch,
-            weight=lambda span: span[1] - span[0],
-            shared={"texts": np.array(missing, dtype=np.str_)},
-        )
-        if len(memo) + len(missing) > KEY_MEMO_LIMIT:
-            memo.clear()
-        for (start, stop), span_keys in zip(spans, results):
-            for text, keys in zip(missing[start:stop], span_keys):
-                memo[text] = keys
+        """Key tuples for every value, positionally."""
+        return [self._keys_for_normalised(normalize_value(value)) for value in values]
 
     def iter_candidate_pairs(
         self, left_values: Sequence[object], right_values: Sequence[object]
@@ -655,8 +544,7 @@ def _solve_component(
     component-local cell and its distance.  Every other cell — values
     connected only transitively are not candidates of each other — keeps the
     prohibitive cost.  No similarity is computed here: the edges were scored
-    once, by the pass that proposed them.  Module-level (and fed picklable
-    arguments) so the process backend can ship it.  Returns accepted
+    once, by the pass that proposed them.  Returns accepted
     ``(row, column, distance)`` triples in solver order.
     """
     rows, columns, pair_rows, pair_cols, distances = payload

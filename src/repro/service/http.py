@@ -14,20 +14,26 @@ needs:
     error).
 ``GET /stats``
     The :meth:`IntegrationService.stats` snapshot as JSON (including the
-    embedder breaker state).
+    embedder breaker state), aggregated over every server process.
 ``GET /healthz``
-    Three-state health driven by the embedder circuit breaker:
-    ``"healthy"`` (breaker closed, 200), ``"degraded"`` (breaker open but
-    ``degraded_mode="surface"`` keeps answers flowing, 200), or
-    ``"unhealthy"`` (breaker open with no degraded path, 503).
+    Three-state health driven by the embedder circuit breakers — the worst
+    state of the live server processes: ``"healthy"`` (closed, 200),
+    ``"degraded"`` (open but ``degraded_mode="surface"`` keeps answers
+    flowing, 200), or ``"unhealthy"`` (open with no degraded path, 503).
 
 Null cells (plain or labelled) serialise as JSON ``null`` on the way out and
 JSON ``null`` deserialises to :data:`~repro.table.nulls.NULL` on the way in,
 so a round-trip preserves the missing-value semantics of Figure 1.
 
-Connections are ``Connection: close`` — one request per connection keeps the
-parser honest and is plenty for the smoke-test and benchmark traffic this
-adapter serves; a production fleet would sit it behind a real ingress.
+Each connection carries one request (``Connection: close``).  Under
+``repro serve --processes N`` the connection is what the kernel hands to
+whichever server process accepts first, so closing after every response lets
+a client's next request go to an idle process instead of pinning it to the
+one that served it last.  Malformed input is answered, never dropped: a bad
+``Content-Length`` or a non-list row gets 400 naming the offending part, and
+a request not fully read within :data:`REQUEST_READ_TIMEOUT_S` gets 408 and
+the connection closes, so a slow or silent client cannot hold a coroutine
+forever.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import socket
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service.service import IntegrationService
@@ -58,6 +65,9 @@ STATUS_CODES = {
 }
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a client has to deliver one whole request (line, headers, body).
+REQUEST_READ_TIMEOUT_S = 30.0
 
 
 class BadRequest(ValueError):
@@ -90,6 +100,12 @@ def tables_from_json(payload: Any) -> List[Table]:
         if not isinstance(rows, list):
             raise BadRequest(f"tables[{index}].rows must be a list of rows")
         name = entry.get("name", f"table_{index}")
+        for position, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise BadRequest(
+                    f"tables[{index}].rows[{position}] must be a list of cells, "
+                    f"got {type(row).__name__}"
+                )
         converted = [
             [NULL if cell is None else cell for cell in row] for row in rows
         ]
@@ -125,11 +141,19 @@ def response_to_json(response: ServiceResponse) -> Dict[str, Any]:
     return body
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line over the stream's limit is a bad request."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise BadRequest(f"line too long: {exc}") from exc
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, bytes]]:
     """Read one HTTP/1.1 request; returns (method, path, body) or None on EOF."""
-    request_line = await reader.readline()
+    request_line = await _read_line(reader)
     if not request_line:
         return None
     parts = request_line.decode("latin-1").split()
@@ -138,7 +162,7 @@ async def _read_request(
     method, path = parts[0].upper(), parts[1]
     content_length = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
@@ -147,6 +171,8 @@ async def _read_request(
                 content_length = int(value.strip())
             except ValueError as exc:
                 raise BadRequest("invalid Content-Length") from exc
+            if content_length < 0:
+                raise BadRequest(f"invalid Content-Length {content_length}")
     if content_length > MAX_BODY_BYTES:
         raise BadRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(content_length) if content_length else b""
@@ -171,25 +197,23 @@ def _encode_response(
     return head.encode("latin-1") + body
 
 
-def _health_payload(service: IntegrationService) -> Tuple[int, str, Dict[str, Any]]:
+def _health_payload(
+    service: IntegrationService,
+) -> Tuple[int, str, Dict[str, Any], Dict[str, str]]:
     """Three-state health: breaker closed / open-with-fallback / open-dark."""
-    breaker = service.engine.resilience_state()
-    breaker_state = str(breaker.get("state", "closed"))
-    payload: Dict[str, Any] = {
-        "requests_served": service.engine.requests_served,
-        "breaker": breaker,
-    }
-    if breaker_state == "closed":
+    payload: Dict[str, Any] = service.health()
+    if payload["breaker"]["state"] == "closed":
         payload["status"] = "healthy"
-        return 200, "OK", payload
+        return 200, "OK", payload, {}
     # half_open counts like open: the embedder is not known-good yet, but a
     # surface fallback still answers requests, so the pod should stay in
     # rotation ("degraded") rather than be drained ("unhealthy").
     if service.engine.config.degraded_mode == "surface":
         payload["status"] = "degraded"
-        return 200, "OK", payload
+        return 200, "OK", payload, {}
     payload["status"] = "unhealthy"
-    return 503, "Service Unavailable", payload
+    retry_after = _retry_after_header(float(payload["breaker"]["retry_after_ms"]))
+    return 503, "Service Unavailable", payload, retry_after
 
 
 def _retry_after_header(retry_after_ms: float) -> Dict[str, str]:
@@ -202,12 +226,7 @@ async def _dispatch(
 ) -> Tuple[int, str, Dict[str, Any], Dict[str, str]]:
     path = path.split("?", 1)[0]
     if method == "GET" and path == "/healthz":
-        code, reason, payload = _health_payload(service)
-        headers: Dict[str, str] = {}
-        if code == 503:
-            retry_after = service.engine.resilience_state().get("retry_after_ms", 0.0)
-            headers = _retry_after_header(float(retry_after or 0.0))
-        return code, reason, payload, headers
+        return _health_payload(service)
     if method == "GET" and path == "/stats":
         return 200, "OK", service.stats().to_dict(), {}
     if method == "POST" and path == "/integrate":
@@ -230,7 +249,7 @@ async def _dispatch(
             tables, deadline_ms=deadline_ms, **overrides
         )
         code, reason = STATUS_CODES.get(response.status, (500, "Internal Server Error"))
-        headers = {}
+        headers: Dict[str, str] = {}
         if isinstance(response, EmbedderUnavailableResponse):
             headers = _retry_after_header(response.retry_after_ms)
         return code, reason, response_to_json(response), headers
@@ -245,7 +264,7 @@ async def handle_connection(
     """Serve one request on one connection, then close it."""
     try:
         try:
-            request = await _read_request(reader)
+            request = await asyncio.wait_for(_read_request(reader), REQUEST_READ_TIMEOUT_S)
             if request is None:
                 return
             code, reason, payload, headers = await _dispatch(service, *request)
@@ -253,6 +272,11 @@ async def handle_connection(
             code, reason, payload, headers = 400, "Bad Request", {
                 "status": "error",
                 "error": str(exc),
+            }, {}
+        except asyncio.TimeoutError:
+            code, reason, payload, headers = 408, "Request Timeout", {
+                "status": "error",
+                "error": f"request not read within {REQUEST_READ_TIMEOUT_S:g} s",
             }, {}
         writer.write(_encode_response(code, reason, payload, headers))
         await writer.drain()
@@ -267,13 +291,18 @@ async def handle_connection(
 
 
 async def start_http_server(
-    service: IntegrationService, host: str = "127.0.0.1", port: int = 0
+    service: IntegrationService,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    *,
+    sock: Optional[socket.socket] = None,
 ) -> asyncio.AbstractServer:
     """Bind and return the server (``port=0`` picks a free port).
 
     The bound address is ``server.sockets[0].getsockname()`` — the CLI
     prints it so scripted callers (the CI smoke job) can target an
-    OS-assigned port.
+    OS-assigned port.  ``sock`` serves an already bound listening socket
+    instead (what every pre-forked server process shares).
     """
 
     async def _handler(
@@ -281,6 +310,8 @@ async def start_http_server(
     ) -> None:
         await handle_connection(service, reader, writer)
 
+    if sock is not None:
+        return await asyncio.start_server(_handler, sock=sock)
     return await asyncio.start_server(_handler, host=host, port=port)
 
 

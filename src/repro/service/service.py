@@ -24,16 +24,22 @@ Three properties the tests pin down:
   decremented under the same lock, so ``stats()`` always satisfies
   ``submitted == served + rejected + deadline_exceeded + failed +
   in_flight``.
+
+Under ``repro serve --processes N`` each process runs its own service over
+its own copy of the warm engine (:mod:`repro.service.processes`).  Every
+counter change is then also written, under the same lock, to the process's
+row of a shared block, and ``stats()`` / ``health()`` aggregate every row.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 import time
 from collections import deque
 from functools import partial
-from typing import Any, Deque, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import numpy.ma  # noqa: F401 — np.unique loads it lazily; a server pays at boot, not in a request
@@ -42,6 +48,7 @@ from repro.core.config import FuzzyFDConfig
 from repro.core.engine import FuzzyIntegrationResult, IntegrationEngine
 from repro.embeddings.resilient import EmbedderUnavailable
 from repro.service.types import (
+    BREAKER_COUNTERS,
     DeadlineExceeded,
     DeadlineExceededError,
     EmbedderUnavailableResponse,
@@ -52,10 +59,13 @@ from repro.service.types import (
     ServiceResponse,
     ServiceStats,
     StageTracker,
+    aggregate_breaker,
     build_trace,
-    quantile,
 )
 from repro.table.table import Table
+
+if TYPE_CHECKING:  # the pre-forked serve imports this module, not the other way round
+    from repro.service.processes import Scoreboard
 
 #: Completed-request latencies kept for the p50/p99 snapshot.
 LATENCY_WINDOW = 2048
@@ -124,6 +134,11 @@ class IntegrationService:
         self._executing = 0
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._closed = False
+        # The shared counters block of a pre-forked serve, and this process's
+        # row in it (see share()); the breaker as of the last finished request.
+        self._board: Optional["Scoreboard"] = None
+        self._row_index = 0
+        self._breaker: Dict[str, Any] = self.engine.resilience_state()
         # Boot, not the first request, binds the solver's compiled routine.
         self.engine.solver.solve(np.zeros((1, 1)))
 
@@ -154,12 +169,14 @@ class IntegrationService:
             self._submitted += 1
             if self._closed:
                 self._failed += 1
+                self._publish()
                 return ServiceFailure(
                     request_id=request_id, error="service is closed", trace=None
                 )
             pending = self._in_flight - self._executing
             if self._in_flight >= self.max_concurrency + self.max_pending:
                 self._rejected += 1
+                self._publish()
                 return ServiceOverloaded(
                     request_id=request_id,
                     pending=pending,
@@ -167,6 +184,7 @@ class IntegrationService:
                     trace=None,
                 )
             self._in_flight += 1
+            self._publish()
 
         budget = deadline_ms if deadline_ms is not None else self.default_deadline_ms
         loop = asyncio.get_running_loop()
@@ -181,6 +199,7 @@ class IntegrationService:
             with self._lock:
                 self._in_flight -= 1
                 self._failed += 1
+                self._publish()
             return ServiceFailure(request_id=request_id, error=str(exc), trace=None)
 
     def _serve(
@@ -195,6 +214,7 @@ class IntegrationService:
         self._slots.acquire()
         with self._lock:
             self._executing += 1
+            self._publish()
         tracker = StageTracker(submitted_at=submitted_at, deadline_ms=deadline_ms)
         tracker.queue_wait_seconds = time.perf_counter() - submitted_at
         try:
@@ -247,10 +267,13 @@ class IntegrationService:
         finally:
             with self._lock:
                 self._executing -= 1
+                self._publish()
             self._slots.release()
 
     def _finish(self, outcome: str, latency_seconds: float, *, degraded: bool = False) -> None:
         """Terminal accounting: counter up + gauge down under one lock."""
+        if self._board is not None:
+            self._breaker = self.engine.resilience_state()
         with self._lock:
             self._in_flight -= 1
             if outcome == "served":
@@ -264,30 +287,69 @@ class IntegrationService:
             else:
                 self._failed += 1
             self._latencies.append(latency_seconds)
+            self._publish(latency_seconds)
 
     # -- observability & lifecycle -------------------------------------------------
     def stats(self) -> ServiceStats:
         """Consistent aggregate snapshot (see :class:`ServiceStats`)."""
-        resilience = self.engine.resilience_state()
+        return ServiceStats.aggregate(self.rows())
+
+    def health(self) -> Dict[str, Any]:
+        """``requests_served`` and the breaker view over the live processes."""
+        rows = self.rows()
+        return {
+            "requests_served": sum(row["requests_served"] for row in rows),
+            "breaker": aggregate_breaker(rows),
+        }
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """Every server process's row: this one, or all N of a pre-forked serve."""
+        self._breaker = self.engine.resilience_state()
         with self._lock:
-            samples = sorted(self._latencies)
-            return ServiceStats(
-                submitted=self._submitted,
-                served=self._served,
-                rejected=self._rejected,
-                deadline_exceeded=self._deadline_exceeded,
-                failed=self._failed,
-                unavailable=self._unavailable,
-                in_flight=self._in_flight,
-                executing=self._executing,
-                queued=self._in_flight - self._executing,
-                latency_p50_seconds=quantile(samples, 0.50),
-                latency_p99_seconds=quantile(samples, 0.99),
-                degraded_served=self._degraded_served,
-                breaker_state=str(resilience.get("state", "closed")),
-                embedder_retries=int(resilience.get("retries", 0)),
-                breaker_opens=int(resilience.get("breaker_opens", 0)),
-            )
+            own = self._row()
+            own.update(pid=os.getpid(), alive=True, latencies=list(self._latencies))
+            if self._board is None:
+                return [own]
+            self._publish()
+        rows = self._board.rows()
+        rows[self._row_index] = own
+        return rows
+
+    def share(self, board: "Scoreboard", index: int) -> None:
+        """Publish this service's counters as row ``index`` of ``board``.
+
+        ``board`` is the :class:`~repro.service.processes.Scoreboard` of a
+        pre-forked ``repro serve``; from here on every counter change is
+        written to it under the service lock.
+        """
+        with self._lock:
+            self._board, self._row_index = board, index
+            self._publish()
+
+    def _row(self) -> Dict[str, Any]:
+        """This process's counters and breaker (caller holds the lock)."""
+        breaker = self._breaker
+        row: Dict[str, Any] = {
+            "submitted": self._submitted,
+            "served": self._served,
+            "rejected": self._rejected,
+            "deadline_exceeded": self._deadline_exceeded,
+            "failed": self._failed,
+            "unavailable": self._unavailable,
+            "in_flight": self._in_flight,
+            "executing": self._executing,
+            "degraded_served": self._degraded_served,
+            "requests_served": self.engine.requests_served,
+            "breaker_state": str(breaker.get("state", "closed")),
+            "retry_after_ms": float(breaker.get("retry_after_ms", 0.0)),
+        }
+        row.update({name: int(breaker.get(name, 0)) for name in BREAKER_COUNTERS})
+        return row
+
+    def _publish(self, latency_seconds: Optional[float] = None) -> None:
+        """Write this process's row to the shared block, if any (caller holds the lock)."""
+        if self._board is not None:
+            self._board.write(self._row_index, self._row(), latency_seconds)
 
     def close(self) -> None:
         """Stop admitting requests and drain the engine's worker pool."""

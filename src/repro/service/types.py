@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import FuzzyIntegrationResult
 
@@ -40,6 +40,34 @@ TRACE_COUNTER_SOURCES: Dict[str, str] = {
     "breaker_opens": "breaker_opens",
     "breaker_short_circuits": "breaker_short_circuits",
 }
+
+#: The counters of one server process's row, summed into ``/stats``.
+ROW_COUNTERS = (
+    "submitted",
+    "served",
+    "rejected",
+    "deadline_exceeded",
+    "failed",
+    "unavailable",
+    "in_flight",
+    "executing",
+    "degraded_served",
+    "requests_served",
+)
+
+#: The embedder breaker's counters (``ResilientEmbedder.describe``) a row carries.
+BREAKER_COUNTERS = (
+    "retries",
+    "failures",
+    "breaker_opens",
+    "breaker_closes",
+    "breaker_short_circuits",
+    "half_open_probes",
+    "consecutive_failures",
+)
+
+#: Breaker states from best to worst: health is the worst of the live processes.
+BREAKER_STATES = ("closed", "half_open", "open")
 
 
 @dataclass
@@ -229,7 +257,10 @@ class ServiceStats:
     failed + in_flight`` — the terminal counters and the in-flight gauge are
     updated under one lock so no request is ever counted twice or dropped.
     ``queued`` is ``in_flight - executing``: admitted requests still waiting
-    for a concurrency slot.
+    for a concurrency slot.  Under ``repro serve --processes N`` every field
+    is aggregated over the N server processes (:meth:`aggregate`): counters
+    are sums, latency quantiles are taken over the union of the processes'
+    windows, and ``breaker_state`` is the worst state of the live processes.
     """
 
     submitted: int = 0
@@ -252,6 +283,41 @@ class ServiceStats:
     #: lifetime (from the resilient wrapper, not per-request deltas).
     embedder_retries: int = 0
     breaker_opens: int = 0
+    #: Server processes started, and those still running.
+    processes: int = 1
+    processes_alive: int = 1
+    #: ``pid`` / ``alive`` / ``served`` / ``breaker_state`` of each process.
+    per_process: List[Dict[str, Any]] = field(default_factory=list)
+
+    @classmethod
+    def aggregate(cls, rows: Sequence[Dict[str, Any]]) -> "ServiceStats":
+        """One snapshot over the rows of every server process."""
+        totals = {name: sum(int(row[name]) for row in rows) for name in ROW_COUNTERS}
+        samples = sorted(latency for row in rows for latency in row["latencies"])
+        breaker = aggregate_breaker(rows)
+        return cls(
+            submitted=totals["submitted"],
+            served=totals["served"],
+            rejected=totals["rejected"],
+            deadline_exceeded=totals["deadline_exceeded"],
+            failed=totals["failed"],
+            unavailable=totals["unavailable"],
+            in_flight=totals["in_flight"],
+            executing=totals["executing"],
+            queued=totals["in_flight"] - totals["executing"],
+            latency_p50_seconds=quantile(samples, 0.50),
+            latency_p99_seconds=quantile(samples, 0.99),
+            degraded_served=totals["degraded_served"],
+            breaker_state=breaker["state"],
+            embedder_retries=int(breaker["retries"]),
+            breaker_opens=int(breaker["breaker_opens"]),
+            processes=len(rows),
+            processes_alive=sum(bool(row["alive"]) for row in rows),
+            per_process=[
+                {name: row[name] for name in ("pid", "alive", "served", "breaker_state")}
+                for row in rows
+            ],
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -270,7 +336,27 @@ class ServiceStats:
             "breaker_state": self.breaker_state,
             "embedder_retries": self.embedder_retries,
             "breaker_opens": self.breaker_opens,
+            "processes": self.processes,
+            "processes_alive": self.processes_alive,
+            "per_process": [dict(entry) for entry in self.per_process],
         }
+
+
+def aggregate_breaker(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """One breaker view over the server processes' rows (``/healthz``).
+
+    ``state`` is the worst state of the live processes and ``retry_after_ms``
+    their longest remaining open window; the counters are sums, except
+    ``consecutive_failures``, the longest current run of any live process.
+    """
+    live = [row for row in rows if row["alive"]]
+    view: Dict[str, Any] = {name: sum(row[name] for row in rows) for name in BREAKER_COUNTERS}
+    view["consecutive_failures"] = max((row["consecutive_failures"] for row in live), default=0)
+    view["state"] = max(
+        (row["breaker_state"] for row in live), key=BREAKER_STATES.index, default="closed"
+    )
+    view["retry_after_ms"] = max((row["retry_after_ms"] for row in live), default=0.0)
+    return view
 
 
 def build_trace(

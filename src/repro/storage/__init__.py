@@ -9,8 +9,6 @@ directory of fingerprint-keyed, atomically published artifacts:
 * :class:`~repro.storage.cache.StoreBackedEmbeddingCache` — the two-tier
   embedding cache (in-memory hot tier over memmapped segments) that makes a
   restarted engine warm.
-* :mod:`~repro.storage.shared` — zero-copy hand-off of read-only arrays to
-  process-pool workers (publish once, attach per process).
 * :mod:`~repro.storage.fingerprint` — the ``(embedder fingerprint, corpus
   fingerprint)`` keying scheme shared by everything above.
 
@@ -23,23 +21,11 @@ from repro.storage.fingerprint import (
     corpus_fingerprint,
     embedder_fingerprint,
 )
-from repro.storage.shared import (
-    ArrayHandle,
-    SharedArrayBinding,
-    SharedArrays,
-    attach_array,
-    publish_array,
-)
 from repro.storage.store import FORMAT_VERSION, STORE_MODES, ArtifactStore
 
 __all__ = [
     "ArtifactStore",
     "StoreBackedEmbeddingCache",
-    "ArrayHandle",
-    "SharedArrayBinding",
-    "SharedArrays",
-    "attach_array",
-    "publish_array",
     "ann_params_fingerprint",
     "corpus_fingerprint",
     "embedder_fingerprint",

@@ -18,6 +18,10 @@ an :class:`~repro.storage.store.ArtifactStore`:
   content-addressed and idempotent: the same new texts always produce the
   same segment, and a concurrent engine publishing the identical segment
   resolves to one copy.
+* **Sibling publications.**  A batch that misses re-attaches once before it
+  reports the misses, so a value another engine on the same directory (a
+  sibling ``repro serve --processes N`` process) has published since is
+  served from its segment, not re-embedded.
 
 Thread safety matches the base class: every tier mutation happens under the
 one cache lock, so a pool of engine workers shares the cache exactly as
@@ -26,7 +30,7 @@ before — the cold tier only adds read-mostly state under the same lock.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -170,33 +174,28 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
             return vector
 
     def fill_many(self, model: str, texts: Sequence[str], out: np.ndarray) -> List[int]:
-        missing: List[int] = []
-        batch_missing: Set[str] = set()
+        own = model == self.model_name
         with self._lock:
-            store = self._store
-            cold = self._cold if model == self.model_name else {}
-            for index, text in enumerate(texts):
-                vector = store.get((model, text))
-                if vector is not None:
-                    out[index] = vector
-                    self.hits += 1
-                    continue
-                location = cold.get(text)
-                if location is not None:
-                    out[index] = self._promote(model, text, location)
-                    self.store_hits += 1
-                    continue
-                missing.append(index)
-                # Same accounting as the base class: repeated occurrences of
-                # one uncached text count as one miss plus hits (the caller
-                # embeds the text once and reuses the vector).
-                if text in batch_missing:
+            missing = self._resolve(model, texts, out, range(len(texts)))
+        # A sibling ``repro serve`` process may have published these texts
+        # since this cache last attached: re-attach once and re-resolve, so
+        # what turns up counts as a store hit.  A batch without misses (every
+        # warm request) never gets here.
+        if missing and own and self.attach():
+            with self._lock:
+                missing = self._resolve(model, texts, out, missing)
+        with self._lock:
+            # Same accounting as the base class: repeated occurrences of one
+            # uncached text count as one miss plus hits (the caller embeds
+            # the text once and reuses the vector).
+            batch_missing: Set[str] = set()
+            for index in missing:
+                if texts[index] in batch_missing:
                     self.hits += 1
                 else:
-                    batch_missing.add(text)
+                    batch_missing.add(texts[index])
                     self.misses += 1
-                    if model == self.model_name:
-                        self.store_misses += 1
+                    self.store_misses += own
         return missing
 
     def clear(self) -> None:
@@ -220,6 +219,27 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
         return base
 
     # -- internals -------------------------------------------------------------------
+    def _resolve(
+        self, model: str, texts: Sequence[str], out: np.ndarray, indices: Iterable[int]
+    ) -> List[int]:
+        """Fill ``out[i]`` from the hot, then the cold tier; return the rest (caller holds the lock)."""
+        cold = self._cold if model == self.model_name else {}
+        missing: List[int] = []
+        for index in indices:
+            text = texts[index]
+            vector = self._store.get((model, text))
+            if vector is not None:
+                out[index] = vector
+                self.hits += 1
+                continue
+            location = cold.get(text)
+            if location is None:
+                missing.append(index)
+                continue
+            out[index] = self._promote(model, text, location)
+            self.store_hits += 1
+        return missing
+
     def _promote(self, model: str, text: str, location: Tuple[int, int]) -> np.ndarray:
         """Copy one cold row into the hot tier (caller holds the lock)."""
         segment, row = location

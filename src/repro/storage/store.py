@@ -5,7 +5,8 @@ hyperplane tables and code matrices — used to die with the process.  The
 :class:`ArtifactStore` externalises them to a directory, keyed by the
 fingerprint scheme of :mod:`repro.storage.fingerprint`, so that a restarted
 :class:`~repro.core.engine.IntegrationEngine` (or a second engine, or a
-process-pool worker) attaches to warm state instead of recomputing it.
+sibling ``repro serve`` process) attaches to warm state instead of
+recomputing it.
 
 Layout (``docs/storage.md`` documents it in full)::
 

@@ -7,7 +7,6 @@ from repro.testing.faults import (
     TransientFault,
     chaos_embedder_from_env,
     corrupt_array_file,
-    crash_once,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "TransientFault",
     "chaos_embedder_from_env",
     "corrupt_array_file",
-    "crash_once",
 ]

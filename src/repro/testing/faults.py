@@ -1,13 +1,12 @@
 """Seeded, deterministic fault injection for the chaos test suite.
 
-Production failure modes — transient embedder errors, latency spikes, dead
-process workers, corrupted store segments — are by nature irreproducible,
-which makes tests against them flaky unless the *injection* itself is
-deterministic.  Everything in this module is: faults fire on scripted call
-indices (or a seeded per-index rate), latency comes from a scripted
-schedule, and the worker-crash helper crashes exactly once per marker file.
-Running the same scripted scenario twice injects the exact same faults at
-the exact same points.
+Production failure modes — transient embedder errors, latency spikes,
+corrupted store segments — are by nature irreproducible, which makes tests
+against them flaky unless the *injection* itself is deterministic.
+Everything in this module is: faults fire on scripted call indices (or a
+seeded per-index rate) and latency comes from a scripted schedule.  Running
+the same scripted scenario twice injects the exact same faults at the exact
+same points.
 
 The pieces:
 
@@ -25,10 +24,6 @@ The pieces:
   :class:`~repro.storage.store.ArtifactStore`'s load/save calls.
 * :func:`corrupt_array_file` — truncates a published ``.npy`` in place, the
   store-corruption scenario (quarantine + rebuild).
-* :func:`crash_once` — a picklable work function whose first execution
-  kills its whole process with ``os._exit`` (worker-death scenario); the
-  marker file makes the retry succeed and is what keeps the crash count at
-  exactly one across pool rebuilds.
 * :func:`chaos_embedder_from_env` — builds a scripted
   :class:`FaultyEmbedder` from ``REPRO_CHAOS_*`` environment variables, so
   a *subprocess* (``repro serve --embedder chaos``) can run a fault
@@ -36,9 +31,6 @@ The pieces:
 
 Injectors are thread-safe; call indices are global per operation, so
 concurrent callers observe one shared schedule (like one shared backend).
-The injector deliberately holds a lock and is therefore not picklable —
-process-backend fault injection goes through :func:`crash_once` or
-:func:`corrupt_array_file`, which need no shared state.
 """
 
 from __future__ import annotations
@@ -287,31 +279,6 @@ def corrupt_array_file(path: Union[str, Path]) -> None:
     target = Path(path)
     data = target.read_bytes()
     target.write_bytes(data[: max(1, len(data) // 2)])
-
-
-def crash_once(item: float, marker: str) -> float:
-    """Square ``item`` — but kill the whole process the first time, hard.
-
-    Picklable work function for the worker-death scenario: if ``marker``
-    does not exist yet, it is created and the *process* exits with
-    ``os._exit`` (no exception, no cleanup — exactly what a segfault or
-    OOM-kill looks like to the pool).  Every later call, in any process,
-    computes normally — so a pool that recovers by re-running the failed
-    batches produces the same result the serial backend does.  Use with
-    ``functools.partial(crash_once, marker=...)``.
-    """
-    marker_path = Path(marker)
-    if not marker_path.exists():
-        try:
-            # Exclusive create: when two workers race here, at most one
-            # "wins" the crash... and the loser crashes too — which is fine,
-            # a dying pool takes every worker with it anyway.
-            with open(marker_path, "x", encoding="utf-8") as handle:
-                handle.write("crashed")
-        except OSError:
-            pass
-        os._exit(17)
-    return float(item) * float(item)
 
 
 #: Environment variables :func:`chaos_embedder_from_env` understands.

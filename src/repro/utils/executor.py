@@ -17,40 +17,32 @@ one abstraction they share:
   executor overhead, and results are always returned in input order — callers
   get a byte-identical merge regardless of backend or worker count.
 
-Large read-only constants (an embedding matrix every item slices, say) must
-**not** be captured inside ``fn``: the process backend pickles ``fn`` once
-per dispatched batch, so captured megabytes would cross the pipe once per
-batch.  Pass them via ``shared=`` instead — ``run_partitioned`` then calls
-``fn(item, **shared)``, binding the arrays directly on the serial and thread
-paths and handing the process pool memmap *handles* (publish once to disk,
-attach once per worker, see :mod:`repro.storage.shared`) so only the small
-batch items and a few-hundred-byte handle ever cross the pipe.
-
 Backends
 --------
 ``"serial"``
     A plain loop — the baseline and the fallback for tiny workloads.
 ``"thread"``
     ``concurrent.futures.ThreadPoolExecutor``.  Pays off when the per-item
-    work releases the GIL (numpy scoring, scipy assignments) or blocks on IO;
-    zero serialisation cost, shared memory.
-``"process"``
-    ``concurrent.futures.ProcessPoolExecutor``.  True CPU parallelism for
-    pure-Python work at the price of pickling ``fn`` and every batch; ``fn``
-    must be a module-level callable (or a ``functools.partial`` of one).
+    work releases the GIL (numpy scoring, scipy assignments); zero
+    serialisation cost, shared memory.
+
+There is no per-call process backend: it paid a pickle of ``fn`` and every
+batch per call and measured 0.06–0.10× serial in ``BENCH_parallel.json``.
+Process-level parallelism lives in one place, ``repro serve --processes N``
+(:mod:`repro.service.processes`), which forks warm servers once at boot.
 
 Determinism guarantees
 ----------------------
 ``run_partitioned(items, fn, config)`` returns exactly
 ``[fn(item) for item in items]`` for *every* backend and worker count —
-serial == thread == process, element for element.  Three design decisions
-make that hold:
+serial == thread, element for element.  Three design decisions make that
+hold:
 
 * **Contiguous batches.**  :func:`partition_batches` only ever groups
   *adjacent* items, so flattening the batches restores the exact input
   order; no hashing, no work stealing, no arrival-order dependence.
-* **Positional merge.**  The parallel paths collect ``pool.map`` results in
-  batch-submission order and flatten them positionally; nothing is merged
+* **Positional merge.**  The thread path collects ``pool.map`` results in
+  batch-submission order and flattens them positionally; nothing is merged
   by completion time.
 * **No shared mutable state.**  ``fn`` receives one item and returns one
   result; the executor never passes accumulators between workers.
@@ -61,21 +53,19 @@ can never change a result, only its latency.  ``weight`` steers batch
 balancing only — it affects *which* batch an item lands in, never the order
 results come back in.  ``tests/utils/test_executor.py`` and
 ``tests/matching/test_parallel_matching.py`` assert these guarantees
-(byte-identical matches across serial/thread/process at 1/2/4 workers).
+(byte-identical matches across serial/thread at 1/2/4 workers).
 """
 
 from __future__ import annotations
 
-import atexit
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 #: Executor backends accepted by :class:`ExecutorConfig`.
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
+EXECUTOR_BACKENDS = ("serial", "thread")
 
 
 @dataclass(frozen=True)
@@ -169,242 +159,31 @@ def partition_batches(
     return batches
 
 
-def contiguous_ranges(
-    count: int, config: ExecutorConfig, *, min_chunk: int = 256
-) -> List[tuple]:
-    """Split ``range(count)`` into contiguous ``(start, stop)`` spans.
-
-    The span-per-item shape :func:`run_partitioned` wants for *indexable*
-    workloads: when every item is "positions ``start:stop`` of one shared
-    array", dispatching spans instead of elements keeps the pickled batch a
-    few tuples regardless of workload size, and each worker slices its rows
-    out of the ``shared=`` array locally.  Spans follow the same ~four-slots-
-    per-worker sizing as :func:`partition_batches` so one slow span cannot
-    serialise the pool, but never drop below ``min_chunk`` positions — a span
-    must outweigh its dispatch overhead.  Flattening the spans in order
-    restores ``range(count)`` exactly, preserving the positional-merge
-    guarantee.
-    """
-    if min_chunk < 1:
-        raise ValueError(f"min_chunk must be >= 1, got {min_chunk}")
-    if count <= 0:
-        return []
-    slots = max(1, 4 * config.max_workers)
-    size = max(min_chunk, -(-count // slots))
-    return [(start, min(count, start + size)) for start in range(0, count, size)]
-
-
-def _apply_batch(fn: Callable[[ItemT], ResultT], batch: Sequence[ItemT]) -> List[ResultT]:
-    """Apply ``fn`` to one batch (module-level so process pools can pickle it)."""
-    return [fn(item) for item in batch]
-
-
-#: Long-lived process pools keyed by worker count.  Worker processes pay a
-#: full interpreter + numpy import at startup, so spinning a pool per call
-#: (one per column pair, say) would cost more than it saves; pools live until
-#: interpreter exit instead.  Thread pools are cheap and stay per-call.
-_PROCESS_POOLS: Dict[int, object] = {}
-_PROCESS_POOL_LOCK = threading.Lock()
-
-
-def _process_pool(workers: int):
-    """A shared ``ProcessPoolExecutor`` with ``workers`` workers.
-
-    Uses the ``forkserver`` start method (falling back to ``spawn``) rather
-    than ``fork``: callers like ``IntegrationEngine.integrate_many`` invoke
-    this from worker *threads*, and forking a multi-threaded parent can
-    deadlock children on locks held by unrelated threads.  Both safe methods
-    require ``fn`` to be importable in a fresh interpreter — which
-    :func:`run_partitioned` demands anyway.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    import multiprocessing
-
-    with _PROCESS_POOL_LOCK:
-        pool = _PROCESS_POOLS.get(workers)
-        if pool is None:
-            try:
-                context = multiprocessing.get_context("forkserver")
-            except ValueError:  # pragma: no cover - platform without forkserver
-                context = multiprocessing.get_context("spawn")
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            _PROCESS_POOLS[workers] = pool
-        return pool
-
-
-@atexit.register
-def _shutdown_process_pools() -> None:  # pragma: no cover - interpreter exit
-    with _PROCESS_POOL_LOCK:
-        for pool in _PROCESS_POOLS.values():
-            pool.shutdown(wait=False, cancel_futures=True)
-        _PROCESS_POOLS.clear()
-
-
-def _discard_process_pool(workers: int, pool: object) -> None:
-    """Drop a broken shared pool so the next request builds a fresh one.
-
-    Identity-checked under the lock: a concurrent caller may already have
-    replaced the entry, and discarding *its* healthy pool would cascade the
-    failure.
-    """
-    with _PROCESS_POOL_LOCK:
-        if _PROCESS_POOLS.get(workers) is pool:
-            del _PROCESS_POOLS[workers]
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-#: Worker-death recovery counters (cumulative, process-wide).
-_RECOVERY_LOCK = threading.Lock()
-_RECOVERY_COUNTERS: Dict[str, int] = {
-    "pool_rebuilds": 0,
-    "serial_fallbacks": 0,
-    "batches_retried": 0,
-}
-
-
-def executor_statistics() -> Dict[str, int]:
-    """Cumulative worker-death recovery counters of the process backend.
-
-    ``pool_rebuilds`` counts broken pools replaced, ``batches_retried`` the
-    batches re-dispatched after a break, ``serial_fallbacks`` the times a
-    rebuilt pool broke again and the remaining batches ran in-process.
-    """
-    with _RECOVERY_LOCK:
-        return dict(_RECOVERY_COUNTERS)
-
-
-def _run_process_batches(
-    task: Callable[[ItemT], ResultT],
-    batches: Sequence[Sequence[ItemT]],
-    config: ExecutorConfig,
-) -> List[List[ResultT]]:
-    """Run the batches on the shared process pool, surviving worker death.
-
-    A worker that dies mid-batch (``os._exit``, OOM-kill, segfault) breaks
-    the whole ``ProcessPoolExecutor``: every unfinished future raises
-    ``BrokenProcessPool``.  The completed batches' results are kept; the
-    broken pool is discarded, a fresh one is built, and only the failed
-    batches are re-dispatched — positionally, so the merged result is still
-    ``[fn(item) for item in items]`` exactly.  If the rebuilt pool breaks
-    too, the remaining batches run serially in this process (progress over
-    parallelism).  Exceptions *raised by the task itself* propagate
-    unchanged — recovery only engages on pool breakage.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-
-    results: List[Optional[List[ResultT]]] = [None] * len(batches)
-    pending = list(range(len(batches)))
-    for attempt in range(2):
-        pool = _process_pool(config.max_workers)
-        futures = {}
-        failed: List[int] = []
-        for index in pending:
-            try:
-                futures[index] = pool.submit(_apply_batch, task, batches[index])
-            except (BrokenProcessPool, RuntimeError):
-                # The pool broke (or was shut down) between submissions.
-                failed.append(index)
-        for index, future in futures.items():
-            try:
-                results[index] = future.result()
-            except BrokenProcessPool:
-                failed.append(index)
-        if not failed:
-            return results  # type: ignore[return-value]
-        failed.sort()
-        _discard_process_pool(config.max_workers, pool)
-        with _RECOVERY_LOCK:
-            _RECOVERY_COUNTERS["batches_retried"] += len(failed)
-            if attempt == 0:
-                _RECOVERY_COUNTERS["pool_rebuilds"] += 1
-        pending = failed
-    # Two broken pools in a row: stop gambling on worker processes and finish
-    # the remaining batches in this one.
-    with _RECOVERY_LOCK:
-        _RECOVERY_COUNTERS["serial_fallbacks"] += 1
-    for index in pending:
-        results[index] = _apply_batch(task, batches[index])
-    return results  # type: ignore[return-value]
-
-
 def run_partitioned(
     items: Sequence[ItemT],
-    fn: Callable[..., ResultT],
+    fn: Callable[[ItemT], ResultT],
     config: ExecutorConfig = SERIAL_EXECUTOR,
     *,
     weight: Optional[Callable[[ItemT], float]] = None,
-    shared: Optional[Mapping[str, "object"]] = None,
 ) -> List[ResultT]:
     """Return ``[fn(item) for item in items]``, possibly executed in parallel.
 
-    Results are always in input order, whatever the backend — the parallel
-    paths dispatch contiguous batches and reassemble them positionally, so a
-    caller that merges results sequentially gets output identical to the
+    Results are always in input order, whatever the backend — the thread
+    path dispatches contiguous batches and reassembles them positionally, so
+    a caller that merges results sequentially gets output identical to the
     serial loop.  A worker exception propagates to the caller unchanged.
-
-    For the ``"process"`` backend ``fn`` (and every item and result) must be
-    picklable; pass a module-level function or a ``functools.partial`` over
-    one.  ``weight`` estimates the relative cost of one item (e.g. cost-matrix
+    ``weight`` estimates the relative cost of one item (e.g. cost-matrix
     cells) and steers the batch balancing; it never affects the results.
-
-    ``shared`` maps keyword names to large read-only ``numpy`` arrays that
-    every item needs; ``fn`` is then called as ``fn(item, **shared)``.  On
-    the serial and thread paths the arrays are bound directly (zero copies).
-    On the process path they are published once to memmap files and workers
-    attach on first use (:mod:`repro.storage.shared`), so batches carry only
-    items and handles — never the arrays.  Binding through ``shared`` never
-    changes results, only what crosses the process pipe.
     """
     items = list(items)
-    if not items:
-        return []
     if not config.should_parallelise(len(items)):
-        return _run_serial(items, fn, shared)
-
+        return [fn(item) for item in items]
     batches = partition_batches(items, config, weight)
     if len(batches) <= 1:
-        return _run_serial(items, fn, shared)
-    workers = min(config.max_workers, len(batches))
-
-    if config.backend == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-
-        task = fn if shared is None else _bind_shared_in_memory(fn, shared)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batch_results = list(pool.map(_apply_batch, [task] * len(batches), batches))
-    else:  # "process" — shared long-lived pool (submitting is thread-safe)
-        if shared is None:
-            batch_results = _run_process_batches(fn, batches, config)
-        else:
-            from repro.storage.shared import SharedArrayBinding, SharedArrays
-
-            with SharedArrays(shared) as region:
-                task = SharedArrayBinding(fn, shared, region.handles)
-                batch_results = _run_process_batches(task, batches, config)
-
-    flattened: List[ResultT] = []
-    for batch_result in batch_results:
-        flattened.extend(batch_result)
-    return flattened
-
-
-def _run_serial(
-    items: Sequence[ItemT],
-    fn: Callable[..., ResultT],
-    shared: Optional[Mapping[str, "object"]],
-) -> List[ResultT]:
-    """The plain loop, with ``shared`` bound as keyword arguments if given."""
-    if shared is None:
         return [fn(item) for item in items]
-    return [fn(item, **shared) for item in items]
 
+    from concurrent.futures import ThreadPoolExecutor
 
-def _bind_shared_in_memory(
-    fn: Callable[..., ResultT], shared: Mapping[str, "object"]
-) -> Callable[[ItemT], ResultT]:
-    """Bind ``shared`` directly for in-process execution (no serialisation)."""
-
-    def bound(item: ItemT) -> ResultT:
-        return fn(item, **shared)
-
-    return bound
+    with ThreadPoolExecutor(max_workers=min(config.max_workers, len(batches))) as pool:
+        batch_results = list(pool.map(lambda batch: [fn(item) for item in batch], batches))
+    return [result for batch_result in batch_results for result in batch_result]

@@ -91,14 +91,11 @@ class TestAblationHarnesses:
 class TestParallelAblationHarness:
     def test_small_run_produces_identical_matches_everywhere(self, tmp_path):
         module = _load("bench_ablation_parallel")
-        payload = module.run_all(
-            n_values=150, group_size=4, n_requests=2, key_values=2500
-        )
+        payload = module.run_all(n_values=150, group_size=4, n_requests=2)
         assert payload["singleton_fastpath"]["identical_matches"] == 1.0
         assert payload["end_to_end"]["identical_matches"]
         assert all(run["identical_matches"] for run in payload["worker_scaling"]["runs"])
         assert payload["engine_pool"]["identical_results"] == 1.0
-        assert all(run["identical_keys"] for run in payload["surface_keys"]["runs"])
         assert module.report(payload)
         written = module.write_json(payload, str(tmp_path / "BENCH_parallel.json"))
         assert written.exists()

@@ -10,14 +10,11 @@ The scenarios the fault-tolerance layer must hold up under:
   results are byte-identical to a never-failed run.
 
 Every scenario is deterministic (scripted :class:`FaultInjector`, fake
-clock, no wall-time dependence) and runs under the executor backend named
-by ``REPRO_CHAOS_BACKEND`` (the CI chaos job sets ``thread`` and
-``process``; the default here is ``thread``).
+clock, no wall-time dependence) and runs on the thread backend with two
+workers.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -27,7 +24,7 @@ from repro.embeddings.resilient import EmbedderUnavailable, ResilientEmbedder
 from repro.table import Table
 from repro.testing import FaultInjector, FaultyEmbedder
 
-BACKEND = os.environ.get("REPRO_CHAOS_BACKEND", "thread")
+BACKEND = "thread"
 
 
 def _tables():

@@ -32,10 +32,10 @@ class TestParser:
 
     def test_workers_flag(self):
         args = build_parser().parse_args(
-            ["integrate", "somewhere.csv", "--workers", "4", "--parallel-backend", "process"]
+            ["integrate", "somewhere.csv", "--workers", "4", "--parallel-backend", "serial"]
         )
         assert args.max_workers == 4
-        assert args.parallel_backend == "process"
+        assert args.parallel_backend == "serial"
         assert {"max_workers", "parallel_backend"} <= args._explicit
 
     def test_invalid_backend_rejected(self):
@@ -62,6 +62,21 @@ class TestParser:
     def test_benchmark_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["benchmark", "unknown-experiment"])
+
+    def test_process_backend_is_no_longer_a_choice(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["integrate", "x.csv", "--parallel-backend", "process"])
+
+    def test_serve_processes_flag(self):
+        assert build_parser().parse_args(["serve"]).processes is None
+        args = build_parser().parse_args(["serve", "--processes", "3", "--workers", "2"])
+        assert (args.processes, args.max_workers) == (3, 2)
+        # A deployment flag, not a config knob: it never reaches FuzzyFDConfig.
+        assert "processes" not in args._explicit
+
+    def test_serve_rejects_zero_processes_before_booting(self, capsys):
+        with pytest.raises(SystemExit, match="--processes must be >= 1"):
+            main(["serve", "--processes", "0"])
 
 
 class TestIntegrateCommand:

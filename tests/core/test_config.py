@@ -103,10 +103,10 @@ class TestEagerValidation:
         assert FuzzyFDConfig.from_dict(data) == config
 
     def test_parallel_knobs_serialise_and_round_trip(self):
-        config = FuzzyFDConfig(max_workers=4, parallel_backend="process")
+        config = FuzzyFDConfig(max_workers=4, parallel_backend="serial")
         data = config.to_dict()
         assert data["max_workers"] == 4
-        assert data["parallel_backend"] == "process"
+        assert data["parallel_backend"] == "serial"
         assert FuzzyFDConfig.from_dict(data) == config
 
     def test_executor_config_reflects_knobs(self):
@@ -121,7 +121,7 @@ class TestEagerValidation:
             FuzzyFDConfig(fd_algorithm="partitioned", max_workers=workers, parallel_backend=backend)
             .resolve_fd_algorithm()
             .integrate(covid_tables)
-            for workers, backend in ((1, "thread"), (5, "thread"), (2, "process"))
+            for workers, backend in ((1, "thread"), (5, "thread"), (2, "serial"))
         ]
         for result in results[1:]:
             assert result.table.rows == results[0].table.rows

@@ -329,7 +329,7 @@ class TestParallelConfigKnobs:
         engine = IntegrationEngine(FuzzyFDConfig(fd_algorithm="partitioned"))
         default = engine.integrate([left, right])
         assert default.fd_result.statistics["components"] == 10.0
-        for overrides in ({"max_workers": 4}, {"max_workers": 2, "parallel_backend": "process"}):
+        for overrides in ({"max_workers": 4}, {"max_workers": 2, "parallel_backend": "serial"}):
             pooled = engine.integrate([left, right], **overrides)
             assert (pooled.table.rows, pooled.table.provenance) == (
                 default.table.rows,

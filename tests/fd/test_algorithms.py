@@ -73,7 +73,7 @@ class TestPartitionedStatistics:
 
         tables = self._disjoint_tables()
         serial = FuzzyFDConfig(fd_algorithm="partitioned", max_workers=1)
-        parallel = FuzzyFDConfig(fd_algorithm="partitioned", max_workers=4, parallel_backend="process")
+        parallel = FuzzyFDConfig(fd_algorithm="partitioned", max_workers=4, parallel_backend="thread")
         serial, parallel = (
             config.resolve_fd_algorithm().integrate(tables) for config in (serial, parallel)
         )

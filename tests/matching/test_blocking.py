@@ -238,42 +238,3 @@ class TestValueBlockerKeyMemo:
         assert len(blocker._key_memo) <= 4
         # Evicted entries are simply recomputed on demand.
         assert blocker.keys("value 0") == ValueBlocker().keys("value 0")
-
-    def test_parallel_key_generation_matches_serial(self, monkeypatch):
-        import repro.matching.blocking as blocking_module
-        from repro.utils.executor import ExecutorConfig
-
-        monkeypatch.setattr(blocking_module, "PARALLEL_KEYS_MIN_VALUES", 8)
-        values = [f"city number {index}" for index in range(600)]
-        serial = ValueBlocker()
-        parallel = ValueBlocker(
-            executor=ExecutorConfig(backend="process", max_workers=2)
-        )
-
-        expected = serial._value_keys(values)
-
-        # Any in-process key computation after this point would be recorded;
-        # the fan-out must come back from the worker processes instead.
-        calls = []
-        monkeypatch.setattr(
-            blocking_module,
-            "_surface_keys_for_text",
-            lambda normalised, **kwargs: calls.append(normalised),
-        )
-        assert parallel._value_keys(values) == expected
-        assert calls == []
-
-    def test_parallel_candidate_pairs_match_serial(self, monkeypatch):
-        import repro.matching.blocking as blocking_module
-        from repro.utils.executor import ExecutorConfig
-
-        monkeypatch.setattr(blocking_module, "PARALLEL_KEYS_MIN_VALUES", 8)
-        left = [f"station {index}" for index in range(300)]
-        right = [f"station {index}" for index in range(150, 450)]
-        serial = ValueBlocker()
-        parallel = ValueBlocker(
-            executor=ExecutorConfig(backend="process", max_workers=2)
-        )
-        assert list(parallel.iter_candidate_pairs(left, right)) == list(
-            serial.iter_candidate_pairs(left, right)
-        )

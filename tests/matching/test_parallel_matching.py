@@ -42,7 +42,7 @@ def _exact(matches):
 class TestBackendDeterminism:
     @pytest.mark.parametrize(
         "backend,workers",
-        [("serial", 1), ("thread", 2), ("thread", 4), ("process", 2), ("process", 4)],
+        [("serial", 1), ("thread", 2), ("thread", 4)],
     )
     def test_every_backend_matches_the_serial_path_exactly(self, embedder, backend, workers):
         left, right = _workload()

@@ -304,7 +304,7 @@ class TestScoredEdgeSeam:
                     abs=1e-12,
                 )
 
-    @pytest.mark.parametrize("backend,workers", [("thread", 3), ("process", 2)])
+    @pytest.mark.parametrize("backend,workers", [("thread", 3)])
     def test_backends_agree_on_scored_edges(self, backend, workers):
         embedder = MistralEmbedder()
         left, right = _workload()

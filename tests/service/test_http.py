@@ -164,6 +164,90 @@ class TestEndpoints:
         assert body["max_pending"] == 0
 
 
+async def _raw_exchange(port: int, blob: bytes):
+    """Send ``blob`` as is, keep the connection open, read the answer.
+
+    Returns ``(status, json body)``, or ``(None, None)`` when the server
+    closed without answering.  A server that never answers fails the test
+    through the client-side timeout instead of hanging it.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(blob)
+    await writer.drain()
+    try:
+        raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+    finally:
+        writer.close()
+    if not raw:
+        return None, None
+    header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
+    return int(header_blob.split(b" ", 2)[1]), json.loads(body_blob.decode())
+
+
+def _post_raw(body: bytes, content_length: int | None = None) -> bytes:
+    length = len(body) if content_length is None else content_length
+    return b"POST /integrate HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % length + body
+
+
+class TestHostileInput:
+    """Malformed or slow requests get a typed answer, never a dropped connection."""
+
+    def test_negative_content_length_is_400(self):
+        async def scenario(port, service):
+            return await _raw_exchange(port, _post_raw(b"{}", content_length=-5))
+
+        status, body = _run(scenario)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    @pytest.mark.parametrize("row", [5, "xy", {"a": 1}], ids=["number", "string", "object"])
+    def test_row_that_is_not_a_list_is_400_naming_table_and_row(self, row):
+        payload = {
+            "tables": [
+                {"name": "a", "columns": ["a"], "rows": [["ok"]]},
+                {"name": "b", "columns": ["a"], "rows": [["ok"], row]},
+            ]
+        }
+
+        async def scenario(port, service):
+            return await _raw_exchange(port, _post_raw(json.dumps(payload).encode()))
+
+        status, body = _run(scenario)
+        assert status == 400
+        assert "tables[1].rows[1]" in body["error"]
+
+    def test_request_line_over_the_stream_limit_is_400(self):
+        async def scenario(port, service):
+            return await _raw_exchange(port, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+
+        status, body = _run(scenario)
+        assert status == 400
+        assert body["status"] == "error"
+
+    def test_truncated_body_is_408(self, monkeypatch):
+        import repro.service.http as http_module
+
+        monkeypatch.setattr(http_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+
+        async def scenario(port, service):
+            return await _raw_exchange(port, _post_raw(b'{"tables": [', content_length=100))
+
+        status, body = _run(scenario)
+        assert status == 408
+        assert body["status"] == "error"
+
+    def test_silent_client_is_408(self, monkeypatch):
+        import repro.service.http as http_module
+
+        monkeypatch.setattr(http_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+
+        async def scenario(port, service):
+            return await _raw_exchange(port, b"")
+
+        status, _body = _run(scenario)
+        assert status == 408
+
+
 class TestJsonTables:
     def test_nulls_serialise_as_none(self):
         table = Table("t", ["a", "b"], [(NULL, 1), (LabeledNull(7), "x")])
@@ -176,6 +260,10 @@ class TestJsonTables:
         )
         assert table.rows[0][0] is NULL
         assert table.rows[1][0] == "x"
+
+    def test_non_list_row_names_its_table_and_position(self):
+        with pytest.raises(BadRequest, match=r"tables\[0\]\.rows\[1\] must be a list of cells, got str"):
+            tables_from_json([{"columns": ["a", "b"], "rows": [["x", "y"], "xy"]}])
 
     def test_default_table_names(self):
         [table] = tables_from_json([{"columns": ["a"], "rows": []}])

@@ -77,7 +77,7 @@ def _serialise(table: Table) -> bytes:
 
 
 class TestServiceEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("with_store", [False, True])
     def test_response_is_byte_identical_to_direct_engine(
         self, tmp_path, backend, with_store

@@ -127,7 +127,7 @@ class TestWarmStart:
 
 
 class TestResultIdentity:
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 4), ("process", 2)])
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 4)])
     def test_store_on_off_cold_warm_identical(self, tmp_path, tables, backend, workers):
         knobs = dict(
             blocking="on",

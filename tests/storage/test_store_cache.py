@@ -154,6 +154,36 @@ class TestConcurrency:
         assert reader.cold_rows == 2
         assert reader.refresh() == 0  # idempotent
 
+    def test_a_missing_batch_reattaches_a_siblings_publication(self, tmp_path):
+        # Two engines on one directory, as two `repro serve` processes are.
+        reader = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        writer = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(writer, ["alpha", "beta"])
+        writer.publish()
+        out = np.empty((4, 8))
+        missing = reader.fill_many("mistral", ["alpha", "beta", "alpha", "new"], out)
+        assert missing == [3]
+        assert np.allclose(out[0], writer.get("mistral", "alpha"))
+        assert np.allclose(out[2], out[0])
+        # Found on re-attach: store hits (one promotion per text, then a hot
+        # hit), and only the text nobody published is a miss.
+        assert (reader.store_hits, reader.hits, reader.misses, reader.store_misses) == (2, 1, 1, 1)
+
+    def test_a_batch_without_misses_never_lists_the_store(self, tmp_path, monkeypatch):
+        seed = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(seed, ["alpha"])
+        seed.publish()
+        cache = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        listings = []
+        real = cache.store.list_embedding_segments
+        monkeypatch.setattr(
+            cache.store, "list_embedding_segments", lambda fp: listings.append(fp) or real(fp)
+        )
+        cache.fill_many("mistral", ["alpha", "alpha"], np.empty((2, 8)))
+        assert listings == []
+        cache.fill_many("mistral", ["unseen"], np.empty((1, 8)))
+        assert len(listings) == 1
+
     def test_concurrent_attach_on_one_cache_is_single_counted(self, tmp_path):
         seed = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
         _fill(seed, ["alpha", "beta", "gamma"])

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from repro.utils.executor import (
     EXECUTOR_BACKENDS,
     ExecutorConfig,
-    contiguous_ranges,
     partition_batches,
     run_partitioned,
 )
 
 
 def _square(value: int) -> int:
-    """Module-level so the process backend can pickle it."""
     return value * value
 
 
@@ -34,6 +32,12 @@ class TestExecutorConfig:
     def test_unknown_backend_rejected_eagerly(self):
         with pytest.raises(ValueError, match="backend"):
             ExecutorConfig(backend="gpu")
+
+    def test_there_is_no_process_backend(self):
+        # Process-level parallelism is `repro serve --processes`, not a backend.
+        assert EXECUTOR_BACKENDS == ("serial", "thread")
+        with pytest.raises(ValueError, match="backend"):
+            ExecutorConfig(backend="process")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -80,7 +84,7 @@ class TestPartitionBatches:
 
 
 class TestRunPartitioned:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_results_in_input_order(self, backend):
         config = ExecutorConfig(backend=backend, max_workers=2, batch_size=3,
                                 min_parallel_items=0)
@@ -116,30 +120,3 @@ class TestRunPartitioned:
         config = ExecutorConfig(backend="thread", max_workers=workers,
                                 batch_size=batch_size, min_parallel_items=0)
         assert run_partitioned(items, _square, config) == [_square(item) for item in items]
-
-
-class TestContiguousRanges:
-    def test_empty_and_negative_counts(self):
-        config = ExecutorConfig(max_workers=4)
-        assert contiguous_ranges(0, config) == []
-        assert contiguous_ranges(-3, config) == []
-
-    def test_spans_cover_exactly_once_in_order(self):
-        config = ExecutorConfig(backend="process", max_workers=3)
-        spans = contiguous_ranges(10_000, config, min_chunk=128)
-        flattened = [i for start, stop in spans for i in range(start, stop)]
-        assert flattened == list(range(10_000))
-
-    def test_min_chunk_respected(self):
-        config = ExecutorConfig(backend="process", max_workers=8)
-        spans = contiguous_ranges(1_000, config, min_chunk=256)
-        assert all(stop - start <= 256 for start, stop in spans)
-        assert all(stop - start == 256 for start, stop in spans[:-1])
-
-    def test_small_counts_collapse_to_single_span(self):
-        config = ExecutorConfig(max_workers=2)
-        assert contiguous_ranges(10, config, min_chunk=256) == [(0, 10)]
-
-    def test_invalid_min_chunk_rejected(self):
-        with pytest.raises(ValueError, match="min_chunk"):
-            contiguous_ranges(10, ExecutorConfig(), min_chunk=0)
