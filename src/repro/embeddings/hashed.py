@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.embeddings.base import ValueEmbedder
 from repro.utils.hashing import stable_hash, stable_signs
+from repro.utils.sorting import sorted_unique
 
 #: ``(scale, feature strings)``; the bag's vector is ``scale · Σ direction(feature)``.
 Bag = Tuple[float, Sequence[str]]
@@ -55,7 +56,7 @@ def hashed_feature_rows(texts_bags: Sequence[Sequence[Bag]], dimension: int) -> 
     # into one (bags, size, d) block of sign rows and summed in integers —
     # exact, unlike a float accumulation, whose bits would depend on the
     # order in which the call first saw each feature.
-    for size in np.unique(sizes[sizes > 0]):
+    for size in sorted_unique(sizes[sizes > 0]):
         bags = np.flatnonzero(sizes == size)
         block = members[starts[bags][:, None] + np.arange(size)]
         sums[bags] = signs[block].sum(axis=1, dtype=np.int32)

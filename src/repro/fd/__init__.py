@@ -24,7 +24,7 @@ definition-level oracles (``naive``, ``outer_join_sequence``):
   connected components of the join-value graph apart, a bounded batch of
   them per pass of the kernel; linear where tables of unrelated schemas make
   the whole-input closure quadratic.
-* :class:`~repro.fd.parallel.PartitionedFullDisjunction` — the incremental
+* :class:`~repro.fd.incremental.PartitionedFullDisjunction` — the incremental
   algorithm under the registry name of the former worker-pool variant (a
   batch of components closes faster than a pool is handed them).
 * :class:`~repro.fd.iterator.StreamingFullDisjunction` — the incremental
@@ -35,8 +35,7 @@ definition-level oracles (``naive``, ``outer_join_sequence``):
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult
 from repro.fd.naive import NaiveFullDisjunction, OuterJoinSequence
 from repro.fd.alite import AliteFullDisjunction
-from repro.fd.incremental import IncrementalFullDisjunction
-from repro.fd.parallel import PartitionedFullDisjunction
+from repro.fd.incremental import IncrementalFullDisjunction, PartitionedFullDisjunction
 from repro.fd.iterator import StreamingFullDisjunction
 from repro.registry import Registry
 

@@ -23,7 +23,6 @@ class AliteFullDisjunction(FullDisjunctionAlgorithm):
     """Outer union → indexed complementation closure → subsumption removal."""
 
     name = "alite"
-    subsumption_free = True
 
     def __init__(
         self,

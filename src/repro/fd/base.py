@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
 from repro.table.operations import outer_union
-from repro.table.subsumption import remove_subsumed
 from repro.table.table import Table
 
 
@@ -46,16 +45,13 @@ class FullDisjunctionResult:
 class FullDisjunctionAlgorithm(abc.ABC):
     """Base class for Full Disjunction implementations.
 
-    Subclasses implement :meth:`_integrate` over an outer-unioned table and
-    inherit input validation, provenance bookkeeping, timing and final
-    subsumption removal from :meth:`integrate`.
+    Subclasses implement :meth:`_integrate`, which returns the Full
+    Disjunction itself (no subsumed tuples), and inherit input validation,
+    provenance bookkeeping and timing from :meth:`integrate`.
     """
 
     #: Short registry name; subclasses override.
     name: str = "abstract"
-    #: Whether ``_integrate`` already returns a table without subsumed tuples.
-    #: False is the safe default for algorithms registered from outside.
-    subsumption_free: bool = False
 
     def __init__(self, result_name: str = "full_disjunction") -> None:
         self.result_name = result_name
@@ -77,8 +73,6 @@ class FullDisjunctionAlgorithm(abc.ABC):
         start = time.perf_counter()
         statistics: Dict[str, float] = {}
         integrated = self._integrate(prepared, statistics)
-        if not self.subsumption_free:
-            integrated = remove_subsumed(integrated)
         elapsed = time.perf_counter() - start
         integrated = integrated.with_name(self.result_name)
         return FullDisjunctionResult(
@@ -96,7 +90,7 @@ class FullDisjunctionAlgorithm(abc.ABC):
     # -- extension point -------------------------------------------------------------
     @abc.abstractmethod
     def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
-        """Produce the (possibly not yet subsumption-free) integrated table."""
+        """Produce the integrated table, without subsumed tuples."""
 
     # -- shared helpers ---------------------------------------------------------------
     @staticmethod

@@ -13,13 +13,13 @@ terminates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.table.coded import PairPostings, decode_rows, encode_rows, span_blocks, tuple_keys
-from repro.table.subsumption import reduce_coded, subsumers, union_sources
-from repro.table.table import Provenance, RowValues, Table
+from repro.table.coded import PairPostings, TupleIndex, decode_rows, encode_rows, span_blocks
+from repro.table.subsumption import subsumers, survivor, union_sources
+from repro.table.table import Provenance, RowValues
 from repro.utils.components import component_labels
 
 
@@ -70,16 +70,9 @@ class ComplementationEngine:
         if not rows:
             return [], []
         codes, values = encode_rows(rows, len(rows[0]))
-        closed = self.close_coded(codes, statistics)
+        closed = self.close_coded(codes, statistics)[0]
         empty_to = np.flatnonzero((closed < 0).all(axis=0))
         return decode_rows(closed, values), subsumed_sources(closed, codes, provenance, empty_to)[0]
-
-    def close_table(self, table: Table, statistics: Dict[str, float] | None = None) -> Table:
-        """Close a whole (outer-unioned) table under complementation."""
-        if table.provenance is None:
-            table = table.with_default_provenance()
-        rows, provenance = self.close(table.rows, table.provenance, statistics)
-        return Table(table.name, table.schema, rows, provenance=provenance)
 
     def disjunction_coded(
         self,
@@ -96,10 +89,14 @@ class ComplementationEngine:
         component by component in label order, each component's in closure
         order: what closing the components one after the other would list.
         """
-        closed = self.close_coded(codes, statistics)
-        kept, stands_for = reduce_coded(closed)
-        # Fully-null inputs ride on the survivor standing for the closure's fully-null tuple.
-        empty_to = np.searchsorted(kept, stands_for[(closed < 0).all(axis=0)])
+        closed, subsumed = self.close_coded(codes, statistics)
+        kept = np.flatnonzero(~subsumed)
+        # Fully-null inputs ride on the survivor standing for the closure's
+        # fully-null tuple, which the first other tuple absorbs, as in
+        # :func:`~repro.table.subsumption.reduce_coded`.
+        empty = np.flatnonzero((closed < 0).all(axis=0)).tolist()
+        starts = [int(index == 0) if subsumed[index] else index for index in empty]
+        empty_to = np.searchsorted(kept, [survivor(closed, subsumed, start) for start in starts])
         survivors = closed[:, kept]
         sources, stem = subsumed_sources(survivors, codes, provenance, empty_to)
         if labels is not None:
@@ -109,33 +106,29 @@ class ComplementationEngine:
 
     def close_coded(
         self, codes: np.ndarray, statistics: Dict[str, float] | None = None
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`close` over a ``(width, rows)`` code matrix, coded in and out.
 
-        Provenance is not carried through: a closed tuple stems from the
-        inputs it subsumes (:func:`subsumed_sources`).
+        Also returns, per closed tuple, whether another closed tuple strictly
+        subsumes it.  Provenance is not carried through: a closed tuple stems
+        from the inputs it subsumes (:func:`subsumed_sources`).
         """
         statistics = statistics if statistics is not None else {}
         width = codes.shape[0]
         codes_per_column = codes.max(axis=1, initial=-1) + 1
+        known = TupleIndex(codes_per_column)
         data = np.empty((width, max(16, 2 * codes.shape[1])), dtype=np.int32)
-        known: Set[bytes] = set()
 
         def add(columns: np.ndarray) -> None:
             """Append those of the ``(width, n)`` coded tuples that are not known yet."""
             nonlocal data
             start = len(known)
-            fresh = []
-            for offset, key in enumerate(tuple_keys(columns)):
-                if key in known:
-                    continue
-                if len(known) >= self.max_tuples:
-                    raise RuntimeError(
-                        f"complementation closure exceeded {self.max_tuples} tuples; "
-                        "the input is pathological for Full Disjunction"
-                    )
-                known.add(key)
-                fresh.append(offset)
+            fresh = known.add(columns)[1]
+            if len(known) > self.max_tuples:
+                raise RuntimeError(
+                    f"complementation closure exceeded {self.max_tuples} tuples; "
+                    "the input is pathological for Full Disjunction"
+                )
             if len(known) > data.shape[1]:
                 grown = np.empty((width, 2 * len(known)), dtype=np.int32)
                 grown[:, :start] = data[:, :start]
@@ -145,6 +138,7 @@ class ComplementationEngine:
         add(codes)
         merges = 0
         comparisons = 0
+        subsumed = [np.empty(0, dtype=np.intp)]  # tuples another one strictly subsumes
         # Candidates tested and ruled out at each position so far: the
         # positions that rule out the most go first, the rest see fewer.
         tested, conflicting = np.ones(width), np.zeros(width)
@@ -192,16 +186,27 @@ class ComplementationEngine:
                 # A partner holds the owner's code or null wherever the owner is
                 # non-null, so the merge is the larger code; it is one of the
                 # two (a known tuple) unless each side adds a value to the other.
+                owner_information, candidate_information = information[owner], information[candidate]
+                novel = (shared > 0) & (shared < np.minimum(owner_information, candidate_information))
+                # A novel merge subsumes both sides; a side whose values are all
+                # shared is subsumed by the other.
+                subsumed.append(owner[novel | (shared == owner_information)])
+                subsumed.append(candidate[novel | (shared == candidate_information)])
                 # An owner's merges are taken in partner order, as if tested one by one.
-                novel = (shared > 0) & (shared < np.minimum(information[owner], information[candidate]))
-                order = np.lexsort((candidate[novel], owner[novel]))
-                owner, candidate = owner[novel][order], candidate[novel][order]
+                owner, candidate = owner[novel], candidate[novel]
+                order = np.argsort(owner * count + candidate, kind="stable")
+                owner, candidate = owner[order], candidate[order]
                 add(np.maximum(data[:, owner], data[:, candidate]))
 
         for name, value in (("comparisons", comparisons), ("merges", merges), ("tuples", len(known))):
             key = f"complementation_{name}"
             statistics[key] = statistics.get(key, 0.0) + float(value)
-        return data[:, : len(known)]
+        closed = data[:, : len(known)]
+        mask = np.zeros(len(known), dtype=bool)
+        mask[np.concatenate(subsumed)] = True
+        # A fully-null tuple is subsumed by any other; it is never a partner.
+        mask[(closed < 0).all(axis=0)] = len(known) > 1
+        return closed, mask
 
 
 def subsumed_sources(

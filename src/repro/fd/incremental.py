@@ -52,7 +52,6 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
     the order of their first input tuples, each in closure order."""
 
     name = "incremental"
-    subsumption_free = True
     #: Close the components smallest first instead of in input order.
     largest_components_last = False
 
@@ -111,3 +110,11 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
 
     def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
         return self._collect(self._outer_union(tables), statistics)
+
+
+class PartitionedFullDisjunction(IncrementalFullDisjunction):
+    """The incremental algorithm under the registry name of the former
+    worker-pool variant, which configurations and the ``scale`` preset use: a
+    batch of components closes faster than a pool is handed them."""
+
+    name = "partitioned"

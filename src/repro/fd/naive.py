@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence, Set
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.table.nulls import NULL, is_null
 from repro.table.operations import full_outer_join, outer_union
+from repro.table.subsumption import remove_subsumed
 from repro.table.table import CellValue, Provenance, RowValues, Table
 
 
@@ -104,7 +105,7 @@ class NaiveFullDisjunction(FullDisjunctionAlgorithm):
         statistics["complementation_tuples"] = float(len(known))
         rows: List[RowValues] = list(known.keys())
         prov: List[Provenance] = [frozenset(known[values]) for values in rows]
-        return Table(self.result_name, union.schema, rows, provenance=prov)
+        return remove_subsumed(Table(self.result_name, union.schema, rows, provenance=prov))
 
 
 class OuterJoinSequence(FullDisjunctionAlgorithm):
@@ -137,5 +138,4 @@ class OuterJoinSequence(FullDisjunctionAlgorithm):
                 joined = full_outer_join(joined, tables[table_index])
             partial_results.append(joined)
         statistics["join_orders"] = float(orders)
-        combined = outer_union(partial_results, name=self.result_name)
-        return combined
+        return remove_subsumed(outer_union(partial_results, name=self.result_name))

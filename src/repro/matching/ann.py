@@ -95,6 +95,7 @@ from repro.storage.fingerprint import (
     ivf_params_fingerprint,
 )
 from repro.storage.store import ArtifactStore
+from repro.utils.sorting import first_of_runs, sorted_unique
 
 #: Default number of LSH hash tables.  More tables raise recall (a pair only
 #: needs to collide once) at linearly more probing work.
@@ -189,17 +190,6 @@ def _expand_spans(
     per_query = lengths.reshape(n_queries, -1).sum(axis=1)
     query_ids = np.repeat(np.arange(n_queries, dtype=np.int64), per_query)
     return query_ids, np.asarray(order, dtype=np.int64)[flat]
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sort a fresh key array in place and drop its repeats.
-
-    What ``np.unique`` returns, without its hash pass — more than ten times
-    slower than this at probe volumes (hundreds of thousands to millions of
-    keys), where the sort also reuses the caller's concatenation buffer.
-    """
-    keys.sort()
-    return keys[np.r_[True, keys[1:] != keys[:-1]][: len(keys)]]
 
 
 def pairs_from_keys(keys: np.ndarray, n_right: int) -> List[Tuple[int, int]]:
@@ -327,7 +317,7 @@ def scored_candidates(
     # the top-k proposed it.
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first_of_run = np.r_[True, keys[1:] != keys[:-1]][: len(keys)]
+    first_of_run = first_of_runs(keys)
     last_of_run = np.r_[first_of_run[1:], True][: len(keys)]
     semantic = (order >= len(surface_keys))[last_of_run]
     return keys[first_of_run], similarities[order][first_of_run], semantic
@@ -635,7 +625,7 @@ class SemanticBlocker:
             left_texts = right_texts = None  # fingerprints unused
         semantic_keys = self._indexed_pairs(left_vectors, right_vectors, left_texts, right_texts)
         self.last_semantic_pairs = len(semantic_keys)
-        keys = _sorted_unique(np.concatenate((surface_keys, semantic_keys)))
+        keys = sorted_unique(np.concatenate((surface_keys, semantic_keys)))
         left_ids, right_ids = np.divmod(keys, len(right_values))
         return keys, _pair_similarities(left_ids, right_ids, left_vectors, right_vectors)
 
@@ -695,7 +685,7 @@ class SemanticBlocker:
         else:
             forward = self._ivf_probe(left_vectors, right_vectors, right_texts)
             reverse = self._ivf_probe(right_vectors, left_vectors, left_texts)
-        return _sorted_unique(
+        return sorted_unique(
             np.concatenate((forward, reverse % n_left * n_right + reverse // n_left))
         )
 
@@ -711,8 +701,8 @@ class SemanticBlocker:
             return 0.0
         worst = 0
         for table_codes in codes:
-            _, counts = np.unique(np.asarray(table_codes), return_counts=True)
-            worst = max(worst, int(counts.max()))
+            starts = np.flatnonzero(first_of_runs(np.sort(table_codes)))
+            worst = max(worst, int(np.diff(starts, append=n_values).max()))
         return worst / n_values
 
     # -- LSH index --------------------------------------------------------------------
@@ -828,7 +818,7 @@ class SemanticBlocker:
                 hi = np.searchsorted(sorted_codes, probes, side="right")
             query_ids, candidate_ids = _expand_spans(lo, hi, order)
             key_parts.append(query_ids * n_index + candidate_ids)
-        keys = _sorted_unique(np.concatenate(key_parts))
+        keys = sorted_unique(np.concatenate(key_parts))
         return keys // n_index, keys % n_index
 
     # -- IVF index --------------------------------------------------------------------
@@ -910,7 +900,7 @@ class SemanticBlocker:
         # the point is the (query, candidate) order the selection's
         # tie-breaking relies on.
         n_index = index_vectors.shape[0]
-        keys = _sorted_unique(query_ids * n_index + candidate_ids)
+        keys = sorted_unique(query_ids * n_index + candidate_ids)
         return self._select_top_k(
             keys // n_index, keys % n_index, query_vectors, index_vectors
         )

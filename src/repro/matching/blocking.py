@@ -95,13 +95,13 @@ from repro.matching.ann import (
     SemanticBlocker,
     _expand_spans,
     _pair_similarities,
-    _sorted_unique,
     pairs_from_keys,
 )
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
 from repro.matching.bipartite import ValueMatch, split_exact_matches
 from repro.utils.components import component_labels
 from repro.utils.executor import ExecutorConfig, run_partitioned
+from repro.utils.sorting import first_of_runs, sorted_unique
 from repro.utils.text import character_ngrams, normalize_value, tokenize
 
 #: Cost written into cells the assignment must never select (non-candidate
@@ -528,8 +528,8 @@ class ValueBlocker:
         slabs = []
         for start, stop in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             entry, right = _expand_spans(lo[start:stop, None], hi[start:stop, None], posting_order)
-            slabs.append(_sorted_unique(entry_left[start:stop][entry] * n_right + right))
-        return slabs[0] if len(slabs) == 1 else _sorted_unique(np.concatenate(slabs))
+            slabs.append(sorted_unique(entry_left[start:stop][entry] * n_right + right))
+        return slabs[0] if len(slabs) == 1 else sorted_unique(np.concatenate(slabs))
 
 
 def _solve_component(
@@ -721,9 +721,7 @@ class BlockedValueMatcher:
         # Stable sort by (group, distance): the first row of each group is its
         # cheapest cell, ties resolved by candidate order — deterministic.
         order = np.lexsort((distances, groups))
-        is_first = np.ones(len(order), dtype=bool)
-        is_first[1:] = groups[order][1:] != groups[order][:-1]
-        winners = order[is_first]
+        winners = order[first_of_runs(groups[order])]
         winners = winners[distances[winners] < self.threshold]
         return list(
             zip(pair_left[winners].tolist(), pair_right[winners].tolist(), distances[winners].tolist())

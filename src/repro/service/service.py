@@ -42,7 +42,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
-import numpy.ma  # noqa: F401 — np.unique loads it lazily; a server pays at boot, not in a request
 
 from repro.core.config import FuzzyFDConfig
 from repro.core.engine import FuzzyIntegrationResult, IntegrationEngine

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.table.nulls import NULL, is_null
 from repro.table.table import CellValue, RowValues
+from repro.utils.sorting import first_of_runs, sorted_unique
 
 #: ``values[position][code]`` is the cell value a code of a column stands for.
 CodeValues = List[List[CellValue]]
@@ -62,7 +63,8 @@ def compact_codes(codes: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
     compact = np.empty_like(codes)
     present = []
     for position, column in enumerate(codes):
-        old, compact[position] = np.unique(column, return_inverse=True)
+        old = sorted_unique(column.copy())
+        compact[position] = np.searchsorted(old, column)
         if old.size and old[0] < 0:
             compact[position] -= 1
             old = old[1:]
@@ -70,11 +72,63 @@ def compact_codes(codes: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
     return compact, present
 
 
-def tuple_keys(codes: np.ndarray) -> List[bytes]:
-    """One hashable key per coded tuple (per column of ``codes``)."""
-    stride = codes.itemsize * codes.shape[0]
-    raw = codes.T.tobytes()
-    return [raw[index * stride : (index + 1) * stride] for index in range(codes.shape[1])]
+class TupleIndex:
+    """The distinct coded tuples seen so far, numbered in order of first occurrence.
+
+    Exact, with nothing hashed: cell ``p`` is the digit ``code + 1`` of radix
+    ``codes_per_column[p] + 1``, and the digits pack, widest first, into the
+    first int64 word whose radix (the product of its digits' radices) stays
+    below 2^63, or 2^31 for every word but the first.  Each word keeps its
+    keys seen so far sorted beside their numbers; a later word's key is the
+    number of the tuple's prefix before it times the word's radix plus the
+    word, and the last word's numbers number the tuples.
+    """
+
+    def __init__(self, codes_per_column: np.ndarray) -> None:
+        digits = (codes_per_column + 1).tolist()
+        rows, self.radices = [[0] * len(digits)], [1]
+        for position in sorted(range(len(digits)), key=lambda position: -digits[position]):
+            fits = (word for word, radix in enumerate(self.radices) if radix * digits[position] < 2 ** (31 if word else 63))
+            word = next(fits, len(rows))
+            if word == len(rows):
+                rows.append([0] * len(digits))
+                self.radices.append(1)
+            rows[word][position] = self.radices[word]
+            self.radices[word] *= digits[position]
+        #: ``multipliers @ (codes + 1)`` are the words of every tuple.
+        self.multipliers = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        # A sentinel above every key ends each word's sorted keys.
+        self.keys = [np.array([np.iinfo(np.int64).max])] * len(rows)
+        self.numbers = [np.array([-1])] * len(rows)
+
+    def __len__(self) -> int:
+        return self.numbers[-1].size - 1
+
+    def add(self, columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Learn the ``(width, n)`` coded tuples: the number of each, and where
+        the ones not seen before first occur, ascending."""
+        words = self.multipliers @ (columns + 1)
+        key = words[0]
+        for word in range(1, len(words)):
+            key = self._number(word - 1, key)[0] * self.radices[word] + words[word]
+        return self._number(len(words) - 1, key)
+
+    def _number(self, word: int, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(keys)
+        ordered = keys[order]
+        head = first_of_runs(ordered)
+        starts = np.flatnonzero(head)
+        distinct, first = ordered[starts], np.minimum.reduceat(order, starts)
+        at = np.searchsorted(self.keys[word], distinct)
+        number = self.numbers[word][at]
+        new = np.flatnonzero(self.keys[word][at] != distinct)
+        rank = np.argsort(first[new])
+        number[new[rank]] = len(self.numbers[word]) - 1 + np.arange(new.size)
+        self.keys[word] = np.insert(self.keys[word], at[new], distinct[new])
+        self.numbers[word] = np.insert(self.numbers[word], at[new], number[new])
+        numbered = np.empty(keys.size, dtype=np.int64)
+        numbered[order] = number[np.cumsum(head) - 1]
+        return numbered, first[new][rank]
 
 
 class PairPostings:
@@ -124,7 +178,7 @@ def span_blocks(starts: np.ndarray, sizes: np.ndarray) -> Iterator[Tuple[np.ndar
     offsets = ends - sizes
     every = np.arange(0, int(sizes.sum()), PAIR_BLOCK)
     first_spans = (np.searchsorted(offsets, every, side="right") - 1) // per_owner * per_owner
-    bounds = np.unique(first_spans).tolist()
+    bounds = sorted_unique(first_spans).tolist()
     owners = np.arange(sizes.size) // per_owner
     shift = starts - offsets  # a span's indices are the numbers of its entries, shifted
     for low, high in zip(bounds, bounds[1:] + [sizes.size]):

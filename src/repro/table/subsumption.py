@@ -12,9 +12,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.table.coded import PairPostings, encode_rows, span_blocks, tuple_keys
+from repro.table.coded import PairPostings, encode_rows, span_blocks
 from repro.table.nulls import is_null
 from repro.table.table import Provenance, RowValues, Table
+from repro.utils.sorting import first_of_runs
 
 
 def subsumes(superior: RowValues, inferior: RowValues) -> bool:
@@ -77,14 +78,14 @@ def reduce_coded(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     see), and is stood for by the survivor its chain of absorbers ends at.
     """
     count = codes.shape[1]
-    absorbed_by = np.full(count, -1, dtype=np.int64)
+    stride = codes.itemsize * codes.shape[0]
+    raw = codes.T.tobytes()
     first_of: Dict[bytes, int] = {}
-    for index, key in enumerate(tuple_keys(codes)):
-        original = first_of.setdefault(key, index)
-        if original != index:
-            absorbed_by[index] = original
+    keys = (raw[index * stride : (index + 1) * stride] for index in range(count))
+    absorbed_by = np.array([first_of.setdefault(key, index) for index, key in enumerate(keys)], dtype=np.int64)
     del first_of  # as large as the matrix; the peak of this function comes later
-    distinct = np.flatnonzero(absorbed_by < 0)
+    distinct = np.flatnonzero(absorbed_by == np.arange(count))
+    absorbed_by[distinct] = -1
     if distinct.size > 1:
         rows = codes[:, distinct]
         owner, candidate = subsumers(rows, rows)
@@ -92,9 +93,8 @@ def reduce_coded(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         owner, candidate = owner[keep], candidate[keep]
         subsumed = np.zeros(distinct.size, dtype=bool)
         subsumed[owner] = True
-        keep = (candidate > owner) | ~subsumed[candidate]
-        owner, earliest = np.unique(owner[keep], return_index=True)
-        absorbed_by[distinct[owner]] = distinct[candidate[keep][earliest]]
+        owner, candidate = first_absorbers(owner, candidate, subsumed)
+        absorbed_by[distinct[owner]] = distinct[candidate]
         # A fully-null row is subsumed by any row with information.
         empty = distinct[(rows < 0).all(axis=0)]
         absorbed_by[empty] = np.where(empty == distinct[0], distinct[1], distinct[0])
@@ -104,6 +104,28 @@ def reduce_coded(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         stands_for[moving] = absorbed_by[stands_for[moving]]
         moving = moving[absorbed_by[stands_for[moving]] >= 0]
     return np.flatnonzero(absorbed_by < 0), stands_for
+
+
+def first_absorbers(
+    owner: np.ndarray, candidate: np.ndarray, subsumed: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The absorber of each ``owner`` of the pairs ``(owner, candidate)`` of
+    distinct rows, ``candidate`` strictly subsuming ``owner``, sorted by owner,
+    then candidate: its first subsumer that is later or not ``subsumed`` itself."""
+    keep = (candidate > owner) | ~subsumed[candidate]
+    owner, candidate = owner[keep], candidate[keep]
+    earliest = first_of_runs(owner)
+    return owner[earliest], candidate[earliest]
+
+
+def survivor(codes: np.ndarray, subsumed: np.ndarray, index: int) -> int:
+    """The survivor that the chain of :func:`first_absorbers` from the
+    non-null row ``index`` of the distinct rows ``codes`` ends at."""
+    while subsumed[index]:
+        candidate = subsumers(codes[:, [index]], codes)[1]
+        candidate = candidate[candidate != index]
+        index = int(first_absorbers(np.full_like(candidate, index), candidate, subsumed)[1][0])
+    return index
 
 
 def union_sources(

@@ -20,6 +20,13 @@ pinned digests of ``test_complementation`` catch all three as well):
   (value-posting partners then come before smaller null-posting ones);
 * the null posting skipped — ``test_close_equals_the_pairwise_fixpoint``
   (partners that are null at the selective position are never met).
+
+The closure also marks the tuples it strictly subsumes, and its dedup packs
+tuples into exact integer keys.  ``TestSubsumedMaskAndDedup`` holds both
+against the code they replaced: the mask against ``reduce_coded``'s second
+subsumption join, the dedup against the set of byte keys it used to keep.
+Dropping either mark line of the kernel, or numbering a key by its last
+occurrence instead of its first, fails it.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import random
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,12 +45,12 @@ from repro.fd import (
     StreamingFullDisjunction,
     get_algorithm,
 )
-from repro.fd import incremental
-from repro.fd.complementation import ComplementationEngine
+from repro.fd import complementation, incremental
+from repro.fd.complementation import ComplementationEngine, subsumed_sources
 from repro.table import NULL, Table, remove_subsumed, subsumes
 from repro.table import coded
-from repro.table.coded import encode_rows
-from repro.table.subsumption import subsumers
+from repro.table.coded import TupleIndex, encode_rows
+from repro.table.subsumption import reduce_coded, subsumers
 from test_complementation import low_cardinality_rows, reference_closure
 
 
@@ -335,3 +343,128 @@ class TestSubsumptionJoin:
             monkeypatch.setattr(coded, "PAIR_BLOCK", block)
             owner, found = subsumers(inferior, superior)
             assert list(zip(owner.tolist(), found.tolist())) == expected
+
+
+@st.composite
+def closure_inputs(draw):
+    """Coded rows of every shape the closure meets: several schemas (sets of
+    positions a row may hold), duplicates, fully-null rows, no columns at all,
+    and more positions than the 63 bits of the pattern word."""
+    width = draw(st.sampled_from([0, 1, 4, 6, 70]))
+    positions = st.integers(0, max(width - 1, 0)) if width < 70 else st.sampled_from([0, 1, 2, 62, 63, 64, 69])
+    schemas = draw(st.lists(st.lists(positions, min_size=1, max_size=4, unique=True), min_size=1, max_size=3))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["row", "row", "row", "empty", "repeat"]), min_size=1, max_size=10)):
+        if kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "empty" or not width:
+            rows.append((NULL,) * width)
+        else:
+            cells = [NULL] * width
+            for position in draw(st.sampled_from(schemas)):
+                cells[position] = draw(st.sampled_from([NULL, "a", "b"]))
+            rows.append(tuple(cells))
+    return encode_rows(rows, width)[0]
+
+
+@st.composite
+def tuple_batches(draw):
+    """Batches of coded tuples drawn from a small palette (so they repeat within
+    and across batches) over columns of up to 2^31 codes: up to one packed word
+    per column, so several words and their prefixes numbered across batches."""
+    codes_per_column = draw(st.lists(st.sampled_from([0, 1, 2, 1000, (1 << 31) - 1]), max_size=8))
+    cells = [st.integers(-1, count - 1) for count in codes_per_column]
+    palette = draw(st.lists(st.tuples(*cells), min_size=1, max_size=5))
+    return codes_per_column, draw(st.lists(st.lists(st.sampled_from(palette), max_size=12), max_size=6))
+
+
+def reduced_by_the_join(codes, provenance):
+    """Full Disjunction as it was computed before the closure marked what it
+    subsumes: a second subsumption join of the whole closure."""
+    closed, _ = ComplementationEngine().close_coded(codes)
+    kept, stands_for = reduce_coded(closed)
+    empty_to = np.searchsorted(kept, stands_for[(closed < 0).all(axis=0)])
+    survivors = closed[:, kept]
+    return survivors, subsumed_sources(survivors, codes, provenance, empty_to)[0]
+
+
+class SetOfByteKeys:
+    """The closure's dedup before it packed keys: a dict of byte keys, one tuple at a time."""
+
+    def __init__(self, codes_per_column):
+        self.known = {}
+
+    def __len__(self):
+        return len(self.known)
+
+    def add(self, columns):
+        numbers, fresh = [], []
+        for offset, column in enumerate(columns.T):
+            key = column.tobytes()
+            if key not in self.known:
+                self.known[key] = len(self.known)
+                fresh.append(offset)
+            numbers.append(self.known[key])
+        return np.array(numbers, dtype=np.int64), np.array(fresh, dtype=np.intp)
+
+
+class TestSubsumedMaskAndDedup:
+    @BLOCKS
+    @given(codes=closure_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_subsumed_mask_is_what_the_subsumption_join_finds(self, block, codes):
+        provenance = sources_of(range(codes.shape[1]))
+        with blocks_of(block):
+            closed, subsumed = ComplementationEngine().close_coded(codes)
+            kept, _ = reduce_coded(closed)
+            survivors, sources = ComplementationEngine().disjunction_coded(codes, provenance)
+            expected, expected_sources = reduced_by_the_join(codes, provenance)
+        assert np.flatnonzero(~subsumed).tolist() == kept.tolist()
+        assert np.array_equal(survivors, expected) and sources == expected_sources
+
+    def test_each_mark_line_is_needed(self):
+        # The later tuple is subsumed (marked as the owner of the pair), then
+        # the earlier one (marked as the candidate).
+        for rows, subsumed in (([("k", "x"), ("k", NULL)], [False, True]), ([("k", NULL), ("k", "x")], [True, False])):
+            closed, mask = ComplementationEngine().close_coded(encode_rows(rows, 2)[0])
+            assert closed.shape[1] == 2 and mask.tolist() == subsumed
+
+    def test_the_first_survivor_of_a_chain_takes_the_fully_null_rows(self):
+        # Tuple 0 is absorbed by tuple 2, which is absorbed by their merge 4:
+        # the fully-null rows ride on the end of that chain.
+        rows = [("k", NULL, NULL), ("j", "x", NULL), ("k", "x", NULL), (NULL,) * 3, ("k", NULL, "y"), (NULL,) * 3]
+        codes = encode_rows(rows, 3)[0]
+        provenance = sources_of(rows)
+        survivors, sources = ComplementationEngine().disjunction_coded(codes, provenance)
+        expected, expected_sources = reduced_by_the_join(codes, provenance)
+        assert np.array_equal(survivors, expected) and sources == expected_sources
+        assert frozenset({"s3", "s5"}) <= sources[-1]
+
+    @given(stream=tuple_batches())
+    @settings(max_examples=80, deadline=None)
+    def test_dedup_numbers_tuples_like_the_set_loop(self, stream):
+        codes_per_column, batches = stream
+        index, reference = TupleIndex(np.array(codes_per_column)), SetOfByteKeys(codes_per_column)
+        for batch in batches:
+            columns = np.array(batch, dtype=np.int32).reshape(len(batch), len(codes_per_column)).T
+            numbers, fresh = index.add(columns)
+            expected_numbers, expected_fresh = reference.add(columns)
+            assert numbers.tolist() == expected_numbers.tolist() and fresh.tolist() == expected_fresh.tolist()
+            assert len(index) == len(reference)
+
+    @BLOCKS
+    @given(codes=closure_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_closure_and_bound_match_the_set_loop(self, block, codes):
+        with blocks_of(block):
+            closed, subsumed = ComplementationEngine().close_coded(codes)
+            with patch.object(complementation, "TupleIndex", SetOfByteKeys):
+                expected_closed, expected_subsumed = ComplementationEngine().close_coded(codes)
+            assert np.array_equal(closed, expected_closed) and np.array_equal(subsumed, expected_subsumed)
+            # The set loop raised on the first tuple past the bound: every bound
+            # below the closure's size stops it inside a generation (and, with
+            # small blocks, inside a block); its size does not.
+            for bound in range(1, closed.shape[1]):
+                with pytest.raises(RuntimeError, match=f"exceeded {bound} tuples"):
+                    ComplementationEngine(bound).close_coded(codes)
+            ComplementationEngine(max(closed.shape[1], 1)).close_coded(codes)

@@ -82,11 +82,6 @@ class TestEngine:
         assert statistics["complementation_merges"] >= 1
         assert statistics["complementation_tuples"] >= 3
 
-    def test_close_table_wrapper(self):
-        table = Table("t", ["k", "a", "b"], [("1", "x", NULL), ("1", NULL, "y")])
-        closed = ComplementationEngine().close_table(table)
-        assert closed.num_rows == 3
-
 def reference_closure(rows, provenance):
     """The definitional pairwise fixpoint: row -> provenance of the closure."""
     known = {}

@@ -81,12 +81,14 @@ class TestStreamingFullDisjunction:
         assert len(calls) == 2
 
     def test_integrate_does_not_remove_subsumed_tuples_twice(self, tables, monkeypatch):
-        import repro.fd.base as base
+        # The closure marks the tuples it subsumes: no subsumption self-join
+        # runs after it, in the kernel or in integrate().
+        from repro.table import subsumption
 
-        def fail(table):
-            raise AssertionError("iter_tuples already emits subsumption-free tuples")
+        def fail(codes):
+            raise AssertionError("the closure already marks the subsumed tuples")
 
-        monkeypatch.setattr(base, "remove_subsumed", fail)
+        monkeypatch.setattr(subsumption, "reduce_coded", fail)
         assert StreamingFullDisjunction().integrate(tables).table.num_rows == 4
 
     def test_fully_null_tuples_fold_into_the_first_emitted_tuple(self):

@@ -26,6 +26,9 @@ NOT_ON_THE_ONE_SHOT_PATH = [
     "repro.testing",
     "repro.em",
     "repro.evaluation",
+    # Loaded by the first np.unique call (numpy >= 2.3, ≈ 10 ms); the package
+    # uses the sort-based helpers of repro.utils.sorting instead.
+    "numpy.ma",
 ]
 
 #: The request, as the JSON text both scripts parse.
