@@ -6,11 +6,12 @@ exercises the HTTP surface end to end:
 
 1. ``GET /healthz`` answers healthy.
 2. ``POST /integrate`` merges two small tables and the response carries a
-   well-formed trace: every stage timing, the cache/ANN counters, and a
-   positive total.
+   well-formed trace: every stage timing, every traced counter of
+   ``repro.obs``, and a positive total.
 3. A second identical ``POST /integrate`` is served from the warm engine —
    its trace must report zero raw embed calls.
-4. ``GET /stats`` accounts for both requests.
+4. ``GET /stats`` accounts for both requests, and its counters satisfy the
+   accounting identity over every terminal outcome.
 
 Then a second server boots with a hard-down chaos embedder
 (``--embedder chaos`` + ``REPRO_CHAOS_EMBED_FAILURES=all``) in
@@ -42,6 +43,9 @@ import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.obs import TERMINAL_OUTCOMES, TRACED  # noqa: E402
 
 INTEGRATE_BODY = {
     "tables": [
@@ -62,12 +66,8 @@ TRACE_REQUIRED_KEYS = (
     "stage_seconds",
     "queue_wait_seconds",
     "total_seconds",
-    "ann_pairs_added",
-    "ann_probe_candidates",
-    "ann_bucket_skew",
-    "cache_hits",
-    "cache_misses",
     "raw_embed_calls",
+    *(counter.trace for counter in TRACED),
 )
 
 
@@ -114,6 +114,14 @@ def assert_well_formed_trace(trace: dict, label: str) -> None:
         f"{label}: expected all three stage timings, got {trace['stage_seconds']}",
     )
     expect(trace["total_seconds"] > 0, f"{label}: non-positive total_seconds")
+
+
+def assert_accounting_identity(stats: dict) -> None:
+    outcomes = sum(stats[outcome] for outcome in TERMINAL_OUTCOMES)
+    expect(
+        stats["submitted"] == outcomes + stats["in_flight"],
+        f"/stats breaks submitted == {' + '.join(TERMINAL_OUTCOMES)} + in_flight: {stats}",
+    )
 
 
 def serve(extra_args: list[str] | None = None, extra_env: dict | None = None, **popen_kwargs):
@@ -165,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             stats = request(port, "GET", "/stats")
             expect(stats.get("served") == 2, f"stats said served={stats.get('served')}")
             expect(stats.get("submitted") == 2, "stats lost a submission")
+            assert_accounting_identity(stats)
 
             print("service smoke OK: healthz + 2x integrate + stats, traces well-formed")
         finally:
@@ -210,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             health.get("status") == "degraded",
             f"healthz under open breaker said {health}",
         )
+        assert_accounting_identity(request(port, "GET", "/stats"))
 
         print("service smoke OK: chaos embedder served degraded, healthz degraded")
         return 0

@@ -49,6 +49,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import obs
 from repro.core.config import FuzzyFDConfig
 from repro.core.value_matching import ColumnValues, ValueMatcher, ValueMatchingResult
 from repro.embeddings.base import EmbeddingCache, ValueEmbedder
@@ -62,28 +63,17 @@ from repro.storage.cache import StoreBackedEmbeddingCache
 from repro.storage.store import ArtifactStore
 from repro.table.table import Table
 
-#: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides.
-REQUEST_OVERRIDES = (
-    "threshold",
-    "representative_policy",
-    "exact_first",
-    "blocking",
-    "blocking_cutoff",
-    "blocking_key_cap",
-    "semantic_blocking",
-    "ann_tables",
-    "ann_bits",
-    "ann_top_k",
-    "ann_index",
-    "max_workers",
-    "parallel_backend",
-    "store_mode",
-    "degraded_mode",
-    "retry_max_attempts",
-    "retry_backoff_ms",
-    "breaker_failure_threshold",
-    "breaker_reset_ms",
+#: The knobs a request's :class:`ValueMatcher` is built from.
+MATCHER_KNOBS = (
+    "threshold", "representative_policy", "exact_first", "blocking", "blocking_cutoff",
+    "blocking_key_cap", "semantic_blocking", "ann_tables", "ann_bits", "ann_top_k", "ann_index",
+    "max_workers", "parallel_backend", "degraded_mode",
 )
+
+#: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides:
+#: the matcher's, ``store_mode`` (the matcher's store view) and the shared
+#: resilient embedder's retry/breaker policy.
+REQUEST_OVERRIDES = (*MATCHER_KNOBS, "store_mode", *OVERRIDABLE_KNOBS)
 
 #: Overrides for which ``None`` is a meaningful value (not "use the engine
 #: default"): ``blocking_key_cap=None`` disables the frequent-key cap.
@@ -114,7 +104,7 @@ class FuzzyIntegrationResult:
     def total_seconds(self) -> float:
         """Total wall-clock time of the integration.
 
-        ``timings`` also carries work counters (the ``blocking_*`` keys);
+        ``timings`` also carries the request's counters (:mod:`repro.obs`);
         only the ``*_seconds`` entries are durations.
         """
         return sum(value for key, value in self.timings.items() if key.endswith("_seconds"))
@@ -385,38 +375,12 @@ class IntegrationEngine:
                 matcher, aligned_tables, alignment
             )
         timings["value_matching_seconds"] = time.perf_counter() - start
-        if effective.blocking != "off":
-            # Aggregate the per-group blocking counters next to the phase
-            # timings so callers see how much pairwise work blocking saved.
-            counter_keys = ["blocking_pairs_scored", "blocking_pairs_avoided"]
-            if effective.semantic_blocking != "off":
-                counter_keys += ["blocking_ann_pairs_added", "blocking_ann_pairs_duplicate"]
-            for key in counter_keys:
-                timings[key] = sum(
-                    result.statistics.get(key, 0.0) for result in value_matching.values()
-                )
-            timings["blocking_largest_component"] = max(
-                (
-                    result.statistics.get("blocking_largest_component", 0.0)
-                    for result in value_matching.values()
-                ),
-                default=0.0,
-            )
-        # Cache, durable-index and resilience observability: the per-group
-        # deltas the matcher recorded, summed into the request's timing dict
-        # (they are counters, not durations — like the blocking_* keys
-        # above).  ``degraded`` is a flag, not a count: any degraded group
-        # marks the whole request degraded.
-        observability: Dict[str, float] = {}
+        # The request's counters ride beside the phase timings: every group's
+        # request-level statistics, merged by each counter's rule.
         for result in value_matching.values():
-            for key, value in result.statistics.items():
-                if key.startswith(("cache_", "ann_index_", "embedder_", "breaker_")):
-                    observability[key] = observability.get(key, 0.0) + value
-                elif key == "degraded_assignments":
-                    observability[key] = observability.get(key, 0.0) + value
-                elif key == "degraded":
-                    observability[key] = max(observability.get(key, 0.0), value)
-        timings.update(observability)
+            obs.merge(timings, {
+                name: value for name, value in result.statistics.items() if name in obs.REQUEST
+            })
         return MatchStage(
             alignment=alignment,
             value_matching=value_matching,
@@ -455,11 +419,7 @@ class IntegrationEngine:
         (:class:`~repro.service.StageTracker`) turns a budget overrun into a
         typed error instead of letting the next stage start.
         """
-        corrupt_before = (
-            self.store.statistics().get("corrupt_segments", 0)
-            if self.store is not None
-            else 0
-        )
+        store_before = obs.read("store", self.store_statistics())
         if isinstance(tables, MatchStage):
             # Executor knobs stay legal (a caller may pass one set of overrides
             # to every stage) though the FD stage that is left takes no
@@ -552,16 +512,11 @@ class IntegrationEngine:
             # without anyone remembering to call save().
             published = self._store_cache.publish()
             if published:
-                timings["store_published_rows"] = float(published)
-
-        if self.store is not None:
-            corrupt_delta = (
-                self.store.statistics().get("corrupt_segments", 0) - corrupt_before
-            )
-            if corrupt_delta > 0:
-                # Corrupt artifacts this request tripped over (now quarantined
-                # by the store) — surfaced per request so traces can flag it.
-                timings["store_corrupt_segments"] = float(corrupt_delta)
+                obs.merge(timings, {"store_published_rows": published})
+        # Store events this request caused (e.g. corrupt artifacts it tripped
+        # over, now quarantined) — present only when they happened.
+        store_counts = obs.delta(store_before, obs.read("store", self.store_statistics()))
+        obs.merge(timings, {name: value for name, value in store_counts.items() if value})
 
         with self._served_lock:
             self.requests_served += 1
@@ -661,45 +616,16 @@ class IntegrationEngine:
         matchers: Dict[Tuple, ValueMatcher] = getattr(self._thread_state, "matchers", None)
         if matchers is None:
             matchers = self._thread_state.matchers = {}
-        key = (
-            effective.threshold,
-            effective.representative_policy,
-            effective.exact_first,
-            effective.blocking,
-            effective.blocking_cutoff,
-            effective.blocking_key_cap,
-            effective.semantic_blocking,
-            effective.ann_tables,
-            effective.ann_bits,
-            effective.ann_top_k,
-            effective.ann_index,
-            effective.max_workers,
-            effective.parallel_backend,
-            effective.store_mode,
-            effective.degraded_mode,
-        )
+        knobs = {knob: getattr(effective, knob) for knob in MATCHER_KNOBS}
+        key = (*knobs.values(), effective.store_mode)
         matcher = matchers.get(key)
         if matcher is None:
-            matcher = ValueMatcher(
-                embedder=self.embedder,
-                threshold=effective.threshold,
+            matcher = matchers[key] = ValueMatcher(
+                self.embedder,
                 solver=self.solver,
-                representative_policy=effective.representative_policy,
-                exact_first=effective.exact_first,
-                blocking=effective.blocking,
-                blocking_cutoff=effective.blocking_cutoff,
-                blocking_key_cap=effective.blocking_key_cap,
-                semantic_blocking=effective.semantic_blocking,
-                ann_tables=effective.ann_tables,
-                ann_bits=effective.ann_bits,
-                ann_top_k=effective.ann_top_k,
-                ann_index=effective.ann_index,
-                max_workers=effective.max_workers,
-                parallel_backend=effective.parallel_backend,
                 store=self._store_for(effective.store_mode),
-                degraded_mode=effective.degraded_mode,
+                **knobs,
             )
-            matchers[key] = matcher
         return matcher
 
     def _store_for(self, store_mode: str) -> Optional[ArtifactStore]:

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.core.representatives import REPRESENTATIVE_POLICIES, select_representative
 from repro.embeddings.base import ValueEmbedder
 from repro.embeddings.resilient import DEGRADED_MODES, EmbedderUnavailable
@@ -201,6 +202,13 @@ class ValueMatcher:
         self.blocking_key_cap = blocking_key_cap
         self.semantic_blocking = semantic_blocking
         self.degraded_mode = degraded_mode
+        # The routes whose counters every run reports (repro.obs); the ANN
+        # channel only runs inside the blocked matcher.
+        self._routes = (obs.MATCH,)
+        if blocking != "off":
+            self._routes += (obs.BLOCKING,)
+            if semantic_blocking != "off":
+                self._routes += (obs.SEMANTIC,)
         # The embedding-free fallback matcher of degraded_mode="surface",
         # built on first use (reuses the blocked matcher when blocking is on).
         self._degraded_matcher: Optional[BlockedValueMatcher] = None
@@ -250,60 +258,26 @@ class ValueMatcher:
         if not columns:
             return ValueMatchingResult(sets=[], column_order={})
         start = time.perf_counter()
-        # Cache and durable-index counters are cumulative over the embedder's
-        # (and blocker's) lifetime; snapshotting them here turns the run into
-        # a per-request delta.  Concurrent requests sharing one embedder can
-        # bleed into each other's deltas — the counters are observability,
-        # not accounting, so approximate under concurrency is acceptable.
-        cache_before = self.embedder.cache.stats()
-        resilience_before = self._resilience_snapshot()
-        semantic_blocker = (
-            self._blocked_matcher.semantic_blocker
-            if self._blocked_matcher is not None
-            else None
-        )
-        ann_before = (
-            (
-                semantic_blocker.index_loads,
-                semantic_blocker.index_builds,
-                semantic_blocker.index_saves,
-            )
-            if semantic_blocker is not None
-            else (0, 0, 0)
-        )
+        # Cache, resilience and durable-index counters are cumulative; the
+        # change between two snapshots is this run's.  Concurrent requests
+        # sharing one embedder can bleed into each other's deltas — the
+        # counters are observability, not accounting.
+        before = self._cumulative_counts()
         column_order = {column.column_id: index for index, column in enumerate(columns)}
         frequencies = self._global_frequencies(columns)
-        statistics: Dict[str, float] = {
-            "columns": float(len(columns)),
-            "values": float(sum(len(column) for column in columns)),
-        }
-        if self.blocking != "off":
-            statistics.update(
-                blocked_assignments=0.0,
-                blocking_components=0.0,
-                blocking_largest_component=0.0,
-                blocking_pairs_scored=0.0,
-                blocking_pairs_avoided=0.0,
-            )
-            if self.semantic_blocking != "off":
-                statistics.update(
-                    blocking_ann_pairs_added=0.0,
-                    blocking_ann_pairs_duplicate=0.0,
-                    blocking_ann_skew_fallbacks=0.0,
-                    blocking_ann_probe_candidates=0.0,
-                )
+        statistics = obs.merge(
+            obs.zeros(self._routes),
+            {"columns": len(columns), "values": sum(len(column) for column in columns)},
+        )
 
         groups = [
             _Group(members=[(columns[0].column_id, value)], representative=value)
             for value in columns[0].values
         ]
 
-        assignments = 0
-        accepted = 0
         for column in columns[1:]:
             combined_values = [group.representative for group in groups]
             matcher = self._matcher_for(len(combined_values), len(column.values))
-            pair_degraded = False
             try:
                 matches = (
                     matcher.match_exact_first(combined_values, column.values)
@@ -320,49 +294,12 @@ class ValueMatcher:
                 matches = self._degraded_fallback().match_degraded(
                     combined_values, column.values
                 )
-                pair_degraded = True
-                statistics["degraded"] = 1.0
-                statistics["degraded_assignments"] = (
-                    statistics.get("degraded_assignments", 0.0) + 1.0
-                )
-            assignments += 1
-            accepted += len(matches)
-            if (
-                not pair_degraded
-                and isinstance(matcher, BlockedValueMatcher)
-                and matcher.last_statistics
-            ):
-                blocking_stats = matcher.last_statistics
-                statistics["blocked_assignments"] += 1.0
-                statistics["blocking_components"] += float(blocking_stats.components)
-                statistics["blocking_largest_component"] = max(
-                    statistics["blocking_largest_component"],
-                    float(blocking_stats.largest_component),
-                )
-                statistics["blocking_pairs_scored"] += float(blocking_stats.pairs_scored)
-                statistics["blocking_pairs_avoided"] += float(blocking_stats.pairs_avoided)
-                statistics["blocking_skipped_keys"] = statistics.get(
-                    "blocking_skipped_keys", 0.0
-                ) + float(blocking_stats.skipped_keys)
-                if self.semantic_blocking != "off":
-                    statistics["blocking_ann_pairs_added"] += float(
-                        blocking_stats.ann_pairs_added
-                    )
-                    statistics["blocking_ann_pairs_duplicate"] += float(
-                        blocking_stats.ann_pairs_duplicate
-                    )
-                    statistics["blocking_ann_skew_fallbacks"] += float(
-                        blocking_stats.ann_skew_fallbacks
-                    )
-                    statistics["blocking_ann_probe_candidates"] += float(
-                        blocking_stats.ann_probe_candidates
-                    )
-                # Component-size distribution, aggregated over every blocked
-                # assignment; the reporting layer renders these buckets as a
-                # histogram to guide cutoff/batching tuning.
-                for label, count in blocking_stats.component_size_histogram().items():
-                    key = f"blocking_component_size_{label}"
-                    statistics[key] = statistics.get(key, 0.0) + float(count)
+                pair_counts = {"degraded": 1, "degraded_assignments": 1}
+            else:
+                pair_counts = self._pair_counts(matcher)
+            obs.merge(
+                statistics, {"assignments": 1, "accepted_matches": len(matches), **pair_counts}
+            )
 
             groups_by_representative: Dict[object, List[_Group]] = {}
             for group in groups:
@@ -384,38 +321,9 @@ class ValueMatcher:
                 if value not in matched_right:
                     groups.append(_Group(members=[(column.column_id, value)], representative=value))
 
-        elapsed = time.perf_counter() - start
-        statistics["assignments"] = float(assignments)
-        statistics["accepted_matches"] = float(accepted)
-        statistics["match_sets"] = float(len(groups))
-        statistics["elapsed_seconds"] = elapsed
-
-        cache_after = self.embedder.cache.stats()
-        for counter in ("hits", "misses", "fills", "store_hits", "store_misses"):
-            if counter in cache_after:
-                statistics[f"cache_{counter}"] = float(
-                    max(0, cache_after[counter] - cache_before.get(counter, 0))
-                )
-        resilience_after = self._resilience_snapshot()
-        for counter, key in (
-            ("retries", "embedder_retries"),
-            ("breaker_opens", "breaker_opens"),
-            ("breaker_short_circuits", "breaker_short_circuits"),
-        ):
-            if counter in resilience_after:
-                statistics[key] = float(
-                    max(0, resilience_after[counter] - resilience_before.get(counter, 0))
-                )
-        if semantic_blocker is not None:
-            statistics["ann_index_loads"] = float(
-                semantic_blocker.index_loads - ann_before[0]
-            )
-            statistics["ann_index_builds"] = float(
-                semantic_blocker.index_builds - ann_before[1]
-            )
-            statistics["ann_index_saves"] = float(
-                semantic_blocker.index_saves - ann_before[2]
-            )
+        statistics["elapsed_seconds"] = time.perf_counter() - start
+        obs.merge(statistics, {"match_sets": len(groups)})
+        obs.merge(statistics, obs.delta(before, self._cumulative_counts()))
 
         sets = [
             ValueMatchSet(members=sorted(group.members, key=lambda key: (str(key[0]), str(key[1]))),
@@ -426,10 +334,29 @@ class ValueMatcher:
         return ValueMatchingResult(sets=sets, column_order=column_order, statistics=statistics)
 
     # -- helpers --------------------------------------------------------------------
-    def _resilience_snapshot(self) -> Dict[str, int]:
-        """The embedder's retry/breaker counters, `{}` for a bare embedder."""
-        stats = getattr(self.embedder, "resilience_stats", None)
-        return stats() if callable(stats) else {}
+    def _cumulative_counts(self) -> Dict[str, float]:
+        """The embedder's cache and resilience counters and the semantic
+        blocker's index counters, by counter name."""
+        counts = obs.read("cache", self.embedder.cache.stats())
+        resilience = getattr(self.embedder, "resilience_stats", None)
+        if callable(resilience):
+            counts.update(obs.read("resilience", resilience()))
+        semantic_blocker = getattr(self._blocked_matcher, "semantic_blocker", None)
+        if semantic_blocker is not None:
+            counts.update(obs.read("ann", semantic_blocker))
+        return counts
+
+    def _pair_counts(self, matcher) -> Dict[str, float]:
+        """The counters of the column pair ``matcher`` just matched (none
+        from the exhaustive matcher)."""
+        if not isinstance(matcher, BlockedValueMatcher) or matcher.last_statistics is None:
+            return {}
+        pair = matcher.last_statistics
+        return {
+            "blocked_assignments": 1,
+            **obs.read("pair", pair, self._routes),
+            **obs.read("histogram", pair.component_size_histogram()),
+        }
 
     def _degraded_fallback(self) -> BlockedValueMatcher:
         """The matcher serving ``match_degraded`` (never calls the embedder)."""

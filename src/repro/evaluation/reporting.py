@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence
 
 from repro.evaluation.metrics import MatchingScores
+from repro.obs import ANY, SOURCES, STORAGE, TRACED
 
 
 def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -44,31 +45,19 @@ def format_component_histogram(source, width: int = 30) -> str:
     assignment solver (and the executor's batch balancing) dominates — which
     is what guides ``blocking_cutoff`` and batch-size tuning.
     """
-    from repro.matching.blocking import COMPONENT_SIZE_BUCKETS
-
-    bucket_labels = [label for label, _ in COMPONENT_SIZE_BUCKETS]
+    buckets = SOURCES["histogram"]  # bucket label -> its counter, smallest first
     histogram = getattr(source, "component_size_histogram", None)
-    if callable(histogram):
-        counts: Dict[str, int] = histogram()
-    elif isinstance(source, Mapping) and any(
-        str(key).startswith("blocking_component_size_") for key in source
-    ):
-        counts = {
-            str(key)[len("blocking_component_size_") :]: int(value)
-            for key, value in source.items()
-            if str(key).startswith("blocking_component_size_")
-        }
-    elif isinstance(source, Mapping) and set(map(str, source)) <= set(bucket_labels):
-        counts = {str(label): int(count) for label, count in source.items()}
-    else:
+    counts = histogram() if callable(histogram) else source
+    if isinstance(counts, Mapping) and any(counter.name in counts for counter in buckets.values()):
+        counts = {label: counts.get(counter.name, 0) for label, counter in buckets.items()}
+    if not isinstance(counts, Mapping) or not set(map(str, counts)) <= set(buckets):
         # A statistics dict from a non-blocked run (or any other mapping)
         # has no component distribution; rendering its unrelated counters as
         # a histogram would be actively misleading.
         raise ValueError(
             "source carries no component-size distribution: expected "
             "BlockingStatistics, a statistics dict with "
-            "'blocking_component_size_*' keys, or a mapping over the buckets "
-            f"{bucket_labels}"
+            f"'blocking_component_size_*' keys, or a mapping over the buckets {list(buckets)}"
         )
     total = sum(counts.values())
     peak = max(counts.values(), default=0)
@@ -76,8 +65,8 @@ def format_component_histogram(source, width: int = 30) -> str:
     # Render in bucket order (smallest to largest), not the mapping's
     # iteration order — a stats dict reloaded from sorted JSON iterates
     # alphabetically — and keep every bucket present even when empty.
-    for label in bucket_labels:
-        count = counts.get(label, 0)
+    for label in buckets:
+        count = int(counts.get(label, 0))
         bar = "#" * (round(width * count / peak) if peak else 0)
         share = f"{100.0 * count / total:.1f}%" if total else "-"
         rows.append([label, count, share, bar])
@@ -87,42 +76,27 @@ def format_component_histogram(source, width: int = 30) -> str:
 def format_cache_statistics(source: Mapping[str, float]) -> str:
     """Render the cache / durable-index counters of one request.
 
-    ``source`` is a timings dict from
-    :class:`~repro.core.engine.FuzzyIntegrationResult` (or a
-    :class:`~repro.core.value_matching.ValueMatchingResult` statistics dict):
-    the ``cache_*`` and ``ann_index_*`` counters it carries, plus the
-    ``store_published_rows`` entry, are the request's storage story — how
-    many vector lookups the hot tier answered, how many the memmapped store
-    tier answered (a warm start shows every lookup here and zero misses),
-    how many had to be embedded raw, and whether ANN indexes were loaded or
-    rebuilt.  Counters absent from ``source`` render as 0 rows only when at
-    least one storage counter is present at all; a dict with no storage
-    counters raises, as rendering it would silently claim "no cache
-    activity" for a run that simply predates the counters.
+    ``source`` is a ``FuzzyIntegrationResult.timings`` (or a
+    ``ValueMatchingResult.statistics``) dict; its storage counters
+    (:data:`repro.obs.STORAGE`) tell which tier answered each vector lookup
+    (a warm start: every one from the store, zero misses), whether ANN
+    indexes were loaded or rebuilt, and what the store published or
+    quarantined.  Absent counters render as 0 only when at least one is
+    present: a dict with none raises rather than claim "no cache activity"
+    for a run that predates the counters.
     """
-    rows_spec = [
-        ("Hot-tier hits", "cache_hits"),
-        ("Store-tier hits (memmap)", "cache_store_hits"),
-        ("Misses (raw embeds)", "cache_misses"),
-        ("Cache fills", "cache_fills"),
-        ("Store-tier misses", "cache_store_misses"),
-        ("ANN indexes loaded", "ann_index_loads"),
-        ("ANN indexes built", "ann_index_builds"),
-        ("ANN indexes published", "ann_index_saves"),
-        ("Embedding rows published", "store_published_rows"),
-    ]
-    if not any(key in source for _, key in rows_spec):
+    if not any(counter.name in source for counter in STORAGE):
         raise ValueError(
             "source carries no cache or store counters (cache_*, ann_index_*, "
-            "store_published_rows); pass a FuzzyIntegrationResult.timings or "
+            "store_*); pass a FuzzyIntegrationResult.timings or "
             "ValueMatchingResult.statistics dict from a storage-aware run"
         )
-    rows = [[label, f"{float(source.get(key, 0.0)):,.0f}"] for label, key in rows_spec]
-    lookups = float(source.get("cache_hits", 0.0)) + float(
-        source.get("cache_store_hits", 0.0)
-    ) + float(source.get("cache_misses", 0.0))
+    rows = [
+        [counter.label, f"{float(source.get(counter.name, 0.0)):,.0f}"] for counter in STORAGE
+    ]
+    served = float(source.get("cache_hits", 0.0)) + float(source.get("cache_store_hits", 0.0))
+    lookups = served + float(source.get("cache_misses", 0.0))
     if lookups:
-        served = lookups - float(source.get("cache_misses", 0.0))
         rows.append(["Lookups served without raw embed", f"{100.0 * served / lookups:.1f}%"])
     return format_markdown_table(["Counter", "Value"], rows)
 
@@ -132,8 +106,8 @@ def format_request_trace(trace) -> str:
 
     ``trace`` is the trace object itself or its :meth:`to_dict` form.  The
     report has two sections: the latency breakdown (queue wait, then each
-    pipeline stage in execution order, then the total) and the work counters
-    (ANN channel activity, cache tiers, raw embeds, published rows).  A
+    pipeline stage in execution order, then the total) and the traced
+    counters (:data:`repro.obs.TRACED`) followed by the raw embed calls.  A
     partial trace from a ``DeadlineExceeded`` response renders the stages
     that finished — the report never invents entries for stages that did
     not run.
@@ -153,18 +127,11 @@ def format_request_trace(trace) -> str:
     deadline = data.get("deadline_ms")
     if deadline is not None:
         rows.append(["Deadline budget", f"{float(deadline):.0f} ms"])
-    counter_spec = [
-        ("ANN pairs added", "ann_pairs_added"),
-        ("ANN probe candidates", "ann_probe_candidates"),
-        ("ANN bucket-skew fallbacks", "ann_bucket_skew"),
-        ("Cache hits (hot tier)", "cache_hits"),
-        ("Cache hits (store tier)", "cache_store_hits"),
-        ("Cache misses", "cache_misses"),
-        ("Raw embed calls", "raw_embed_calls"),
-        ("Embedding rows published", "store_published_rows"),
-    ]
-    for label, key in counter_spec:
-        rows.append([label, f"{float(data.get(key, 0.0)):,.0f}"])
+    for counter in TRACED:
+        value = data.get(counter.trace, 0.0)
+        shown = ("yes" if value else "no") if counter.merge == ANY else f"{float(value):,.0f}"
+        rows.append([counter.label, shown])
+    rows.append(["Raw embed calls", f"{float(data.get('raw_embed_calls', 0.0)):,.0f}"])
     header = f"request {data.get('request_id', '?')} — status: {data.get('status', '?')}"
     return header + "\n" + format_markdown_table(["Field", "Value"], rows)
 

@@ -99,6 +99,7 @@ from repro.matching.ann import (
 )
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
 from repro.matching.bipartite import ValueMatch, split_exact_matches
+from repro.obs import COMPONENT_SIZE_BUCKETS
 from repro.utils.components import component_labels
 from repro.utils.executor import ExecutorConfig, run_partitioned
 from repro.utils.sorting import first_of_runs, sorted_unique
@@ -271,7 +272,9 @@ class BlockingStatistics:
     cost-matrix cells the solver sees (the sum of component matrix sizes,
     which can exceed ``candidate_pairs``: a component is solved as one dense
     matrix).  ``largest_component`` is the cell count of the biggest matrix
-    allocated — the engine's peak memory driver.
+    allocated — the engine's peak memory driver.  The value matcher folds the
+    fields :mod:`repro.obs` declares as ``pair.<field>`` sources into its
+    statistics; the others describe the pair and are not counted.
     """
 
     left_values: int
@@ -311,10 +314,6 @@ class BlockingStatistics:
     #: semantic channel's index probe — compare against ``full_matrix_pairs``
     #: to see what the index saved (0 on the exact pass: nothing is probed).
     ann_probe_candidates: int = 0
-    #: True when this column pair was matched in degraded mode (embedder
-    #: unavailable: exact + surface-blocking equality only, no embeddings,
-    #: no ANN) — the recall of these matches is below the healthy path.
-    degraded: bool = False
 
     @property
     def full_matrix_pairs(self) -> int:
@@ -347,19 +346,6 @@ class BlockingStatistics:
                     counts[label] += 1
                     break
         return counts
-
-
-#: Histogram buckets of :meth:`BlockingStatistics.component_size_histogram`:
-#: ``(label, inclusive upper bound on cells)``, ``None`` meaning unbounded.
-COMPONENT_SIZE_BUCKETS: Tuple[Tuple[str, Optional[int]], ...] = (
-    ("1", 1),
-    ("2-4", 4),
-    ("5-16", 16),
-    ("17-64", 64),
-    ("65-256", 256),
-    ("257-1024", 1024),
-    (">1024", None),
-)
 
 
 class ValueBlocker:
@@ -752,7 +738,6 @@ class BlockedValueMatcher:
         ``"Berlinn"`` ↔ ``"Berlin"`` does not — recall strictly below the
         embedding path, precision preserved).  Candidate pairs stream in the
         blocker's deterministic order, so the result is reproducible.
-        ``last_statistics`` is marked ``degraded=True``.
         """
         matches, left_remaining, right_remaining = split_exact_matches(
             left_values, right_values
@@ -785,7 +770,6 @@ class BlockedValueMatcher:
             right_values=len(right_values),
             candidate_pairs=candidate_count,
             skipped_keys=self.blocker.last_skipped_keys if left_remaining else 0,
-            degraded=True,
         )
         matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
         return matches

@@ -13,7 +13,6 @@ an artifact store so restarts are warm.
 
 from repro.service.service import LATENCY_WINDOW, IntegrationService
 from repro.service.types import (
-    TRACE_COUNTER_SOURCES,
     DeadlineExceeded,
     DeadlineExceededError,
     EmbedderUnavailableResponse,
@@ -40,6 +39,5 @@ __all__ = [
     "ServiceStats",
     "StageTracker",
     "build_trace",
-    "TRACE_COUNTER_SOURCES",
     "LATENCY_WINDOW",
 ]

@@ -49,9 +49,10 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional
 
+from repro.obs import BREAKER_COUNTERS, ROW_COUNTERS
 from repro.service.http import start_http_server
 from repro.service.service import LATENCY_WINDOW, IntegrationService
-from repro.service.types import BREAKER_COUNTERS, BREAKER_STATES, ROW_COUNTERS
+from repro.service.types import BREAKER_STATES
 
 _INT_FIELDS = ROW_COUNTERS + BREAKER_COUNTERS
 _SEQUENCE = struct.Struct("<Q")

@@ -19,11 +19,11 @@ Three properties the tests pin down:
   stays free to admit/reject while requests queue.  Everything is
   ``threading``-based, so the service survives many short-lived event loops
   (each test's ``asyncio.run``) without holding loop-bound state.
-* **Accounting is atomic.**  A request's terminal counter (served /
-  deadline_exceeded / failed) is incremented and the in-flight gauge
-  decremented under the same lock, so ``stats()`` always satisfies
-  ``submitted == served + rejected + deadline_exceeded + failed +
-  in_flight``.
+* **Accounting is atomic.**  A request's terminal counter (one of
+  :data:`repro.obs.TERMINAL_OUTCOMES`: served / rejected /
+  deadline_exceeded / failed / unavailable) is incremented and the
+  in-flight gauge decremented under the same lock, so ``stats()`` always
+  satisfies ``submitted == sum(terminal outcomes) + in_flight``.
 
 Under ``repro serve --processes N`` each process runs its own service over
 its own copy of the warm engine (:mod:`repro.service.processes`).  Every
@@ -46,13 +46,12 @@ import numpy as np
 from repro.core.config import FuzzyFDConfig
 from repro.core.engine import FuzzyIntegrationResult, IntegrationEngine
 from repro.embeddings.resilient import EmbedderUnavailable
+from repro.obs import BREAKER_COUNTERS, ROW_COUNTERS
 from repro.service.types import (
-    BREAKER_COUNTERS,
     DeadlineExceeded,
     DeadlineExceededError,
     EmbedderUnavailableResponse,
     IntegrationResponse,
-    RequestTrace,
     ServiceFailure,
     ServiceOverloaded,
     ServiceResponse,
@@ -122,15 +121,7 @@ class IntegrationService:
         self._lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(self.max_concurrency)
         self._next_request_id = 1
-        self._submitted = 0
-        self._served = 0
-        self._rejected = 0
-        self._deadline_exceeded = 0
-        self._failed = 0
-        self._unavailable = 0
-        self._degraded_served = 0
-        self._in_flight = 0
-        self._executing = 0
+        self._counts: Dict[str, int] = dict.fromkeys(ROW_COUNTERS, 0)
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._closed = False
         # The shared counters block of a pre-forked serve, and this process's
@@ -165,16 +156,17 @@ class IntegrationService:
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
-            self._submitted += 1
+            counts = self._counts
+            counts["submitted"] += 1
             if self._closed:
-                self._failed += 1
+                counts["failed"] += 1
                 self._publish()
                 return ServiceFailure(
                     request_id=request_id, error="service is closed", trace=None
                 )
-            pending = self._in_flight - self._executing
-            if self._in_flight >= self.max_concurrency + self.max_pending:
-                self._rejected += 1
+            pending = counts["in_flight"] - counts["executing"]
+            if counts["in_flight"] >= self.max_concurrency + self.max_pending:
+                counts["rejected"] += 1
                 self._publish()
                 return ServiceOverloaded(
                     request_id=request_id,
@@ -182,7 +174,7 @@ class IntegrationService:
                     max_pending=self.max_pending,
                     trace=None,
                 )
-            self._in_flight += 1
+            counts["in_flight"] += 1
             self._publish()
 
         budget = deadline_ms if deadline_ms is not None else self.default_deadline_ms
@@ -196,8 +188,8 @@ class IntegrationService:
             # The pool rejected the submission (shutdown race) — reconcile
             # the gauge so the accounting identity holds.
             with self._lock:
-                self._in_flight -= 1
-                self._failed += 1
+                self._counts["in_flight"] -= 1
+                self._counts["failed"] += 1
                 self._publish()
             return ServiceFailure(request_id=request_id, error=str(exc), trace=None)
 
@@ -212,7 +204,7 @@ class IntegrationService:
         """Pool-thread body: gate on a slot, run the pipeline, account once."""
         self._slots.acquire()
         with self._lock:
-            self._executing += 1
+            self._counts["executing"] += 1
             self._publish()
         tracker = StageTracker(submitted_at=submitted_at, deadline_ms=deadline_ms)
         tracker.queue_wait_seconds = time.perf_counter() - submitted_at
@@ -223,14 +215,7 @@ class IntegrationService:
                 )
             except DeadlineExceededError as exc:
                 total = time.perf_counter() - submitted_at
-                trace = RequestTrace(
-                    request_id=request_id,
-                    status="deadline_exceeded",
-                    stage_seconds=dict(tracker.stage_seconds),
-                    queue_wait_seconds=tracker.queue_wait_seconds,
-                    total_seconds=total,
-                    deadline_ms=deadline_ms,
-                )
+                trace = build_trace(request_id, None, tracker, total, "deadline_exceeded")
                 self._finish("deadline_exceeded", total)
                 return DeadlineExceeded(
                     request_id=request_id,
@@ -265,26 +250,18 @@ class IntegrationService:
             return IntegrationResponse(request_id=request_id, result=result, trace=trace)
         finally:
             with self._lock:
-                self._executing -= 1
+                self._counts["executing"] -= 1
                 self._publish()
             self._slots.release()
 
     def _finish(self, outcome: str, latency_seconds: float, *, degraded: bool = False) -> None:
-        """Terminal accounting: counter up + gauge down under one lock."""
+        """Terminal accounting: ``outcome``'s counter up + gauge down under one lock."""
         if self._board is not None:
             self._breaker = self.engine.resilience_state()
         with self._lock:
-            self._in_flight -= 1
-            if outcome == "served":
-                self._served += 1
-                if degraded:
-                    self._degraded_served += 1
-            elif outcome == "deadline_exceeded":
-                self._deadline_exceeded += 1
-            elif outcome == "unavailable":
-                self._unavailable += 1
-            else:
-                self._failed += 1
+            self._counts["in_flight"] -= 1
+            self._counts[outcome] += 1
+            self._counts["degraded_served"] += degraded
             self._latencies.append(latency_seconds)
             self._publish(latency_seconds)
 
@@ -328,22 +305,13 @@ class IntegrationService:
     def _row(self) -> Dict[str, Any]:
         """This process's counters and breaker (caller holds the lock)."""
         breaker = self._breaker
-        row: Dict[str, Any] = {
-            "submitted": self._submitted,
-            "served": self._served,
-            "rejected": self._rejected,
-            "deadline_exceeded": self._deadline_exceeded,
-            "failed": self._failed,
-            "unavailable": self._unavailable,
-            "in_flight": self._in_flight,
-            "executing": self._executing,
-            "degraded_served": self._degraded_served,
+        return {
+            **self._counts,
+            **{name: int(breaker.get(name, 0)) for name in BREAKER_COUNTERS},
             "requests_served": self.engine.requests_served,
             "breaker_state": str(breaker.get("state", "closed")),
             "retry_after_ms": float(breaker.get("retry_after_ms", 0.0)),
         }
-        row.update({name: int(breaker.get(name, 0)) for name in BREAKER_COUNTERS})
-        return row
 
     def _publish(self, latency_seconds: Optional[float] = None) -> None:
         """Write this process's row to the shared block, if any (caller holds the lock)."""

@@ -12,59 +12,18 @@ ever reaches a caller.
 Every response carries a :class:`RequestTrace` (``None`` only on
 :class:`ServiceOverloaded`, where no work ran).  The trace is assembled from
 data the pipeline already records — stage wall-clock from the
-``on_stage`` boundaries, ANN/blocking and cache-delta counters from
-:class:`~repro.core.value_matching.ValueMatchingResult.statistics` — so
-tracing adds no instrumentation to the hot path.
+``on_stage`` boundaries, the traced counters of :mod:`repro.obs` from the
+result's ``timings`` — so tracing adds no instrumentation to the hot path.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import FuzzyIntegrationResult
-
-#: Trace counter -> the per-group ``ValueMatchingResult.statistics`` key it
-#: aggregates (summed across aligned column groups).
-TRACE_COUNTER_SOURCES: Dict[str, str] = {
-    "ann_pairs_added": "blocking_ann_pairs_added",
-    "ann_probe_candidates": "blocking_ann_probe_candidates",
-    "ann_bucket_skew": "blocking_ann_skew_fallbacks",
-    "cache_hits": "cache_hits",
-    "cache_misses": "cache_misses",
-    "cache_fills": "cache_fills",
-    "cache_store_hits": "cache_store_hits",
-    "cache_store_misses": "cache_store_misses",
-    "embedder_retries": "embedder_retries",
-    "breaker_opens": "breaker_opens",
-    "breaker_short_circuits": "breaker_short_circuits",
-}
-
-#: The counters of one server process's row, summed into ``/stats``.
-ROW_COUNTERS = (
-    "submitted",
-    "served",
-    "rejected",
-    "deadline_exceeded",
-    "failed",
-    "unavailable",
-    "in_flight",
-    "executing",
-    "degraded_served",
-    "requests_served",
-)
-
-#: The embedder breaker's counters (``ResilientEmbedder.describe``) a row carries.
-BREAKER_COUNTERS = (
-    "retries",
-    "failures",
-    "breaker_opens",
-    "breaker_closes",
-    "breaker_short_circuits",
-    "half_open_probes",
-    "consecutive_failures",
-)
+from repro.obs import ANY, BREAKER_COUNTERS, ROW_COUNTERS, TRACED
 
 #: Breaker states from best to worst: health is the worst of the live processes.
 BREAKER_STATES = ("closed", "half_open", "open")
@@ -77,10 +36,12 @@ class RequestTrace:
     ``stage_seconds`` holds wall-clock per pipeline stage (``align`` /
     ``match`` / ``integrate``) in execution order; on a
     :class:`DeadlineExceeded` response it is partial — only the stages that
-    finished before the budget ran out appear.  ``raw_embed_calls`` is the
-    number of values that reached the underlying embedding model this
-    request: in-memory cache misses not absorbed by the durable store
-    (``cache_misses - cache_store_hits``).
+    finished before the budget ran out appear.  ``counters`` holds the
+    traced counters of :mod:`repro.obs` by trace key (0 / ``False`` on a
+    partial trace), each also readable as an attribute (``trace.cache_hits``).
+    ``raw_embed_calls`` is the number of values that reached the underlying
+    embedding model this request: in-memory cache misses not absorbed by the
+    durable store (``cache_misses - cache_store_hits``).
     """
 
     request_id: int
@@ -89,24 +50,13 @@ class RequestTrace:
     queue_wait_seconds: float = 0.0
     total_seconds: float = 0.0
     deadline_ms: Optional[float] = None
-    ann_pairs_added: float = 0.0
-    ann_probe_candidates: float = 0.0
-    ann_bucket_skew: float = 0.0
-    cache_hits: float = 0.0
-    cache_misses: float = 0.0
-    cache_fills: float = 0.0
-    cache_store_hits: float = 0.0
-    cache_store_misses: float = 0.0
-    store_published_rows: float = 0.0
-    #: True when any column group was matched without embeddings because the
-    #: embedder breaker was open and ``degraded_mode="surface"`` applied —
-    #: the answer is valid but its recall is below the healthy path.
-    degraded: bool = False
-    embedder_retries: float = 0.0
-    breaker_opens: float = 0.0
-    breaker_short_circuits: float = 0.0
-    #: Corrupt store artifacts this request tripped over (now quarantined).
-    store_corrupt_segments: float = 0.0
+    counters: Dict[str, Any] = field(default_factory=lambda: trace_counters({}))
+
+    def __getattr__(self, name: str) -> Any:
+        counters = self.__dict__.get("counters", {})
+        if name in counters:
+            return counters[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def raw_embed_calls(self) -> float:
@@ -115,29 +65,9 @@ class RequestTrace:
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON form (what the HTTP adapter serialises)."""
-        return {
-            "request_id": self.request_id,
-            "status": self.status,
-            "stage_seconds": dict(self.stage_seconds),
-            "queue_wait_seconds": self.queue_wait_seconds,
-            "total_seconds": self.total_seconds,
-            "deadline_ms": self.deadline_ms,
-            "ann_pairs_added": self.ann_pairs_added,
-            "ann_probe_candidates": self.ann_probe_candidates,
-            "ann_bucket_skew": self.ann_bucket_skew,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_fills": self.cache_fills,
-            "cache_store_hits": self.cache_store_hits,
-            "cache_store_misses": self.cache_store_misses,
-            "raw_embed_calls": self.raw_embed_calls,
-            "store_published_rows": self.store_published_rows,
-            "degraded": self.degraded,
-            "embedder_retries": self.embedder_retries,
-            "breaker_opens": self.breaker_opens,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "store_corrupt_segments": self.store_corrupt_segments,
-        }
+        data = asdict(self)
+        data.update(data.pop("counters"), raw_embed_calls=self.raw_embed_calls)
+        return data
 
 
 class DeadlineExceededError(Exception):
@@ -253,9 +183,11 @@ class EmbedderUnavailableResponse(ServiceResponse):
 class ServiceStats:
     """Aggregate snapshot returned by :meth:`IntegrationService.stats`.
 
-    At any instant ``submitted == served + rejected + deadline_exceeded +
-    failed + in_flight`` — the terminal counters and the in-flight gauge are
-    updated under one lock so no request is ever counted twice or dropped.
+    At any instant ``submitted`` equals the sum of the terminal outcomes
+    (:data:`repro.obs.TERMINAL_OUTCOMES`: ``served``, ``rejected``,
+    ``deadline_exceeded``, ``failed``, ``unavailable``) plus ``in_flight`` —
+    the terminal counters and the in-flight gauge are updated under one lock
+    so no request is ever counted twice or dropped.
     ``queued`` is ``in_flight - executing``: admitted requests still waiting
     for a concurrency slot.  Under ``repro serve --processes N`` every field
     is aggregated over the N server processes (:meth:`aggregate`): counters
@@ -292,22 +224,18 @@ class ServiceStats:
     @classmethod
     def aggregate(cls, rows: Sequence[Dict[str, Any]]) -> "ServiceStats":
         """One snapshot over the rows of every server process."""
-        totals = {name: sum(int(row[name]) for row in rows) for name in ROW_COUNTERS}
+        totals = {
+            name: sum(int(row[name]) for row in rows)
+            for name in ROW_COUNTERS
+            if name in cls.__dataclass_fields__
+        }
         samples = sorted(latency for row in rows for latency in row["latencies"])
         breaker = aggregate_breaker(rows)
         return cls(
-            submitted=totals["submitted"],
-            served=totals["served"],
-            rejected=totals["rejected"],
-            deadline_exceeded=totals["deadline_exceeded"],
-            failed=totals["failed"],
-            unavailable=totals["unavailable"],
-            in_flight=totals["in_flight"],
-            executing=totals["executing"],
+            **totals,
             queued=totals["in_flight"] - totals["executing"],
             latency_p50_seconds=quantile(samples, 0.50),
             latency_p99_seconds=quantile(samples, 0.99),
-            degraded_served=totals["degraded_served"],
             breaker_state=breaker["state"],
             embedder_retries=int(breaker["retries"]),
             breaker_opens=int(breaker["breaker_opens"]),
@@ -319,27 +247,8 @@ class ServiceStats:
             ],
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "submitted": self.submitted,
-            "served": self.served,
-            "rejected": self.rejected,
-            "deadline_exceeded": self.deadline_exceeded,
-            "failed": self.failed,
-            "unavailable": self.unavailable,
-            "in_flight": self.in_flight,
-            "executing": self.executing,
-            "queued": self.queued,
-            "latency_p50_seconds": self.latency_p50_seconds,
-            "latency_p99_seconds": self.latency_p99_seconds,
-            "degraded_served": self.degraded_served,
-            "breaker_state": self.breaker_state,
-            "embedder_retries": self.embedder_retries,
-            "breaker_opens": self.breaker_opens,
-            "processes": self.processes,
-            "processes_alive": self.processes_alive,
-            "per_process": [dict(entry) for entry in self.per_process],
-        }
+    #: Plain-JSON form (what ``/stats`` serialises).
+    to_dict = asdict
 
 
 def aggregate_breaker(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
@@ -359,32 +268,35 @@ def aggregate_breaker(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     return view
 
 
+def trace_counters(timings: Mapping[str, float]) -> Dict[str, Any]:
+    """The traced counters of a request's ``timings``, by trace key (absent: 0)."""
+    return {
+        counter.trace: (
+            bool(timings.get(counter.name))
+            if counter.merge == ANY
+            else float(timings.get(counter.name, 0.0))
+        )
+        for counter in TRACED
+    }
+
+
 def build_trace(
     request_id: int,
-    result: FuzzyIntegrationResult,
+    result: Optional[FuzzyIntegrationResult],
     tracker: StageTracker,
     total_seconds: float,
+    status: str = "ok",
 ) -> RequestTrace:
-    """Assemble the success trace from the pipeline's own statistics."""
-    counters: Dict[str, float] = {}
-    for trace_key, source_key in TRACE_COUNTER_SOURCES.items():
-        counters[trace_key] = sum(
-            vm.statistics.get(source_key, 0.0) for vm in result.value_matching.values()
-        )
+    """Assemble a trace from the tracker's clock and the result's own timings
+    (``result`` is ``None`` for a request that stopped early: no counters)."""
     return RequestTrace(
         request_id=request_id,
-        status="ok",
+        status=status,
         stage_seconds=dict(tracker.stage_seconds),
         queue_wait_seconds=tracker.queue_wait_seconds,
         total_seconds=total_seconds,
         deadline_ms=tracker.deadline_ms,
-        store_published_rows=result.timings.get("store_published_rows", 0.0),
-        degraded=any(
-            vm.statistics.get("degraded", 0.0) > 0.0
-            for vm in result.value_matching.values()
-        ),
-        store_corrupt_segments=result.timings.get("store_corrupt_segments", 0.0),
-        **counters,
+        counters=trace_counters(result.timings if result is not None else {}),
     )
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro.core import FuzzyFDConfig
 from repro.embeddings import MistralEmbedder
 from repro.embeddings.resilient import ResilientEmbedder
+from repro.obs import TERMINAL_OUTCOMES
 from repro.service import (
     EmbedderUnavailableResponse,
     IntegrationResponse,
@@ -180,6 +181,9 @@ class TestFailMode:
             assert response.retry_after_ms > 0.0
         assert stats.unavailable == 2
         assert stats.served == 0
+        # unavailable is a terminal outcome: the accounting identity holds.
+        outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
+        assert outcomes + stats.in_flight == stats.submitted == 2
 
     def test_http_503_with_retry_after_header(self):
         async def main():

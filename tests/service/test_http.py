@@ -151,12 +151,12 @@ class TestEndpoints:
             # by taking the gauge over the limit directly.
             service.max_pending = 0
             with service._lock:
-                service._in_flight = service.max_concurrency
+                service._counts["in_flight"] = service.max_concurrency
             try:
                 return await _request(port, "POST", "/integrate", INTEGRATE_BODY)
             finally:
                 with service._lock:
-                    service._in_flight = 0
+                    service._counts["in_flight"] = 0
 
         status, body = _run(scenario)
         assert status == 503

@@ -12,10 +12,11 @@ import sys
 
 import pytest
 
+from repro.obs import BREAKER_COUNTERS, ROW_COUNTERS
 from repro.service import IntegrationService, ServiceStats
 from repro.service.processes import Scoreboard, default_processes
 from repro.service.service import LATENCY_WINDOW
-from repro.service.types import BREAKER_COUNTERS, ROW_COUNTERS, aggregate_breaker
+from repro.service.types import aggregate_breaker
 from repro.table import Table
 
 

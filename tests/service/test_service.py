@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.embeddings import MistralEmbedder
+from repro.obs import TERMINAL_OUTCOMES
 from repro.service import (
     DeadlineExceeded,
     IntegrationResponse,
@@ -133,7 +134,7 @@ class TestTrace:
         for key in (
             "ann_pairs_added",
             "ann_probe_candidates",
-            "ann_bucket_skew",
+            "ann_skew_fallbacks",
             "cache_hits",
             "cache_misses",
             "raw_embed_calls",
@@ -269,14 +270,8 @@ class TestAdmissionControl:
 
         stats = service.stats()
         assert stats.submitted == 3
-        assert (
-            stats.served
-            + stats.rejected
-            + stats.deadline_exceeded
-            + stats.failed
-            + stats.in_flight
-            == stats.submitted
-        )
+        outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
+        assert outcomes + stats.in_flight == stats.submitted
         assert stats.served == 2 and stats.rejected == 1 and stats.in_flight == 0
 
     def test_zero_pending_rejects_whenever_the_slot_is_busy(self):
