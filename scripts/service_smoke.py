@@ -12,6 +12,8 @@ exercises the HTTP surface end to end:
    its trace must report zero raw embed calls.
 4. ``GET /stats`` accounts for both requests, and its counters satisfy the
    accounting identity over every terminal outcome.
+5. A body with two tables of one name, and one with a list as a cell, each
+   get 400 naming the offending field, and never reach the service.
 
 Then a second server boots with a hard-down chaos embedder
 (``--embedder chaos`` + ``REPRO_CHAOS_EMBED_FAILURES=all``) in
@@ -39,6 +41,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -98,6 +101,22 @@ def request(port: int, method: str, path: str, body: dict | None = None) -> dict
     )
     with urllib.request.urlopen(req, timeout=30) as response:
         return json.loads(response.read().decode())
+
+
+#: Bodies the server must refuse, and the field its 400 must name.
+BAD_BODIES = (
+    ({"tables": [INTEGRATE_BODY["tables"][0], {**INTEGRATE_BODY["tables"][1], "name": "population"}]}, "tables[1].name"),
+    ({"tables": [INTEGRATE_BODY["tables"][0], {**INTEGRATE_BODY["tables"][1], "rows": [["Berlin", ["63%"]]]}]}, "tables[1].rows[0][1]"),
+)
+
+
+def refused(port: int, body: dict) -> tuple:
+    """``(status, error)`` of a ``POST /integrate`` the server answers with an error."""
+    try:
+        request(port, "POST", "/integrate", body)
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read().decode()).get("error", "")
+    return 200, ""
 
 
 def expect(condition: bool, message: str) -> None:
@@ -170,12 +189,16 @@ def main(argv: list[str] | None = None) -> int:
                 "warm engine still made raw embed calls on the second request",
             )
 
+            for body, field in BAD_BODIES:
+                status, error = refused(port, body)
+                expect(status == 400 and field in error, f"expected 400 naming {field}, got {status}: {error}")
+
             stats = request(port, "GET", "/stats")
             expect(stats.get("served") == 2, f"stats said served={stats.get('served')}")
             expect(stats.get("submitted") == 2, "stats lost a submission")
             assert_accounting_identity(stats)
 
-            print("service smoke OK: healthz + 2x integrate + stats, traces well-formed")
+            print("service smoke OK: healthz + 2x integrate + 2x refused body + stats, traces well-formed")
         finally:
             process.terminate()
             try:

@@ -47,6 +47,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -61,6 +62,7 @@ from repro.schema_matching.alignment import ColumnAlignment
 from repro.schema_matching.strategies import ALIGNMENT_STRATEGIES
 from repro.storage.cache import StoreBackedEmbeddingCache
 from repro.storage.store import ArtifactStore
+from repro.table.relation import Relation
 from repro.table.table import Table
 
 #: The knobs a request's :class:`ValueMatcher` is built from.
@@ -91,14 +93,20 @@ def _count_rewrites(value_matching: Dict[str, ValueMatchingResult]) -> int:
 
 @dataclass
 class FuzzyIntegrationResult:
-    """Everything the pipeline produced, with a per-phase timing breakdown."""
+    """Everything the pipeline produced, with a per-phase timing breakdown;
+    ``rewritten`` is the FD's input, coded (``rewritten_tables``: decoded)."""
 
     table: Table
     fd_result: FullDisjunctionResult
     alignment: ColumnAlignment
     value_matching: Dict[str, ValueMatchingResult] = field(default_factory=dict)
-    rewritten_tables: List[Table] = field(default_factory=list)
+    rewritten: List[Relation] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def rewritten_tables(self) -> List[Table]:
+        """The rewritten input tables (decoded from :attr:`rewritten`)."""
+        return [relation.to_table() for relation in self.rewritten]
 
     @property
     def total_seconds(self) -> float:
@@ -119,27 +127,45 @@ class FuzzyIntegrationResult:
         return _count_rewrites(self.value_matching)
 
 
+class _Coded:
+    @property
+    def tables(self) -> List[Table]:
+        """The stage's relations, decoded."""
+        return [relation.to_table() for relation in self.relations]
+
+
 @dataclass
-class AlignmentStage:
-    """Output of :meth:`IntegrationEngine.align` — the aligned input."""
+class AlignmentStage(_Coded):
+    """Output of :meth:`IntegrationEngine.align` — the aligned input, coded."""
 
     alignment: ColumnAlignment
-    tables: List[Table]
+    relations: List[Relation]
     timings: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
-class MatchStage:
-    """Output of :meth:`IntegrationEngine.match` — fuzzy-rewritten tables."""
+class MatchStage(_Coded):
+    """Output of :meth:`IntegrationEngine.match` — fuzzy-rewritten relations."""
 
     alignment: ColumnAlignment
     value_matching: Dict[str, ValueMatchingResult]
-    tables: List[Table]
+    relations: List[Relation]
     timings: Dict[str, float] = field(default_factory=dict)
 
     def rewrites_applied(self) -> int:
         """Number of distinct value rewrites across all aligned groups."""
         return _count_rewrites(self.value_matching)
+
+
+def encode_request(tables: Sequence[Union[Table, Relation]]) -> List[Relation]:
+    """A request's tables, coded.  Two of them may not share a name: the
+    stages address tables by name, and tuple ids (``"name:row"``) would be
+    ambiguous."""
+    seen: Dict[str, int] = {}
+    for index, table in enumerate(tables):
+        if seen.setdefault(table.name, index) != index:
+            raise ValueError(f"tables[{seen[table.name]}] and tables[{index}] are both named {table.name!r}")
+    return [Relation.of(table) for table in tables]
 
 
 class IntegrationEngine:
@@ -309,32 +335,21 @@ class IntegrationEngine:
         )
 
     # -- stages --------------------------------------------------------------------
-    def align(self, tables: Sequence[Table], *, strategy: Optional[str] = None) -> AlignmentStage:
-        """Stage 1: align the input columns and rename them canonically."""
+    def align(self, tables: Sequence[Union[Table, Relation]], *, strategy: Optional[str] = None) -> AlignmentStage:
+        """Stage 1: code the input, align its columns and rename them canonically."""
         if not tables:
             raise ValueError("align() requires at least one table")
-        strategy_name = strategy if strategy is not None else self.config.alignment
-        align_fn = ALIGNMENT_STRATEGIES.get(strategy_name)
+        align_fn = ALIGNMENT_STRATEGIES.get(strategy if strategy is not None else self.config.alignment)
         start = time.perf_counter()
-        alignment = align_fn(tables, embedder=self.embedder)
-        aligned_tables = alignment.apply(tables)
-        seconds = time.perf_counter() - start
-        return AlignmentStage(
-            alignment=alignment,
-            tables=aligned_tables,
-            timings={"alignment_seconds": seconds},
-        )
+        relations = encode_request(tables)
+        alignment = align_fn(relations, embedder=self.embedder)
+        return AlignmentStage(alignment, alignment.apply(relations), {"alignment_seconds": time.perf_counter() - start})
 
-    def apply_alignment(self, tables: Sequence[Table], alignment: ColumnAlignment) -> AlignmentStage:
+    def apply_alignment(self, tables: Sequence[Union[Table, Relation]], alignment: ColumnAlignment) -> AlignmentStage:
         """Stage 1 with a caller-supplied alignment (no strategy run)."""
         start = time.perf_counter()
-        aligned_tables = alignment.apply(tables)
-        seconds = time.perf_counter() - start
-        return AlignmentStage(
-            alignment=alignment,
-            tables=aligned_tables,
-            timings={"alignment_seconds": seconds},
-        )
+        relations = alignment.apply(encode_request(tables))
+        return AlignmentStage(alignment, relations, {"alignment_seconds": time.perf_counter() - start})
 
     def match(
         self,
@@ -353,13 +368,13 @@ class IntegrationEngine:
         already-validated override config so it is not rebuilt here.
         """
         if isinstance(aligned, AlignmentStage):
-            aligned_tables: Sequence[Table] = aligned.tables
+            relations = aligned.relations
             alignment = aligned.alignment
             timings = dict(aligned.timings)
         else:
             if alignment is None:
                 raise ValueError("match() needs an AlignmentStage or an explicit alignment")
-            aligned_tables = list(aligned)
+            relations = encode_request(aligned)
             timings = {}
 
         effective = _effective if _effective is not None else self._effective_config(overrides)
@@ -371,9 +386,7 @@ class IntegrationEngine:
         # engine's own stay untouched (an instance-configured wrapper keeps
         # its constructor values).  Breaker state is engine-global by design.
         with self._resilience_overrides(effective):
-            value_matching, rewritten = self._match_and_rewrite(
-                matcher, aligned_tables, alignment
-            )
+            value_matching, rewritten = self._match_and_rewrite(matcher, relations, alignment)
         timings["value_matching_seconds"] = time.perf_counter() - start
         # The request's counters ride beside the phase timings: every group's
         # request-level statistics, merged by each counter's rule.
@@ -384,7 +397,7 @@ class IntegrationEngine:
         return MatchStage(
             alignment=alignment,
             value_matching=value_matching,
-            tables=rewritten,
+            relations=rewritten,
             timings=timings,
         )
 
@@ -463,6 +476,7 @@ class IntegrationEngine:
             else:
                 if not tables:
                     raise ValueError("integrate() requires at least one table")
+                tables = encode_request(tables)  # before the first stage is announced
                 if alignment is not None:
                     if alignment_strategy is not None:
                         raise TypeError(
@@ -494,7 +508,7 @@ class IntegrationEngine:
                 staged = MatchStage(
                     alignment=aligned.alignment,
                     value_matching={},
-                    tables=list(aligned.tables),
+                    relations=aligned.relations,
                     timings=dict(aligned.timings),
                 )
 
@@ -503,7 +517,7 @@ class IntegrationEngine:
         fd = self._resolve_fd(fd_algorithm, effective)
         timings = dict(staged.timings)
         start = time.perf_counter()
-        fd_result = fd.integrate(staged.tables)
+        fd_result = fd.integrate(staged.relations)
         timings["full_disjunction_seconds"] = time.perf_counter() - start
 
         if self._store_cache is not None and effective.store_mode == "readwrite":
@@ -527,7 +541,7 @@ class IntegrationEngine:
             fd_result=fd_result,
             alignment=staged.alignment,
             value_matching=staged.value_matching,
-            rewritten_tables=list(staged.tables),
+            rewritten=staged.relations,
             timings=timings,
         )
 
@@ -656,36 +670,28 @@ class IntegrationEngine:
 
     @staticmethod
     def _match_and_rewrite(
-        matcher: ValueMatcher, aligned_tables: Sequence[Table], alignment: ColumnAlignment
-    ) -> Tuple[Dict[str, ValueMatchingResult], List[Table]]:
-        """Run Match Values per multi-table aligned group and rewrite the tables."""
-        rewritten = {table.name: table for table in aligned_tables}
+        matcher: ValueMatcher, relations: Sequence[Relation], alignment: ColumnAlignment
+    ) -> Tuple[Dict[str, ValueMatchingResult], List[Relation]]:
+        """Run Match Values per multi-table aligned group over the columns'
+        dictionaries, then remap each column's codes to the representatives."""
+        rewritten = {relation.name: relation for relation in relations}
         results: Dict[str, ValueMatchingResult] = {}
 
         for group in alignment.multi_table_groups():
             columns: List[ColumnValues] = []
             for member in group.members:
-                table = rewritten[member.table]
+                relation = rewritten[member.table]
                 # After alignment.apply() the column carries the group name.
-                values = table.distinct_values(group.name)
-                counts: Dict[object, int] = {}
-                for value in table.column_values(group.name, dropna=True):
-                    counts[value] = counts.get(value, 0) + 1
+                values = relation.distinct_values(group.name)
                 if values:
-                    columns.append(
-                        ColumnValues(
-                            column_id=(member.table, group.name), values=values, counts=counts
-                        )
-                    )
+                    counts = dict(zip(values, relation.counts(group.name).tolist()))
+                    columns.append(ColumnValues((member.table, group.name), values, counts))
             if len(columns) < 2:
                 continue
             result = matcher.match_columns(columns)
             results[group.name] = result
-            for member in group.members:
-                table = rewritten[member.table]
-                mapping = result.rewrite_map((member.table, group.name))
-                if mapping:
-                    rewritten[member.table] = table.replace_values(group.name, mapping)
+            for (table, column), replacements in result.replacements.items():
+                if replacements:
+                    rewritten[table] = rewritten[table].replace(column, replacements)
 
-        ordered = [rewritten[table.name] for table in aligned_tables]
-        return results, ordered
+        return results, [rewritten[relation.name] for relation in relations]

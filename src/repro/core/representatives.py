@@ -10,15 +10,15 @@ ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Hashable, List, Mapping, Sequence, Tuple
 
 from repro.registry import Registry
 
 ValueKey = Tuple[Hashable, object]
-# A policy receives the members of one match set, the global frequency of each
-# surface value across the aligning columns, and the order index of each
-# column, and returns the representative surface value.
-Policy = Callable[[Sequence[ValueKey], Mapping[object, int], Mapping[Hashable, int]], object]
+# A policy is a sort key: it receives one member's column order index, surface
+# value and global frequency across the aligning columns; the member with the
+# smallest key (the first, on ties) represents the match set.
+Policy = Callable[[int, object, float], Any]
 
 #: All representative policies, keyed by registry name.  Policies are plain
 #: functions, so they are fetched with ``REPRESENTATIVE_POLICIES.get`` (not
@@ -27,55 +27,27 @@ REPRESENTATIVE_POLICIES: Registry[Policy] = Registry("representative policy")
 
 
 @REPRESENTATIVE_POLICIES.register("frequency")
-def _frequency_policy(
-    members: Sequence[ValueKey],
-    frequencies: Mapping[object, int],
-    column_order: Mapping[Hashable, int],
-) -> object:
+def _frequency_policy(column: int, value: object, frequency: float) -> tuple:
     """Most frequent value; ties broken by earliest column, then lexicographically."""
-    def sort_key(member: ValueKey) -> Tuple[int, int, str]:
-        column, value = member
-        return (
-            -frequencies.get(value, 0),
-            column_order.get(column, len(column_order)),
-            str(value),
-        )
-
-    return min(members, key=sort_key)[1]
+    return (-frequency, column, str(value))
 
 
 @REPRESENTATIVE_POLICIES.register("first_column")
-def _first_column_policy(
-    members: Sequence[ValueKey],
-    frequencies: Mapping[object, int],
-    column_order: Mapping[Hashable, int],
-) -> object:
+def _first_column_policy(column: int, value: object, frequency: float) -> tuple:
     """Value from the earliest column (the query table's spelling wins)."""
-    def sort_key(member: ValueKey) -> Tuple[int, str]:
-        column, value = member
-        return (column_order.get(column, len(column_order)), str(value))
-
-    return min(members, key=sort_key)[1]
+    return (column, str(value))
 
 
 @REPRESENTATIVE_POLICIES.register("longest")
-def _longest_policy(
-    members: Sequence[ValueKey],
-    frequencies: Mapping[object, int],
-    column_order: Mapping[Hashable, int],
-) -> object:
+def _longest_policy(column: int, value: object, frequency: float) -> tuple:
     """Longest surface form (prefers expanded names over abbreviations)."""
-    return min(members, key=lambda member: (-len(str(member[1])), str(member[1])))[1]
+    return (-len(str(value)), str(value))
 
 
 @REPRESENTATIVE_POLICIES.register("shortest")
-def _shortest_policy(
-    members: Sequence[ValueKey],
-    frequencies: Mapping[object, int],
-    column_order: Mapping[Hashable, int],
-) -> object:
+def _shortest_policy(column: int, value: object, frequency: float) -> tuple:
     """Shortest surface form (prefers codes/abbreviations)."""
-    return min(members, key=lambda member: (len(str(member[1])), str(member[1])))[1]
+    return (len(str(value)), str(value))
 
 
 def available_policies() -> List[str]:
@@ -92,5 +64,9 @@ def select_representative(
     """Choose the representative value of one match set under ``policy``."""
     if not members:
         raise ValueError("cannot select a representative from an empty match set")
-    chosen_policy = REPRESENTATIVE_POLICIES.get(policy)
-    return chosen_policy(members, frequencies, column_order)
+    key = REPRESENTATIVE_POLICIES.get(policy)
+    unknown = len(column_order)  # the order index of a column missing from it
+    return min(
+        members,
+        key=lambda member: key(column_order.get(member[0], unknown), member[1], frequencies.get(member[1], 0)),
+    )[1]

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.representatives import REPRESENTATIVE_POLICIES, select_representative
+from repro.core.representatives import REPRESENTATIVE_POLICIES
 from repro.embeddings.base import ValueEmbedder
 from repro.embeddings.resilient import DEGRADED_MODES, EmbedderUnavailable
 from repro.matching.assignment import AssignmentSolver
-from repro.matching.bipartite import BipartiteValueMatcher
+from repro.matching.bipartite import BipartiteValueMatcher, exact_first
 from repro.matching.ann import (
     DEFAULT_ANN_BITS,
     DEFAULT_ANN_TABLES,
@@ -43,6 +44,7 @@ from repro.matching.blocking import (
 from repro.matching.clustering import ValueMatchSet
 from repro.matching.distance import EmbeddingDistance
 from repro.storage.store import ArtifactStore
+from repro.table.relation import cell_key, dictionary, distinct
 from repro.utils.executor import ExecutorConfig
 
 #: Cell count (``|left| × |right|``) at which ``blocking="auto"`` switches a
@@ -78,19 +80,13 @@ class ColumnValues:
     counts: Dict[object, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        deduplicated: List[object] = []
-        seen = set()
-        for value in self.values:
-            if value not in seen:
-                seen.add(value)
-                deduplicated.append(value)
-        self.values = deduplicated
+        # Equal values are one value, except that a boolean is not the number
+        # it equals (see repro.table.relation).
+        self.values = distinct(self.values)
         # A partially populated counts dict would silently give missing values
         # no weight in frequency-based representative selection; default every
-        # uncounted value to 1.  Copy first — the caller's dict stays untouched.
-        self.counts = dict(self.counts)
-        for value in self.values:
-            self.counts.setdefault(value, 1)
+        # uncounted value to 1.  A copy — the caller's dict stays untouched.
+        self.counts = {**dict.fromkeys(self.values, 1), **self.counts}
 
     def __len__(self) -> int:
         return len(self.values)
@@ -103,13 +99,17 @@ class ValueMatchingResult:
     sets: List[ValueMatchSet]
     column_order: Dict[Hashable, int]
     statistics: Dict[str, float] = field(default_factory=dict)
+    #: Per column, ``{position of a value in the column: its representative}``
+    #: for the values the rewrite changes — what the engine remaps codes by.
+    replacements: Dict[Hashable, Dict[int, object]] = field(default_factory=dict)
 
     def rewrite_map(self, column_id: Hashable) -> Dict[object, object]:
         """``value -> representative`` for one column (identity pairs omitted)."""
         mapping: Dict[object, object] = {}
         for match_set in self.sets:
+            representative = cell_key(match_set.representative)
             for member_column, value in match_set.members:
-                if member_column == column_id and value != match_set.representative:
+                if member_column == column_id and cell_key(value) != representative:
                     mapping[value] = match_set.representative
         return mapping
 
@@ -133,16 +133,6 @@ class ValueMatchingResult:
                 for right in members[index + 1 :]:
                     pairs.append((left, right))
         return pairs
-
-
-class _Group:
-    """A value-match group under construction (mutable, internal)."""
-
-    __slots__ = ("members", "representative")
-
-    def __init__(self, members: List[ValueKey], representative: object) -> None:
-        self.members = members
-        self.representative = representative
 
 
 class ValueMatcher:
@@ -254,7 +244,11 @@ class ValueMatcher:
 
     # -- public API ---------------------------------------------------------------
     def match_columns(self, columns: Sequence[ColumnValues]) -> ValueMatchingResult:
-        """Run the full sequential combined-column procedure over ``columns``."""
+        """Run the full sequential combined-column procedure over ``columns``.
+
+        Every value of every column is an *item*; items holding equal values
+        share a code.  A group (of items) stands for one item, its representative.
+        """
         if not columns:
             return ValueMatchingResult(sets=[], column_order={})
         start = time.perf_counter()
@@ -264,74 +258,80 @@ class ValueMatcher:
         # counters are observability, not accounting.
         before = self._cumulative_counts()
         column_order = {column.column_id: index for index, column in enumerate(columns)}
-        frequencies = self._global_frequencies(columns)
-        statistics = obs.merge(
-            obs.zeros(self._routes),
-            {"columns": len(columns), "values": sum(len(column) for column in columns)},
-        )
-
-        groups = [
-            _Group(members=[(columns[0].column_id, value)], representative=value)
-            for value in columns[0].values
-        ]
-
-        for column in columns[1:]:
-            combined_values = [group.representative for group in groups]
-            matcher = self._matcher_for(len(combined_values), len(column.values))
-            try:
-                matches = (
-                    matcher.match_exact_first(combined_values, column.values)
-                    if self.exact_first
-                    else matcher.match(combined_values, column.values)
-                )
-            except EmbedderUnavailable:
-                # Breaker open.  Under "surface" the pair is re-matched
-                # without embeddings (exact + surface-blocking equality) and
-                # the result is marked degraded; any other mode propagates
-                # the typed error to the engine/service boundary.
-                if self.degraded_mode != "surface":
-                    raise
-                matches = self._degraded_fallback().match_degraded(
-                    combined_values, column.values
-                )
-                pair_counts = {"degraded": 1, "degraded_assignments": 1}
-            else:
-                pair_counts = self._pair_counts(matcher)
-            obs.merge(
-                statistics, {"assignments": 1, "accepted_matches": len(matches), **pair_counts}
-            )
-
-            groups_by_representative: Dict[object, List[_Group]] = {}
-            for group in groups:
-                groups_by_representative.setdefault(group.representative, []).append(group)
-
-            matched_right = set()
-            for match in matches:
-                bucket = groups_by_representative.get(match.left)
-                if not bucket:
-                    continue
-                group = bucket.pop(0)
-                group.members.append((column.column_id, match.right))
-                group.representative = select_representative(
-                    group.members, frequencies, column_order, policy=self.representative_policy
-                )
-                matched_right.add(match.right)
-
-            for value in column.values:
-                if value not in matched_right:
-                    groups.append(_Group(members=[(column.column_id, value)], representative=value))
+        statistics = obs.merge(obs.zeros(self._routes), {"columns": len(columns), "values": sum(map(len, columns))})
+        ids = [column.column_id for column in columns]
+        values = list(chain.from_iterable(column.values for column in columns))
+        column_of = list(chain.from_iterable(repeat(index, len(column)) for index, column in enumerate(columns)))
+        bounds = list(accumulate(map(len, columns), initial=0))
+        codes, code_values = dictionary(values)
+        frequency = [0] * len(code_values)  # of each value, over every column
+        for code, count in zip(codes, chain.from_iterable(map(column.counts.__getitem__, column.values) for column in columns)):
+            frequency[code] += count
+        # A group stands for its member with the smallest policy key (the
+        # first, on ties), so every item is ranked once.
+        key = REPRESENTATIVE_POLICIES.get(self.representative_policy)
+        ranks = list(map(key, column_of, values, map(frequency.__getitem__, codes)))
+        group = list(range(bounds[1])) + [-1] * (len(values) - bounds[1])  # the group of each item
+        stands = list(range(bounds[1]))  # the item each group stands for
+        for index in range(1, len(columns)):
+            low, high = bounds[index], bounds[index + 1]
+            matches, pair_counts = self._match_pair(values, codes, stands, low, high)
+            obs.merge(statistics, {"assignments": 1, "accepted_matches": len(matches), **pair_counts})
+            for chosen, item in matches:
+                group[item] = chosen
+                if ranks[item] < ranks[stands[chosen]]:
+                    stands[chosen] = item
+            for item in range(low, high):
+                if group[item] < 0:
+                    group[item] = len(stands)
+                    stands.append(item)
 
         statistics["elapsed_seconds"] = time.perf_counter() - start
-        obs.merge(statistics, {"match_sets": len(groups)})
+        obs.merge(statistics, {"match_sets": len(stands)})
         obs.merge(statistics, obs.delta(before, self._cumulative_counts()))
+        replacements: Dict[Hashable, Dict[int, object]] = {column_id: {} for column_id in ids}
+        for item, at in enumerate(group):
+            if codes[stands[at]] != codes[item]:  # its group stands for another value
+                replacements[ids[column_of[item]]][item - bounds[column_of[item]]] = values[stands[at]]
+        return ValueMatchingResult(
+            _match_sets(ids, values, column_of, group, stands), column_order, statistics, replacements
+        )
 
-        sets = [
-            ValueMatchSet(members=sorted(group.members, key=lambda key: (str(key[0]), str(key[1]))),
-                          representative=group.representative)
-            for group in groups
-        ]
-        sets.sort(key=lambda match_set: (str(match_set.members[0][0]), str(match_set.members[0][1])))
-        return ValueMatchingResult(sets=sets, column_order=column_order, statistics=statistics)
+    def _match_pair(
+        self, values: List[object], codes: List[int], stands: List[int], low: int, high: int
+    ) -> Tuple[List[Tuple[int, int]], Dict[str, float]]:
+        """The matches between the combined column (each group's representative)
+        and the items ``low:high`` as ``(group, item)`` pairs, and the pair's counters."""
+        left_values, right_values = [values[item] for item in stands], values[low:high]
+        keys = [codes[item] for item in stands], codes[low:high]
+        matcher = self._matcher_for(len(left_values), len(right_values))
+        try:
+            if self.exact_first:
+                found = exact_first(matcher.match_indices, left_values, right_values, keys)
+            else:
+                found = matcher.match_indices(left_values, right_values)
+            pair_counts = self._pair_counts(matcher)
+        except EmbedderUnavailable:
+            # Breaker open.  Under "surface" the pair is re-matched without
+            # embeddings (exact + surface-blocking equality) and the result is
+            # marked degraded; any other mode propagates the typed error to
+            # the engine/service boundary.
+            if self.degraded_mode != "surface":
+                raise
+            found = exact_first(self._degraded_fallback().match_degraded, left_values, right_values, keys)
+            pair_counts = {"degraded": 1, "degraded_assignments": 1}
+        matches = list(zip(*found))
+        if len(set(keys[0])) < len(keys[0]):
+            # Groups standing for equal values are one bucket to the fold: the
+            # bucket's matches, in (distance, left text, right text) order,
+            # take its groups in group order — not necessarily the groups the
+            # matcher paired them with position by position.
+            buckets: Dict[int, List[int]] = {}
+            for position, code in enumerate(keys[0]):
+                buckets.setdefault(code, []).append(position)
+            matches.sort(key=lambda match: (match[2], str(left_values[match[0]]), str(right_values[match[1]])))
+            matches = [(buckets[keys[0][left]].pop(0), right, distance) for left, right, distance in matches]
+        return [(left, low + right) for left, right, _ in matches], pair_counts
 
     # -- helpers --------------------------------------------------------------------
     def _cumulative_counts(self) -> Dict[str, float]:
@@ -380,11 +380,22 @@ class ValueMatcher:
             return self._blocked_matcher
         return self._matcher
 
-    @staticmethod
-    def _global_frequencies(columns: Sequence[ColumnValues]) -> Dict[object, int]:
-        """Occurrences of each surface value across all aligning columns."""
-        frequencies: Dict[object, int] = {}
-        for column in columns:
-            for value in column.values:
-                frequencies[value] = frequencies.get(value, 0) + column.counts.get(value, 1)
-        return frequencies
+
+def _match_sets(
+    ids: List[Hashable], values: List[object], column_of: List[int], group: List[int], stands: List[int]
+) -> List[ValueMatchSet]:
+    """The groups as match sets: members ordered by their ``(column, value)``
+    texts, sets by their first member's (ties: the order of the groups)."""
+    column_texts = [str(column_id) for column_id in ids]
+    keys = list(zip(map(ids.__getitem__, column_of), values))
+    members: List[List[int]] = [[] for _ in stands]
+    for item, at in enumerate(group):
+        members[at].append(item)  # in column order: sorted, if the column texts ascend
+    if any(earlier >= later for earlier, later in zip(column_texts, column_texts[1:])):
+        for items in members:
+            items.sort(key=lambda item: (column_texts[column_of[item]], str(values[item])))
+    first = [(column_texts[column_of[items[0]]], str(values[items[0]])) for items in members]
+    return [
+        ValueMatchSet(list(map(keys.__getitem__, members[at])), values[stands[at]])
+        for at in sorted(range(len(stands)), key=first.__getitem__)
+    ]

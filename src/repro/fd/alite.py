@@ -11,12 +11,12 @@ runtime experiment (Figure 3) feasible.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterator
 
-from repro.fd.base import FullDisjunctionAlgorithm
+import numpy as np
+
+from repro.fd.base import Batch, FullDisjunctionAlgorithm
 from repro.fd.complementation import ComplementationEngine
-from repro.table.coded import decode_rows, encode_rows
-from repro.table.table import Table
 
 
 class AliteFullDisjunction(FullDisjunctionAlgorithm):
@@ -32,11 +32,6 @@ class AliteFullDisjunction(FullDisjunctionAlgorithm):
         super().__init__(result_name)
         self._engine = ComplementationEngine(max_tuples=max_tuples)
 
-    def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
-        union = self._outer_union(tables)
-        statistics["outer_union_tuples"] = float(union.num_rows)
-        codes, values = encode_rows(union.rows, union.num_columns)
-        # Only the surviving tuples are ever decoded back to cell values.
-        survivors, provenance = self._engine.disjunction_coded(codes, union.provenance, statistics)
-        rows = decode_rows(survivors, values)
-        return Table(self.result_name, union.schema, rows, provenance=provenance)
+    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Iterator[Batch]:
+        statistics["outer_union_tuples"] = float(codes.shape[1])
+        yield self._engine.disjunction_coded(codes, statistics)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
-from repro.table.operations import outer_union
+import numpy as np
+
+from repro.table.relation import Relation, outer_union, sources, tuple_ids
 from repro.table.table import Table
+
+#: Survivors coded over the outer union's dictionaries, with their provenance
+#: as pairs: union row ``inputs[k]`` is a source of survivor ``holders[k]``.
+Batch = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -26,6 +31,8 @@ class FullDisjunctionResult:
         Total number of tuples across the input tables.
     elapsed_seconds:
         Wall-clock time of the integration.
+    relation:
+        ``table`` coded: the HTTP adapter writes its JSON rows from these.
     statistics:
         Algorithm-specific counters (complementation rounds, merges, ...).
     """
@@ -34,6 +41,7 @@ class FullDisjunctionResult:
     algorithm: str
     input_tuple_count: int
     elapsed_seconds: float
+    relation: Relation
     statistics: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -42,12 +50,13 @@ class FullDisjunctionResult:
         return self.table.num_rows
 
 
-class FullDisjunctionAlgorithm(abc.ABC):
+class FullDisjunctionAlgorithm:
     """Base class for Full Disjunction implementations.
 
-    Subclasses implement :meth:`_integrate`, which returns the Full
-    Disjunction itself (no subsumed tuples), and inherit input validation,
-    provenance bookkeeping and timing from :meth:`integrate`.
+    :meth:`integrate` codes its inputs (:class:`~repro.table.relation.Relation`),
+    outer-unions them over one dictionary per column, and decodes the
+    survivors that the subclass's :meth:`_disjunction` lists — the Full
+    Disjunction itself, no subsumed tuples — once, provenance included.
     """
 
     #: Short registry name; subclasses override.
@@ -57,43 +66,51 @@ class FullDisjunctionAlgorithm(abc.ABC):
         self.result_name = result_name
 
     # -- public API ----------------------------------------------------------------
-    def integrate(self, tables: Sequence[Table]) -> FullDisjunctionResult:
-        """Integrate ``tables`` and return a :class:`FullDisjunctionResult`.
+    def integrate(self, tables: Sequence[Union[Table, Relation]]) -> FullDisjunctionResult:
+        """Integrate ``tables`` (or relations) and return a :class:`FullDisjunctionResult`.
 
-        Input tables that lack provenance get default singleton provenance so
-        that each output tuple reports the set of source tuple ids it merged.
+        Input tuples without provenance stand for themselves (``"name:row"``),
+        so each output tuple reports the set of source tuple ids it merged.
         """
         if not tables:
             raise ValueError("integrate() requires at least one table")
-        prepared = [
-            table if table.provenance is not None else table.with_default_provenance()
-            for table in tables
-        ]
-        input_tuple_count = sum(table.num_rows for table in prepared)
+        relations = [Relation.of(table) for table in tables]
         start = time.perf_counter()
         statistics: Dict[str, float] = {}
-        integrated = self._integrate(prepared, statistics)
+        integrated = self._collect(relations, statistics)
+        table = integrated.to_table()
         elapsed = time.perf_counter() - start
-        integrated = integrated.with_name(self.result_name)
         return FullDisjunctionResult(
-            table=integrated,
-            algorithm=self.name,
-            input_tuple_count=input_tuple_count,
-            elapsed_seconds=elapsed,
-            statistics=statistics,
+            table, self.name, sum(relation.num_rows for relation in relations), elapsed, integrated, statistics
         )
 
-    def __call__(self, tables: Sequence[Table]) -> Table:
+    def __call__(self, tables: Sequence[Union[Table, Relation]]) -> Table:
         """Convenience: integrate and return just the table."""
         return self.integrate(tables).table
 
     # -- extension point -------------------------------------------------------------
-    @abc.abstractmethod
-    def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
-        """Produce the integrated table, without subsumed tuples."""
+    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Iterator[Batch]:
+        """The Full Disjunction of the outer union ``codes``, batch by batch."""
+        raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------------------
-    @staticmethod
-    def _outer_union(tables: Sequence[Table]) -> Table:
-        """Outer union of the inputs with plain nulls and preserved provenance."""
-        return outer_union(tables, name="outer_union")
+    def _batches(self, relations: Sequence[Relation], statistics: Dict[str, float]) -> Iterator[Relation]:
+        """The survivors batch by batch, each a relation with its provenance
+        decoded, after an empty one (so there is always a first batch)."""
+        schema, codes, values = outer_union(relations)
+        ids = tuple_ids(relations)
+        yield Relation(self.result_name, schema, codes[:, :0], values, [])
+        for survivors, inputs, holders in self._disjunction(codes, statistics):
+            yield Relation(self.result_name, schema, survivors, values, sources(ids, inputs, holders, survivors.shape[1]))
+
+    def _collect(self, relations: Sequence[Relation], statistics: Dict[str, float], limit: Optional[int] = None) -> Relation:
+        """The first ``limit`` survivors (all by default) as one relation."""
+        batches, held = [], 0
+        for batch in self._batches(relations, statistics):
+            batches.append(batch)
+            held += batch.num_rows
+            if limit is not None and held >= limit:
+                break
+        codes = np.concatenate([batch.codes for batch in batches], axis=1) if len(batches) > 2 else batches[-1].codes
+        provenance = [entry for batch in batches for entry in batch.provenance]
+        return Relation(self.result_name, batches[0].schema, codes[:, :limit], batches[0].values, provenance[:limit])

@@ -13,13 +13,12 @@ terminates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.table.coded import PairPostings, TupleIndex, decode_rows, encode_rows, span_blocks
-from repro.table.subsumption import subsumers, survivor, union_sources
-from repro.table.table import Provenance, RowValues
+from repro.table.coded import PairPostings, TupleIndex, span_blocks
+from repro.table.subsumption import subsumers, survivor
 from repro.utils.components import component_labels
 
 
@@ -55,35 +54,16 @@ class ComplementationEngine:
     def __init__(self, max_tuples: int = 5_000_000) -> None:
         self.max_tuples = max_tuples
 
-    def close(
-        self,
-        rows: Sequence[RowValues],
-        provenance: Sequence[Provenance],
-        statistics: Dict[str, float] | None = None,
-    ) -> Tuple[List[RowValues], List[Provenance]]:
-        """Return the complementation closure of ``rows``.
-
-        Duplicate tuples are collapsed, merging their provenance.  The inputs
-        themselves are always part of the returned set (subsumption removal is
-        the caller's job).
-        """
-        if not rows:
-            return [], []
-        codes, values = encode_rows(rows, len(rows[0]))
-        closed = self.close_coded(codes, statistics)[0]
-        empty_to = np.flatnonzero((closed < 0).all(axis=0))
-        return decode_rows(closed, values), subsumed_sources(closed, codes, provenance, empty_to)[0]
-
     def disjunction_coded(
         self,
         codes: np.ndarray,
-        provenance: Sequence[Provenance],
         statistics: Dict[str, float] | None = None,
         labels: np.ndarray | None = None,
-    ) -> Tuple[np.ndarray, List[Provenance]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full Disjunction of coded tuples: closure, then subsumption removal.
 
-        Returns the surviving tuples, coded, and their provenance.  With
+        Returns the surviving tuples, coded, and their provenance as pairs:
+        input ``inputs[k]`` is a source of survivor ``holders[k]``.  With
         ``labels`` — one per input, equal within and distinct across the
         connected components of the value-sharing graph — the survivors come
         component by component in label order, each component's in closure
@@ -98,11 +78,11 @@ class ComplementationEngine:
         starts = [int(index == 0) if subsumed[index] else index for index in empty]
         empty_to = np.searchsorted(kept, [survivor(closed, subsumed, start) for start in starts])
         survivors = closed[:, kept]
-        sources, stem = subsumed_sources(survivors, codes, provenance, empty_to)
+        inputs, holders, stem = subsumed_sources(survivors, codes, empty_to)
         if labels is not None:
             order = np.argsort(labels[stem], kind="stable")
-            survivors, sources = survivors[:, order], [sources[index] for index in order.tolist()]
-        return survivors, sources
+            survivors, holders = survivors[:, order], np.argsort(order)[holders]
+        return survivors, inputs, holders
 
     def close_coded(
         self, codes: np.ndarray, statistics: Dict[str, float] | None = None
@@ -210,9 +190,10 @@ class ComplementationEngine:
 
 
 def subsumed_sources(
-    closed: np.ndarray, codes: np.ndarray, provenance: Sequence[Provenance], empty_to: np.ndarray
-) -> Tuple[List[Provenance], np.ndarray]:
-    """Provenance of tuples ``closed`` of the closure of the inputs ``codes``.
+    closed: np.ndarray, codes: np.ndarray, empty_to: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Provenance of tuples ``closed`` of the closure of the inputs ``codes``,
+    as pairs: input ``inputs[k]`` is a source of closed tuple ``holders[k]``.
 
     A closed tuple ``t`` stems from the non-empty inputs it subsumes: each such
     input is a partner of ``t`` whose merge is ``t`` itself, and every tuple
@@ -227,7 +208,7 @@ def subsumed_sources(
     empty = np.flatnonzero((codes < 0).all(axis=0))
     inputs = np.concatenate((inputs, empty))
     holders = np.concatenate((holders, np.repeat(empty_to, empty.size)))
-    return union_sources(provenance, inputs, holders, closed.shape[1]), stem
+    return inputs, holders, stem
 
 
 def connected_components(codes: np.ndarray) -> List[np.ndarray]:

@@ -16,15 +16,13 @@ the input.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
-from repro.fd.base import FullDisjunctionAlgorithm
+from repro.fd.base import Batch, FullDisjunctionAlgorithm
 from repro.fd.complementation import ComplementationEngine, connected_components
-from repro.table.coded import compact_codes, decode_rows, encode_rows
-from repro.table.table import Provenance, RowValues, Table
+from repro.table.coded import compact_codes
 
 #: Input tuples closed at a time: consecutive components share a pass of the
 #: kernel until they hold this many tuples; a larger component has its own.
@@ -63,14 +61,11 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
         super().__init__(result_name)
         self._engine = ComplementationEngine(max_tuples=max_tuples)
 
-    def _iter_union(
-        self, union: Table, statistics: Dict[str, float]
-    ) -> Iterator[Tuple[RowValues, Provenance]]:
-        """Yield the Full Disjunction tuples of an outer union, with provenance,
-        each batch of components as soon as it is closed and reduced."""
-        codes, values = encode_rows(union.rows, union.num_columns)
+    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Iterator[Batch]:
+        """The Full Disjunction tuples of the outer union ``codes``, each batch
+        of components as soon as it is closed and reduced."""
         components = connected_components(codes)
-        statistics["outer_union_tuples"] = float(union.num_rows)
+        statistics["outer_union_tuples"] = float(codes.shape[1])
         statistics["components"] = float(len(components))
         if self.largest_components_last:
             components = sorted(components, key=len)
@@ -84,32 +79,17 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
             batches[:1] = [[empty, *(batches[0] if batches else [])]]
         for batch in batches:
             rows = np.concatenate(batch)
-            compact, present = compact_codes(codes[:, rows])
-            survivors, provenance = self._engine.disjunction_coded(
+            # A batch of every tuple holds every code; a smaller one is renumbered densely.
+            compact, present = (codes[:, rows], []) if rows.size == codes.shape[1] else compact_codes(codes[:, rows])
+            survivors, inputs, holders = self._engine.disjunction_coded(
                 compact,
-                [union.provenance[index] for index in rows.tolist()],
                 statistics,
                 labels=np.repeat(np.arange(len(batch)), [component.size for component in batch]),
             )
-            batch_values = [
-                [column[code] for code in codes_present.tolist()]
-                for column, codes_present in zip(values, present)
-            ]
-            yield from zip(decode_rows(survivors, batch_values), provenance)
-
-    def _collect(
-        self, union: Table, statistics: Dict[str, float], limit: int | None = None
-    ) -> Table:
-        emitted = list(islice(self._iter_union(union, statistics), limit))
-        return Table(
-            self.result_name,
-            union.schema,
-            [values for values, _ in emitted],
-            provenance=[sources for _, sources in emitted],
-        )
-
-    def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
-        return self._collect(self._outer_union(tables), statistics)
+            # Back from the batch's dense codes to the outer union's.
+            for position, old in enumerate(present):
+                survivors[position] = np.append(old, -1)[survivors[position]]
+            yield survivors, rows[inputs], holders
 
 
 class PartitionedFullDisjunction(IncrementalFullDisjunction):

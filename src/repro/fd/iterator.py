@@ -16,9 +16,11 @@ incremental algorithm's result, in its order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
+from repro.fd.base import FullDisjunctionResult
 from repro.fd.incremental import IncrementalFullDisjunction
+from repro.table.relation import Relation
 from repro.table.table import Provenance, RowValues, Table
 
 
@@ -43,15 +45,16 @@ class StreamingFullDisjunction(IncrementalFullDisjunction):
     ) -> Iterator[Tuple[RowValues, Provenance]]:
         """Yield Full Disjunction tuples (with provenance) component by component."""
         if tables:
-            yield from self._iter_union(self._outer_union(tables), {})
+            for batch in self._batches([Relation.of(table) for table in tables], {}):
+                yield from zip(batch.decode(), batch.provenance)
 
     def preview(self, tables: Sequence[Table], limit: int = 10) -> Table:
         """Return the first ``limit`` Full Disjunction tuples as a table."""
         if not tables:
             raise ValueError("preview() requires at least one table")
-        return self._collect(self._outer_union(tables), {}, limit)
+        return self._collect([Relation.of(table) for table in tables], {}, limit).to_table()
 
-    def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
-        integrated = super()._integrate(tables, statistics)
-        statistics["emitted_tuples"] = float(integrated.num_rows)
-        return integrated
+    def integrate(self, tables: Sequence[Table]) -> FullDisjunctionResult:
+        result = super().integrate(tables)
+        result.statistics["emitted_tuples"] = float(result.table.num_rows)
+        return result

@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence, Set
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.table.nulls import NULL, is_null
 from repro.table.operations import full_outer_join, outer_union
+from repro.table.relation import Relation
 from repro.table.subsumption import remove_subsumed
 from repro.table.table import CellValue, Provenance, RowValues, Table
 
@@ -55,7 +56,18 @@ def _merge_same_schema(left: RowValues, right: RowValues) -> RowValues:
     return tuple(merged)
 
 
-class NaiveFullDisjunction(FullDisjunctionAlgorithm):
+class RowOracle(FullDisjunctionAlgorithm):
+    """A definition-level algorithm: :meth:`_integrate` works on the rows of
+    the input tables, every tuple carrying its provenance, and returns the
+    Full Disjunction itself (no subsumed tuples)."""
+
+    def _collect(self, relations: Sequence[Relation], statistics: Dict[str, float], limit=None) -> Relation:
+        tables = [relation.to_table() for relation in relations]
+        tables = [table if table.provenance is not None else table.with_default_provenance() for table in tables]
+        return Relation.of(self._integrate(tables, statistics))  # type: ignore[attr-defined]
+
+
+class NaiveFullDisjunction(RowOracle):
     """Unindexed complementation fixpoint (reference oracle).
 
     Every pair of known tuples is re-examined in every round until a round
@@ -69,7 +81,7 @@ class NaiveFullDisjunction(FullDisjunctionAlgorithm):
         self.max_rounds = max_rounds
 
     def _integrate(self, tables: Sequence[Table], statistics: Dict[str, float]) -> Table:
-        union = self._outer_union(tables)
+        union = outer_union(tables, name="outer_union")
 
         known: Dict[RowValues, Set[str]] = {}
         for values, sources in zip(union.rows, union.provenance):
@@ -108,7 +120,7 @@ class NaiveFullDisjunction(FullDisjunctionAlgorithm):
         return remove_subsumed(Table(self.result_name, union.schema, rows, provenance=prov))
 
 
-class OuterJoinSequence(FullDisjunctionAlgorithm):
+class OuterJoinSequence(RowOracle):
     """Galindo-Legaria's all-orders outer-join characterisation of FD.
 
     For ``n`` input tables this evaluates ``n!`` left-deep full outer join

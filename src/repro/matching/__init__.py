@@ -17,7 +17,7 @@ from repro.matching.assignment import (
     get_assignment_solver,
 )
 from repro.matching.ann import SemanticBlocker
-from repro.matching.bipartite import BipartiteValueMatcher, ValueMatch, split_exact_matches
+from repro.matching.bipartite import BipartiteValueMatcher, ValueMatch, exact_first
 from repro.matching.blocking import (
     PROHIBITIVE_COST,
     BlockedValueMatcher,
@@ -46,7 +46,7 @@ __all__ = [
     "available_solvers",
     "get_assignment_solver",
     "BipartiteValueMatcher",
-    "split_exact_matches",
+    "exact_first",
     "BlockedValueMatcher",
     "ValueBlocker",
     "SemanticBlocker",

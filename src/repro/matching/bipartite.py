@@ -11,9 +11,7 @@ because its distance exceeds the threshold).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
 from repro.matching.distance import DistanceFunction
@@ -32,33 +30,50 @@ class ValueMatch:
         return (self.left, self.right)
 
 
-def split_exact_matches(
-    left_values: Sequence[object], right_values: Sequence[object]
-) -> Tuple[List[ValueMatch], List[object], List[object]]:
-    """Pair identical values positionally before any fuzzy matching.
+#: Accepted matches by position: left positions, right positions, distances.
+IndexMatches = Tuple[List[int], List[int], List[float]]
 
-    Returns ``(exact_matches, left_remaining, right_remaining)``.  Each exact
-    match consumes one left *position* (not every copy of the value), so
-    surviving duplicates of a matched value still reach the fuzzy stage.
-    Shared by the exhaustive and the blocked matcher.
-    """
-    left_positions: Dict[object, List[int]] = {}
-    for position, value in enumerate(left_values):
-        left_positions.setdefault(value, []).append(position)
-    matches: List[ValueMatch] = []
-    consumed: Set[int] = set()
-    right_remaining: List[object] = []
-    for value in right_values:
-        bucket = left_positions.get(value)
-        if bucket:
-            consumed.add(bucket.pop(0))
-            matches.append(ValueMatch(left=value, right=value, distance=0.0))
-        else:
-            right_remaining.append(value)
-    left_remaining = [
-        value for position, value in enumerate(left_values) if position not in consumed
+
+def value_matches(
+    left_values: Sequence[object], right_values: Sequence[object], left: List[int], right: List[int], distances: List[float]
+) -> List[ValueMatch]:
+    """Index matches as :class:`ValueMatch` objects, sorted by distance, then text."""
+    matches = [
+        ValueMatch(left_values[row], right_values[column], distance)
+        for row, column, distance in zip(left, right, distances)
     ]
-    return matches, left_remaining, right_remaining
+    matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
+    return matches
+
+
+def exact_first(
+    match: Callable[[List[object], List[object]], IndexMatches],
+    left_values: Sequence[object],
+    right_values: Sequence[object],
+    keys: Optional[Tuple[Sequence[object], Sequence[object]]] = None,
+) -> IndexMatches:
+    """Identical values paired positionally first, then ``match`` on the rest.
+
+    Each right value takes the first left position holding it that no earlier
+    right value took, so surviving duplicates of a matched value still reach
+    ``match``.  ``keys`` (one per left, one per right value) say what counts
+    as identical; by default the values themselves.
+    """
+    left_keys, right_keys = keys if keys is not None else (left_values, right_values)
+    holders: Dict[object, List[int]] = {}
+    for at, key in enumerate(left_keys):
+        holders.setdefault(key, []).append(at)
+    left, right, rest_right = [], [], []
+    for at, key in enumerate(right_keys):
+        if holders.get(key):
+            left.append(holders[key].pop(0))
+            right.append(at)
+        else:
+            rest_right.append(at)
+    taken = set(left)
+    rest_left = [at for at in range(len(left_keys)) if at not in taken]
+    found = match([left_values[at] for at in rest_left], [right_values[at] for at in rest_right])
+    return left + [rest_left[at] for at in found[0]], right + [rest_right[at] for at in found[1]], [0.0] * len(left) + found[2]
 
 
 class BipartiteValueMatcher:
@@ -100,25 +115,22 @@ class BipartiteValueMatcher:
         by the caller (the clean-clean assumption of the paper); the matcher
         nevertheless tolerates duplicates by matching positions.
         """
+        return value_matches(left_values, right_values, *self.match_indices(left_values, right_values))
+
+    def match_indices(self, left_values: Sequence[object], right_values: Sequence[object]) -> IndexMatches:
+        """:meth:`match` as ``(left positions, right positions, distances)``, in solver order."""
         if not left_values or not right_values:
-            return []
+            return [], [], []
         cost = self.distance.matrix(left_values, right_values)
         pairs = self.solver.solve(cost)
-        matches: List[ValueMatch] = []
-        for row, col in pairs:
-            pair_distance = float(cost[row, col])
-            if pair_distance < self.threshold:
-                matches.append(
-                    ValueMatch(left=left_values[row], right=right_values[col], distance=pair_distance)
-                )
-        matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
-        return matches
+        if not pairs:
+            return [], [], []
+        rows, columns = map(list, zip(*pairs))
+        distances = cost[rows, columns].tolist()
+        kept = [at for at, distance in enumerate(distances) if distance < self.threshold]
+        return [rows[at] for at in kept], [columns[at] for at in kept], [distances[at] for at in kept]
 
-    def match_exact_first(
-        self,
-        left_values: Sequence[object],
-        right_values: Sequence[object],
-    ) -> List[ValueMatch]:
+    def match_exact_first(self, left_values: Sequence[object], right_values: Sequence[object]) -> List[ValueMatch]:
         """Match identical values first, then fuzzily match the remainder.
 
         Exact duplicates across the two columns are always correct matches and
@@ -127,9 +139,4 @@ class BipartiteValueMatcher:
         marginally cheaper fuzzy pair.  This is the variant the Fuzzy FD
         pipeline uses by default.
         """
-        matches, left_remaining, right_remaining = split_exact_matches(
-            left_values, right_values
-        )
-        matches.extend(self.match(left_remaining, right_remaining))
-        matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
-        return matches
+        return value_matches(left_values, right_values, *exact_first(self.match_indices, left_values, right_values))

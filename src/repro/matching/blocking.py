@@ -98,7 +98,7 @@ from repro.matching.ann import (
     pairs_from_keys,
 )
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
-from repro.matching.bipartite import ValueMatch, split_exact_matches
+from repro.matching.bipartite import IndexMatches, ValueMatch, exact_first, value_matches
 from repro.obs import COMPONENT_SIZE_BUCKETS
 from repro.utils.components import component_labels
 from repro.utils.executor import ExecutorConfig, run_partitioned
@@ -605,7 +605,7 @@ class BlockedValueMatcher:
         merge deterministically, so every backend/worker-count combination
         returns exactly what the serial loop returns.
         """
-        return self._match(left_values, right_values, decompose=True)
+        return value_matches(left_values, right_values, *self.match_indices(left_values, right_values))
 
     def match_dense(
         self, left_values: Sequence[object], right_values: Sequence[object]
@@ -614,14 +614,16 @@ class BlockedValueMatcher:
         column in a single prohibitive-cost matrix.  Kept for cross-validating
         the decomposition and for the ablation benchmark; prefer :meth:`match`.
         """
-        return self._match(left_values, right_values, decompose=False)
+        return value_matches(left_values, right_values, *self.match_indices(left_values, right_values, False))
 
-    def _match(
-        self, left_values: Sequence[object], right_values: Sequence[object], decompose: bool
-    ) -> List[ValueMatch]:
+    def match_indices(
+        self, left_values: Sequence[object], right_values: Sequence[object], decompose: bool = True
+    ) -> IndexMatches:
+        """:meth:`match` (or, not ``decompose``-d, :meth:`match_dense`) as
+        ``(left positions, right positions, distances)``."""
         edges = self._scored_edges(left_values, right_values)
         if edges is None:
-            return []
+            return [], [], []
         # From here on a value is its rank among the used values of its side
         # and an edge is (left rank, right rank, distance).
         keys, distances, ann_statistics = edges
@@ -666,10 +668,7 @@ class BlockedValueMatcher:
             accepted.extend(
                 (rows[row], columns[column], distance) for row, column, distance in component_accepted
             )
-        matches = [
-            ValueMatch(left_values[left_used[row]], right_values[right_used[column]], distance)
-            for row, column, distance in accepted
-        ]
+        rows, columns, distances = zip(*accepted) if accepted else ((), (), ())
         self.last_statistics = BlockingStatistics(
             left_values=len(left_values),
             right_values=len(right_values),
@@ -681,8 +680,7 @@ class BlockedValueMatcher:
             skipped_keys=self.blocker.last_skipped_keys,
             **ann_statistics,
         )
-        matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
-        return matches
+        return left_used[list(rows)].tolist(), right_used[list(columns)].tolist(), list(distances)
 
     def _match_trivial_batched(
         self,
@@ -713,66 +711,44 @@ class BlockedValueMatcher:
             zip(pair_left[winners].tolist(), pair_right[winners].tolist(), distances[winners].tolist())
         )
 
-    def match_exact_first(
-        self, left_values: Sequence[object], right_values: Sequence[object]
-    ) -> List[ValueMatch]:
+    def match_exact_first(self, left_values: Sequence[object], right_values: Sequence[object]) -> List[ValueMatch]:
         """Match identical values first, then block-and-match the remainder."""
-        matches, left_remaining, right_remaining = split_exact_matches(
-            left_values, right_values
-        )
-        matches.extend(self.match(left_remaining, right_remaining))
-        matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
-        return matches
+        return value_matches(left_values, right_values, *exact_first(self.match_indices, left_values, right_values))
 
-    def match_degraded(
-        self, left_values: Sequence[object], right_values: Sequence[object]
-    ) -> List[ValueMatch]:
-        """Embedding-free fallback: exact matches + normalised surface equality.
+    def match_degraded(self, left_values: Sequence[object], right_values: Sequence[object]) -> IndexMatches:
+        """Embedding-free fallback: normalised surface equality, as index matches.
 
         The degraded path of ``degraded_mode="surface"``, used while the
-        embedder's circuit breaker is open.  It never calls the embedder (and
-        never the ANN channel): identical values match via
-        :func:`split_exact_matches`, then the surviving values are matched
-        greedily one-to-one wherever a blocked candidate pair's *normalised*
-        texts are equal (``"Berlin "`` ↔ ``"berlin"`` still matches;
-        ``"Berlinn"`` ↔ ``"Berlin"`` does not — recall strictly below the
-        embedding path, precision preserved).  Candidate pairs stream in the
-        blocker's deterministic order, so the result is reproducible.
+        embedder's circuit breaker is open, after the caller has paired the
+        identical values.  It never calls the embedder (and never the ANN
+        channel): the values are matched greedily one-to-one wherever a
+        blocked candidate pair's *normalised* texts are equal (``"Berlin "``
+        ↔ ``"berlin"`` still matches; ``"Berlinn"`` ↔ ``"Berlin"`` does not —
+        recall strictly below the embedding path, precision preserved).
+        Candidate pairs stream in the blocker's deterministic order, so the
+        result is reproducible.
         """
-        matches, left_remaining, right_remaining = split_exact_matches(
-            left_values, right_values
-        )
-        normalised_left = [normalize_value(value) for value in left_remaining]
-        normalised_right = [normalize_value(value) for value in right_remaining]
-        used_left: Set[int] = set()
+        normalised_left = [normalize_value(value) for value in left_values]
+        normalised_right = [normalize_value(value) for value in right_values]
+        used_left: Dict[int, int] = {}
         used_right: Set[int] = set()
         candidate_count = 0
-        if left_remaining and right_remaining:
-            for left_index, right_index in self.blocker.iter_candidate_pairs(
-                left_remaining, right_remaining
-            ):
+        if left_values and right_values:
+            for left_index, right_index in self.blocker.iter_candidate_pairs(left_values, right_values):
                 candidate_count += 1
                 if left_index in used_left or right_index in used_right:
                     continue
                 text = normalised_left[left_index]
                 if text and text == normalised_right[right_index]:
-                    used_left.add(left_index)
+                    used_left[left_index] = right_index
                     used_right.add(right_index)
-                    matches.append(
-                        ValueMatch(
-                            left=left_remaining[left_index],
-                            right=right_remaining[right_index],
-                            distance=0.0,
-                        )
-                    )
         self.last_statistics = BlockingStatistics(
             left_values=len(left_values),
             right_values=len(right_values),
             candidate_pairs=candidate_count,
-            skipped_keys=self.blocker.last_skipped_keys if left_remaining else 0,
+            skipped_keys=self.blocker.last_skipped_keys if left_values else 0,
         )
-        matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
-        return matches
+        return list(used_left), list(used_left.values()), [0.0] * len(used_left)
 
     # -- helpers --------------------------------------------------------------------
     def _scored_edges(

@@ -72,9 +72,12 @@ def column_signature(
     """Compute the signature of one column.
 
     The value sample is deterministic (first ``sample_size`` distinct values)
-    so repeated runs and tests see identical signatures.
+    so repeated runs and tests see identical signatures.  ``table`` is a
+    :class:`Table` or a :class:`~repro.table.relation.Relation`: only its
+    distinct values and null fraction are read.
     """
-    values = table.column_values(column, dropna=True)
+    null_fraction = table.null_fraction(column)
+    non_null = table.num_rows - round(null_fraction * table.num_rows)
     distinct = table.distinct_values(column)
     sample = distinct[:sample_size]
 
@@ -92,8 +95,7 @@ def column_signature(
     numeric_fraction = (
         float(np.mean([1.0 if _looks_numeric(value) else 0.0 for value in sample])) if sample else 0.0
     )
-    distinct_fraction = len(distinct) / len(values) if values else 0.0
-    null_fraction = table.null_fraction(column)
+    distinct_fraction = len(distinct) / non_null if non_null else 0.0
 
     return ColumnSignature(
         table=table.name,

@@ -21,19 +21,21 @@ needs:
     ``"degraded"`` (open but ``degraded_mode="surface"`` keeps answers
     flowing, 200), or ``"unhealthy"`` (open with no degraded path, 503).
 
-Null cells (plain or labelled) serialise as JSON ``null`` on the way out and
-JSON ``null`` deserialises to :data:`~repro.table.nulls.NULL` on the way in,
-so a round-trip preserves the missing-value semantics of Figure 1.
+The body's rows decode straight into code columns
+(:class:`~repro.table.relation.Relation`), JSON ``null`` being a missing
+value, and the response's rows decode straight from the survivors' codes,
+every null as ``null`` — so a round-trip preserves the missing-value
+semantics of Figure 1.
 
 Each connection carries one request (``Connection: close``).  Under
 ``repro serve --processes N`` the connection is what the kernel hands to
 whichever server process accepts first, so closing after every response lets
 a client's next request go to an idle process instead of pinning it to the
 one that served it last.  Malformed input is answered, never dropped: a bad
-``Content-Length`` or a non-list row gets 400 naming the offending part, and
-a request not fully read within :data:`REQUEST_READ_TIMEOUT_S` gets 408 and
-the connection closes, so a slow or silent client cannot hold a coroutine
-forever.
+``Content-Length``, two tables of one name, a non-list row or a cell that is
+not a JSON scalar gets 400 naming the offending part, and a request not
+fully read within :data:`REQUEST_READ_TIMEOUT_S` gets 408 and the connection
+closes, so a slow or silent client cannot hold a coroutine forever.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ import asyncio
 import json
 import math
 import socket
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.service.service import IntegrationService
 from repro.service.types import (
@@ -52,7 +55,7 @@ from repro.service.types import (
     ServiceOverloaded,
     ServiceResponse,
 )
-from repro.table.nulls import NULL, is_null
+from repro.table.relation import Relation
 from repro.table.table import Table
 
 #: Service outcome ``status`` -> HTTP status line.
@@ -74,22 +77,24 @@ class BadRequest(ValueError):
     """The request body did not describe a valid integration request."""
 
 
-def table_to_json(table: Table) -> Dict[str, Any]:
-    """Serialise a table; null cells (plain or labelled) become ``null``."""
-    return {
-        "name": table.name,
-        "columns": list(table.columns),
-        "rows": [
-            [None if is_null(cell) else cell for cell in row] for row in table.rows
-        ],
-    }
+def table_to_json(table: Union[Table, Relation]) -> Dict[str, Any]:
+    """Serialise a table, its rows decoded from codes; every null becomes ``null``.
+    (The pipeline benchmark and the service tests serialise request tables.)"""
+    return {"name": table.name, "columns": list(table.columns), "rows": list(map(list, Relation.of(table).decode(null=None)))}
 
 
-def tables_from_json(payload: Any) -> List[Table]:
-    """Parse the ``tables`` field of an ``/integrate`` body."""
+#: The JSON types a cell may have (``null`` is a missing value).
+CELL_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def tables_from_json(payload: Any) -> List[Relation]:
+    """Parse the ``tables`` field of an ``/integrate`` body straight into
+    columns; a repeated name or a cell that is no JSON scalar is a
+    :class:`BadRequest` naming the offending part."""
     if not isinstance(payload, list) or not payload:
         raise BadRequest("'tables' must be a non-empty list of table objects")
-    tables = []
+    relations: List[Relation] = []
+    names: Dict[str, int] = {}
     for index, entry in enumerate(payload):
         if not isinstance(entry, dict) or "columns" not in entry:
             raise BadRequest(f"tables[{index}] must be an object with 'columns'")
@@ -99,21 +104,31 @@ def tables_from_json(payload: Any) -> List[Table]:
         rows = entry.get("rows", [])
         if not isinstance(rows, list):
             raise BadRequest(f"tables[{index}].rows must be a list of rows")
-        name = entry.get("name", f"table_{index}")
-        for position, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise BadRequest(
-                    f"tables[{index}].rows[{position}] must be a list of cells, "
-                    f"got {type(row).__name__}"
-                )
-        converted = [
-            [NULL if cell is None else cell for cell in row] for row in rows
-        ]
+        name = str(entry.get("name", f"table_{index}"))
+        if name in names:
+            raise BadRequest(f"tables[{index}].name {name!r} repeats tables[{names[name]}].name")
+        names[name] = index
+        _check_rows(index, rows, len(columns))
         try:
-            tables.append(Table(str(name), [str(c) for c in columns], converted))
+            relations.append(Relation.encode(name, [str(column) for column in columns], rows))
         except ValueError as exc:
             raise BadRequest(f"tables[{index}]: {exc}") from exc
-    return tables
+    return relations
+
+
+def _check_rows(index: int, rows: List[Any], width: int) -> None:
+    """Rows are lists of ``width`` JSON scalars; else name the first offender."""
+    if {list} >= set(map(type, rows)) and {width} >= set(map(len, rows)) and CELL_TYPES >= set(map(type, chain.from_iterable(rows))):
+        return
+    for position, row in enumerate(rows):
+        where = f"tables[{index}].rows[{position}]"
+        if not isinstance(row, list):
+            raise BadRequest(f"{where} must be a list of cells, got {type(row).__name__}")
+        if len(row) != width:
+            raise BadRequest(f"{where} has {len(row)} cells for {width} columns")
+        for cell_index, cell in enumerate(row):
+            if type(cell) not in CELL_TYPES:
+                raise BadRequest(f"{where}[{cell_index}] must be a string, number, boolean or null, got {type(cell).__name__}")
 
 
 def response_to_json(response: ServiceResponse) -> Dict[str, Any]:
@@ -124,7 +139,7 @@ def response_to_json(response: ServiceResponse) -> Dict[str, Any]:
         "trace": response.trace.to_dict() if response.trace is not None else None,
     }
     if isinstance(response, IntegrationResponse) and response.result is not None:
-        body["table"] = table_to_json(response.result.table)
+        body["table"] = table_to_json(response.result.fd_result.relation)
     elif isinstance(response, ServiceOverloaded):
         body["pending"] = response.pending
         body["max_pending"] = response.max_pending

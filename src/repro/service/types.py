@@ -65,9 +65,16 @@ class RequestTrace:
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON form (what the HTTP adapter serialises)."""
-        data = asdict(self)
-        data.update(data.pop("counters"), raw_embed_calls=self.raw_embed_calls)
-        return data
+        return {
+            "request_id": self.request_id,
+            "status": self.status,
+            "stage_seconds": dict(self.stage_seconds),
+            "queue_wait_seconds": self.queue_wait_seconds,
+            "total_seconds": self.total_seconds,
+            "deadline_ms": self.deadline_ms,
+            **self.counters,
+            "raw_embed_calls": self.raw_embed_calls,
+        }
 
 
 class DeadlineExceededError(Exception):

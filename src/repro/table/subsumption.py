@@ -8,13 +8,14 @@ result is "partial" with respect to another (Galindo-Legaria 1994).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.table.coded import PairPostings, encode_rows, span_blocks
+from repro.table.coded import PairPostings, span_blocks
 from repro.table.nulls import is_null
-from repro.table.table import Provenance, RowValues, Table
+from repro.table.relation import Relation, sources
+from repro.table.table import RowValues, Table
 from repro.utils.sorting import first_of_runs
 
 
@@ -128,16 +129,6 @@ def survivor(codes: np.ndarray, subsumed: np.ndarray, index: int) -> int:
     return index
 
 
-def union_sources(
-    provenance: Sequence[Provenance], members: np.ndarray, groups: np.ndarray, count: int
-) -> List[Provenance]:
-    """``count`` provenance sets: set ``g`` unites ``provenance[m]`` over the pairs ``(m, g)``."""
-    gathered: List[List[Provenance]] = [[] for _ in range(count)]
-    for member, group in zip(members.tolist(), groups.tolist()):
-        gathered[group].append(provenance[member])
-    return [frozenset().union(*parts) for parts in gathered]
-
-
 def remove_subsumed(table: Table) -> Table:
     """Return ``table`` without tuples subsumed by another tuple.
 
@@ -148,11 +139,11 @@ def remove_subsumed(table: Table) -> Table:
     """
     if table.num_rows <= 1:
         return table
-    codes, _ = encode_rows(table.rows, table.num_columns)
+    codes = Relation.encode(table.name, table.schema, table.rows).codes
     kept, stands_for = reduce_coded(codes)
     rows = [table.rows[index] for index in kept.tolist()]
     if table.provenance is None:
         return Table(table.name, table.schema, rows)
     groups = np.searchsorted(kept, stands_for)
-    folded = union_sources(table.provenance, np.arange(table.num_rows), groups, kept.size)
+    folded = sources(table.provenance, np.arange(table.num_rows), groups, kept.size)
     return Table(table.name, table.schema, rows, provenance=folded)

@@ -13,7 +13,7 @@ from repro.core import (
     integrate,
 )
 from repro.embeddings.llm import MistralEmbedder
-from repro.table import Table
+from repro.table import NULL, Table
 
 
 class CountingMistralEmbedder(MistralEmbedder):
@@ -93,6 +93,35 @@ class TestStages:
         by_name = engine.align(renamed)  # Municipality stays its own group
         holistic = engine.align(renamed, strategy="holistic")
         assert len(holistic.alignment) < len(by_name.alignment)
+
+
+class TestRequestTables:
+    def test_two_tables_of_one_name_are_refused_before_any_stage(self):
+        # Both would be addressed as "a": one table's column and rows were
+        # silently dropped, and the tuple id "a:0" named two tuples.
+        tables = [Table("a", ["k", "v"], [("a", "x")]), Table("b", ["k"], [("b",)]), Table("a", ["k", "w"], [("a", "z")])]
+        stages = []
+        engine = IntegrationEngine()
+        with pytest.raises(ValueError, match=r"tables\[0\] and tables\[2\] are both named .a."):
+            engine.integrate(tables, on_stage=stages.append)
+        assert stages == []
+        for stage in (engine.align, lambda tables: engine.match(tables, engine.align(tables[:2]).alignment)):
+            with pytest.raises(ValueError, match=r"tables\[0\] and tables\[2\]"):
+                stage(tables)
+
+    def test_a_boolean_is_not_the_number_it_equals(self):
+        left = Table("l", ["k", "v"], [(1, "x"), (True, "y")])
+        right = Table("r", ["k", "w"], [(1.0, "z")])
+        table = IntegrationEngine().integrate([left, right]).table
+        assert {(type(row[0]), row): sources for row, sources in zip(table.rows, table.provenance)} == {
+            (int, (1, "x", "z")): frozenset({"l:0", "r:0"}),
+            (bool, (True, "y", NULL)): frozenset({"l:1"}),
+        }
+
+    def test_rewritten_tables_decode_the_fd_input(self, covid_tables):
+        result = IntegrationEngine().integrate(covid_tables)
+        assert [table.name for table in result.rewritten_tables] == ["T1", "T2", "T3"]
+        assert result.rewritten_tables is result.rewritten_tables  # decoded once
 
 
 class TestPerRequestOverrides:

@@ -111,15 +111,23 @@ class TestBuiltinRegistries:
 
     def test_custom_policy_plugs_into_value_matcher(self):
         from repro.core.representatives import REPRESENTATIVE_POLICIES, select_representative
+        from repro.core.value_matching import ColumnValues, ValueMatcher
+        from repro.embeddings import MistralEmbedder
 
-        @REPRESENTATIVE_POLICIES.register("always-first-member")
-        def first_member(members, frequencies, column_order):
-            return members[0][1]
+        @REPRESENTATIVE_POLICIES.register("last-column")
+        def last_column(column, value, frequency):
+            return -column
 
         try:
             chosen = select_representative(
-                [("t1", "b"), ("t2", "a")], {}, {}, policy="always-first-member"
+                [("t1", "b"), ("t2", "a")], {}, {"t1": 0, "t2": 1}, policy="last-column"
             )
-            assert chosen == "b"
+            assert chosen == "a"
+            matcher = ValueMatcher(MistralEmbedder(), representative_policy="last-column")
+            result = matcher.match_columns(
+                [ColumnValues("t1", ["Berlinn", "Toronto"]), ColumnValues("t2", ["Toronto", "Berlin"])]
+            )
+            assert result.representative_of("t1", "Berlinn") == "Berlin"
+            assert result.rewrite_map("t1") == {"Berlinn": "Berlin"}
         finally:
-            REPRESENTATIVE_POLICIES.unregister("always-first-member")
+            REPRESENTATIVE_POLICIES.unregister("last-column")

@@ -49,9 +49,10 @@ from repro.fd import complementation, incremental
 from repro.fd.complementation import ComplementationEngine, subsumed_sources
 from repro.table import NULL, Table, remove_subsumed, subsumes
 from repro.table import coded
-from repro.table.coded import TupleIndex, encode_rows
+from repro.table.coded import TupleIndex
+from repro.table.relation import sources
 from repro.table.subsumption import reduce_coded, subsumers
-from test_complementation import low_cardinality_rows, reference_closure
+from test_complementation import close, encode_rows, low_cardinality_rows, reference_closure
 
 
 #: Pair blocks so small that every generation crosses block boundaries, and the real one.
@@ -143,7 +144,7 @@ class TestClosureAgainstTheDefinition:
     @settings(max_examples=60, deadline=None)
     def test_close_equals_the_pairwise_fixpoint(self, block, rows):
         with blocks_of(block):
-            closed, provenance = ComplementationEngine().close(rows, sources_of(rows))
+            closed, provenance = close(ComplementationEngine(), rows, sources_of(rows))
         assert len(set(closed)) == len(closed)
         assert dict(zip(closed, provenance)) == reference_closure(rows, sources_of(rows))
 
@@ -153,7 +154,7 @@ class TestClosureAgainstTheDefinition:
     def test_same_ids_and_provenance_as_the_sequential_loop(self, block, rows):
         statistics = {}
         with blocks_of(block):
-            closed, provenance = ComplementationEngine().close(rows, sources_of(rows), statistics)
+            closed, provenance = close(ComplementationEngine(), rows, sources_of(rows), statistics)
         expected, expected_provenance, _ = sequential_closure(rows, sources_of(rows))
         assert (closed, provenance) == (expected, expected_provenance)
         assert statistics.get("complementation_tuples", 0.0) == len(expected)
@@ -162,7 +163,7 @@ class TestClosureAgainstTheDefinition:
     @settings(max_examples=60, deadline=None)
     def test_provenance_is_the_sources_of_the_subsumed_inputs(self, rows):
         provenance = sources_of(rows)
-        for values, sources in zip(*ComplementationEngine().close(rows, provenance)):
+        for values, sources in zip(*close(ComplementationEngine(), rows, provenance)):
             informative = any(cell is not NULL for cell in values)
             expected = [
                 entry
@@ -186,7 +187,7 @@ class TestClosureAgainstTheDefinition:
         expected, expected_provenance, generations = sequential_closure(rows, sources_of(rows))
         assert generations >= 4
         with blocks_of(block):
-            closed, provenance = ComplementationEngine().close(rows, sources_of(rows))
+            closed, provenance = close(ComplementationEngine(), rows, sources_of(rows))
         assert (closed, provenance) == (expected, expected_provenance)
         full = closed.index(tuple(f"v{p}" for p in range(width)))
         assert provenance[full] == frozenset().union(*sources_of(rows))
@@ -201,7 +202,7 @@ class TestClosureAgainstTheDefinition:
             tuple(rng.choice("uv") if p in held else NULL for p in range(130))
             for held in [rng.sample(positions, 2) for _ in range(24)]
         ]
-        closed, provenance = ComplementationEngine().close(rows, sources_of(rows))
+        closed, provenance = close(ComplementationEngine(), rows, sources_of(rows))
         expected, expected_provenance, generations = sequential_closure(rows, sources_of(rows))
         assert (closed, provenance) == (expected, expected_provenance)
         assert generations >= 2 and len(closed) > 2 * len(set(rows))
@@ -211,7 +212,7 @@ class TestClosureAgainstTheDefinition:
         empty = (NULL, NULL, NULL)
         rows = [empty, ("k", "x", NULL), ("k", "x", NULL), empty, ("k", NULL, "y"), ("k", "x", NULL)]
         with blocks_of(block):
-            closed, provenance = ComplementationEngine().close(rows, sources_of(rows))
+            closed, provenance = close(ComplementationEngine(), rows, sources_of(rows))
         assert closed == [empty, ("k", "x", NULL), ("k", NULL, "y"), ("k", "x", "y")]
         assert provenance == [
             frozenset({"s0", "s3"}),
@@ -228,11 +229,11 @@ class TestClosureAgainstTheDefinition:
         # blocks, between two blocks of it.
         rows = [("k", "x", NULL, NULL), ("k", NULL, "y", NULL), ("k", NULL, NULL, "z")]
         with blocks_of(block):
-            closed, _ = ComplementationEngine(max_tuples=7).close(rows, sources_of(rows))
+            closed, _ = close(ComplementationEngine(max_tuples=7), rows, sources_of(rows))
             assert len(closed) == 7
             for bound in (6, 4, 3, 2):
                 with pytest.raises(RuntimeError, match=f"exceeded {bound} tuples"):
-                    ComplementationEngine(max_tuples=bound).close(rows, sources_of(rows))
+                    close(ComplementationEngine(max_tuples=bound), rows, sources_of(rows))
 
 
 class TestAlgorithmsAgainstTheSequentialLoop:
@@ -385,7 +386,14 @@ def reduced_by_the_join(codes, provenance):
     kept, stands_for = reduce_coded(closed)
     empty_to = np.searchsorted(kept, stands_for[(closed < 0).all(axis=0)])
     survivors = closed[:, kept]
-    return survivors, subsumed_sources(survivors, codes, provenance, empty_to)[0]
+    inputs, holders, _ = subsumed_sources(survivors, codes, empty_to)
+    return survivors, sources(provenance, inputs, holders, survivors.shape[1])
+
+
+def disjunction(codes, provenance):
+    """``disjunction_coded`` with its provenance pairs as sets of ``provenance``."""
+    survivors, inputs, holders = ComplementationEngine().disjunction_coded(codes)
+    return survivors, sources(provenance, inputs, holders, survivors.shape[1])
 
 
 class SetOfByteKeys:
@@ -417,7 +425,7 @@ class TestSubsumedMaskAndDedup:
         with blocks_of(block):
             closed, subsumed = ComplementationEngine().close_coded(codes)
             kept, _ = reduce_coded(closed)
-            survivors, sources = ComplementationEngine().disjunction_coded(codes, provenance)
+            survivors, sources = disjunction(codes, provenance)
             expected, expected_sources = reduced_by_the_join(codes, provenance)
         assert np.flatnonzero(~subsumed).tolist() == kept.tolist()
         assert np.array_equal(survivors, expected) and sources == expected_sources
@@ -435,7 +443,7 @@ class TestSubsumedMaskAndDedup:
         rows = [("k", NULL, NULL), ("j", "x", NULL), ("k", "x", NULL), (NULL,) * 3, ("k", NULL, "y"), (NULL,) * 3]
         codes = encode_rows(rows, 3)[0]
         provenance = sources_of(rows)
-        survivors, sources = ComplementationEngine().disjunction_coded(codes, provenance)
+        survivors, sources = disjunction(codes, provenance)
         expected, expected_sources = reduced_by_the_join(codes, provenance)
         assert np.array_equal(survivors, expected) and sources == expected_sources
         assert frozenset({"s3", "s5"}) <= sources[-1]

@@ -4,15 +4,34 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import ImdbBenchmark
 from repro.fd import complementation
-from repro.fd.complementation import ComplementationEngine
+from repro.fd.complementation import ComplementationEngine, subsumed_sources
 from repro.fd.naive import _join_consistent_same_schema, _merge_same_schema
 from repro.table import NULL, Table, outer_union, remove_subsumed
-from repro.table.coded import encode_rows
+from repro.table.relation import Relation, sources
+
+
+def encode_rows(rows, width):
+    """Same-schema rows coded as the closure reads them: ``(codes, values)``."""
+    relation = Relation.encode("rows", map(str, range(width)), rows)
+    return relation.codes, relation.values
+
+
+def close(engine, rows, provenance, statistics=None):
+    """``engine``'s complementation closure of ``rows`` — subsumed tuples
+    kept, duplicates collapsed — decoded, with each tuple's provenance."""
+    if not rows:
+        return [], []
+    codes, values = encode_rows(rows, len(rows[0]))
+    closed = engine.close_coded(codes, statistics)[0]
+    inputs, holders, _ = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
+    decoded = Relation("closed", map(str, range(len(values))), closed, values).decode()
+    return decoded, sources(provenance, inputs, holders, closed.shape[1])
 
 
 class TestJoinConsistency:
@@ -34,7 +53,7 @@ class TestEngine:
         engine = ComplementationEngine()
         rows = [("1", "x", NULL), ("1", NULL, "y")]
         prov = [frozenset({"a"}), frozenset({"b"})]
-        closed, closed_prov = engine.close(rows, prov)
+        closed, closed_prov = close(engine, rows, prov)
         assert ("1", "x", "y") in closed
         merged_index = closed.index(("1", "x", "y"))
         assert closed_prov[merged_index] == frozenset({"a", "b"})
@@ -42,13 +61,13 @@ class TestEngine:
     def test_inputs_are_preserved(self):
         engine = ComplementationEngine()
         rows = [("1", "x", NULL), ("2", NULL, "y")]
-        closed, _ = engine.close(rows, [frozenset({"a"}), frozenset({"b"})])
+        closed, _ = close(engine, rows, [frozenset({"a"}), frozenset({"b"})])
         assert set(rows) <= set(closed)
 
     def test_duplicates_collapse_and_merge_provenance(self):
         engine = ComplementationEngine()
         rows = [("1", "x"), ("1", "x")]
-        closed, prov = engine.close(rows, [frozenset({"a"}), frozenset({"b"})])
+        closed, prov = close(engine, rows, [frozenset({"a"}), frozenset({"b"})])
         assert len(closed) == 1
         assert prov[0] == frozenset({"a", "b"})
 
@@ -59,22 +78,23 @@ class TestEngine:
             ("k", NULL, "y", NULL),
             ("k", NULL, NULL, "z"),
         ]
-        closed, _ = engine.close(rows, [frozenset({str(i)}) for i in range(3)])
+        closed, _ = close(engine, rows, [frozenset({str(i)}) for i in range(3)])
         assert ("k", "x", "y", "z") in closed
 
     def test_empty_input(self):
-        assert ComplementationEngine().close([], []) == ([], [])
+        assert close(ComplementationEngine(), [], []) == ([], [])
 
     def test_max_tuples_guard(self):
         engine = ComplementationEngine(max_tuples=2)
         rows = [("1", "a", NULL), ("1", NULL, "b"), ("1", "c", NULL)]
         with pytest.raises(RuntimeError):
-            engine.close(rows, [frozenset({str(i)}) for i in range(3)])
+            close(engine, rows, [frozenset({str(i)}) for i in range(3)])
 
     def test_statistics_recorded(self):
         statistics = {}
         engine = ComplementationEngine()
-        engine.close(
+        close(
+            engine,
             [("1", "x", NULL), ("1", NULL, "y")],
             [frozenset({"a"}), frozenset({"b"})],
             statistics,
@@ -118,7 +138,7 @@ class TestSelectivePostingKernel:
     @settings(max_examples=150, deadline=None)
     def test_close_equals_reference_fixpoint(self, rows):
         provenance = [frozenset({f"s{index}"}) for index in range(len(rows))]
-        closed, closed_provenance = ComplementationEngine().close(rows, provenance)
+        closed, closed_provenance = close(ComplementationEngine(), rows, provenance)
         assert len(set(closed)) == len(closed)
         assert dict(zip(closed, closed_provenance)) == reference_closure(rows, provenance)
 
@@ -136,7 +156,7 @@ class TestSelectivePostingKernel:
         ]
         provenance = [frozenset({f"s{index}"}) for index in range(len(rows))]
         statistics = {}
-        closed, closed_provenance = ComplementationEngine().close(rows, provenance, statistics)
+        closed, closed_provenance = close(ComplementationEngine(), rows, provenance, statistics)
         assert closed[:5] == rows
         assert closed[8] == ("a", "b", "z")
         assert closed_provenance[8] == frozenset({"s0", "s4"})
@@ -149,8 +169,8 @@ class TestSelectivePostingKernel:
     def test_null_posting_candidate_sharing_nothing_is_rejected(self):
         rows = [(NULL, "q", NULL), ("a", NULL, "y")]
         statistics = {}
-        closed, _ = ComplementationEngine().close(
-            rows, [frozenset({"s0"}), frozenset({"s1"})], statistics
+        closed, _ = close(
+            ComplementationEngine(), rows, [frozenset({"s0"}), frozenset({"s1"})], statistics
         )
         assert closed == rows
         assert statistics["complementation_comparisons"] == 1.0
@@ -159,15 +179,15 @@ class TestSelectivePostingKernel:
     def test_max_tuples_is_an_exact_bound(self):
         rows = [("k", "x", NULL, NULL), ("k", NULL, "y", NULL), ("k", NULL, NULL, "z")]
         provenance = [frozenset({str(index)}) for index in range(3)]
-        closed, _ = ComplementationEngine(max_tuples=7).close(rows, provenance)
+        closed, _ = close(ComplementationEngine(max_tuples=7), rows, provenance)
         assert len(closed) == 7
         with pytest.raises(RuntimeError, match="exceeded 6 tuples"):
-            ComplementationEngine(max_tuples=6).close(rows, provenance)
+            close(ComplementationEngine(max_tuples=6), rows, provenance)
 
     def test_same_ids_same_order_same_provenance_as_before_the_rewrite(self, ordered_digest):
         # Recorded from the commit before the selective-posting kernel.
         union = outer_union([t.with_default_provenance() for t in ImdbBenchmark(13).tables(400)])
-        rows, provenance = ComplementationEngine().close(union.rows, union.provenance)
+        rows, provenance = close(ComplementationEngine(), union.rows, union.provenance)
         assert len(rows) == 2826
         assert ordered_digest(rows, provenance) == "be19db1784ee9bf446450b4a82b604e2"
         reduced = remove_subsumed(Table("closed", union.schema, rows, provenance=provenance))

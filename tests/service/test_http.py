@@ -216,6 +216,55 @@ class TestHostileInput:
         assert status == 400
         assert "tables[1].rows[1]" in body["error"]
 
+    def test_two_tables_of_one_name_are_400_naming_the_second(self):
+        payload = {
+            "tables": [
+                {"name": "a", "columns": ["k", "v"], "rows": [["a", "x"]]},
+                {"name": "a", "columns": ["k", "w"], "rows": [["a", "z"]]},
+            ]
+        }
+
+        async def scenario(port, service):
+            return await _raw_exchange(port, _post_raw(json.dumps(payload).encode()))
+
+        status, body = _run(scenario)
+        assert status == 400
+        assert "tables[1].name 'a' repeats tables[0].name" in body["error"]
+
+    @pytest.mark.parametrize("cell", [["a", "b"], {"a": 1}], ids=["list", "object"])
+    def test_a_cell_that_is_not_a_scalar_is_400_naming_it(self, cell):
+        payload = {
+            "tables": [
+                {"name": "a", "columns": ["k", "v"], "rows": [["a", "x"]]},
+                {"name": "b", "columns": ["k", "w"], "rows": [["a", "z"], ["b", cell]]},
+            ]
+        }
+
+        async def scenario(port, service):
+            answer = await _raw_exchange(port, _post_raw(json.dumps(payload).encode()))
+            return (*answer, service.stats().submitted)
+
+        status, body, submitted = _run(scenario)
+        assert status == 400
+        assert "tables[1].rows[1][1] must be a string, number, boolean or null" in body["error"]
+        assert submitted == 0  # refused before any stage ran
+
+    def test_true_is_not_the_number_one(self):
+        payload = {
+            "tables": [
+                {"name": "l", "columns": ["k", "v"], "rows": [[1, "x"], [True, "y"]]},
+                {"name": "r", "columns": ["k", "w"], "rows": [[1.0, "z"]]},
+            ]
+        }
+
+        async def scenario(port, service):
+            return await _raw_exchange(port, _post_raw(json.dumps(payload).encode()))
+
+        status, body = _run(scenario)
+        assert status == 200
+        rows = body["table"]["rows"]
+        assert sorted(map(json.dumps, rows)) == ['[1, "x", "z"]', '[true, "y", null]']
+
     def test_request_line_over_the_stream_limit_is_400(self):
         async def scenario(port, service):
             return await _raw_exchange(port, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
@@ -255,9 +304,10 @@ class TestJsonTables:
         assert payload["rows"] == [[None, 1], [None, "x"]]
 
     def test_none_cells_parse_to_null(self):
-        [table] = tables_from_json(
+        [relation] = tables_from_json(
             [{"name": "t", "columns": ["a"], "rows": [[None], ["x"]]}]
         )
+        table = relation.to_table()
         assert table.rows[0][0] is NULL
         assert table.rows[1][0] == "x"
 
