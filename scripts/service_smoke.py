@@ -7,13 +7,16 @@ exercises the HTTP surface end to end:
 1. ``GET /healthz`` answers healthy.
 2. ``POST /integrate`` merges two small tables and the response carries a
    well-formed trace: every stage timing, every traced counter of
-   ``repro.obs``, and a positive total.
+   ``repro.obs``, and a positive total — while a silent connection (connected,
+   never sending) stays open beside it, which must not hold up the answer.
 3. A second identical ``POST /integrate`` is served from the warm engine —
    its trace must report zero raw embed calls.
 4. ``GET /stats`` accounts for both requests, and its counters satisfy the
    accounting identity over every terminal outcome.
-5. A body with two tables of one name, and one with a list as a cell, each
-   get 400 naming the offending field, and never reach the service.
+5. A body with two tables of one name, one with a list as a cell, one with a
+   cell that overflows to infinity (``1e400``) and one with a numeric column
+   name each get 400 naming the offending field, and never reach the
+   service.
 
 Then a second server boots with a hard-down chaos embedder
 (``--embedder chaos`` + ``REPRO_CHAOS_EMBED_FAILURES=all``) in
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -103,17 +107,27 @@ def request(port: int, method: str, path: str, body: dict | None = None) -> dict
         return json.loads(response.read().decode())
 
 
+def with_second_table(**fields) -> bytes:
+    return json.dumps({"tables": [INTEGRATE_BODY["tables"][0], {**INTEGRATE_BODY["tables"][1], **fields}]}).encode()
+
+
 #: Bodies the server must refuse, and the field its 400 must name.
 BAD_BODIES = (
-    ({"tables": [INTEGRATE_BODY["tables"][0], {**INTEGRATE_BODY["tables"][1], "name": "population"}]}, "tables[1].name"),
-    ({"tables": [INTEGRATE_BODY["tables"][0], {**INTEGRATE_BODY["tables"][1], "rows": [["Berlin", ["63%"]]]}]}, "tables[1].rows[0][1]"),
+    (with_second_table(name="population"), "tables[1].name"),
+    (with_second_table(rows=[["Berlin", ["63%"]]]), "tables[1].rows[0][1]"),
+    # Valid JSON whose number overflows a float: Python would write it back as Infinity.
+    (with_second_table(rows=[["Berlin", "OVERFLOW"]]).replace(b'"OVERFLOW"', b"1e400"), "tables[1].rows[0][1]"),
+    (with_second_table(columns=["City", 7]), "tables[1].columns[1]"),
 )
 
 
-def refused(port: int, body: dict) -> tuple:
+def refused(port: int, data: bytes) -> tuple:
     """``(status, error)`` of a ``POST /integrate`` the server answers with an error."""
+    req = urllib.request.Request(
+        f"http://127.0.0.1:{port}/integrate", data=data, method="POST", headers={"Content-Type": "application/json"}
+    )
     try:
-        request(port, "POST", "/integrate", body)
+        urllib.request.urlopen(req, timeout=30).close()
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read().decode()).get("error", "")
     return 200, ""
@@ -171,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             health = request(port, "GET", "/healthz")
             expect(health.get("status") == "healthy", f"healthz said {health}")
 
+            silent = socket.create_connection(("127.0.0.1", port))  # never sends a byte
             first = request(port, "POST", "/integrate", INTEGRATE_BODY)
             expect(first.get("status") == "ok", f"integrate said {first.get('status')}")
             expect("table" in first, "integrate response has no table")
@@ -197,8 +212,12 @@ def main(argv: list[str] | None = None) -> int:
             expect(stats.get("served") == 2, f"stats said served={stats.get('served')}")
             expect(stats.get("submitted") == 2, "stats lost a submission")
             assert_accounting_identity(stats)
+            silent.close()
 
-            print("service smoke OK: healthz + 2x integrate + 2x refused body + stats, traces well-formed")
+            print(
+                f"service smoke OK: healthz + 2x integrate beside a silent connection + {len(BAD_BODIES)}x refused body"
+                " + stats, traces well-formed"
+            )
         finally:
             process.terminate()
             try:

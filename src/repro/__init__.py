@@ -60,8 +60,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # PEP 562: the serving layer (asyncio and friends) loads on first use, so
-    # a one-shot ``import repro`` / ``repro integrate`` does not pay for it.
+    # PEP 562: the serving layer loads on first use, so a one-shot
+    # ``import repro`` / ``repro integrate`` does not pay for it.
     if name == "IntegrationService":
         from repro.service import IntegrationService
 

@@ -124,12 +124,8 @@ _INTEGRATE_CONFIG_FLAGS = (
     "breaker_reset_ms",
 )
 
-#: ``serve`` adds the service knobs on top of the shared engine flags.
-_SERVE_CONFIG_FLAGS = _INTEGRATE_CONFIG_FLAGS + (
-    "service_max_pending",
-    "service_max_concurrency",
-    "service_deadline_ms",
-)
+#: ``serve`` adds the default request deadline on top of the shared engine flags.
+_SERVE_CONFIG_FLAGS = _INTEGRATE_CONFIG_FLAGS + ("service_deadline_ms",)
 
 
 def _build_config(
@@ -256,10 +252,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the HTTP serving layer until interrupted."""
-    import asyncio
-
     from repro.service import IntegrationService
-    from repro.service.http import serve_forever
     from repro.service.processes import default_processes, serve_processes
 
     processes = default_processes() if args.processes is None else args.processes
@@ -271,10 +264,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if store is not None:
         print(f"artifact store attached at {store.root} (mode={config.store_mode})")
     try:
-        if processes == 1:
-            asyncio.run(serve_forever(service, host=args.host, port=args.port))
-        else:
-            serve_processes(service, args.host, args.port, processes)
+        serve_processes(service, args.host, args.port, processes)
     except KeyboardInterrupt:
         pass
     finally:
@@ -515,27 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--processes", type=int, default=None,
         help="server processes pre-forked after boot, sharing one listening "
-        "socket (default: the CPUs this process may run on; 1 = one process, "
-        "no fork)",
+        "socket, each serving one connection at a time (default: the CPUs "
+        "this process may run on; 1 = one process, no fork)",
     )
     _add_engine_config_flags(serve_parser)
-    serve_parser.add_argument(
-        "--max-pending",
-        dest="service_max_pending",
-        type=int,
-        default=32,
-        action=_TrackedStore,
-        help="admitted-but-not-executing requests the service buffers before "
-        "rejecting with ServiceOverloaded (0 = reject whenever all slots busy)",
-    )
-    serve_parser.add_argument(
-        "--max-concurrency",
-        dest="service_max_concurrency",
-        type=int,
-        default=4,
-        action=_TrackedStore,
-        help="requests executed concurrently on the engine-owned worker pool",
-    )
     serve_parser.add_argument(
         "--deadline-ms",
         dest="service_deadline_ms",

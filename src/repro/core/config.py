@@ -136,15 +136,15 @@ class FuzzyFDConfig:
         or ``"off"`` (ignore the directory).  The store never changes
         results, only whether artifacts are recomputed or loaded.
     service_max_pending:
-        Admission bound of the :class:`~repro.service.IntegrationService`:
-        requests admitted but not yet executing.  Once this many are queued,
-        new submissions are rejected with a typed ``ServiceOverloaded``
-        response instead of buffering without bound (backpressure).  ``0``
-        rejects whenever every concurrency slot is busy.
+        Admission bound of the in-process
+        :class:`~repro.service.IntegrationService`: requests admitted but not
+        yet executing.  Beyond it, submissions are rejected with a typed
+        ``ServiceOverloaded`` (backpressure); ``0`` rejects whenever every
+        concurrency slot is busy.  A ``repro serve`` process never queues.
     service_max_concurrency:
-        Requests the service executes concurrently on the engine-owned
-        worker pool.  Admitted requests beyond this wait in the pending
-        queue (their queue-wait time lands in the request trace).
+        Requests the in-process service executes at once on the engine-owned
+        worker pool; admitted requests beyond it wait (queue time lands in
+        the trace).
     service_deadline_ms:
         Default per-request deadline budget of the service in milliseconds
         (queue wait included), checked at stage boundaries

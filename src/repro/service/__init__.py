@@ -1,12 +1,12 @@
 """The serving layer: a request/response boundary over one warm engine.
 
 ``repro.service`` wraps a single long-lived
-:class:`~repro.core.engine.IntegrationEngine` in an asyncio front-end with
-admission control (bounded pending queue → :class:`ServiceOverloaded`),
+:class:`~repro.core.engine.IntegrationEngine` with admission control for
+in-process callers (bounded pending queue → :class:`ServiceOverloaded`),
 per-request deadlines checked at stage boundaries
 (→ :class:`DeadlineExceeded` with a partial trace), and per-request tracing
 (:class:`RequestTrace` on every response, aggregates via
-:meth:`IntegrationService.stats`).  The optional stdlib-only HTTP adapter
+:meth:`IntegrationService.stats`).  The stdlib-only blocking HTTP server
 lives in :mod:`repro.service.http`; ``repro serve`` wires it to a config and
 an artifact store so restarts are warm.
 """

@@ -1,8 +1,7 @@
 """Stdlib-only HTTP adapter over :class:`IntegrationService`.
 
-A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — no
-framework, no new dependencies — exposing the three endpoints a deployment
-needs:
+A deliberately small blocking HTTP/1.1 server — no framework, no event loop,
+no new dependencies — exposing the three endpoints a deployment needs:
 
 ``POST /integrate``
     Body: ``{"tables": [{"name", "columns", "rows"}, ...],
@@ -27,25 +26,29 @@ value, and the response's rows decode straight from the survivors' codes,
 every null as ``null`` — so a round-trip preserves the missing-value
 semantics of Figure 1.
 
-Each connection carries one request (``Connection: close``).  Under
-``repro serve --processes N`` the connection is what the kernel hands to
-whichever server process accepts first, so closing after every response lets
-a client's next request go to an idle process instead of pinning it to the
-one that served it last.  Malformed input is answered, never dropped: a bad
-``Content-Length``, two tables of one name, a non-list row or a cell that is
-not a JSON scalar gets 400 naming the offending part, and a request not
-fully read within :data:`REQUEST_READ_TIMEOUT_S` gets 408 and the connection
-closes, so a slow or silent client cannot hold a coroutine forever.
+:func:`serve` is one server process: it accepts a connection only while it
+is idle, then reads, dispatches and answers that connection's one request
+(``Connection: close``) on the same thread before it accepts the next.
+Connections that arrive meanwhile wait in the listening socket's backlog,
+where under ``repro serve --processes N`` whichever process frees up first
+takes them.  Malformed input is answered, never dropped: a bad
+``Content-Length``, two tables of one name, a column name that is not a
+string, a non-list row, a cell that is not a JSON scalar or a number that is
+not finite gets 400 naming the offending part, and a request not fully read
+within :data:`REQUEST_READ_TIMEOUT_S` gets 408, so a slow client holds a
+process for that long at most.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
+import select
 import socket
+import time
+import traceback
 from itertools import chain
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.service.service import IntegrationService
 from repro.service.types import (
@@ -69,8 +72,14 @@ STATUS_CODES = {
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Longest request or header line, in bytes.
+MAX_LINE_BYTES = 64 * 1024
+
 #: Seconds a client has to deliver one whole request (line, headers, body).
 REQUEST_READ_TIMEOUT_S = 30.0
+
+#: An answer as :func:`_encode_response` takes it: code, reason, body, headers.
+Answer = Tuple[int, str, Dict[str, Any], Dict[str, str]]
 
 
 class BadRequest(ValueError):
@@ -89,8 +98,9 @@ CELL_TYPES = frozenset({str, int, float, bool, type(None)})
 
 def tables_from_json(payload: Any) -> List[Relation]:
     """Parse the ``tables`` field of an ``/integrate`` body straight into
-    columns; a repeated name or a cell that is no JSON scalar is a
-    :class:`BadRequest` naming the offending part."""
+    columns; a repeated name, a column name that is not a string or a cell
+    that is no finite JSON scalar is a :class:`BadRequest` naming the
+    offending part."""
     if not isinstance(payload, list) or not payload:
         raise BadRequest("'tables' must be a non-empty list of table objects")
     relations: List[Relation] = []
@@ -101,6 +111,9 @@ def tables_from_json(payload: Any) -> List[Relation]:
         columns = entry["columns"]
         if not isinstance(columns, list) or not columns:
             raise BadRequest(f"tables[{index}].columns must be a non-empty list")
+        for position, column in enumerate(columns):
+            if not isinstance(column, str):
+                raise BadRequest(f"tables[{index}].columns[{position}] must be a string, got {type(column).__name__}")
         rows = entry.get("rows", [])
         if not isinstance(rows, list):
             raise BadRequest(f"tables[{index}].rows must be a list of rows")
@@ -110,16 +123,19 @@ def tables_from_json(payload: Any) -> List[Relation]:
         names[name] = index
         _check_rows(index, rows, len(columns))
         try:
-            relations.append(Relation.encode(name, [str(column) for column in columns], rows))
+            relations.append(Relation.encode(name, columns, rows))
         except ValueError as exc:
             raise BadRequest(f"tables[{index}]: {exc}") from exc
     return relations
 
 
 def _check_rows(index: int, rows: List[Any], width: int) -> None:
-    """Rows are lists of ``width`` JSON scalars; else name the first offender."""
-    if {list} >= set(map(type, rows)) and {width} >= set(map(len, rows)) and CELL_TYPES >= set(map(type, chain.from_iterable(rows))):
-        return
+    """Rows are lists of ``width`` JSON scalars, every number finite; else name the first offender."""
+    if {list} >= set(map(type, rows)) and {width} >= set(map(len, rows)):
+        types = set(map(type, chain.from_iterable(rows)))
+        finite = float not in types or all(math.isfinite(cell) for cell in chain.from_iterable(rows) if type(cell) is float)
+        if CELL_TYPES >= types and finite:
+            return
     for position, row in enumerate(rows):
         where = f"tables[{index}].rows[{position}]"
         if not isinstance(row, list):
@@ -129,6 +145,13 @@ def _check_rows(index: int, rows: List[Any], width: int) -> None:
         for cell_index, cell in enumerate(row):
             if type(cell) not in CELL_TYPES:
                 raise BadRequest(f"{where}[{cell_index}] must be a string, number, boolean or null, got {type(cell).__name__}")
+            if type(cell) is float and not math.isfinite(cell):
+                raise BadRequest(f"{where}[{cell_index}] must be a finite number, got {cell}")
+
+
+def _no_constant(name: str) -> Any:
+    """``json.loads`` hook: ``NaN`` / ``Infinity`` / ``-Infinity`` are not JSON."""
+    raise BadRequest(f"body is not valid JSON: {name} is not a number")
 
 
 def response_to_json(response: ServiceResponse) -> Dict[str, Any]:
@@ -156,31 +179,47 @@ def response_to_json(response: ServiceResponse) -> Dict[str, Any]:
     return body
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One request or header line; a line over the stream's limit is a bad request."""
-    try:
-        return await reader.readline()
-    except ValueError as exc:
-        raise BadRequest(f"line too long: {exc}") from exc
+def _read_request(connection: socket.socket) -> Optional[Tuple[str, str, bytes]]:
+    """(method, path, body) of one HTTP/1.1 request read whole within
+    :data:`REQUEST_READ_TIMEOUT_S` (else :class:`TimeoutError`); None when
+    the client closed without a byte."""
+    deadline = time.monotonic() + REQUEST_READ_TIMEOUT_S
+    buffer = bytearray()
 
+    def receive() -> bool:
+        """Append what arrives before the deadline; False at end of stream."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError
+        connection.settimeout(remaining)
+        chunk = connection.recv(1 << 16)
+        buffer.extend(chunk)
+        return bool(chunk)
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, bytes]]:
-    """Read one HTTP/1.1 request; returns (method, path, body) or None on EOF."""
-    request_line = await _read_line(reader)
-    if not request_line:
+    lines: List[str] = []
+    start = 0
+    while True:  # the head: lines up to the first empty one (or the end of stream)
+        end = buffer.find(b"\n", start)
+        if (end if end >= 0 else len(buffer)) - start > MAX_LINE_BYTES:
+            raise BadRequest(f"line longer than {MAX_LINE_BYTES} bytes")
+        if end < 0:
+            if receive():
+                continue
+            end = len(buffer)  # the stream ended: what is left is the last line
+        line = buffer[start:end].rstrip(b"\r").decode("latin-1")
+        start = min(end + 1, len(buffer))
+        if not line:
+            break
+        lines.append(line)
+    if not buffer:  # closed without a byte
         return None
-    parts = request_line.decode("latin-1").split()
+    parts = lines[0].split() if lines else []
     if len(parts) < 2:
         raise BadRequest("malformed request line")
     method, path = parts[0].upper(), parts[1]
     content_length = 0
-    while True:
-        line = await _read_line(reader)
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
         if name.strip().lower() == "content-length":
             try:
                 content_length = int(value.strip())
@@ -190,8 +229,10 @@ async def _read_request(
                 raise BadRequest(f"invalid Content-Length {content_length}")
     if content_length > MAX_BODY_BYTES:
         raise BadRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(content_length) if content_length else b""
-    return method, path, body
+    while len(buffer) - start < content_length:
+        if not receive():
+            raise BadRequest(f"body ended after {len(buffer) - start} of {content_length} bytes")
+    return method, path, bytes(buffer[start : start + content_length])
 
 
 def _encode_response(
@@ -200,7 +241,7 @@ def _encode_response(
     payload: Dict[str, Any],
     headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
-    body = json.dumps(payload, default=str).encode("utf-8")
+    body = json.dumps(payload, default=str, allow_nan=False).encode("utf-8")
     extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
     head = (
         f"HTTP/1.1 {code} {reason}\r\n"
@@ -212,9 +253,7 @@ def _encode_response(
     return head.encode("latin-1") + body
 
 
-def _health_payload(
-    service: IntegrationService,
-) -> Tuple[int, str, Dict[str, Any], Dict[str, str]]:
+def _health_payload(service: IntegrationService) -> Answer:
     """Three-state health: breaker closed / open-with-fallback / open-dark."""
     payload: Dict[str, Any] = service.health()
     if payload["breaker"]["state"] == "closed":
@@ -236,9 +275,7 @@ def _retry_after_header(retry_after_ms: float) -> Dict[str, str]:
     return {"Retry-After": str(max(1, math.ceil(retry_after_ms / 1000.0)))}
 
 
-async def _dispatch(
-    service: IntegrationService, method: str, path: str, body: bytes
-) -> Tuple[int, str, Dict[str, Any], Dict[str, str]]:
+def _dispatch(service: IntegrationService, method: str, path: str, body: bytes) -> Answer:
     path = path.split("?", 1)[0]
     if method == "GET" and path == "/healthz":
         return _health_payload(service)
@@ -246,7 +283,7 @@ async def _dispatch(
         return 200, "OK", service.stats().to_dict(), {}
     if method == "POST" and path == "/integrate":
         try:
-            payload = json.loads(body.decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"), parse_constant=_no_constant)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"body is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
@@ -254,15 +291,13 @@ async def _dispatch(
         tables = tables_from_json(payload.get("tables"))
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
+            not isinstance(deadline_ms, (int, float)) or not 0 < deadline_ms < math.inf
         ):
             raise BadRequest("deadline_ms must be a positive number")
         overrides = payload.get("overrides", {})
         if not isinstance(overrides, dict):
             raise BadRequest("overrides must be an object")
-        response = await service.integrate(
-            tables, deadline_ms=deadline_ms, **overrides
-        )
+        response = service.integrate_sync(tables, deadline_ms=deadline_ms, **overrides)
         code, reason = STATUS_CODES.get(response.status, (500, "Internal Server Error"))
         headers: Dict[str, str] = {}
         if isinstance(response, EmbedderUnavailableResponse):
@@ -271,71 +306,51 @@ async def _dispatch(
     return 404, "Not Found", {"status": "error", "error": f"no route {method} {path}"}, {}
 
 
-async def handle_connection(
-    service: IntegrationService,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    """Serve one request on one connection, then close it."""
-    try:
+def handle_connection(service: IntegrationService, connection: socket.socket) -> None:
+    """Serve the one request of ``connection`` on this thread, then close it."""
+    with connection:
         try:
-            request = await asyncio.wait_for(_read_request(reader), REQUEST_READ_TIMEOUT_S)
+            request = _read_request(connection)
             if request is None:
                 return
-            code, reason, payload, headers = await _dispatch(service, *request)
-        except (BadRequest, asyncio.IncompleteReadError) as exc:
-            code, reason, payload, headers = 400, "Bad Request", {
-                "status": "error",
-                "error": str(exc),
-            }, {}
-        except asyncio.TimeoutError:
-            code, reason, payload, headers = 408, "Request Timeout", {
+            answer = _dispatch(service, *request)
+        except BadRequest as exc:
+            answer = 400, "Bad Request", {"status": "error", "error": str(exc)}, {}
+        except TimeoutError:
+            answer = 408, "Request Timeout", {
                 "status": "error",
                 "error": f"request not read within {REQUEST_READ_TIMEOUT_S:g} s",
             }, {}
-        writer.write(_encode_response(code, reason, payload, headers))
-        await writer.drain()
-    except (ConnectionResetError, BrokenPipeError):  # pragma: no cover - client gone
-        pass
-    finally:
-        writer.close()
+        except OSError:  # the client went away mid-request
+            return
         try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+            connection.settimeout(REQUEST_READ_TIMEOUT_S)
+            connection.sendall(_encode_response(*answer))
+        except OSError:  # the client went away, or stopped reading its answer
             pass
 
 
-async def start_http_server(
+def serve(
     service: IntegrationService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    sock: Optional[socket.socket] = None,
-) -> asyncio.AbstractServer:
-    """Bind and return the server (``port=0`` picks a free port).
-
-    The bound address is ``server.sockets[0].getsockname()`` — the CLI
-    prints it so scripted callers (the CI smoke job) can target an
-    OS-assigned port.  ``sock`` serves an already bound listening socket
-    instead (what every pre-forked server process shares).
-    """
-
-    async def _handler(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await handle_connection(service, reader, writer)
-
-    if sock is not None:
-        return await asyncio.start_server(_handler, sock=sock)
-    return await asyncio.start_server(_handler, host=host, port=port)
-
-
-async def serve_forever(
-    service: IntegrationService, host: str = "127.0.0.1", port: int = 0
+    listener: socket.socket,
+    wake_fd: int,
+    on_wake: Callable[[], bool] = lambda: True,
 ) -> None:
-    """Blocking entry point of ``repro serve``: run until cancelled."""
-    server = await start_http_server(service, host=host, port=port)
-    bound_host, bound_port = server.sockets[0].getsockname()[:2]
-    print(f"serving on http://{bound_host}:{bound_port}", flush=True)
-    async with server:
-        await server.serve_forever()
+    """One server process: wait on ``listener`` and ``wake_fd``; accept and
+    serve one connection at a time; when ``wake_fd`` is readable, stop if
+    ``on_wake()`` says so.  A connection a sibling took first, or a request
+    that fails unforeseen (reported, then closed), does not end the loop."""
+    listener.setblocking(False)
+    while True:
+        ready = select.select([listener, wake_fd], [], [])[0]
+        if wake_fd in ready and on_wake():
+            return
+        if listener in ready:
+            try:
+                connection = listener.accept()[0]
+            except (BlockingIOError, ConnectionAbortedError):
+                continue
+            try:
+                handle_connection(service, connection)
+            except Exception:  # noqa: BLE001 — one request's failure must not end the process
+                traceback.print_exc()

@@ -1,14 +1,17 @@
 """``repro serve --processes N``: pre-forked warm servers on one listening socket.
 
-A server process runs one request's engine work at a time — whichever
-request is computing holds the interpreter lock — so with one process a
-second client queues behind the first.  :func:`serve_processes` therefore
-boots the service once (config, engine, store attach, solver bind, imports),
-binds one listening socket, creates the shared counters block and forks
-``N − 1`` children *before* any thread or event loop exists.  Every process,
-process 0 included, then serves ``asyncio.start_server(sock=...)`` on the
-inherited socket over its own copy-on-write copy of the warm engine; the
-kernel hands each connection to whichever process accepts it first.
+A server process serves one connection at a time on its one thread
+(:func:`repro.service.http.serve`), so a second client needs a second
+process.  :func:`serve_processes` therefore boots the service once (config,
+engine, store attach, solver bind, imports), binds one listening socket,
+creates the shared counters block and forks ``N − 1`` children.  Every
+process, process 0 included, then waits on the inherited socket over its own
+copy-on-write copy of the warm engine, and calls ``accept()`` only while it
+is idle: a connection waits in the kernel's listen backlog until some
+process is free, and goes to the first that is.  ``TCP_DEFER_ACCEPT`` keeps
+a connection that has sent nothing out of ``accept()`` for the read
+deadline, so a silent client does not take a process from clients with
+requests.  ``--processes 1`` is the same loop without children.
 
 What the processes share, and how:
 
@@ -24,20 +27,20 @@ What the processes share, and how:
 * **Embeddings** — the artifact store.  Each process publishes what it
   embedded after every request, and a process that misses re-attaches new
   segments before it embeds (``StoreBackedEmbeddingCache.fill_many``).
-* **Nothing else.**  Admission limits, breakers and latency windows are per
-  process; health is the worst breaker state of the live processes.
+* **Nothing else.**  Breakers and latency windows are per process; health
+  is the worst breaker state of the live processes.
 
 Lifecycle: the children watch a pipe whose write end only process 0 holds
 and exit at its end of file, that is when process 0 ends, however it ends.
-SIGTERM on process 0 stops its server, terminates the children and reaps
-them.  A child that dies is reaped and marked dead in its row
-(``processes_alive``) but not forked again: by then process 0 runs an event
-loop and pool threads, and forking a threaded process is unsafe.
+Process 0 learns of SIGTERM and SIGCHLD through a self-pipe it waits on
+beside the socket: SIGTERM stops it, after which it terminates the children
+and reaps them; a child that dies is reaped and marked dead in its row
+(``processes_alive``) but not forked again.
 """
 
 from __future__ import annotations
 
-import asyncio
+import math
 import mmap
 import os
 import signal
@@ -50,7 +53,7 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from repro.obs import BREAKER_COUNTERS, ROW_COUNTERS
-from repro.service.http import start_http_server
+from repro.service import http
 from repro.service.service import LATENCY_WINDOW, IntegrationService
 from repro.service.types import BREAKER_STATES
 
@@ -161,6 +164,10 @@ def serve_processes(service: IntegrationService, host: str, port: int, processes
     """Serve ``service`` from ``processes`` pre-forked processes until process 0 stops."""
     assert threading.active_count() == 1, "fork only before any thread exists"
     listener = socket.create_server((host, port))
+    if hasattr(socket, "TCP_DEFER_ACCEPT"):  # Linux
+        listener.setsockopt(
+            socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, math.ceil(http.REQUEST_READ_TIMEOUT_S)
+        )
     board = Scoreboard(processes)
     service.share(board, 0)
     lifeline, keepalive = os.pipe()
@@ -174,7 +181,7 @@ def serve_processes(service: IntegrationService, host: str, port: int, processes
             try:
                 os.close(keepalive)
                 service.share(board, index)
-                asyncio.run(_serve(service, listener, lifeline=lifeline))
+                http.serve(service, listener, lifeline)
                 status = 0
             except Exception:  # noqa: BLE001 — reported, then the child ends
                 traceback.print_exc()
@@ -182,10 +189,30 @@ def serve_processes(service: IntegrationService, host: str, port: int, processes
                 os._exit(status)
         children[pid] = index
     os.close(lifeline)
+    signals, signalled = os.pipe()
+    os.set_blocking(signalled, False)
+    signal.set_wakeup_fd(signalled)
+    for number in (signal.SIGTERM, signal.SIGCHLD):
+        signal.signal(number, lambda *_: None)  # the byte in the pipe is the message
+
+    def on_wake() -> bool:
+        """Reap whichever children ended; stop on SIGTERM."""
+        received = os.read(signals, 512)
+        for pid, index in list(children.items()):
+            try:
+                ended = os.waitpid(pid, os.WNOHANG)[0] == pid
+            except ChildProcessError:
+                ended = True
+            if ended:
+                board.mark_dead(index)
+                del children[pid]
+        return signal.SIGTERM in received
+
+    os.write(signalled, bytes([signal.SIGCHLD]))  # reap a child that died before the handler existed
     bound_host, bound_port = listener.getsockname()[:2]
     print(f"serving on http://{bound_host}:{bound_port}", flush=True)
     try:
-        asyncio.run(_serve(service, listener, children=children, board=board))
+        http.serve(service, listener, signals, on_wake)
     finally:
         for pid in children:
             try:
@@ -198,40 +225,3 @@ def serve_processes(service: IntegrationService, host: str, port: int, processes
             except ChildProcessError:
                 pass
         os.close(keepalive)
-
-
-async def _serve(
-    service: IntegrationService,
-    listener: socket.socket,
-    *,
-    lifeline: Optional[int] = None,
-    children: Optional[Dict[int, int]] = None,
-    board: Optional[Scoreboard] = None,
-) -> None:
-    """One process's server: until the lifeline ends (a child) or SIGTERM (process 0)."""
-    loop = asyncio.get_running_loop()
-    stopped = loop.create_future()
-
-    def stop() -> None:
-        if not stopped.done():
-            stopped.set_result(None)
-
-    def reap() -> None:
-        for pid, index in list(children.items()):
-            try:
-                ended = os.waitpid(pid, os.WNOHANG)[0] == pid
-            except ChildProcessError:
-                ended = True
-            if ended:
-                board.mark_dead(index)
-                del children[pid]
-
-    if lifeline is not None:
-        loop.add_reader(lifeline, stop)
-    else:
-        loop.add_signal_handler(signal.SIGTERM, stop)
-        loop.add_signal_handler(signal.SIGCHLD, reap)
-        reap()  # a child that died before the handler existed
-    server = await start_http_server(service, sock=listener)
-    await stopped
-    server.close()

@@ -1,39 +1,37 @@
-"""Asyncio front-end over a single long-lived :class:`IntegrationEngine`.
+"""Admission, deadlines and accounting over a single long-lived :class:`IntegrationEngine`.
 
 The :class:`IntegrationService` is the request/response boundary the ROADMAP
 asks for: one warm engine (embedding cache, durable ANN indexes, memoised
-surface keys) serving many concurrent requests.  The event loop only ever
-does admission and bookkeeping — the CPU-bound pipeline runs on the
-engine-owned worker pool (:meth:`IntegrationEngine.worker_pool`), the same
-executor ``integrate_many`` batches over, so the two entry points share warm
-threads as well as warm state.
+surface keys) serving many requests, through two entries over one request
+path.  :meth:`~IntegrationService.integrate_sync` runs a request on the
+calling thread, as every ``repro serve`` process does
+(:mod:`repro.service.http`).  :meth:`~IntegrationService.integrate` is the
+in-process asyncio API: the event loop only does admission and bookkeeping,
+and the pipeline runs on the engine-owned worker pool
+(:meth:`IntegrationEngine.worker_pool`), the executor ``integrate_many``
+batches over.  Three properties the tests pin down:
 
-Three properties the tests pin down:
-
-* **Admission is synchronous.**  ``integrate()`` decides admit/reject under
-  one lock before its first ``await``; a saturated service answers
-  :class:`ServiceOverloaded` in microseconds regardless of how slow the
-  pipeline is — backpressure, never an unbounded buffer.
-* **The concurrency gate lives in the pool thread, not the loop.**  Waiting
-  for a slot is queue time, charged to the request's trace, and the loop
-  stays free to admit/reject while requests queue.  Everything is
-  ``threading``-based, so the service survives many short-lived event loops
-  (each test's ``asyncio.run``) without holding loop-bound state.
+* **Admission is synchronous.**  Admit/reject is decided under one lock
+  before any work, so a saturated service answers :class:`ServiceOverloaded`
+  in microseconds however slow the pipeline is — backpressure, never an
+  unbounded buffer.
+* **The concurrency gate lives on the executing thread, not the loop.**
+  Waiting for a slot is queue time, charged to the request's trace.
+  Everything is ``threading``-based, so the service survives many
+  short-lived event loops (each test's ``asyncio.run``).
 * **Accounting is atomic.**  A request's terminal counter (one of
-  :data:`repro.obs.TERMINAL_OUTCOMES`: served / rejected /
-  deadline_exceeded / failed / unavailable) is incremented and the
-  in-flight gauge decremented under the same lock, so ``stats()`` always
-  satisfies ``submitted == sum(terminal outcomes) + in_flight``.
+  :data:`repro.obs.TERMINAL_OUTCOMES`) is incremented and the in-flight
+  gauge decremented under the same lock, so ``stats()`` always satisfies
+  ``submitted == sum(terminal outcomes) + in_flight``.
 
-Under ``repro serve --processes N`` each process runs its own service over
-its own copy of the warm engine (:mod:`repro.service.processes`).  Every
-counter change is then also written, under the same lock, to the process's
-row of a shared block, and ``stats()`` / ``health()`` aggregate every row.
+Under ``repro serve`` each process runs its own service over its own copy of
+the warm engine (:mod:`repro.service.processes`).  Every counter change is
+then also written, under the same lock, to the process's row of a shared
+block, and ``stats()`` / ``health()`` aggregate every row.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import threading
 import time
@@ -150,9 +148,44 @@ class IntegrationService:
         (:data:`~repro.core.engine.REQUEST_OVERRIDES`); ``deadline_ms``
         replaces the service default for this request only.
         """
+        import asyncio  # here, so that a server, which never calls this, never loads it
+
         submitted_at = time.perf_counter()
-        # Admission: one synchronous decision, no awaits, so a saturated
-        # service rejects immediately instead of buffering without bound.
+        admitted = self._admit()
+        if not isinstance(admitted, int):
+            return admitted
+        loop = asyncio.get_running_loop()
+        work = partial(self._serve, admitted, list(tables), deadline_ms, submitted_at, overrides)
+        try:
+            return await loop.run_in_executor(
+                self.engine.worker_pool(self.max_concurrency), work
+            )
+        except RuntimeError as exc:
+            # The pool rejected the submission (shutdown race) — reconcile
+            # the gauge so the accounting identity holds.
+            with self._lock:
+                self._counts["in_flight"] -= 1
+                self._counts["failed"] += 1
+                self._publish()
+            return ServiceFailure(request_id=admitted, error=str(exc), trace=None)
+
+    def integrate_sync(
+        self,
+        tables: Sequence[Table],
+        *,
+        deadline_ms: Optional[float] = None,
+        **overrides: Any,
+    ) -> ServiceResponse:
+        """:meth:`integrate` on the calling thread, with the same admission,
+        deadline and accounting (what a ``repro serve`` process runs)."""
+        submitted_at = time.perf_counter()
+        admitted = self._admit()
+        if not isinstance(admitted, int):
+            return admitted
+        return self._serve(admitted, list(tables), deadline_ms, submitted_at, overrides)
+
+    def _admit(self) -> Union[int, ServiceResponse]:
+        """The admitted request's id, or the response that refuses it."""
         with self._lock:
             request_id = self._next_request_id
             self._next_request_id += 1
@@ -176,22 +209,7 @@ class IntegrationService:
                 )
             counts["in_flight"] += 1
             self._publish()
-
-        budget = deadline_ms if deadline_ms is not None else self.default_deadline_ms
-        loop = asyncio.get_running_loop()
-        work = partial(self._serve, request_id, list(tables), budget, submitted_at, overrides)
-        try:
-            return await loop.run_in_executor(
-                self.engine.worker_pool(self.max_concurrency), work
-            )
-        except RuntimeError as exc:
-            # The pool rejected the submission (shutdown race) — reconcile
-            # the gauge so the accounting identity holds.
-            with self._lock:
-                self._counts["in_flight"] -= 1
-                self._counts["failed"] += 1
-                self._publish()
-            return ServiceFailure(request_id=request_id, error=str(exc), trace=None)
+        return request_id
 
     def _serve(
         self,
@@ -201,7 +219,9 @@ class IntegrationService:
         submitted_at: float,
         overrides: Dict[str, Any],
     ) -> ServiceResponse:
-        """Pool-thread body: gate on a slot, run the pipeline, account once."""
+        """Executing-thread body: gate on a slot, run the pipeline, account once."""
+        if deadline_ms is None:
+            deadline_ms = self.default_deadline_ms
         self._slots.acquire()
         with self._lock:
             self._counts["executing"] += 1

@@ -11,7 +11,6 @@ never-failed service.
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.service import (
     IntegrationResponse,
     IntegrationService,
 )
-from repro.service.http import start_http_server
 from repro.table import Table
 from repro.testing import FaultInjector, FaultyEmbedder
 
@@ -64,29 +62,6 @@ def _service(degraded_mode, *, clock=None, fail=True, breaker_reset_ms=60_000.0)
     return IntegrationService(config), injector
 
 
-async def _http_request(port, method, path, body=None):
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    payload = json.dumps(body).encode() if body is not None else b""
-    head = (
-        f"{method} {path} HTTP/1.1\r\n"
-        f"Host: localhost\r\nContent-Length: {len(payload)}\r\n"
-        f"Connection: close\r\n\r\n"
-    )
-    writer.write(head.encode() + payload)
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-    header_lines = header_blob.decode().split("\r\n")
-    status = int(header_lines[0].split(" ", 2)[1])
-    headers = {}
-    for line in header_lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, json.loads(body_blob.decode())
-
-
 INTEGRATE_BODY = {
     "tables": [
         {"name": "T1", "columns": ["City"], "rows": [["Berlinn"], ["Toronto"]]},
@@ -112,22 +87,13 @@ class TestSurfaceMode:
         assert stats.degraded_served == 1
         assert stats.breaker_state == "open"
 
-    def test_healthz_reports_degraded_while_integrate_stays_200(self):
-        async def main():
-            service, _ = _service("surface")
-            async with service:
-                server = await start_http_server(service, port=0)
-                port = server.sockets[0].getsockname()[1]
-                try:
-                    integrate = await _http_request(port, "POST", "/integrate", INTEGRATE_BODY)
-                    health = await _http_request(port, "GET", "/healthz")
-                    stats = await _http_request(port, "GET", "/stats")
-                finally:
-                    server.close()
-                    await server.wait_closed()
-                return integrate, health, stats
-
-        integrate, health, stats = asyncio.run(main())
+    def test_healthz_reports_degraded_while_integrate_stays_200(self, serve_http):
+        service, _ = _service("surface")
+        with serve_http(service) as server:
+            integrate = server.request("POST", "/integrate", INTEGRATE_BODY)
+            health = server.request("GET", "/healthz")
+            stats = server.request("GET", "/stats")
+        service.close()
         status, _, body = integrate
         assert status == 200
         assert body["trace"]["degraded"] is True
@@ -185,21 +151,12 @@ class TestFailMode:
         outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
         assert outcomes + stats.in_flight == stats.submitted == 2
 
-    def test_http_503_with_retry_after_header(self):
-        async def main():
-            service, _ = _service("fail", breaker_reset_ms=45_000.0)
-            async with service:
-                server = await start_http_server(service, port=0)
-                port = server.sockets[0].getsockname()[1]
-                try:
-                    integrate = await _http_request(port, "POST", "/integrate", INTEGRATE_BODY)
-                    health = await _http_request(port, "GET", "/healthz")
-                finally:
-                    server.close()
-                    await server.wait_closed()
-            return integrate, health
-
-        integrate, health = asyncio.run(main())
+    def test_http_503_with_retry_after_header(self, serve_http):
+        service, _ = _service("fail", breaker_reset_ms=45_000.0)
+        with serve_http(service) as server:
+            integrate = server.request("POST", "/integrate", INTEGRATE_BODY)
+            health = server.request("GET", "/healthz")
+        service.close()
         status, headers, body = integrate
         assert status == 503
         assert body["status"] == "unavailable"

@@ -7,12 +7,15 @@ test modules stay focused on behaviour.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import socket
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,64 @@ def fresh_python():
         return json.loads(done.stdout.strip().splitlines()[-1])
 
     return run
+
+
+class LoopbackServer:
+    """A service served on a loopback port by the loop every ``repro serve``
+    process runs (:func:`repro.service.http.serve`), here on a thread."""
+
+    def __init__(self, service) -> None:
+        from repro.service.http import serve
+
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._stop, self._stopper = os.pipe()
+        self._thread = threading.Thread(target=serve, args=(service, self._listener, self._stop), daemon=True)
+        self._thread.start()
+
+    def raw(self, blob: bytes, timeout: float = 10.0):
+        """Send ``blob`` as is and read until the server closes.
+
+        Returns ``(status, headers, json body)``, or ``(None, {}, None)`` when
+        the server closed without answering; a server that never answers
+        fails the test through the timeout instead of hanging it.
+        """
+        with socket.create_connection(("127.0.0.1", self.port), timeout=timeout) as connection:
+            connection.sendall(blob)
+            answer = b"".join(iter(lambda: connection.recv(1 << 16), b""))
+        if not answer:
+            return None, {}, None
+        head, _, body = answer.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = {name.strip().lower(): value.strip() for name, _, value in (line.partition(":") for line in header_lines)}
+        return int(status_line.split(" ", 2)[1]), headers, json.loads(body)
+
+    def request(self, method: str, path: str, body=None):
+        """One JSON request; returns ``(status, headers, json body)``."""
+        payload = json.dumps(body).encode() if body is not None else b""
+        head = f"{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
+        return self.raw(head.encode() + payload)
+
+    def close(self) -> None:
+        os.close(self._stopper)  # end of file on the wake pipe stops the loop
+        self._thread.join(timeout=30)
+        os.close(self._stop)
+        self._listener.close()
+
+
+@pytest.fixture
+def serve_http():
+    """``with serve_http(service) as server``: a :class:`LoopbackServer` for the block."""
+
+    @contextlib.contextmanager
+    def serving(service):
+        server = LoopbackServer(service)
+        try:
+            yield server
+        finally:
+            server.close()
+
+    return serving
 
 
 @pytest.fixture(scope="session")

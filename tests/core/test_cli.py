@@ -74,6 +74,12 @@ class TestParser:
         # A deployment flag, not a config knob: it never reaches FuzzyFDConfig.
         assert "processes" not in args._explicit
 
+    @pytest.mark.parametrize("flag", ["--max-pending", "--max-concurrency"])
+    def test_serve_has_no_admission_flags(self, flag):
+        # A server process serves one connection at a time: nothing to admit or queue.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", flag, "4"])
+
     def test_serve_rejects_zero_processes_before_booting(self, capsys):
         with pytest.raises(SystemExit, match="--processes must be >= 1"):
             main(["serve", "--processes", "0"])

@@ -8,7 +8,13 @@ is long since imported.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 #: Modules a paper-preset request may load on top of interpreter + numpy:
 #: 115 when recorded (numpy 2.4, Python 3.11) + 10 %.  Counted from after
@@ -64,40 +70,43 @@ def test_one_shot_request_stays_inside_the_module_budget(fresh_python):
     assert seen["added"] <= MODULE_BUDGET, f"{seen['added']} modules on top of numpy"
 
 
-def test_first_served_request_loads_no_module(fresh_python):
-    # The served twin: boot (importing repro.service, building the service)
-    # pre-imports and binds, so no request ever waits for a module to load.
-    seen = fresh_python(
-        f"""
-        import asyncio, json, sys
-        from repro.service import IntegrationService
-        from repro.service.http import start_http_server
+def test_first_served_request_loads_no_module(tmp_path):
+    # The served twin: boot (importing repro.service, building the service,
+    # binding the socket) pre-imports and binds, so no request ever waits for
+    # a module to load.  ``-X importtime`` logs each first import as it
+    # happens, so what the log gains after "serving on" the request loaded.
+    log_path = tmp_path / "serve.log"
+    environment = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+    with open(log_path, "w") as log:
+        server = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "repro.cli", "serve", "--preset", "paper", "--processes", "1", "--port", "0"],
+            env=environment, stdout=log, stderr=subprocess.STDOUT,
+        )
+    try:
+        deadline = time.monotonic() + 60
+        while "serving on http://" not in log_path.read_text():
+            assert server.poll() is None and time.monotonic() < deadline, log_path.read_text()
+            time.sleep(0.01)
+        booted = log_path.read_text()
+        port = int(booted.split("serving on http://", 1)[1].split()[0].rsplit(":", 1)[1])
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        connection.request("POST", "/integrate", body=json.dumps({"tables": json.loads(TABLES)}).encode())
+        reply = json.loads(connection.getresponse().read())
+        connection.close()
+        served = log_path.read_text()[len(booted) :]
+    finally:
+        server.terminate()
+        server.wait(timeout=10)
+    assert reply["status"] == "ok" and len(reply["table"]["rows"]) == 2
+    assert _imported(served) == []
+    # Nothing on a server's path needs an event loop or TLS.
+    assert [name for name in _imported(booted) if name.split(".")[0] in ("asyncio", "ssl")] == []
 
-        async def post(port, body):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(
-                f"POST /integrate HTTP/1.1\\r\\nHost: localhost\\r\\n"
-                f"Content-Length: {{len(body)}}\\r\\nConnection: close\\r\\n\\r\\n".encode() + body
-            )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            return json.loads(raw.partition(b"\\r\\n\\r\\n")[2])
 
-        async def main():
-            async with IntegrationService("paper") as service:
-                server = await start_http_server(service, port=0)
-                port = server.sockets[0].getsockname()[1]
-                body = json.dumps({{"tables": json.loads({TABLES!r})}}).encode()
-                before = set(sys.modules)
-                reply = await post(port, body)
-                added = sorted(set(sys.modules) - before)
-                server.close()
-                await server.wait_closed()
-                return {{"status": reply["status"], "rows": len(reply["table"]["rows"]), "added": added}}
-
-        print(json.dumps(asyncio.run(main())))
-        """
-    )
-    assert seen == {"status": "ok", "rows": 2, "added": []}
+def _imported(importtime_log: str) -> list:
+    """The modules an ``-X importtime`` log records, in import order."""
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_log.splitlines()
+        if line.startswith("import time:") and not line.endswith("imported package")
+    ]

@@ -2,55 +2,26 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
+import time
 
 import pytest
 
+import repro.service.http as http_module
 from repro.service import IntegrationService
-from repro.service.http import (
-    BadRequest,
-    start_http_server,
-    table_to_json,
-    tables_from_json,
-)
+from repro.service.http import BadRequest, table_to_json, tables_from_json
 from repro.table import Table
 from repro.table.nulls import NULL, LabeledNull
 
 
-async def _request(port: int, method: str, path: str, body: dict | None = None):
-    """One HTTP/1.1 exchange against localhost; returns (status, json body)."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    payload = json.dumps(body).encode() if body is not None else b""
-    head = (
-        f"{method} {path} HTTP/1.1\r\n"
-        f"Host: localhost\r\nContent-Length: {len(payload)}\r\n"
-        f"Connection: close\r\n\r\n"
-    )
-    writer.write(head.encode() + payload)
-    await writer.drain()
-    raw = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-    status = int(header_blob.split(b" ", 2)[1])
-    return status, json.loads(body_blob.decode())
-
-
-def _run(scenario):
-    """Run an async scenario against a fresh service + bound server."""
-
-    async def main():
-        async with IntegrationService("fast") as service:
-            server = await start_http_server(service, port=0)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                return await scenario(port, service)
-            finally:
-                server.close()
-                await server.wait_closed()
-
-    return asyncio.run(main())
+@pytest.fixture
+def served(serve_http):
+    """A fresh service and the loopback server in front of it."""
+    service = IntegrationService("fast")
+    with serve_http(service) as server:
+        yield server, service
+    service.close()
 
 
 INTEGRATE_BODY = {
@@ -62,21 +33,15 @@ INTEGRATE_BODY = {
 
 
 class TestEndpoints:
-    def test_healthz(self):
-        async def scenario(port, service):
-            return await _request(port, "GET", "/healthz")
-
-        status, body = _run(scenario)
+    def test_healthz(self, served):
+        status, _, body = served[0].request("GET", "/healthz")
         assert status == 200
         assert body["status"] == "healthy"
         assert body["requests_served"] == 0
         assert body["breaker"]["state"] == "closed"
 
-    def test_integrate_round_trip_with_trace(self):
-        async def scenario(port, service):
-            return await _request(port, "POST", "/integrate", INTEGRATE_BODY)
-
-        status, body = _run(scenario)
+    def test_integrate_round_trip_with_trace(self, served):
+        status, _, body = served[0].request("POST", "/integrate", INTEGRATE_BODY)
         assert status == 200
         assert body["status"] == "ok"
         trace = body["trace"]
@@ -90,98 +55,47 @@ class TestEndpoints:
         bob = [row for row in table["rows"] if "bob" in row]
         assert bob and None in bob[0]
 
-    def test_stats_reflects_served_requests(self):
-        async def scenario(port, service):
-            await _request(port, "POST", "/integrate", INTEGRATE_BODY)
-            return await _request(port, "GET", "/stats")
-
-        status, body = _run(scenario)
+    def test_stats_reflects_served_requests(self, served):
+        served[0].request("POST", "/integrate", INTEGRATE_BODY)
+        status, _, body = served[0].request("GET", "/stats")
         assert status == 200
         assert body["served"] == 1
         assert body["submitted"] == 1
 
-    def test_unknown_route_is_404(self):
-        async def scenario(port, service):
-            return await _request(port, "GET", "/nope")
-
-        status, body = _run(scenario)
+    def test_unknown_route_is_404(self, served):
+        status, _, body = served[0].request("GET", "/nope")
         assert status == 404
         assert body["status"] == "error"
 
-    def test_malformed_json_is_400(self):
-        async def scenario(port, service):
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            blob = b"not json"
-            writer.write(
-                b"POST /integrate HTTP/1.1\r\nContent-Length: "
-                + str(len(blob)).encode()
-                + b"\r\n\r\n"
-                + blob
-            )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            return int(raw.split(b" ", 2)[1])
+    def test_malformed_json_is_400(self, served):
+        status, _, _ = served[0].raw(_post_raw(b"not json"))
+        assert status == 400
 
-        assert _run(scenario) == 400
-
-    def test_missing_tables_is_400(self):
-        async def scenario(port, service):
-            return await _request(port, "POST", "/integrate", {"tables": []})
-
-        status, body = _run(scenario)
+    def test_missing_tables_is_400(self, served):
+        status, _, body = served[0].request("POST", "/integrate", {"tables": []})
         assert status == 400
         assert "tables" in body["error"]
 
-    def test_bad_deadline_is_400(self):
-        async def scenario(port, service):
-            return await _request(
-                port, "POST", "/integrate", {**INTEGRATE_BODY, "deadline_ms": -5}
-            )
-
-        status, body = _run(scenario)
+    def test_bad_deadline_is_400(self, served):
+        status, _, body = served[0].request("POST", "/integrate", {**INTEGRATE_BODY, "deadline_ms": -5})
         assert status == 400
         assert "deadline_ms" in body["error"]
 
-    def test_overloaded_maps_to_503(self):
-        async def scenario(port, service):
-            # Shrink the admission window after construction: in_flight(0)
-            # can never be < capacity... so force capacity to zero requests
-            # by taking the gauge over the limit directly.
-            service.max_pending = 0
+    def test_overloaded_maps_to_503(self, served):
+        server, service = served
+        # Take the in-flight gauge to the admission limit directly: a server
+        # process serves one connection at a time, so traffic never gets there.
+        service.max_pending = 0
+        with service._lock:
+            service._counts["in_flight"] = service.max_concurrency
+        try:
+            status, _, body = server.request("POST", "/integrate", INTEGRATE_BODY)
+        finally:
             with service._lock:
-                service._counts["in_flight"] = service.max_concurrency
-            try:
-                return await _request(port, "POST", "/integrate", INTEGRATE_BODY)
-            finally:
-                with service._lock:
-                    service._counts["in_flight"] = 0
-
-        status, body = _run(scenario)
+                service._counts["in_flight"] = 0
         assert status == 503
         assert body["status"] == "overloaded"
         assert body["max_pending"] == 0
-
-
-async def _raw_exchange(port: int, blob: bytes):
-    """Send ``blob`` as is, keep the connection open, read the answer.
-
-    Returns ``(status, json body)``, or ``(None, None)`` when the server
-    closed without answering.  A server that never answers fails the test
-    through the client-side timeout instead of hanging it.
-    """
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(blob)
-    await writer.drain()
-    try:
-        raw = await asyncio.wait_for(reader.read(), timeout=10.0)
-    finally:
-        writer.close()
-    if not raw:
-        return None, None
-    header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-    return int(header_blob.split(b" ", 2)[1]), json.loads(body_blob.decode())
 
 
 def _post_raw(body: bytes, content_length: int | None = None) -> bytes:
@@ -189,112 +103,171 @@ def _post_raw(body: bytes, content_length: int | None = None) -> bytes:
     return b"POST /integrate HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % length + body
 
 
+def _strict_json(blob: bytes):
+    """Parse as a strict parser would: ``NaN`` / ``Infinity`` are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(blob, parse_constant=refuse)
+
+
 class TestHostileInput:
     """Malformed or slow requests get a typed answer, never a dropped connection."""
 
-    def test_negative_content_length_is_400(self):
-        async def scenario(port, service):
-            return await _raw_exchange(port, _post_raw(b"{}", content_length=-5))
-
-        status, body = _run(scenario)
+    def test_negative_content_length_is_400(self, served):
+        status, _, body = served[0].raw(_post_raw(b"{}", content_length=-5))
         assert status == 400
         assert "Content-Length" in body["error"]
 
     @pytest.mark.parametrize("row", [5, "xy", {"a": 1}], ids=["number", "string", "object"])
-    def test_row_that_is_not_a_list_is_400_naming_table_and_row(self, row):
+    def test_row_that_is_not_a_list_is_400_naming_table_and_row(self, served, row):
         payload = {
             "tables": [
                 {"name": "a", "columns": ["a"], "rows": [["ok"]]},
                 {"name": "b", "columns": ["a"], "rows": [["ok"], row]},
             ]
         }
-
-        async def scenario(port, service):
-            return await _raw_exchange(port, _post_raw(json.dumps(payload).encode()))
-
-        status, body = _run(scenario)
+        status, _, body = served[0].raw(_post_raw(json.dumps(payload).encode()))
         assert status == 400
         assert "tables[1].rows[1]" in body["error"]
 
-    def test_two_tables_of_one_name_are_400_naming_the_second(self):
+    def test_two_tables_of_one_name_are_400_naming_the_second(self, served):
         payload = {
             "tables": [
                 {"name": "a", "columns": ["k", "v"], "rows": [["a", "x"]]},
                 {"name": "a", "columns": ["k", "w"], "rows": [["a", "z"]]},
             ]
         }
-
-        async def scenario(port, service):
-            return await _raw_exchange(port, _post_raw(json.dumps(payload).encode()))
-
-        status, body = _run(scenario)
+        status, _, body = served[0].raw(_post_raw(json.dumps(payload).encode()))
         assert status == 400
         assert "tables[1].name 'a' repeats tables[0].name" in body["error"]
 
     @pytest.mark.parametrize("cell", [["a", "b"], {"a": 1}], ids=["list", "object"])
-    def test_a_cell_that_is_not_a_scalar_is_400_naming_it(self, cell):
+    def test_a_cell_that_is_not_a_scalar_is_400_naming_it(self, served, cell):
+        server, service = served
         payload = {
             "tables": [
                 {"name": "a", "columns": ["k", "v"], "rows": [["a", "x"]]},
                 {"name": "b", "columns": ["k", "w"], "rows": [["a", "z"], ["b", cell]]},
             ]
         }
-
-        async def scenario(port, service):
-            answer = await _raw_exchange(port, _post_raw(json.dumps(payload).encode()))
-            return (*answer, service.stats().submitted)
-
-        status, body, submitted = _run(scenario)
+        status, _, body = server.raw(_post_raw(json.dumps(payload).encode()))
         assert status == 400
         assert "tables[1].rows[1][1] must be a string, number, boolean or null" in body["error"]
-        assert submitted == 0  # refused before any stage ran
+        assert service.stats().submitted == 0  # refused before any stage ran
 
-    def test_true_is_not_the_number_one(self):
+    @pytest.mark.parametrize("number", ["1e400", "-1e400"])
+    def test_a_number_that_overflows_is_400_naming_its_cell(self, served, number):
+        server, service = served
+        blob = (
+            '{"tables": [{"name": "a", "columns": ["k", "v"], "rows": [["a", "x"]]},'
+            ' {"name": "b", "columns": ["k", "w"], "rows": [["a", "z"], [%s, "y"]]}]}' % number
+        ).encode()
+        status, _, body = server.raw(_post_raw(blob))
+        assert status == 400
+        assert "tables[1].rows[1][0] must be a finite number" in body["error"]
+        assert service.stats().submitted == 0
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_are_not_json(self, served, literal):
+        blob = ('{"tables": [{"name": "a", "columns": ["k"], "rows": [[%s]]}]}' % literal).encode()
+        status, _, body = served[0].raw(_post_raw(blob))
+        assert status == 400
+        assert f"{literal} is not a number" in body["error"]
+
+    def test_an_infinite_deadline_is_400(self, served):
+        blob = json.dumps(INTEGRATE_BODY)[:-1].encode() + b', "deadline_ms": 1e400}'
+        status, _, body = served[0].raw(_post_raw(blob))
+        assert status == 400
+        assert "deadline_ms" in body["error"]
+
+    def test_every_answer_is_strict_json(self, served):
+        payload = {
+            "tables": [
+                {"name": "l", "columns": ["k", "v"], "rows": [[1.5, "x"], [1e300, "y"]]},
+                {"name": "r", "columns": ["k", "w"], "rows": [[1.5, "z"]]},
+            ]
+        }
+        with socket.create_connection(("127.0.0.1", served[0].port), timeout=10) as connection:
+            connection.sendall(_post_raw(json.dumps(payload).encode()))
+            answer = b"".join(iter(lambda: connection.recv(1 << 16), b""))
+        body = _strict_json(answer.partition(b"\r\n\r\n")[2])
+        assert body["status"] == "ok"
+        assert sorted(map(json.dumps, body["table"]["rows"])) == ['[1.5, "x", "z"]', '[1e+300, "y", null]']
+        with pytest.raises(ValueError):
+            http_module._encode_response(200, "OK", {"rows": [[float("inf"), "x"]]})
+
+    @pytest.mark.parametrize("column", [1, None, {"x": 1}], ids=["number", "null", "object"])
+    def test_a_column_name_that_is_not_a_string_is_400_naming_it(self, served, column):
+        server, service = served
+        payload = {
+            "tables": [
+                {"name": "a", "columns": ["1", "v"], "rows": [["a", "x"]]},
+                {"name": "b", "columns": ["k", column], "rows": [["a", "z"]]},
+            ]
+        }
+        status, _, body = server.raw(_post_raw(json.dumps(payload).encode()))
+        assert status == 400
+        assert f"tables[1].columns[1] must be a string, got {type(column).__name__}" in body["error"]
+        assert service.stats().submitted == 0
+
+    def test_true_is_not_the_number_one(self, served):
         payload = {
             "tables": [
                 {"name": "l", "columns": ["k", "v"], "rows": [[1, "x"], [True, "y"]]},
                 {"name": "r", "columns": ["k", "w"], "rows": [[1.0, "z"]]},
             ]
         }
-
-        async def scenario(port, service):
-            return await _raw_exchange(port, _post_raw(json.dumps(payload).encode()))
-
-        status, body = _run(scenario)
+        status, _, body = served[0].raw(_post_raw(json.dumps(payload).encode()))
         assert status == 200
         rows = body["table"]["rows"]
         assert sorted(map(json.dumps, rows)) == ['[1, "x", "z"]', '[true, "y", null]']
 
-    def test_request_line_over_the_stream_limit_is_400(self):
-        async def scenario(port, service):
-            return await _raw_exchange(port, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
-
-        status, body = _run(scenario)
+    def test_request_line_over_the_line_limit_is_400(self, served):
+        status, _, body = served[0].raw(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
         assert status == 400
         assert body["status"] == "error"
 
-    def test_truncated_body_is_408(self, monkeypatch):
-        import repro.service.http as http_module
-
+    def test_truncated_body_is_408(self, served, monkeypatch):
         monkeypatch.setattr(http_module, "REQUEST_READ_TIMEOUT_S", 0.2)
-
-        async def scenario(port, service):
-            return await _raw_exchange(port, _post_raw(b'{"tables": [', content_length=100))
-
-        status, body = _run(scenario)
+        started = time.monotonic()
+        status, _, body = served[0].raw(_post_raw(b'{"tables": [', content_length=100))
         assert status == 408
         assert body["status"] == "error"
+        assert 0.2 <= time.monotonic() - started < 5.0
 
-    def test_silent_client_is_408(self, monkeypatch):
-        import repro.service.http as http_module
-
+    def test_silent_client_is_408(self, served, monkeypatch):
         monkeypatch.setattr(http_module, "REQUEST_READ_TIMEOUT_S", 0.2)
-
-        async def scenario(port, service):
-            return await _raw_exchange(port, b"")
-
-        status, _body = _run(scenario)
+        status, _, _ = served[0].raw(b"")
         assert status == 408
+
+    def test_the_deadline_covers_the_whole_request_not_each_read(self, served, monkeypatch):
+        # A client that trickles a byte at a time never lets one read time
+        # out; the deadline is on the request as a whole.
+        monkeypatch.setattr(http_module, "REQUEST_READ_TIMEOUT_S", 0.3)
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", served[0].port), timeout=10) as connection:
+            connection.sendall(b"POST /integrate HTTP/1.1\r\nContent-Length: 1000\r\n\r\n")
+            try:
+                for _ in range(100):
+                    connection.sendall(b" ")
+                    time.sleep(0.02)
+            except OSError:  # the server answered and closed while we were still sending
+                pass
+            answer = b""
+            try:
+                for chunk in iter(lambda: connection.recv(1 << 16), b""):
+                    answer += chunk
+            except ConnectionResetError:  # a trickled byte reached the closed socket after the answer
+                pass
+        assert answer.startswith(b"HTTP/1.1 408 ")
+        assert time.monotonic() - started < 1.9
+
+    def test_a_stalled_client_does_not_end_the_loop(self, served, monkeypatch):
+        monkeypatch.setattr(http_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+        assert served[0].raw(_post_raw(b"{", content_length=10))[0] == 408
+        assert served[0].request("GET", "/healthz")[0] == 200
 
 
 class TestJsonTables:

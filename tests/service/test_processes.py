@@ -2,9 +2,10 @@
 
 Every test runs the CLI as a subprocess (``python -m repro.cli serve``), so
 the fork, the shared counters block, the shared store and the lifecycle are
-the ones a deployment gets.  Which process answers a connection is up to
-the kernel; where a test must know, it stops the other process with
-``SIGSTOP`` so that only one can accept.
+the ones a deployment gets.  A process accepts only while idle, so a busy
+process never takes a connection; among idle ones the kernel picks, and
+where a test must know which, it stops the other process with ``SIGSTOP``
+so that only one can accept.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -295,5 +297,52 @@ def test_one_process_runs_one_pid_and_answers_byte_identically(tmp_path, two, po
         assert stats["processes"] == stats["processes_alive"] == 1
         assert [entry["pid"] for entry in stats["per_process"]] == [server.process.pid]
         assert _children_of(server.process.pid) == []
+    finally:
+        server.stop()
+
+
+def _fresh_body(tag: str) -> bytes:
+    """A small request whose values no process has embedded yet."""
+    return json.dumps({"tables": [
+        {"name": "a", "columns": ["City", "Country"], "rows": [[f"Berlinn {tag}", "Germany"], [f"Toronto {tag}", "Canada"]]},
+        {"name": "b", "columns": ["City", "Rate"], "rows": [[f"Berlin {tag}", "63%"], [f"Toronto {tag}", "83%"]]},
+    ]}).encode()
+
+
+def _threads(pid: int) -> int:
+    status = Path(f"/proc/{pid}/status").read_text()
+    return int(status.split("Threads:", 1)[1].split()[0])
+
+
+def test_a_connection_goes_to_the_idle_process(tmp_path):
+    # Each first request embeds for >= 0.4 s; a second one sent meanwhile
+    # must go to the other process, not queue behind the busy one.
+    server = Server(tmp_path, "--processes", "2", "--embedder", "chaos", env={"REPRO_CHAOS_EMBED_LATENCY_MS": "400"})
+    try:
+        pids = [server.process.pid, *server.children()]
+        for attempt in range(5):
+            before = {entry["pid"]: entry["served"] for entry in server.stats()["per_process"]}
+            answers = []
+            busy = threading.Thread(target=lambda: answers.append(server.call("POST", "/integrate", _fresh_body(f"busy {attempt}"))))
+            busy.start()
+            time.sleep(0.1)
+            answers.append(server.call("POST", "/integrate", _fresh_body(f"second {attempt}")))
+            busy.join(timeout=60)
+            assert [status for status, _ in answers] == [200, 200]
+            after = {entry["pid"]: entry["served"] for entry in server.stats()["per_process"]}
+            assert {pid: after[pid] - before[pid] for pid in pids} == dict.fromkeys(pids, 1), f"attempt {attempt}"
+        assert [_threads(pid) for pid in pids] == [1, 1]
+    finally:
+        server.stop()
+
+
+def test_a_silent_connection_does_not_hold_the_only_process(tmp_path, pool, direct):
+    server = Server(tmp_path, "--processes", "1", "--preset", "scale")
+    try:
+        with socket.create_connection(("127.0.0.1", server.port)):  # connects, never sends
+            started = time.monotonic()
+            status, body = server.integrate(pool[0])
+            assert time.monotonic() - started < 10.0  # the read deadline is 30 s
+        assert status == 200 and _table_bytes(body["table"]) == direct[0]
     finally:
         server.stop()
