@@ -40,6 +40,10 @@ from repro.storage.store import STORE_MODES
 from repro.utils.executor import EXECUTOR_BACKENDS, ExecutorConfig
 
 
+#: What a field of each of these annotations accepts (``bool`` is no number).
+FIELD_KINDS = {"bool": (bool, "a boolean"), "int": (int, "an integer"), "float": ((int, float), "a number")}
+
+
 @dataclass
 class FuzzyFDConfig:
     """All knobs of the pipeline, with the paper's defaults.
@@ -204,6 +208,11 @@ class FuzzyFDConfig:
     degraded_mode: str = "off"
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value, kind = getattr(self, field.name), field.type.removeprefix("Optional[").rstrip("]")
+            if kind in FIELD_KINDS and (value is not None or kind == field.type):  # ``None`` fits ``Optional``
+                if isinstance(value, bool) != (kind == "bool") or not isinstance(value, FIELD_KINDS[kind][0]):
+                    raise ValueError(f"{field.name} must be {FIELD_KINDS[kind][1]}, got {type(value).__name__} {value!r}")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.blocking not in ("off", "on", "auto"):

@@ -377,7 +377,7 @@ class IntegrationEngine:
             relations = encode_request(aligned)
             timings = {}
 
-        effective = _effective if _effective is not None else self._effective_config(overrides)
+        effective = _effective if _effective is not None else self.effective_config(overrides)
         matcher = self._matcher_for(effective)
 
         start = time.perf_counter()
@@ -456,7 +456,7 @@ class IntegrationEngine:
                     "(or integrate the raw tables)"
                 )
             staged = tables
-            effective = self._effective_config(executor_overrides)
+            effective = self.effective_config(executor_overrides)
         else:
             if isinstance(tables, AlignmentStage):
                 if alignment is not None or alignment_strategy is not None:
@@ -490,7 +490,7 @@ class IntegrationEngine:
                     if on_stage is not None:
                         on_stage("align")
                     aligned = self.align(tables, strategy=alignment_strategy)
-            effective = self._effective_config(overrides)
+            effective = self.effective_config(overrides)
             if fuzzy:
                 if on_stage is not None:
                     on_stage("match")
@@ -592,8 +592,7 @@ class IntegrationEngine:
                 results[pending.pop(future)] = future.result()
         return results
 
-    # -- internals -----------------------------------------------------------------
-    def _effective_config(self, overrides: Dict[str, Any]) -> FuzzyFDConfig:
+    def effective_config(self, overrides: Dict[str, Any]) -> FuzzyFDConfig:
         """The engine config with per-request ``overrides`` applied and validated."""
         unknown = sorted(set(overrides) - set(REQUEST_OVERRIDES))
         if unknown:
@@ -610,6 +609,7 @@ class IntegrationEngine:
             return self.config
         return self.config.replace(**provided)
 
+    # -- internals -----------------------------------------------------------------
     def _resilience_overrides(self, effective: FuzzyFDConfig):
         """Context applying ``effective``'s retry-policy knobs to the embedder.
 

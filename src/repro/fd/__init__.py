@@ -9,8 +9,8 @@ This package registers six interchangeable implementations of the same
 semantics.  Four run outer union → complementation closure → subsumption
 removal through the one coded, generation-batched kernel of
 :mod:`repro.fd.complementation` (``alite``, ``incremental``, ``partitioned``,
-``streaming``) and differ in what they close at a time, hence in the order
-they list the result in, and in whether they compute it lazily; two are
+``streaming``) and differ in which tuples a tuple may meet, hence in the
+order they list the result in, and in whether they compute it lazily; two are
 definition-level oracles (``naive``, ``outer_join_sequence``):
 
 * :class:`~repro.fd.naive.NaiveFullDisjunction` — the definitional fixpoint;
@@ -20,16 +20,16 @@ definition-level oracles (``naive``, ``outer_join_sequence``):
 * :class:`~repro.fd.alite.AliteFullDisjunction` — the paper's substrate [18]:
   posting-indexed complementation with duplicate elimination over the whole
   input at once, practical at the IMDB-benchmark scale.
-* :class:`~repro.fd.incremental.IncrementalFullDisjunction` — closes the
-  connected components of the join-value graph apart, a bounded batch of
-  them per pass of the kernel; linear where tables of unrelated schemas make
-  the whole-input closure quadratic.
+* :class:`~repro.fd.incremental.IncrementalFullDisjunction` — labels the
+  connected components of the join-value graph and closes all of them in one
+  pass of the kernel, a tuple meeting only its own component's nulls; linear
+  where tables of unrelated schemas make the whole-input closure quadratic.
 * :class:`~repro.fd.incremental.PartitionedFullDisjunction` — the incremental
-  algorithm under the registry name of the former worker-pool variant (a
-  batch of components closes faster than a pool is handed them).
+  algorithm under the registry name of the former worker-pool variant (one
+  pass closes the components faster than a pool is handed them).
 * :class:`~repro.fd.iterator.StreamingFullDisjunction` — the incremental
-  algorithm as a generator: a batch's tuples are emitted as soon as it is
-  closed, before later components are touched.
+  algorithm as a generator: components close a bounded batch at a time, and
+  a batch's tuples are emitted before later components are touched.
 """
 
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult

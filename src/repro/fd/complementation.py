@@ -7,13 +7,13 @@ share at least one non-null value) — until no new tuple can be produced, and
 (3) removing subsumed tuples.  This module implements step (2) over integer
 coded tuples (:mod:`repro.table.coded`) with value and null postings per
 column, so a tuple is only compared with the tuples that agree with it or are
-null on its most selective column, plus duplicate elimination so the closure
-terminates.
+null on its most selective column (in its component, when the components are
+known), plus duplicate elimination so the closure terminates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -29,11 +29,11 @@ class ComplementationEngine:
     stored column-major — ``data[p]`` is column ``p`` of every known tuple.
     A partner ``c`` of a tuple ``t`` holds ``t[p]`` or null at *every*
     non-null position ``p`` of ``t``, so for any single position the partners
-    are among ``posting(p, t[p]) ∪ posting(p, null)``; the engine picks the
-    position where that union is smallest and tests, on it alone, "no
-    conflict" and "shares a value" — the same pairs ALITE's hash index on
-    shared values finds, from far fewer candidates when a column such as
-    ``genres`` is low-cardinality.
+    are among ``posting(p, t[p]) ∪ posting(p, null in t's component)``; the
+    engine picks the position where that union is smallest and tests, on it
+    alone, "no conflict" and "shares a value" — the same pairs ALITE's hash
+    index on shared values finds, from far fewer candidates when a column
+    such as ``genres`` is low-cardinality.
 
     A tuple is only ever tested against tuples with smaller ids, and the
     tuples created while one *generation* (the inputs, then what the inputs'
@@ -64,12 +64,12 @@ class ComplementationEngine:
 
         Returns the surviving tuples, coded, and their provenance as pairs:
         input ``inputs[k]`` is a source of survivor ``holders[k]``.  With
-        ``labels`` — one per input, equal within and distinct across the
-        connected components of the value-sharing graph — the survivors come
-        component by component in label order, each component's in closure
-        order: what closing the components one after the other would list.
+        ``labels`` — one per input, equal within each connected component of
+        the value-sharing graph — the survivors come label by label, each
+        label's in closure order, and each tuple meets its own label's tuples
+        only: what closing the labels one after the other would list and test.
         """
-        closed, subsumed = self.close_coded(codes, statistics)
+        closed, subsumed = self.close_coded(codes, statistics, labels)
         kept = np.flatnonzero(~subsumed)
         # Fully-null inputs ride on the survivor standing for the closure's
         # fully-null tuple, which the first other tuple absorbs, as in
@@ -85,23 +85,25 @@ class ComplementationEngine:
         return survivors, inputs, holders
 
     def close_coded(
-        self, codes: np.ndarray, statistics: Dict[str, float] | None = None
+        self, codes: np.ndarray, statistics: Dict[str, float] | None = None, labels: np.ndarray | None = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`close` over a ``(width, rows)`` code matrix, coded in and out.
 
-        Also returns, per closed tuple, whether another closed tuple strictly
-        subsumes it.  Provenance is not carried through: a closed tuple stems
-        from the inputs it subsumes (:func:`subsumed_sources`).
+        With ``labels`` (:meth:`disjunction_coded`), a tuple meets its label's
+        tuples only.  Also returns, per closed tuple, whether another closed
+        tuple strictly subsumes it.  Provenance is not carried through: a
+        closed tuple stems from the inputs it subsumes (:func:`subsumed_sources`).
         """
         statistics = statistics if statistics is not None else {}
         width = codes.shape[0]
         codes_per_column = codes.max(axis=1, initial=-1) + 1
         known = TupleIndex(codes_per_column)
         data = np.empty((width, max(16, 2 * codes.shape[1])), dtype=np.int32)
+        component = np.empty(data.shape[1], dtype=np.intp)  # the label of every known tuple
 
-        def add(columns: np.ndarray) -> None:
+        def add(columns: np.ndarray, column_labels: np.ndarray) -> None:
             """Append those of the ``(width, n)`` coded tuples that are not known yet."""
-            nonlocal data
+            nonlocal data, component
             start = len(known)
             fresh = known.add(columns)[1]
             if len(known) > self.max_tuples:
@@ -112,10 +114,11 @@ class ComplementationEngine:
             if len(known) > data.shape[1]:
                 grown = np.empty((width, 2 * len(known)), dtype=np.int32)
                 grown[:, :start] = data[:, :start]
-                data = grown
+                data, component = grown, np.resize(component, grown.shape[1])
             data[:, start : len(known)] = columns[:, fresh]
+            component[start : len(known)] = column_labels[fresh]
 
-        add(codes)
+        add(codes, np.zeros(codes.shape[1], dtype=np.intp) if labels is None else labels)
         merges = 0
         comparisons = 0
         subsumed = [np.empty(0, dtype=np.intp)]  # tuples another one strictly subsumes
@@ -125,7 +128,7 @@ class ComplementationEngine:
         generation_start = 0
         while generation_start < len(known):
             count = len(known)
-            postings = PairPostings(data[:, :count], codes_per_column)
+            postings = PairPostings(data[:, :count], codes_per_column, component[:count])
             held = data[:, :count] >= 0
             information = held.sum(axis=0)
             # One bit per non-null position (modulo the word).  Partners share
@@ -137,12 +140,11 @@ class ComplementationEngine:
             generation_start = count
             if not owners.size:
                 continue
-            # Candidates of a tuple: the holders of its value and of null at its
-            # most selective position.  Holders are listed in id order, so the
-            # ones with smaller ids are a prefix of each list, found in the
-            # (pair, id) order the lists are stored in.
-            selected, pair = postings.selective(data[:, owners], with_nulls=True)
-            pairs = np.stack((pair, postings.nulls[selected]), axis=1)
+            # Candidates of a tuple: the holders of its value and of its
+            # component's null at its most selective position.  Holders are
+            # listed in id order, so the ones with smaller ids are a prefix of
+            # each list, found in the (pair, id) order the lists are stored in.
+            pairs = postings.selective(data[:, owners], component[owners])
             listed = np.repeat(np.arange(postings.held_by.size), postings.held_by) * count
             listed += postings.holders
             smaller = np.searchsorted(listed, pairs * count + owners[:, None]) - postings.starts[pairs]
@@ -176,7 +178,7 @@ class ComplementationEngine:
                 owner, candidate = owner[novel], candidate[novel]
                 order = np.argsort(owner * count + candidate, kind="stable")
                 owner, candidate = owner[order], candidate[order]
-                add(np.maximum(data[:, owner], data[:, candidate]))
+                add(np.maximum(data[:, owner], data[:, candidate]), component[owner])
 
         for name, value in (("comparisons", comparisons), ("merges", merges), ("tuples", len(known))):
             key = f"complementation_{name}"
@@ -211,20 +213,18 @@ def subsumed_sources(
     return inputs, holders, stem
 
 
-def connected_components(codes: np.ndarray) -> List[np.ndarray]:
-    """The tuple ids of every component of the value-sharing graph of a code matrix.
+def component_roots(codes: np.ndarray) -> np.ndarray:
+    """Per tuple of a code matrix, the smallest tuple id of its value-sharing component.
 
     Two tuples are connected when they share a non-null value in the same
     column.  Complementation can never merge tuples across components (a merge
     requires a shared value, and merged tuples only carry values from their
     sources), so the closure of the whole input is the closures of its
-    components side by side — what lets the component algorithms close a few
-    of them at a time.  Components come ordered by their smallest tuple id.
+    components side by side — what lets the component algorithms keep every
+    tuple to its own component's.
     """
     position, row = np.nonzero(codes >= 0)
     codes_per_column = codes.max(axis=1, initial=-1) + 1
     value = codes[position, row] + (np.cumsum(codes_per_column) - codes_per_column)[position]
     count = codes.shape[1]
-    labels = component_labels(row, value, count, int(codes_per_column.sum()))[:count]
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if count else []
+    return component_labels(row, value, count, int(codes_per_column.sum()))[:count]

@@ -3,55 +3,50 @@
 Tuples that never share a value in any aligned column can never be merged by
 complementation, directly or transitively, so the closure of the input is the
 closures of the connected components of its value-sharing graph side by side.
-The incremental algorithm closes them apart: a tuple's candidates are the
-holders of a value *or of null* at its most selective position, and on a lake
-of several schemas nearly every tuple of another schema is null there — closed
-together, two unrelated join groups of ``n`` tuples each cost ``n²``
-candidate tests that closing them apart never makes.  One pass of the closure
-kernel costs about as much for 3 tuples as for 300, though, so consecutive
-small components share a pass: a tuple then meets at most the
-:data:`COMPONENT_BATCH` tuples closed with it, which keeps the work linear in
-the input.
+The incremental algorithm labels every tuple with its component and closes
+all of them in one pass of the kernel: a tuple's candidates are the holders
+of its value or of *its component's* null at its most selective position
+(:class:`~repro.table.coded.PairPostings`), so on a lake of several schemas,
+where nearly every tuple of another schema is null there, it tests exactly
+what closing each component alone would — linear where the whole-input
+closure of ``alite`` is quadratic — without paying the kernel's fixed cost
+once per component.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
 from repro.fd.base import Batch, FullDisjunctionAlgorithm
-from repro.fd.complementation import ComplementationEngine, connected_components
+from repro.fd.complementation import ComplementationEngine, component_roots
 from repro.table.coded import compact_codes
-
-#: Input tuples closed at a time: consecutive components share a pass of the
-#: kernel until they hold this many tuples; a larger component has its own.
-COMPONENT_BATCH = 256
+from repro.utils.sorting import first_of_runs
 
 
-def _batches(components: Sequence[np.ndarray]) -> Iterator[List[np.ndarray]]:
-    """Runs of consecutive components holding at most :data:`COMPONENT_BATCH`
-    tuples together (or one larger component)."""
-    batch: List[np.ndarray] = []
-    held = 0
-    for component in components:
-        if batch and held + component.size > COMPONENT_BATCH:
-            yield batch
-            batch, held = [], 0
-        batch.append(component)
-        held += component.size
-    if batch:
-        yield batch
+def _batches(heads: np.ndarray, count: int, bound: float) -> Iterator[Tuple[int, int]]:
+    """Spans ``low:high`` of ``count`` tuples: runs of the components starting at ``heads``, ≤ ``bound`` tuples or one component."""
+    low = high = 0
+    for end in heads.tolist()[1:] + [count]:
+        if high > low and end - low > bound:
+            yield low, high
+            low = high
+        high = end
+    if high > low:
+        yield low, high
 
 
 class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
-    """Connected-component decomposition, then the closure of one bounded
-    batch of components after the other; the result lists the components in
-    the order of their first input tuples, each in closure order."""
+    """Connected-component decomposition, then one closure of every component,
+    each tuple meeting its own component's; the result lists the components
+    in the order of their first input tuples, each in closure order."""
 
     name = "incremental"
     #: Close the components smallest first instead of in input order.
     largest_components_last = False
+    #: Input tuples closed per pass of the kernel: every one.
+    component_batch = float("inf")
 
     def __init__(
         self,
@@ -64,37 +59,35 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
     def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Iterator[Batch]:
         """The Full Disjunction tuples of the outer union ``codes``, each batch
         of components as soon as it is closed and reduced."""
-        components = connected_components(codes)
+        roots = component_roots(codes)
+        rows = np.argsort(roots, kind="stable")  # components in the order of their first tuples
         statistics["outer_union_tuples"] = float(codes.shape[1])
-        statistics["components"] = float(len(components))
+        statistics["components"] = float(np.count_nonzero(first_of_runs(roots[rows])))
         if self.largest_components_last:
-            components = sorted(components, key=len)
-        informative = (codes >= 0).any(axis=0)
-        batches = list(_batches([component for component in components if informative[component[0]]]))
+            rows = rows[np.argsort(np.bincount(roots)[roots[rows]], kind="stable")]
         # A fully-null tuple is a component of its own that any tuple with
         # information subsumes: all of them are closed with the first batch,
         # whose reduction folds them into the survivor standing for its first tuple.
-        empty = np.flatnonzero(~informative)
-        if empty.size:
-            batches[:1] = [[empty, *(batches[0] if batches else [])]]
-        for batch in batches:
-            rows = np.concatenate(batch)
+        informative = (codes >= 0).any(axis=0)
+        empty, rows = np.flatnonzero(~informative), rows[informative[rows]]
+        heads = first_of_runs(roots[rows])
+        labels = np.cumsum(heads)  # the components, from 1 in closing order; the fully-null tuples 0
+        for low, high in list(_batches(np.flatnonzero(heads), rows.size, self.component_batch)) or [(0, 0)] * bool(empty.size):
+            batch, batch_labels = rows[low:high], labels[low:high]
+            if low == 0:
+                batch, batch_labels = np.concatenate((empty, batch)), np.append(np.zeros(empty.size, dtype=np.intp), batch_labels)
             # A batch of every tuple holds every code; a smaller one is renumbered densely.
-            compact, present = (codes[:, rows], []) if rows.size == codes.shape[1] else compact_codes(codes[:, rows])
-            survivors, inputs, holders = self._engine.disjunction_coded(
-                compact,
-                statistics,
-                labels=np.repeat(np.arange(len(batch)), [component.size for component in batch]),
-            )
+            compact, present = (codes[:, batch], []) if batch.size == codes.shape[1] else compact_codes(codes[:, batch])
+            survivors, inputs, holders = self._engine.disjunction_coded(compact, statistics, batch_labels)
             # Back from the batch's dense codes to the outer union's.
             for position, old in enumerate(present):
                 survivors[position] = np.append(old, -1)[survivors[position]]
-            yield survivors, rows[inputs], holders
+            yield survivors, batch[inputs], holders
 
 
 class PartitionedFullDisjunction(IncrementalFullDisjunction):
     """The incremental algorithm under the registry name of the former
-    worker-pool variant, which configurations and the ``scale`` preset use: a
-    batch of components closes faster than a pool is handed them."""
+    worker-pool variant, which configurations and the ``scale`` preset use:
+    one labelled pass closes the components faster than a pool is handed them."""
 
     name = "partitioned"

@@ -7,8 +7,8 @@ them into a downstream operator without materialising the whole result.
 
 :class:`StreamingFullDisjunction` provides that interface on top of the
 incremental algorithm: connected components of the value-sharing graph are
-discovered first (cheap), and the components are then closed and emitted one
-bounded batch after the other, so the delay between two emitted tuples is
+discovered first (cheap), then closed and emitted one bounded batch after the
+other (not all in one pass), so the delay between two emitted tuples is
 bounded by the cost of closing a single component (or one batch of small
 ones) rather than the whole input.  Collected, the emitted tuples are the
 incremental algorithm's result, in its order.
@@ -30,6 +30,8 @@ class StreamingFullDisjunction(IncrementalFullDisjunction):
     pairs and :meth:`preview` collects the first few."""
 
     name = "streaming"
+    #: The delay bound: input tuples per pass of the kernel (a larger component has its own).
+    component_batch = 256
 
     def __init__(
         self,

@@ -98,7 +98,7 @@ CELL_TYPES = frozenset({str, int, float, bool, type(None)})
 
 def tables_from_json(payload: Any) -> List[Relation]:
     """Parse the ``tables`` field of an ``/integrate`` body straight into
-    columns; a repeated name, a column name that is not a string or a cell
+    columns; a repeated name, a name or column name that is not a string or a cell
     that is no finite JSON scalar is a :class:`BadRequest` naming the
     offending part."""
     if not isinstance(payload, list) or not payload:
@@ -117,7 +117,9 @@ def tables_from_json(payload: Any) -> List[Relation]:
         rows = entry.get("rows", [])
         if not isinstance(rows, list):
             raise BadRequest(f"tables[{index}].rows must be a list of rows")
-        name = str(entry.get("name", f"table_{index}"))
+        name = entry.get("name", f"table_{index}")
+        if not isinstance(name, str):
+            raise BadRequest(f"tables[{index}].name must be a string, got {type(name).__name__}")
         if name in names:
             raise BadRequest(f"tables[{index}].name {name!r} repeats tables[{names[name]}].name")
         names[name] = index
@@ -290,13 +292,15 @@ def _dispatch(service: IntegrationService, method: str, path: str, body: bytes) 
             raise BadRequest("body must be a JSON object")
         tables = tables_from_json(payload.get("tables"))
         deadline_ms = payload.get("deadline_ms")
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or not 0 < deadline_ms < math.inf
-        ):
+        if deadline_ms is not None and (type(deadline_ms) not in (int, float) or not 0 < deadline_ms < math.inf):
             raise BadRequest("deadline_ms must be a positive number")
         overrides = payload.get("overrides", {})
         if not isinstance(overrides, dict):
             raise BadRequest("overrides must be an object")
+        try:
+            service.engine.effective_config(overrides)
+        except (TypeError, ValueError) as exc:
+            raise BadRequest(f"overrides: {exc}") from exc
         response = service.integrate_sync(tables, deadline_ms=deadline_ms, **overrides)
         code, reason = STATUS_CODES.get(response.status, (500, "Internal Server Error"))
         headers: Dict[str, str] = {}

@@ -101,36 +101,58 @@ class TupleIndex:
 
 
 class PairPostings:
-    """Which tuples of a ``(width, tuples)`` code matrix hold each (position, code) pair.
+    """Which tuples of a ``(width, tuples)`` code matrix hold each pair: a position
+    and a code there, or a position's null in one component.
 
-    Pairs are numbered column by column, a column's null first, so position
-    ``p`` owns the numbers ``nulls[p]`` (its null cells) to ``nulls[p] +
-    codes_per_column[p]``.  One stable sort of all cells lists the holders of
-    every pair in id order: ``holders[starts[pair] : starts[pair] + held_by[pair]]``.
+    Position ``p`` owns the pairs ``values[p] - 1`` (its null) to ``values[p] +
+    codes_per_column[p] - 1``.  Given several component ``labels``, a null cell
+    holds the pair of its (position, label) instead: those that occur follow,
+    sorted, then one empty pair.  One stable sort of all cells lists the
+    holders of every pair in id order: ``holders[starts[pair] : starts[pair] + held_by[pair]]``.
     """
 
-    def __init__(self, codes: np.ndarray, codes_per_column: np.ndarray) -> None:
-        self.nulls = np.cumsum(codes_per_column + 1) - (codes_per_column + 1)
-        pairs = self.number(codes).ravel()
-        self.held_by = np.bincount(pairs, minlength=int(codes_per_column.sum()) + len(codes))
+    def __init__(self, codes: np.ndarray, codes_per_column: np.ndarray, labels: np.ndarray | None = None) -> None:
+        self.values = np.cumsum(codes_per_column + 1) - codes_per_column
+        self.first_null = int((codes_per_column + 1).sum())
+        several = labels is not None and labels.size and labels.min() < labels.max()
+        self.components = int(labels.max()) + 1 if several else 1  # one: a null pair per position
+        self.null_keys = np.array([np.iinfo(np.int64).max])  # a sentinel above every key: the empty pair
+        pairs = codes + self.values[:, None]
+        if self.components > 1:
+            position, row = np.nonzero(codes < 0)
+            keys = position * self.components + labels[row]
+            order = np.argsort(keys, kind="stable")  # merges the sorted runs of the generations
+            first = first_of_runs(keys[order])
+            self.null_keys = np.append(keys[order][first], self.null_keys)
+            pairs[position[order], row[order]] = self.first_null + np.cumsum(first) - 1
+        self.held_by = np.bincount(pairs.ravel(), minlength=self.first_null + self.null_keys.size)
         self.starts = np.cumsum(self.held_by) - self.held_by
-        self.holders = np.argsort(pairs, kind="stable") % max(codes.shape[1], 1)
+        self.holders = np.argsort(pairs.ravel(), kind="stable") % max(codes.shape[1], 1)
 
-    def number(self, codes: np.ndarray) -> np.ndarray:
-        """The pair number of every cell of a matrix over the same codes."""
-        return codes + (self.nulls + 1)[:, None]
+    def nulls(self, positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The pair of the null at each position in each tuple's component."""
+        if self.components == 1:
+            return self.values[positions] - 1
+        keys = positions * self.components + labels
+        at = np.searchsorted(self.null_keys, keys)
+        return self.first_null + np.where(self.null_keys[at] == keys, at, self.null_keys.size - 1)
 
-    def selective(self, codes: np.ndarray, with_nulls: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Per tuple of ``codes``, the non-null position (the first, on ties) whose
-        pair has the fewest holders — counting, ``with_nulls``, the holders of
-        the position's null as well — and that pair."""
-        pairs = self.number(codes)
+    def selective(self, codes: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
+        """Per tuple of ``codes``, the pairs whose holders it may meet, ``(tuples, k)``:
+        its value at the non-null position (the first, on ties) with the fewest
+        holders and, given the tuples' component ``labels``, that position's
+        null in its component — whose holders then count towards the choice."""
+        pairs = codes + self.values[:, None]
         sizes = self.held_by[pairs]
-        if with_nulls:
-            sizes += self.held_by[self.nulls][:, None]
+        if labels is not None and self.components == 1:
+            sizes += self.held_by[self.values - 1][:, None]
+        elif labels is not None:  # the nulls of the owner's component where the owner holds a value
+            held, owner = np.nonzero(codes >= 0)
+            sizes[held, owner] += self.held_by[self.nulls(held, labels[owner])]
         sizes[codes < 0] = np.iinfo(sizes.dtype).max
         position = sizes.argmin(axis=0)
-        return position, pairs[position, np.arange(codes.shape[1])]
+        chosen = pairs[position, np.arange(codes.shape[1])]
+        return chosen[:, None] if labels is None else np.stack((chosen, self.nulls(position, labels)), axis=1)
 
 
 def span_blocks(starts: np.ndarray, sizes: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

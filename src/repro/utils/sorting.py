@@ -7,7 +7,7 @@ import numpy as np
 
 def first_of_runs(ordered: np.ndarray) -> np.ndarray:
     """Mask of the elements of a sorted array that differ from their predecessor."""
-    return np.r_[True, ordered[1:] != ordered[:-1]][: len(ordered)]
+    return np.concatenate(([True], ordered[1:] != ordered[:-1]))[: len(ordered)]
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:

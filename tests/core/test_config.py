@@ -6,8 +6,10 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import FuzzyFDConfig, available_presets
+from repro.core.config import FIELD_KINDS
 from repro.embeddings import ExactEmbedder
 from repro.fd import AliteFullDisjunction
 from repro.matching.assignment import GreedyAssignment
@@ -53,6 +55,63 @@ class TestEagerValidation:
     def test_invalid_max_workers(self):
         with pytest.raises(ValueError, match="max_workers"):
             FuzzyFDConfig(max_workers=0)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("threshold", True, "a number"),
+            ("threshold", "0.5", "a number"),
+            ("blocking_cutoff", True, "an integer"),
+            ("max_workers", 2.5, "an integer"),
+            ("exact_first", "false", "a boolean"),
+            ("exact_first", 0, "a boolean"),
+            ("service_deadline_ms", True, "a number"),
+            ("blocking_key_cap", "5", "an integer"),
+            ("retry_backoff_ms", None, "a number"),
+        ],
+    )
+    def test_a_field_of_another_type_is_refused_by_name(self, field, value, expected):
+        # ``True`` used to pass as 1, ``"false"`` as on, and ``"0.5"`` raised a
+        # bare TypeError from a comparison.
+        message = f"{field} must be {expected}, got {type(value).__name__}"
+        with pytest.raises(ValueError, match=message):
+            FuzzyFDConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            FuzzyFDConfig.from_json(json.dumps({field: value}))
+        with pytest.raises(ValueError, match=message):
+            FuzzyFDConfig().replace(**{field: value})
+
+    def test_numbers_of_the_narrower_kind_and_optional_nones_are_kept(self):
+        config = FuzzyFDConfig(threshold=1, service_deadline_ms=250, blocking_key_cap=None, exact_first=False)
+        assert (config.threshold, config.service_deadline_ms, config.blocking_key_cap, config.exact_first) == (1, 250, None, False)
+
+    @given(
+        data=st.dictionaries(
+            st.sampled_from([f.name for f in dataclasses.fields(FuzzyFDConfig) if f.type.removeprefix("Optional[").rstrip("]") in FIELD_KINDS]),
+            st.one_of(
+                st.none(), st.booleans(), st.integers(-2, 1 << 40), st.floats(), st.text(max_size=3),
+                st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_dict_fuzzing_of_the_typed_fields(self, data):
+        # Any JSON value in any numeric or boolean field: a ValueError naming
+        # a field, or a config whose fields hold what they declare.
+        try:
+            config = FuzzyFDConfig.from_dict(data)
+        except ValueError as exc:
+            assert any(str(exc).startswith(name) for name in data)
+            return
+        declared = {f.name: f.type for f in dataclasses.fields(config)}
+        exact_types = {"bool": {bool}, "int": {int}, "float": {int, float}}
+        for name, value in data.items():
+            assert getattr(config, name) is value
+            if value is None:
+                assert declared[name].startswith("Optional[")
+            else:
+                assert type(value) in exact_types[declared[name].removeprefix("Optional[").rstrip("]")]
 
     def test_blocking_key_cap_validated_and_serialised(self):
         with pytest.raises(ValueError, match="blocking_key_cap"):

@@ -251,9 +251,9 @@ class TestIntegrateMany:
         # None is a meaningful value for this knob (cap disabled), so the
         # usual "None means not provided" filter must not swallow it.
         engine = IntegrationEngine()
-        effective = engine._effective_config({"blocking_key_cap": None})
+        effective = engine.effective_config({"blocking_key_cap": None})
         assert effective.blocking_key_cap is None
-        assert engine._effective_config({"threshold": None}) is engine.config
+        assert engine.effective_config({"threshold": None}) is engine.config
 
     def test_shared_overrides_apply_to_every_request(self, covid_tables):
         engine = IntegrationEngine()

@@ -31,7 +31,9 @@ occurrence instead of its first, fails it.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -45,7 +47,7 @@ from repro.fd import (
     StreamingFullDisjunction,
     get_algorithm,
 )
-from repro.fd import complementation, incremental
+from repro.fd import complementation
 from repro.fd.complementation import ComplementationEngine, subsumed_sources
 from repro.table import NULL, Table, remove_subsumed, subsumes
 from repro.table import coded
@@ -95,9 +97,9 @@ def sequential_closure(rows, provenance):
     return closed, [frozenset(entry) for entry in sources], max(generation, default=0)
 
 
-def component_at_a_time(rows, provenance):
-    """The closures of the connected components of the value-sharing graph,
-    one after the other in the order of each component's first row."""
+def components_of(rows):
+    """The row indices of each connected component of the value-sharing graph,
+    in the order of each component's first row."""
     label = list(range(len(rows)))
     changed = True
     while changed:
@@ -109,15 +111,21 @@ def component_at_a_time(rows, provenance):
                     low, high = sorted((label[left], label[right]))
                     label = [low if entry == high else entry for entry in label]
                     changed = True
+    return [[index for index in range(len(rows)) if label[index] == component] for component in sorted(set(label))]
+
+
+def component_at_a_time(rows, provenance):
+    """The closures of the connected components of the value-sharing graph,
+    one after the other in the order of each component's first row."""
     closed, sources = [], []
-    for component in sorted(set(label)):
-        members = [index for index in range(len(rows)) if label[index] == component]
+    components = components_of(rows)
+    for members in components:
         part, part_sources, _ = sequential_closure(
             [rows[index] for index in members], [provenance[index] for index in members]
         )
         closed += part
         sources += part_sources
-    return closed, sources, len(set(label))
+    return closed, sources, len(components)
 
 
 def reduced(rows, provenance):
@@ -247,24 +255,11 @@ class TestAlgorithmsAgainstTheSequentialLoop:
             result = AliteFullDisjunction().integrate([table]).table
         assert (result.rows, result.provenance) == reduced(closed, provenance)
 
-    @BLOCKS
-    @given(rows=multi_component_rows())
-    @settings(max_examples=40, deadline=None)
-    def test_component_algorithms_list_one_component_after_the_other(self, block, rows):
-        table = Table("t", [f"c{p}" for p in range(len(rows[0]))], rows).with_default_provenance()
-        closed, provenance, components = component_at_a_time(table.rows, table.provenance)
-        expected_rows, expected_provenance = reduced(closed, provenance)
-        for algorithm in (IncrementalFullDisjunction(), PartitionedFullDisjunction(), StreamingFullDisjunction()):
-            with blocks_of(block), patch.object(incremental, "COMPONENT_BATCH", 3):
-                result = algorithm.integrate([table])
-            assert (result.table.rows, result.table.provenance) == (expected_rows, expected_provenance)
-            assert result.statistics["components"] == components
-
     def test_all_four_record_the_same_counters(self):
         # Tables joined on a first column that is never null: no list of
-        # candidates is shorter than the holders of a tuple's key, whether the
-        # components are closed together (alite) or a batch at a time (the
-        # other three: 375 tuples, two batches).
+        # candidates is shorter than the holders of a tuple's key, whether a
+        # null is posted for the whole input (alite) or per component (the
+        # other three; streaming in two batches of the 375 tuples).
         keys = random.Random(20).sample(range(1000), 150)
         tables = [
             Table(name, ["k", name], [(f"k{key}", f"{name}{key}") for key in keys[:size]])
@@ -284,8 +279,9 @@ class TestAlgorithmsAgainstTheSequentialLoop:
         # Two unrelated join groups over different schemas.  Every tuple of
         # the second is null wherever the first holds a value, so closed
         # together (alite) each is a candidate of all of the first: quadratic.
-        # Closed a batch of components at a time, a tuple meets at most the
-        # tuples of its batch: linear, and the same Full Disjunction.
+        # With the nulls of each component posted apart, a tuple meets its own
+        # component only: exactly the three tests of each two-tuple component
+        # (tuple, tuple, their merge), and the same Full Disjunction.
         entities = 500
         tables = [
             Table(f"{side}{group}", [f"k{group}", f"{side}{group}"],
@@ -298,15 +294,10 @@ class TestAlgorithmsAgainstTheSequentialLoop:
         for name in ("incremental", "partitioned", "streaming"):
             result = get_algorithm(name).integrate(tables)
             assert result.statistics["components"] == 2 * entities
-            assert result.statistics["complementation_comparisons"] < alite.statistics["complementation_comparisons"] / 100
+            assert result.statistics["complementation_comparisons"] == 3 * 2 * entities
             assert sorted(zip(result.table.rows, map(sorted, result.table.provenance)), key=repr) == sorted(
                 zip(alite.table.rows, map(sorted, alite.table.provenance)), key=repr
             )
-        # Batches that hold one group's components only: exactly the three
-        # tests of each two-tuple component (tuple, tuple, their merge).
-        with patch.object(incremental, "COMPONENT_BATCH", entities // 5):
-            aligned = get_algorithm("incremental").integrate(tables).statistics
-        assert aligned["complementation_comparisons"] == 3 * 2 * entities
 
     def test_fully_null_rows_ride_on_the_survivor_standing_for_the_first_row(self):
         # The first component has two survivors and its first row folds into
@@ -476,3 +467,58 @@ class TestSubsumedMaskAndDedup:
                 with pytest.raises(RuntimeError, match=f"exceeded {bound} tuples"):
                     ComplementationEngine(bound).close_coded(codes)
             ComplementationEngine(max(closed.shape[1], 1)).close_coded(codes)
+
+
+def decoded_rows(codes):
+    """The rows of a code matrix, a code ``c`` spelled ``vc``."""
+    return [tuple(NULL if code < 0 else f"v{code}" for code in column) for column in codes.T.tolist()]
+
+
+def load_fd_ablation():
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_ablation_fd_algorithms.py"
+    spec = importlib.util.spec_from_file_location("bench_ablation_fd_algorithms", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOnePassAgainstComponentsAlone:
+    """``incremental`` / ``partitioned`` close every component in one pass of
+    the kernel, each tuple meeting the holders of its own component's nulls
+    only; ``streaming`` closes bounded batches of components the same way.
+
+    Mutations, each caught by the property test: one null posting shared by
+    all components (a ``PairPostings`` that ignores its labels) fails the
+    count; survivors not sorted by label fail the order."""
+
+    @BLOCKS
+    @given(rows=st.one_of(closure_inputs().map(decoded_rows), multi_component_rows()))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_lists_and_counts_what_closing_each_component_alone_would(self, block, rows):
+        columns = [f"c{p}" for p in range(len(rows[0]))]
+        table = Table("t", columns, rows).with_default_provenance()
+        closed, provenance, components = component_at_a_time(table.rows, table.provenance)
+        expected = reduced(closed, provenance)
+        alone = sum(
+            AliteFullDisjunction().integrate([Table("t", columns, [rows[index] for index in members])])
+            .statistics["complementation_comparisons"]
+            for members in components_of(rows)
+        )
+        for algorithm in (IncrementalFullDisjunction(), PartitionedFullDisjunction(), StreamingFullDisjunction()):
+            with blocks_of(block), patch.object(StreamingFullDisjunction, "component_batch", 3):
+                result = algorithm.integrate([table])
+            assert (result.table.rows, result.table.provenance) == expected, algorithm.name
+            assert result.statistics["components"] == components, algorithm.name
+            assert result.statistics["complementation_comparisons"] == alone, algorithm.name
+
+    def test_one_pass_on_a_multi_schema_lake(self):
+        # Four unrelated pairs of tables, a thousand two-tuple components each:
+        # three tests per component, where the whole-input closure meets every
+        # tuple of the other schemas through their nulls.
+        ablation = load_fd_ablation()
+        tables = ablation.multi_schema_lake(4, 1_000)
+        alite = get_algorithm("alite").integrate(tables)
+        result = get_algorithm("incremental").integrate(tables)
+        assert result.statistics["complementation_comparisons"] == 12_000
+        assert result.statistics["complementation_comparisons"] * 100 < alite.statistics["complementation_comparisons"]
+        assert ablation.table_digest(result.table, in_order=False) == ablation.table_digest(alite.table, in_order=False)

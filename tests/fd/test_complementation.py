@@ -196,7 +196,8 @@ class TestSelectivePostingKernel:
 
 
 def connected_components(rows):
-    return complementation.connected_components(encode_rows(rows, len(rows[0]))[0])
+    roots = complementation.component_roots(encode_rows(rows, len(rows[0]))[0])
+    return [np.flatnonzero(roots == root) for root in sorted(set(roots.tolist()))]
 
 
 class TestConnectedComponents:

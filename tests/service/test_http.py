@@ -224,6 +224,47 @@ class TestHostileInput:
         rows = body["table"]["rows"]
         assert sorted(map(json.dumps, rows)) == ['[1, "x", "z"]', '[true, "y", null]']
 
+    def test_a_boolean_deadline_is_400_not_a_one_millisecond_budget(self, served):
+        server, service = served
+        status, _, body = server.request("POST", "/integrate", {**INTEGRATE_BODY, "deadline_ms": True})
+        assert status == 400
+        assert "deadline_ms must be a positive number" in body["error"]
+        assert service.stats().submitted == 0
+
+    @pytest.mark.parametrize("name", [None, 1, ["a"]], ids=["null", "number", "list"])
+    def test_a_table_name_that_is_not_a_string_is_400_naming_it(self, served, name):
+        # Stringified, 1 would have become "1" and null "None".
+        server, service = served
+        payload = {
+            "tables": [
+                {"name": "1", "columns": ["k", "v"], "rows": [["a", "x"]]},
+                {"name": name, "columns": ["k", "w"], "rows": [["a", "z"]]},
+            ]
+        }
+        status, _, body = server.raw(_post_raw(json.dumps(payload).encode()))
+        assert status == 400
+        assert f"tables[1].name must be a string, got {type(name).__name__}" in body["error"]
+        assert service.stats().submitted == 0
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"threshold": "0.5"}, "threshold must be a number, got str"),
+            ({"threshold": True}, "threshold must be a number, got bool"),
+            ({"exact_first": "false"}, "exact_first must be a boolean, got str"),
+            ({"blocking_cutoff": 2.5}, "blocking_cutoff must be an integer, got float"),
+            ({"threshold": 2.0}, "threshold must be in (0, 1]"),
+            ({"no_such_knob": 1}, "unknown per-request override(s) ['no_such_knob']"),
+        ],
+        ids=["string", "boolean-number", "string-boolean", "float-integer", "out-of-range", "unknown"],
+    )
+    def test_an_invalid_override_is_400_naming_the_field(self, served, overrides, named):
+        server, service = served
+        status, _, body = server.request("POST", "/integrate", {**INTEGRATE_BODY, "overrides": overrides})
+        assert status == 400
+        assert body["error"].startswith("overrides: ") and named in body["error"]
+        assert service.stats().submitted == 0
+
     def test_request_line_over_the_line_limit_is_400(self, served):
         status, _, body = served[0].raw(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
         assert status == 400

@@ -9,7 +9,9 @@ of one column) — under the ``paper`` and ``scale`` presets with the ``alite``,
 the columns, the rows in order, the provenance, the FD counters,
 ``rewrites_applied()``, every group's sets and representatives, and the table
 of the HTTP response.  ``relation_snapshot.json`` holds what the row path
-observed on the same inputs; run this file to print the current observations.
+observed on the same inputs — except ``complementation_comparisons`` of
+``incremental`` / ``partitioned``, re-recorded (lower) when each component got
+null postings of its own; run this file to print the current observations.
 
 The rest pins the encoding itself: ``Table → Relation → Table`` is the
 identity up to the null flavour (every null decodes to ``NULL``) and up to
