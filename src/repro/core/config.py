@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -40,8 +41,13 @@ from repro.storage.store import STORE_MODES
 from repro.utils.executor import EXECUTOR_BACKENDS, ExecutorConfig
 
 
-#: What a field of each of these annotations accepts (``bool`` is no number).
-FIELD_KINDS = {"bool": (bool, "a boolean"), "int": (int, "an integer"), "float": ((int, float), "a number")}
+#: What a field of each annotation accepts (``bool`` is no number); ``Optional`` adds ``None``.
+FIELD_KINDS = {
+    "bool": (bool, "a boolean"), "int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string"),
+    "Union[str, ValueEmbedder]": ((str, ValueEmbedder), "a name or an embedder"),
+    "Union[str, AssignmentSolver]": ((str, AssignmentSolver), "a name or an assignment solver"),
+    "Union[str, FullDisjunctionAlgorithm]": ((str, FullDisjunctionAlgorithm), "a name or an FD algorithm"),
+}
 
 
 @dataclass
@@ -208,11 +214,13 @@ class FuzzyFDConfig:
     degraded_mode: str = "off"
 
     def __post_init__(self) -> None:
+        if isinstance(self.store_dir, os.PathLike):  # held as a string: to_dict()/to_json() stay serialisable
+            self.store_dir = os.fspath(self.store_dir)
         for field in dataclasses.fields(self):
-            value, kind = getattr(self, field.name), field.type.removeprefix("Optional[").rstrip("]")
-            if kind in FIELD_KINDS and (value is not None or kind == field.type):  # ``None`` fits ``Optional``
-                if isinstance(value, bool) != (kind == "bool") or not isinstance(value, FIELD_KINDS[kind][0]):
-                    raise ValueError(f"{field.name} must be {FIELD_KINDS[kind][1]}, got {type(value).__name__} {value!r}")
+            optional = field.type.startswith("Optional[")
+            value, kind = getattr(self, field.name), field.type[len("Optional[") : -1] if optional else field.type
+            if (value is not None or not optional) and (isinstance(value, bool) != (kind == "bool") or not isinstance(value, FIELD_KINDS[kind][0])):
+                raise ValueError(f"{field.name} must be {FIELD_KINDS[kind][1]}, got {type(value).__name__} {value!r}")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.blocking not in ("off", "on", "auto"):
@@ -258,10 +266,6 @@ class FuzzyFDConfig:
             raise ValueError(
                 f"store_mode must be one of {list(STORE_MODES)}, got {self.store_mode!r}"
             )
-        if self.store_dir is not None:
-            # Paths are accepted for convenience but held as strings so
-            # to_dict()/to_json() stay plainly serialisable.
-            self.store_dir = str(self.store_dir)
         if self.service_max_pending < 0:
             raise ValueError(
                 f"service_max_pending must be >= 0, got {self.service_max_pending}"

@@ -20,6 +20,7 @@ import numpy as np
 from repro.table.coded import PairPostings, TupleIndex, span_blocks
 from repro.table.subsumption import subsumers, survivor
 from repro.utils.components import component_labels
+from repro.utils.sorting import stable_order
 
 
 class ComplementationEngine:
@@ -64,10 +65,11 @@ class ComplementationEngine:
 
         Returns the surviving tuples, coded, and their provenance as pairs:
         input ``inputs[k]`` is a source of survivor ``holders[k]``.  With
-        ``labels`` — one per input, equal within each connected component of
-        the value-sharing graph — the survivors come label by label, each
-        label's in closure order, and each tuple meets its own label's tuples
-        only: what closing the labels one after the other would list and test.
+        ``labels`` — one per input in ``[0, inputs]``, equal within each
+        connected component of the value-sharing graph — the survivors come
+        label by label, each label's in closure order, and each tuple meets its
+        own label's tuples only: what closing the labels one after the other
+        would list and test.
         """
         closed, subsumed = self.close_coded(codes, statistics, labels)
         kept = np.flatnonzero(~subsumed)
@@ -80,7 +82,7 @@ class ComplementationEngine:
         survivors = closed[:, kept]
         inputs, holders, stem = subsumed_sources(survivors, codes, empty_to)
         if labels is not None:
-            order = np.argsort(labels[stem], kind="stable")
+            order = stable_order(labels[stem], codes.shape[1] + 1)
             survivors, holders = survivors[:, order], np.argsort(order)[holders]
         return survivors, inputs, holders
 

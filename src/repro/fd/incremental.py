@@ -22,7 +22,7 @@ import numpy as np
 from repro.fd.base import Batch, FullDisjunctionAlgorithm
 from repro.fd.complementation import ComplementationEngine, component_roots
 from repro.table.coded import compact_codes
-from repro.utils.sorting import first_of_runs
+from repro.utils.sorting import first_of_runs, stable_order
 
 
 def _batches(heads: np.ndarray, count: int, bound: float) -> Iterator[Tuple[int, int]]:
@@ -60,20 +60,20 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
         """The Full Disjunction tuples of the outer union ``codes``, each batch
         of components as soon as it is closed and reduced."""
         roots = component_roots(codes)
-        rows = np.argsort(roots, kind="stable")  # components in the order of their first tuples
+        rows = stable_order(roots, roots.size)  # components in the order of their first tuples
         statistics["outer_union_tuples"] = float(codes.shape[1])
         statistics["components"] = float(np.count_nonzero(first_of_runs(roots[rows])))
         if self.largest_components_last:
-            rows = rows[np.argsort(np.bincount(roots)[roots[rows]], kind="stable")]
+            rows = rows[stable_order(np.bincount(roots)[roots[rows]], roots.size + 1)]
         # A fully-null tuple is a component of its own that any tuple with
         # information subsumes: all of them are closed with the first batch,
         # whose reduction folds them into the survivor standing for its first tuple.
         informative = (codes >= 0).any(axis=0)
         empty, rows = np.flatnonzero(~informative), rows[informative[rows]]
         heads = first_of_runs(roots[rows])
-        labels = np.cumsum(heads)  # the components, from 1 in closing order; the fully-null tuples 0
         for low, high in list(_batches(np.flatnonzero(heads), rows.size, self.component_batch)) or [(0, 0)] * bool(empty.size):
-            batch, batch_labels = rows[low:high], labels[low:high]
+            # The batch's components, from 1 in closing order (a batch starts at a head); the fully-null tuples 0.
+            batch, batch_labels = rows[low:high], np.cumsum(heads[low:high])
             if low == 0:
                 batch, batch_labels = np.concatenate((empty, batch)), np.append(np.zeros(empty.size, dtype=np.intp), batch_labels)
             # A batch of every tuple holds every code; a smaller one is renumbered densely.

@@ -95,7 +95,7 @@ from repro.storage.fingerprint import (
     ivf_params_fingerprint,
 )
 from repro.storage.store import ArtifactStore
-from repro.utils.sorting import first_of_runs, sorted_unique
+from repro.utils.sorting import first_of_runs, sorted_unique, stable_order
 
 #: Default number of LSH hash tables.  More tables raise recall (a pair only
 #: needs to collide once) at linearly more probing work.
@@ -268,7 +268,7 @@ def _column_top_k(keys: np.ndarray, similarities: np.ndarray, n_right: int, top_
     """Cut row-major ``keys`` to each *column's* ``top_k``: one stable argsort
     by column keeps rows ascending inside a column, so ties go to the lowest row."""
     columns = keys % n_right
-    order = np.argsort(columns, kind="stable")
+    order = stable_order(columns, n_right)
     order = order[_segment_top_k(columns[order], similarities[order], top_k)]
     return keys[order], similarities[order]
 

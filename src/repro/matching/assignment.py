@@ -97,7 +97,12 @@ def _linear_sum_assignment() -> Callable:
 
 
 class ScipyAssignment(AssignmentSolver):
-    """scipy.optimize.linear_sum_assignment (the paper's solver)."""
+    """scipy.optimize.linear_sum_assignment (the paper's solver).
+
+    scipy solves a tall matrix as its transpose, copied first by a loop slower
+    than numpy's; so a tall matrix is handed over as its C-contiguous transpose
+    and the pairs sorted back by row, as scipy does: the same ``(rows, cols)``.
+    """
 
     name = "scipy"
 
@@ -106,7 +111,12 @@ class ScipyAssignment(AssignmentSolver):
         matrix = self._validate(cost_matrix)
         if matrix.size == 0:
             return []
-        rows, cols = solve(matrix)
+        if matrix.shape[0] <= matrix.shape[1]:
+            rows, cols = solve(matrix)
+        else:
+            cols, rows = solve(np.ascontiguousarray(matrix.T))
+            order = np.argsort(rows)
+            rows, cols = rows[order], cols[order]
         return list(zip(rows.tolist(), cols.tolist()))
 
 

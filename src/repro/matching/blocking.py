@@ -102,7 +102,7 @@ from repro.matching.bipartite import IndexMatches, ValueMatch, exact_first, valu
 from repro.obs import COMPONENT_SIZE_BUCKETS
 from repro.utils.components import component_labels
 from repro.utils.executor import ExecutorConfig, run_partitioned
-from repro.utils.sorting import first_of_runs, sorted_unique
+from repro.utils.sorting import first_of_runs, sorted_unique, stable_order
 from repro.utils.text import character_ngrams, normalize_value, tokenize
 
 #: Cost written into cells the assignment must never select (non-candidate
@@ -115,12 +115,14 @@ PROHIBITIVE_COST = 10.0
 #: exceeds this is skipped by candidate generation (``None`` disables).
 DEFAULT_FREQUENT_KEY_CAP: Optional[int] = 1000
 
-#: Distinct normalised texts a :class:`ValueBlocker` memoises key tuples for.
-#: Overflow clears the whole memo (no LRU bookkeeping on the hot path): the
-#: memo exists for duplicate-heavy columns, whose distinct-text count is far
-#: below this; a workload that actually overflows it was getting no reuse
-#: worth preserving.
+#: Entries each memo of a :class:`ValueBlocker` holds (key tuples per text,
+#: key ids per string value).  Overflow clears the whole memo (no LRU
+#: bookkeeping on the hot path): the memo exists for duplicate-heavy columns
+#: and recurring requests, whose distinct-value count is far below this; a
+#: workload that actually overflows it was getting no reuse worth preserving.
 KEY_MEMO_LIMIT = 200_000
+#: Keys a :class:`ValueBlocker` interns before its id memo clears: arrays over key ids stay small and radix-sortable.
+KEY_ID_LIMIT = 1 << 16
 
 #: Candidate pairs one slab of :meth:`ValueBlocker.candidate_keys` expands
 #: before deduplicating (32 MB of int64 keys): a key shared by thousands of
@@ -202,23 +204,6 @@ def _surface_keys_for_text(
     return tuple(sorted(keys))
 
 
-def _postings(
-    value_keys: Sequence[Tuple[str, ...]], interned: Dict[str, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(key id, value position)`` of every key occurrence, in position order.
-
-    Key strings are interned to dense ints in ``interned`` (shared by the two
-    sides of a column pair) — the last place a candidate is a Python object.
-    """
-    lengths = np.fromiter(map(len, value_keys), dtype=np.int64, count=len(value_keys))
-    key_ids = np.fromiter(
-        (interned.setdefault(key, len(interned)) for keys in value_keys for key in keys),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    return key_ids, np.repeat(np.arange(len(value_keys), dtype=np.int64), lengths)
-
-
 def _compact(ids: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``ids`` (all in ``[0, size)``), ascending, and each id's rank among them.
 
@@ -232,7 +217,7 @@ def _compact(ids: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
 def _group_by_component(component: np.ndarray, n_components: int):
     """``(order, bounds)``: ``order[bounds[c]:bounds[c + 1]]`` are the items
     labelled ``c``, in their original (ascending) order."""
-    order = np.argsort(component, kind="stable")
+    order = stable_order(component, n_components)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(component, minlength=n_components))))
     return order, bounds
 
@@ -367,8 +352,13 @@ class ValueBlocker:
     ``None`` disables the cap.
 
     Key computation is memoised per normalised text (duplicate-heavy columns
-    recompute nothing); the memo assumes the key parameters (``ngram_size``
-    etc.) are fixed after construction.
+    recompute nothing), and :meth:`candidate_keys` memoises the key *ids* of
+    each ``str`` value (``1``, ``1.0`` and ``True`` are one dict key but
+    normalise differently, so other values take the text memo).  Ids are
+    interned once per blocker; memo and table clear together, before a call,
+    at :data:`KEY_MEMO_LIMIT` values or :data:`KEY_ID_LIMIT` keys, so a call's
+    two sides share one id space and its arrays over ids stay small.  The
+    memos assume the key parameters (``ngram_size`` etc.) are fixed after construction.
     """
 
     def __init__(
@@ -393,6 +383,8 @@ class ValueBlocker:
         #: Keys skipped by the frequent-key cap in the last candidate pass.
         self.last_skipped_keys = 0
         self._key_memo: Dict[str, Tuple[str, ...]] = {}
+        self._id_memo: Dict[str, bytes] = {}
+        self._interned: Dict[str, int] = {}
 
     def keys(self, value: object) -> Set[str]:
         """The blocking keys of one value."""
@@ -418,6 +410,19 @@ class ValueBlocker:
     def _value_keys(self, values: Sequence[object]) -> List[Tuple[str, ...]]:
         """Key tuples for every value, positionally."""
         return [self._keys_for_normalised(normalize_value(value)) for value in values]
+
+    def _key_ids(self, values: Sequence[object]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(key id, value position)`` of every key occurrence, in position order; a value's
+        ids are memoised as ``int32`` bytes (one join concatenates them, a third of an array's memory)."""
+        memo, interned = self._id_memo, self._interned
+        ids = [memo.get(value) if type(value) is str else None for value in values]
+        for position in [position for position, found in enumerate(ids) if found is None]:
+            keys = self._keys_for_normalised(normalize_value(values[position]))
+            found = ids[position] = np.array([interned.setdefault(key, len(interned)) for key in keys], dtype=np.int32).tobytes()
+            if type(values[position]) is str:
+                memo[values[position]] = found
+        lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)) // 4
+        return np.frombuffer(b"".join(ids), dtype=np.int32), np.repeat(np.arange(len(ids), dtype=np.int64), lengths)
 
     def iter_candidate_pairs(
         self, left_values: Sequence[object], right_values: Sequence[object]
@@ -493,11 +498,13 @@ class ValueBlocker:
         Sets :attr:`last_skipped_keys` like the streaming form.
         """
         n_right = len(right_values)
-        interned: Dict[str, int] = {}
-        left_keys, left_positions = _postings(self._value_keys(left_values), interned)
-        right_keys, right_positions = _postings(self._value_keys(right_values), interned)
-        left_counts = np.bincount(left_keys, minlength=len(interned))
-        right_counts = np.bincount(right_keys, minlength=len(interned))
+        if len(self._id_memo) >= KEY_MEMO_LIMIT or len(self._interned) >= KEY_ID_LIMIT:
+            self._id_memo, self._interned = {}, {}
+        left_keys, left_positions = self._key_ids(left_values)
+        right_keys, right_positions = self._key_ids(right_values)
+        key_count = len(self._interned)
+        left_counts = np.bincount(left_keys, minlength=key_count)
+        right_counts = np.bincount(right_keys, minlength=key_count)
         # The cap compares the smaller posting list (see iter_candidate_pairs).
         cap = self.frequent_key_cap
         capped = np.minimum(left_counts, right_counts) > (np.inf if cap is None else cap)
@@ -506,7 +513,7 @@ class ValueBlocker:
         entry_left = left_positions[entries]
         offsets = np.concatenate(([0], np.cumsum(right_counts)))
         lo, hi = offsets[left_keys[entries]], offsets[left_keys[entries] + 1]
-        posting_order = right_positions[np.argsort(right_keys, kind="stable")]
+        posting_order = right_positions[stable_order(right_keys, key_count)]
         # Entries whose expansion starts inside the same PAIR_SLAB window of
         # the concatenated spans form one slab (one oversized span is its own).
         window = (np.cumsum(hi - lo) - (hi - lo)) // PAIR_SLAB

@@ -15,7 +15,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.utils.sorting import first_of_runs, sorted_unique
+from repro.utils.sorting import first_of_runs, sorted_unique, stable_order
 
 #: (tuple, candidate) pairs the posting scans — complementation closure and
 #: subsumption — expand and test at a time; bounds their scratch memory.
@@ -93,8 +93,14 @@ class TupleIndex:
         new = np.flatnonzero(self.keys[word][at] != distinct)
         rank = np.argsort(first[new])
         number[new[rank]] = len(self.numbers[word]) - 1 + np.arange(new.size)
-        self.keys[word] = np.insert(self.keys[word], at[new], distinct[new])
-        self.numbers[word] = np.insert(self.numbers[word], at[new], number[new])
+        # Merge: the new keys land at their search positions, shifted by the new keys before them.
+        slots = at[new] + np.arange(new.size)
+        rest = np.ones(self.keys[word].size + new.size, dtype=bool)
+        rest[slots] = False
+        for table, fresh in ((self.keys, distinct[new]), (self.numbers, number[new])):
+            merged = np.empty(rest.size, dtype=table[word].dtype)
+            merged[slots], merged[rest] = fresh, table[word]
+            table[word] = merged
         numbered = np.empty(keys.size, dtype=np.int64)
         numbered[order] = number[np.cumsum(head) - 1]
         return numbered, first[new][rank]
@@ -109,6 +115,8 @@ class PairPostings:
     holds the pair of its (position, label) instead: those that occur follow,
     sorted, then one empty pair.  One stable sort of all cells lists the
     holders of every pair in id order: ``holders[starts[pair] : starts[pair] + held_by[pair]]``.
+    Both sorts know their key bound (pairs, positions × labels), so below
+    2¹⁶ keys they are numpy's radix sort (:func:`~repro.utils.sorting.stable_order`).
     """
 
     def __init__(self, codes: np.ndarray, codes_per_column: np.ndarray, labels: np.ndarray | None = None) -> None:
@@ -121,13 +129,13 @@ class PairPostings:
         if self.components > 1:
             position, row = np.nonzero(codes < 0)
             keys = position * self.components + labels[row]
-            order = np.argsort(keys, kind="stable")  # merges the sorted runs of the generations
+            order = stable_order(keys, codes.shape[0] * self.components)  # merges the generations' sorted runs
             first = first_of_runs(keys[order])
             self.null_keys = np.append(keys[order][first], self.null_keys)
             pairs[position[order], row[order]] = self.first_null + np.cumsum(first) - 1
         self.held_by = np.bincount(pairs.ravel(), minlength=self.first_null + self.null_keys.size)
         self.starts = np.cumsum(self.held_by) - self.held_by
-        self.holders = np.argsort(pairs.ravel(), kind="stable") % max(codes.shape[1], 1)
+        self.holders = stable_order(pairs.ravel(), self.held_by.size) % max(codes.shape[1], 1)
 
     def nulls(self, positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The pair of the null at each position in each tuple's component."""

@@ -21,6 +21,7 @@ import numpy as np
 from repro.table.nulls import NULL, is_null
 from repro.table.schema import Schema
 from repro.table.table import Provenance, RowValues, Table
+from repro.utils.sorting import stable_order
 
 #: Dictionary keys of the booleans, which equal (and hash like) ``1`` and ``0``.
 _BOOL_KEYS = {False: object(), True: object()}
@@ -181,7 +182,7 @@ def tuple_ids(relations: Sequence[Relation]) -> List[object]:
 def sources(ids: Sequence[object], members: np.ndarray, groups: np.ndarray, count: int) -> List[Provenance]:
     """``count`` provenance sets: set ``g`` unites ``ids[members[k]]`` (tuple
     ids or sets of them) over the ``k`` with ``groups[k] == g``."""
-    order = np.argsort(groups, kind="stable")
+    order = stable_order(groups, count)
     flat = list(map(ids.__getitem__, members[order].tolist()))
     bounds = np.searchsorted(groups[order], np.arange(count + 1)).tolist()
     if set(map(type, flat)) <= {str}:

@@ -227,6 +227,23 @@ class TestConfigFlags:
         with pytest.raises(SystemExit):
             main(["integrate", *paths, "--config-json", str(config_path)])
 
+    @pytest.mark.parametrize(
+        "knob, text",
+        [
+            ("fd_algorithm", '{"fd_algorithm": ["alite"]}'),
+            ("embedder", '{"embedder": 5}'),
+            ("assignment_solver", '{"assignment_solver": null}'),
+            ("alignment", '{"alignment": {}}'),
+        ],
+    )
+    def test_config_json_name_knob_of_another_type_fails_cleanly(self, lake, knob, text):
+        # These used to pass the config and fail at engine construction with a
+        # traceback (or a bare ``TypeError: unhashable type``).
+        _, paths = lake
+        with pytest.raises(SystemExit) as excinfo:
+            main(["integrate", *paths, "--config-json", text])
+        assert str(excinfo.value).startswith(f"error: {knob} must be ")
+
     def test_preset_and_config_json_are_mutually_exclusive(self, lake, tmp_path, capsys):
         _, paths = lake
         config_path = tmp_path / "config.json"

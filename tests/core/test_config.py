@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FuzzyFDConfig, available_presets
-from repro.core.config import FIELD_KINDS
 from repro.embeddings import ExactEmbedder
+from repro.embeddings.base import ValueEmbedder
 from repro.fd import AliteFullDisjunction
-from repro.matching.assignment import GreedyAssignment
+from repro.fd.base import FullDisjunctionAlgorithm
+from repro.matching.assignment import AssignmentSolver, GreedyAssignment
+from repro.registry import UnknownNameError
 
 
 class TestEagerValidation:
@@ -68,6 +70,12 @@ class TestEagerValidation:
             ("service_deadline_ms", True, "a number"),
             ("blocking_key_cap", "5", "an integer"),
             ("retry_backoff_ms", None, "a number"),
+            ("embedder", 5, "a name or an embedder"),
+            ("fd_algorithm", ["alite"], "a name or an FD algorithm"),
+            ("assignment_solver", None, "a name or an assignment solver"),
+            ("alignment", {}, "a string"),
+            ("blocking", False, "a string"),
+            ("store_dir", 5, "a string"),
         ],
     )
     def test_a_field_of_another_type_is_refused_by_name(self, field, value, expected):
@@ -87,31 +95,45 @@ class TestEagerValidation:
 
     @given(
         data=st.dictionaries(
-            st.sampled_from([f.name for f in dataclasses.fields(FuzzyFDConfig) if f.type.removeprefix("Optional[").rstrip("]") in FIELD_KINDS]),
+            st.sampled_from([f.name for f in dataclasses.fields(FuzzyFDConfig)]),
             st.one_of(
                 st.none(), st.booleans(), st.integers(-2, 1 << 40), st.floats(), st.text(max_size=3),
+                st.sampled_from(["alite", "scipy", "greedy", "mistral", "frequency", "holistic", "on", "auto", "thread", "read"]),
+                st.sampled_from([ExactEmbedder(), GreedyAssignment(), AliteFullDisjunction()]),
                 st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
             ),
             max_size=4,
         )
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_from_dict_fuzzing_of_the_typed_fields(self, data):
-        # Any JSON value in any numeric or boolean field: a ValueError naming
-        # a field, or a config whose fields hold what they declare.
+        # Any JSON value or plugin instance in any field: a ValueError naming a
+        # field (a string that names no plugin: the registry's UnknownNameError),
+        # or a config whose fields hold what they declare.
         try:
             config = FuzzyFDConfig.from_dict(data)
+        except UnknownNameError as exc:
+            assert isinstance(exc.name, str) and exc.name in data.values()
+            return
         except ValueError as exc:
             assert any(str(exc).startswith(name) for name in data)
             return
         declared = {f.name: f.type for f in dataclasses.fields(config)}
-        exact_types = {"bool": {bool}, "int": {int}, "float": {int, float}}
+        exact_types = {"bool": {bool}, "int": {int}, "float": {int, float}, "str": {str}}
+        instance_types = {
+            "Union[str, ValueEmbedder]": ValueEmbedder,
+            "Union[str, AssignmentSolver]": AssignmentSolver,
+            "Union[str, FullDisjunctionAlgorithm]": FullDisjunctionAlgorithm,
+        }
         for name, value in data.items():
             assert getattr(config, name) is value
+            kind = declared[name].removeprefix("Optional[")
             if value is None:
-                assert declared[name].startswith("Optional[")
+                assert kind != declared[name]
+            elif kind != declared[name]:
+                assert type(value) in exact_types[kind[:-1]]
             else:
-                assert type(value) in exact_types[declared[name].removeprefix("Optional[").rstrip("]")]
+                assert type(value) in exact_types.get(kind, {str}) or isinstance(value, instance_types[kind])
 
     def test_blocking_key_cap_validated_and_serialised(self):
         with pytest.raises(ValueError, match="blocking_key_cap"):

@@ -91,6 +91,17 @@ class TestStreamingFullDisjunction:
         monkeypatch.setattr(subsumption, "reduce_coded", fail)
         assert StreamingFullDisjunction().integrate(tables).table.num_rows == 4
 
+    def test_same_order_as_incremental_past_two_to_the_sixteen_components(self):
+        # Every input tuple is a component of its own.  Each batch numbers its
+        # components from 1: numbers counted across batches would pass 2¹⁶ and
+        # wrap in the 16-bit sort of the survivors by label.
+        n = (1 << 16) + 1
+        left = Table("L", ["k", "a"], [(f"k{i}", f"a{i}") for i in range(n)])
+        right = Table("R", ["k", "b"], [("r", "b")])
+        streaming = StreamingFullDisjunction().integrate([left, right]).table
+        incremental = get_algorithm("incremental").integrate([left, right]).table
+        assert (streaming.rows, streaming.provenance) == (incremental.rows, incremental.provenance)
+
     def test_fully_null_tuples_fold_into_the_first_emitted_tuple(self):
         # A fully-null tuple is its own component; it is subsumed by any tuple
         # with information, exactly as the eager algorithms decide.

@@ -19,6 +19,7 @@ from repro.matching.assignment import (
     available_solvers,
     get_assignment_solver,
 )
+from repro.matching.blocking import PROHIBITIVE_COST
 from repro.testing.hungarian import HungarianAssignment
 
 EXACT_SOLVERS = [ScipyAssignment, HungarianAssignment]
@@ -166,6 +167,21 @@ float_matrices = npst.arrays(
 )
 
 
+
+@st.composite
+def blocked_component_matrices(draw):
+    """Tall cost matrices as the blocked matcher builds a component's: every
+    cell ``PROHIBITIVE_COST`` but a sparse set of candidate distances, ties
+    among them common (``ScipyAssignment`` hands these to scipy transposed)."""
+    columns = draw(st.integers(1, 40))
+    rows = draw(st.integers(columns + 1, 60))
+    cells = draw(st.lists(st.integers(0, rows * columns - 1), unique=True, max_size=3 * rows))
+    distance = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1, allow_nan=False))
+    matrix = np.full((rows, columns), PROHIBITIVE_COST)
+    matrix.flat[cells] = draw(st.lists(distance, min_size=len(cells), max_size=len(cells)))
+    return matrix
+
+
 class TestBoundRoutine:
     """``ScipyAssignment`` binds scipy's compiled routine without ``import scipy.optimize``."""
 
@@ -199,8 +215,8 @@ class TestBoundRoutine:
 
         assert assignment._linear_sum_assignment() is scipy.optimize.linear_sum_assignment
 
-    @given(st.one_of(small_integer_matrices, float_matrices, st.sampled_from(TIE_HEAVY)))
-    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(small_integer_matrices, float_matrices, st.sampled_from(TIE_HEAVY), blocked_component_matrices()))
+    @settings(max_examples=200, deadline=None)
     def test_same_rows_and_cols_as_the_public_function(self, cost):
         from scipy.optimize import linear_sum_assignment
 

@@ -238,3 +238,52 @@ class TestValueBlockerKeyMemo:
         assert len(blocker._key_memo) <= 4
         # Evicted entries are simply recomputed on demand.
         assert blocker.keys("value 0") == ValueBlocker().keys("value 0")
+
+    def test_candidate_keys_across_an_overflowing_sequence_equal_a_fresh_blockers(self, monkeypatch):
+        import random
+
+        import repro.matching.blocking as blocking_module
+
+        monkeypatch.setattr(blocking_module, "KEY_MEMO_LIMIT", 12)
+        monkeypatch.setattr(blocking_module, "KEY_ID_LIMIT", 40)
+        words = ["berlin", "berlinn", "paris", "pariss", "rome", "roma", "oslo", "lisbon", "lisboa", "bern"]
+        generator = random.Random(7)
+        blocker = ValueBlocker(frequent_key_cap=3)
+        overflows = 0
+        for _ in range(40):
+            left = generator.sample(words, generator.randint(0, 5)) + [f"city {generator.randint(0, 30)}"]
+            right = generator.sample(words, generator.randint(1, 5))
+            overflows += len(blocker._id_memo) >= 12 or len(blocker._interned) >= 40
+            keys = blocker.candidate_keys(left, right)
+            fresh = ValueBlocker(frequent_key_cap=3)
+            assert keys.tolist() == fresh.candidate_keys(left, right).tolist()
+            assert blocker.last_skipped_keys == fresh.last_skipped_keys
+        assert overflows >= 2  # the memo overflowed mid-sequence, more than once
+
+    def test_one_and_its_lookalikes_never_share_an_entry(self):
+        # ``1``, ``1.0`` and ``True`` are one dict key but three texts.
+        values = [1, 1.0, True, "1"]
+        right = ["1", "1.0", "true", "one"]
+        for first in values:
+            blocker = ValueBlocker()
+            blocker.candidate_keys([first], right)
+            for value in values:
+                expected = ValueBlocker().candidate_keys([value], right).tolist()
+                assert blocker.candidate_keys([value], right).tolist() == expected
+            assert set(map(type, blocker._id_memo)) == {str}
+
+    @pytest.mark.parametrize("memo_limit, id_limit", [(10, 10_000), (10_000, 30)])
+    def test_id_memo_and_intern_table_stay_bounded(self, monkeypatch, memo_limit, id_limit):
+        # Either limit alone keeps its table bounded (the other is never reached).
+        import repro.matching.blocking as blocking_module
+
+        monkeypatch.setattr(blocking_module, "KEY_MEMO_LIMIT", memo_limit)
+        monkeypatch.setattr(blocking_module, "KEY_ID_LIMIT", id_limit)
+        blocker = ValueBlocker()
+        for index in range(50):
+            left, right = [f"left {index}", f"shared {index % 3}"], [f"right {index}", index]
+            call_keys = set().union(*map(blocker.keys, left + right))
+            blocker.candidate_keys(left, right)
+            # At most the limit, plus what one call adds before the next check.
+            assert len(blocker._id_memo) <= memo_limit + 3
+            assert len(blocker._interned) <= id_limit + len(call_keys)
