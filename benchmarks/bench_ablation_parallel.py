@@ -1,22 +1,20 @@
 """Ablation ``abl-parallel`` — the parallel execution layer, measured.
 
-PR 4 added a shared executor (:mod:`repro.utils.executor`) under three
-layers: the blocked matcher solves connected components concurrently and
-batches all 1×1 / 1×N / N×1 components into one vectorised argmin pass, the
-partitioned Full Disjunction distributes tuple components, and the
-:class:`~repro.core.engine.IntegrationEngine` serves whole requests from a
-bounded worker pool.  This benchmark records what each layer buys:
+PR 4 added a shared executor (:mod:`repro.utils.executor`) under the
+blocked matcher, which solves connected components concurrently and batches
+all 1×1 / 1×N / N×1 components into one vectorised argmin pass.  This
+benchmark records what it buys:
 
 1. **Singleton fast path** (single-threaded): per-component solver calls vs
    the vectorised batch on a workload of thousands of 1×1 components.
 2. **Worker scaling**: serial vs the thread backend at 1/2/4 workers on a
    solver-bound workload of k×k components, matches asserted identical.
-3. **Engine request pool**: ``integrate_many`` over a batch of integration
-   requests, 1 vs 4 workers, results asserted identical to the serial loop.
 
-The per-call process backend and the process fan-out of surface-key
-generation were measured here (0.06–0.10× and 0.69× serial) and removed;
-process-level parallelism is ``repro serve --processes N``.
+The per-call process backend, the process fan-out of surface-key generation
+and the engine's request pool (``integrate_many`` on 4 threads) were measured
+here (0.06–0.10×, 0.69× and 0.93× serial) and removed; an engine serves one
+request at a time, and process-level parallelism is ``repro serve
+--processes N``.
 
 Results land in ``BENCH_parallel.json`` (CI uploads it as an artifact), so
 the perf trajectory of the executor is recorded over time.  Worker *scaling*
@@ -40,11 +38,9 @@ import time
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.embeddings import MistralEmbedder
 from repro.evaluation import format_component_histogram, format_markdown_table
 from repro.matching.blocking import BlockedValueMatcher, ValueBlocker
-from repro.table import Table
 from repro.utils.executor import ExecutorConfig
 
 DEFAULT_OUTPUT = "BENCH_parallel.json"
@@ -285,65 +281,6 @@ def run_worker_scaling_benchmark(
 
 
 # ---------------------------------------------------------------------------------
-# section 4: the engine's request pool (integrate_many)
-# ---------------------------------------------------------------------------------
-
-
-def _request_tables(request_index: int, rows: int = 12) -> List[Table]:
-    """One small three-table integration request with fuzzy value overlap."""
-    cities = [f"city{request_index}_{row}" for row in range(rows)]
-    first = Table(
-        f"population_{request_index}",
-        ["City", "Population"],
-        [(city, str(1000 + row)) for row, city in enumerate(cities)],
-    )
-    second = Table(
-        f"transit_{request_index}",
-        ["City", "Lines"],
-        # Typo'd city names exercise the fuzzy matcher in every request.
-        [(city + "x", str(row)) for row, city in enumerate(cities)],
-    )
-    third = Table(
-        f"climate_{request_index}",
-        ["City", "Temp"],
-        [(city, f"{row}.5C") for row, city in enumerate(cities[: rows // 2])],
-    )
-    return [first, second, third]
-
-
-def run_engine_pool_benchmark(
-    n_requests: int = 12, rows: int = 12, workers: int = 4
-) -> Dict[str, float]:
-    """``integrate_many`` vs the sequential loop over the same warm engine."""
-    requests = [_request_tables(index, rows=rows) for index in range(n_requests)]
-    config = FuzzyFDConfig(blocking="auto")
-
-    serial_engine = IntegrationEngine(config)
-    start = time.perf_counter()
-    serial_results = serial_engine.integrate_many(requests, max_workers=1)
-    serial_seconds = time.perf_counter() - start
-
-    pooled_engine = IntegrationEngine(config)
-    start = time.perf_counter()
-    pooled_results = pooled_engine.integrate_many(requests, max_workers=workers)
-    pooled_seconds = time.perf_counter() - start
-
-    identical = all(
-        serial.table.same_rows(pooled.table)
-        for serial, pooled in zip(serial_results, pooled_results)
-    )
-    return {
-        "n_requests": float(n_requests),
-        "workers": float(workers),
-        "serial_seconds": serial_seconds,
-        "pooled_seconds": pooled_seconds,
-        "speedup": serial_seconds / pooled_seconds if pooled_seconds else float("inf"),
-        "identical_results": float(identical),
-        "requests_served": float(pooled_engine.requests_served),
-    }
-
-
-# ---------------------------------------------------------------------------------
 # reports + JSON
 # ---------------------------------------------------------------------------------
 
@@ -352,7 +289,6 @@ def report(results: Dict[str, object]) -> str:
     fastpath = results["singleton_fastpath"]
     end_to_end = results["end_to_end"]
     scaling = results["worker_scaling"]
-    engine = results["engine_pool"]
 
     lines = [
         "",
@@ -399,13 +335,6 @@ def report(results: Dict[str, object]) -> str:
                 for run in scaling["runs"]
             ],
         ),
-        "",
-        (
-            f"Engine pool: {engine['n_requests']:.0f} requests, "
-            f"{engine['serial_seconds']:.2f}s serial -> {engine['pooled_seconds']:.2f}s "
-            f"at {engine['workers']:.0f} workers ({engine['speedup']:.2f}x, "
-            f"identical results: {bool(engine['identical_results'])})"
-        ),
     ]
     return "\n".join(lines)
 
@@ -413,7 +342,6 @@ def report(results: Dict[str, object]) -> str:
 def run_all(
     n_values: int = 5000,
     group_size: int = 8,
-    n_requests: int = 12,
 ) -> Dict[str, object]:
     """Run every section at the given scale (the JSON payload)."""
     return {
@@ -424,7 +352,6 @@ def run_all(
         "worker_scaling": run_worker_scaling_benchmark(
             n_values=max(n_values // 2, 64), group_size=group_size
         ),
-        "engine_pool": run_engine_pool_benchmark(n_requests=n_requests),
     }
 
 
@@ -468,14 +395,6 @@ def test_worker_scaling_determinism(benchmark):
     assert all(run["identical_matches"] for run in scaling["runs"])
 
 
-def test_engine_pool(benchmark):
-    engine = benchmark.pedantic(
-        run_engine_pool_benchmark, kwargs={"n_requests": 6}, rounds=1, iterations=1
-    )
-    assert engine["identical_results"] == 1.0
-    assert engine["requests_served"] == 6.0
-
-
 if __name__ == "__main__":
     import argparse
 
@@ -488,7 +407,7 @@ if __name__ == "__main__":
     )
     arguments = parser.parse_args()
     if arguments.smoke:
-        payload = run_all(n_values=400, group_size=6, n_requests=4)
+        payload = run_all(n_values=400, group_size=6)
     else:
         payload = run_all()
     print(report(payload))

@@ -6,8 +6,8 @@ deadlines, per-request traces.  This benchmark records what serving costs
 and what engine warmth buys at the request level:
 
 1. **Steady state**: ``n_requests`` integration requests pushed through the
-   service at a fixed concurrency — requests/sec, p50/p99 latency and the
-   mean queue wait (from the per-request traces, so the benchmark exercises
+   service at once, served one at a time — requests/sec, p50/p99 latency and
+   the mean queue wait (from the per-request traces, so the benchmark exercises
    the same observability the service ships).
 2. **Warm vs cold store**: the same request stream against a cold artifact
    store and then from a fresh service over the published store.  The warm
@@ -83,9 +83,7 @@ def request_workload(
     return [pool[index % distinct] for index in range(n_requests)]
 
 
-async def _drive(
-    service: IntegrationService, workload: List[List[Table]], concurrency: int
-) -> Dict[str, float]:
+async def _drive(service: IntegrationService, workload: List[List[Table]]) -> Dict[str, float]:
     """Push the whole workload through the service; aggregate the traces."""
     start = time.perf_counter()
     responses = await asyncio.gather(
@@ -105,7 +103,6 @@ async def _drive(
             sum(t.queue_wait_seconds for t in traces) / len(traces) if traces else 0.0
         ),
         "raw_embed_calls": sum(t.raw_embed_calls for t in traces),
-        "concurrency": float(concurrency),
     }
 
 
@@ -117,22 +114,20 @@ async def _drive(
 def run_steady_state(
     n_requests: int = 64,
     n_values: int = 150,
-    concurrency: int = 4,
     store_dir: Optional[str] = None,
 ) -> Dict[str, float]:
-    """Requests/sec, latency quantiles and queue wait at fixed concurrency."""
+    """Requests/sec, latency quantiles and queue wait of a queued stream."""
     workload = request_workload(n_requests, n_values)
     config = FuzzyFDConfig(
         blocking="auto",
         store_dir=store_dir,
         store_mode="readwrite" if store_dir else "off",
-        service_max_concurrency=concurrency,
         service_max_pending=n_requests,  # no rejections in steady state
     )
 
     async def main() -> Dict[str, float]:
         async with IntegrationService(config) as service:
-            return await _drive(service, workload, concurrency)
+            return await _drive(service, workload)
 
     return asyncio.run(main())
 
@@ -142,23 +137,11 @@ def run_steady_state(
 # ---------------------------------------------------------------------------------
 
 
-def run_warm_vs_cold(
-    n_requests: int = 32, n_values: int = 150, concurrency: int = 4
-) -> Dict[str, object]:
+def run_warm_vs_cold(n_requests: int = 32, n_values: int = 150) -> Dict[str, object]:
     """The same stream against a cold store, then a fresh warm-start service."""
     with tempfile.TemporaryDirectory() as store_dir:
-        cold = run_steady_state(
-            n_requests=n_requests,
-            n_values=n_values,
-            concurrency=concurrency,
-            store_dir=store_dir,
-        )
-        warm = run_steady_state(
-            n_requests=n_requests,
-            n_values=n_values,
-            concurrency=concurrency,
-            store_dir=store_dir,
-        )
+        cold = run_steady_state(n_requests=n_requests, n_values=n_values, store_dir=store_dir)
+        warm = run_steady_state(n_requests=n_requests, n_values=n_values, store_dir=store_dir)
     return {
         "cold": cold,
         "warm": warm,
@@ -176,17 +159,11 @@ def run_warm_vs_cold(
 # ---------------------------------------------------------------------------------
 
 
-def run_admission_burst(
-    n_values: int = 150, concurrency: int = 2, max_pending: int = 2
-) -> Dict[str, float]:
+def run_admission_burst(n_values: int = 150, max_pending: int = 2) -> Dict[str, float]:
     """A burst at twice the admission capacity: typed rejections, fast."""
-    capacity = concurrency + max_pending
+    capacity = 1 + max_pending  # the running request and the queue behind it
     workload = request_workload(2 * capacity, n_values, distinct=1)
-    config = FuzzyFDConfig(
-        blocking="auto",
-        service_max_concurrency=concurrency,
-        service_max_pending=max_pending,
-    )
+    config = FuzzyFDConfig(blocking="auto", service_max_pending=max_pending)
 
     async def main() -> Dict[str, float]:
         async with IntegrationService(config) as service:
@@ -232,8 +209,7 @@ def report(results: Dict[str, object]) -> str:
         "Benchmark — integration service (steady-state serving)",
         "",
         (
-            f"Steady state ({steady['requests']:,.0f} requests, "
-            f"concurrency {steady['concurrency']:.0f}): "
+            f"Steady state ({steady['requests']:,.0f} requests): "
             f"{steady['requests_per_second']:.1f} req/s, "
             f"p50 {steady['latency_p50_seconds'] * 1000:.0f} ms, "
             f"p99 {steady['latency_p99_seconds'] * 1000:.0f} ms, "
@@ -258,18 +234,12 @@ def report(results: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def run_all(
-    n_requests: int = 64, n_values: int = 150, concurrency: int = 4
-) -> Dict[str, object]:
+def run_all(n_requests: int = 64, n_values: int = 150) -> Dict[str, object]:
     """Run every section at the given scale (the JSON payload)."""
     return {
         "benchmark": "bench-service",
-        "steady_state": run_steady_state(
-            n_requests=n_requests, n_values=n_values, concurrency=concurrency
-        ),
-        "warm_vs_cold": run_warm_vs_cold(
-            n_requests=max(8, n_requests // 2), n_values=n_values, concurrency=concurrency
-        ),
+        "steady_state": run_steady_state(n_requests=n_requests, n_values=n_values),
+        "warm_vs_cold": run_warm_vs_cold(n_requests=max(8, n_requests // 2), n_values=n_values),
         "admission_burst": run_admission_burst(n_values=n_values),
     }
 
@@ -293,7 +263,7 @@ if __name__ == "__main__":
     )
     arguments = parser.parse_args()
     if arguments.smoke:
-        payload = run_all(n_requests=16, n_values=60, concurrency=2)
+        payload = run_all(n_requests=16, n_values=60)
     else:
         payload = run_all()
     print(report(payload))

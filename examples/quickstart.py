@@ -117,38 +117,39 @@ def engine_api(tables: list[Table]) -> None:
 
 
 def concurrency_api(tables: list[Table]) -> None:
-    """The parallel execution layer: one knob set, two layers.
+    """One engine, one request at a time; parallelism inside a request.
 
-    ``max_workers`` / ``parallel_backend`` (or the ``scale`` preset, or the
-    CLI's ``--workers``) parallelise component solving inside one request
-    (the Full Disjunction stage runs vectorised closure passes and takes no
-    workers); ``integrate_many`` serves whole requests from a bounded thread
-    pool.  Every parallel path is deterministic — the results below are
-    asserted identical to the serial ones.
+    An engine serves requests one at a time, so several requests are a loop
+    over one warm engine (threads sharing it simply take turns).  To serve
+    requests in parallel, run several engines: ``repro serve --processes N``
+    forks one warm engine per server process.  ``max_workers`` /
+    ``parallel_backend`` (or the ``scale`` preset, or the CLI's
+    ``--workers``) parallelise component solving inside one request; the
+    results below are asserted identical to the serial ones.
     """
-    serial_engine = IntegrationEngine(FuzzyFDConfig(blocking="auto"))
+    engine = IntegrationEngine(FuzzyFDConfig(blocking="auto"))
     parallel_engine = IntegrationEngine(
         FuzzyFDConfig(blocking="auto", max_workers=4, parallel_backend="thread")
     )
 
-    print("\n=== Concurrency: parallel request serving (integrate_many) ===")
+    print("\n=== Concurrency: a loop over one warm engine ===")
     requests = [tables, tables[:2], tables[1:]]
-    serial_results = serial_engine.integrate_many(requests, max_workers=1)
-    pooled_results = parallel_engine.integrate_many(requests)  # 4 workers
-    for index, (serial, pooled) in enumerate(zip(serial_results, pooled_results)):
-        assert serial.table.same_rows(pooled.table)  # deterministic by contract
+    results = [engine.integrate(request) for request in requests]
+    for index, (request, result) in enumerate(zip(requests, results)):
+        solved = parallel_engine.integrate(request)  # 4 workers solve its components
+        assert result.table.same_rows(solved.table)  # deterministic by contract
         print(
-            f"  request {index}: {pooled.table.num_rows} tuples "
-            f"(identical to the serial run: True)"
+            f"  request {index}: {result.table.num_rows} tuples "
+            f"(identical with 4 component workers: True)"
         )
-    print(f"  engine served {parallel_engine.requests_served} requests "
-          f"on a warm, thread-safe cache")
+    print(f"  engine served {engine.requests_served} requests on a warm cache; "
+          f"for parallel requests run `repro serve --processes N`")
 
     # The ``scale`` preset bundles the data-lake settings: blocking=auto,
     # component-decomposed ("partitioned") FD, 4 thread workers for matching.
     scaled = IntegrationEngine("scale").integrate(tables)
     print(f"  'scale' preset: {scaled.table.num_rows} tuples "
-          f"(same rows: {scaled.table.same_rows(serial_results[0].table)})")
+          f"(same rows: {scaled.table.same_rows(results[0].table)})")
 
 
 def main() -> None:

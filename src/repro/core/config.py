@@ -123,11 +123,11 @@ class FuzzyFDConfig:
         strategy registered in
         :data:`~repro.schema_matching.strategies.ALIGNMENT_STRATEGIES` works.
     max_workers:
-        Worker bound of the parallel execution layer.  ``1`` (the paper's
-        single-threaded setting, the default) disables every pool; larger
-        values let the blocked matcher solve components concurrently and
-        ``IntegrationEngine.integrate_many`` serve requests concurrently.
-        (Full Disjunction runs vectorised closure passes and takes no workers.)
+        Worker bound of component solving inside one request.  ``1`` (the
+        paper's single-threaded setting, the default) disables the pool;
+        larger values let the blocked matcher solve components concurrently.
+        An engine serves one request at a time whatever this says, and Full
+        Disjunction runs vectorised closure passes and takes no workers.
     parallel_backend:
         Executor backend used when ``max_workers > 1``: ``"thread"`` (numpy/
         scipy release the GIL — the usual choice) or ``"serial"`` (force the
@@ -147,14 +147,11 @@ class FuzzyFDConfig:
         results, only whether artifacts are recomputed or loaded.
     service_max_pending:
         Admission bound of the in-process
-        :class:`~repro.service.IntegrationService`: requests admitted but not
-        yet executing.  Beyond it, submissions are rejected with a typed
-        ``ServiceOverloaded`` (backpressure); ``0`` rejects whenever every
-        concurrency slot is busy.  A ``repro serve`` process never queues.
-    service_max_concurrency:
-        Requests the in-process service executes at once on the engine-owned
-        worker pool; admitted requests beyond it wait (queue time lands in
-        the trace).
+        :class:`~repro.service.IntegrationService`: requests admitted to wait
+        behind the one running request (queue time lands in the trace).
+        Beyond it, submissions are rejected with a typed
+        ``ServiceOverloaded`` (backpressure); ``0`` rejects whenever a
+        request runs.  A ``repro serve`` process never queues.
     service_deadline_ms:
         Default per-request deadline budget of the service in milliseconds
         (queue wait included), checked at stage boundaries
@@ -205,7 +202,6 @@ class FuzzyFDConfig:
     store_dir: Optional[str] = None
     store_mode: str = "off"
     service_max_pending: int = 32
-    service_max_concurrency: int = 4
     service_deadline_ms: Optional[float] = None
     retry_max_attempts: int = 3
     retry_backoff_ms: float = 50.0
@@ -269,11 +265,6 @@ class FuzzyFDConfig:
         if self.service_max_pending < 0:
             raise ValueError(
                 f"service_max_pending must be >= 0, got {self.service_max_pending}"
-            )
-        if self.service_max_concurrency < 1:
-            raise ValueError(
-                f"service_max_concurrency must be >= 1, "
-                f"got {self.service_max_concurrency}"
             )
         if self.service_deadline_ms is not None and self.service_deadline_ms <= 0:
             raise ValueError(
@@ -402,7 +393,7 @@ class FuzzyFDConfig:
 #: assignment); ``"scale"`` keeps the paper's models but engages blocking
 #: (with the semantic ANN channel on ``"auto"``), the component-decomposed
 #: (``partitioned``) FD substrate and the parallel execution layer (4 thread
-#: workers, for matching and ``integrate_many``) for wide data-lake inputs;
+#: workers, for component solving) for wide data-lake inputs;
 #: it also opts into ``store_mode="readwrite"`` so that a caller who supplies
 #: ``store_dir`` gets persistent, warm-startable state.
 PRESETS: Registry[Dict[str, Any]] = Registry(
@@ -423,10 +414,8 @@ PRESETS: Registry[Dict[str, Any]] = Registry(
             # Persistence engages once the caller supplies store_dir; the
             # preset only declares the intent to both attach and publish.
             "store_mode": "readwrite",
-            # Serving defaults sized for a data-lake deployment: deeper
-            # admission queue and one executing request per worker.
+            # A data-lake deployment queues more requests behind the running one.
             "service_max_pending": 64,
-            "service_max_concurrency": 4,
             # A data-lake deployment prefers degraded answers over errors
             # while the embedding backend is down.
             "degraded_mode": "surface",

@@ -20,15 +20,14 @@ or as one call with per-request overrides::
     for theta in (0.6, 0.7, 0.8):
         engine.integrate(tables, threshold=theta)   # embeds values only once
 
-The engine is a multi-client service: :meth:`IntegrationEngine.integrate_many`
-serves a batch of requests over the engine-owned worker pool
-(:meth:`IntegrationEngine.worker_pool` — one long-lived executor shared with
-the :class:`~repro.service.IntegrationService` front-end, never a fresh pool
-per call; the embedding cache is thread-safe and matchers are
-per-worker-thread), and the ``max_workers`` / ``parallel_backend`` config
-knobs additionally parallelise the inside of a single request
-(component-wise matching; the FD stage runs vectorised closure passes and
-takes no workers).
+An engine serves one request at a time: :meth:`~IntegrationEngine.integrate`
+and :meth:`~IntegrationEngine.match` hold one lock for the length of a
+request, so threads sharing an engine get the results a serial loop would
+give them.  Several requests at once are several engines — ``repro serve
+--processes N`` runs one warm engine per server process.  The ``max_workers``
+/ ``parallel_backend`` config knobs parallelise only the inside of one
+request (component-wise matching; the FD stage runs vectorised closure
+passes and takes no workers).
 
 With ``store_dir`` configured the warmth outlives the process: construction
 attaches a :class:`~repro.storage.cache.StoreBackedEmbeddingCache` (so a
@@ -44,8 +43,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -54,7 +51,7 @@ from repro import obs
 from repro.core.config import FuzzyFDConfig
 from repro.core.value_matching import ColumnValues, ValueMatcher, ValueMatchingResult
 from repro.embeddings.base import EmbeddingCache, ValueEmbedder
-from repro.embeddings.resilient import OVERRIDABLE_KNOBS, ResilientEmbedder
+from repro.embeddings.resilient import ResilientEmbedder
 from repro.fd import FD_ALGORITHMS
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult
 from repro.matching.assignment import AssignmentSolver
@@ -73,9 +70,9 @@ MATCHER_KNOBS = (
 )
 
 #: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides:
-#: the matcher's, ``store_mode`` (the matcher's store view) and the shared
-#: resilient embedder's retry/breaker policy.
-REQUEST_OVERRIDES = (*MATCHER_KNOBS, "store_mode", *OVERRIDABLE_KNOBS)
+#: the matcher's and ``store_mode`` (the matcher's store view).  The retry and
+#: breaker policy is the engine's, as the breaker state is.
+REQUEST_OVERRIDES = (*MATCHER_KNOBS, "store_mode")
 
 #: Overrides for which ``None`` is a meaningful value (not "use the engine
 #: default"): ``blocking_key_cap=None`` disables the frequent-key cap.
@@ -182,7 +179,9 @@ class IntegrationEngine:
     resolved once at construction and reused by every request; the embedder's
     :class:`~repro.embeddings.base.EmbeddingCache` therefore persists across
     requests, which is what makes repeated integrations (threshold sweeps,
-    ablations, a service handling recurring tables) cheap.
+    ablations, a service handling recurring tables) cheap.  Requests run one
+    at a time: a thread that calls :meth:`integrate` or :meth:`match` while
+    another request runs waits for it.
     """
 
     def __init__(self, config: Union[FuzzyFDConfig, str, Dict[str, Any], None] = None) -> None:
@@ -228,20 +227,11 @@ class IntegrationEngine:
             self.embedder.use_cache(self._store_cache)
         self.requests_served = 0
         # One ValueMatcher per distinct override combination; all share the
-        # engine's embedder (and therefore its thread-safe cache) and solver.
-        # The memo is *per worker thread* (threading.local): a matcher keeps
-        # per-call mutable state (``last_statistics`` on the blocked engine),
-        # so two concurrent ``integrate_many`` requests must never share one.
-        self._thread_state = threading.local()
-        self._served_lock = threading.Lock()
-        # The engine-owned request pool (lazy; see worker_pool()).  One
-        # long-lived ThreadPoolExecutor serves every request-level consumer
-        # so repeated integrate_many calls — and the IntegrationService's
-        # off-loop execution — reuse warm threads instead of paying a pool
-        # construction per call.
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_workers = 0
-        self._pool_lock = threading.Lock()
+        # engine's embedder (and therefore its cache) and solver.  A matcher
+        # keeps per-call mutable state (``last_statistics``, the blocker's key
+        # memo), which is safe because _lock admits one request at a time.
+        self._matchers: Dict[Tuple, ValueMatcher] = {}
+        self._lock = threading.Lock()
 
     # -- introspection -------------------------------------------------------------
     @property
@@ -283,49 +273,11 @@ class IntegrationEngine:
             return describe()
         return {"state": "closed"}
 
-    # -- the engine-owned request pool ---------------------------------------------
-    def worker_pool(self, min_workers: Optional[int] = None) -> ThreadPoolExecutor:
-        """The engine-owned request-level worker pool (lazy, long-lived).
-
-        Every request-level consumer — :meth:`integrate_many` batches and the
-        :class:`~repro.service.IntegrationService`'s off-event-loop execution
-        — runs on this one pool, so repeated calls reuse warm threads instead
-        of constructing a ``ThreadPoolExecutor`` per invocation.  The pool is
-        sized ``max(config.max_workers, min_workers)`` and only ever *grows*:
-        asking for more workers than the current pool holds replaces it (the
-        old pool drains its in-flight work in the background), so the
-        returned instance is stable across calls as long as demand does not
-        grow — which tests assert by identity.
-        """
-        needed = max(self.config.max_workers, min_workers if min_workers else 1)
-        with self._pool_lock:
-            if self._pool is None or self._pool_workers < needed:
-                previous = self._pool
-                self._pool = ThreadPoolExecutor(
-                    max_workers=needed, thread_name_prefix="repro-engine"
-                )
-                self._pool_workers = needed
-                if previous is not None:
-                    previous.shutdown(wait=False)
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the engine-owned worker pool (idempotent).
-
-        The engine stays usable — the next pooled call lazily recreates the
-        pool — but a long-lived process that is done serving should close so
-        worker threads do not outlive their work.
-        """
-        with self._pool_lock:
-            pool, self._pool, self._pool_workers = self._pool, None, 0
-        if pool is not None:
-            pool.shutdown(wait=True)
-
     def __enter__(self) -> "IntegrationEngine":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        pass
 
     def __repr__(self) -> str:
         return (
@@ -355,8 +307,6 @@ class IntegrationEngine:
         self,
         aligned: Union[AlignmentStage, Sequence[Table]],
         alignment: Optional[ColumnAlignment] = None,
-        *,
-        _effective: Optional[FuzzyFDConfig] = None,
         **overrides: Any,
     ) -> MatchStage:
         """Stage 2: fuzzy value matching + representative rewriting.
@@ -364,9 +314,18 @@ class IntegrationEngine:
         ``aligned`` is the :class:`AlignmentStage` from :meth:`align` (or a
         sequence of already-aligned tables plus an explicit ``alignment``).
         ``overrides`` are the per-request knobs of :data:`REQUEST_OVERRIDES`.
-        ``_effective`` is internal: :meth:`integrate` passes its
-        already-validated override config so it is not rebuilt here.
         """
+        effective = self.effective_config(overrides)
+        with self._lock:
+            return self._match(aligned, alignment, effective)
+
+    def _match(
+        self,
+        aligned: Union[AlignmentStage, Sequence[Table]],
+        alignment: Optional[ColumnAlignment],
+        effective: FuzzyFDConfig,
+    ) -> MatchStage:
+        """:meth:`match` under the request lock, which the caller holds."""
         if isinstance(aligned, AlignmentStage):
             relations = aligned.relations
             alignment = aligned.alignment
@@ -377,16 +336,9 @@ class IntegrationEngine:
             relations = encode_request(aligned)
             timings = {}
 
-        effective = _effective if _effective is not None else self.effective_config(overrides)
         matcher = self._matcher_for(effective)
-
         start = time.perf_counter()
-        # Per-request retry-policy overrides reach the shared resilient
-        # wrapper through its thread-local context; knobs equal to the
-        # engine's own stay untouched (an instance-configured wrapper keeps
-        # its constructor values).  Breaker state is engine-global by design.
-        with self._resilience_overrides(effective):
-            value_matching, rewritten = self._match_and_rewrite(matcher, relations, alignment)
+        value_matching, rewritten = self._match_and_rewrite(matcher, relations, alignment)
         timings["value_matching_seconds"] = time.perf_counter() - start
         # The request's counters ride beside the phase timings: every group's
         # request-level statistics, merged by each counter's rule.
@@ -432,165 +384,118 @@ class IntegrationEngine:
         (:class:`~repro.service.StageTracker`) turns a budget overrun into a
         typed error instead of letting the next stage start.
         """
-        store_before = obs.read("store", self.store_statistics())
-        if isinstance(tables, MatchStage):
-            # Executor knobs stay legal (a caller may pass one set of overrides
-            # to every stage) though the FD stage that is left takes no
-            # workers; everything else configures work that already happened.
-            executor_overrides = {
-                key: overrides.pop(key)
-                for key in ("max_workers", "parallel_backend")
-                if key in overrides
-            }
-            rejected = sorted(overrides)
-            if alignment_strategy is not None:
-                rejected.append("alignment_strategy")
-            if alignment is not None:
-                rejected.append("alignment")
-            if not fuzzy:
-                rejected.append("fuzzy=False")
-            if rejected:
-                raise TypeError(
-                    f"override(s) {rejected} cannot apply to a MatchStage — alignment "
-                    "and matching already ran; pass them to align()/match() instead "
-                    "(or integrate the raw tables)"
-                )
-            staged = tables
-            effective = self.effective_config(executor_overrides)
-        else:
-            if isinstance(tables, AlignmentStage):
-                if alignment is not None or alignment_strategy is not None:
-                    rejected = [
-                        name
-                        for name, value in (
-                            ("alignment", alignment),
-                            ("alignment_strategy", alignment_strategy),
-                        )
-                        if value is not None
-                    ]
-                    raise TypeError(
-                        f"argument(s) {rejected} cannot apply to an AlignmentStage — "
-                        "alignment already ran; re-align the raw tables instead"
-                    )
-                aligned = tables
-            else:
-                if not tables:
-                    raise ValueError("integrate() requires at least one table")
-                tables = encode_request(tables)  # before the first stage is announced
+        with self._lock:
+            store_before = obs.read("store", self.store_statistics())
+            if isinstance(tables, MatchStage):
+                # Executor knobs stay legal (a caller may pass one set of overrides
+                # to every stage) though the FD stage that is left takes no
+                # workers; everything else configures work that already happened.
+                executor_overrides = {
+                    key: overrides.pop(key)
+                    for key in ("max_workers", "parallel_backend")
+                    if key in overrides
+                }
+                rejected = sorted(overrides)
+                if alignment_strategy is not None:
+                    rejected.append("alignment_strategy")
                 if alignment is not None:
-                    if alignment_strategy is not None:
-                        raise TypeError(
-                            "pass either an explicit alignment or an "
-                            "alignment_strategy, not both"
-                        )
-                    if on_stage is not None:
-                        on_stage("align")
-                    aligned = self.apply_alignment(tables, alignment)
-                else:
-                    if on_stage is not None:
-                        on_stage("align")
-                    aligned = self.align(tables, strategy=alignment_strategy)
-            effective = self.effective_config(overrides)
-            if fuzzy:
-                if on_stage is not None:
-                    on_stage("match")
-                staged = self.match(aligned, _effective=effective, **overrides)
-            else:
-                # Without the matching stage, matching-only overrides would
-                # be silently ignored — reject them loudly.  The executor
-                # knobs stay legal: they never change a result.
-                ignored = sorted(set(overrides) - {"max_workers", "parallel_backend"})
-                if ignored:
+                    rejected.append("alignment")
+                if not fuzzy:
+                    rejected.append("fuzzy=False")
+                if rejected:
                     raise TypeError(
-                        f"override(s) {ignored} have no effect with fuzzy=False — "
-                        "the matching stage they configure is skipped"
+                        f"override(s) {rejected} cannot apply to a MatchStage — alignment "
+                        "and matching already ran; pass them to align()/match() instead "
+                        "(or integrate the raw tables)"
                     )
-                staged = MatchStage(
-                    alignment=aligned.alignment,
-                    value_matching={},
-                    relations=aligned.relations,
-                    timings=dict(aligned.timings),
-                )
+                staged = tables
+                effective = self.effective_config(executor_overrides)
+            else:
+                if isinstance(tables, AlignmentStage):
+                    if alignment is not None or alignment_strategy is not None:
+                        rejected = [
+                            name
+                            for name, value in (
+                                ("alignment", alignment),
+                                ("alignment_strategy", alignment_strategy),
+                            )
+                            if value is not None
+                        ]
+                        raise TypeError(
+                            f"argument(s) {rejected} cannot apply to an AlignmentStage — "
+                            "alignment already ran; re-align the raw tables instead"
+                        )
+                    aligned = tables
+                else:
+                    if not tables:
+                        raise ValueError("integrate() requires at least one table")
+                    tables = encode_request(tables)  # before the first stage is announced
+                    if alignment is not None:
+                        if alignment_strategy is not None:
+                            raise TypeError(
+                                "pass either an explicit alignment or an "
+                                "alignment_strategy, not both"
+                            )
+                        if on_stage is not None:
+                            on_stage("align")
+                        aligned = self.apply_alignment(tables, alignment)
+                    else:
+                        if on_stage is not None:
+                            on_stage("align")
+                        aligned = self.align(tables, strategy=alignment_strategy)
+                effective = self.effective_config(overrides)
+                if fuzzy:
+                    if on_stage is not None:
+                        on_stage("match")
+                    staged = self._match(aligned, None, effective)
+                else:
+                    # Without the matching stage, matching-only overrides would
+                    # be silently ignored — reject them loudly.  The executor
+                    # knobs stay legal: they never change a result.
+                    ignored = sorted(set(overrides) - {"max_workers", "parallel_backend"})
+                    if ignored:
+                        raise TypeError(
+                            f"override(s) {ignored} have no effect with fuzzy=False — "
+                            "the matching stage they configure is skipped"
+                        )
+                    staged = MatchStage(
+                        alignment=aligned.alignment,
+                        value_matching={},
+                        relations=aligned.relations,
+                        timings=dict(aligned.timings),
+                    )
 
-        if on_stage is not None:
-            on_stage("integrate")
-        fd = self._resolve_fd(fd_algorithm, effective)
-        timings = dict(staged.timings)
-        start = time.perf_counter()
-        fd_result = fd.integrate(staged.relations)
-        timings["full_disjunction_seconds"] = time.perf_counter() - start
+            if on_stage is not None:
+                on_stage("integrate")
+            fd = self._resolve_fd(fd_algorithm, effective)
+            timings = dict(staged.timings)
+            start = time.perf_counter()
+            fd_result = fd.integrate(staged.relations)
+            timings["full_disjunction_seconds"] = time.perf_counter() - start
 
-        if self._store_cache is not None and effective.store_mode == "readwrite":
-            # Newly embedded values become durable as soon as the request
-            # that embedded them completes — the next engine starts warm
-            # without anyone remembering to call save().
-            published = self._store_cache.publish()
-            if published:
-                obs.merge(timings, {"store_published_rows": published})
-        # Store events this request caused (e.g. corrupt artifacts it tripped
-        # over, now quarantined) — present only when they happened.
-        store_counts = obs.delta(store_before, obs.read("store", self.store_statistics()))
-        obs.merge(timings, {name: value for name, value in store_counts.items() if value})
+            if self._store_cache is not None and effective.store_mode == "readwrite":
+                # Newly embedded values become durable as soon as the request
+                # that embedded them completes — the next engine starts warm
+                # without anyone remembering to call save().
+                published = self._store_cache.publish()
+                if published:
+                    obs.merge(timings, {"store_published_rows": published})
+            # Store events this request caused (e.g. corrupt artifacts it tripped
+            # over, now quarantined) — present only when they happened.
+            store_counts = obs.delta(store_before, obs.read("store", self.store_statistics()))
+            obs.merge(timings, {name: value for name, value in store_counts.items() if value})
 
-        with self._served_lock:
             self.requests_served += 1
-        if on_stage is not None:
-            on_stage("complete")
-        return FuzzyIntegrationResult(
-            table=fd_result.table,
-            fd_result=fd_result,
-            alignment=staged.alignment,
-            value_matching=staged.value_matching,
-            rewritten=staged.relations,
-            timings=timings,
-        )
-
-    def integrate_many(
-        self,
-        requests: Sequence[Sequence[Table]],
-        *,
-        max_workers: Optional[int] = None,
-        **overrides: Any,
-    ) -> List[FuzzyIntegrationResult]:
-        """Serve several integration requests concurrently (bounded pool).
-
-        ``requests`` is a sequence of table lists; each is served exactly as
-        :meth:`integrate` would serve it (``overrides`` apply to every
-        request), and the results come back in request order — identical to a
-        sequential loop, whatever the worker count.  Workers are threads of
-        the engine-owned pool (:meth:`worker_pool` — one long-lived executor
-        reused across calls, never a fresh pool per invocation) sharing the
-        warm embedder: the embedding cache is thread-safe, and each worker
-        thread builds its own matcher, so requests never share mutable
-        matching state.  ``max_workers`` defaults to the engine config's
-        ``max_workers``; ``1`` serves the batch serially.  At most
-        ``max_workers`` requests are in flight at once even when the pool
-        itself is larger (a submission window, not a pool per call).
-        """
-        workers = max_workers if max_workers is not None else self.config.max_workers
-        if workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {workers}")
-        request_list = list(requests)
-        if workers == 1 or len(request_list) < 2:
-            return [self.integrate(tables, **overrides) for tables in request_list]
-        # The engine's state lives in this process, so the request pool is
-        # thread-based regardless of ``parallel_backend`` (which still
-        # steers the per-request component solving).
-        pool = self.worker_pool(workers)
-        results: List[Optional[FuzzyIntegrationResult]] = [None] * len(request_list)
-        pending: Dict[Future, int] = {}
-        index = 0
-        while index < len(request_list) or pending:
-            while index < len(request_list) and len(pending) < workers:
-                future = pool.submit(self.integrate, request_list[index], **overrides)
-                pending[future] = index
-                index += 1
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for future in done:
-                # A worker exception propagates to the caller unchanged, as
-                # the per-call pool did; later requests finish in background.
-                results[pending.pop(future)] = future.result()
-        return results
+            if on_stage is not None:
+                on_stage("complete")
+            return FuzzyIntegrationResult(
+                table=fd_result.table,
+                fd_result=fd_result,
+                alignment=staged.alignment,
+                value_matching=staged.value_matching,
+                rewritten=staged.relations,
+                timings=timings,
+            )
 
     def effective_config(self, overrides: Dict[str, Any]) -> FuzzyFDConfig:
         """The engine config with per-request ``overrides`` applied and validated."""
@@ -610,31 +515,12 @@ class IntegrationEngine:
         return self.config.replace(**provided)
 
     # -- internals -----------------------------------------------------------------
-    def _resilience_overrides(self, effective: FuzzyFDConfig):
-        """Context applying ``effective``'s retry-policy knobs to the embedder.
-
-        A no-op context when nothing differs from the engine config (the
-        common case) or the embedder is not resilient (a caller-supplied
-        bare instance).
-        """
-        changed = {
-            knob: getattr(effective, knob)
-            for knob in OVERRIDABLE_KNOBS
-            if getattr(effective, knob) != getattr(self.config, knob)
-        }
-        if not changed or not isinstance(self.embedder, ResilientEmbedder):
-            return nullcontext()
-        return self.embedder.overrides(**changed)
-
     def _matcher_for(self, effective: FuzzyFDConfig) -> ValueMatcher:
-        matchers: Dict[Tuple, ValueMatcher] = getattr(self._thread_state, "matchers", None)
-        if matchers is None:
-            matchers = self._thread_state.matchers = {}
         knobs = {knob: getattr(effective, knob) for knob in MATCHER_KNOBS}
         key = (*knobs.values(), effective.store_mode)
-        matcher = matchers.get(key)
+        matcher = self._matchers.get(key)
         if matcher is None:
-            matcher = matchers[key] = ValueMatcher(
+            matcher = self._matchers[key] = ValueMatcher(
                 self.embedder,
                 solver=self.solver,
                 store=self._store_for(effective.store_mode),

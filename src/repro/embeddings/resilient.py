@@ -34,10 +34,9 @@ The wrapper is transparent to everything else: ``name``, ``dimension``,
 :class:`~repro.storage.cache.StoreBackedEmbeddingCache` attach exactly as
 they would to the bare embedder), and unknown attributes delegate to the
 inner instance, so engine code — and tests poking custom attributes — never
-notice the wrapping.  Breaker state and counters are shared by every thread
-using the wrapper (one backend, one health state); the *retry policy* knobs
-can additionally be overridden per thread via :meth:`overrides`, which is
-how per-request knob overrides reach a shared engine embedder.
+notice the wrapping.  Breaker state, counters and the retry policy are
+shared by every thread using the wrapper (one backend, one health state, one
+policy): the engine configures them once, and no request overrides them.
 
 ``sleep`` and ``clock`` are injectable so tests drive breaker transitions
 with a fake clock and assert backoff schedules without real sleeping.
@@ -48,8 +47,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -67,16 +65,6 @@ BREAKER_STATES = ("closed", "open", "half_open")
 #: to exact + surface blocking without embeddings, ``"fail"`` maps to a
 #: typed 503 at the service boundary.
 DEGRADED_MODES = ("off", "surface", "fail")
-
-#: Knobs :meth:`ResilientEmbedder.overrides` accepts (the retry policy);
-#: breaker *state* is never per-thread — one backend has one health.
-OVERRIDABLE_KNOBS = (
-    "retry_max_attempts",
-    "retry_backoff_ms",
-    "breaker_failure_threshold",
-    "breaker_reset_ms",
-)
-
 
 class EmbedderUnavailable(RuntimeError):
     """The embedding backend is considered down (circuit breaker engaged).
@@ -182,7 +170,6 @@ class ResilientEmbedder(DelegatingEmbedder):
         self._sleep = sleep
         self._clock = clock
         self._lock = threading.Lock()
-        self._local = threading.local()
         self._state = "closed"
         self._opened_at = 0.0
         self._probe_in_flight = False
@@ -196,46 +183,6 @@ class ResilientEmbedder(DelegatingEmbedder):
             "half_open_probes": 0,
         }
 
-    # -- per-thread retry-policy overrides -------------------------------------------
-    @contextmanager
-    def overrides(self, **knobs: object) -> Iterator[None]:
-        """Apply retry-policy knobs for the current thread only.
-
-        The engine wraps each request's matching stage in this context so
-        per-request ``retry_max_attempts`` (etc.) overrides reach the shared
-        wrapper without racing other requests.  ``None`` values mean "keep
-        the engine default".  Breaker state is intentionally not per-thread.
-        """
-        provided = {
-            key: value for key, value in knobs.items() if value is not None
-        }
-        unknown = sorted(set(provided) - set(OVERRIDABLE_KNOBS))
-        if unknown:
-            raise TypeError(
-                f"unknown resilience override(s) {unknown}; "
-                f"supported: {list(OVERRIDABLE_KNOBS)}"
-            )
-        if provided:
-            validate_resilience_knobs(**provided)
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        merged = dict(stack[-1]) if stack else {}
-        merged.update(provided)
-        stack.append(merged)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    def _knob(self, name: str):
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            value = stack[-1].get(name)
-            if value is not None:
-                return value
-        return getattr(self, name)
-
     # -- guarded embed paths ---------------------------------------------------------
     def embed(self, value: object) -> np.ndarray:
         return self._guarded(self.inner.embed, value)
@@ -245,7 +192,7 @@ class ResilientEmbedder(DelegatingEmbedder):
 
     def _guarded(self, fn: Callable, argument: object) -> np.ndarray:
         is_probe = self._admit()
-        attempts = int(self._knob("retry_max_attempts"))
+        attempts = self.retry_max_attempts
         for attempt in range(1, attempts + 1):
             try:
                 result = fn(argument)
@@ -273,7 +220,7 @@ class ResilientEmbedder(DelegatingEmbedder):
         raise AssertionError("unreachable: retry loop returns or raises")
 
     def _backoff_seconds(self, attempt: int) -> float:
-        base_ms = float(self._knob("retry_backoff_ms"))
+        base_ms = float(self.retry_backoff_ms)
         delay_ms = min(base_ms * 2 ** (attempt - 1), base_ms * MAX_BACKOFF_MULTIPLIER)
         return delay_ms * _jitter_factor(self.name, attempt) / 1000.0
 
@@ -288,7 +235,7 @@ class ResilientEmbedder(DelegatingEmbedder):
         with self._lock:
             if self._state == "open":
                 elapsed_ms = (self._clock() - self._opened_at) * 1000.0
-                reset_ms = float(self._knob("breaker_reset_ms"))
+                reset_ms = float(self.breaker_reset_ms)
                 if elapsed_ms < reset_ms:
                     self._counters["breaker_short_circuits"] += 1
                     raise EmbedderUnavailable(
@@ -304,7 +251,7 @@ class ResilientEmbedder(DelegatingEmbedder):
                     raise EmbedderUnavailable(
                         f"embedder {self.name!r} unavailable: half-open probe "
                         "in flight",
-                        retry_after_ms=float(self._knob("breaker_reset_ms")),
+                        retry_after_ms=float(self.breaker_reset_ms),
                     )
                 self._probe_in_flight = True
                 self._counters["half_open_probes"] += 1
@@ -323,8 +270,7 @@ class ResilientEmbedder(DelegatingEmbedder):
                 self._probe_in_flight = False
                 self._counters["breaker_opens"] += 1
                 return True
-            threshold = int(self._knob("breaker_failure_threshold"))
-            if self._state == "closed" and self._consecutive_failures >= threshold:
+            if self._state == "closed" and self._consecutive_failures >= self.breaker_failure_threshold:
                 self._state = "open"
                 self._opened_at = self._clock()
                 self._counters["breaker_opens"] += 1
@@ -390,7 +336,7 @@ def validate_resilience_knobs(
     breaker_failure_threshold: Optional[int] = None,
     breaker_reset_ms: Optional[float] = None,
 ) -> None:
-    """Eager validation shared by the wrapper, the config and ``overrides()``."""
+    """Eager validation shared by the wrapper and the config."""
     if retry_max_attempts is not None and retry_max_attempts < 1:
         raise ValueError(
             f"retry_max_attempts must be >= 1, got {retry_max_attempts}"

@@ -132,8 +132,8 @@ PAIR_SLAB = 4_000_000
 
 #: Lazily built lexicon shared by every ValueBlocker that does not bring its
 #: own.  ``default_lexicon()`` rebuilds the whole knowledge base per call;
-#: the engine constructs one matcher (and blocker) per worker thread and
-#: override combination, so sharing the read-only lexicon keeps that cheap.
+#: an engine constructs one matcher (and blocker) per override combination,
+#: so sharing the read-only lexicon keeps that cheap.
 _SHARED_DEFAULT_LEXICON: Optional[SemanticLexicon] = None
 _SHARED_DEFAULT_LEXICON_LOCK = threading.Lock()
 
@@ -141,8 +141,9 @@ _SHARED_DEFAULT_LEXICON_LOCK = threading.Lock()
 def _shared_default_lexicon() -> SemanticLexicon:
     global _SHARED_DEFAULT_LEXICON
     if _SHARED_DEFAULT_LEXICON is None:
-        # Locked: pool threads constructing their first matcher concurrently
-        # must not each rebuild the knowledge base this cache exists to share.
+        # Locked: engines on different threads constructing their first
+        # matcher at once must not each rebuild the knowledge base this cache
+        # exists to share.
         with _SHARED_DEFAULT_LEXICON_LOCK:
             if _SHARED_DEFAULT_LEXICON is None:
                 _SHARED_DEFAULT_LEXICON = default_lexicon()

@@ -7,17 +7,17 @@ path.  :meth:`~IntegrationService.integrate_sync` runs a request on the
 calling thread, as every ``repro serve`` process does
 (:mod:`repro.service.http`).  :meth:`~IntegrationService.integrate` is the
 in-process asyncio API: the event loop only does admission and bookkeeping,
-and the pipeline runs on the engine-owned worker pool
-(:meth:`IntegrationEngine.worker_pool`), the executor ``integrate_many``
-batches over.  Three properties the tests pin down:
+and the pipeline runs on one service-owned thread, started by the first
+async call, one request at a time — an engine serves one request at a time
+anyway.  Three properties the tests pin down:
 
 * **Admission is synchronous.**  Admit/reject is decided under one lock
   before any work, so a saturated service answers :class:`ServiceOverloaded`
   in microseconds however slow the pipeline is — backpressure, never an
   unbounded buffer.
-* **The concurrency gate lives on the executing thread, not the loop.**
-  Waiting for a slot is queue time, charged to the request's trace.
-  Everything is ``threading``-based, so the service survives many
+* **Requests queue behind the running one, off the loop.**  Waiting for
+  the service thread is queue time, charged to the request's trace.  The
+  thread is not bound to an event loop, so the service survives many
   short-lived event loops (each test's ``asyncio.run``).
 * **Accounting is atomic.**  A request's terminal counter (one of
   :data:`repro.obs.TERMINAL_OUTCOMES`) is incremented and the in-flight
@@ -61,6 +61,8 @@ from repro.service.types import (
 from repro.table.table import Table
 
 if TYPE_CHECKING:  # the pre-forked serve imports this module, not the other way round
+    from concurrent.futures import ThreadPoolExecutor
+
     from repro.service.processes import Scoreboard
 
 #: Completed-request latencies kept for the p50/p99 snapshot.
@@ -76,13 +78,12 @@ class IntegrationService:
         An existing :class:`IntegrationEngine` to serve, or anything the
         engine constructor accepts (a :class:`FuzzyFDConfig`, preset name,
         dict, or ``None``) — the service then builds and owns the engine.
-    max_pending / max_concurrency / deadline_ms:
+    max_pending / deadline_ms:
         Override the engine config's ``service_*`` knobs for this service.
-        ``max_pending`` bounds admitted-but-not-executing requests (``0``
-        rejects whenever every slot is busy); ``max_concurrency`` bounds
-        simultaneously executing requests; ``deadline_ms`` is the default
-        per-request budget (``None`` — no deadline unless the request sets
-        one).
+        ``max_pending`` bounds the requests admitted behind the one running
+        request (``0`` rejects whenever a request runs); ``deadline_ms`` is
+        the default per-request budget (``None`` — no deadline unless the
+        request sets one).
     """
 
     def __init__(
@@ -90,7 +91,6 @@ class IntegrationService:
         engine: Union[IntegrationEngine, FuzzyFDConfig, str, Dict[str, Any], None] = None,
         *,
         max_pending: Optional[int] = None,
-        max_concurrency: Optional[int] = None,
         deadline_ms: Optional[float] = None,
     ) -> None:
         if isinstance(engine, IntegrationEngine):
@@ -101,23 +101,19 @@ class IntegrationService:
         self.max_pending = (
             config.service_max_pending if max_pending is None else max_pending
         )
-        self.max_concurrency = (
-            config.service_max_concurrency if max_concurrency is None else max_concurrency
-        )
         self.default_deadline_ms = (
             config.service_deadline_ms if deadline_ms is None else deadline_ms
         )
         if self.max_pending < 0:
             raise ValueError(f"max_pending must be >= 0, got {self.max_pending}")
-        if self.max_concurrency < 1:
-            raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValueError(
                 f"deadline_ms must be positive or None, got {self.default_deadline_ms}"
             )
 
         self._lock = threading.Lock()
-        self._slots = threading.BoundedSemaphore(self.max_concurrency)
+        # The thread the async path runs requests on (see _thread()).
+        self._executor: Optional["ThreadPoolExecutor"] = None
         self._next_request_id = 1
         self._counts: Dict[str, int] = dict.fromkeys(ROW_COUNTERS, 0)
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -154,14 +150,11 @@ class IntegrationService:
         admitted = self._admit()
         if not isinstance(admitted, int):
             return admitted
-        loop = asyncio.get_running_loop()
         work = partial(self._serve, admitted, list(tables), deadline_ms, submitted_at, overrides)
         try:
-            return await loop.run_in_executor(
-                self.engine.worker_pool(self.max_concurrency), work
-            )
+            return await asyncio.get_running_loop().run_in_executor(self._thread(), work)
         except RuntimeError as exc:
-            # The pool rejected the submission (shutdown race) — reconcile
+            # The service closed between admission and submission — reconcile
             # the gauge so the accounting identity holds.
             with self._lock:
                 self._counts["in_flight"] -= 1
@@ -184,6 +177,17 @@ class IntegrationService:
             return admitted
         return self._serve(admitted, list(tables), deadline_ms, submitted_at, overrides)
 
+    def _thread(self) -> "ThreadPoolExecutor":
+        """The one thread the async path runs requests on, started on first use."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("service is closed")
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-service")
+            return self._executor
+
     def _admit(self) -> Union[int, ServiceResponse]:
         """The admitted request's id, or the response that refuses it."""
         with self._lock:
@@ -198,7 +202,7 @@ class IntegrationService:
                     request_id=request_id, error="service is closed", trace=None
                 )
             pending = counts["in_flight"] - counts["executing"]
-            if counts["in_flight"] >= self.max_concurrency + self.max_pending:
+            if counts["in_flight"] >= 1 + self.max_pending:
                 counts["rejected"] += 1
                 self._publish()
                 return ServiceOverloaded(
@@ -219,10 +223,9 @@ class IntegrationService:
         submitted_at: float,
         overrides: Dict[str, Any],
     ) -> ServiceResponse:
-        """Executing-thread body: gate on a slot, run the pipeline, account once."""
+        """Executing-thread body: run the pipeline, account once."""
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
-        self._slots.acquire()
         with self._lock:
             self._counts["executing"] += 1
             self._publish()
@@ -272,7 +275,6 @@ class IntegrationService:
             with self._lock:
                 self._counts["executing"] -= 1
                 self._publish()
-            self._slots.release()
 
     def _finish(self, outcome: str, latency_seconds: float, *, degraded: bool = False) -> None:
         """Terminal accounting: ``outcome``'s counter up + gauge down under one lock."""
@@ -339,10 +341,12 @@ class IntegrationService:
             self._board.write(self._row_index, self._row(), latency_seconds)
 
     def close(self) -> None:
-        """Stop admitting requests and drain the engine's worker pool."""
+        """Stop admitting requests and let the service thread finish its queue."""
         with self._lock:
             self._closed = True
-        self.engine.close()
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "IntegrationService":
         return self
@@ -354,6 +358,5 @@ class IntegrationService:
         stats = self.stats()
         return (
             f"IntegrationService(max_pending={self.max_pending}, "
-            f"max_concurrency={self.max_concurrency}, "
             f"served={stats.served}, in_flight={stats.in_flight})"
         )

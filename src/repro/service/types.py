@@ -195,8 +195,8 @@ class ServiceStats:
     ``deadline_exceeded``, ``failed``, ``unavailable``) plus ``in_flight`` —
     the terminal counters and the in-flight gauge are updated under one lock
     so no request is ever counted twice or dropped.
-    ``queued`` is ``in_flight - executing``: admitted requests still waiting
-    for a concurrency slot.  Under ``repro serve --processes N`` every field
+    ``queued`` is ``in_flight - executing``: admitted requests waiting
+    behind the running one.  Under ``repro serve --processes N`` every field
     is aggregated over the N server processes (:meth:`aggregate`): counters
     are sums, latency quantiles are taken over the union of the processes'
     windows, and ``breaker_state`` is the worst state of the live processes.

@@ -1,10 +1,11 @@
 """Shared parallel execution layer for partitioned workloads.
 
-Two layers of the pipeline are embarrassingly parallel over independent
+One layer of the pipeline is embarrassingly parallel over independent
 partitions: the component-wise blocked matcher solves one assignment per
-connected component, and the :class:`~repro.core.engine.IntegrationEngine`
-can serve independent integration requests concurrently.  This module is the
-one abstraction they share:
+connected component, inside one request.  Requests themselves are never run
+concurrently on one :class:`~repro.core.engine.IntegrationEngine` (it serves
+one at a time); several at once are several server processes.  This module
+is the matcher's:
 
 * :class:`ExecutorConfig` — the validated knob set (``backend``,
   ``max_workers``, ``batch_size``, ``min_parallel_items``), carried end to end

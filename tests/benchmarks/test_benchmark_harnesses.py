@@ -91,11 +91,10 @@ class TestAblationHarnesses:
 class TestParallelAblationHarness:
     def test_small_run_produces_identical_matches_everywhere(self, tmp_path):
         module = _load("bench_ablation_parallel")
-        payload = module.run_all(n_values=150, group_size=4, n_requests=2)
+        payload = module.run_all(n_values=150, group_size=4)
         assert payload["singleton_fastpath"]["identical_matches"] == 1.0
         assert payload["end_to_end"]["identical_matches"]
         assert all(run["identical_matches"] for run in payload["worker_scaling"]["runs"])
-        assert payload["engine_pool"]["identical_results"] == 1.0
         assert module.report(payload)
         written = module.write_json(payload, str(tmp_path / "BENCH_parallel.json"))
         assert written.exists()
@@ -111,7 +110,7 @@ class TestParallelAblationHarness:
 class TestServiceHarness:
     def test_small_run_records_the_serving_claims(self, tmp_path):
         module = _load("bench_service")
-        payload = module.run_all(n_requests=6, n_values=30, concurrency=2)
+        payload = module.run_all(n_requests=6, n_values=30)
         steady = payload["steady_state"]
         assert steady["served"] == steady["requests"]
         assert steady["requests_per_second"] > 0.0

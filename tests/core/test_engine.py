@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import (
@@ -149,6 +152,15 @@ class TestPerRequestOverrides:
         with pytest.raises(TypeError):
             engine.integrate(covid_tables, thresold=0.8)
 
+    def test_blocking_key_cap_none_override_disables_cap(self, covid_tables):
+        # None is a meaningful value for this knob (cap disabled), so the
+        # usual "None means not provided" filter must not swallow it.
+        engine = IntegrationEngine()
+        result = engine.integrate(covid_tables, blocking="on", blocking_key_cap=None)
+        assert result.table.num_rows > 0
+        assert engine.effective_config({"blocking_key_cap": None}).blocking_key_cap is None
+        assert engine.effective_config({"threshold": None}) is engine.config
+
     def test_invalid_override_value_fails_fast(self, covid_tables):
         engine = IntegrationEngine()
         with pytest.raises(ValueError):
@@ -223,105 +235,163 @@ class TestPerRequestOverrides:
         assert engine.requests_served == 2
 
 
-class TestIntegrateMany:
-    def test_results_identical_to_sequential_loop(self, covid_tables):
-        engine = IntegrationEngine()
-        sequential = [engine.integrate(covid_tables) for _ in range(4)]
-        pooled = IntegrationEngine().integrate_many(
-            [covid_tables] * 4, max_workers=4
-        )
-        assert len(pooled) == 4
-        for serial_result, pooled_result in zip(sequential, pooled):
-            assert serial_result.table.same_rows(pooled_result.table)
+class TestSharedEngine:
+    """An engine serves one request at a time, so threads sharing one get the
+    results of a serial loop — and each request its own counters."""
 
-    def test_results_in_request_order(self, covid_tables):
-        engine = IntegrationEngine()
-        requests = [covid_tables[:2], covid_tables, covid_tables[1:]]
-        results = engine.integrate_many(requests, max_workers=3)
-        expected = [IntegrationEngine().integrate(request) for request in requests]
-        for got, want in zip(results, expected):
-            assert got.table.same_rows(want.table)
+    @staticmethod
+    def _requests():
+        # Three table sets of typo'd city names, each of another size.
+        requests = []
+        for index in range(3):
+            cities = [f"city{index}x{row:03d}" for row in range(60 + 40 * index)]
+            requests.append([
+                Table(f"population{index}", ["City", "Population"], [(city, str(row)) for row, city in enumerate(cities)]),
+                Table(f"transit{index}", ["City", "Lines"], [(city[:-1] + "z", str(row)) for row, city in enumerate(cities)]),
+                Table(f"climate{index}", ["City", "Temp"], [(city + "s", f"{row}C") for row, city in enumerate(cities[::2])]),
+            ])
+        return requests
+
+    @staticmethod
+    def _fingerprint(result, ordered_digest):
+        rewrites = {
+            name: {str(column): sorted(map(repr, matched.rewrite_map(column).items())) for column in matched.column_order}
+            for name, matched in result.value_matching.items()
+        }
+        counters = {name: value for name, value in result.timings.items() if not name.endswith("_seconds")}
+        return result.table.columns, ordered_digest(result.table.rows, result.table.provenance), rewrites, counters
+
+    def test_four_threads_get_the_serial_results(self, ordered_digest):
+        requests = self._requests()
+        jobs = [(requests[index % 3], (0.2, 0.5, 0.7, 0.5)[index % 4]) for index in range(12)]
+        config = FuzzyFDConfig(blocking="on")
+        serial_engine, shared = IntegrationEngine(config), IntegrationEngine(config)
+        for engine in (serial_engine, shared):  # every value embedded: each request's cache counters are fixed
+            for tables in requests:
+                engine.integrate(tables)
+        serial = [
+            self._fingerprint(serial_engine.integrate(tables, threshold=theta), ordered_digest)
+            for tables, theta in jobs
+        ]
+
+        results = [None] * len(jobs)
+        start = threading.Barrier(4)
+
+        def worker(offset):
+            start.wait()
+            for index in range(offset, len(jobs), 4):
+                tables, theta = jobs[index]
+                results[index] = self._fingerprint(shared.integrate(tables, threshold=theta), ordered_digest)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial
+        assert shared.requests_served == len(requests) + len(jobs)
+
+    @staticmethod
+    def _run_threads(target, count):
+        threads = [threading.Thread(target=target, args=(index,)) for index in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
 
     def test_requests_served_counter_is_exact(self, covid_tables):
         engine = IntegrationEngine()
-        engine.integrate_many([covid_tables] * 5, max_workers=4)
-        assert engine.requests_served == 5
+        self._run_threads(lambda _: [engine.integrate(covid_tables) for _ in range(5)], 4)
+        assert engine.requests_served == 20
 
-    def test_blocking_key_cap_none_override_disables_cap(self, covid_tables):
-        # None is a meaningful value for this knob (cap disabled), so the
-        # usual "None means not provided" filter must not swallow it.
-        engine = IntegrationEngine()
-        effective = engine.effective_config({"blocking_key_cap": None})
-        assert effective.blocking_key_cap is None
-        assert engine.effective_config({"threshold": None}) is engine.config
+    def test_a_request_waits_for_the_running_one(self, covid_tables):
+        class GatedEmbedder(MistralEmbedder):
+            def __init__(self) -> None:
+                super().__init__()
+                self.entered = 0
+                self.started = threading.Event()
+                self.release = threading.Event()
 
-    def test_shared_overrides_apply_to_every_request(self, covid_tables):
-        engine = IntegrationEngine()
-        strict = engine.integrate_many([covid_tables] * 2, max_workers=2, threshold=0.05)
-        loose = engine.integrate_many([covid_tables] * 2, max_workers=2, threshold=0.7)
-        assert strict[0].rewrites_applied() < loose[0].rewrites_applied()
+            def _embed_texts(self, texts):
+                self.entered += 1
+                self.started.set()
+                self.release.wait(timeout=30)
+                return super()._embed_texts(texts)
 
-    def test_worker_default_comes_from_config(self, covid_tables):
-        engine = IntegrationEngine(FuzzyFDConfig(max_workers=2))
-        results = engine.integrate_many([covid_tables] * 2)
-        assert len(results) == 2
-
-    def test_invalid_worker_count_rejected(self, covid_tables):
-        engine = IntegrationEngine()
-        with pytest.raises(ValueError):
-            engine.integrate_many([covid_tables], max_workers=0)
-
-    def test_invalid_override_rejected(self, covid_tables):
-        engine = IntegrationEngine()
-        with pytest.raises(TypeError):
-            engine.integrate_many([covid_tables], max_workers=2, thresold=0.5)
-
-    def test_cache_warm_across_pooled_requests(self, covid_tables):
-        embedder = CountingMistralEmbedder()
+        embedder = GatedEmbedder()
         engine = IntegrationEngine(FuzzyFDConfig(embedder=embedder))
-        engine.integrate(covid_tables)
-        calls_after_first = embedder.embed_calls
-        # Cold side: one raw embed per distinct text, so the zero below
-        # cannot come from a counter that never moves.
-        assert calls_after_first == len(engine.embedding_cache) > 0
-        engine.integrate_many([covid_tables] * 4, max_workers=4)
-        assert embedder.embed_calls == calls_after_first
+        other = [Table("T9", ["City", "Mayor"], [("Lisbon", "Moedas"), ("Porto", "Moreira")])]
+        first = threading.Thread(target=engine.integrate, args=(covid_tables,))
+        second = threading.Thread(target=engine.integrate, args=(covid_tables[:1] + other,))
+        first.start()
+        assert embedder.started.wait(timeout=30)
+        second.start()
+        second.join(timeout=0.3)
+        # The second request is parked on the engine, not in the embedder.
+        assert second.is_alive()
+        assert embedder.entered == 1 and engine.requests_served == 0
+        embedder.release.set()
+        first.join(timeout=60)
+        second.join(timeout=60)
+        assert engine.requests_served == 2
 
-
-class TestWorkerPool:
-    def test_integrate_many_reuses_one_pool_across_calls(self, covid_tables):
-        # The satellite fix: no fresh ThreadPoolExecutor per call — repeated
-        # batches draw from the same engine-owned executor.
+    def test_a_failed_request_releases_the_engine(self, covid_tables):
         engine = IntegrationEngine()
-        engine.integrate_many([covid_tables] * 2, max_workers=2)
-        pool = engine.worker_pool()
-        assert pool is not None
-        engine.integrate_many([covid_tables] * 3, max_workers=2)
-        assert engine.worker_pool() is pool
-        engine.close()
 
-    def test_pool_grows_for_wider_batches_and_stays(self, covid_tables):
+        def fail(stage):
+            raise RuntimeError(f"stopped at {stage}")
+
+        with pytest.raises(RuntimeError, match="stopped at align"):
+            engine.integrate(covid_tables, on_stage=fail)
+        served = []
+        self._run_threads(lambda _: served.append(engine.integrate(covid_tables)), 2)
+        assert len(served) == 2 and engine.requests_served == 2
+
+    def test_staged_and_one_shot_requests_agree_across_threads(self, covid_tables):
         engine = IntegrationEngine()
-        small = engine.worker_pool(2)
-        grown = engine.worker_pool(4)
-        assert grown is not small  # grew: more demand than threads
-        assert engine.worker_pool(3) is grown  # never shrinks below demand
-        engine.close()
+        expected = IntegrationEngine().integrate(covid_tables, threshold=0.5)
+        results = [None] * 4
 
-    def test_close_drains_and_reuse_recreates(self, covid_tables):
-        engine = IntegrationEngine()
-        first = engine.worker_pool(2)
-        engine.close()
-        results = engine.integrate_many([covid_tables] * 2, max_workers=2)
-        assert len(results) == 2
-        assert engine.worker_pool() is not first
-        engine.close()
+        def worker(index):
+            if index % 2:
+                staged = engine.match(engine.align(covid_tables), threshold=0.5)
+                results[index] = engine.integrate(staged)
+            else:
+                results[index] = engine.integrate(covid_tables, threshold=0.5)
 
-    def test_context_manager_closes_the_pool(self, covid_tables):
+        self._run_threads(worker, 4)
+        for result in results:
+            assert result.table.rows == expected.table.rows
+            assert result.table.provenance == expected.table.provenance
+            assert result.rewrites_applied() == expected.rewrites_applied()
+
+    def test_request_overrides_leave_the_engine_config_alone(self, covid_tables):
+        config = FuzzyFDConfig()
+        engine = IntegrationEngine(config)
+        rewrites = {0.05: set(), 0.7: set()}
+
+        def worker(index):
+            theta = (0.05, 0.7)[index % 2]
+            rewrites[theta].add(engine.integrate(covid_tables, threshold=theta).rewrites_applied())
+
+        self._run_threads(worker, 4)
+        (strict,), (loose,) = rewrites[0.05], rewrites[0.7]
+        assert strict < loose
+        assert engine.config is config and engine.config == FuzzyFDConfig()
+        assert engine.effective_config({}) is config
+
+    def test_context_manager_returns_a_usable_engine(self, covid_tables):
         with IntegrationEngine() as engine:
-            engine.integrate_many([covid_tables] * 2, max_workers=2)
-            assert engine.worker_pool() is not None
-        assert engine._pool is None
+            first = engine.integrate(covid_tables)
+        # Leaving the block releases nothing: the engine keeps serving.
+        assert engine.integrate(covid_tables).table.same_rows(first.table)
+        assert engine.requests_served == 2
 
 
 class TestParallelConfigKnobs:
@@ -382,6 +452,18 @@ class TestWarmEmbeddingCache:
             engine.integrate(covid_tables, threshold=theta)
         assert embedder.embed_calls == calls_after_first
         assert engine.embedding_cache.hits > 0
+
+    def test_cache_warm_across_repeated_requests(self, covid_tables):
+        embedder = CountingMistralEmbedder()
+        engine = IntegrationEngine(FuzzyFDConfig(embedder=embedder))
+        engine.integrate(covid_tables)
+        calls_after_first = embedder.embed_calls
+        # Cold side: one raw embed per distinct text, so the zero below
+        # cannot come from a counter that never moves.
+        assert calls_after_first == len(engine.embedding_cache) > 0
+        for _ in range(4):
+            engine.integrate(covid_tables)
+        assert embedder.embed_calls == calls_after_first
 
     def test_ann_indexing_reuses_cached_embeddings(self, covid_tables):
         """Semantic blocking never re-embeds: indexing reads the warm cache.

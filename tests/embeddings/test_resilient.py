@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
+from repro.core.engine import REQUEST_OVERRIDES
 from repro.embeddings import MistralEmbedder
 from repro.embeddings.resilient import (
     DelegatingEmbedder,
@@ -13,6 +14,7 @@ from repro.embeddings.resilient import (
     ResilientEmbedder,
     validate_resilience_knobs,
 )
+from repro.table import Table
 from repro.testing import FaultInjector, FaultyEmbedder, TransientFault
 
 VALUES = ["Berlin", "Toronto", "Barcelona"]
@@ -222,31 +224,6 @@ class TestBreaker:
             wrapped._admit()
 
 
-class TestOverrides:
-    def test_thread_local_override_applies_inside_context_only(self):
-        injector = FaultInjector().script("embed_many", fail_all=True)
-        sleeps: list = []
-        wrapped = _resilient(
-            injector, sleeps=sleeps, retry_max_attempts=3, breaker_failure_threshold=99
-        )
-        with wrapped.overrides(retry_max_attempts=1):
-            with pytest.raises(TransientFault):
-                wrapped.embed_many(VALUES)
-        assert sleeps == []  # single attempt, no backoff
-        with pytest.raises(TransientFault):
-            wrapped.embed_many(VALUES)
-        assert len(sleeps) == 2  # back to three attempts
-
-    def test_unknown_and_invalid_overrides_rejected(self):
-        wrapped = _resilient(None)
-        with pytest.raises(TypeError):
-            with wrapped.overrides(degraded_mode="surface"):
-                pass
-        with pytest.raises(ValueError):
-            with wrapped.overrides(retry_max_attempts=0):
-                pass
-
-
 class TestEngineIntegration:
     def test_engine_auto_wraps_with_config_knobs(self):
         engine = IntegrationEngine(FuzzyFDConfig(retry_max_attempts=7))
@@ -259,3 +236,40 @@ class TestEngineIntegration:
         engine = IntegrationEngine(FuzzyFDConfig(embedder=wrapped))
         assert engine.embedder is wrapped
         assert engine.embedder.retry_max_attempts == 9
+
+
+class TestEnginePolicy:
+    """Retry and breaker settings are the engine's, like its breaker state."""
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("retry_max_attempts", 1),
+            ("retry_backoff_ms", 1.0),
+            ("breaker_failure_threshold", 2),
+            ("breaker_reset_ms", 10.0),
+        ],
+    )
+    def test_a_request_cannot_override_the_policy(self, knob, value):
+        engine = IntegrationEngine()
+        tables = [Table("a", ["City"], [("Berlin",)]), Table("b", ["City"], [("Berlinn",)])]
+        with pytest.raises(TypeError, match=rf"unknown per-request override\(s\) \['{knob}'\]"):
+            engine.integrate(tables, **{knob: value})
+        assert knob not in REQUEST_OVERRIDES
+        assert engine.requests_served == 0
+
+    def test_the_engine_policy_serves_every_request(self):
+        injector = FaultInjector().script("embed_many", fail_all=True)
+        engine = IntegrationEngine(FuzzyFDConfig(
+            embedder=FaultyEmbedder(MistralEmbedder(), injector),
+            retry_max_attempts=2,
+            retry_backoff_ms=0.01,
+            breaker_failure_threshold=99,
+        ))
+        for values in (VALUES, ["Lisbon", "Porto"]):
+            tables = [Table("a", ["City"], [(value,) for value in values]), Table("b", ["City"], [(values[0] + "n",)])]
+            with pytest.raises(TransientFault):
+                engine.integrate(tables)
+        # Two attempts per request, one retry between them, in both requests.
+        state = engine.resilience_state()
+        assert (state["retries"], state["failures"], state["state"]) == (2, 2, "closed")

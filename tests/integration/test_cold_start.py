@@ -32,6 +32,8 @@ NOT_ON_THE_ONE_SHOT_PATH = [
     "repro.testing",
     "repro.em",
     "repro.evaluation",
+    # An engine serves one request at a time: no request-level pool to import.
+    "concurrent.futures",
     # Loaded by the first np.unique call (numpy >= 2.3, ≈ 10 ms); the package
     # uses the sort-based helpers of repro.utils.sorting instead.
     "numpy.ma",

@@ -87,7 +87,7 @@ class TestEndpoints:
         # process serves one connection at a time, so traffic never gets there.
         service.max_pending = 0
         with service._lock:
-            service._counts["in_flight"] = service.max_concurrency
+            service._counts["in_flight"] = 1 + service.max_pending
         try:
             status, _, body = server.request("POST", "/integrate", INTEGRATE_BODY)
         finally:
@@ -255,8 +255,9 @@ class TestHostileInput:
             ({"blocking_cutoff": 2.5}, "blocking_cutoff must be an integer, got float"),
             ({"threshold": 2.0}, "threshold must be in (0, 1]"),
             ({"no_such_knob": 1}, "unknown per-request override(s) ['no_such_knob']"),
+            ({"retry_max_attempts": 1}, "unknown per-request override(s) ['retry_max_attempts']"),
         ],
-        ids=["string", "boolean-number", "string-boolean", "float-integer", "out-of-range", "unknown"],
+        ids=["string", "boolean-number", "string-boolean", "float-integer", "out-of-range", "unknown", "engine-policy"],
     )
     def test_an_invalid_override_is_400_naming_the_field(self, served, overrides, named):
         server, service = served

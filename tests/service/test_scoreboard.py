@@ -123,10 +123,10 @@ class TestAggregation:
         service.close()
 
     def test_concurrent_requests_lose_no_update_in_the_shared_row(self):
-        # The loop thread and four pool threads on two cores write one row,
-        # switching as often as the interpreter allows.
+        # The loop thread and the service thread write one row, switching as
+        # often as the interpreter allows.
         board = Scoreboard(1)
-        service = IntegrationService("fast", max_concurrency=4, max_pending=64)
+        service = IntegrationService("fast", max_pending=64)
         service.share(board, 0)
         tables = [
             Table("a", ["k", "x"], [("berlin", "1"), ("paris", "2")]),

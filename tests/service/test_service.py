@@ -246,7 +246,7 @@ class TestAdmissionControl:
         config = FuzzyFDConfig(embedder=embedder)
 
         async def scenario():
-            service = IntegrationService(config, max_pending=1, max_concurrency=1)
+            service = IntegrationService(config, max_pending=1)
             in_flight = [
                 asyncio.ensure_future(service.integrate(_tables())) for _ in range(2)
             ]
@@ -279,7 +279,7 @@ class TestAdmissionControl:
         config = FuzzyFDConfig(embedder=embedder)
 
         async def scenario():
-            service = IntegrationService(config, max_pending=0, max_concurrency=1)
+            service = IntegrationService(config, max_pending=0)
             first = asyncio.ensure_future(service.integrate(_tables()))
             await asyncio.sleep(0)
             rejected = await service.integrate(_tables())
@@ -295,7 +295,7 @@ class TestAdmissionControl:
         config = FuzzyFDConfig(embedder=embedder)
 
         async def scenario():
-            service = IntegrationService(config, max_pending=4, max_concurrency=1)
+            service = IntegrationService(config, max_pending=4)
             first = asyncio.ensure_future(service.integrate(_tables()))
             await asyncio.sleep(0)
 
@@ -313,6 +313,64 @@ class TestAdmissionControl:
         # The second request waited for the first's slot; the wait is charged
         # to its trace, not hidden.
         assert second.trace.queue_wait_seconds > 0.0
+
+
+class ThreadRecordingEmbedder(MistralEmbedder):
+    """Embedder that records the thread of every raw embed call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.threads = []
+
+    def _embed_texts(self, texts):
+        self.threads.append(threading.current_thread())
+        return super()._embed_texts(texts)
+
+
+def _distinct_tables(index):
+    return [
+        Table(f"A{index}", ["City", "Rank"], [(f"town{index}a", "1"), (f"town{index}b", "2")]),
+        Table(f"B{index}", ["City", "Size"], [(f"town{index}aa", "9"), (f"town{index}bb", "8")]),
+    ]
+
+
+class TestServiceThread:
+    def test_async_requests_run_on_one_service_thread(self):
+        embedder = ThreadRecordingEmbedder()
+
+        async def serve():
+            service = IntegrationService(FuzzyFDConfig(embedder=embedder), max_pending=8)
+            responses = await asyncio.gather(*(service.integrate(_distinct_tables(index)) for index in range(4)))
+            service.close()
+            return responses
+
+        responses = asyncio.run(serve())
+        assert all(isinstance(response, IntegrationResponse) for response in responses)
+        # Each request embedded its own values, all on the one thread.
+        assert len(embedder.threads) >= 4
+        assert len(set(embedder.threads)) == 1
+        assert embedder.threads[0] is not threading.main_thread()
+        assert not embedder.threads[0].is_alive()  # close() stopped it
+
+    def test_sync_requests_never_start_the_service_thread(self):
+        embedder = ThreadRecordingEmbedder()
+        service = IntegrationService(FuzzyFDConfig(embedder=embedder))
+        for index in range(2):
+            assert isinstance(service.integrate_sync(_distinct_tables(index)), IntegrationResponse)
+        assert set(embedder.threads) == {threading.current_thread()}
+        assert service._executor is None
+        service.close()
+
+    def test_the_service_thread_outlives_each_event_loop(self):
+        embedder = ThreadRecordingEmbedder()
+        service = IntegrationService(FuzzyFDConfig(embedder=embedder))
+        for index in range(3):
+            response = asyncio.run(service.integrate(_distinct_tables(index)))
+            assert isinstance(response, IntegrationResponse)
+        assert len(set(embedder.threads)) == 1 and embedder.threads[0].is_alive()
+        service.close()
+        assert not embedder.threads[0].is_alive()
+        assert service.stats().served == 3
 
 
 class TestFailuresAndLifecycle:
@@ -338,24 +396,8 @@ class TestFailuresAndLifecycle:
         assert response.status == "error"
         assert "closed" in response.error
 
-    def test_service_shares_the_engine_worker_pool(self, covid_tables):
-        engine = IntegrationEngine()
-
-        async def serve():
-            service = IntegrationService(engine, max_concurrency=2)
-            await service.integrate(covid_tables)
-            # The executor the service ran on IS the engine-owned pool that
-            # integrate_many batches over — one set of warm threads.
-            return engine.worker_pool(2)
-
-        pool = asyncio.run(serve())
-        assert pool is engine.worker_pool()
-        engine.close()
-
     def test_invalid_knobs_fail_fast(self):
         with pytest.raises(ValueError, match="max_pending"):
             IntegrationService(max_pending=-1)
-        with pytest.raises(ValueError, match="max_concurrency"):
-            IntegrationService(max_concurrency=0)
         with pytest.raises(ValueError, match="deadline_ms"):
             IntegrationService(deadline_ms=0.0)
