@@ -517,7 +517,7 @@ def run_exact_vs_index_benchmark(
                 row["index"][str(n_bits)] = {"skipped_expected_probe_pairs": int(expected)}
                 continue
             start = time.perf_counter()
-            keys = blocker._indexed_pairs(left, right, None, None)
+            keys = blocker._indexed_pairs(left, right)
             seconds = time.perf_counter() - start
             found = np.intersect1d(keys, exact, assume_unique=True)
             row["index"][str(n_bits)] = {

@@ -2,8 +2,7 @@
 
 The storage PR made engine warmth durable: embedding matrices live in
 memmapped segments of an :class:`~repro.storage.store.ArtifactStore`, the
-semantic blocker's LSH codes persist next to them.  This benchmark records
-what each mechanism buys:
+one artifact kind the store holds.  This benchmark records what that buys:
 
 1. **Cold vs warm engine start**: a fresh engine integrates a workload and
    publishes its artifacts; a second fresh engine over the same directory
@@ -11,9 +10,7 @@ what each mechanism buys:
    once and publishes it; the warm run must make *zero* raw embed calls,
    read every one of those rows from the store and produce identical output
    (:func:`warm_start_violations`).  Seconds are recorded, not asserted.
-2. **Durable ANN indexes**: LSH code matrices built + published cold, then
-   loaded by a fresh blocker — zero rebuilds, identical candidate pairs.
-3. **Store-on vs store-off identity**: the store never changes results.
+2. **Store-on vs store-off identity**: the store never changes results.
 
 Results land in ``BENCH_store.json`` (committed to the repo and uploaded as
 a CI artifact), so the cold→warm trajectory is recorded over time.  The
@@ -39,12 +36,10 @@ import string
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.embeddings import MistralEmbedder
-from repro.matching.ann import SemanticBlocker
-from repro.storage import ArtifactStore
 from repro.table import Table
 
 DEFAULT_OUTPUT = "BENCH_store.json"
@@ -191,50 +186,7 @@ def check_floor(path: str) -> int:
 
 
 # ---------------------------------------------------------------------------------
-# section 2: durable ANN indexes
-# ---------------------------------------------------------------------------------
-
-
-def run_ann_durability_benchmark(n_values: int = 2000, seed: int = 11) -> Dict[str, float]:
-    """Cold LSH build + publish vs a fresh blocker loading the stored codes."""
-    rng = random.Random(seed)
-    alphabet = string.ascii_lowercase
-    left = ["".join(rng.choice(alphabet) for _ in range(10)) for _ in range(n_values)]
-    right = ["".join(rng.choice(alphabet) for _ in range(10)) for _ in range(n_values)]
-    embedder = MistralEmbedder()
-    embedder.embed_many(left)
-    embedder.embed_many(right)  # warm the vectors: isolate the index work
-
-    with tempfile.TemporaryDirectory() as store_dir:
-        cold = SemanticBlocker(
-            embedder, brute_force_cells=1, store=ArtifactStore(store_dir)
-        )
-        start = time.perf_counter()
-        cold_pairs = cold.candidate_pairs(left, right)
-        cold_seconds = time.perf_counter() - start
-
-        warm = SemanticBlocker(
-            embedder, brute_force_cells=1, store=ArtifactStore(store_dir)
-        )
-        start = time.perf_counter()
-        warm_pairs = warm.candidate_pairs(left, right)
-        warm_seconds = time.perf_counter() - start
-
-        return {
-            "n_values": float(n_values),
-            "cold_seconds": cold_seconds,
-            "warm_seconds": warm_seconds,
-            "speedup": cold_seconds / warm_seconds if warm_seconds else float("inf"),
-            "cold_builds": float(cold.index_builds),
-            "cold_saves": float(cold.index_saves),
-            "warm_loads": float(warm.index_loads),
-            "warm_builds": float(warm.index_builds),
-            "identical_pairs": float(warm_pairs == cold_pairs),
-        }
-
-
-# ---------------------------------------------------------------------------------
-# section 3: the store never changes results
+# section 2: the store never changes results
 # ---------------------------------------------------------------------------------
 
 
@@ -261,7 +213,6 @@ def run_identity_check(n_values: int = 400, seed: int = 13) -> Dict[str, float]:
 
 def report(results: Dict[str, object]) -> str:
     warm_start = results["warm_start"]
-    ann = results["ann_durability"]
     identity = results["identity"]
     lines = [
         "",
@@ -279,14 +230,6 @@ def report(results: Dict[str, object]) -> str:
         ),
         "",
         (
-            f"Durable ANN indexes ({ann['n_values']:,.0f} values/side): "
-            f"{ann['cold_seconds']:.2f}s cold ({ann['cold_builds']:.0f} builds, "
-            f"{ann['cold_saves']:.0f} saves) -> {ann['warm_seconds']:.2f}s warm "
-            f"({ann['warm_loads']:.0f} loads, {ann['warm_builds']:.0f} rebuilds) — "
-            f"{ann['speedup']:.1f}x, identical pairs: {bool(ann['identical_pairs'])}"
-        ),
-        "",
-        (
             f"Identity ({identity['n_values']:,.0f} values/side, semantic blocking on): "
             f"store-off == cold store: {bool(identity['cold_identical'])}, "
             f"store-off == warm store: {bool(identity['warm_identical'])}"
@@ -295,16 +238,11 @@ def report(results: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def run_all(
-    n_values: int = 1500,
-    ann_values: int = 2000,
-    identity_values: int = 400,
-) -> Dict[str, object]:
+def run_all(n_values: int = 1500, identity_values: int = 400) -> Dict[str, object]:
     """Run every section at the given scale (the JSON payload)."""
     return {
         "benchmark": "bench-store",
         "warm_start": run_warm_start_benchmark(n_values=n_values),
-        "ann_durability": run_ann_durability_benchmark(n_values=ann_values),
         "identity": run_identity_check(n_values=identity_values),
     }
 
@@ -326,14 +264,6 @@ def test_warm_start(benchmark):
         run_warm_start_benchmark, kwargs={"n_values": 600}, rounds=1, iterations=1
     )
     assert warm_start_violations(warm_start) == []
-
-
-def test_ann_durability(benchmark):
-    ann = benchmark.pedantic(
-        run_ann_durability_benchmark, kwargs={"n_values": 800}, rounds=1, iterations=1
-    )
-    assert ann["warm_builds"] == 0.0
-    assert ann["identical_pairs"] == 1.0
 
 
 def test_identity(benchmark):
@@ -364,9 +294,7 @@ if __name__ == "__main__":
     if arguments.check_floor:
         raise SystemExit(check_floor(arguments.check_floor))
     if arguments.smoke:
-        payload = run_all(
-            n_values=400, ann_values=600, identity_values=150
-        )
+        payload = run_all(n_values=400, identity_values=150)
     else:
         payload = run_all()
     print(report(payload))

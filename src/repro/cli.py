@@ -368,9 +368,8 @@ def _add_engine_config_flags(parser: argparse.ArgumentParser) -> None:
         dest="store_dir",
         default=None,
         action=_TrackedStore,
-        help="directory of the persistent artifact store (memmapped embeddings "
-        "and durable ANN indexes); repeated invocations over the same values "
-        "start warm",
+        help="directory of the persistent artifact store (memmapped embeddings); "
+        "repeated invocations over the same values start warm",
     )
     parser.add_argument(
         "--store-mode",

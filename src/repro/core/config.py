@@ -136,7 +136,8 @@ class FuzzyFDConfig:
     store_dir:
         Directory of the persistent artifact store
         (:class:`~repro.storage.store.ArtifactStore`): memmapped embedding
-        segments and durable ANN indexes that make a restarted engine warm.
+        segments that make a restarted engine warm (ANN index state is
+        built in memory, never stored).
         ``None`` (the default) disables persistence entirely.  Stored as a
         plain string so configurations stay JSON-serialisable.
     store_mode:
@@ -144,7 +145,10 @@ class FuzzyFDConfig:
         (attach and publish), ``"read"`` (attach existing artifacts, never
         write — e.g. many engines sharing one store only one of them owns),
         or ``"off"`` (ignore the directory).  The store never changes
-        results, only whether artifacts are recomputed or loaded.
+        results, only whether embeddings are recomputed or loaded.  As a
+        per-request override it decides publication only: ``"readwrite"``
+        publishes the request's new embeddings, ``"read"`` and ``"off"``
+        do not.
     service_max_pending:
         Admission bound of the in-process
         :class:`~repro.service.IntegrationService`: requests admitted to wait

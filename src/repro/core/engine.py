@@ -32,11 +32,12 @@ passes and takes no workers).
 With ``store_dir`` configured the warmth outlives the process: construction
 attaches a :class:`~repro.storage.cache.StoreBackedEmbeddingCache` (so a
 restarted engine serves every previously embedded value without one raw
-embed call), the semantic blocker loads its LSH codes instead of rebuilding
-them, and a ``readwrite`` engine publishes newly embedded values back after
-each request.  ``store_mode`` is also a per-request override — a single
-request can run with the store read-only (``"read"``) or bypassed
-(``"off"``) without touching the engine's configuration.
+embed call), and a ``readwrite`` engine publishes newly embedded values back
+after each request.  The store holds embeddings only; ANN index state is
+built in memory per request.  ``store_mode`` is also a per-request override
+deciding one thing, publication: ``"readwrite"`` publishes the request's new
+embeddings, ``"read"`` and ``"off"`` do not.  The cache tier stays attached
+either way (it never changes results, only where vectors come from).
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ MATCHER_KNOBS = (
 )
 
 #: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides:
-#: the matcher's and ``store_mode`` (the matcher's store view).  The retry and
-#: breaker policy is the engine's, as the breaker state is.
+#: the matcher's and ``store_mode`` (whether the request publishes its new
+#: embeddings).  The retry and breaker policy is the engine's, as the breaker
+#: state is.
 REQUEST_OVERRIDES = (*MATCHER_KNOBS, "store_mode")
 
 #: Overrides for which ``None`` is a meaningful value (not "use the engine
@@ -240,15 +242,15 @@ class IntegrationEngine:
         return self.embedder.cache
 
     def save(self) -> Dict[str, int]:
-        """Publish the pending in-memory artifacts to the store.
+        """Publish the pending embeddings to the store.
 
         Embedding vectors computed since the last publication become one new
-        memmapped segment (ANN indexes publish themselves at build time, so
-        nothing further is needed for them).  Returns ``{"embedding_rows":
-        n}`` — ``0`` when there is no store, it is read-only, or nothing new
-        was embedded.  :meth:`integrate` already calls this after every
-        request on a ``readwrite`` engine; explicit calls matter for flows
-        that only embed (e.g. :meth:`align` with the holistic strategy).
+        memmapped segment, the only artifact kind the store holds.  Returns
+        ``{"embedding_rows": n}`` — ``0`` when there is no store, it is
+        read-only, or nothing new was embedded.  :meth:`integrate` already
+        calls this after every request on a ``readwrite`` engine; explicit
+        calls matter for flows that only embed (e.g. :meth:`align` with the
+        holistic strategy).
         """
         rows = 0
         if self._store_cache is not None:
@@ -517,31 +519,11 @@ class IntegrationEngine:
     # -- internals -----------------------------------------------------------------
     def _matcher_for(self, effective: FuzzyFDConfig) -> ValueMatcher:
         knobs = {knob: getattr(effective, knob) for knob in MATCHER_KNOBS}
-        key = (*knobs.values(), effective.store_mode)
+        key = tuple(knobs.values())
         matcher = self._matchers.get(key)
         if matcher is None:
-            matcher = self._matchers[key] = ValueMatcher(
-                self.embedder,
-                solver=self.solver,
-                store=self._store_for(effective.store_mode),
-                **knobs,
-            )
+            matcher = self._matchers[key] = ValueMatcher(self.embedder, solver=self.solver, **knobs)
         return matcher
-
-    def _store_for(self, store_mode: str) -> Optional[ArtifactStore]:
-        """The store view a request's matcher uses under ``store_mode``.
-
-        ``"off"`` hands the matcher no store at all (the ANN channel rebuilds
-        its codes in memory; results are identical).  The modes only apply
-        when the *engine* has a store — ``store_dir`` is engine-level state,
-        so a per-request override can restrict the store's use but never
-        conjure one up.  Views share the engine store's counters.  Note the
-        embedding cache tier is engine-level and stays attached regardless:
-        it, too, never changes results, only where vectors come from.
-        """
-        if self.store is None or store_mode == "off":
-            return None
-        return self.store.with_mode(store_mode)
 
     def _resolve_fd(
         self,

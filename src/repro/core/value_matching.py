@@ -43,7 +43,6 @@ from repro.matching.blocking import (
 )
 from repro.matching.clustering import ValueMatchSet
 from repro.matching.distance import EmbeddingDistance
-from repro.storage.store import ArtifactStore
 from repro.table.relation import cell_key, dictionary, distinct
 from repro.utils.executor import ExecutorConfig
 
@@ -140,6 +139,10 @@ class ValueMatcher:
 
     Parameters mirror :class:`~repro.core.config.FuzzyFDConfig`; the matcher is
     deliberately usable standalone (it is what the Table 1 benchmark drives).
+    It takes no artifact store: persisted embeddings reach it through the
+    embedder's cache (a :class:`~repro.storage.cache.StoreBackedEmbeddingCache`
+    inside a store-backed engine), and the semantic channel builds its index
+    state in memory on every call.
     """
 
     def __init__(
@@ -159,7 +162,6 @@ class ValueMatcher:
         ann_index: str = "lsh",
         max_workers: int = 1,
         parallel_backend: str = "thread",
-        store: Optional[ArtifactStore] = None,
         degraded_mode: str = "off",
     ) -> None:
         if blocking not in ("off", "on", "auto"):
@@ -213,8 +215,6 @@ class ValueMatcher:
         # blocking is off (so a bad ann_top_k never hides behind blocking).
         # Its similarity floor is 1 - θ: pairs below it are unmatchable under
         # the threshold, so emitting them would only weld components.
-        # The store (when given) makes the ANN hash state durable — loaded
-        # codes replace rebuilt ones, candidates stay identical either way.
         semantic_blocker = (
             SemanticBlocker(
                 embedder,
@@ -223,7 +223,6 @@ class ValueMatcher:
                 n_bits=ann_bits,
                 min_similarity=max(0.0, 1.0 - threshold),
                 ann_index=ann_index,
-                store=store,
             )
             if semantic_blocking != "off"
             else None
@@ -252,7 +251,7 @@ class ValueMatcher:
         if not columns:
             return ValueMatchingResult(sets=[], column_order={})
         start = time.perf_counter()
-        # Cache, resilience and durable-index counters are cumulative; the
+        # Cache, resilience and index-build counters are cumulative; the
         # change between two snapshots is this run's.  Concurrent requests
         # sharing one embedder can bleed into each other's deltas — the
         # counters are observability, not accounting.

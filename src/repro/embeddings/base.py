@@ -12,10 +12,9 @@ def embedding_text(value: object) -> str:
     """The exact text an embedder embeds (and caches) for ``value``.
 
     ``None`` embeds as the empty string; everything else as ``str(value)``.
-    Callers that need the embedded texts themselves (corpus fingerprints of
-    the ANN index, say) must use this function rather than re-implementing
-    the conversion — the fingerprint has to name exactly the rows
-    :meth:`ValueEmbedder.embed_many` produced.
+    Callers that need the embedded texts themselves must use this function
+    rather than re-implementing the conversion, so that they name exactly
+    the rows :meth:`ValueEmbedder.embed_many` produced.
     """
     return "" if value is None else str(value)
 

@@ -74,14 +74,13 @@ def format_component_histogram(source, width: int = 30) -> str:
 
 
 def format_cache_statistics(source: Mapping[str, float]) -> str:
-    """Render the cache / durable-index counters of one request.
+    """Render the cache / store counters of one request.
 
     ``source`` is a ``FuzzyIntegrationResult.timings`` (or a
     ``ValueMatchingResult.statistics``) dict; its storage counters
     (:data:`repro.obs.STORAGE`) tell which tier answered each vector lookup
-    (a warm start: every one from the store, zero misses), whether ANN
-    indexes were loaded or rebuilt, and what the store published or
-    quarantined.  Absent counters render as 0 only when at least one is
+    (a warm start: every one from the store, zero misses), how many ANN
+    indexes were built, and what the store published or quarantined.  Absent counters render as 0 only when at least one is
     present: a dict with none raises rather than claim "no cache activity"
     for a run that predates the counters.
     """

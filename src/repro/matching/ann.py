@@ -69,15 +69,10 @@ and every top-k selection breaks ties by index via stable sorts — two runs
 with the same seed over the same values produce identical candidate sets, on
 any backend.
 
-With an :class:`~repro.storage.store.ArtifactStore` attached, the index state
-becomes durable: the hyperplane stack and each value list's code matrix (and,
-for IVF, the centroid matrix and cluster assignments) are published under
-``(embedder fingerprint, parameter fingerprint, ordered corpus fingerprint)``
-and loaded back on the next encounter of the same corpus — a restarted engine
-re-blocks a known column without rebuilding a single code.  ``index_loads`` /
-``index_builds`` / ``index_saves`` count what happened; the stored artifact
-only short-circuits the hash/cluster computation, so candidates are identical
-with and without the store.
+Index state lives in memory only: every indexed call builds each side's
+codes (or IVF clusters) from the embeddings, counted in ``index_builds``.
+What outlives the process is the embeddings themselves — the engine's
+artifact store serves them warm, so a rebuild re-embeds nothing.
 """
 
 from __future__ import annotations
@@ -87,14 +82,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.embeddings.base import ValueEmbedder, embedding_text
-from repro.storage.fingerprint import (
-    ann_params_fingerprint,
-    corpus_fingerprint,
-    embedder_fingerprint,
-    ivf_params_fingerprint,
-)
-from repro.storage.store import ArtifactStore
+from repro.embeddings.base import ValueEmbedder
 from repro.utils.sorting import first_of_runs, sorted_unique, stable_order
 
 #: Default number of LSH hash tables.  More tables raise recall (a pair only
@@ -138,13 +126,10 @@ SKEW_MIN_VALUES = 64
 
 #: Lloyd iterations of the seeded k-means IVF build.  Few on purpose: the
 #: index only proposes candidates (true similarities re-rank them), so a
-#: roughly converged clustering is as good as a converged one — and the
-#: iteration count is part of the IVF artifact fingerprint, so it must not
-#: drift silently.
+#: roughly converged clustering is as good as a converged one.
 IVF_ITERATIONS = 5
 
-#: Nearest centroids each query probes at IVF retrieval time.  Retrieval-only
-#: (not part of the artifact fingerprint), like ``top_k``.
+#: Nearest centroids each query probes at IVF retrieval time.
 IVF_PROBES = 4
 
 #: Scratch budget of :func:`scored_candidates` and :func:`_pair_similarities`,
@@ -491,16 +476,6 @@ class SemanticBlocker:
     skew_threshold:
         Largest-bucket share triggering the LSH→IVF fallback, in ``(0, 1]``
         (``1.0`` effectively disables the fallback).
-    store:
-        Optional :class:`~repro.storage.store.ArtifactStore` making the
-        index state durable.  LSH codes are keyed by the *ordered* corpus
-        fingerprint of the value list (column ``i`` codes value ``i``), the
-        embedder fingerprint and the ``(n_tables, n_bits, seed)`` parameter
-        fingerprint; IVF centroids/assignments by the ``(iterations, seed)``
-        fingerprint.  ``top_k`` / ``min_similarity`` / probe width are
-        retrieval-time knobs and deliberately not part of any key.  The
-        store never changes the emitted candidates — only whether index
-        state is computed or loaded.
     """
 
     def __init__(
@@ -514,7 +489,6 @@ class SemanticBlocker:
         min_similarity: float = 0.0,
         ann_index: str = "lsh",
         skew_threshold: float = DEFAULT_SKEW_THRESHOLD,
-        store: Optional[ArtifactStore] = None,
     ) -> None:
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -541,7 +515,6 @@ class SemanticBlocker:
         self.min_similarity = min_similarity
         self.ann_index = ann_index
         self.skew_threshold = skew_threshold
-        self.store = store
         #: Whether the last call used an ANN index (``False``: the exact pass).
         self.last_used_lsh = False
         #: Index kind of the last call: ``""`` (no call yet), ``"brute"``,
@@ -562,17 +535,9 @@ class SemanticBlocker:
         #: lifetime (one per direction-index whose buckets tripped the
         #: threshold — the per-call delta lands in ``BlockingStatistics``).
         self.skew_fallbacks = 0
-        #: Durable-index accounting: index state loaded from the store,
-        #: computed from scratch, and published.  ``index_builds == 0`` over a
-        #: warm run is the "zero ANN rebuilds" guarantee the engine surfaces.
-        self.index_loads = 0
+        #: Index state built over this blocker's lifetime: one LSH code
+        #: matrix or IVF clustering per indexed side.
         self.index_builds = 0
-        self.index_saves = 0
-        self._embedder_fp = embedder_fingerprint(
-            embedder.name, embedder.dimension, embedder.revision
-        )
-        self._params_fp = ann_params_fingerprint(n_tables, n_bits, seed)
-        self._ivf_params_fp = ivf_params_fingerprint(IVF_ITERATIONS, seed)
         # Hyperplanes are a function of (seed, tables, bits, dimension) only,
         # so they are drawn once and shared by every candidate_pairs call.
         self._planes: dict = {}
@@ -607,13 +572,8 @@ class SemanticBlocker:
         self.last_index_kind = "brute"
         if not left_values or not right_values:
             return surface_keys, np.empty(len(surface_keys), dtype=np.float64)
-        # One text conversion, shared by the embedding lookup and the corpus
-        # fingerprints — embedding_text is exactly what embed_many applies,
-        # so the ordered fingerprint names exactly the rows embedded below.
-        left_texts = [embedding_text(value) for value in left_values]
-        right_texts = [embedding_text(value) for value in right_values]
-        left_vectors = self.embedder.embed_many(left_texts)
-        right_vectors = self.embedder.embed_many(right_texts)
+        left_vectors = self.embedder.embed_many(left_values)
+        right_vectors = self.embedder.embed_many(right_values)
         if self._runs_exact(len(left_values), len(right_values)):
             keys, similarities, semantic = scored_candidates(
                 left_vectors, right_vectors, surface_keys, self.top_k, self.min_similarity
@@ -621,9 +581,7 @@ class SemanticBlocker:
             self.last_semantic_pairs = int(semantic.sum())
             return keys, similarities
         self.last_used_lsh = True
-        if self.store is None:
-            left_texts = right_texts = None  # fingerprints unused
-        semantic_keys = self._indexed_pairs(left_vectors, right_vectors, left_texts, right_texts)
+        semantic_keys = self._indexed_pairs(left_vectors, right_vectors)
         self.last_semantic_pairs = len(semantic_keys)
         keys = sorted_unique(np.concatenate((surface_keys, semantic_keys)))
         left_ids, right_ids = np.divmod(keys, len(right_values))
@@ -651,13 +609,7 @@ class SemanticBlocker:
         return share * GEMM_CELLS_PER_PAIR >= 1.0
 
     # -- indexed paths ----------------------------------------------------------------
-    def _indexed_pairs(
-        self,
-        left_vectors: np.ndarray,
-        right_vectors: np.ndarray,
-        left_texts: Optional[List[str]],
-        right_texts: Optional[List[str]],
-    ) -> np.ndarray:
+    def _indexed_pairs(self, left_vectors: np.ndarray, right_vectors: np.ndarray) -> np.ndarray:
         """Route one above-cutoff column pair to the LSH or IVF index.
 
         ``ann_index="lsh"`` computes the codes first and measures bucket
@@ -670,9 +622,9 @@ class SemanticBlocker:
         n_left, n_right = left_vectors.shape[0], right_vectors.shape[0]
         kind = self.ann_index
         if kind == "lsh":
-            dimension = left_vectors.shape[1]
-            left_codes = self._durable_codes(left_vectors, left_texts, dimension)
-            right_codes = self._durable_codes(right_vectors, right_texts, dimension)
+            planes = self._hyperplanes(left_vectors.shape[1])
+            left_codes = self._codes(left_vectors, planes)
+            right_codes = self._codes(right_vectors, planes)
             skew = max(self._bucket_skew(left_codes), self._bucket_skew(right_codes))
             self.last_bucket_skew = skew
             if skew > self.skew_threshold:
@@ -683,8 +635,8 @@ class SemanticBlocker:
             forward = self._probe_direction(left_vectors, left_codes, right_vectors, right_codes)
             reverse = self._probe_direction(right_vectors, right_codes, left_vectors, left_codes)
         else:
-            forward = self._ivf_probe(left_vectors, right_vectors, right_texts)
-            reverse = self._ivf_probe(right_vectors, left_vectors, left_texts)
+            forward = self._ivf_probe(left_vectors, right_vectors)
+            reverse = self._ivf_probe(right_vectors, left_vectors)
         return sorted_unique(
             np.concatenate((forward, reverse % n_left * n_right + reverse // n_left))
         )
@@ -717,45 +669,12 @@ class SemanticBlocker:
 
     def _codes(self, vectors: np.ndarray, planes: np.ndarray) -> np.ndarray:
         """Per-table integer hash codes, shape ``(n_tables, n_values)``."""
+        self.index_builds += 1
         weights = (1 << np.arange(self.n_bits, dtype=np.int64))
         codes = np.empty((self.n_tables, vectors.shape[0]), dtype=np.int64)
         for table in range(self.n_tables):
             bits = vectors @ planes[table].T >= 0.0
             codes[table] = bits @ weights
-        return codes
-
-    def _durable_codes(
-        self, vectors: np.ndarray, texts: Optional[List[str]], dimension: int
-    ) -> np.ndarray:
-        """Load the value list's code matrix from the store, or build it.
-
-        A stored index short-circuits the hash computation only; a cache miss
-        (or no store at all) computes the codes exactly as before and — when
-        the store is writable — publishes them for the next run.  On a hit
-        the stored hyperplanes seed the in-memory memo, so any codes built
-        later in this process hash against the very same planes.
-        """
-        if self.store is None or texts is None:
-            self.index_builds += 1
-            return self._codes(vectors, self._hyperplanes(dimension))
-        corpus_fp = corpus_fingerprint(texts, ordered=True)
-        loaded = self.store.load_ann_index(self._embedder_fp, self._params_fp, corpus_fp)
-        if loaded is not None:
-            planes, codes = loaded
-            if planes.shape == (self.n_tables, self.n_bits, dimension) and codes.shape == (
-                self.n_tables,
-                vectors.shape[0],
-            ):
-                self._planes.setdefault(dimension, planes)
-                self.index_loads += 1
-                return codes
-        planes = self._hyperplanes(dimension)
-        codes = self._codes(vectors, planes)
-        self.index_builds += 1
-        if self.store.can_write and self.store.save_ann_index(
-            self._embedder_fp, self._params_fp, corpus_fp, planes, codes
-        ):
-            self.index_saves += 1
         return codes
 
     def _probe_direction(
@@ -831,6 +750,7 @@ class SemanticBlocker:
         centroids are renormalised to unit length so centroid similarity is
         the same cosine the retrieval re-ranking uses.
         """
+        self.index_builds += 1
         n_values = vectors.shape[0]
         n_clusters = _ivf_cluster_count(n_values)
         rng = np.random.default_rng(self.seed)
@@ -847,38 +767,7 @@ class SemanticBlocker:
         assignments = np.argmax(vectors @ centroids.T, axis=1).astype(np.int64)
         return centroids, assignments
 
-    def _durable_ivf(
-        self, vectors: np.ndarray, texts: Optional[List[str]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Load one side's IVF state from the store, or build and publish it."""
-        if self.store is None or texts is None:
-            self.index_builds += 1
-            return self._build_ivf(vectors)
-        corpus_fp = corpus_fingerprint(texts, ordered=True)
-        loaded = self.store.load_ivf_index(
-            self._embedder_fp, self._ivf_params_fp, corpus_fp
-        )
-        if loaded is not None:
-            centroids, assignments = loaded
-            if centroids.shape[1] == vectors.shape[1] and assignments.shape == (
-                vectors.shape[0],
-            ):
-                self.index_loads += 1
-                return centroids, assignments
-        centroids, assignments = self._build_ivf(vectors)
-        self.index_builds += 1
-        if self.store.can_write and self.store.save_ivf_index(
-            self._embedder_fp, self._ivf_params_fp, corpus_fp, centroids, assignments
-        ):
-            self.index_saves += 1
-        return centroids, assignments
-
-    def _ivf_probe(
-        self,
-        query_vectors: np.ndarray,
-        index_vectors: np.ndarray,
-        index_texts: Optional[List[str]],
-    ) -> np.ndarray:
+    def _ivf_probe(self, query_vectors: np.ndarray, index_vectors: np.ndarray) -> np.ndarray:
         """``query * n_index + candidate`` keys via the IVF index over ``index_vectors``.
 
         Each query probes its :data:`IVF_PROBES` most similar centroids
@@ -886,11 +775,10 @@ class SemanticBlocker:
         cosine similarity — the same top-k/floor semantics as the LSH path,
         through the same vectorised span-expansion and selection machinery.
         """
-        centroids, assignments = self._durable_ivf(index_vectors, index_texts)
-        assignments = np.asarray(assignments, dtype=np.int64)
+        centroids, assignments = self._build_ivf(index_vectors)
         order = np.argsort(assignments, kind="stable")
         sorted_assignments = assignments[order]
-        centroid_similarities = query_vectors @ np.asarray(centroids).T
+        centroid_similarities = query_vectors @ centroids.T
         n_probe = min(centroids.shape[0], IVF_PROBES)
         probed = np.argsort(-centroid_similarities, axis=1, kind="stable")[:, :n_probe]
         lo = np.searchsorted(sorted_assignments, probed, side="left")

@@ -81,9 +81,7 @@ STORAGE: Tuple[Counter, ...] = (
     Counter("cache_fills", source="cache.fills", trace="cache_fills", label="Cache fills"),
     Counter("cache_store_misses", source="cache.store_misses", trace="cache_store_misses",
             label="Store-tier misses"),
-    Counter("ann_index_loads", source="ann.index_loads", label="ANN indexes loaded"),
     Counter("ann_index_builds", source="ann.index_builds", label="ANN indexes built"),
-    Counter("ann_index_saves", source="ann.index_saves", label="ANN indexes published"),
     Counter("store_published_rows", trace="store_published_rows", label="Embedding rows published"),
     Counter("store_corrupt_segments", source="store.corrupt_segments",
             trace="store_corrupt_segments", label="Corrupt store segments quarantined"),

@@ -1,7 +1,7 @@
 """Admission, deadlines and accounting over a single long-lived :class:`IntegrationEngine`.
 
 The :class:`IntegrationService` is the request/response boundary the ROADMAP
-asks for: one warm engine (embedding cache, durable ANN indexes, memoised
+asks for: one warm engine (embedding cache over the artifact store, memoised
 surface keys) serving many requests, through two entries over one request
 path.  :meth:`~IntegrationService.integrate_sync` runs a request on the
 calling thread, as every ``repro serve`` process does

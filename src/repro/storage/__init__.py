@@ -1,8 +1,8 @@
-"""Persistent artifact storage: memmapped embeddings, durable ANN indexes.
+"""Persistent artifact storage: memmapped embedding segments.
 
 The storage layer externalises the pipeline's expensive, recomputable state
-(embedding matrices, LSH hyperplane tables and code matrices) into a
-directory of fingerprint-keyed, atomically published artifacts:
+— the value embeddings — into a directory of fingerprint-keyed, atomically
+published segments:
 
 * :class:`~repro.storage.store.ArtifactStore` — the directory protocol:
   versioned metadata, validated loads, write-then-rename publication.
@@ -16,17 +16,12 @@ See ``docs/storage.md`` for the on-disk layout and the fingerprint scheme.
 """
 
 from repro.storage.cache import StoreBackedEmbeddingCache
-from repro.storage.fingerprint import (
-    ann_params_fingerprint,
-    corpus_fingerprint,
-    embedder_fingerprint,
-)
+from repro.storage.fingerprint import corpus_fingerprint, embedder_fingerprint
 from repro.storage.store import FORMAT_VERSION, STORE_MODES, ArtifactStore
 
 __all__ = [
     "ArtifactStore",
     "StoreBackedEmbeddingCache",
-    "ann_params_fingerprint",
     "corpus_fingerprint",
     "embedder_fingerprint",
     "FORMAT_VERSION",

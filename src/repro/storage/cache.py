@@ -24,8 +24,9 @@ an :class:`~repro.storage.store.ArtifactStore`:
   served from its segment, not re-embedded.
 
 Thread safety matches the base class: every tier mutation happens under the
-one cache lock, so a pool of engine workers shares the cache exactly as
-before — the cold tier only adds read-mostly state under the same lock.
+one cache lock, so the threads of one request's executor share the cache
+exactly as before — the cold tier only adds read-mostly state under the
+same lock.
 """
 
 from __future__ import annotations
@@ -76,39 +77,46 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
         self._segments: List[np.ndarray] = []
         self._cold: Dict[str, Tuple[int, int]] = {}
         self._persisted: Set[str] = set()
-        self._attached_corpora: Set[str] = set()
+        #: Corpus fingerprint → stamp of the segment directory last read
+        #: (attached or refused); a republished directory has a new stamp.
+        self._seen_segments: Dict[str, Tuple[int, int]] = {}
         self.attach()
 
     # -- cold tier management --------------------------------------------------------
     def attach(self) -> int:
-        """Attach every not-yet-attached segment; return rows gained.
+        """Attach every not-yet-seen segment; return rows gained.
 
         Called at construction (the warm start) and by :meth:`refresh` to
         pick up segments a concurrently running engine published since.
-        Invalid or corrupt segments are skipped (the store counts them).
+        Each segment directory is read at most once: a stale, wrong-width
+        or corrupt one (the store counts it) is remembered by its stamp and
+        never re-read by a later batch that misses, while a good copy that
+        any process republishes under the same fingerprint (a new
+        directory, so a new stamp) is read once and attached.
         """
         gained = 0
         for corpus_fp in self.store.list_embedding_segments(self.embedder_fp):
+            # Stamp before reading: if the directory is replaced meanwhile,
+            # the new one carries another stamp and is read next time.
+            stamp = self.store.embedding_segment_stamp(self.embedder_fp, corpus_fp)
             with self._lock:
-                if corpus_fp in self._attached_corpora:
+                if stamp is None or self._seen_segments.get(corpus_fp) == stamp:
                     continue
-            loaded = self.store.load_embedding_segment(self.embedder_fp, corpus_fp)
-            if loaded is None:
-                continue
-            keys, matrix = loaded
-            if matrix.shape[1] != self.dimension:
-                # A lying meta.json under the right fingerprint directory;
-                # serving wrong-dimensional vectors would corrupt matching.
-                continue
+            loaded = self.store.load_embedding_segment(
+                self.embedder_fp, corpus_fp, self.dimension
+            )
             with self._lock:
-                if corpus_fp in self._attached_corpora:
+                if self._seen_segments.get(corpus_fp) == stamp:
                     continue
+                self._seen_segments[corpus_fp] = stamp
+                if loaded is None:
+                    continue
+                keys, matrix = loaded
                 segment_index = len(self._segments)
                 self._segments.append(matrix)
                 for row, text in enumerate(keys):
                     self._cold.setdefault(text, (segment_index, row))
                     self._persisted.add(text)
-                self._attached_corpora.add(corpus_fp)
                 gained += len(keys)
         return gained
 

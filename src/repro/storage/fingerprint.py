@@ -17,22 +17,16 @@ Scheme (documented in ``docs/storage.md``):
   vector stored by one is valid for the other.  Human-readable on purpose:
   the store layout is debuggable with ``ls``.
 * **Corpus fingerprint** — 16 hex characters of a BLAKE2b digest over the
-  length-prefixed value texts.  Length prefixing makes the encoding
-  injective (``["ab", "c"]`` and ``["a", "bc"]`` digest differently).
-  *Unordered* fingerprints (cache segments: a set of texts) sort the
-  distinct texts first; *ordered* fingerprints (ANN codes: row ``i`` is the
-  code of text ``i``) preserve order and duplicates.
-* **ANN parameter fingerprint** — ``"t<tables>.b<bits>.s<seed>"``: exactly
-  the knobs that change the hyperplanes and codes.  ``top_k`` and
-  ``min_similarity`` only steer retrieval over the codes, so they are
-  deliberately *not* part of the key — one stored index serves every
-  retrieval configuration.
+  sorted distinct value texts, length-prefixed.  A segment's key table is
+  looked up per text, so the fingerprint names a *set*: order and
+  duplicates do not matter.  Length prefixing makes the encoding injective
+  (``["ab", "c"]`` and ``["a", "bc"]`` digest differently).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Hex digest length of corpus fingerprints (64 bits — collisions across the
 #: handful of corpora one store holds are negligible, and short names keep
@@ -53,40 +47,11 @@ def embedder_fingerprint(name: str, dimension: int, revision: int = 1) -> str:
     return f"{safe}.d{int(dimension)}{suffix}"
 
 
-def _digest_texts(texts: Iterable[str]) -> str:
+def corpus_fingerprint(texts: Iterable[str]) -> str:
+    """Fingerprint of a value corpus: the *set* of its texts."""
     digest = hashlib.blake2b(digest_size=_DIGEST_HEX_CHARS // 2)
-    for text in texts:
+    for text in sorted(set(texts)):
         encoded = text.encode("utf-8")
         digest.update(len(encoded).to_bytes(8, "little"))
         digest.update(encoded)
     return digest.hexdigest()
-
-
-def corpus_fingerprint(texts: Sequence[str], *, ordered: bool = False) -> str:
-    """Fingerprint of a value corpus.
-
-    ``ordered=False`` (cache segments) fingerprints the *set* of texts:
-    duplicates collapse and order is irrelevant, because a segment's key
-    table is looked up per text.  ``ordered=True`` (ANN code matrices)
-    fingerprints the exact sequence, because row ``i`` of the stored codes
-    must correspond to position ``i`` of the probing value list.
-    """
-    if ordered:
-        return _digest_texts(texts)
-    return _digest_texts(sorted(set(texts)))
-
-
-def ann_params_fingerprint(n_tables: int, n_bits: int, seed: int) -> str:
-    """Fingerprint of the LSH shape knobs that determine planes and codes."""
-    return f"t{int(n_tables)}.b{int(n_bits)}.s{int(seed)}"
-
-
-def ivf_params_fingerprint(iterations: int, seed: int) -> str:
-    """Fingerprint of the IVF build knobs that determine centroids/assignments.
-
-    Only the k-means iteration count and the seed enter the key: the cluster
-    count is derived from the corpus size (already in the corpus fingerprint)
-    and the probe width is a retrieval-time knob — like ``top_k`` for the LSH
-    index, one stored IVF index serves every retrieval configuration.
-    """
-    return f"i{int(iterations)}.s{int(seed)}"

@@ -242,25 +242,9 @@ class FaultyStore:
         self.injector.before("store_load")
         return self.inner.load_embedding_segment(*args, **kwargs)
 
-    def load_ann_index(self, *args: object, **kwargs: object):
-        self.injector.before("store_load")
-        return self.inner.load_ann_index(*args, **kwargs)
-
-    def load_ivf_index(self, *args: object, **kwargs: object):
-        self.injector.before("store_load")
-        return self.inner.load_ivf_index(*args, **kwargs)
-
     def save_embedding_segment(self, *args: object, **kwargs: object):
         self.injector.before("store_save")
         return self.inner.save_embedding_segment(*args, **kwargs)
-
-    def save_ann_index(self, *args: object, **kwargs: object):
-        self.injector.before("store_save")
-        return self.inner.save_ann_index(*args, **kwargs)
-
-    def save_ivf_index(self, *args: object, **kwargs: object):
-        self.injector.before("store_save")
-        return self.inner.save_ivf_index(*args, **kwargs)
 
     def __getattr__(self, attribute: str):
         return getattr(self.inner, attribute)

@@ -9,11 +9,13 @@ caller re-embeds and republishes into the now-vacant path.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
-from repro.storage.store import ArtifactStore
+from repro.storage import FORMAT_VERSION, ArtifactStore, StoreBackedEmbeddingCache
 from repro.table import Table
 from repro.testing import corrupt_array_file
 
@@ -33,7 +35,7 @@ class TestQuarantine:
         segment_dir = store.root / "embeddings" / "emb-fp" / "corpus-fp"
         corrupt_array_file(segment_dir / "matrix.npy")
 
-        assert store.load_embedding_segment("emb-fp", "corpus-fp") is None
+        assert store.load_embedding_segment("emb-fp", "corpus-fp", 4) is None
         stats = store.statistics()
         assert stats["corrupt_entries"] == 1
         assert stats["corrupt_segments"] == 1
@@ -49,10 +51,10 @@ class TestQuarantine:
         store = _published_store(tmp_path)
         segment_dir = store.root / "embeddings" / "emb-fp" / "corpus-fp"
         corrupt_array_file(segment_dir / "matrix.npy")
-        assert store.load_embedding_segment("emb-fp", "corpus-fp") is None
+        assert store.load_embedding_segment("emb-fp", "corpus-fp", 4) is None
 
         assert store.save_embedding_segment("emb-fp", "corpus-fp", KEYS, MATRIX)
-        keys, matrix = store.load_embedding_segment("emb-fp", "corpus-fp")
+        keys, matrix = store.load_embedding_segment("emb-fp", "corpus-fp", 4)
         assert keys == KEYS
         np.testing.assert_array_equal(np.asarray(matrix), MATRIX)
 
@@ -62,7 +64,7 @@ class TestQuarantine:
         corrupt_array_file(segment_dir / "matrix.npy")
 
         reader = ArtifactStore(writable.root, mode="read")
-        assert reader.load_embedding_segment("emb-fp", "corpus-fp") is None
+        assert reader.load_embedding_segment("emb-fp", "corpus-fp", 4) is None
         assert reader.statistics()["corrupt_segments"] == 1
         assert segment_dir.exists()  # a reader never mutates the tree
 
@@ -73,9 +75,31 @@ class TestQuarantine:
             corrupt_array_file(
                 store.root / "embeddings" / "emb-fp" / corpus / "matrix.npy"
             )
-            assert store.load_embedding_segment("emb-fp", corpus) is None
+            assert store.load_embedding_segment("emb-fp", corpus, 4) is None
         assert store.statistics()["corrupt_segments"] == 2
         assert len(list((store.root / "quarantine").iterdir())) == 2
+
+
+class TestStaleSegments:
+    def test_a_stale_segment_is_read_once_per_cache(self, tmp_path):
+        """A segment of another format version is refused, not re-read per batch."""
+        store = ArtifactStore(tmp_path / "store")
+        assert store.save_embedding_segment("m.d4", "corpus-fp", KEYS, MATRIX)
+        meta_path = store.root / "embeddings" / "m.d4" / "corpus-fp" / "meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["format_version"] = FORMAT_VERSION + 1
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        cache = StoreBackedEmbeddingCache(store, "m", 4)
+        for batch in range(5):
+            assert cache.fill_many("m", [f"new-{batch}"], np.empty((1, 4))) == [0]
+        assert cache.cold_rows == 0
+        statistics = store.statistics()
+        assert statistics["rejected_entries"] == 1
+        assert statistics["segment_loads"] == 0
+        # Refused, not corrupt: the segment stays where it is.
+        assert statistics["corrupt_segments"] == 0
+        assert meta_path.is_file()
 
 
 class TestEngineSurfacesCorruption:
@@ -108,7 +132,7 @@ class TestEngineSurfacesCorruption:
 
         def load_during_request(stage):
             if stage == "match":
-                assert engine.store.load_embedding_segment("other-fp", "corpus-fp") is None
+                assert engine.store.load_embedding_segment("other-fp", "corpus-fp", 4) is None
 
         tainted = engine.integrate(self.TABLES, on_stage=load_during_request)
         assert tainted.table.rows == baseline.table.rows

@@ -130,12 +130,12 @@ class TestReporting:
                 "cache_hits": 120.0,
                 "cache_store_hits": 80.0,
                 "cache_misses": 0.0,
-                "ann_index_loads": 2.0,
+                "ann_index_builds": 2.0,
                 "store_published_rows": 40.0,
             }
         )
         assert "120" in text and "80" in text
-        assert "ANN indexes loaded" in text
+        assert "ANN indexes built" in text
         # 200 of 200 lookups served without a raw embed — the warm-start row.
         assert "100.0%" in text
         assert "1.5" not in text

@@ -29,7 +29,6 @@ from repro.matching.ann import (
     scored_candidates,
 )
 from repro.embeddings.transformer import SimulatedTransformerEmbedder
-from repro.storage.store import ArtifactStore
 
 
 def _unit(vectors: np.ndarray) -> np.ndarray:
@@ -237,6 +236,16 @@ class TestIvfIndex:
         assert pairs == second.candidate_pairs(values, others)
         assert pairs == first.candidate_pairs(values, others)
 
+    @pytest.mark.parametrize("ann_index", ["lsh", "ivf"])
+    def test_every_call_rebuilds_both_sides_identically(self, ann_index):
+        values = [f"rebuilt value {index}" for index in range(90)]
+        others = [f"rebuilt entry {index}" for index in range(90)]
+        blocker = self._blocker(ann_index=ann_index, skew_threshold=1.0)
+        first = blocker.candidate_pairs(values, others)
+        assert (blocker.last_index_kind, blocker.index_builds) == (ann_index, 2)
+        assert blocker.candidate_pairs(values, others) == first
+        assert blocker.index_builds == 4
+
     def test_ivf_recovers_identity_neighbours(self):
         """Every value's own duplicate must survive IVF candidate pruning."""
         values = [f"shared city {index}" for index in range(150)]
@@ -248,7 +257,7 @@ class TestIvfIndex:
         """With every cluster probed, IVF degenerates to exact top-k."""
         vectors = random_vectors(IVF_PROBES, 16, seed=4)  # n_clusters <= IVF_PROBES
         blocker = self._blocker(ann_index="ivf", top_k=2, min_similarity=0.0)
-        pairs = set(pairs_from_keys(blocker._ivf_probe(vectors, vectors, None), len(vectors)))
+        pairs = set(pairs_from_keys(blocker._ivf_probe(vectors, vectors), len(vectors)))
         exact = {
             (q, c)
             for q, c in _brute_force_reference(
@@ -294,36 +303,6 @@ class TestIvfIndex:
             SemanticBlocker(_embedder(), skew_threshold=0.0)
         with pytest.raises(ValueError):
             SemanticBlocker(_embedder(), skew_threshold=1.5)
-
-    def test_ivf_store_round_trip(self, tmp_path):
-        values = [f"stored value {index}" for index in range(90)]
-        others = [f"stored entry {index}" for index in range(90)]
-        embedder = _embedder()
-        cold = SemanticBlocker(
-            embedder, ann_index="ivf", brute_force_cells=0, store=ArtifactStore(tmp_path)
-        )
-        cold_pairs = cold.candidate_pairs(values, others)
-        assert cold.index_builds == 2
-        assert cold.index_saves == 2
-        warm = SemanticBlocker(
-            embedder, ann_index="ivf", brute_force_cells=0, store=ArtifactStore(tmp_path)
-        )
-        warm_pairs = warm.candidate_pairs(values, others)
-        assert warm.index_loads == 2
-        assert warm.index_builds == 0
-        assert warm_pairs == cold_pairs
-
-    def test_store_never_changes_ivf_candidates(self, tmp_path):
-        values = [f"plain value {index}" for index in range(80)]
-        others = [f"plain entry {index}" for index in range(80)]
-        embedder = _embedder()
-        plain = SemanticBlocker(embedder, ann_index="ivf", brute_force_cells=0)
-        stored = SemanticBlocker(
-            embedder, ann_index="ivf", brute_force_cells=0, store=ArtifactStore(tmp_path)
-        )
-        assert plain.candidate_pairs(values, others) == stored.candidate_pairs(
-            values, others
-        )
 
 
 def _probe_rows(vectors: np.ndarray, *, top_k: int):

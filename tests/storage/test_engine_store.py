@@ -1,11 +1,15 @@
-"""Store-backed engine lifecycle: warm starts, durable ANN, result identity."""
+"""Store-backed engine lifecycle: warm starts, embeddings-only store, result identity."""
 
 from __future__ import annotations
+
+import inspect
+import json
 
 import numpy as np
 import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
+from repro.core.value_matching import ValueMatcher
 from repro.embeddings import MistralEmbedder
 from repro.matching.ann import SemanticBlocker
 from repro.storage import ArtifactStore, corpus_fingerprint, embedder_fingerprint
@@ -164,9 +168,6 @@ class TestStoreModeOverride:
         without = engine.integrate(tables, store_mode="off")
         assert without.table.rows == with_store.table.rows
         assert "store_published_rows" not in without.timings
-        assert "ann_index_loads" not in without.timings or (
-            without.timings["ann_index_loads"] == 0.0
-        )
 
     def test_store_mode_validated(self, tmp_path, tables):
         engine = _engine(tmp_path / "store")
@@ -174,86 +175,111 @@ class TestStoreModeOverride:
             engine.integrate(tables, store_mode="sideways")
 
 
-class TestDurableAnnIndexes:
-    def _values(self):
-        left = [f"city number {index}" for index in range(12)]
-        right = [f"town number {index}" for index in range(12)]
-        return left, right
+#: An LSH shape sparse enough that the semantic channel takes the index route
+#: (expected probe share 8 · 15 / 2^14 is below one pair per 100 cells).
+LSH_KNOBS = dict(blocking="on", semantic_blocking="on", ann_bits=14)
 
-    def test_cold_builds_warm_loads_identical_pairs(self, tmp_path):
-        left, right = self._values()
-        embedder = MistralEmbedder()
-        # brute_force_cells=1 forces the LSH path on tiny inputs, making the
-        # build/load counters observable without huge corpora.
-        cold = SemanticBlocker(
-            embedder, brute_force_cells=1, store=ArtifactStore(tmp_path)
-        )
-        cold_pairs = cold.candidate_pairs(left, right)
-        assert cold.last_used_lsh
-        assert cold.index_builds == 2  # one code matrix per side
-        assert cold.index_saves == 2
-        assert cold.index_loads == 0
 
-        warm = SemanticBlocker(
-            embedder, brute_force_cells=1, store=ArtifactStore(tmp_path)
-        )
-        warm_pairs = warm.candidate_pairs(left, right)
-        assert warm.index_loads == 2
-        assert warm.index_builds == 0  # zero ANN rebuilds
-        assert warm_pairs == cold_pairs
+def _tree(root):
+    """Every path under ``root`` with the bytes of each file."""
+    return {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
 
-    def test_different_params_do_not_share_indexes(self, tmp_path):
-        left, right = self._values()
-        embedder = MistralEmbedder()
-        SemanticBlocker(
-            embedder, brute_force_cells=1, store=ArtifactStore(tmp_path)
-        ).candidate_pairs(left, right)
-        other = SemanticBlocker(
-            embedder, brute_force_cells=1, n_bits=6, store=ArtifactStore(tmp_path)
-        )
-        other.candidate_pairs(left, right)
-        assert other.index_loads == 0
-        assert other.index_builds == 2
 
-    def test_retrieval_knobs_share_indexes(self, tmp_path):
-        # top_k is retrieval-only: one stored index serves every k.
-        left, right = self._values()
-        embedder = MistralEmbedder()
-        SemanticBlocker(
-            embedder, brute_force_cells=1, top_k=3, store=ArtifactStore(tmp_path)
-        ).candidate_pairs(left, right)
-        wider = SemanticBlocker(
-            embedder, brute_force_cells=1, top_k=7, store=ArtifactStore(tmp_path)
-        )
-        wider.candidate_pairs(left, right)
-        assert wider.index_loads == 2
-        assert wider.index_builds == 0
+def _semantic_blocker(engine):
+    (matcher,) = engine._matchers.values()
+    return matcher._blocked_matcher.semantic_blocker
 
-    def test_read_only_store_builds_without_saving(self, tmp_path):
-        left, right = self._values()
-        embedder = MistralEmbedder()
-        blocker = SemanticBlocker(
-            embedder,
-            brute_force_cells=1,
-            store=ArtifactStore(tmp_path).with_mode("read"),
-        )
-        blocker.candidate_pairs(left, right)
-        assert blocker.index_builds == 2
-        assert blocker.index_saves == 0
 
-    def test_store_never_changes_candidates(self, tmp_path):
-        left, right = self._values()
-        embedder = MistralEmbedder()
-        plain = SemanticBlocker(embedder, brute_force_cells=1)
-        stored = SemanticBlocker(
-            embedder, brute_force_cells=1, store=ArtifactStore(tmp_path)
-        )
-        assert plain.candidate_pairs(left, right) == stored.candidate_pairs(left, right)
-        # And again from the store:
-        rewarmed = SemanticBlocker(
-            embedder, brute_force_cells=1, store=ArtifactStore(tmp_path)
-        )
-        assert rewarmed.candidate_pairs(left, right) == plain.candidate_pairs(left, right)
+class TestIndexRoutesStayInMemory:
+    """The store holds embeddings only: the LSH route builds its codes per request."""
+
+    @pytest.mark.parametrize("store_mode", ["readwrite", "read", "off"])
+    def test_lsh_route_builds_in_memory_under_every_store_mode(self, tmp_path, tables, store_mode):
+        baseline = _engine(None, store_mode="off", **LSH_KNOBS).integrate(tables)
+        store_dir = tmp_path / "store"
+        engine = _engine(store_dir, **LSH_KNOBS)
+        pairs = sum(len(matching.column_order) - 1 for matching in baseline.value_matching.values())
+        assert pairs > 0
+        for _ in range(2):
+            result = engine.integrate(tables, store_mode=store_mode)
+            assert _semantic_blocker(engine).last_index_kind == "lsh"
+            # One code matrix per side of every matched column pair, every request.
+            assert result.timings["ann_index_builds"] == 2 * pairs
+            assert result.table.rows == baseline.table.rows
+            for group, matching in baseline.value_matching.items():
+                assert result.value_matching[group].sets == matching.sets
+        assert {path.name for path in store_dir.iterdir()} <= {"embeddings", ".tmp"}
+        assert (store_dir / "embeddings").is_dir() == (store_mode == "readwrite")
+
+    def test_store_mode_override_reuses_the_matcher(self, tmp_path, tables):
+        engine = _engine(tmp_path / "store", **LSH_KNOBS)
+        engine.integrate(tables)
+        blocker = _semantic_blocker(engine)
+        for store_mode in ("read", "off", "readwrite"):
+            engine.integrate(tables, store_mode=store_mode)
+            assert len(engine._matchers) == 1
+        assert _semantic_blocker(engine) is blocker
+
+
+    @pytest.mark.parametrize("component", [SemanticBlocker, ValueMatcher])
+    def test_matching_components_take_no_store(self, component):
+        assert "store" not in inspect.signature(component).parameters
+
+    def test_off_override_still_serves_stored_vectors(self, tmp_path, tables):
+        _engine(tmp_path / "store").integrate(tables)
+        warm = _engine(tmp_path / "store")
+        result = warm.integrate(tables, store_mode="off")
+        # The cache tier is engine-level: "off" only skips publication.
+        assert warm.embedder.raw_embeds == 0
+        assert result.timings["cache_store_hits"] > 0
+        assert "store_published_rows" not in result.timings
+
+    def test_read_engine_never_publishes_even_when_asked(self, tmp_path, tables):
+        engine = _engine(tmp_path / "store", store_mode="read")
+        result = engine.integrate(tables, store_mode="readwrite")
+        assert engine.embedder.raw_embeds > 0
+        assert "store_published_rows" not in result.timings
+        assert engine.store_statistics()["segment_saves"] == 0
+        assert not (tmp_path / "store").exists()
+
+
+class TestOldLayoutStillAttaches:
+    """A store published before the index directories were dropped."""
+
+    def test_index_directories_are_ignored(self, tmp_path, tables):
+        store_dir = tmp_path / "store"
+        cold = _engine(store_dir, **LSH_KNOBS)
+        cold_result = cold.integrate(tables)
+        assert cold.embedder.raw_embeds > 0
+        embedder_fp = cold.embedding_cache.embedder_fp
+        (corpus_fp,) = cold.store.list_embedding_segments(embedder_fp)
+        # What the previous layout published next to the embedding segment.
+        for kind, params, files in (
+            ("ann", "t8.b8.s97", ("planes.npy", "codes.npy")),
+            ("ivf", "i5.s97", ("centroids.npy", "assignments.npy")),
+        ):
+            directory = store_dir / kind / embedder_fp / params / corpus_fp
+            directory.mkdir(parents=True)
+            meta = {"format_version": 1, "kind": kind, "embedder": embedder_fp,
+                    "params": params, "corpus": corpus_fp, "values": 3}
+            (directory / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+            for name in files:
+                np.save(directory / name, np.zeros((2, 3)))
+        before = {kind: _tree(store_dir / kind) for kind in ("ann", "ivf")}
+
+        warm = _engine(store_dir, **LSH_KNOBS)
+        warm_result = warm.integrate(tables)
+        assert warm.embedder.raw_embeds == 0
+        assert warm_result.timings["cache_misses"] == 0
+        assert warm_result.table.rows == cold_result.table.rows
+        statistics = warm.store.statistics()
+        assert statistics["corrupt_entries"] == statistics["corrupt_segments"] == 0
+        assert statistics["rejected_entries"] == 0
+        assert not (store_dir / "quarantine").exists()
+        assert {kind: _tree(store_dir / kind) for kind in ("ann", "ivf")} == before
 
 
 class PoisonedEmbedder(CountingEmbedder):

@@ -1,12 +1,8 @@
-"""Fingerprint scheme: injectivity, ordering semantics, stability."""
+"""Fingerprint scheme: injectivity, set semantics, stability."""
 
 from __future__ import annotations
 
-from repro.storage.fingerprint import (
-    ann_params_fingerprint,
-    corpus_fingerprint,
-    embedder_fingerprint,
-)
+from repro.storage.fingerprint import corpus_fingerprint, embedder_fingerprint
 
 
 class TestEmbedderFingerprint:
@@ -32,31 +28,21 @@ class TestCorpusFingerprint:
         # table maps text -> row whatever the insertion history was.
         assert corpus_fingerprint(["b", "a", "a"]) == corpus_fingerprint(["a", "b"])
 
-    def test_ordered_mode_is_positional(self):
-        # ANN codes are positional (column i codes value i), so the ordered
-        # fingerprint must distinguish permutations.
-        assert corpus_fingerprint(["a", "b"], ordered=True) != corpus_fingerprint(
-            ["b", "a"], ordered=True
-        )
-
     def test_length_prefix_prevents_concatenation_collisions(self):
         assert corpus_fingerprint(["ab", "c"]) != corpus_fingerprint(["a", "bc"])
 
     def test_distinct_corpora_distinct_fingerprints(self):
         assert corpus_fingerprint(["a"]) != corpus_fingerprint(["b"])
 
+    def test_digests_are_pinned(self):
+        # Every published segment directory is named by these digests: a
+        # change here would turn every existing store cold.
+        assert corpus_fingerprint(["Berlin", "Toronto", "barcelona"]) == "cf431b2a61d3e911"
+        assert corpus_fingerprint(["b", "a", "a"]) == "cfb9cbd0aeeea44e"
+        assert corpus_fingerprint([""]) == "ca08ea5bca49cc18"
+
     def test_short_hex(self):
         fingerprint = corpus_fingerprint(["x"])
         assert len(fingerprint) == 16
         int(fingerprint, 16)  # parses as hex
 
-
-class TestAnnParamsFingerprint:
-    def test_encodes_all_knobs(self):
-        assert ann_params_fingerprint(8, 12, 97) == "t8.b12.s97"
-
-    def test_distinct_params_distinct_keys(self):
-        base = ann_params_fingerprint(8, 12, 97)
-        assert ann_params_fingerprint(9, 12, 97) != base
-        assert ann_params_fingerprint(8, 13, 97) != base
-        assert ann_params_fingerprint(8, 12, 98) != base

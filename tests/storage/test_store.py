@@ -23,7 +23,7 @@ class TestEmbeddingSegments:
         store = ArtifactStore(tmp_path)
         keys, matrix, corpus_fp = _segment()
         assert store.save_embedding_segment("m.d8", corpus_fp, keys, matrix)
-        loaded = store.load_embedding_segment("m.d8", corpus_fp)
+        loaded = store.load_embedding_segment("m.d8", corpus_fp, 8)
         assert loaded is not None
         loaded_keys, loaded_matrix = loaded
         assert loaded_keys == keys
@@ -33,7 +33,7 @@ class TestEmbeddingSegments:
         store = ArtifactStore(tmp_path)
         keys, matrix, corpus_fp = _segment()
         store.save_embedding_segment("m.d8", corpus_fp, keys, matrix)
-        _, loaded_matrix = store.load_embedding_segment("m.d8", corpus_fp)
+        _, loaded_matrix = store.load_embedding_segment("m.d8", corpus_fp, 8)
         assert isinstance(loaded_matrix, np.memmap)
 
     def test_list_segments(self, tmp_path):
@@ -46,7 +46,7 @@ class TestEmbeddingSegments:
 
     def test_missing_segment_is_a_silent_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        assert store.load_embedding_segment("m.d8", "0" * 16) is None
+        assert store.load_embedding_segment("m.d8", "0" * 16, 8) is None
         assert store.statistics()["corrupt_entries"] == 0
 
     def test_duplicate_publish_is_counted_not_raised(self, tmp_path):
@@ -67,8 +67,19 @@ class TestEmbeddingSegments:
         source = tmp_path / "embeddings" / "m.d8" / corpus_fp
         target = tmp_path / "embeddings" / "m.d8" / ("f" * 16)
         source.rename(target)
-        assert store.load_embedding_segment("m.d8", "f" * 16) is None
+        assert store.load_embedding_segment("m.d8", "f" * 16, 8) is None
         assert store.statistics()["rejected_entries"] == 1
+
+    def test_other_dimension_rejected(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        keys, matrix, corpus_fp = _segment(dimension=8)
+        store.save_embedding_segment("m.d8", corpus_fp, keys, matrix)
+        assert store.load_embedding_segment("m.d8", corpus_fp, 16) is None
+        stats = store.statistics()
+        assert (stats["rejected_entries"], stats["corrupt_entries"], stats["segment_loads"]) == (1, 0, 0)
+        # Refused, not corrupt: the segment stays, and loads at its own width.
+        assert store.load_embedding_segment("m.d8", corpus_fp, 8) is not None
+        assert store.statistics()["segment_loads"] == 1
 
     def test_other_format_version_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -78,7 +89,7 @@ class TestEmbeddingSegments:
         meta = json.loads(meta_path.read_text())
         meta["format_version"] = FORMAT_VERSION + 1
         meta_path.write_text(json.dumps(meta))
-        assert store.load_embedding_segment("m.d8", corpus_fp) is None
+        assert store.load_embedding_segment("m.d8", corpus_fp, 8) is None
         assert store.statistics()["rejected_entries"] == 1
 
     @pytest.mark.parametrize("victim", ["meta.json", "keys.json", "matrix.npy"])
@@ -87,7 +98,7 @@ class TestEmbeddingSegments:
         keys, matrix, corpus_fp = _segment()
         store.save_embedding_segment("m.d8", corpus_fp, keys, matrix)
         (tmp_path / "embeddings" / "m.d8" / corpus_fp / victim).write_bytes(b"\x00garbage")
-        assert store.load_embedding_segment("m.d8", corpus_fp) is None
+        assert store.load_embedding_segment("m.d8", corpus_fp, 8) is None
         assert store.statistics()["corrupt_entries"] == 1
 
     def test_truncated_matrix_degrades_to_miss(self, tmp_path):
@@ -98,7 +109,7 @@ class TestEmbeddingSegments:
         store.save_embedding_segment("m.d8", corpus_fp, keys, matrix)
         matrix_path = tmp_path / "embeddings" / "m.d8" / corpus_fp / "matrix.npy"
         matrix_path.write_bytes(matrix_path.read_bytes()[:40])
-        assert store.load_embedding_segment("m.d8", corpus_fp) is None
+        assert store.load_embedding_segment("m.d8", corpus_fp, 8) is None
         assert store.statistics()["corrupt_entries"] == 1
 
     def test_missing_file_degrades_to_miss(self, tmp_path):
@@ -106,7 +117,7 @@ class TestEmbeddingSegments:
         keys, matrix, corpus_fp = _segment()
         store.save_embedding_segment("m.d8", corpus_fp, keys, matrix)
         (tmp_path / "embeddings" / "m.d8" / corpus_fp / "keys.json").unlink()
-        assert store.load_embedding_segment("m.d8", corpus_fp) is None
+        assert store.load_embedding_segment("m.d8", corpus_fp, 8) is None
         assert store.statistics()["corrupt_entries"] == 1
 
     def test_row_count_mismatch_degrades_to_miss(self, tmp_path):
@@ -115,37 +126,7 @@ class TestEmbeddingSegments:
         store.save_embedding_segment("m.d8", corpus_fp, keys, matrix)
         keys_path = tmp_path / "embeddings" / "m.d8" / corpus_fp / "keys.json"
         keys_path.write_text(json.dumps(keys + ["extra"]))
-        assert store.load_embedding_segment("m.d8", corpus_fp) is None
-        assert store.statistics()["corrupt_entries"] == 1
-
-
-class TestAnnIndexes:
-    def test_round_trip_is_exact(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        rng = np.random.default_rng(3)
-        planes = rng.standard_normal((4, 8, 16))
-        codes = rng.integers(0, 256, size=(4, 10), dtype=np.int64)
-        assert store.save_ann_index("m.d16", "t4.b8.s1", "a" * 16, planes, codes)
-        loaded = store.load_ann_index("m.d16", "t4.b8.s1", "a" * 16)
-        assert loaded is not None
-        assert np.array_equal(np.asarray(loaded[0]), planes)
-        assert np.array_equal(np.asarray(loaded[1]), codes)
-
-    def test_inconsistent_shapes_raise_at_save(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        with pytest.raises(ValueError):
-            store.save_ann_index(
-                "m.d16", "t4.b8.s1", "a" * 16,
-                np.zeros((4, 8, 16)), np.zeros((5, 10), dtype=np.int64),
-            )
-
-    def test_corrupt_codes_degrade_to_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        planes = np.zeros((2, 4, 8))
-        codes = np.zeros((2, 6), dtype=np.int64)
-        store.save_ann_index("m.d8", "t2.b4.s1", "b" * 16, planes, codes)
-        (tmp_path / "ann" / "m.d8" / "t2.b4.s1" / ("b" * 16) / "codes.npy").write_bytes(b"bad")
-        assert store.load_ann_index("m.d8", "t2.b4.s1", "b" * 16) is None
+        assert store.load_embedding_segment("m.d8", corpus_fp, 8) is None
         assert store.statistics()["corrupt_entries"] == 1
 
 
@@ -162,17 +143,21 @@ class TestModes:
         # Not even the directory skeleton is created.
         assert not (tmp_path / "store").exists()
 
-    def test_read_view_shares_counters(self, tmp_path):
+    def test_statistics_count_embedding_segments_only(self, tmp_path):
+        assert set(ArtifactStore(tmp_path).statistics()) == {
+            "segment_loads",
+            "segment_saves",
+            "corrupt_entries",
+            "corrupt_segments",
+            "rejected_entries",
+            "duplicate_publishes",
+        }
+
+    def test_publication_writes_only_the_embeddings_tree(self, tmp_path):
         store = ArtifactStore(tmp_path)
         keys, matrix, corpus_fp = _segment()
         store.save_embedding_segment("m.d8", corpus_fp, keys, matrix)
-        view = store.with_mode("read")
-        assert view.load_embedding_segment("m.d8", corpus_fp) is not None
-        assert store.statistics()["segment_loads"] == 1
-
-    def test_with_same_mode_returns_self(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        assert store.with_mode("readwrite") is store
+        assert sorted(path.name for path in tmp_path.iterdir()) == [".tmp", "embeddings"]
 
     def test_no_tmp_garbage_after_publish(self, tmp_path):
         store = ArtifactStore(tmp_path)

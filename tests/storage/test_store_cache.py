@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.storage import ArtifactStore, StoreBackedEmbeddingCache
+from repro.storage import ArtifactStore, StoreBackedEmbeddingCache, corpus_fingerprint
 
 
 def _fill(cache: StoreBackedEmbeddingCache, texts, dimension=8):
@@ -81,6 +81,33 @@ class TestWarmStart:
         sixteen = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 16)
         assert sixteen.cold_rows == 0
 
+    def test_wrong_width_segment_under_the_right_fingerprint_is_read_once(self, tmp_path):
+        # Meta and matrix agree on dimension 8, but the directory says m.d16:
+        # refused at construction, then never re-read by a batch that misses.
+        store = ArtifactStore(tmp_path)
+        keys = ["alpha", "beta"]
+        assert store.save_embedding_segment("m.d16", corpus_fingerprint(keys), keys, np.ones((2, 8)))
+        cache = StoreBackedEmbeddingCache(store, "m", 16)
+        for batch in range(5):
+            assert cache.fill_many("m", [f"new-{batch}"], np.empty((1, 16))) == [0]
+        assert cache.cold_rows == 0
+        statistics = store.statistics()
+        assert statistics["rejected_entries"] == 1
+        assert statistics["segment_loads"] == 0
+
+    def test_read_only_cache_reads_a_corrupt_segment_once(self, tmp_path):
+        writer = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(writer, ["alpha"])
+        writer.publish()
+        (segment,) = (tmp_path / "embeddings" / "mistral.d8").iterdir()
+        (segment / "matrix.npy").write_bytes(b"torn")
+        reader = ArtifactStore(tmp_path, mode="read")
+        cache = StoreBackedEmbeddingCache(reader, "mistral", 8)
+        for batch in range(5):
+            cache.fill_many("mistral", [f"new-{batch}"], np.empty((1, 8)))
+        assert reader.statistics()["corrupt_segments"] == 1
+        assert segment.is_dir()  # a reader never moves it
+
 
 class TestPublication:
     def test_publish_is_idempotent(self, tmp_path):
@@ -102,11 +129,12 @@ class TestPublication:
         assert restarted.cold_rows == 2
 
     def test_read_mode_publish_is_a_noop(self, tmp_path):
-        writer = ArtifactStore(tmp_path)
-        cache = StoreBackedEmbeddingCache(writer.with_mode("read"), "mistral", 8)
+        reader = ArtifactStore(tmp_path, mode="read")
+        cache = StoreBackedEmbeddingCache(reader, "mistral", 8)
         _fill(cache, ["alpha"])
         assert cache.publish() == 0
-        assert writer.statistics()["segment_saves"] == 0
+        assert reader.statistics()["segment_saves"] == 0
+        assert not (tmp_path / "embeddings").exists()
 
     def test_racing_identical_publishes_resolve_to_one_segment(self, tmp_path):
         left = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
@@ -117,6 +145,60 @@ class TestPublication:
         assert published == [0, 2]  # exactly one of them wins
         restarted = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
         assert restarted.cold_rows == 2
+
+    def test_republish_over_a_quarantined_segment_is_attached(self, tmp_path):
+        first = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(first, ["alpha", "beta"])
+        first.publish()
+        (segment,) = (tmp_path / "embeddings" / "mistral.d8").iterdir()
+        (segment / "matrix.npy").write_bytes(b"torn")
+        # Construction refuses and quarantines the segment; republishing the
+        # same texts fills the vacated path, and the cache attaches that copy.
+        cache = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8, max_entries=2)
+        assert cache.cold_rows == 0
+        _fill(cache, ["alpha", "beta"])
+        assert cache.publish() == 2
+        assert cache.cold_rows == 2
+        _fill(cache, ["gamma", "delta"])  # evicts alpha/beta from the hot tier
+        assert cache.get("mistral", "alpha") is not None
+        assert cache.store_hits == 1
+
+    def test_read_only_cache_attaches_a_copy_republished_by_a_writer(self, tmp_path):
+        first = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(first, ["alpha", "beta"])
+        first.publish()
+        (segment,) = (tmp_path / "embeddings" / "mistral.d8").iterdir()
+        (segment / "matrix.npy").write_bytes(b"torn")
+        reader = StoreBackedEmbeddingCache(ArtifactStore(tmp_path, mode="read"), "mistral", 8)
+        assert reader.cold_rows == 0
+        # A writer refuses the same segment (and quarantines it), then
+        # republishes the same texts under the same fingerprint.
+        writer = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(writer, ["alpha", "beta"])
+        assert writer.publish() == 2
+        # The reader's next missing batch attaches the good copy.
+        out = np.empty((2, 8))
+        assert reader.fill_many("mistral", ["alpha", "beta"], out) == []
+        assert reader.store_hits == 2
+        assert np.array_equal(out[0], writer.get("mistral", "alpha"))
+
+    def test_losing_the_republish_race_attaches_the_winners_copy(self, tmp_path):
+        first = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(first, ["alpha", "beta"])
+        first.publish()
+        (segment,) = (tmp_path / "embeddings" / "mistral.d8").iterdir()
+        (segment / "matrix.npy").write_bytes(b"torn")
+        loser = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8, max_entries=2)
+        assert loser.cold_rows == 0  # refused and quarantined
+        winner = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(winner, ["alpha", "beta"])
+        assert winner.publish() == 2
+        _fill(loser, ["alpha", "beta"])
+        assert loser.publish() == 0  # the path is taken: the race is lost
+        assert loser.cold_rows == 2
+        _fill(loser, ["gamma", "delta"])  # evicts alpha/beta from the hot tier
+        assert loser.get("mistral", "alpha") is not None
+        assert loser.store_hits == 1
 
     def test_eviction_of_persisted_entry_is_recoverable(self, tmp_path):
         store = ArtifactStore(tmp_path)
