@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from repro.em.matcher import RecordPair
-from repro.utils.unionfind import UnionFind
+from repro.utils.components import connected_groups
 
 
 def cluster_matches(row_count: int, matches: Sequence[RecordPair]) -> List[List[int]]:
@@ -16,10 +16,8 @@ def cluster_matches(row_count: int, matches: Sequence[RecordPair]) -> List[List[
     (and transitive-closure-consistent) way to turn pairwise match decisions
     into entities.
     """
-    uf = UnionFind(range(row_count))
-    for pair in matches:
-        uf.union(pair.left, pair.right)
-    clusters = [sorted(group) for group in uf.groups()]
+    pairs = [(pair.left, pair.right) for pair in matches]
+    clusters = [sorted(group) for group in connected_groups(range(row_count), pairs)]
     clusters.sort(key=lambda group: group[0])
     return clusters
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.embeddings.base import EmbeddingCache, ValueEmbedder
 from repro.embeddings.hashed import EMPTY_BAG, Bag, hashed_feature_rows
 from repro.utils.text import normalize_value
-from repro.utils.unionfind import UnionFind
+from repro.utils.components import connected_groups
 
 ValuePair = Tuple[object, object]
 
@@ -78,12 +78,9 @@ class FineTunedEmbedder(ValueEmbedder):
         share one anchor).  Fitting replaces any previously learned state and
         clears the embedding cache.
         """
-        groups = UnionFind()
-        for left, right in positive_pairs:
-            groups.union(normalize_value(left), normalize_value(right))
-
+        pairs = [(normalize_value(left), normalize_value(right)) for left, right in positive_pairs]
         self._anchor_of = {}
-        for group in groups.groups():
+        for group in connected_groups((), pairs):
             anchor_id = sorted(group)[0]
             for member in group:
                 self._anchor_of[member] = anchor_id

@@ -8,12 +8,14 @@ share at least one non-null value) — until no new tuple can be produced, and
 coded tuples (:mod:`repro.table.coded`) with value and null postings per
 column, so a tuple is only compared with the tuples that agree with it or are
 null on its most selective column (in its component, when the components are
-known), plus duplicate elimination so the closure terminates.
+known), plus duplicate elimination so the closure terminates.  Comparisons,
+merges and duplicate elimination run on tuples packed as bit-field words
+(:class:`~repro.table.coded.TupleIndex`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -22,19 +24,30 @@ from repro.table.subsumption import subsumers, survivor
 from repro.utils.components import component_labels
 from repro.utils.sorting import stable_order
 
+#: About this many candidate pairs per block, every k-th (all of a smaller
+#: block), are tested at every position on codes; the position where most
+#: conflicted so far is the cut.
+CUT_SAMPLE = 256
+
 
 class ComplementationEngine:
     """Closes a set of same-schema tuples under pairwise complementation.
 
     The closure runs over the integer coding of :mod:`repro.table.coded`,
-    stored column-major — ``data[p]`` is column ``p`` of every known tuple.
-    A partner ``c`` of a tuple ``t`` holds ``t[p]`` or null at *every*
-    non-null position ``p`` of ``t``, so for any single position the partners
-    are among ``posting(p, t[p]) ∪ posting(p, null in t's component)``; the
-    engine picks the position where that union is smallest and tests, on it
-    alone, "no conflict" and "shares a value" — the same pairs ALITE's hash
-    index on shared values finds, from far fewer candidates when a column
-    such as ``genres`` is low-cardinality.
+    stored column-major — ``data[p]`` is column ``p`` of every known tuple —
+    and, beside it, over the same tuples as :class:`~repro.table.coded.TupleIndex`'s
+    bit-field words.  A partner ``c`` of a tuple ``t`` holds ``t[p]`` or null
+    at *every* non-null position ``p`` of ``t``, so for any single position
+    the partners are among ``posting(p, t[p]) ∪ posting(p, null in t's
+    component)``; the engine takes its candidates from the position where
+    that union is smallest — the same pairs ALITE's hash index on shared
+    values finds, from far fewer candidates when a column such as ``genres``
+    is low-cardinality.  It tests them on codes at one position, the *cut*
+    (where the most of a sample of candidates conflicted so far), and the
+    rest on the words, every position at once: "no conflict", "shares a
+    value" and which side holds only positions the other holds.  A merge is
+    the OR of two tuples' words, and the words are the keys it is
+    deduplicated by; only the new tuples are coded, from their two parents.
 
     A tuple is only ever tested against tuples with smaller ids, and the
     tuples created while one *generation* (the inputs, then what the inputs'
@@ -46,10 +59,11 @@ class ComplementationEngine:
     Parameters
     ----------
     max_tuples:
-        Safety limit on the number of distinct tuples the closure may create;
-        exceeded limits raise ``RuntimeError`` (Full Disjunction results can
-        be exponential in pathological inputs, and a hard failure is more
-        useful than an apparent hang).
+        Safety limit on the number of distinct tuples the closure may create,
+        at most 2**30; exceeded limits raise ``RuntimeError`` (Full
+        Disjunction results can be exponential in pathological inputs, and a
+        hard failure is more useful than an apparent hang).  The bit layout
+        of :class:`~repro.table.coded.TupleIndex` is sized by it.
     """
 
     def __init__(self, max_tuples: int = 5_000_000) -> None:
@@ -99,46 +113,44 @@ class ComplementationEngine:
         statistics = statistics if statistics is not None else {}
         width = codes.shape[0]
         codes_per_column = codes.max(axis=1, initial=-1) + 1
-        known = TupleIndex(codes_per_column)
+        known = TupleIndex(codes_per_column, self.max_tuples)
         data = np.empty((width, max(16, 2 * codes.shape[1])), dtype=np.int32)
+        words = np.empty((len(known.bits), data.shape[1]), dtype=np.int64)
         component = np.empty(data.shape[1], dtype=np.intp)  # the label of every known tuple
 
-        def add(columns: np.ndarray, column_labels: np.ndarray) -> None:
-            """Append those of the ``(width, n)`` coded tuples that are not known yet."""
-            nonlocal data, component
+        def add(tuple_words: np.ndarray, tuple_labels: np.ndarray, columns: Callable[[np.ndarray], np.ndarray]) -> None:
+            """Append those of the tuples, given by their words, that are not
+            known yet; ``columns(fresh)`` codes the ones at ``fresh``."""
+            nonlocal data, words, component
             start = len(known)
-            fresh = known.add(columns)[1]
-            if len(known) > self.max_tuples:
-                raise RuntimeError(
-                    f"complementation closure exceeded {self.max_tuples} tuples; "
-                    "the input is pathological for Full Disjunction"
-                )
+            fresh = known.add(tuple_words)[1]
             if len(known) > data.shape[1]:
-                grown = np.empty((width, 2 * len(known)), dtype=np.int32)
-                grown[:, :start] = data[:, :start]
-                data, component = grown, np.resize(component, grown.shape[1])
-            data[:, start : len(known)] = columns[:, fresh]
-            component[start : len(known)] = column_labels[fresh]
+                tables = (data, words, component)
+                data, words, component = (np.empty(table.shape[:-1] + (2 * len(known),), table.dtype) for table in tables)
+                for table, old in zip((data, words, component), tables):
+                    table[..., :start] = old[..., :start]
+            data[:, start : len(known)] = columns(fresh)
+            words[:, start : len(known)] = tuple_words.take(fresh, axis=1)
+            component[start : len(known)] = tuple_labels[fresh]
 
-        add(codes, np.zeros(codes.shape[1], dtype=np.intp) if labels is None else labels)
+        labels = np.zeros(codes.shape[1], dtype=np.intp) if labels is None else labels
+        add(known.pack(codes), labels, lambda fresh: codes[:, fresh])
         merges = 0
         comparisons = 0
         subsumed = [np.empty(0, dtype=np.intp)]  # tuples another one strictly subsumes
-        # Candidates tested and ruled out at each position so far: the
-        # positions that rule out the most go first, the rest see fewer.
-        tested, conflicting = np.ones(width), np.zeros(width)
+        conflicting = np.zeros(width, dtype=np.int64)  # per position, in the samples so far
         generation_start = 0
         while generation_start < len(known):
             count = len(known)
             postings = PairPostings(data[:, :count], codes_per_column, component[:count])
-            held = data[:, :count] >= 0
-            information = held.sum(axis=0)
             # One bit per non-null position (modulo the word).  Partners share
             # a value, so their bits meet; on a lake of several schemas most
             # holders of a null do not meet the tuple anywhere and are dropped
-            # by this one test instead of riding through every position.
-            pattern = np.bitwise_or.reduce(held << (np.arange(width) % 63)[:, None], axis=0, initial=0)
-            owners = generation_start + np.flatnonzero(information[generation_start:])
+            # by this one test instead of riding through the cut and the word
+            # test.  (The held masks of several words, folded, would alias.)
+            bits = (np.arange(width) % 63)[:, None]
+            pattern = np.bitwise_or.reduce((data[:, :count] >= 0) << bits, axis=0, initial=0)
+            owners = generation_start + np.flatnonzero(pattern[generation_start:])
             generation_start = count
             if not owners.size:
                 continue
@@ -150,37 +162,46 @@ class ComplementationEngine:
             listed = np.repeat(np.arange(postings.held_by.size), postings.held_by) * count
             listed += postings.holders
             smaller = np.searchsorted(listed, pairs * count + owners[:, None]) - postings.starts[pairs]
-            comparisons += int(smaller.sum())
+            candidates = int(smaller.sum())
+            comparisons += candidates
+            if not candidates:
+                continue
+            held = known.held(words[:, :count])
             for owner, index in span_blocks(postings.starts[pairs], smaller):
                 owner, candidate = owners.take(owner), postings.holders.take(index)
                 meet = (pattern.take(owner) & pattern.take(candidate)) != 0
                 owner, candidate = owner[meet], candidate[meet]
-                shared = np.zeros(owner.size, dtype=np.intp)  # values the two agree on
-                for position in np.argsort(-conflicting / tested, kind="stable").tolist():
-                    mine, theirs = data[position].take(owner), data[position].take(candidate)
-                    both = (mine | theirs) >= 0  # neither is null (-1)
-                    agree = mine == theirs
-                    shared += both & agree
-                    tested[position] += owner.size
-                    conflict = both & ~agree
-                    if conflict.any():
-                        owner, candidate, shared = owner[~conflict], candidate[~conflict], shared[~conflict]
-                        conflicting[position] += conflict.size - owner.size
-                merges += int(np.count_nonzero(shared))
-                # A partner holds the owner's code or null wherever the owner is
-                # non-null, so the merge is the larger code; it is one of the
-                # two (a known tuple) unless each side adds a value to the other.
-                owner_information, candidate_information = information[owner], information[candidate]
-                novel = (shared > 0) & (shared < np.minimum(owner_information, candidate_information))
-                # A novel merge subsumes both sides; a side whose values are all
-                # shared is subsumed by the other.
-                subsumed.append(owner[novel | (shared == owner_information)])
-                subsumed.append(candidate[novel | (shared == candidate_information)])
+                # The cut: the position where most of a sample of the
+                # candidates conflict so far, on codes; then every position
+                # at once, on the words.
+                sample = slice(None, None, max(owner.size // CUT_SAMPLE, 1))
+                mine, theirs = data.take(owner[sample], axis=1), data.take(candidate[sample], axis=1)
+                conflicting += ((mine != theirs) & ((mine | theirs) >= 0)).sum(axis=1)
+                cut = int(np.argmax(conflicting))
+                mine, theirs = data[cut].take(owner), data[cut].take(candidate)
+                clear = (mine == theirs) | ((mine | theirs) < 0)
+                owner, candidate = owner[clear], candidate[clear]
+                conflict, meets, owner_within, candidate_within = known.compare(words, held, owner, candidate)
+                clear = ~conflict
+                partners = meets & clear
+                merges += int(np.count_nonzero(partners))
+                # A partner holds the owner's code or null wherever the owner
+                # is non-null, so the merge is the words' OR; it is one of the
+                # two (a known tuple) unless each side adds a value to the
+                # other.  A novel merge subsumes both sides; a side that holds
+                # only positions the other holds is subsumed by it.
+                novel = partners & ~owner_within & ~candidate_within
+                subsumed.append(owner[novel | clear & owner_within])
+                subsumed.append(candidate[novel | clear & candidate_within])
                 # An owner's merges are taken in partner order, as if tested one by one.
                 owner, candidate = owner[novel], candidate[novel]
                 order = np.argsort(owner * count + candidate, kind="stable")
                 owner, candidate = owner[order], candidate[order]
-                add(np.maximum(data[:, owner], data[:, candidate]), component[owner])
+                add(
+                    words.take(owner, axis=1) | words.take(candidate, axis=1),
+                    component[owner],
+                    lambda fresh: np.maximum(data.take(owner[fresh], axis=1), data.take(candidate[fresh], axis=1)),
+                )
 
         for name, value in (("comparisons", comparisons), ("merges", merges), ("tuples", len(known))):
             key = f"complementation_{name}"

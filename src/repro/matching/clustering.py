@@ -2,7 +2,7 @@
 
 The Fuzzy Value Match problem (Definition 2) asks for *disjoint* sets of
 values; pairwise matches produced column-pair by column-pair are folded into
-such sets with a union-find.  Each value is identified by the pair
+such sets as the connected components of the matches.  Each value is identified by the pair
 ``(column id, value)`` so that, per the clean-clean assumption, two equal
 strings in *different* columns are distinct items until a match joins them,
 while equal strings in the same column are the same item.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.matching.bipartite import ValueMatch
-from repro.utils.unionfind import UnionFind
+from repro.utils.components import connected_groups
 
 ValueKey = Tuple[Hashable, object]
 
@@ -42,16 +42,14 @@ class MatchSetBuilder:
     """Builds disjoint value-match sets from per-column values and pair matches."""
 
     def __init__(self) -> None:
-        self._uf: UnionFind = UnionFind()
         self._registered: Dict[ValueKey, None] = {}
+        self._pairs: List[Tuple[ValueKey, ValueKey]] = []
 
     def add_column(self, column_id: Hashable, values: Iterable[object]) -> None:
         """Register every (distinct) value of a column as a singleton item."""
         for value in values:
             key: ValueKey = (column_id, value)
-            if key not in self._registered:
-                self._registered[key] = None
-                self._uf.add(key)
+            self._registered.setdefault(key, None)
 
     def add_matches(
         self,
@@ -59,17 +57,17 @@ class MatchSetBuilder:
         right_column: Hashable,
         matches: Sequence[ValueMatch],
     ) -> None:
-        """Union the items joined by accepted bipartite matches."""
+        """Join the items of accepted bipartite matches."""
         for match in matches:
             left_key: ValueKey = (left_column, match.left)
             right_key: ValueKey = (right_column, match.right)
             self._registered.setdefault(left_key, None)
             self._registered.setdefault(right_key, None)
-            self._uf.union(left_key, right_key)
+            self._pairs.append((left_key, right_key))
 
     def sets(self) -> List[ValueMatchSet]:
         """Return the current disjoint sets (deterministic member order)."""
-        groups = self._uf.groups()
+        groups = connected_groups(self._registered, self._pairs)
         result: List[ValueMatchSet] = []
         for group in groups:
             members = sorted(group, key=lambda key: (str(key[0]), str(key[1])))

@@ -7,6 +7,11 @@ matrix — the codes of a :class:`~repro.table.relation.Relation`: every
 distinct value of a column has a small code, ``-1`` is null (any flavour),
 and one row of the matrix is one column of the table, which makes "this
 column of these tuples" one contiguous gather.
+
+The complementation closure also keeps each tuple as a few int64 words of bit
+fields, one field per column (:class:`TupleIndex`): a word test compares two
+tuples at every position at once, their merge is an OR, and the words are the
+keys the closure deduplicates by.
 """
 
 from __future__ import annotations
@@ -41,31 +46,58 @@ def compact_codes(codes: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
     return compact, present
 
 
+#: Bits of a word's key: every key stays below ``2**62``, under the sentinel
+#: ``2**63 - 1`` that ends each word's sorted keys.
+KEY_BITS = 62
+
+
 class TupleIndex:
     """The distinct coded tuples seen so far, numbered in order of first occurrence.
 
-    Exact, with nothing hashed: cell ``p`` is the digit ``code + 1`` of radix
-    ``codes_per_column[p] + 1``, and the digits pack, widest first, into the
-    first int64 word whose radix (the product of its digits' radices) stays
-    below 2^63, or 2^31 for every word but the first.  Each word keeps its
-    keys seen so far sorted beside their numbers; a later word's key is the
-    number of the tuple's prefix before it times the word's radix plus the
-    word, and the last word's numbers number the tuples.
+    Exact, with nothing hashed.  A tuple is a few int64 *words* of bit fields
+    (:meth:`pack`): cell ``p`` holds ``code + 1`` (0 for null) in
+    ``bit_length(codes_per_column[p])`` bits, and the fields pack, widest
+    first, into the first word with room, none straddling two words.  The first
+    word is a tuple's key there; a later word's key is the number of the
+    tuple's prefix before it, shifted past the word.  So the first word has
+    room for :data:`KEY_BITS` bits and a later one for those less the bits of
+    the largest number the index hands out, ``capacity - 1``: numbering more
+    than ``capacity`` distinct prefixes, or tuples, raises ``RuntimeError``.
+    Each word keeps its keys seen so far sorted beside their numbers, and the
+    last word's numbers number the tuples.
+
+    The words also test, merge and compare tuples without unpacking them.
+    ``low`` holds each field's bits but its top one and ``high`` its top bit,
+    per word: ``((w & low) + low | w) & high`` carries any low bit of a field
+    into its top bit, so it marks every non-null field (:meth:`held`).  Two
+    tuples that agree wherever both hold a code merge to ``w | v``.
     """
 
-    def __init__(self, codes_per_column: np.ndarray) -> None:
-        digits = (codes_per_column + 1).tolist()
-        rows, self.radices = [[0] * len(digits)], [1]
-        for position in sorted(range(len(digits)), key=lambda position: -digits[position]):
-            fits = (word for word, radix in enumerate(self.radices) if radix * digits[position] < 2 ** (31 if word else 63))
+    def __init__(self, codes_per_column: np.ndarray, capacity: int) -> None:
+        widths = [int(count).bit_length() for count in codes_per_column.tolist()]
+        self.capacity = capacity
+        room = KEY_BITS - (capacity - 1).bit_length()
+        if room < 32:  # a code below 2**31, plus one
+            raise ValueError(f"a capacity of {capacity} tuples leaves a later word too few bits for a 32-bit field")
+        rows, self.bits, low, high = [[0] * len(widths)], [0], [0], [0]
+        for position in sorted(range(len(widths)), key=lambda position: -widths[position]):
+            width = widths[position]
+            if not width:
+                break
+            fits = (word for word, used in enumerate(self.bits) if used + width <= (room if word else KEY_BITS))
             word = next(fits, len(rows))
             if word == len(rows):
-                rows.append([0] * len(digits))
-                self.radices.append(1)
-            rows[word][position] = self.radices[word]
-            self.radices[word] *= digits[position]
-        #: ``multipliers @ (codes + 1)`` are the words of every tuple.
+                rows.append([0] * len(widths))
+                self.bits += [0]
+                low += [0]
+                high += [0]
+            shift = self.bits[word]
+            rows[word][position] = 1 << shift
+            low[word] |= ((1 << (width - 1)) - 1) << shift
+            high[word] |= 1 << (shift + width - 1)
+            self.bits[word] += width
         self.multipliers = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        self.low, self.high = np.array(low, dtype=np.int64), np.array(high, dtype=np.int64)
         # A sentinel above every key ends each word's sorted keys.
         self.keys = [np.array([np.iinfo(np.int64).max])] * len(rows)
         self.numbers = [np.array([-1])] * len(rows)
@@ -73,13 +105,42 @@ class TupleIndex:
     def __len__(self) -> int:
         return self.numbers[-1].size - 1
 
-    def add(self, columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Learn the ``(width, n)`` coded tuples: the number of each, and where
-        the ones not seen before first occur, ascending."""
-        words = self.multipliers @ (columns + 1)
+    def pack(self, columns: np.ndarray) -> np.ndarray:
+        """The ``(words, n)`` words of the ``(width, n)`` coded tuples."""
+        return self.multipliers @ (columns.astype(np.int64) + 1)  # code 2**31 - 1 takes a 32-bit field
+
+    def held(self, words: np.ndarray) -> np.ndarray:
+        """The top bit of every non-null field of ``words``."""
+        low = self.low[:, None]
+        return ((words & low) + low | words) & self.high[:, None]
+
+    def compare(
+        self, words: np.ndarray, held: np.ndarray, mine: np.ndarray, theirs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Test the tuple pairs ``(mine[i], theirs[i])`` of the ``(words, tuples)``
+        table ``words`` and its :meth:`held` masks, every position at once.
+
+        Per pair: whether the two conflict (some field both hold differs),
+        whether they hold a position in common, whether mine holds only
+        positions theirs holds, and the converse.  A loop over words, not positions.
+        """
+        conflict = common = mine_only = theirs_only = np.int64(0)
+        for word, low, mask in zip(words, self.low, held):
+            differ = word.take(mine) ^ word.take(theirs)
+            mine_held, theirs_held = mask.take(mine), mask.take(theirs)
+            both = mine_held & theirs_held
+            conflict = conflict | both & ((differ & low) + low | differ)
+            common = common | both
+            mine_only = mine_only | mine_held ^ both
+            theirs_only = theirs_only | theirs_held ^ both
+        return conflict != 0, common != 0, mine_only == 0, theirs_only == 0
+
+    def add(self, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Learn the ``(words, n)`` tuples: the number of each, and where the
+        ones not seen before first occur, ascending."""
         key = words[0]
         for word in range(1, len(words)):
-            key = self._number(word - 1, key)[0] * self.radices[word] + words[word]
+            key = self._number(word - 1, key)[0] << self.bits[word] | words[word]
         return self._number(len(words) - 1, key)
 
     def _number(self, word: int, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -101,6 +162,11 @@ class TupleIndex:
             merged = np.empty(rest.size, dtype=table[word].dtype)
             merged[slots], merged[rest] = fresh, table[word]
             table[word] = merged
+        if self.numbers[word].size - 1 > self.capacity:
+            raise RuntimeError(
+                f"complementation closure exceeded {self.capacity} tuples; "
+                "the input is pathological for Full Disjunction"
+            )
         numbered = np.empty(keys.size, dtype=np.int64)
         numbered[order] = number[np.cumsum(head) - 1]
         return numbered, first[new][rank]

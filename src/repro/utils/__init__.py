@@ -1,11 +1,11 @@
 """Shared low-level utilities used across the repro package.
 
 The utilities here are intentionally dependency-light: text normalisation and
-string-distance helpers, a union-find (disjoint-set) structure used by value
-and entity clustering, the array connected-component labelling
-(:mod:`repro.utils.components`) shared by the blocked matcher and the Full
-Disjunction algorithms, deterministic hashing used by the simulated embedding
-models, small timing helpers used by the benchmark harnesses, and the shared
+string-distance helpers, the array connected-component labelling
+(:mod:`repro.utils.components`) shared by the blocked matcher, the Full
+Disjunction algorithms and value and entity clustering, deterministic hashing
+used by the simulated embedding models, small timing helpers used by the
+benchmark harnesses, and the shared
 parallel execution layer (:class:`~repro.utils.executor.ExecutorConfig` +
 :func:`~repro.utils.executor.run_partitioned`) behind every worker pool in
 the pipeline.
@@ -27,14 +27,12 @@ from repro.utils.text import (
     tokenize,
 )
 from repro.utils.timer import Timer, timed
-from repro.utils.unionfind import UnionFind
 
 __all__ = [
     "EXECUTOR_BACKENDS",
     "ExecutorConfig",
     "partition_batches",
     "run_partitioned",
-    "UnionFind",
     "Timer",
     "timed",
     "stable_hash",

@@ -1,6 +1,9 @@
-"""Connected components of a bipartite graph given as edge arrays."""
+"""Connected components of a bipartite graph given as edge arrays, and of a
+graph over arbitrary hashable items."""
 
 from __future__ import annotations
+
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
@@ -34,3 +37,26 @@ def component_labels(
             if np.array_equal(grandparent, parent):
                 break
             parent = grandparent
+
+
+def connected_groups(items: Iterable[Hashable], pairs: Iterable[Tuple[Hashable, Hashable]]) -> List[List[Hashable]]:
+    """The connected components of the graph whose edges are ``pairs``, over
+    ``items`` and the items of the pairs.
+
+    Every item lands in exactly one group, an item without pairs alone.  Items
+    keep their first-seen order (``items``, then the pairs'): the groups come
+    in the order of their first item, each listing its members in that order.
+    """
+    number: Dict[Hashable, int] = {}
+    for item in items:
+        number.setdefault(item, len(number))
+    ends = np.array([number.setdefault(item, len(number)) for pair in pairs for item in pair], dtype=np.int64)
+    # Each item is a left node joined to itself as a right node, so a pair
+    # (left end, right end) connects the two items.
+    itself = np.arange(len(number))
+    left, right = np.concatenate((itself, ends[::2])), np.concatenate((itself, ends[1::2]))
+    roots = component_labels(left, right, itself.size, itself.size)
+    groups: Dict[int, List[Hashable]] = {}
+    for item, root in zip(number, roots[: itself.size].tolist()):
+        groups.setdefault(root, []).append(item)
+    return list(groups.values())

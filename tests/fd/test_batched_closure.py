@@ -21,12 +21,15 @@ pinned digests of ``test_complementation`` catch all three as well):
 * the null posting skipped — ``test_close_equals_the_pairwise_fixpoint``
   (partners that are null at the selective position are never met).
 
-The closure also marks the tuples it strictly subsumes, and its dedup packs
-tuples into exact integer keys.  ``TestSubsumedMaskAndDedup`` holds both
-against the code they replaced: the mask against ``reduce_coded``'s second
-subsumption join, the dedup against the set of byte keys it used to keep.
-Dropping either mark line of the kernel, or numbering a key by its last
-occurrence instead of its first, fails it.
+The closure also marks the tuples it strictly subsumes, and it tests, merges
+and deduplicates tuples as ``TupleIndex``'s bit-field words.
+``TestSubsumedMaskAndDedup`` holds the mask and the dedup against the code
+they replaced: the mask against ``reduce_coded``'s second subsumption join,
+the dedup against the set of byte keys it used to keep.  Dropping either mark
+line of the kernel, or numbering a key by its last occurrence instead of its
+first, fails it.  ``TestWordLayout`` holds the words against the per-position
+definitions; the closure inputs stretch columns to the edges of a field's
+width and fill words to their bit limits.
 """
 
 from __future__ import annotations
@@ -337,12 +340,21 @@ class TestSubsumptionJoin:
             assert list(zip(owner.tolist(), found.tolist())) == expected
 
 
+#: Codes per column that put a field at the edges of its width: none (no
+#: field), one, and 2^k - 1 (all ones) or 2^k (the top bit only) codes.
+CODE_COUNTS = [0, 1, 2, 3, 4, 7, 8, 4095, 4096]
+#: Fields of 13, 13, 12 × 6 and 3 bits: under the default bound, the first
+#: word's 62 bits and the second word's 39 are exactly full.
+FILLED = [4096, 4096, 4095, 4095, 4095, 4095, 4095, 4095, 7]
+
+
 @st.composite
 def closure_inputs(draw):
     """Coded rows of every shape the closure meets: several schemas (sets of
     positions a row may hold), duplicates, fully-null rows, no columns at all,
-    and more positions than the 63 bits of the pattern word."""
-    width = draw(st.sampled_from([0, 1, 4, 6, 70]))
+    more positions than the 63 bits of a word, and columns stretched to
+    :data:`CODE_COUNTS` codes, or :data:`FILLED`, each holding its largest."""
+    width = draw(st.sampled_from([0, 1, 4, 6, len(FILLED), 70]))
     positions = st.integers(0, max(width - 1, 0)) if width < 70 else st.sampled_from([0, 1, 2, 62, 63, 64, 69])
     schemas = draw(st.lists(st.lists(positions, min_size=1, max_size=4, unique=True), min_size=1, max_size=3))
     rows = []
@@ -356,15 +368,20 @@ def closure_inputs(draw):
             for position in draw(st.sampled_from(schemas)):
                 cells[position] = draw(st.sampled_from([NULL, "a", "b"]))
             rows.append(tuple(cells))
-    return encode_rows(rows, width)[0]
+    codes = encode_rows(rows, width)[0]
+    counts = st.lists(st.sampled_from(CODE_COUNTS), min_size=width, max_size=width)
+    counts = draw(st.one_of(counts, st.just(FILLED)) if width == len(FILLED) else counts)
+    # Code k becomes count - 1 - k: a column's first value takes its largest code.
+    largest = np.array(counts, dtype=np.int64).reshape(-1, 1) - 1
+    return np.where(codes < 0, -1, np.maximum(largest - codes, np.minimum(largest, 0))).astype(np.int32)
 
 
 @st.composite
 def tuple_batches(draw):
     """Batches of coded tuples drawn from a small palette (so they repeat within
-    and across batches) over columns of up to 2^31 codes: up to one packed word
-    per column, so several words and their prefixes numbered across batches."""
-    codes_per_column = draw(st.lists(st.sampled_from([0, 1, 2, 1000, (1 << 31) - 1]), max_size=8))
+    and across batches) over columns of up to 2^31 codes: fields of up to 32
+    bits, so several words and their prefixes numbered across batches."""
+    codes_per_column = draw(st.lists(st.sampled_from([0, 1, 2, 1000, (1 << 31) - 1, 1 << 31]), max_size=8))
     cells = [st.integers(-1, count - 1) for count in codes_per_column]
     palette = draw(st.lists(st.tuples(*cells), min_size=1, max_size=5))
     return codes_per_column, draw(st.lists(st.lists(st.sampled_from(palette), max_size=12), max_size=6))
@@ -387,10 +404,13 @@ def disjunction(codes, provenance):
     return survivors, sources(provenance, inputs, holders, survivors.shape[1])
 
 
-class SetOfByteKeys:
-    """The closure's dedup before it packed keys: a dict of byte keys, one tuple at a time."""
+class SetOfByteKeys(TupleIndex):
+    """The closure's dedup before it packed keys: a dict of byte keys, one tuple
+    at a time, keyed by the bytes of whatever columns it receives (words, from
+    the closure); the layout it hands out is :class:`TupleIndex`'s."""
 
-    def __init__(self, codes_per_column):
+    def __init__(self, codes_per_column, capacity=5_000_000):
+        super().__init__(np.array(codes_per_column), capacity)
         self.known = {}
 
     def __len__(self):
@@ -443,10 +463,10 @@ class TestSubsumedMaskAndDedup:
     @settings(max_examples=80, deadline=None)
     def test_dedup_numbers_tuples_like_the_set_loop(self, stream):
         codes_per_column, batches = stream
-        index, reference = TupleIndex(np.array(codes_per_column)), SetOfByteKeys(codes_per_column)
+        index, reference = TupleIndex(np.array(codes_per_column), 5_000_000), SetOfByteKeys(codes_per_column)
         for batch in batches:
             columns = np.array(batch, dtype=np.int32).reshape(len(batch), len(codes_per_column)).T
-            numbers, fresh = index.add(columns)
+            numbers, fresh = index.add(index.pack(columns))
             expected_numbers, expected_fresh = reference.add(columns)
             assert numbers.tolist() == expected_numbers.tolist() and fresh.tolist() == expected_fresh.tolist()
             assert len(index) == len(reference)
@@ -467,6 +487,77 @@ class TestSubsumedMaskAndDedup:
                 with pytest.raises(RuntimeError, match=f"exceeded {bound} tuples"):
                     ComplementationEngine(bound).close_coded(codes)
             ComplementationEngine(max(closed.shape[1], 1)).close_coded(codes)
+
+
+@st.composite
+def tuple_pairs(draw):
+    """A layout (codes per column up to 2^31, and a capacity) and 64 pairs of
+    coded tuples, the second drawn from the first: at each position the same
+    code, null, or any code.  A cell is null, code 0, the column's largest
+    code or any code, equally often."""
+    counts = draw(st.lists(st.sampled_from(CODE_COUNTS + [(1 << 31) - 1, 1 << 31]), min_size=1, max_size=70))
+    capacity = draw(st.sampled_from([1, 8, 5_000_000, 1 << 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    largest = np.array(counts).reshape(-1, 1) - 1
+
+    def cells():
+        kind, anything = rng.integers(0, 4, (len(counts), 64)), rng.integers(0, 1 << 31, (len(counts), 64))
+        chosen = np.select([kind == 0, kind == 1, kind == 2], [-1, 0, largest], anything % (largest + 1).clip(1))
+        return np.where(largest < 0, -1, chosen)
+
+    mine, other = cells(), cells()
+    kind = rng.integers(0, 3, mine.shape)
+    theirs = np.where(kind == 0, mine, np.where(kind == 1, -1, other))
+    return np.array(counts), capacity, mine.astype(np.int32), theirs.astype(np.int32)
+
+
+class TestWordLayout:
+    """``TupleIndex``'s bit fields against the per-position definitions.
+
+    Mutations, each caught here: the low bits dropped from the non-null test
+    (``held``), the two subset flags of ``compare`` swapped, and a later word
+    given one bit more than its limit (the key of the largest prefix number
+    then reaches the sentinel)."""
+
+    @given(tuple_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_word_test_flags_are_the_per_position_definition(self, drawn):
+        counts, capacity, mine, theirs = drawn
+        index = TupleIndex(counts, capacity)
+        words = index.pack(np.concatenate((mine, theirs), axis=1))
+        pairs = np.arange(mine.shape[1])
+        flags = index.compare(words, index.held(words), pairs, pairs + pairs.size)
+        conflict, common, mine_within, theirs_within = flags
+        both = (mine >= 0) & (theirs >= 0)
+        assert conflict.tolist() == (both & (mine != theirs)).any(axis=0).tolist()
+        assert common.tolist() == both.any(axis=0).tolist()
+        assert mine_within.tolist() == ((mine < 0) | (theirs >= 0)).all(axis=0).tolist()
+        assert theirs_within.tolist() == ((theirs < 0) | (mine >= 0)).all(axis=0).tolist()
+        # Partners merge to the OR of their words.
+        partners = ~conflict
+        merged = words[:, pairs[partners]] | words[:, pairs[partners] + pairs.size]
+        assert np.array_equal(merged, index.pack(np.maximum(mine, theirs)[:, partners]))
+
+    def test_keys_at_the_largest_prefix_number_the_layout_admits(self):
+        # Capacity 8: prefix numbers up to 7, three bits, so a later word holds
+        # 59.  Fields of 31, 31 | 31 | 29 bits: the 29 does not fit beside the
+        # third 31.  Tuple 7 is the eighth prefix, all ones after it.
+        counts = np.array([(1 << 31) - 1] * 3 + [(1 << 29) - 1])
+        index, reference = TupleIndex(counts, 8), SetOfByteKeys(counts, 8)
+        assert index.bits == [62, 31, 29]
+        columns = np.array([[row, 0, (1 << 31) - 2, (1 << 29) - 2] for row in range(8)], dtype=np.int32).T
+        for _ in range(2):
+            numbers, fresh = index.add(index.pack(columns))
+            expected_numbers, expected_fresh = reference.add(columns)
+            assert numbers.tolist() == expected_numbers.tolist() == list(range(8))
+            assert fresh.tolist() == expected_fresh.tolist()
+        assert len(index) == 8
+        with pytest.raises(RuntimeError, match="exceeded 8 tuples"):
+            index.add(index.pack(columns[:, :1] + 8))
+        # The largest capacity leaves a later word the widest field's 32 bits.
+        assert TupleIndex(np.array([1 << 31] * 3), 1 << 30).bits == [32, 32, 32]
+        with pytest.raises(ValueError):
+            TupleIndex(counts, (1 << 30) + 1)
 
 
 def decoded_rows(codes):
