@@ -134,7 +134,9 @@ IVF_PROBES = 4
 
 #: Scratch budget of :func:`scored_candidates` and :func:`_pair_similarities`,
 #: in float64 cells per block (32 MB): the rows of one GEMM block times the
-#: other side's size, or twice the gathered rows of one slab.
+#: other side's size, or twice the gathered rows of one slab.  Part of the bit
+#: contract: a GEMM's last bits depend on its block shape, so changing it is a
+#: re-record, like an embedder revision (docs/blocking.md, "Scored edges").
 PAIR_BLOCK_CELLS = 4_000_000
 
 #: Similarity-matrix cells per probe pair above which :func:`_pair_similarities`

@@ -102,6 +102,8 @@ class ScipyAssignment(AssignmentSolver):
     scipy solves a tall matrix as its transpose, copied first by a loop slower
     than numpy's; so a tall matrix is handed over as its C-contiguous transpose
     and the pairs sorted back by row, as scipy does: the same ``(rows, cols)``.
+    A Fortran-ordered tall matrix (a blocked component) is that transpose
+    already and goes over uncopied; a C-ordered one (the dense path) is copied.
     """
 
     name = "scipy"
@@ -125,6 +127,8 @@ class GreedyAssignment(AssignmentSolver):
 
     Not optimal, but a common practical shortcut; the ablation benchmark
     quantifies the effectiveness it gives up relative to optimal assignment.
+    Ties go to the first cell in C order, so a Fortran-ordered matrix (a tall
+    blocked component) is sorted through a C-ordered flattened copy.
     """
 
     name = "greedy"

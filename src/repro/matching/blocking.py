@@ -538,11 +538,14 @@ def _solve_component(
     component-local cell and its distance.  Every other cell — values
     connected only transitively are not candidates of each other — keeps the
     prohibitive cost.  No similarity is computed here: the edges were scored
-    once, by the pass that proposed them.  Returns accepted
+    once, by the pass that proposed them.  A tall component is filled in
+    Fortran order: its bytes are then the wide C-ordered matrix scipy solves,
+    which :class:`ScipyAssignment` hands over uncopied.  Returns accepted
     ``(row, column, distance)`` triples in solver order.
     """
     rows, columns, pair_rows, pair_cols, distances = payload
-    cost = np.full((len(rows), len(columns)), PROHIBITIVE_COST, dtype=np.float64)
+    order = "F" if len(rows) > len(columns) else "C"
+    cost = np.full((len(rows), len(columns)), PROHIBITIVE_COST, dtype=np.float64, order=order)
     cost[pair_rows, pair_cols] = distances
     # A 1×1 component has exactly one possible assignment; skip the solver
     # round-trip (only reached when singleton batching is disabled).

@@ -311,6 +311,37 @@ class TestHostileInput:
         assert served[0].raw(_post_raw(b"{", content_length=10))[0] == 408
         assert served[0].request("GET", "/healthz")[0] == 200
 
+    def test_a_duplicate_column_header_is_400_naming_table_and_column(self, served):
+        server, service = served
+        duplicate = {"name": "b", "columns": ["name", "name"], "rows": [["alice", "alicia"]]}
+        status, _, body = server.request("POST", "/integrate", {"tables": [INTEGRATE_BODY["tables"][0], duplicate]})
+        assert status == 400
+        assert "tables[1]" in body["error"] and "duplicate column name 'name'" in body["error"]
+        assert service.stats().submitted == 0
+
+    @pytest.mark.parametrize("rows", [[], [[None, None], [None, None]]], ids=["empty", "all-null"])
+    def test_a_table_without_values_integrates_to_the_fd_of_the_others(self, served, rows):
+        server = served[0]
+        status, _, expected = server.request("POST", "/integrate", INTEGRATE_BODY)
+        assert status == 200
+        blank = {"name": "c", "columns": ["name", "zip"], "rows": rows}
+        status, _, body = server.request("POST", "/integrate", {"tables": [*INTEGRATE_BODY["tables"], blank]})
+        assert status == 200
+        table, reference = body["table"], expected["table"]
+        assert table["columns"] == reference["columns"] + ["zip"]
+        assert table["rows"] == [row + [None] for row in reference["rows"]]
+
+    def test_pipelined_garbage_after_a_valid_request_gets_one_answer_then_close(self, served):
+        payload = json.dumps(INTEGRATE_BODY).encode()
+        with socket.create_connection(("127.0.0.1", served[0].port), timeout=10) as connection:
+            connection.sendall(_post_raw(payload) + b"GARBAGE \x00\xff /x HTTP/9\r\n\r\n" + _post_raw(b"{}"))
+            answer = b"".join(iter(lambda: connection.recv(1 << 16), b""))  # to end of file: closed
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+        assert len(body) == length  # nothing after the one answer
+        assert json.loads(body)["status"] == "ok"
+
 
 class TestJsonTables:
     def test_nulls_serialise_as_none(self):
