@@ -227,8 +227,12 @@ class EmbeddingCache:
                         and len(self._store) >= self.max_entries
                         and self._store
                     ):
-                        del self._store[next(iter(self._store))]
+                        self._evict(next(iter(self._store)))
                 self._store[key] = vector
+
+    def _evict(self, key: tuple) -> None:
+        """Drop the entry ``key`` to make room (caller holds the lock)."""
+        del self._store[key]
 
     def clear(self) -> None:
         """Drop every cached vector and reset the statistics."""

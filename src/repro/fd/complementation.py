@@ -5,11 +5,13 @@ ALITE computes Full Disjunction by (1) outer-unioning the input tables,
 are join-consistent (they agree on every attribute where both are non-null and
 share at least one non-null value) — until no new tuple can be produced, and
 (3) removing subsumed tuples.  This module implements step (2) over integer
-coded tuples (:mod:`repro.table.coded`) with value and null postings per
-column, so a tuple is only compared with the tuples that agree with it or are
+coded tuples (:mod:`repro.table.coded`).  Every closed tuple is the union of
+a value-connected set of input tuples, so the closure adds one input at a
+time: a tuple is only compared with the *inputs* that agree with it or are
 null on its most selective column (in its component, when the components are
-known), plus duplicate elimination so the closure terminates.  Comparisons,
-merges and duplicate elimination run on tuples packed as bit-field words
+known), found in value and null postings built once over the inputs, plus
+duplicate elimination so the closure terminates.  Comparisons, merges and
+duplicate elimination run on tuples packed as bit-field words
 (:class:`~repro.table.coded.TupleIndex`).
 """
 
@@ -30,31 +32,48 @@ from repro.utils.sorting import stable_order
 CUT_SAMPLE = 256
 
 
+def position_bits(columns: np.ndarray) -> np.ndarray:
+    """Per tuple of a ``(width, n)`` code matrix, one bit per non-null position, modulo 63.
+
+    Partners share a value, so their bits meet.  (The held masks of several
+    words, folded, would alias.)
+    """
+    bits = (np.arange(columns.shape[0]) % 63)[:, None]
+    return np.bitwise_or.reduce((columns >= 0) << bits, axis=0, initial=0)
+
+
 class ComplementationEngine:
     """Closes a set of same-schema tuples under pairwise complementation.
 
     The closure runs over the integer coding of :mod:`repro.table.coded`,
     stored column-major — ``data[p]`` is column ``p`` of every known tuple —
     and, beside it, over the same tuples as :class:`~repro.table.coded.TupleIndex`'s
-    bit-field words.  A partner ``c`` of a tuple ``t`` holds ``t[p]`` or null
-    at *every* non-null position ``p`` of ``t``, so for any single position
-    the partners are among ``posting(p, t[p]) ∪ posting(p, null in t's
-    component)``; the engine takes its candidates from the position where
-    that union is smallest — the same pairs ALITE's hash index on shared
-    values finds, from far fewer candidates when a column such as ``genres``
-    is low-cardinality.  It tests them on codes at one position, the *cut*
-    (where the most of a sample of candidates conflicted so far), and the
-    rest on the words, every position at once: "no conflict", "shares a
-    value" and which side holds only positions the other holds.  A merge is
-    the OR of two tuples' words, and the words are the keys it is
-    deduplicated by; only the new tuples are coded, from their two parents.
+    bit-field words.  A tuple's partners are *input* tuples: a distinct
+    input meets the inputs with smaller ids, a merged tuple every input,
+    never another merged tuple.  That closes the same set as meeting every
+    tuple: a closed tuple is the union of a value-connected set of inputs,
+    and adding them one at a time, each sharing a value with the ones before,
+    reaches it.  A partner ``c`` of a tuple ``t`` holds ``t[p]`` or null at
+    *every* non-null position ``p`` of ``t``, so for any single position the
+    partners are among ``posting(p, t[p]) ∪ posting(p, null in t's
+    component)`` over the inputs; the engine takes its candidates from the
+    position where that union is smallest — the same pairs ALITE's hash
+    index on shared values finds, from far fewer candidates when a column
+    such as ``genres`` is low-cardinality.  It tests them on codes at one
+    position, the *cut* (where the most of a sample of candidates conflicted
+    so far), and the rest on the words, every position at once: "no
+    conflict", "shares a value" and which side holds only positions the
+    other holds.  A merge is the OR of two tuples' words, and the words are
+    the keys it is deduplicated by; only the new tuples are coded, from
+    their two parents, and their position bits and held masks are computed
+    once, when they are added.
 
-    A tuple is only ever tested against tuples with smaller ids, and the
-    tuples created while one *generation* (the inputs, then what the inputs'
-    merges created, ...) is tested get the next, contiguous ids.  So a whole
-    generation is tested against everything before it in one vectorised pass
-    and its merges, taken in (tuple, partner) order, receive exactly the ids
-    a tuple-at-a-time loop would assign.
+    The tuples created while one *generation* (the inputs, then what the
+    inputs' merges created, ...) is tested get the next, contiguous ids, and
+    the inputs do not change.  So a whole generation is tested in one
+    vectorised pass, at a cost in proportion to its own tuples, and its
+    merges, taken in (tuple, partner) order, receive exactly the ids a
+    tuple-at-a-time loop over input partners would assign.
 
     Parameters
     ----------
@@ -82,7 +101,7 @@ class ComplementationEngine:
         ``labels`` — one per input in ``[0, inputs]``, equal within each
         connected component of the value-sharing graph — the survivors come
         label by label, each label's in closure order, and each tuple meets its
-        own label's tuples only: what closing the labels one after the other
+        own label's inputs only: what closing the labels one after the other
         would list and test.
         """
         closed, subsumed = self.close_coded(codes, statistics, labels)
@@ -106,35 +125,54 @@ class ComplementationEngine:
         """:meth:`close` over a ``(width, rows)`` code matrix, coded in and out.
 
         With ``labels`` (:meth:`disjunction_coded`), a tuple meets its label's
-        tuples only.  Also returns, per closed tuple, whether another closed
-        tuple strictly subsumes it.  Provenance is not carried through: a
+        inputs only.  Also returns, per closed tuple, whether another closed
+        tuple strictly subsumes it.  If ``s`` strictly subsumes ``t``, some
+        input of ``s`` is not within ``t``, and one such input shares a value
+        with ``t``: with an input of ``s`` within ``t`` if there is one (the
+        inputs of ``s`` are value-connected), else at any position ``t``
+        holds.  That input adds a value to ``t`` without conflict, and the
+        pair is tested — from ``t``'s side or, for two inputs, from the
+        larger id's — and marks ``t``.  Provenance is not carried through: a
         closed tuple stems from the inputs it subsumes (:func:`subsumed_sources`).
         """
         statistics = statistics if statistics is not None else {}
         width = codes.shape[0]
         codes_per_column = codes.max(axis=1, initial=-1) + 1
         known = TupleIndex(codes_per_column, self.max_tuples)
-        data = np.empty((width, max(16, 2 * codes.shape[1])), dtype=np.int32)
-        words = np.empty((len(known.bits), data.shape[1]), dtype=np.int64)
-        component = np.empty(data.shape[1], dtype=np.intp)  # the label of every known tuple
+        capacity = max(16, 2 * codes.shape[1])
+        data = np.empty((width, capacity), dtype=np.int32)
+        words = np.empty((len(known.bits), capacity), dtype=np.int64)
+        held = np.empty_like(words)  # the top bit of every non-null field
+        pattern = np.empty(capacity, dtype=np.int64)  # one bit per non-null position, modulo 63
+        component = np.empty(capacity, dtype=np.intp)  # the label of every known tuple
 
         def add(tuple_words: np.ndarray, tuple_labels: np.ndarray, columns: Callable[[np.ndarray], np.ndarray]) -> None:
             """Append those of the tuples, given by their words, that are not
             known yet; ``columns(fresh)`` codes the ones at ``fresh``."""
-            nonlocal data, words, component
+            nonlocal data, words, held, pattern, component
             start = len(known)
             fresh = known.add(tuple_words)[1]
-            if len(known) > data.shape[1]:
-                tables = (data, words, component)
-                data, words, component = (np.empty(table.shape[:-1] + (2 * len(known),), table.dtype) for table in tables)
-                for table, old in zip((data, words, component), tables):
+            end = len(known)
+            if end > data.shape[1]:
+                tables = (data, words, held, pattern, component)
+                data, words, held, pattern, component = (
+                    np.empty(table.shape[:-1] + (2 * end,), table.dtype) for table in tables
+                )
+                for table, old in zip((data, words, held, pattern, component), tables):
                     table[..., :start] = old[..., :start]
-            data[:, start : len(known)] = columns(fresh)
-            words[:, start : len(known)] = tuple_words.take(fresh, axis=1)
-            component[start : len(known)] = tuple_labels[fresh]
+            data[:, start:end] = columns(fresh)
+            words[:, start:end] = tuple_words.take(fresh, axis=1)
+            held[:, start:end] = known.held(words[:, start:end])
+            pattern[start:end] = position_bits(data[:, start:end])
+            component[start:end] = tuple_labels[fresh]
 
         labels = np.zeros(codes.shape[1], dtype=np.intp) if labels is None else labels
         add(known.pack(codes), labels, lambda fresh: codes[:, fresh])
+        # Every tuple meets inputs only, so their postings are built once;
+        # ``listed`` keys each pair's holders (pair, id), in the order stored.
+        inputs = len(known)
+        postings = PairPostings(data[:, :inputs], codes_per_column, component[:inputs])
+        listed = np.repeat(np.arange(postings.held_by.size), postings.held_by) * inputs + postings.holders
         merges = 0
         comparisons = 0
         subsumed = [np.empty(0, dtype=np.intp)]  # tuples another one strictly subsumes
@@ -142,33 +180,27 @@ class ComplementationEngine:
         generation_start = 0
         while generation_start < len(known):
             count = len(known)
-            postings = PairPostings(data[:, :count], codes_per_column, component[:count])
-            # One bit per non-null position (modulo the word).  Partners share
-            # a value, so their bits meet; on a lake of several schemas most
-            # holders of a null do not meet the tuple anywhere and are dropped
-            # by this one test instead of riding through the cut and the word
-            # test.  (The held masks of several words, folded, would alias.)
-            bits = (np.arange(width) % 63)[:, None]
-            pattern = np.bitwise_or.reduce((data[:, :count] >= 0) << bits, axis=0, initial=0)
-            owners = generation_start + np.flatnonzero(pattern[generation_start:])
+            owners = generation_start + np.flatnonzero(pattern[generation_start:count])
             generation_start = count
             if not owners.size:
                 continue
-            # Candidates of a tuple: the holders of its value and of its
-            # component's null at its most selective position.  Holders are
-            # listed in id order, so the ones with smaller ids are a prefix of
-            # each list, found in the (pair, id) order the lists are stored in.
+            # Candidates of a tuple: the inputs holding its value or its
+            # component's null at its most selective position — for an input
+            # the ones with smaller ids, a prefix of each list; for a merged
+            # tuple all of them.
             pairs = postings.selective(data[:, owners], component[owners])
-            listed = np.repeat(np.arange(postings.held_by.size), postings.held_by) * count
-            listed += postings.holders
-            smaller = np.searchsorted(listed, pairs * count + owners[:, None]) - postings.starts[pairs]
+            limit = np.minimum(owners, inputs)[:, None]
+            smaller = np.searchsorted(listed, pairs * inputs + limit) - postings.starts[pairs]
             candidates = int(smaller.sum())
             comparisons += candidates
             if not candidates:
                 continue
-            held = known.held(words[:, :count])
             for owner, index in span_blocks(postings.starts[pairs], smaller):
                 owner, candidate = owners.take(owner), postings.holders.take(index)
+                # Partners share a value, so their position bits meet; on a
+                # lake of several schemas most holders of a null do not meet
+                # the tuple anywhere and are dropped by this one test instead
+                # of riding through the cut and the word test.
                 meet = (pattern.take(owner) & pattern.take(candidate)) != 0
                 owner, candidate = owner[meet], candidate[meet]
                 # The cut: the position where most of a sample of the
@@ -195,7 +227,7 @@ class ComplementationEngine:
                 subsumed.append(candidate[novel | clear & candidate_within])
                 # An owner's merges are taken in partner order, as if tested one by one.
                 owner, candidate = owner[novel], candidate[novel]
-                order = np.argsort(owner * count + candidate, kind="stable")
+                order = np.argsort(owner * inputs + candidate, kind="stable")
                 owner, candidate = owner[order], candidate[order]
                 add(
                     words.take(owner, axis=1) | words.take(candidate, axis=1),

@@ -223,6 +223,14 @@ def _group_by_component(component: np.ndarray, n_components: int):
     return order, bounds
 
 
+def _local_ranks(order: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per item grouped by :func:`_group_by_component` into ``(order, bounds)``,
+    its position in its component's run ``order[bounds[c] : bounds[c + 1]]``."""
+    ranks = np.empty(order.size, dtype=np.intp)
+    ranks[order] = np.arange(order.size) - np.repeat(bounds[:-1], np.diff(bounds))
+    return ranks
+
+
 def _components(
     pair_left: np.ndarray, pair_right: np.ndarray, n_left: int, n_right: int, decompose: bool = True
 ):
@@ -659,15 +667,15 @@ class BlockedValueMatcher:
             pair_left[star], pair_right[star], pair_component[star], distances[star]
         )
 
+        # Every row's and column's rank within its component: an edge's
+        # component-local coordinates are one gather each.
+        left_local, right_local = _local_ranks(left_order, left_bounds), _local_ranks(right_order, right_bounds)
         payloads = []
         for component in np.flatnonzero(~trivial).tolist():
             rows = left_order[left_bounds[component] : left_bounds[component + 1]]
             columns = right_order[right_bounds[component] : right_bounds[component + 1]]
             members = pair_order[pair_bounds[component] : pair_bounds[component + 1]]
-            # Rows and columns ascend, so the component-local coordinates of
-            # each candidate cell are a binary search away.
-            local_rows = np.searchsorted(rows, pair_left[members])
-            local_columns = np.searchsorted(columns, pair_right[members])
+            local_rows, local_columns = left_local[pair_left[members]], right_local[pair_right[members]]
             payloads.append((rows, columns, local_rows, local_columns, distances[members]))
         solved = run_partitioned(
             payloads,

@@ -13,11 +13,12 @@ an :class:`~repro.storage.store.ArtifactStore`:
 * **Promotion.**  A cold hit copies the row into the hot tier (normal dict
   of float64 vectors), so repeated lookups pay the memmap read once.
 * **Publication.**  :meth:`publish` gathers the hot-tier vectors that are
-  not yet durable, fingerprints their sorted texts and publishes them as
-  one new segment (atomic write-then-rename via the store).  Publishing is
-  content-addressed and idempotent: the same new texts always produce the
-  same segment, and a concurrent engine publishing the identical segment
-  resolves to one copy.
+  not yet durable — tracked as they are put and evicted, so a request that
+  embedded nothing scans nothing — fingerprints their sorted texts and
+  publishes them as one new segment (atomic write-then-rename via the
+  store).  Publishing is content-addressed and idempotent: the same new
+  texts always produce the same segment, and a concurrent engine publishing
+  the identical segment resolves to one copy.
 * **Sibling publications.**  A batch that misses re-attaches once before it
   reports the misses, so a value another engine on the same directory (a
   sibling ``repro serve --processes N`` process) has published since is
@@ -77,6 +78,9 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
         self._segments: List[np.ndarray] = []
         self._cold: Dict[str, Tuple[int, int]] = {}
         self._persisted: Set[str] = set()
+        #: This embedder's hot-tier texts not yet durable: what :meth:`publish`
+        #: writes, without scanning the hot tier.
+        self._unpersisted: Set[str] = set()
         #: Corpus fingerprint → stamp of the segment directory last read
         #: (attached or refused); a republished directory has a new stamp.
         self._seen_segments: Dict[str, Tuple[int, int]] = {}
@@ -117,6 +121,7 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
                 for row, text in enumerate(keys):
                     self._cold.setdefault(text, (segment_index, row))
                     self._persisted.add(text)
+                    self._unpersisted.discard(text)
                 gained += len(keys)
         return gained
 
@@ -135,21 +140,17 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
         if not self.store.can_write:
             return 0
         with self._lock:
-            pending = {
-                text: vector
-                for (model, text), vector in self._store.items()
-                if model == self.model_name and text not in self._persisted
-            }
-        if not pending:
-            return 0
-        keys = sorted(pending)
-        matrix = np.vstack([pending[key] for key in keys])
+            if not self._unpersisted:
+                return 0
+            keys = sorted(self._unpersisted)
+            matrix = np.vstack([self._store[(self.model_name, key)] for key in keys])
         corpus_fp = corpus_fingerprint(keys)
         published = self.store.save_embedding_segment(
             self.embedder_fp, corpus_fp, keys, matrix
         )
         with self._lock:
             self._persisted.update(keys)
+            self._unpersisted.difference_update(keys)
             if published:
                 self.published_rows += len(keys)
         # Attach the new segment (ours or, after a lost race, the identical
@@ -206,10 +207,20 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
                     self.store_misses += own
         return missing
 
+    def put_many(self, model: str, texts: Sequence[str], vectors: Sequence[np.ndarray]) -> None:
+        with self._lock:
+            super().put_many(model, texts, vectors)
+            if model == self.model_name:
+                for text in texts:
+                    # An entry the batch itself evicted is not pending.
+                    if text not in self._persisted and (model, text) in self._store:
+                        self._unpersisted.add(text)
+
     def clear(self) -> None:
         """Drop the hot tier and reset counters; the cold tier stays attached."""
         super().clear()
         with self._lock:
+            self._unpersisted.clear()
             self.store_hits = 0
             self.store_misses = 0
 
@@ -247,6 +258,11 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
             out[index] = self._promote(model, text, location)
             self.store_hits += 1
         return missing
+
+    def _evict(self, key: tuple) -> None:
+        super()._evict(key)
+        if key[0] == self.model_name:
+            self._unpersisted.discard(key[1])
 
     def _promote(self, model: str, text: str, location: Tuple[int, int]) -> np.ndarray:
         """Copy one cold row into the hot tier (caller holds the lock)."""

@@ -106,19 +106,30 @@ def serve_http():
     return serving
 
 
+def _entries(rows, provenance):
+    """Each ``(row, provenance)`` as JSON (nulls of every flavour alike)."""
+    for values, sources in zip(rows, provenance):
+        yield json.dumps([[None if is_null(value) else value for value in values], sorted(sources)])
+
+
+def _digest(entries) -> str:
+    state = hashlib.blake2b(digest_size=16)
+    for entry in entries:
+        state.update(entry.encode("utf-8"))
+    return state.hexdigest()
+
+
 @pytest.fixture(scope="session")
 def ordered_digest():
     """Digest of ``(rows, provenance)`` *in order*: pins tuple ids and row order,
     not just the row set (nulls of every flavour digest alike)."""
+    return lambda rows, provenance: _digest(_entries(rows, provenance))
 
-    def digest(rows, provenance) -> str:
-        state = hashlib.blake2b(digest_size=16)
-        for values, sources in zip(rows, provenance):
-            cells = [None if is_null(value) else value for value in values]
-            state.update(json.dumps([cells, sorted(sources)]).encode("utf-8"))
-        return state.hexdigest()
 
-    return digest
+@pytest.fixture(scope="session")
+def set_digest():
+    """Digest of ``(rows, provenance)`` as a set of rows, each with its provenance."""
+    return lambda rows, provenance: _digest(sorted(_entries(rows, provenance)))
 
 
 @pytest.fixture(scope="session")

@@ -1,25 +1,36 @@
 """The generation-batched closure kernel against its definitions.
 
-Three test-side references, none of which shares code with the kernel:
+Four test-side references, none of which shares code with the kernel:
 
 * ``reference_closure`` (``test_complementation``) — the definitional pairwise
   fixpoint: which tuples, with which provenance;
-* :func:`sequential_closure` — the tuple-at-a-time loop the kernel replaced:
-  ids in creation order, provenance carried through every merge;
-* :func:`component_at_a_time` — that loop run on one connected component
-  after the other, which is what ``incremental`` / ``partitioned`` /
-  ``streaming`` list.
+* :func:`sequential_closure` — the tuple-at-a-time loop the kernel batches:
+  every tuple meets the distinct inputs with smaller ids (an input) or every
+  input (a merged tuple); ids in creation order, provenance carried through
+  every merge;
+* the same loop with every smaller id a partner (``all_pairs=True``), the
+  kernel before it met inputs only: the same closed set, subsumed mask and
+  provenance, in another order;
+* :func:`component_at_a_time` — the input-partner loop run on one connected
+  component after the other, which is what ``incremental`` / ``partitioned``
+  / ``streaming`` list.
 
 Mutations of the kernel and the first test here that fails on each (the
 pinned digests of ``test_complementation`` catch all three as well):
 
-* candidates not cut at ``id < owner`` (whole posting lists) —
-  ``test_chain_of_four_generations`` at every block size (a pair met from
-  both sides creates its merge too early) and the 12 / 12 counter pin;
-* an owner's partners not sorted by id — ``test_chain_of_four_generations``
-  (value-posting partners then come before smaller null-posting ones);
+* an input's candidates not cut at ``id < owner`` (whole posting lists) —
+  ``test_same_ids_and_provenance_as_the_sequential_loop`` (a pair of inputs
+  met from both sides creates its merge too early) and the 12 / 12 counter pin;
+* an owner's partners not sorted by id —
+  ``test_more_positions_than_bits_of_the_pattern_word`` (value-posting
+  partners then come before smaller null-posting ones);
 * the null posting skipped — ``test_close_equals_the_pairwise_fixpoint``
   (partners that are null at the selective position are never met).
+
+``TestInputPartners`` fails when either mark line is dropped (the sets then
+differ from the all-pairs loop's), when a merged tuple misses its largest
+input partner (the chains), and when the postings are rebuilt or a mask is
+recomputed over earlier tuples (the spy).
 
 The closure also marks the tuples it strictly subsumes, and it tests, merges
 and deduplicates tuples as ``TupleIndex``'s bit-field words.
@@ -51,11 +62,11 @@ from repro.fd import (
     get_algorithm,
 )
 from repro.fd import complementation
-from repro.fd.complementation import ComplementationEngine, subsumed_sources
+from repro.fd.complementation import ComplementationEngine, position_bits, subsumed_sources
 from repro.table import NULL, Table, remove_subsumed, subsumes
 from repro.table import coded
 from repro.table.coded import TupleIndex
-from repro.table.relation import sources
+from repro.table.relation import Relation, sources
 from repro.table.subsumption import reduce_coded, subsumers
 from test_complementation import close, encode_rows, low_cardinality_rows, reference_closure
 
@@ -72,9 +83,11 @@ def sources_of(rows):
     return [frozenset({f"s{index}"}) for index in range(len(rows))]
 
 
-def sequential_closure(rows, provenance):
-    """Tuple-at-a-time closure: every tuple, in id order, meets the smaller ids
-    in id order; a new merge gets the next id, a known one gains provenance."""
+def sequential_closure(rows, provenance, all_pairs=False):
+    """Tuple-at-a-time closure: every tuple, in id order, meets in id order the
+    distinct inputs with smaller ids (all of them, for a merged tuple) or, with
+    ``all_pairs``, every smaller id; a new merge gets the next id, a known one
+    gains provenance."""
     closed, sources = [], []
     for values, tuple_sources in zip(rows, provenance):
         if values in closed:
@@ -82,11 +95,12 @@ def sequential_closure(rows, provenance):
         else:
             closed.append(values)
             sources.append(set(tuple_sources))
+    inputs = len(closed)
     generation = [0] * len(closed)
     current = -1
     while (current := current + 1) < len(closed):
         current_sources = frozenset(sources[current])
-        for partner in range(current):
+        for partner in range(current if all_pairs else min(current, inputs)):
             pairs = list(zip(closed[current], closed[partner]))
             agreements = [l == r for l, r in pairs if l is not NULL and r is not NULL]
             if not agreements or not all(agreements):
@@ -98,6 +112,43 @@ def sequential_closure(rows, provenance):
                 generation.append(generation[current] + 1)
             sources[closed.index(merged)] |= current_sources | sources[partner]
     return closed, [frozenset(entry) for entry in sources], max(generation, default=0)
+
+
+def chain(links):
+    """Inputs that each overlap the next in one column: link ``k`` holds columns ``k`` and ``k + 1``."""
+    return [tuple(f"v{p}" if link <= p <= link + 1 else NULL for p in range(links + 1)) for link in range(links)]
+
+
+def chain_closure(links):
+    """The closure of :func:`chain` as a set: every run of consecutive links
+    ``i..j``, with their sources, strictly subsumed unless it is the whole chain."""
+    return {
+        tuple(f"v{p}" if first <= p <= last + 1 else NULL for p in range(links + 1)): (
+            frozenset(f"s{link}" for link in range(first, last + 1)),
+            (first, last) != (0, links - 1),
+        )
+        for first in range(links)
+        for last in range(first, links)
+    }
+
+
+def closed_sets(rows):
+    """The kernel's closure of ``rows`` as a set: row -> (provenance, strictly subsumed)."""
+    codes, values = encode_rows(rows, len(rows[0]))
+    closed, subsumed = ComplementationEngine().close_coded(codes)
+    inputs, holders, _ = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
+    decoded = Relation("closed", map(str, range(len(values))), closed, values).decode()
+    provenance = sources(sources_of(rows), inputs, holders, closed.shape[1])
+    return dict(zip(decoded, zip(provenance, subsumed.tolist())))
+
+
+def all_pairs_sets(rows):
+    """The all-pairs loop's closure of ``rows`` as :func:`closed_sets` gives it."""
+    closed, provenance, _ = sequential_closure(rows, sources_of(rows), all_pairs=True)
+    return {
+        row: (entry, any(other != row and subsumes(other, row) for other in closed))
+        for row, entry in zip(closed, provenance)
+    }
 
 
 def components_of(rows):
@@ -187,16 +238,13 @@ class TestClosureAgainstTheDefinition:
 
     @BLOCKS
     def test_chain_of_four_generations(self, block):
-        # Each input overlaps the next in one column and a merge spans what
-        # its two sides span, so the spans double per generation: 17 links
-        # need five generations of merges.
+        # Each input overlaps the next in one column and a merge meets inputs
+        # only, so a span grows by one link per generation: 17 links need 16
+        # generations of merges.
         width = 18
-        rows = [
-            tuple(f"v{p}" if link <= p <= link + 1 else NULL for p in range(width))
-            for link in range(width - 1)
-        ]
+        rows = chain(width - 1)
         expected, expected_provenance, generations = sequential_closure(rows, sources_of(rows))
-        assert generations >= 4
+        assert generations == width - 2
         with blocks_of(block):
             closed, provenance = close(ComplementationEngine(), rows, sources_of(rows))
         assert (closed, provenance) == (expected, expected_provenance)
@@ -217,6 +265,7 @@ class TestClosureAgainstTheDefinition:
         expected, expected_provenance, generations = sequential_closure(rows, sources_of(rows))
         assert (closed, provenance) == (expected, expected_provenance)
         assert generations >= 2 and len(closed) > 2 * len(set(rows))
+        assert closed_sets(rows) == all_pairs_sets(rows)
 
     @BLOCKS
     def test_duplicate_inputs_and_fully_null_rows(self, block):
@@ -571,6 +620,55 @@ def load_fd_ablation():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestInputPartners:
+    """A tuple meets inputs only: every closed tuple is the union of a
+    value-connected set of inputs, so adding one input at a time reaches it,
+    and a strictly subsumed closed tuple shares a value with an input that
+    adds one to it, so it is still marked.  The all-pairs loop, where every
+    tuple met every smaller id, gives the same sets."""
+
+    @given(rows=st.one_of(low_cardinality_rows().filter(bool), closure_inputs().map(decoded_rows).filter(bool)))
+    @settings(max_examples=80, deadline=None)
+    def test_same_sets_as_the_all_pairs_loop(self, rows):
+        assert closed_sets(rows) == all_pairs_sets(rows)
+
+    def test_chains(self):
+        assert all_pairs_sets(chain(17)) == chain_closure(17) == closed_sets(chain(17))
+        # 11 325 closed tuples: too many for the all-pairs loop, whose closure
+        # of a chain is its runs of links (as on 17 links above).
+        assert closed_sets(chain(150)) == chain_closure(150)
+
+    def test_postings_once_and_each_tuples_masks_once(self):
+        # The 17-link chain closes over 16 generations.  The postings are
+        # built once, over the inputs; every tuple's pattern and held masks
+        # are computed once, when it is added.
+        built, held, patterns = [], [], []
+        original_held = TupleIndex.held
+
+        class Spied(coded.PairPostings):
+            def __init__(self, codes, *args):
+                built.append(codes.shape[1])
+                super().__init__(codes, *args)
+
+        def spied_held(index, words):
+            held.append(words.shape[1])
+            return original_held(index, words)
+
+        def spied_bits(columns):
+            patterns.append(columns.shape[1])
+            return position_bits(columns)
+
+        rows = chain(17)
+        with patch.object(complementation, "PairPostings", Spied), patch.object(
+            TupleIndex, "held", spied_held
+        ), patch.object(complementation, "position_bits", spied_bits):
+            closed, _ = ComplementationEngine().close_coded(encode_rows(rows, 18)[0])
+        assert built == [17]
+        # The inputs, then what each generation adds: the runs one link longer.
+        assert held == patterns == list(range(17, -1, -1))
+        assert sum(held) == closed.shape[1] == len(chain_closure(17))
 
 
 class TestOnePassAgainstComponentsAlone:

@@ -184,15 +184,19 @@ class TestSelectivePostingKernel:
         with pytest.raises(RuntimeError, match="exceeded 6 tuples"):
             close(ComplementationEngine(max_tuples=6), rows, provenance)
 
-    def test_same_ids_same_order_same_provenance_as_before_the_rewrite(self, ordered_digest):
-        # Recorded from the commit before the selective-posting kernel.
+    def test_same_ids_same_order_same_provenance_as_before_the_rewrite(self, ordered_digest, set_digest):
+        # The set digests were recorded from the kernel that met every smaller
+        # id, whose ordered digests dated from before the selective-posting
+        # kernel; the ordered ones pin the ids of the input-partner loop.
         union = outer_union([t.with_default_provenance() for t in ImdbBenchmark(13).tables(400)])
         rows, provenance = close(ComplementationEngine(), union.rows, union.provenance)
         assert len(rows) == 2826
-        assert ordered_digest(rows, provenance) == "be19db1784ee9bf446450b4a82b604e2"
+        assert set_digest(rows, provenance) == "00e485f6da724fefa424e57ac2e80b32"
+        assert ordered_digest(rows, provenance) == "c63327fd367b6ffaa5c690bf2202132e"
         reduced = remove_subsumed(Table("closed", union.schema, rows, provenance=provenance))
         assert reduced.num_rows == 155
-        assert ordered_digest(reduced.rows, reduced.provenance) == "0a9d87cf967d7bcf4f8e2570863be226"
+        assert set_digest(reduced.rows, reduced.provenance) == "3fe7b93746e547c932b5c90a6e801b69"
+        assert ordered_digest(reduced.rows, reduced.provenance) == "185a4ddc00223a27ee172e943ee56cab"
 
 
 def connected_components(rows):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +211,59 @@ class TestBlockedMatchesBipartiteProperty:
         assert {match.as_tuple() for match in blocked.match_exact_first(left, right)} == {
             match.as_tuple() for match in bipartite.match_exact_first(left, right)
         }
+
+
+@st.composite
+def _candidate_graphs(draw):
+    """Edges ``(left, right)`` of 1×1, star (1×N, N×1) and general components
+    over interleaved ids, with some ids of either side unused."""
+    edges, n_left, n_right = [], 0, 0
+    for kind in draw(st.lists(st.sampled_from(["one", "star", "general"]), min_size=1, max_size=8)):
+        width, height = {"one": (1, 1), "star": (1, draw(st.integers(2, 4))), "general": (draw(st.integers(2, 4)), draw(st.integers(2, 4)))}[kind]
+        if kind == "star" and draw(st.booleans()):
+            width, height = height, width
+        lefts, rights = list(range(n_left, n_left + width)), list(range(n_right, n_right + height))
+        # The first row's and the first column's cells keep the component connected.
+        cells = {(left, rights[0]) for left in lefts} | {(lefts[0], right) for right in rights}
+        cells |= set(draw(st.lists(st.tuples(st.sampled_from(lefts), st.sampled_from(rights)), max_size=4)))
+        edges += cells
+        n_left, n_right = n_left + width + draw(st.integers(0, 1)), n_right + height + draw(st.integers(0, 1))
+    left_ids, right_ids = draw(st.permutations(range(n_left))), draw(st.permutations(range(n_right)))
+    return [(left_ids[left], right_ids[right]) for left, right in edges], n_left, n_right
+
+
+class TestComponentCoordinates:
+    @given(graph=_candidate_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_local_coordinates_are_the_binary_search_ones(self, embedder, graph):
+        # With singleton batching off every component, 1×1 and stars too, is
+        # a payload; each edge's coordinates are its row's and column's
+        # positions among the component's ascending rows and columns.
+        import repro.matching.blocking as blocking_module
+
+        edges, n_left, n_right = graph
+        keys = np.array(sorted(left * n_right + right for left, right in edges), dtype=np.int64)
+        distances = np.linspace(0.1, 0.2, keys.size)
+        matcher = BlockedValueMatcher(embedder, singleton_batching=False)
+        matcher._scored_edges = lambda left, right: (keys, distances, {})
+        payloads = []
+
+        def capture(items, *args, **kwargs):
+            payloads.extend(items)
+            return [[] for _ in items]
+
+        with patch.object(blocking_module, "run_partitioned", capture):
+            matcher.match_indices(list(range(n_left)), list(range(n_right)))
+        left_rank = np.unique(keys // n_right).searchsorted(keys // n_right)
+        right_rank = np.unique(keys % n_right).searchsorted(keys % n_right)
+        seen = 0
+        for rows, columns, local_rows, local_columns, payload_distances in payloads:
+            members = np.flatnonzero(np.isin(left_rank, rows))
+            assert np.array_equal(payload_distances, distances[members])
+            assert np.array_equal(local_rows, np.searchsorted(rows, left_rank[members]))
+            assert np.array_equal(local_columns, np.searchsorted(columns, right_rank[members]))
+            seen += members.size
+        assert seen == keys.size and len(payloads) == matcher.last_statistics.components
 
 
 class TestValueBlockerKeyMemo:

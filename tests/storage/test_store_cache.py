@@ -200,6 +200,47 @@ class TestPublication:
         assert loser.get("mistral", "alpha") is not None
         assert loser.store_hits == 1
 
+    def test_publishes_exactly_the_new_texts(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        cache = StoreBackedEmbeddingCache(store, "mistral", 8)
+        _fill(cache, ["alpha"])
+        cache.publish()
+        _fill(cache, ["gamma", "alpha", "beta"])
+        cache.put("other-model", "delta", np.ones(8))
+        assert cache.publish() == 2
+        keys, matrix = store.load_embedding_segment(cache.embedder_fp, corpus_fingerprint(["beta", "gamma"]), 8)
+        assert list(keys) == ["beta", "gamma"]
+        assert np.array_equal(matrix[0], cache.get("mistral", "beta"))
+
+    def test_an_entry_evicted_before_publishing_is_not_published(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        cache = StoreBackedEmbeddingCache(store, "mistral", 8, max_entries=2)
+        _fill(cache, ["alpha", "beta", "gamma"])  # evicts alpha
+        assert cache.publish() == 2
+        assert store.load_embedding_segment(cache.embedder_fp, corpus_fingerprint(["beta", "gamma"]), 8) is not None
+        # One batch that overflows the hot tier: only what it kept is pending.
+        cache.put_many("mistral", ["delta", "epsilon", "zeta"], [np.ones(8)] * 3)
+        assert cache.publish() == 2
+        restarted = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        assert restarted.cold_rows == 4 and restarted.get("mistral", "delta") is None
+
+    def test_nothing_new_publishes_nothing_without_a_scan(self, tmp_path):
+        class Unscannable(dict):
+            def __iter__(self):
+                raise AssertionError("the hot tier was scanned")
+
+            items = keys = values = __iter__
+
+        cache = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        _fill(cache, ["alpha", "beta"])
+        assert cache.publish() == 2
+        # A request that finds every value in the hot or the cold tier.
+        restarted = StoreBackedEmbeddingCache(ArtifactStore(tmp_path), "mistral", 8)
+        for published in (cache, restarted):
+            published.fill_many("mistral", ["alpha", "beta"], np.empty((2, 8)))
+            published._store = Unscannable(published._store)
+            assert published.publish() == 0
+
     def test_eviction_of_persisted_entry_is_recoverable(self, tmp_path):
         store = ArtifactStore(tmp_path)
         cache = StoreBackedEmbeddingCache(store, "mistral", 8, max_entries=2)

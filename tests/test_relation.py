@@ -11,7 +11,12 @@ the columns, the rows in order, the provenance, the FD counters,
 of the HTTP response.  ``relation_snapshot.json`` holds what the row path
 observed on the same inputs — except ``complementation_comparisons`` of
 ``incremental`` / ``partitioned``, re-recorded (lower) when each component got
-null postings of its own; run this file to print the current observations.
+null postings of its own, and, re-recorded when the closure came to meet
+input tuples only, the ``rows`` / ``provenance`` / ``served`` digests of the
+``imdb`` and ``merging`` cases (the same rows with the same provenance, in
+the input-partner loop's order) and the ``complementation_comparisons`` /
+``complementation_merges`` of the ``imdb``, ``lake`` and ``merging`` cases
+(lower); run this file to print the current observations.
 
 The rest pins the encoding itself: ``Table → Relation → Table`` is the
 identity up to the null flavour (every null decodes to ``NULL``) and up to
