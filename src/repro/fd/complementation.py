@@ -9,10 +9,11 @@ coded tuples (:mod:`repro.table.coded`).  Every closed tuple is the union of
 a value-connected set of input tuples, so the closure adds one input at a
 time: a tuple is only compared with the *inputs* that agree with it or are
 null on its most selective column (in its component, when the components are
-known), found in value and null postings built once over the inputs, plus
-duplicate elimination so the closure terminates.  Comparisons, merges and
-duplicate elimination run on tuples packed as bit-field words
-(:class:`~repro.table.coded.TupleIndex`).
+known), found in value and null postings built once over the inputs — after
+the first generation, of those only the ones null or agreeing with it at a
+second column, the *cut* — plus duplicate elimination so the closure
+terminates.  Comparisons, merges and duplicate elimination run on tuples
+packed as bit-field words (:class:`~repro.table.coded.TupleIndex`).
 """
 
 from __future__ import annotations
@@ -21,14 +22,15 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from repro.table.coded import PairPostings, TupleIndex, span_blocks
+from repro.table import coded
+from repro.table.coded import CutPostings, PairPostings, TupleIndex, span_blocks
 from repro.table.subsumption import subsumers, survivor
 from repro.utils.components import component_labels
 from repro.utils.sorting import stable_order
 
-#: About this many candidate pairs per block, every k-th (all of a smaller
-#: block), are tested at every position on codes; the position where most
-#: conflicted so far is the cut.
+#: About this many candidate pairs per block of the first generation, every
+#: k-th (all of a smaller block), are tested at every position on codes; the
+#: position where most conflicted is the cut.
 CUT_SAMPLE = 256
 
 
@@ -60,13 +62,20 @@ class ComplementationEngine:
     position where that union is smallest — the same pairs ALITE's hash
     index on shared values finds, from far fewer candidates when a column
     such as ``genres`` is low-cardinality.  It tests them on codes at one
-    position, the *cut* (where the most of a sample of candidates conflicted
-    so far), and the rest on the words, every position at once: "no
-    conflict", "shares a value" and which side holds only positions the
-    other holds.  A merge is the OR of two tuples' words, and the words are
-    the keys it is deduplicated by; only the new tuples are coded, from
-    their two parents, and their position bits and held masks are computed
-    once, when they are added.
+    position, the *cut* (where the most of a sample of the first
+    generation's candidates conflicted), and the rest on the words, every
+    position at once: "no conflict", "shares a value" and which side holds
+    only positions the other holds.  The cut is learned once and kept: the
+    first later generation that lists more than a block of candidates
+    orders each list's holders by their code at the cut, once
+    (:class:`~repro.table.coded.CutPostings`), and from then on a tuple
+    holding a code at the cut reads, of each list, only the holders null or
+    holding that code there — the candidates the cut would keep, never
+    expanded to be dropped.  (Re-learned from those, the cut would drift:
+    none of them conflicts there.)  A merge is the OR of two tuples' words,
+    and the words are the keys it is deduplicated by; only the new tuples
+    are coded, from their two parents, and their position bits and held
+    masks are computed once, when they are added.
 
     The tuples created while one *generation* (the inputs, then what the
     inputs' merges created, ...) is tested get the next, contiguous ids, and
@@ -176,7 +185,9 @@ class ComplementationEngine:
         merges = 0
         comparisons = 0
         subsumed = [np.empty(0, dtype=np.intp)]  # tuples another one strictly subsumes
-        conflicting = np.zeros(width, dtype=np.int64)  # per position, in the samples so far
+        conflicting = np.zeros(width, dtype=np.int64)  # per position, in the first generation's samples
+        cut = None  # learned on the first generation, then kept
+        split = None  # the inputs' lists ordered by their code at the cut, built once
         generation_start = 0
         while generation_start < len(known):
             count = len(known)
@@ -195,24 +206,37 @@ class ComplementationEngine:
             comparisons += candidates
             if not candidates:
                 continue
-            for owner, index in span_blocks(postings.starts[pairs], smaller):
-                owner, candidate = owners.take(owner), postings.holders.take(index)
+            # After the first generation every owner is a merged tuple, which
+            # reads whole lists; once a generation lists more than a block,
+            # they are read from two positions, the listing one and the cut.
+            if split is None and cut is not None and candidates > coded.PAIR_BLOCK:
+                split = CutPostings(postings, data[cut, :inputs], int(codes_per_column[cut]))
+            if split is None:
+                starts, sizes, holders = postings.starts[pairs], smaller, postings.holders
+            else:
+                starts, sizes = split.spans(pairs, data[cut].take(owners))
+                holders = split.holders
+            for owner, index in span_blocks(starts, sizes):
+                owner, candidate = owners.take(owner), holders.take(index)
                 # Partners share a value, so their position bits meet; on a
                 # lake of several schemas most holders of a null do not meet
                 # the tuple anywhere and are dropped by this one test instead
                 # of riding through the cut and the word test.
                 meet = (pattern.take(owner) & pattern.take(candidate)) != 0
                 owner, candidate = owner[meet], candidate[meet]
-                # The cut: the position where most of a sample of the
-                # candidates conflict so far, on codes; then every position
-                # at once, on the words.
-                sample = slice(None, None, max(owner.size // CUT_SAMPLE, 1))
-                mine, theirs = data.take(owner[sample], axis=1), data.take(candidate[sample], axis=1)
-                conflicting += ((mine != theirs) & ((mine | theirs) >= 0)).sum(axis=1)
-                cut = int(np.argmax(conflicting))
-                mine, theirs = data[cut].take(owner), data[cut].take(candidate)
-                clear = (mine == theirs) | ((mine | theirs) < 0)
-                owner, candidate = owner[clear], candidate[clear]
+                # The cut: the position where most of a sample of the first
+                # generation's candidates conflict so far, on codes; then
+                # every position at once, on the words.  The split lists only
+                # candidates clear at the cut.
+                if cut is None:
+                    sample = slice(None, None, max(owner.size // CUT_SAMPLE, 1))
+                    mine, theirs = data.take(owner[sample], axis=1), data.take(candidate[sample], axis=1)
+                    conflicting += ((mine != theirs) & ((mine | theirs) >= 0)).sum(axis=1)
+                if split is None:
+                    position = int(np.argmax(conflicting)) if cut is None else cut
+                    mine, theirs = data[position].take(owner), data[position].take(candidate)
+                    clear = (mine == theirs) | ((mine | theirs) < 0)
+                    owner, candidate = owner[clear], candidate[clear]
                 conflict, meets, owner_within, candidate_within = known.compare(words, held, owner, candidate)
                 clear = ~conflict
                 partners = meets & clear
@@ -234,6 +258,8 @@ class ComplementationEngine:
                     component[owner],
                     lambda fresh: np.maximum(data.take(owner[fresh], axis=1), data.take(candidate[fresh], axis=1)),
                 )
+            if cut is None:
+                cut = int(np.argmax(conflicting))
 
         for name, value in (("comparisons", comparisons), ("merges", merges), ("tuples", len(known))):
             key = f"complementation_{name}"

@@ -229,6 +229,42 @@ class PairPostings:
         return chosen[:, None] if labels is None else np.stack((chosen, self.nulls(position, labels)), axis=1)
 
 
+class CutPostings:
+    """:class:`PairPostings`' lists with each pair's holders ordered by their code
+    at one position, the *cut*: null first, then code by code, each run in id order.
+
+    A tuple holding code ``v`` at the cut conflicts there with every holder of
+    another code, so of each pair's holders it reads two runs, those null and
+    those holding ``v`` at the cut; a tuple null at the cut reads the pair's
+    whole list, the same holders as in :class:`PairPostings`, reordered.  One
+    stable sort of the holders, by (pair, code at the cut), builds it.
+    """
+
+    def __init__(self, postings: PairPostings, at_cut: np.ndarray, codes: int) -> None:
+        """``at_cut``: the code of every tuple of ``postings`` at the cut, of ``codes``."""
+        self.starts, self.held_by, self.stride = postings.starts, postings.held_by, codes + 1
+        pair = np.repeat(np.arange(self.held_by.size), self.held_by)
+        cells = at_cut[postings.holders]
+        keys = pair * self.stride + cells + 1
+        order = stable_order(keys, self.held_by.size * self.stride)
+        self.holders, self.keys = postings.holders[order], keys[order]
+        self.nulls = np.bincount(pair[cells < 0], minlength=self.held_by.size)
+
+    def spans(self, pairs: np.ndarray, at_cut: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(tuples, 2k)`` spans of :attr:`holders` that tuples holding
+        ``at_cut`` at the cut read of their ``(tuples, k)`` ``pairs``, whole
+        runs: per pair, the holders null at the cut, then those holding the
+        tuple's code there (for a tuple null at the cut, the whole list, then
+        nothing)."""
+        whole = (at_cut < 0)[:, None]
+        keys = pairs * self.stride + at_cut[:, None] + 1
+        first = np.searchsorted(self.keys, keys)
+        sizes = np.searchsorted(self.keys, keys, side="right") - first
+        starts = np.stack((self.starts[pairs], np.where(whole, 0, first)), axis=2)
+        sizes = np.stack((np.where(whole, self.held_by[pairs], self.nulls[pairs]), np.where(whole, 0, sizes)), axis=2)
+        return starts.reshape(len(pairs), -1), sizes.reshape(len(pairs), -1)
+
+
 def span_blocks(starts: np.ndarray, sizes: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Expand ``(owners, k)`` spans ``starts[o, s] : starts[o, s] + sizes[o, s]``.
 
