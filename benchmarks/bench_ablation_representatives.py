@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.core import FuzzyFDConfig, FuzzyFullDisjunction
+from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.core.representatives import available_policies
 from repro.datasets import AutoJoinBenchmark
 from repro.evaluation import format_markdown_table
@@ -35,13 +35,13 @@ def run_representative_ablation(
     ).generate()
     results: Dict[str, Dict[str, float]] = {}
     for policy in policies:
-        operator = FuzzyFullDisjunction(FuzzyFDConfig(representative_policy=policy))
+        engine = IntegrationEngine(FuzzyFDConfig(representative_policy=policy))
         output_tuples = 0
         rewrites = 0
         input_tuples = 0
         for integration_set in integration_sets:
             tables = integration_set.tables()
-            result = operator.integrate(tables)
+            result = engine.integrate(tables)
             output_tuples += result.table.num_rows
             rewrites += result.rewrites_applied()
             input_tuples += sum(table.num_rows for table in tables)

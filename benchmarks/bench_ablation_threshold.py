@@ -8,7 +8,7 @@ the precision/recall trade-off around the chosen operating point.
 ``run_engine_theta_sweep`` additionally measures the end-to-end sweep the way
 a service runs it: one warm :class:`~repro.core.engine.IntegrationEngine`
 serving every θ as a per-request override (each value embedded once) versus a
-cold operator instantiated per θ (every value re-embedded each time).
+cold engine built per θ (every value re-embedded each time).
 
 Run with ``pytest benchmarks/bench_ablation_threshold.py --benchmark-only -s``
 or ``python benchmarks/bench_ablation_threshold.py``.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Sequence, Tuple
 
-from repro.core import FuzzyFDConfig, FuzzyFullDisjunction, IntegrationEngine
+from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.core.value_matching import ValueMatcher
 from repro.datasets import AutoJoinBenchmark
 from repro.embeddings import MistralEmbedder
@@ -56,7 +56,7 @@ def run_engine_theta_sweep(
     values_per_column: int = 60,
     seed: int = 42,
 ) -> Dict[str, float]:
-    """End-to-end θ-sweep: one warm engine vs a cold operator per θ.
+    """End-to-end θ-sweep: one warm engine vs a cold engine per θ.
 
     Returns wall-clock seconds for both shapes plus the warm engine's
     embedding-cache miss count (which must not grow after the first θ).
@@ -70,7 +70,7 @@ def run_engine_theta_sweep(
     # construction, binding the solver's compiled routine) before either
     # timer starts, so the comparison measures embedding reuse rather than
     # interpreter warm-up.
-    FuzzyFullDisjunction(FuzzyFDConfig()).integrate(table_sets[0])
+    IntegrationEngine(FuzzyFDConfig()).integrate(table_sets[0])
 
     engine = IntegrationEngine(FuzzyFDConfig())
     start = time.perf_counter()
@@ -82,9 +82,9 @@ def run_engine_theta_sweep(
 
     start = time.perf_counter()
     for theta in thresholds:
-        operator = FuzzyFullDisjunction(FuzzyFDConfig(threshold=theta))
+        cold = IntegrationEngine(FuzzyFDConfig(threshold=theta))
         for tables in table_sets:
-            operator.integrate(tables)
+            cold.integrate(tables)
     cold_seconds = time.perf_counter() - start
 
     return {
@@ -128,7 +128,7 @@ def test_engine_sweep_reuses_embeddings(benchmark):
     )
     print(
         f"\nwarm engine: {results['warm_seconds']:.3f}s, "
-        f"cold operators: {results['cold_seconds']:.3f}s "
+        f"cold engines: {results['cold_seconds']:.3f}s "
         f"({results['speedup']:.1f}x), "
         f"warm cache misses: {results['warm_cache_misses']:.0f}"
     )
@@ -140,7 +140,7 @@ if __name__ == "__main__":
     print(report(run_threshold_ablation()))
     sweep = run_engine_theta_sweep()
     print(
-        "\nEnd-to-end θ-sweep (warm IntegrationEngine vs cold per-θ operators)\n\n"
+        "\nEnd-to-end θ-sweep (warm IntegrationEngine vs cold per-θ engines)\n\n"
         f"warm engine : {sweep['warm_seconds']:.3f}s "
         f"({sweep['warm_cache_misses']:.0f} embeddings computed)\n"
         f"cold        : {sweep['cold_seconds']:.3f}s\n"

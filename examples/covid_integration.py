@@ -15,7 +15,7 @@ Run with::
 from __future__ import annotations
 
 from repro import Table
-from repro.core import FuzzyFullDisjunction, RegularFullDisjunction, ValueMatcher
+from repro.core import IntegrationEngine, ValueMatcher
 from repro.core.value_matching import ColumnValues
 from repro.embeddings import MistralEmbedder
 
@@ -69,8 +69,11 @@ def main() -> None:
         print(f"\n{table.name}:")
         print(table.to_pretty_string())
 
+    # One engine serves both requests (the embedder and its cache stay warm).
+    engine = IntegrationEngine()
+
     # Regular Full Disjunction: 9 tuples, Berlin/Berlinn and Spain/ES stay apart.
-    regular = RegularFullDisjunction().integrate(tables)
+    regular = engine.integrate(tables, fuzzy=False)
     show_result("FD(T1, T2, T3) — regular Full Disjunction (9 tuples)", regular)
 
     # Figure 2: the Match Values component over the three City columns.
@@ -87,7 +90,7 @@ def main() -> None:
         print(f"  ({members})  ->  representative {match_set.representative!r}")
 
     # Fuzzy Full Disjunction: 5 tuples, all variants consolidated.
-    fuzzy = FuzzyFullDisjunction().integrate(tables)
+    fuzzy = engine.integrate(tables)
     show_result("Fuzzy FD(T1, T2, T3) — 5 fully integrated tuples", fuzzy)
 
 

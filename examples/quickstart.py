@@ -146,7 +146,7 @@ def concurrency_api(tables: list[Table]) -> None:
           f"for parallel requests run `repro serve --processes N`")
 
     # The ``scale`` preset bundles the data-lake settings: blocking=auto,
-    # component-decomposed ("partitioned") FD, 4 thread workers for matching.
+    # component-decomposed ("incremental") FD, 4 thread workers for matching.
     scaled = IntegrationEngine("scale").integrate(tables)
     print(f"  'scale' preset: {scaled.table.num_rows} tuples "
           f"(same rows: {scaled.table.same_rows(results[0].table)})")

@@ -27,10 +27,8 @@ algorithm once and keeps the embedding cache warm across calls:
 
 from repro.core import (
     FuzzyFDConfig,
-    FuzzyFullDisjunction,
     FuzzyIntegrationResult,
     IntegrationEngine,
-    RegularFullDisjunction,
     ValueMatcher,
     available_presets,
     integrate,
@@ -48,8 +46,6 @@ __all__ = [
     "integrate",
     "FuzzyFDConfig",
     "available_presets",
-    "FuzzyFullDisjunction",
-    "RegularFullDisjunction",
     "FuzzyIntegrationResult",
     "IntegrationEngine",
     "IntegrationService",

@@ -8,16 +8,14 @@ equi-join Full Disjunction.
 
 Public entry points, from highest to lowest level:
 
-* :func:`~repro.core.pipeline.integrate` — one-call convenience (fuzzy or
-  regular integration of a list of tables).
+* :func:`~repro.core.engine.integrate` — one-call convenience (fuzzy or
+  regular integration of a list of tables on a fresh engine).
 * :class:`~repro.core.engine.IntegrationEngine` — the long-lived engine for
   repeated requests: resolves the embedder, solver and FD algorithm once,
   keeps the embedding cache warm across calls, exposes the pipeline as
   inspectable stages (``align`` → ``match`` → ``integrate``), and accepts
-  per-request overrides (``engine.integrate(tables, threshold=0.8)``).
-* :class:`~repro.core.fuzzy_fd.FuzzyFullDisjunction` /
-  :class:`~repro.core.fuzzy_fd.RegularFullDisjunction` — the one-shot
-  operator classes (thin wrappers over a private engine).
+  per-request overrides (``engine.integrate(tables, threshold=0.8)``;
+  ``fuzzy=False`` runs the regular, equi-join Full Disjunction baseline).
 * :class:`~repro.core.value_matching.ValueMatcher` — the Match Values
   component, usable standalone.
 * :class:`~repro.core.config.FuzzyFDConfig` — configuration: every knob
@@ -43,9 +41,8 @@ from repro.core.engine import (
     FuzzyIntegrationResult,
     IntegrationEngine,
     MatchStage,
+    integrate,
 )
-from repro.core.fuzzy_fd import FuzzyFullDisjunction, RegularFullDisjunction
-from repro.core.pipeline import integrate
 
 __all__ = [
     "FuzzyFDConfig",
@@ -57,8 +54,6 @@ __all__ = [
     "IntegrationEngine",
     "AlignmentStage",
     "MatchStage",
-    "FuzzyFullDisjunction",
-    "RegularFullDisjunction",
     "FuzzyIntegrationResult",
     "integrate",
     "select_representative",

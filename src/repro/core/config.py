@@ -65,8 +65,10 @@ class FuzzyFDConfig:
         Bipartite assignment solver (``"scipy"`` as in the paper, or
         ``"greedy"``).
     fd_algorithm:
-        Full Disjunction substrate (``"alite"`` as in the paper, or
-        ``"naive"`` / ``"incremental"`` / ``"partitioned"``).
+        Full Disjunction substrate: a name of
+        :data:`~repro.fd.FD_ALGORITHMS` (``"alite"`` as in the paper,
+        ``"incremental"``, its alias ``"partitioned"``, or the oracles
+        ``"naive"`` / ``"outer_join_sequence"``) or an instance.
     representative_policy:
         How the representative value of a match set is chosen;
         ``"frequency"`` (most frequent value, ties broken by earliest table)
@@ -115,7 +117,8 @@ class FuzzyFDConfig:
         back to IVF per column pair when hyperplane buckets skew past the
         blocker's threshold) or ``"ivf"`` (force the seeded k-means
         inverted-file index everywhere).  Both are deterministic under the
-        fixed seed and both persist through the artifact store.
+        fixed seed and both are built in memory per request; neither is
+        stored.
     alignment:
         Alignment strategy used when the caller does not pass an explicit
         alignment: ``"by_name"`` groups equal headers (the Figure 1 setting),
@@ -396,7 +399,7 @@ class FuzzyFDConfig:
 #: ``"fast"`` trades effectiveness for speed (cheap surface embedder, greedy
 #: assignment); ``"scale"`` keeps the paper's models but engages blocking
 #: (with the semantic ANN channel on ``"auto"``), the component-decomposed
-#: (``partitioned``) FD substrate and the parallel execution layer (4 thread
+#: (``incremental``) FD substrate and the parallel execution layer (4 thread
 #: workers, for component solving) for wide data-lake inputs;
 #: it also opts into ``store_mode="readwrite"`` so that a caller who supplies
 #: ``store_dir`` gets persistent, warm-startable state.
@@ -412,7 +415,7 @@ PRESETS: Registry[Dict[str, Any]] = Registry(
         "scale": {
             "blocking": "auto",
             "semantic_blocking": "auto",
-            "fd_algorithm": "partitioned",
+            "fd_algorithm": "incremental",
             "max_workers": 4,
             "parallel_backend": "thread",
             # Persistence engages once the caller supplies store_dir; the

@@ -1,9 +1,9 @@
 """A long-lived integration engine serving repeated requests.
 
-``integrate()`` and the operator classes build their embedder, solver and FD
-algorithm per call — fine for one-shot use, wasteful for the serve-many-
-requests shape every benchmark sweep has (Table 1 iterates models, Figure 3
-iterates sizes, the θ-ablation iterates thresholds over the *same* tables).
+:func:`integrate` builds its embedder, solver and FD algorithm per call —
+fine for one-shot use, wasteful for the serve-many-requests shape every
+benchmark sweep has (Table 1 iterates models, Figure 3 iterates sizes, the
+θ-ablation iterates thresholds over the *same* tables).
 :class:`IntegrationEngine` resolves those components once and keeps them warm:
 the embedder's cache persists across requests, so a θ-sweep re-scores cached
 vectors instead of re-embedding every value.
@@ -563,3 +563,31 @@ class IntegrationEngine:
                     rewritten[table] = rewritten[table].replace(column, replacements)
 
         return results, [rewritten[relation.name] for relation in relations]
+
+
+def integrate(
+    tables: Sequence[Table],
+    *,
+    fuzzy: bool = True,
+    config: Optional[FuzzyFDConfig] = None,
+    alignment: Optional[ColumnAlignment] = None,
+) -> FuzzyIntegrationResult:
+    """Integrate a set of data-lake tables into one unified table, one-shot.
+
+    Builds a fresh :class:`IntegrationEngine` (``config``, the paper's
+    settings by default) and serves one request: the paper's Fuzzy Full
+    Disjunction, or with ``fuzzy=False`` the regular, equi-join Full
+    Disjunction baseline.  ``alignment`` is an optional pre-computed column
+    alignment; without it the configured strategy aligns the columns.
+    Callers integrating *repeatedly* should hold an engine instead — it
+    keeps the embedding cache warm.
+
+    >>> from repro.table import Table
+    >>> from repro.core import integrate
+    >>> cities = Table("t1", ["City", "Country"], [("Berlin", "Germany")])
+    >>> stats = Table("t2", ["City", "Cases"], [("Berlin", "1.4M")])
+    >>> result = integrate([cities, stats])
+    >>> sorted(result.table.columns)
+    ['Cases', 'City', 'Country']
+    """
+    return IntegrationEngine(config).integrate(tables, alignment=alignment, fuzzy=fuzzy)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import FuzzyFDConfig
-from repro.core.fuzzy_fd import FuzzyFullDisjunction, RegularFullDisjunction
+from repro.core.engine import IntegrationEngine
 from repro.table.table import Table
 
 
@@ -61,14 +61,11 @@ def runtime_sweep(
         tables = list(table_factory(size))
         actual_input = sum(table.num_rows for table in tables)
         for method in methods:
-            if method == "regular_fd":
-                operator = RegularFullDisjunction(config)
-            elif method == "fuzzy_fd":
-                operator = FuzzyFullDisjunction(config)
-            else:
+            if method not in ("regular_fd", "fuzzy_fd"):
                 raise ValueError(f"unknown method {method!r}")
+            engine = IntegrationEngine(config)
             start = time.perf_counter()
-            result = operator.integrate(tables)
+            result = engine.integrate(tables, fuzzy=method == "fuzzy_fd")
             elapsed = time.perf_counter() - start
             points.append(
                 RuntimePoint(

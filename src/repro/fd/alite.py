@@ -11,7 +11,7 @@ runtime experiment (Figure 3) feasible.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -32,6 +32,6 @@ class AliteFullDisjunction(FullDisjunctionAlgorithm):
         super().__init__(result_name)
         self._engine = ComplementationEngine(max_tuples=max_tuples)
 
-    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Iterator[Batch]:
+    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Batch:
         statistics["outer_union_tuples"] = float(codes.shape[1])
-        yield self._engine.disjunction_coded(codes, statistics)
+        return self._engine.disjunction_coded(codes, statistics)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,28 +89,14 @@ class FullDisjunctionAlgorithm:
         return self.integrate(tables).table
 
     # -- extension point -------------------------------------------------------------
-    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Iterator[Batch]:
-        """The Full Disjunction of the outer union ``codes``, batch by batch."""
+    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Batch:
+        """The Full Disjunction of the outer union ``codes``."""
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------------------
-    def _batches(self, relations: Sequence[Relation], statistics: Dict[str, float]) -> Iterator[Relation]:
-        """The survivors batch by batch, each a relation with its provenance
-        decoded, after an empty one (so there is always a first batch)."""
+    def _collect(self, relations: Sequence[Relation], statistics: Dict[str, float]) -> Relation:
+        """The survivors as one relation, their provenance decoded."""
         schema, codes, values = outer_union(relations)
-        ids = tuple_ids(relations)
-        yield Relation(self.result_name, schema, codes[:, :0], values, [])
-        for survivors, inputs, holders in self._disjunction(codes, statistics):
-            yield Relation(self.result_name, schema, survivors, values, sources(ids, inputs, holders, survivors.shape[1]))
-
-    def _collect(self, relations: Sequence[Relation], statistics: Dict[str, float], limit: Optional[int] = None) -> Relation:
-        """The first ``limit`` survivors (all by default) as one relation."""
-        batches, held = [], 0
-        for batch in self._batches(relations, statistics):
-            batches.append(batch)
-            held += batch.num_rows
-            if limit is not None and held >= limit:
-                break
-        codes = np.concatenate([batch.codes for batch in batches], axis=1) if len(batches) > 2 else batches[-1].codes
-        provenance = [entry for batch in batches for entry in batch.provenance]
-        return Relation(self.result_name, batches[0].schema, codes[:, :limit], batches[0].values, provenance[:limit])
+        survivors, inputs, holders = self._disjunction(codes, statistics)
+        provenance = sources(tuple_ids(relations), inputs, holders, survivors.shape[1])
+        return Relation(self.result_name, schema, survivors, values, provenance)

@@ -15,26 +15,13 @@ once per component.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.fd.base import Batch, FullDisjunctionAlgorithm
 from repro.fd.complementation import ComplementationEngine, component_roots
-from repro.table.coded import compact_codes
 from repro.utils.sorting import first_of_runs, stable_order
-
-
-def _batches(heads: np.ndarray, count: int, bound: float) -> Iterator[Tuple[int, int]]:
-    """Spans ``low:high`` of ``count`` tuples: runs of the components starting at ``heads``, ≤ ``bound`` tuples or one component."""
-    low = high = 0
-    for end in heads.tolist()[1:] + [count]:
-        if high > low and end - low > bound:
-            yield low, high
-            low = high
-        high = end
-    if high > low:
-        yield low, high
 
 
 class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
@@ -43,10 +30,6 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
     in the order of their first input tuples, each in closure order."""
 
     name = "incremental"
-    #: Close the components smallest first instead of in input order.
-    largest_components_last = False
-    #: Input tuples closed per pass of the kernel: every one.
-    component_batch = float("inf")
 
     def __init__(
         self,
@@ -56,38 +39,18 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
         super().__init__(result_name)
         self._engine = ComplementationEngine(max_tuples=max_tuples)
 
-    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Iterator[Batch]:
-        """The Full Disjunction tuples of the outer union ``codes``, each batch
-        of components as soon as it is closed and reduced."""
+    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Batch:
         roots = component_roots(codes)
         rows = stable_order(roots, roots.size)  # components in the order of their first tuples
         statistics["outer_union_tuples"] = float(codes.shape[1])
         statistics["components"] = float(np.count_nonzero(first_of_runs(roots[rows])))
-        if self.largest_components_last:
-            rows = rows[stable_order(np.bincount(roots)[roots[rows]], roots.size + 1)]
         # A fully-null tuple is a component of its own that any tuple with
-        # information subsumes: all of them are closed with the first batch,
-        # whose reduction folds them into the survivor standing for its first tuple.
+        # information subsumes: all of them go first, under label 0 (the
+        # components count from 1), and the reduction folds them into the
+        # survivor standing for the first tuple.
         informative = (codes >= 0).any(axis=0)
         empty, rows = np.flatnonzero(~informative), rows[informative[rows]]
-        heads = first_of_runs(roots[rows])
-        for low, high in list(_batches(np.flatnonzero(heads), rows.size, self.component_batch)) or [(0, 0)] * bool(empty.size):
-            # The batch's components, from 1 in closing order (a batch starts at a head); the fully-null tuples 0.
-            batch, batch_labels = rows[low:high], np.cumsum(heads[low:high])
-            if low == 0:
-                batch, batch_labels = np.concatenate((empty, batch)), np.append(np.zeros(empty.size, dtype=np.intp), batch_labels)
-            # A batch of every tuple holds every code; a smaller one is renumbered densely.
-            compact, present = (codes[:, batch], []) if batch.size == codes.shape[1] else compact_codes(codes[:, batch])
-            survivors, inputs, holders = self._engine.disjunction_coded(compact, statistics, batch_labels)
-            # Back from the batch's dense codes to the outer union's.
-            for position, old in enumerate(present):
-                survivors[position] = np.append(old, -1)[survivors[position]]
-            yield survivors, batch[inputs], holders
-
-
-class PartitionedFullDisjunction(IncrementalFullDisjunction):
-    """The incremental algorithm under the registry name of the former
-    worker-pool variant, which configurations and the ``scale`` preset use:
-    one labelled pass closes the components faster than a pool is handed them."""
-
-    name = "partitioned"
+        order = np.concatenate((empty, rows))
+        labels = np.append(np.zeros(empty.size, dtype=np.intp), np.cumsum(first_of_runs(roots[rows])))
+        survivors, inputs, holders = self._engine.disjunction_coded(codes[:, order], statistics, labels)
+        return survivors, order[inputs], holders

@@ -61,7 +61,7 @@ class RowOracle(FullDisjunctionAlgorithm):
     the input tables, every tuple carrying its provenance, and returns the
     Full Disjunction itself (no subsumed tuples)."""
 
-    def _collect(self, relations: Sequence[Relation], statistics: Dict[str, float], limit=None) -> Relation:
+    def _collect(self, relations: Sequence[Relation], statistics: Dict[str, float]) -> Relation:
         tables = [relation.to_table() for relation in relations]
         tables = [table if table.provenance is not None else table.with_default_provenance() for table in tables]
         return Relation.of(self._integrate(tables, statistics))  # type: ignore[attr-defined]

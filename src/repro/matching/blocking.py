@@ -66,9 +66,9 @@ embedder, threshold, blocker configuration)`` — the executor configuration
 (backend, worker count, batch size) and the singleton-batching switch never
 change which matches are returned, only how fast:
 
-* Candidate generation visits blocks in sorted key order and the semantic
-  channel breaks ties by index (its indexes use a fixed seed), so the
-  candidate set is identical run to run.
+* Surface candidates are a sorted, duplicate-free key array and the
+  semantic channel breaks ties by index (its indexes use a fixed seed), so
+  the candidate set is identical run to run.
 * Components are solved independently and merged *positionally*
   (:func:`repro.utils.executor.run_partitioned` returns results in input
   order whatever the backend), so serial == thread, byte for byte, for
@@ -85,7 +85,7 @@ from __future__ import annotations
 import threading
 from functools import partial
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -416,10 +416,6 @@ class ValueBlocker:
             memo[normalised] = keys
         return keys
 
-    def _value_keys(self, values: Sequence[object]) -> List[Tuple[str, ...]]:
-        """Key tuples for every value, positionally."""
-        return [self._keys_for_normalised(normalize_value(value)) for value in values]
-
     def _key_ids(self, values: Sequence[object]) -> Tuple[np.ndarray, np.ndarray]:
         """``(key id, value position)`` of every key occurrence, in position order; a value's
         ids are memoised as ``int32`` bytes (one join concatenates them, a third of an array's memory)."""
@@ -433,61 +429,6 @@ class ValueBlocker:
         lengths = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)) // 4
         return np.frombuffer(b"".join(ids), dtype=np.int32), np.repeat(np.arange(len(ids), dtype=np.int64), lengths)
 
-    def iter_candidate_pairs(
-        self, left_values: Sequence[object], right_values: Sequence[object]
-    ) -> Iterator[Tuple[int, int]]:
-        """Stream distinct candidate pairs block by block (deterministic order).
-
-        Blocks are visited in sorted key order and pairs within a block in
-        position order, deduplicated on the fly.  The memory bound comes
-        from the ``frequent_key_cap``: a capped (stop-word-like) key never
-        materialises its quadratic pair block at all.  Note the dedup set
-        still grows with the number of *emitted* pairs — a consumer that
-        stops early saves work, but the generator is not constant-memory.
-        Indexing and the cap run eagerly, so :attr:`last_skipped_keys` is
-        accurate as soon as this returns (not once the generator drains).
-        """
-        left_index: Dict[str, List[int]] = {}
-        for left_position, value_keys in enumerate(self._value_keys(left_values)):
-            for key in value_keys:
-                left_index.setdefault(key, []).append(left_position)
-        right_index: Dict[str, List[int]] = {}
-        for right_position, value_keys in enumerate(self._value_keys(right_values)):
-            for key in value_keys:
-                right_index.setdefault(key, []).append(right_position)
-
-        cap = self.frequent_key_cap
-        skipped = 0
-        blocks: List[Tuple[List[int], List[int]]] = []
-        for key in sorted(left_index):
-            right_positions = right_index.get(key)
-            if not right_positions:
-                continue
-            left_positions = left_index[key]
-            # Quadratic blowup needs *both* sides of a key to be populous; a
-            # 10000×1 block is linear and may carry a value's only candidates,
-            # so the cap compares the smaller posting list.
-            if cap is not None and min(len(left_positions), len(right_positions)) > cap:
-                skipped += 1
-                continue
-            blocks.append((left_positions, right_positions))
-        self.last_skipped_keys = skipped
-        return self._generate_block_pairs(blocks)
-
-    @staticmethod
-    def _generate_block_pairs(
-        blocks: Sequence[Tuple[List[int], List[int]]],
-    ) -> Iterator[Tuple[int, int]]:
-        """Yield the deduplicated pairs of the kept blocks, block by block."""
-        seen: Set[Tuple[int, int]] = set()
-        for left_positions, right_positions in blocks:
-            for left_position in left_positions:
-                for right_position in right_positions:
-                    pair = (left_position, right_position)
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield pair
-
     def candidate_pairs(
         self, left_values: Sequence[object], right_values: Sequence[object]
     ) -> List[Tuple[int, int]]:
@@ -497,14 +438,14 @@ class ValueBlocker:
     def candidate_keys(
         self, left_values: Sequence[object], right_values: Sequence[object]
     ) -> np.ndarray:
-        """The same pairs as sorted-unique ``left * len(right_values) + right`` keys.
+        """The pairs sharing an uncapped blocking key, as sorted-unique
+        ``left * len(right_values) + right`` keys.
 
-        The array form the matcher consumes — ``sorted(set(...))`` of what
-        :meth:`iter_candidate_pairs` streams, without a tuple per pair: every
+        The array form the matchers consume, without a tuple per pair: every
         left key occurrence is a query whose span is its key's right posting
         list, the frequent-key cap is a mask over key ids, and the spans are
         expanded :data:`PAIR_SLAB` pairs at a time and merge-deduplicated.
-        Sets :attr:`last_skipped_keys` like the streaming form.
+        Sets :attr:`last_skipped_keys`.
         """
         n_right = len(right_values)
         if len(self._id_memo) >= KEY_MEMO_LIMIT or len(self._interned) >= KEY_ID_LIMIT:
@@ -514,7 +455,9 @@ class ValueBlocker:
         key_count = len(self._interned)
         left_counts = np.bincount(left_keys, minlength=key_count)
         right_counts = np.bincount(right_keys, minlength=key_count)
-        # The cap compares the smaller posting list (see iter_candidate_pairs).
+        # Quadratic blowup needs *both* sides of a key to be populous; a
+        # 10000×1 block is linear and may carry a value's only candidates,
+        # so the cap compares the smaller posting list.
         cap = self.frequent_key_cap
         capped = np.minimum(left_counts, right_counts) > (np.inf if cap is None else cap)
         self.last_skipped_keys = int(capped.sum())
@@ -744,28 +687,31 @@ class BlockedValueMatcher:
         blocked candidate pair's *normalised* texts are equal (``"Berlin "``
         ↔ ``"berlin"`` still matches; ``"Berlinn"`` ↔ ``"Berlin"`` does not —
         recall strictly below the embedding path, precision preserved).
-        Candidate pairs stream in the blocker's deterministic order, so the
-        result is reproducible.
+        The greedy walks the sorted candidate keys, so the matches come back
+        ascending by left position.  Which pairs match depends on no order:
+        values with one normalised text have one key set, so either every
+        pair of such a class is a candidate or none is, and classes share no
+        value — each class pairs its i-th left with its i-th right value.
         """
         normalised_left = [normalize_value(value) for value in left_values]
         normalised_right = [normalize_value(value) for value in right_values]
         used_left: Dict[int, int] = {}
         used_right: Set[int] = set()
-        candidate_count = 0
+        pairs, skipped = [], 0
         if left_values and right_values:
-            for left_index, right_index in self.blocker.iter_candidate_pairs(left_values, right_values):
-                candidate_count += 1
-                if left_index in used_left or right_index in used_right:
-                    continue
-                text = normalised_left[left_index]
-                if text and text == normalised_right[right_index]:
-                    used_left[left_index] = right_index
-                    used_right.add(right_index)
+            pairs, skipped = self.blocker.candidate_pairs(left_values, right_values), self.blocker.last_skipped_keys
+        for left_index, right_index in pairs:
+            if left_index in used_left or right_index in used_right:
+                continue
+            text = normalised_left[left_index]
+            if text and text == normalised_right[right_index]:
+                used_left[left_index] = right_index
+                used_right.add(right_index)
         self.last_statistics = BlockingStatistics(
             left_values=len(left_values),
             right_values=len(right_values),
-            candidate_pairs=candidate_count,
-            skipped_keys=self.blocker.last_skipped_keys if left_values else 0,
+            candidate_pairs=len(pairs),
+            skipped_keys=skipped,
         )
         return list(used_left), list(used_left.values()), [0.0] * len(used_left)
 

@@ -16,7 +16,7 @@ keys the closure deduplicates by.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -25,26 +25,6 @@ from repro.utils.sorting import first_of_runs, sorted_unique, stable_order
 #: (tuple, candidate) pairs the posting scans — complementation closure and
 #: subsumption — expand and test at a time; bounds their scratch memory.
 PAIR_BLOCK = 1 << 16
-
-
-def compact_codes(codes: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Renumber the codes of some tuples of a larger matrix densely, column by column.
-
-    The posting scans size their tables by the largest code of each column,
-    so a few tuples cut out of a large input would pay for all its values.
-    Null stays ``-1``.  Also returns, per column, the old code of every new one.
-    """
-    compact = np.empty_like(codes)
-    present = []
-    for position, column in enumerate(codes):
-        old = sorted_unique(column.copy())
-        compact[position] = np.searchsorted(old, column)
-        if old.size and old[0] < 0:
-            compact[position] -= 1
-            old = old[1:]
-        present.append(old)
-    return compact, present
-
 
 #: Bits of a word's key: every key stays below ``2**62``, under the sentinel
 #: ``2**63 - 1`` that ends each word's sorted keys.

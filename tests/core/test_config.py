@@ -212,9 +212,9 @@ class TestEagerValidation:
 
     def test_fd_instance_keeps_its_own_executor(self, covid_tables):
         # A caller-supplied instance is passed through untouched.
-        from repro.fd import PartitionedFullDisjunction
+        from repro.fd import IncrementalFullDisjunction
 
-        algorithm = PartitionedFullDisjunction(result_name="mine")
+        algorithm = IncrementalFullDisjunction(result_name="mine")
         config = FuzzyFDConfig(fd_algorithm=algorithm, max_workers=7)
         assert config.resolve_fd_algorithm() is algorithm
         result = algorithm.integrate(covid_tables)
@@ -332,7 +332,7 @@ class TestPresets:
 
     def test_scale_preset(self):
         config = FuzzyFDConfig.preset("scale")
-        assert config.fd_algorithm == "partitioned"
+        assert config.fd_algorithm == "incremental"
         assert config.blocking == "auto"
         # the semantic ANN channel engages where surface keys lose recall
         assert config.semantic_blocking == "auto"

@@ -10,7 +10,6 @@ import pytest
 from repro.core import (
     AlignmentStage,
     FuzzyFDConfig,
-    FuzzyFullDisjunction,
     IntegrationEngine,
     MatchStage,
     integrate,
@@ -417,8 +416,20 @@ class TestParallelConfigKnobs:
     def test_fd_override_by_name_inherits_executor(self, covid_tables):
         engine = IntegrationEngine(FuzzyFDConfig(max_workers=2, parallel_backend="thread"))
         result = engine.integrate(covid_tables, fd_algorithm="partitioned")
-        assert result.fd_result.algorithm == "partitioned"
+        assert result.fd_result.algorithm == "incremental"
         assert not [key for key in result.fd_result.statistics if key.startswith("parallel")]
+
+    def test_partitioned_request_lists_the_incremental_rows(self, covid_tables):
+        # ``partitioned`` is a registry alias: the same rows, order,
+        # provenance and counters as an ``incremental`` request.
+        engine = IntegrationEngine()
+        partitioned = engine.integrate(covid_tables, fd_algorithm="partitioned")
+        incremental = engine.integrate(covid_tables, fd_algorithm="incremental")
+        assert (partitioned.table.rows, partitioned.table.provenance) == (
+            incremental.table.rows,
+            incremental.table.provenance,
+        )
+        assert partitioned.fd_result.statistics == incremental.fd_result.statistics
 
     def test_request_executor_override_reaches_fd_stage(self):
         # 10 disjoint join keys -> 10 FD components.  Executor overrides stay
@@ -502,11 +513,11 @@ class TestWarmEmbeddingCache:
         with pytest.raises(ValueError):
             engine.integrate(covid_tables, semantic_blocking="on")
 
-    def test_operator_classes_do_not_share_state(self, covid_tables):
-        """One-shot operators stay independent (back-compat behaviour)."""
-        first = FuzzyFullDisjunction()
-        second = FuzzyFullDisjunction()
-        assert first.engine.embedder is not second.engine.embedder
+    def test_engines_do_not_share_state(self):
+        """Two engines built from one config stay independent."""
+        first = IntegrationEngine()
+        second = IntegrationEngine()
+        assert first.embedder is not second.embedder
 
     def test_sweep_results_match_fresh_runs(self, covid_tables):
         """Cached embeddings must not change any result of the sweep."""

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    FuzzyFDConfig,
-    FuzzyFullDisjunction,
-    RegularFullDisjunction,
-    integrate,
-)
+from repro.core import FuzzyFDConfig, IntegrationEngine, integrate
 from repro.embeddings import ExactEmbedder, MistralEmbedder
 from repro.fd import AliteFullDisjunction
 from repro.testing.hungarian import HungarianAssignment
@@ -71,6 +66,16 @@ class TestIntegrateConvenience:
         with pytest.raises(ValueError):
             integrate([])
 
+    @pytest.mark.parametrize("fuzzy", [True, False])
+    def test_one_call_equals_an_engine_request(self, covid_tables, fuzzy):
+        one_call = integrate(covid_tables, fuzzy=fuzzy).table
+        engine = IntegrationEngine().integrate(covid_tables, fuzzy=fuzzy).table
+        assert (one_call.columns, one_call.rows, one_call.provenance) == (
+            engine.columns,
+            engine.rows,
+            engine.provenance,
+        )
+
     def test_result_exposes_timings(self, covid_tables):
         result = integrate(covid_tables)
         assert set(result.timings) >= {"alignment_seconds", "full_disjunction_seconds"}
@@ -79,13 +84,13 @@ class TestIntegrateConvenience:
 
 class TestFuzzyFullDisjunction:
     def test_rewritten_tables_have_consistent_values(self, covid_tables):
-        result = FuzzyFullDisjunction().integrate(covid_tables)
+        result = IntegrationEngine().integrate(covid_tables)
         rewritten_t1 = next(table for table in result.rewritten_tables if table.name == "T1")
         assert "Berlin" in rewritten_t1.column("City")
         assert "Berlinn" not in rewritten_t1.column("City")
 
     def test_value_matching_results_per_group(self, covid_tables):
-        result = FuzzyFullDisjunction().integrate(covid_tables)
+        result = IntegrationEngine().integrate(covid_tables)
         assert set(result.value_matching) == {"City", "Country"}
         assert result.rewrites_applied() >= 4
 
@@ -93,7 +98,7 @@ class TestFuzzyFullDisjunction:
         left = Table("l", ["Town"], [("Berlin",), ("Boston",)])
         right = Table("r", ["City", "Cases"], [("Berlinn", "10"), ("Madrid", "3")])
         alignment = ColumnAlignment.from_named_columns([left.rename({"Town": "City"}), right])
-        result = FuzzyFullDisjunction().integrate(
+        result = IntegrationEngine().integrate(
             [left.rename({"Town": "City"}), right], alignment=alignment
         )
         berlin = next(row for row in result.table if row["Cases"] == "10")
@@ -103,42 +108,40 @@ class TestFuzzyFullDisjunction:
     def test_holistic_alignment_mode(self, covid_tables):
         renamed = [covid_tables[0].rename({"City": "Municipality"})] + covid_tables[1:]
         config = FuzzyFDConfig(alignment="holistic")
-        result = FuzzyFullDisjunction(config).integrate(renamed)
+        result = IntegrationEngine(config).integrate(renamed)
         # The holistic matcher must have aligned Municipality with City for the
         # Berlin tuples to integrate.
         assert result.table.num_rows <= 7
 
     def test_exact_embedder_degenerates_to_regular_fd(self, covid_tables):
-        fuzzy_exact = FuzzyFullDisjunction(FuzzyFDConfig(embedder=ExactEmbedder())).integrate(
-            covid_tables
-        )
-        regular = RegularFullDisjunction().integrate(covid_tables)
+        fuzzy_exact = IntegrationEngine(FuzzyFDConfig(embedder=ExactEmbedder())).integrate(covid_tables)
+        regular = IntegrationEngine().integrate(covid_tables, fuzzy=False)
         assert fuzzy_exact.table.same_rows(regular.table)
 
     def test_single_table_passthrough(self):
         table = Table("t", ["a", "b"], [("1", "2")])
-        result = FuzzyFullDisjunction().integrate([table])
+        result = IntegrationEngine().integrate([table])
         assert result.table.num_rows == 1
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
-            FuzzyFullDisjunction().integrate([])
+            IntegrationEngine().integrate([])
         with pytest.raises(ValueError):
-            RegularFullDisjunction().integrate([])
+            IntegrationEngine().integrate([], fuzzy=False)
 
     def test_hungarian_solver_gives_same_figure1_result(self, covid_tables):
         config = FuzzyFDConfig(assignment_solver=HungarianAssignment())
-        result = FuzzyFullDisjunction(config).integrate(covid_tables)
+        result = IntegrationEngine(config).integrate(covid_tables)
         assert result.table.num_rows == 5
 
     def test_incremental_fd_algorithm_gives_same_figure1_result(self, covid_tables):
         config = FuzzyFDConfig(fd_algorithm="incremental")
-        result = FuzzyFullDisjunction(config).integrate(covid_tables)
+        result = IntegrationEngine(config).integrate(covid_tables)
         assert result.table.num_rows == 5
 
     def test_blocking_on_gives_same_figure1_result(self, covid_tables):
         config = FuzzyFDConfig(blocking="on")
-        result = FuzzyFullDisjunction(config).integrate(covid_tables)
+        result = IntegrationEngine(config).integrate(covid_tables)
         assert result.table.num_rows == 5
         assert "blocking_pairs_scored" in result.timings
         assert "blocking_pairs_avoided" in result.timings
@@ -151,14 +154,14 @@ class TestFuzzyFullDisjunction:
 
     def test_blocking_auto_engages_only_above_cutoff(self, covid_tables):
         config = FuzzyFDConfig(blocking="auto", blocking_cutoff=2)
-        result = FuzzyFullDisjunction(config).integrate(covid_tables)
+        result = IntegrationEngine(config).integrate(covid_tables)
         assert result.table.num_rows == 5
         assert result.timings["blocking_pairs_scored"] > 0.0
 
 
 class TestRegularFullDisjunction:
     def test_no_value_matching_performed(self, covid_tables):
-        result = RegularFullDisjunction().integrate(covid_tables)
+        result = IntegrationEngine().integrate(covid_tables, fuzzy=False)
         assert result.value_matching == {}
         assert "value_matching_seconds" not in result.timings
 
@@ -168,5 +171,5 @@ class TestRegularFullDisjunction:
         direct = AliteFullDisjunction().integrate(
             ColumnAlignment.from_named_columns(covid_tables).apply(covid_tables)
         )
-        pipeline = RegularFullDisjunction().integrate(covid_tables)
+        pipeline = IntegrationEngine().integrate(covid_tables, fuzzy=False)
         assert pipeline.table.same_rows(direct.table)

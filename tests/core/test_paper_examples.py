@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FuzzyFullDisjunction, RegularFullDisjunction
+from repro.core import IntegrationEngine
 from repro.table import is_null
 
 
 @pytest.fixture(scope="module")
 def figure1_results(request):
     covid_tables = request.getfixturevalue("covid_tables")
-    regular = RegularFullDisjunction().integrate(covid_tables)
-    fuzzy = FuzzyFullDisjunction().integrate(covid_tables)
+    regular = IntegrationEngine().integrate(covid_tables, fuzzy=False)
+    fuzzy = IntegrationEngine().integrate(covid_tables)
     return regular, fuzzy
 
 

@@ -12,7 +12,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FuzzyFDConfig, FuzzyFullDisjunction, RegularFullDisjunction
+from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.core.value_matching import ColumnValues, ValueMatcher
 from repro.embeddings import FastTextEmbedder, MistralEmbedder
 from repro.matching.bipartite import BipartiteValueMatcher
@@ -43,12 +43,12 @@ def _table(name: str, keys, attributes, key_column: str, attribute_column: str) 
 
 @pytest.fixture(scope="module")
 def fuzzy_operator():
-    return FuzzyFullDisjunction(FuzzyFDConfig(embedder=MistralEmbedder()))
+    return IntegrationEngine(FuzzyFDConfig(embedder=MistralEmbedder()))
 
 
 @pytest.fixture(scope="module")
 def regular_operator():
-    return RegularFullDisjunction(FuzzyFDConfig(embedder=MistralEmbedder()))
+    return IntegrationEngine(FuzzyFDConfig(embedder=MistralEmbedder()))
 
 
 class TestIntegrationInvariants:
@@ -65,7 +65,7 @@ class TestIntegrationInvariants:
         left = _table("L", left_keys, left_attrs, "City", "A")
         right = _table("R", right_keys, right_attrs, "City", "B")
         fuzzy = fuzzy_operator.integrate([left, right])
-        regular = regular_operator.integrate([left, right])
+        regular = regular_operator.integrate([left, right], fuzzy=False)
         # Rewriting values can only create additional join opportunities, so
         # the fuzzy result is never more fragmented than the regular one.
         assert fuzzy.table.num_rows <= regular.table.num_rows

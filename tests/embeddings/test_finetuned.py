@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FuzzyFDConfig, FuzzyFullDisjunction
+from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.core.value_matching import ColumnValues, ValueMatcher
 from repro.embeddings import FastTextEmbedder, FineTunedEmbedder, MistralEmbedder
 from repro.table import Table
@@ -94,5 +94,5 @@ class TestFineTunedInPipeline:
             positive_pairs=[("Berlinn", "Berlin"), ("barcelona", "Barcelona")]
         )
         config = FuzzyFDConfig(embedder=tuned)
-        result = FuzzyFullDisjunction(config).integrate(covid_tables)
+        result = IntegrationEngine(config).integrate(covid_tables)
         assert result.table.num_rows == 5

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FuzzyFDConfig
+from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.core.value_matching import ColumnValues, ValueMatcher
 from repro.datasets import ImdbBenchmark
 from repro.embeddings import MistralEmbedder
@@ -81,6 +81,17 @@ class TestRuntimeSweep:
         assert methods == {"regular_fd", "fuzzy_fd"}
         assert all(point.seconds >= 0.0 for point in points)
         assert all(point.output_tuples > 0 for point in points)
+
+    def test_sweep_outputs_equal_engine_requests(self):
+        bench = ImdbBenchmark(seed=2)
+        config = FuzzyFDConfig()
+        points = runtime_sweep(bench.tables, sizes=[60], config=config)
+        tables = list(bench.tables(60))
+        for point in points:
+            fuzzy = point.method == "fuzzy_fd"
+            expected = IntegrationEngine(config).integrate(tables, fuzzy=fuzzy).table.num_rows
+            assert point.output_tuples == expected, point.method
+            assert point.input_tuples == sum(table.num_rows for table in tables)
 
     def test_unknown_method_raises(self):
         bench = ImdbBenchmark(seed=2)

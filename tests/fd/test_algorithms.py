@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fd import (
+    FD_ALGORITHMS,
     AliteFullDisjunction,
     IncrementalFullDisjunction,
     NaiveFullDisjunction,
     OuterJoinSequence,
-    PartitionedFullDisjunction,
     available_algorithms,
     get_algorithm,
 )
@@ -28,7 +28,6 @@ ALL_ALGORITHMS = [
     NaiveFullDisjunction,
     AliteFullDisjunction,
     IncrementalFullDisjunction,
-    PartitionedFullDisjunction,
 ]
 
 
@@ -51,6 +50,21 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_algorithm("nope")
 
+    def test_registered_names(self):
+        assert sorted(available_algorithms()) == [
+            "alite",
+            "incremental",
+            "naive",
+            "outer_join_sequence",
+            "partitioned",
+        ]
+
+    def test_retired_streaming_name_is_unknown(self):
+        # The lazy ``streaming`` enumeration is gone: a configuration naming
+        # it fails at lookup, not at the first request it serves.
+        with pytest.raises(ValueError):
+            get_algorithm("streaming")
+
 
 class TestPartitionedStatistics:
     def _disjoint_tables(self, n_components=10):
@@ -61,7 +75,7 @@ class TestPartitionedStatistics:
     def test_complementation_statistics_recorded(self):
         # Regression: the executor refactor must keep summing the closure
         # counters (the old parallel branch silently dropped them).
-        result = PartitionedFullDisjunction().integrate(self._disjoint_tables())
+        result = get_algorithm("partitioned").integrate(self._disjoint_tables())
         assert result.statistics["components"] == 10.0
         assert "complementation_comparisons" in result.statistics
         assert result.statistics["complementation_tuples"] >= 10.0
@@ -82,7 +96,7 @@ class TestPartitionedStatistics:
 
     def test_parallel_workers_recorded_when_pool_engages(self):
         # There is no pool to engage any more, and no trace of one in the counters.
-        result = PartitionedFullDisjunction().integrate(self._disjoint_tables())
+        result = get_algorithm("partitioned").integrate(self._disjoint_tables())
         assert not [key for key in result.statistics if key.startswith("parallel")]
         assert sorted(result.statistics) == [
             "complementation_comparisons",
@@ -94,14 +108,15 @@ class TestPartitionedStatistics:
 
     def test_configure_executor_keeps_the_constructor_threshold(self):
         # The executor path is gone, constructor arguments and hook included:
-        # ``partitioned`` is the incremental algorithm under its registry name.
+        # ``partitioned`` names the incremental algorithm itself.
+        assert FD_ALGORITHMS.get("partitioned") is IncrementalFullDisjunction
         with pytest.raises(TypeError):
-            PartitionedFullDisjunction(min_parallel_components=2)
+            get_algorithm("partitioned", min_parallel_components=2)
         with pytest.raises(TypeError):
-            PartitionedFullDisjunction(max_workers=3)
-        assert not hasattr(PartitionedFullDisjunction(), "configure_executor")
+            get_algorithm("partitioned", max_workers=3)
+        assert not hasattr(get_algorithm("partitioned"), "configure_executor")
         tables = self._disjoint_tables(n_components=2)
-        partitioned = PartitionedFullDisjunction().integrate(tables)
+        partitioned = get_algorithm("partitioned").integrate(tables)
         incremental = IncrementalFullDisjunction().integrate(tables)
         assert partitioned.statistics["components"] == 2.0
         assert partitioned.statistics == incremental.statistics
@@ -144,6 +159,41 @@ class TestBasicBehaviour:
         with pytest.raises(ValueError):
             AliteFullDisjunction().integrate([])
 
+    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, IncrementalFullDisjunction])
+    def test_integrate_does_not_remove_subsumed_tuples_twice(self, algorithm_cls, monkeypatch):
+        # The closure marks the tuples it subsumes: no subsumption self-join
+        # runs after it, in the kernel or in integrate().
+        from repro.table import subsumption
+
+        def fail(codes):
+            raise AssertionError("the closure already marks the subsumed tuples")
+
+        monkeypatch.setattr(subsumption, "reduce_coded", fail)
+        left = Table("L", ["k", "a"], [("1", "x"), ("2", "y"), ("3", "z")])
+        right = Table("R", ["k", "b"], [("1", "p"), ("3", "q"), ("4", "r")])
+        assert algorithm_cls().integrate([left, right]).table.num_rows == 4
+
+    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, IncrementalFullDisjunction])
+    def test_outer_union_is_built_once(self, algorithm_cls, monkeypatch):
+        import repro.fd.base as base
+
+        calls = []
+        original = base.outer_union
+        monkeypatch.setattr(
+            base, "outer_union", lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
+        )
+        left = Table("L", ["k", "a"], [("1", "x"), ("2", "y"), ("3", "z")])
+        right = Table("R", ["k", "b"], [("1", "p"), ("3", "q"), ("4", "r")])
+        algorithm_cls().integrate([left, right])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS)
+    def test_result_counts(self, algorithm_cls, simple_tables):
+        result = algorithm_cls().integrate(simple_tables)
+        assert result.algorithm == algorithm_cls.name
+        assert result.input_tuple_count == 9
+        assert result.output_tuple_count == result.table.num_rows == len(result.table.provenance)
+
     def test_result_metadata(self, simple_tables):
         result = AliteFullDisjunction().integrate(simple_tables)
         assert result.algorithm == "alite"
@@ -182,7 +232,30 @@ class TestFullDisjunctionProperties:
         }
         assert covered == expected
 
-    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, IncrementalFullDisjunction])
+    @pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS)
+    def test_no_duplicate_output_rows(self, algorithm_cls, simple_tables):
+        rows = algorithm_cls().integrate(simple_tables).table.rows
+        assert len(rows) == len(set(rows))
+
+    @pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS)
+    def test_every_source_tuple_is_subsumed_by_its_output_row(self, algorithm_cls, simple_tables):
+        # Provenance names only tuples an output row carries: each source
+        # tuple, aligned to the result's columns, agrees with its row.
+        table = algorithm_cls().integrate(simple_tables).table
+        columns = list(table.columns)
+        inputs = {}
+        for source in simple_tables:
+            for index, values in enumerate(source.rows):
+                aligned = [NULL] * len(columns)
+                for column, value in zip(source.columns, values):
+                    aligned[columns.index(column)] = value
+                inputs[f"{source.name}:{index}"] = tuple(aligned)
+        for row, sources in zip(table.rows, table.provenance):
+            assert sources
+            for source in sources:
+                assert subsumes(row, inputs[source]), (row, source)
+
+    @pytest.mark.parametrize("algorithm_cls", ALL_ALGORITHMS)
     def test_order_independence(self, algorithm_cls, simple_tables):
         forwards = algorithm_cls().integrate(simple_tables).table
         backwards = algorithm_cls().integrate(list(reversed(simple_tables))).table
@@ -197,7 +270,7 @@ class TestAlgorithmsAgree:
         reference = NaiveFullDisjunction().integrate(simple_tables).table
         columns = list(reference.columns)
         expected = self._row_set(reference, columns)
-        for algorithm_cls in (AliteFullDisjunction, IncrementalFullDisjunction, PartitionedFullDisjunction):
+        for algorithm_cls in (AliteFullDisjunction, IncrementalFullDisjunction):
             actual = algorithm_cls().integrate(simple_tables).table
             assert self._row_set(actual, columns) == expected
 
@@ -241,6 +314,25 @@ class TestAlgorithmsAgree:
         assert alite.project(columns).rows_as_set() == reference.rows_as_set()
         assert incremental.project(columns).rows_as_set() == reference.rows_as_set()
 
+    @given(
+        left_rows=st.lists(
+            st.tuples(st.sampled_from(["1", "2", NULL]), st.sampled_from(["x", "y"])), max_size=6
+        ),
+        right_rows=st.lists(
+            st.tuples(st.sampled_from(["1", "2", "3"]), st.sampled_from(["p", NULL])), max_size=6
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_incremental_matches_alite_with_provenance_on_random_inputs(self, left_rows, right_rows):
+        tables = [Table("L", ["k", "a"], left_rows), Table("R", ["k", "b"], right_rows)]
+        if not left_rows and not right_rows:
+            return
+        alite = AliteFullDisjunction().integrate(tables).table
+        incremental = IncrementalFullDisjunction().integrate(tables).table
+        assert incremental.columns == alite.columns
+        assert incremental.num_rows == alite.num_rows
+        assert set(zip(incremental.rows, incremental.provenance)) == set(zip(alite.rows, alite.provenance))
+
 
 class TestPaperFigure1:
     def test_regular_fd_produces_nine_tuples(self, covid_tables):
@@ -257,6 +349,13 @@ class TestPaperFigure1:
         boston = next(row for row in result.table if row["City"] == "Boston")
         assert boston["VaxRate"] == "62%"
         assert boston["TotalCases"] == "263K"
+
+    def test_incremental_equals_alite_on_figure1(self, covid_tables):
+        # The components list the same nine tuples, each with the same sources.
+        incremental = IncrementalFullDisjunction().integrate(covid_tables).table
+        alite = AliteFullDisjunction().integrate(covid_tables).table
+        assert incremental.num_rows == alite.num_rows == 9
+        assert set(zip(incremental.rows, incremental.provenance)) == set(zip(alite.rows, alite.provenance))
 
 
 class TestSafetyLimits:

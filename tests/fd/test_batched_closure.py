@@ -12,8 +12,7 @@ Four test-side references, none of which shares code with the kernel:
   kernel before it met inputs only: the same closed set, subsumed mask and
   provenance, in another order;
 * :func:`component_at_a_time` — the input-partner loop run on one connected
-  component after the other, which is what ``incremental`` / ``partitioned``
-  / ``streaming`` list.
+  component after the other, which is what ``incremental`` lists.
 
 Mutations of the kernel and the first test here that fails on each (the
 pinned digests of ``test_complementation`` catch all three as well):
@@ -66,8 +65,6 @@ from repro.datasets.imdb import ImdbBenchmark
 from repro.fd import (
     AliteFullDisjunction,
     IncrementalFullDisjunction,
-    PartitionedFullDisjunction,
-    StreamingFullDisjunction,
     get_algorithm,
 )
 from repro.fd import complementation
@@ -316,25 +313,25 @@ class TestAlgorithmsAgainstTheSequentialLoop:
             result = AliteFullDisjunction().integrate([table]).table
         assert (result.rows, result.provenance) == reduced(closed, provenance)
 
-    def test_all_four_record_the_same_counters(self):
+    def test_every_closure_algorithm_records_the_same_counters(self):
         # Tables joined on a first column that is never null: no list of
         # candidates is shorter than the holders of a tuple's key, whether a
-        # null is posted for the whole input (alite) or per component (the
-        # other three; streaming in two batches of the 375 tuples).
+        # null is posted for the whole input (alite) or per component
+        # (incremental, also under its alias ``partitioned``).
         keys = random.Random(20).sample(range(1000), 150)
         tables = [
             Table(name, ["k", name], [(f"k{key}", f"{name}{key}") for key in keys[:size]])
             for name, size in (("a", 150), ("b", 150), ("c", 75))
         ]
         statistics = {name: get_algorithm(name).integrate(tables).statistics for name in
-                      ("alite", "incremental", "partitioned", "streaming")}
+                      ("alite", "incremental", "partitioned")}
         counters = ["outer_union_tuples"] + [f"complementation_{kind}" for kind in ("comparisons", "merges", "tuples")]
         for name, recorded in statistics.items():
             assert [recorded[key] for key in counters] == [statistics["alite"][key] for key in counters], name
             assert recorded["complementation_merges"] > 0
         assert statistics["alite"].get("components") is None
-        assert len({statistics[name]["components"] for name in ("incremental", "partitioned", "streaming")}) == 1
-        assert statistics["streaming"]["components"] > 1
+        assert statistics["incremental"] == statistics["partitioned"]
+        assert statistics["incremental"]["components"] > 1
 
     def test_component_algorithms_never_meet_the_other_schemas(self):
         # Two unrelated join groups over different schemas.  Every tuple of
@@ -352,7 +349,7 @@ class TestAlgorithmsAgainstTheSequentialLoop:
         ]
         alite = get_algorithm("alite").integrate(tables)
         assert alite.statistics["complementation_comparisons"] > (2 * entities) ** 2
-        for name in ("incremental", "partitioned", "streaming"):
+        for name in ("incremental", "partitioned"):
             result = get_algorithm(name).integrate(tables)
             assert result.statistics["components"] == 2 * entities
             assert result.statistics["complementation_comparisons"] == 3 * 2 * entities
@@ -363,15 +360,18 @@ class TestAlgorithmsAgainstTheSequentialLoop:
     def test_fully_null_rows_ride_on_the_survivor_standing_for_the_first_row(self):
         # The first component has two survivors and its first row folds into
         # the second of them: that one takes the fully-null row's source,
-        # whichever algorithm lists it (streaming used to pick the first emitted).
+        # whichever algorithm lists it.
         rows = [("k", NULL, NULL, "p"), ("j", "x", NULL, "p"), ("k", NULL, "y", NULL), (NULL,) * 4]
-        for name in ("alite", "incremental", "partitioned", "streaming"):
+        for name in ("alite", "incremental", "partitioned"):
             result = get_algorithm(name).integrate([Table("t", list("abcd"), rows)]).table
             assert result.rows == [("j", "x", NULL, "p"), ("k", NULL, "y", "p")], name
             assert result.provenance == [frozenset({"t:1"}), frozenset({"t:0", "t:2", "t:3"})], name
+            # With no tuple of information, the fully-null rows are one survivor.
+            only_nulls = get_algorithm(name).integrate([Table("N", ["k"], [(NULL,), (NULL,)])]).table
+            assert (only_nulls.rows, only_nulls.provenance) == ([(NULL,)], [frozenset({"N:0", "N:1"})]), name
 
     def test_tables_without_columns(self):
-        for name in ("alite", "incremental", "partitioned", "streaming"):
+        for name in ("alite", "incremental", "partitioned"):
             result = get_algorithm(name).integrate([Table("t", [], [(), ()])]).table
             assert (result.rows, result.provenance) == ([()], [frozenset({"t:0", "t:1"})])
 
@@ -681,9 +681,8 @@ class TestInputPartners:
 
 
 class TestOnePassAgainstComponentsAlone:
-    """``incremental`` / ``partitioned`` close every component in one pass of
-    the kernel, each tuple meeting the holders of its own component's nulls
-    only; ``streaming`` closes bounded batches of components the same way.
+    """``incremental`` closes every component in one pass of the kernel, each
+    tuple meeting the holders of its own component's nulls only.
 
     Mutations, each caught by the property test: one null posting shared by
     all components (a ``PairPostings`` that ignores its labels) fails the
@@ -702,12 +701,11 @@ class TestOnePassAgainstComponentsAlone:
             .statistics["complementation_comparisons"]
             for members in components_of(rows)
         )
-        for algorithm in (IncrementalFullDisjunction(), PartitionedFullDisjunction(), StreamingFullDisjunction()):
-            with blocks_of(block), patch.object(StreamingFullDisjunction, "component_batch", 3):
-                result = algorithm.integrate([table])
-            assert (result.table.rows, result.table.provenance) == expected, algorithm.name
-            assert result.statistics["components"] == components, algorithm.name
-            assert result.statistics["complementation_comparisons"] == alone, algorithm.name
+        with blocks_of(block):
+            result = IncrementalFullDisjunction().integrate([table])
+        assert (result.table.rows, result.table.provenance) == expected
+        assert result.statistics["components"] == components
+        assert result.statistics["complementation_comparisons"] == alone
 
     def test_one_pass_on_a_multi_schema_lake(self):
         # Four unrelated pairs of tables, a thousand two-tuple components each:
@@ -720,6 +718,20 @@ class TestOnePassAgainstComponentsAlone:
         assert result.statistics["complementation_comparisons"] == 12_000
         assert result.statistics["complementation_comparisons"] * 100 < alite.statistics["complementation_comparisons"]
         assert ablation.table_digest(result.table, in_order=False) == ablation.table_digest(alite.table, in_order=False)
+
+    def test_component_order_past_two_to_the_sixteen_labels(self):
+        # Every input tuple is a component of its own, so the labels run to
+        # 2¹⁶ + 2 (0 is the fully-null tuples'): a survivor sort by label that
+        # wrapped at 16 bits would list the last components first.
+        n = (1 << 16) + 1
+        left = Table("L", ["k", "a"], [(f"k{i}", f"a{i}") for i in range(n)])
+        right = Table("R", ["k", "b"], [("r", "b")])
+        result = get_algorithm("incremental").integrate([left, right])
+        assert result.statistics["components"] == n + 1
+        assert result.table.rows == [(f"k{i}", f"a{i}", NULL) for i in range(n)] + [("r", NULL, "b")]
+        assert result.table.provenance == [frozenset({f"L:{i}"}) for i in range(n)] + [frozenset({"R:0"})]
+        alite = get_algorithm("alite").integrate([left, right]).table
+        assert set(zip(result.table.rows, result.table.provenance)) == set(zip(alite.rows, alite.provenance))
 
 
 @contextmanager

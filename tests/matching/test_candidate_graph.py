@@ -5,8 +5,9 @@ blockers to the component cut (:mod:`repro.matching.blocking`,
 :mod:`repro.matching.ann`).  The tuple-and-dict code it replaced is the
 reference here:
 
-* surface keys against :meth:`ValueBlocker.iter_candidate_pairs`, the
-  streaming form the degraded path still runs;
+* surface keys against :func:`block_ordered`, the block-by-block pair stream
+  the blocker used to expose, and the degraded route's greedy against the
+  same greedy walked in that stream's order;
 * components against ``reference_components``, the integer union-find +
   ``pairs_by_root`` body ``BlockedValueMatcher._connected_components`` had;
 * the segmented top-k against a stable argsort per query group.
@@ -20,7 +21,7 @@ patched small enough that every input straddles several of them.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ import repro.matching.blocking as blocking_module
 from repro.datasets.corruptions import CORRUPTION_KINDS, Corruptor
 from repro.embeddings.transformer import SimulatedTransformerEmbedder
 from repro.matching.ann import SemanticBlocker, _pair_similarities, pairs_from_keys
-from repro.matching.blocking import BlockedValueMatcher, ValueBlocker, _components
+from repro.matching.blocking import BlockedValueMatcher, BlockingStatistics, ValueBlocker, _components
+from repro.utils.text import normalize_value
 
 BASE_WORDS = (
     "berlin", "bern", "berlin city", "new york", "new york city", "york", "the hague",
@@ -61,10 +63,48 @@ def value_lists(draw, min_size: int = 0, max_size: int = 14) -> List[object]:
     return values
 
 
+def block_ordered(blocker: ValueBlocker, left, right) -> Tuple[List[Tuple[int, int]], int]:
+    """The reference: the distinct pairs sharing an uncapped key, block by
+    block (blocks in sorted key order, pairs within a block in position
+    order), and the skipped-key count."""
+    left_index: Dict[str, List[int]] = {}
+    for left_position, value in enumerate(left):
+        for key in blocker._keys_for_normalised(normalize_value(value)):
+            left_index.setdefault(key, []).append(left_position)
+    right_index: Dict[str, List[int]] = {}
+    for right_position, value in enumerate(right):
+        for key in blocker._keys_for_normalised(normalize_value(value)):
+            right_index.setdefault(key, []).append(right_position)
+
+    cap = blocker.frequent_key_cap
+    skipped = 0
+    blocks: List[Tuple[List[int], List[int]]] = []
+    for key in sorted(left_index):
+        right_positions = right_index.get(key)
+        if not right_positions:
+            continue
+        left_positions = left_index[key]
+        if cap is not None and min(len(left_positions), len(right_positions)) > cap:
+            skipped += 1
+            continue
+        blocks.append((left_positions, right_positions))
+
+    seen: Set[Tuple[int, int]] = set()
+    pairs: List[Tuple[int, int]] = []
+    for left_positions, right_positions in blocks:
+        for left_position in left_positions:
+            for right_position in right_positions:
+                pair = (left_position, right_position)
+                if pair not in seen:
+                    seen.add(pair)
+                    pairs.append(pair)
+    return pairs, skipped
+
+
 def streamed(blocker: ValueBlocker, left, right) -> Tuple[List[Tuple[int, int]], int]:
-    """The reference: the streaming form's pairs, sorted, and its skipped-key count."""
-    pairs = sorted(set(blocker.iter_candidate_pairs(left, right)))
-    return pairs, blocker.last_skipped_keys
+    """The reference pairs, sorted, and the skipped-key count."""
+    pairs, skipped = block_ordered(blocker, left, right)
+    return sorted(pairs), skipped
 
 
 class TestSurfaceKeys:
@@ -134,6 +174,62 @@ class TestSurfaceKeys:
         expected = len(covered_left) < len(left) or len(covered_right) < len(right)
         keys = blocker.candidate_keys(left, right)
         assert matcher._semantic_engages(keys, len(left), len(right)) == expected
+
+
+# -- the degraded route ------------------------------------------------------------------
+def greedy_over_block_order(blocker: ValueBlocker, left, right):
+    """The degraded route as it walked the block-ordered stream: its matches in
+    stream order, and the statistics it reported."""
+    pairs, skipped = block_ordered(blocker, left, right) if left and right else ([], 0)
+    matched: Dict[int, int] = {}
+    used_right: Set[int] = set()
+    for left_index, right_index in pairs:
+        if left_index in matched or right_index in used_right:
+            continue
+        text = normalize_value(left[left_index])
+        if text and text == normalize_value(right[right_index]):
+            matched[left_index] = right_index
+            used_right.add(right_index)
+    statistics = BlockingStatistics(
+        left_values=len(left), right_values=len(right), candidate_pairs=len(pairs), skipped_keys=skipped
+    )
+    return list(matched.items()), statistics
+
+
+def degraded_matcher(cap) -> BlockedValueMatcher:
+    return BlockedValueMatcher(
+        SimulatedTransformerEmbedder(model_name="graph"), blocker=ValueBlocker(frequent_key_cap=cap)
+    )
+
+
+class TestDegradedRoute:
+    """``match_degraded`` walks the sorted candidate keys; the block-ordered
+    stream it walked before is the reference.  The matched pairs and the
+    statistics are equal; only the list order differs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(value_lists(), value_lists(), st.sampled_from([None, 1, 2, 3]))
+    def test_matches_and_statistics_equal_the_greedy_over_the_block_order(self, left, right, cap):
+        matcher = degraded_matcher(cap)
+        expected, statistics = greedy_over_block_order(matcher.blocker, left, right)
+        matcher.blocker.last_skipped_keys = -1
+        lefts, rights, distances = matcher.match_degraded(left, right)
+        assert sorted(zip(lefts, rights)) == sorted(expected)
+        assert lefts == sorted(lefts)
+        assert distances == [0.0] * len(lefts)
+        assert matcher.last_statistics == statistics
+
+    def test_a_shared_text_pairs_its_values_in_position_order(self):
+        # Two left and two right values normalise to "berlin", one pair to
+        # "york"; the stream reaches "berlin" (block "ber") before "york", so
+        # it listed the later left value first.
+        left = ["york", "Berlin", "x", "BERLIN "]
+        right = ["berlin", "York", "Berlin"]
+        matcher = degraded_matcher(None)
+        expected, statistics = greedy_over_block_order(matcher.blocker, left, right)
+        assert expected == [(1, 0), (3, 2), (0, 1)]
+        assert matcher.match_degraded(left, right) == ([0, 1, 3], [1, 0, 2], [0.0, 0.0, 0.0])
+        assert matcher.last_statistics == statistics
 
 
 # -- components -------------------------------------------------------------------------

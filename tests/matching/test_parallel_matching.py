@@ -1,10 +1,10 @@
-"""Determinism of the parallel blocked matcher and the streaming blocker.
+"""Determinism of the parallel blocked matcher and the blocker's frequent-key cap.
 
 The parallel execution layer's contract is strict: for any backend and any
 worker count, ``BlockedValueMatcher.match`` must return *exactly* what the
 serial loop returns — same pairs, same distances, same order.  These tests
 pin that contract, the vectorised singleton fast path, the frequent-key cap
-of the streaming candidate generator, and the component-size statistics.
+of the surface candidates, and the component-size statistics.
 """
 
 from __future__ import annotations
@@ -126,23 +126,22 @@ class TestFrequentKeyCap:
         # Typo pairs still share their rare numeric key, so none are lost.
         assert all((index, index) in capped_pairs for index in range(40))
 
-    def test_generator_is_lazy_and_deduplicated(self):
+    def test_candidate_pairs_are_sorted_and_deduplicated(self):
+        # "berlin" on the left shares several keys with both right values;
+        # each pair still comes back once, in ascending (left, right) order.
         blocker = ValueBlocker(use_lexicon=False)
-        iterator = blocker.iter_candidate_pairs(["berlin"], ["berlin", "berlinn"])
-        assert iter(iterator) is iterator  # a real generator
-        pairs = list(iterator)
-        assert len(pairs) == len(set(pairs))
-        assert sorted(pairs) == blocker.candidate_pairs(["berlin"], ["berlin", "berlinn"])
+        pairs = blocker.candidate_pairs(["berlin", "boston", "berlin"], ["berlinn", "berlin"])
+        assert pairs == sorted(set(pairs))
+        assert {(0, 0), (0, 1), (2, 0), (2, 1)} <= set(pairs)
 
-    def test_skipped_keys_accurate_before_generator_drains(self):
+    def test_skipped_keys_reset_by_an_uncapped_pass(self):
         blocker = ValueBlocker(use_lexicon=False, frequent_key_cap=5)
         left = [f"the {index:04d}x" for index in range(30)]
         right = [f"the {index:04d}y" for index in range(30)]
-        blocker.iter_candidate_pairs(left, right)  # never consumed
+        blocker.candidate_keys(left, right)
         assert blocker.last_skipped_keys >= 1
-        # A fresh uncapped pass resets the counter immediately.
         blocker.frequent_key_cap = None
-        blocker.iter_candidate_pairs(left, right)
+        blocker.candidate_keys(left, right)
         assert blocker.last_skipped_keys == 0
 
     def test_cap_validation(self):
