@@ -15,8 +15,9 @@ Four subcommands expose the library to shell users:
     print the fuzzy value-match sets with their representatives.
 
 ``repro benchmark``
-    Run one of the paper's experiments (``table1``, ``em``, ``fig3``) at a
-    chosen scale and print the resulting table/series.
+    Run one of the paper's experiments (``table1``, ``em``, ``fig3``) or
+    ablations (``threshold``, ``assignment``, ``representatives``,
+    ``blocking``, ``fd``) at a chosen scale and print the resulting tables.
 
 ``repro serve``
     Start the HTTP serving layer (:mod:`repro.service`): long-lived warm
@@ -189,7 +190,12 @@ def cmd_match(args: argparse.Namespace) -> int:
     tables = _collect_tables(args.inputs)
     columns: List[ColumnValues] = []
     for table in tables:
-        column = args.column if args.column in table.schema else table.columns[0]
+        if args.column is None:
+            column = "value" if "value" in table.schema else table.columns[0]
+        elif args.column in table.schema:
+            column = args.column
+        else:
+            raise SystemExit(f"error: table {table.name!r} has no column {args.column!r}")
         values = table.distinct_values(column)
         if values:
             columns.append(ColumnValues((table.name, column), values))
@@ -218,35 +224,45 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    """``repro benchmark``: run one of the paper's experiments."""
-    from repro.evaluation.experiments import (
-        run_downstream_em_experiment,
-        run_figure3_experiment,
-        run_table1_experiment,
-    )
+    """``repro benchmark``: run one of the paper's experiments or ablations."""
+    from repro.evaluation import experiments
     from repro.evaluation.reporting import (
         format_markdown_table,
         format_runtime_series,
         format_scores_table,
     )
 
+    # An omitted --sets / --sizes leaves the experiment its own default.
+    sets = {} if args.sets is None else {"n_sets": args.sets}
+    sizes = {} if args.sizes is None else {"sizes": args.sizes}
     if args.experiment == "table1":
-        scores = run_table1_experiment(
-            n_sets=args.sets, values_per_column=args.values_per_column
-        )
+        scores = experiments.run_table1_experiment(values_per_column=args.values_per_column, **sets)
         print(format_scores_table(scores))
     elif args.experiment == "em":
-        scores = run_downstream_em_experiment(n_sets=max(1, args.sets // 8))
-        rows = [
-            [method, f"{s.precision:.2f}", f"{s.recall:.2f}", f"{s.f1:.2f}"]
-            for method, s in scores.items()
-        ]
-        print(format_markdown_table(["Method", "Precision", "Recall", "F1"], rows))
+        print(format_scores_table(experiments.run_downstream_em_experiment(**sets), label="Method"))
     elif args.experiment == "fig3":
-        points = run_figure3_experiment(sizes=args.sizes)
-        print(format_runtime_series(points))
-    else:  # pragma: no cover - argparse restricts the choices
-        raise SystemExit(f"unknown experiment {args.experiment!r}")
+        print(format_runtime_series(experiments.run_figure3_experiment(**sizes)))
+    elif args.experiment == "fd":
+        for label, runs in experiments.run_fd_experiment(**sizes).items():
+            rows = [
+                [name, f"{run.pop('seconds'):.3f}", *("-" if x != x else int(x) for x in run.values())]
+                for name, run in runs.items()
+            ]
+            print(f"\n{label}\n")
+            print(format_markdown_table(
+                ["Algorithm", "Seconds", "Output tuples", "Components", "Candidate rows examined"], rows
+            ))
+    else:
+        knob, values = experiments.MATCHING_ABLATIONS[args.experiment]
+        sweep = experiments.run_matching_sweep(knob, values, values_per_column=args.values_per_column, **sets)
+        rows = [
+            [value, *(f"{x:.3f}" for x in (r.scores.precision, r.scores.recall, r.scores.f1, r.seconds)),
+             f"{100 * r.pairs_scored_share:.1f}%", r.rewrites]
+            for value, r in sweep.items()
+        ]
+        print(format_markdown_table(
+            [knob, "Precision", "Recall", "F1", "Seconds", "Pairs scored", "Rewrites"], rows
+        ))
     return 0
 
 
@@ -450,7 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     match_parser = subparsers.add_parser("match", help="fuzzy value matching over aligned columns")
     match_parser.add_argument("inputs", nargs="+", help="CSV files or directories (one column each)")
-    match_parser.add_argument("--column", default="value", help="column name to match (default: first column)")
+    match_parser.add_argument(
+        "--column", default=None,
+        help="column to match in every table (default: 'value' where a table has it, else its first column)",
+    )
     match_parser.add_argument(
         "--embedder", default="mistral", type=_registry_name(EMBEDDERS),
         help="embedding model registry name",
@@ -486,11 +505,18 @@ def build_parser() -> argparse.ArgumentParser:
     match_parser.add_argument("--all", action="store_true", help="also print singleton sets")
     match_parser.set_defaults(func=cmd_match)
 
-    benchmark_parser = subparsers.add_parser("benchmark", help="run one of the paper's experiments")
-    benchmark_parser.add_argument("experiment", choices=["table1", "em", "fig3"])
-    benchmark_parser.add_argument("--sets", type=int, default=31, help="number of integration sets")
+    benchmark_parser = subparsers.add_parser("benchmark", help="run one of the paper's experiments or ablations")
+    benchmark_parser.add_argument(
+        "experiment", choices=["table1", "em", "fig3", "threshold", "assignment", "representatives", "blocking", "fd"]
+    )
+    benchmark_parser.add_argument(
+        "--sets", type=int, help="integration sets to run (default: 31, em: 4)"
+    )
     benchmark_parser.add_argument("--values-per-column", type=int, default=100)
-    benchmark_parser.add_argument("--sizes", type=int, nargs="+", default=[500, 1000, 1500, 2000])
+    benchmark_parser.add_argument(
+        "--sizes", type=int, nargs="+",
+        help="input tuples per run (default: fig3 500 1000 1500 2000, fd 1000 8000; the paper's Figure 3: 5000 ... 30000)",
+    )
     benchmark_parser.set_defaults(func=cmd_benchmark)
 
     serve_parser = subparsers.add_parser(

@@ -228,11 +228,13 @@ class IntegrationEngine:
             )
             self.embedder.use_cache(self._store_cache)
         self.requests_served = 0
-        # One ValueMatcher per distinct override combination; all share the
-        # engine's embedder (and therefore its cache) and solver.  A matcher
-        # keeps per-call mutable state (``last_statistics``, the blocker's key
-        # memo), which is safe because _lock admits one request at a time.
-        self._matchers: Dict[Tuple, ValueMatcher] = {}
+        # The last request's ValueMatcher and the knobs it was built from; a
+        # request with other overrides replaces it, so a θ-sweep holds one
+        # matcher (one blocker key memo).  It shares the engine's embedder
+        # (and cache) and solver; its per-call state is safe because _lock
+        # admits one request at a time.
+        self._matcher_knobs: Optional[Tuple] = None
+        self._matcher: Optional[ValueMatcher] = None
         self._lock = threading.Lock()
 
     # -- introspection -------------------------------------------------------------
@@ -519,11 +521,10 @@ class IntegrationEngine:
     # -- internals -----------------------------------------------------------------
     def _matcher_for(self, effective: FuzzyFDConfig) -> ValueMatcher:
         knobs = {knob: getattr(effective, knob) for knob in MATCHER_KNOBS}
-        key = tuple(knobs.values())
-        matcher = self._matchers.get(key)
-        if matcher is None:
-            matcher = self._matchers[key] = ValueMatcher(self.embedder, solver=self.solver, **knobs)
-        return matcher
+        if self._matcher is None or self._matcher_knobs != tuple(knobs.values()):
+            self._matcher = ValueMatcher(self.embedder, solver=self.solver, **knobs)
+            self._matcher_knobs = tuple(knobs.values())
+        return self._matcher
 
     def _resolve_fd(
         self,

@@ -16,6 +16,7 @@ from repro.datasets.vocabularies import Vocabulary, topic_names, topic_vocabular
 from repro.datasets.autojoin import AutoJoinBenchmark, AutoJoinIntegrationSet
 from repro.datasets.alite_em import AliteEmBenchmark, EmIntegrationSet
 from repro.datasets.imdb import ImdbBenchmark
+from repro.datasets.lake import multi_schema_lake
 
 __all__ = [
     "Vocabulary",
@@ -28,4 +29,5 @@ __all__ = [
     "AliteEmBenchmark",
     "EmIntegrationSet",
     "ImdbBenchmark",
+    "multi_schema_lake",
 ]

@@ -1,8 +1,9 @@
 """Evaluation: value-matching metrics, runtime sweeps, report formatting.
 
-These are the harness pieces the benchmark scripts (``benchmarks/``) are built
-from, factored into the library so the same measurements can be reproduced
-programmatically (see ``examples/``) and unit-tested.
+The paper's experiments and their ablations are built from these pieces
+(:mod:`repro.evaluation.experiments`, run by ``repro benchmark``), so the same
+measurements can be reproduced programmatically (see ``examples/``) and
+unit-tested.
 """
 
 from repro.evaluation.metrics import (

@@ -1,30 +1,81 @@
-"""Programmatic experiment runners.
+"""The paper's experiments and their ablations, behind ``repro benchmark``.
 
-The benchmark harnesses under ``benchmarks/`` and the ``repro benchmark`` CLI
-subcommand both need to run the paper's experiments; this module holds the
-shared logic so the experiments can also be reproduced from a notebook or any
-other Python program:
-
-* :func:`run_table1_experiment` — Table 1 (value-matching effectiveness per
-  embedding model over the Auto-Join benchmark);
-* :func:`run_downstream_em_experiment` — Sec. 3.2 (entity matching over the
-  integrated tables, regular vs fuzzy FD);
-* :func:`run_figure3_experiment` — Figure 3 (runtime sweep over the IMDB
-  benchmark).
+Table 1 (:func:`run_table1_experiment`), Sec. 3.2's downstream entity
+matching (:func:`run_downstream_em_experiment`) and Figure 3
+(:func:`run_figure3_experiment`).  Table 1 is :func:`run_matching_sweep` over
+the ``embedder`` knob; the value-matching ablations
+(:data:`MATCHING_ABLATIONS`) are the same loop over another knob, and
+:func:`run_fd_experiment` is the FD-algorithm ablation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import time
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core import FuzzyFDConfig, integrate
+from repro.core.engine import MATCHER_KNOBS
+from repro.core.representatives import available_policies
 from repro.core.value_matching import ValueMatcher
-from repro.datasets import AliteEmBenchmark, AutoJoinBenchmark, ImdbBenchmark
+from repro.datasets import AliteEmBenchmark, AutoJoinBenchmark, ImdbBenchmark, multi_schema_lake
 from repro.em import EntityMatchingPipeline
 from repro.em.metrics import EntityMatchingScores
-from repro.embeddings.registry import TABLE1_MODELS, get_embedder
+from repro.embeddings.registry import TABLE1_MODELS
 from repro.evaluation.metrics import MatchingScores, macro_average, score_integration_set
 from repro.evaluation.runtime import RuntimePoint, runtime_sweep
+from repro.fd import get_algorithm
+
+#: The value-matching ablations: the config knob each varies, and its values.
+MATCHING_ABLATIONS: Dict[str, Tuple[str, Tuple[object, ...]]] = {
+    "threshold": ("threshold", (0.3, 0.5, 0.6, 0.7, 0.8, 0.9)),
+    "assignment": ("assignment_solver", ("scipy", "greedy")),
+    "representatives": ("representative_policy", tuple(available_policies())),
+    "blocking": ("blocking", ("off", "on")),
+}
+
+
+class SweepRow(NamedTuple):
+    """Match Values over every Auto-Join set at one value of the swept knob."""
+
+    scores: MatchingScores
+    seconds: float
+    #: Scored pairs over the cells of the assignments (1.0 when unblocked).
+    pairs_scored_share: float
+    #: Values rewritten to another value, the representative of their set.
+    rewrites: int
+
+
+def run_matching_sweep(
+    knob: str,
+    values: Sequence[object],
+    n_sets: int = 31,
+    values_per_column: int = 100,
+    seed: int = 42,
+    **fixed: object,
+) -> Dict[object, SweepRow]:
+    """Table 1's loop once per value of ``knob``; other knobs are ``fixed`` or the paper's."""
+    integration_sets = AutoJoinBenchmark(
+        n_sets=n_sets, values_per_column=values_per_column, seed=seed
+    ).generate()
+    rows: Dict[object, SweepRow] = {}
+    for value in values:
+        config = FuzzyFDConfig(**{**fixed, knob: value})
+        knobs = {name: getattr(config, name) for name in MATCHER_KNOBS}
+        matcher = ValueMatcher(config.resolve_embedder(), solver=config.resolve_solver(), **knobs)
+        start = time.perf_counter()
+        results = [matcher.match_columns(s.column_values()) for s in integration_sets]
+        seconds = time.perf_counter() - start
+        scored, avoided = (
+            sum(result.statistics.get(key, 0) for result in results)
+            for key in ("blocking_pairs_scored", "blocking_pairs_avoided")
+        )
+        rows[value] = SweepRow(
+            macro_average([score_integration_set(r, s.gold_sets) for r, s in zip(results, integration_sets)]),
+            seconds,
+            scored / (scored + avoided) if scored + avoided else 1.0,
+            sum(len(column) for result in results for column in result.replacements.values()),
+        )
+    return rows
 
 
 def run_table1_experiment(
@@ -35,18 +86,8 @@ def run_table1_experiment(
     seed: int = 42,
 ) -> Dict[str, MatchingScores]:
     """Macro-averaged value-matching P/R/F1 per embedding model (Table 1)."""
-    integration_sets = AutoJoinBenchmark(
-        n_sets=n_sets, values_per_column=values_per_column, seed=seed
-    ).generate()
-    scores: Dict[str, MatchingScores] = {}
-    for model in models:
-        matcher = ValueMatcher(get_embedder(model), threshold=threshold)
-        per_set = [
-            score_integration_set(matcher.match_columns(s.column_values()), s.gold_sets)
-            for s in integration_sets
-        ]
-        scores[model] = macro_average(per_set)
-    return scores
+    rows = run_matching_sweep("embedder", models, n_sets, values_per_column, seed, threshold=threshold)
+    return {model: row.scores for model, row in rows.items()}
 
 
 def run_downstream_em_experiment(
@@ -66,18 +107,7 @@ def run_downstream_em_experiment(
             integrated = integrate(integration_set.tables, fuzzy=fuzzy)
             result = pipeline.run(integrated.table, gold_clusters=integration_set.gold_clusters)
             per_method[method].append(result.scores)
-    averaged: Dict[str, EntityMatchingScores] = {}
-    for method, scores in per_method.items():
-        count = len(scores)
-        averaged[method] = EntityMatchingScores(
-            precision=sum(score.precision for score in scores) / count,
-            recall=sum(score.recall for score in scores) / count,
-            f1=sum(score.f1 for score in scores) / count,
-            true_positives=sum(score.true_positives for score in scores),
-            false_positives=sum(score.false_positives for score in scores),
-            false_negatives=sum(score.false_negatives for score in scores),
-        )
-    return averaged
+    return {method: macro_average(scores) for method, scores in per_method.items()}
 
 
 def run_figure3_experiment(
@@ -87,3 +117,30 @@ def run_figure3_experiment(
     """Runtime of regular FD vs Fuzzy FD over IMDB samples (Figure 3)."""
     benchmark = ImdbBenchmark(seed=seed)
     return runtime_sweep(benchmark.tables, sizes=list(sizes), config=FuzzyFDConfig())
+
+
+def run_fd_experiment(
+    sizes: Sequence[int] = (1_000, 8_000),
+    algorithms: Sequence[str] = ("alite", "incremental"),
+    seed: int = 13,
+) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Per size, on an IMDB sample and on a lake of 4 unrelated join groups:
+    each FD algorithm's seconds, output tuples, components and candidate rows
+    examined.  Raises unless the algorithms agree on rows and provenance."""
+    runs: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for size in sizes:
+        for kind, tables in (("IMDB", ImdbBenchmark(seed=seed).tables(size)), ("multi-schema lake", multi_schema_lake(4, size // 8))):
+            label = f"{kind}, {size} tuples"
+            runs[label], outputs = {}, set()
+            for name in algorithms:
+                start = time.perf_counter()
+                result = get_algorithm(name).integrate(tables)
+                runs[label][name] = {
+                    "seconds": time.perf_counter() - start,
+                    "output_tuples": result.table.num_rows,
+                    **{key: result.statistics.get(key, float("nan")) for key in ("components", "complementation_comparisons")},
+                }
+                outputs.add(frozenset(zip(result.table.rows, result.table.provenance)))
+            if len(outputs) > 1:
+                raise AssertionError(f"the FD algorithms {list(algorithms)} integrate {label} to different tables")
+    return runs

@@ -82,13 +82,14 @@ def score_integration_set(
 
 
 def macro_average(scores: Sequence[MatchingScores]) -> MatchingScores:
-    """Unweighted mean of per-set scores (the aggregation Table 1 reports)."""
+    """Unweighted mean of per-set scores (the aggregation Table 1 reports),
+    of the scores' own type (also :class:`~repro.em.metrics.EntityMatchingScores`)."""
     if not scores:
         return MatchingScores(precision=0.0, recall=0.0, f1=0.0)
     precision = sum(score.precision for score in scores) / len(scores)
     recall = sum(score.recall for score in scores) / len(scores)
     f1 = sum(score.f1 for score in scores) / len(scores)
-    return MatchingScores(
+    return type(scores[0])(
         precision=precision,
         recall=recall,
         f1=f1,

@@ -1,4 +1,4 @@
-"""Plain-text / markdown report formatting for the benchmark harnesses."""
+"""Plain-text / markdown report formatting for the experiments and request reports."""
 
 from __future__ import annotations
 
@@ -23,14 +23,14 @@ def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object
     return "\n".join(lines)
 
 
-def format_scores_table(scores_by_model: Mapping[str, MatchingScores]) -> str:
+def format_scores_table(scores_by_model: Mapping[str, MatchingScores], label: str = "Model") -> str:
     """Render Table 1's layout: Model | Precision | Recall | F1-Score."""
     rows: List[List[object]] = []
     for model, scores in scores_by_model.items():
         rows.append(
             [model, f"{scores.precision:.2f}", f"{scores.recall:.2f}", f"{scores.f1:.2f}"]
         )
-    return format_markdown_table(["Model", "Precision", "Recall", "F1-Score"], rows)
+    return format_markdown_table([label, "Precision", "Recall", "F1-Score"], rows)
 
 
 def format_component_histogram(source, width: int = 30) -> str:

@@ -4,8 +4,7 @@ This package implements the building blocks of the paper's *Match Values*
 component (Sec. 2.2): distance functions between cell values (cosine distance
 over embeddings, plus lexical baselines), optimal bipartite assignment between
 the value sets of two aligned columns (scipy's linear sum assignment and a
-greedy baseline), and the
-bookkeeping that accumulates pairwise matches into disjoint value-match sets.
+greedy baseline), and the disjoint value-match sets the matches form.
 """
 
 from repro.matching.assignment import (
@@ -24,7 +23,7 @@ from repro.matching.blocking import (
     BlockingStatistics,
     ValueBlocker,
 )
-from repro.matching.clustering import MatchSetBuilder, ValueMatchSet
+from repro.matching.clustering import ValueMatchSet
 from repro.matching.distance import (
     DistanceFunction,
     EmbeddingDistance,
@@ -53,6 +52,5 @@ __all__ = [
     "BlockingStatistics",
     "PROHIBITIVE_COST",
     "ValueMatch",
-    "MatchSetBuilder",
     "ValueMatchSet",
 ]

@@ -28,7 +28,7 @@ Backends
     serialisation cost, shared memory.
 
 There is no per-call process backend: it paid a pickle of ``fn`` and every
-batch per call and measured 0.06–0.10× serial in ``BENCH_parallel.json``.
+batch per call and measured 0.06–0.10× serial on solver-bound components.
 Process-level parallelism lives in one place, ``repro serve --processes N``
 (:mod:`repro.service.processes`), which forks warm servers once at boot.
 

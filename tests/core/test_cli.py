@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -281,6 +283,22 @@ class TestMatchCommand:
         captured = capsys.readouterr().out
         assert "'Germany'" in captured and "'DE'" in captured
 
+    def test_an_explicit_column_a_table_lacks_is_an_error_naming_the_table(self, tmp_path, capsys):
+        cities = Table("a", ["City", "Population"], [("Berlin", "3.6M"), ("Toronto", "2.8M")])
+        towns = Table("b", ["Country", "Town"], [("DE", "Berlinn"), ("CA", "Toronto")])
+        paths = [str(write_csv(table, tmp_path / f"{table.name}.csv")) for table in (cities, towns)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["match", *paths, "--column", "City"])
+        assert str(excinfo.value) == "error: table 'b' has no column 'City'"
+        assert capsys.readouterr().out == ""  # nothing was matched
+
+    def test_without_column_each_table_matches_value_or_its_first_column(self, tmp_path, capsys):
+        left = Table("a", ["id", "value"], [("1", "Berlin"), ("2", "Toronto")])
+        right = Table("b", ["Town"], [("Berlinn",), ("Toronto",)])
+        paths = [str(write_csv(table, tmp_path / f"{table.name}.csv")) for table in (left, right)]
+        assert main(["match", *paths]) == 0
+        assert "(a:'Berlin', b:'Berlinn') -> " in capsys.readouterr().out
+
     def test_match_requires_two_columns(self, tmp_path):
         only = Table("solo", ["value"], [("Berlin",)])
         path = str(write_csv(only, tmp_path / "solo.csv"))
@@ -303,3 +321,43 @@ class TestBenchmarkCommand:
         assert exit_code == 0
         captured = capsys.readouterr().out
         assert "Fuzzy FD" in captured
+
+    def test_sets_is_the_number_of_sets_the_experiment_runs(self, monkeypatch, capsys):
+        from repro.evaluation import experiments
+
+        seen = []
+        real = experiments.run_downstream_em_experiment
+
+        def spy(**kwargs):
+            seen.append(kwargs)
+            return real(entities_per_set=12, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_downstream_em_experiment", spy)
+        assert main(["benchmark", "em", "--sets", "3"]) == 0
+        assert main(["benchmark", "em"]) == 0
+        # --sets 3 runs three sets; omitted, the experiment keeps its own four.
+        assert seen == [{"n_sets": 3}, {}]
+        assert inspect.signature(real).parameters["n_sets"].default == 4
+        assert "fuzzy_fd" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "experiment, knob, values",
+        [
+            ("threshold", "threshold", ["0.3", "0.5", "0.6", "0.7", "0.8", "0.9"]),
+            ("assignment", "assignment_solver", ["scipy", "greedy"]),
+            ("representatives", "representative_policy", ["first_column", "frequency", "longest", "shortest"]),
+            ("blocking", "blocking", ["off", "on"]),
+        ],
+    )
+    def test_value_matching_ablations_small(self, capsys, experiment, knob, values):
+        assert main(["benchmark", experiment, "--sets", "2", "--values-per-column", "15"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split("|")[1].strip() == knob
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in lines[2:]]
+        assert [row[0] for row in rows] == values
+
+    def test_fd_ablation_small(self, capsys):
+        assert main(["benchmark", "fd", "--sizes", "160"]) == 0
+        captured = capsys.readouterr().out
+        assert "IMDB, 160 tuples" in captured and "multi-schema lake, 160 tuples" in captured
+        assert "| alite " in captured and "| incremental " in captured

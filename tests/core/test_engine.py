@@ -464,6 +464,22 @@ class TestWarmEmbeddingCache:
         assert embedder.embed_calls == calls_after_first
         assert engine.embedding_cache.hits > 0
 
+    def test_theta_sweep_holds_one_matcher_and_serves_the_same_rows(self, covid_tables):
+        """The engine keeps the last request's matcher only: fifty thresholds
+        leave one matcher (one blocker key memo), and every threshold's rows
+        are a fresh engine's."""
+        engine = IntegrationEngine(FuzzyFDConfig(blocking="on"))
+        thetas = [round(0.3 + 0.01 * step, 2) for step in range(50)]
+        for theta in thetas:
+            result = engine.integrate(covid_tables, threshold=theta)
+            assert engine._matcher.threshold == theta
+            if theta in (0.3, 0.5, 0.7, 0.79):
+                fresh = IntegrationEngine(FuzzyFDConfig(blocking="on", threshold=theta))
+                assert result.table.rows == fresh.integrate(covid_tables).table.rows
+        matcher = engine._matcher
+        assert engine.integrate(covid_tables, threshold=thetas[-1]) and engine._matcher is matcher
+        assert [name for name in vars(engine) if "matcher" in name] == ["_matcher_knobs", "_matcher"]
+
     def test_cache_warm_across_repeated_requests(self, covid_tables):
         embedder = CountingMistralEmbedder()
         engine = IntegrationEngine(FuzzyFDConfig(embedder=embedder))

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.core.value_matching import ColumnValues, ValueMatcher
+from repro.datasets.corruptions import Corruptor
 from repro.embeddings.lexicon import SemanticLexicon
 from repro.embeddings.transformer import SimulatedTransformerEmbedder
 from repro.matching.ann import SemanticBlocker
@@ -219,6 +220,29 @@ class TestBlockedMatcherUnion:
         )
         matches = matcher.match(left, right)
         assert len(matches) == 20
+
+    def test_typos_ride_the_surface_keys_and_synonyms_the_semantic_channel(self):
+        """Half typo pairs, half synonym pairs: ``off`` finds only the typos,
+        ``auto`` and ``on`` find the synonyms too, all off the dense product."""
+        synonym_left, synonym_right, lexicon = planted_synonyms(20)
+        rng = random.Random(10)
+        typo_left = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz0123456789") for _ in range(12)) for _ in range(20)]
+        typo_right = [Corruptor(seed=9).corrupt(value, "typo", rng) for value in typo_left]
+        left, right = synonym_left + typo_left, synonym_right + typo_right
+        embedder = full_coverage_embedder(lexicon)
+        found = {}
+        for mode in ("off", "auto", "on"):
+            matcher = BlockedValueMatcher(
+                embedder,
+                blocker=ValueBlocker(ngram_size=5, use_lexicon=False),
+                semantic_blocker=None if mode == "off" else SemanticBlocker(embedder, min_similarity=0.3),
+                semantic_mode="on" if mode == "off" else mode,
+            )
+            found[mode] = {(match.left, match.right) for match in matcher.match(left, right)}
+            assert matcher.last_statistics.pairs_scored < len(left) * len(right)
+        typos, synonyms = set(zip(typo_left, typo_right)), set(zip(synonym_left, synonym_right))
+        assert typos <= found["off"] and not synonyms & found["off"]
+        assert typos | synonyms <= found["auto"] and typos | synonyms <= found["on"]
 
     def test_invalid_semantic_mode_rejected(self):
         embedder = full_coverage_embedder(SemanticLexicon())

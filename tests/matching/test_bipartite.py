@@ -1,4 +1,4 @@
-"""Tests for bipartite value matching and match-set building."""
+"""Tests for bipartite value matching."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.embeddings import ExactEmbedder, MistralEmbedder
 from repro.matching.bipartite import BipartiteValueMatcher, ValueMatch
-from repro.matching.clustering import MatchSetBuilder
 from repro.matching.distance import EmbeddingDistance, LevenshteinDistance
 
 
@@ -93,40 +92,3 @@ class TestBipartiteMatcher:
         matches = mistral_matcher.match(["Berlin", "Toronto"], ["Berlinn", "Toronto"])
         distances = [match.distance for match in matches]
         assert distances == sorted(distances)
-
-
-class TestMatchSetBuilder:
-    def test_registered_values_start_as_singletons(self):
-        builder = MatchSetBuilder()
-        builder.add_column("c1", ["a", "b"])
-        assert len(builder.sets()) == 2
-
-    def test_matches_union_values(self):
-        builder = MatchSetBuilder()
-        builder.add_column("c1", ["Berlin"])
-        builder.add_column("c2", ["Berlinn"])
-        builder.add_matches("c1", "c2", [ValueMatch("Berlin", "Berlinn", 0.1)])
-        sets = builder.sets()
-        assert len(sets) == 1
-        assert set(sets[0].members) == {("c1", "Berlin"), ("c2", "Berlinn")}
-
-    def test_transitive_union_across_columns(self):
-        builder = MatchSetBuilder()
-        builder.add_matches("c1", "c2", [ValueMatch("a", "b", 0.1)])
-        builder.add_matches("c2", "c3", [ValueMatch("b", "c", 0.1)])
-        sets = builder.sets()
-        assert len(sets) == 1
-        assert len(sets[0]) == 3
-
-    def test_same_string_in_different_columns_stays_distinct_until_matched(self):
-        builder = MatchSetBuilder()
-        builder.add_column("c1", ["x"])
-        builder.add_column("c2", ["x"])
-        assert len(builder.sets()) == 2
-
-    def test_matched_pairs_enumeration(self):
-        builder = MatchSetBuilder()
-        builder.add_matches("c1", "c2", [ValueMatch("a", "b", 0.1)])
-        builder.add_matches("c1", "c3", [ValueMatch("a", "c", 0.1)])
-        pairs = builder.matched_pairs()
-        assert len(pairs) == 3  # 3 items in one set -> 3 unordered pairs

@@ -188,6 +188,13 @@ class TestRouting:
         assert self._kind(n_bits=16, skew_threshold=1.0) == "lsh"
         assert self._kind(n_tables=1, n_bits=11, skew_threshold=1.0) == "lsh"  # 12 / 2048
 
+    @pytest.mark.parametrize("n_values", [300, 1_700, 10_000, 100_000])
+    def test_the_lsh_route_depends_on_the_shape_not_the_size(self, n_values):
+        embedder = SimulatedTransformerEmbedder(model_name="graph")
+        assert SemanticBlocker(embedder)._runs_exact(n_values, n_values)  # 8 x 8, every size
+        assert not SemanticBlocker(embedder, n_bits=14)._runs_exact(n_values, n_values)
+        assert not SemanticBlocker(embedder, n_bits=16)._runs_exact(n_values, n_values)
+
     def test_ivf_share_follows_the_cluster_count(self):
         blocker = SemanticBlocker(SimulatedTransformerEmbedder(model_name="graph"), ann_index="ivf")
         assert blocker._runs_exact(160_000, 200_000)  # 4 / 400 clusters = 0.01
