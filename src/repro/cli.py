@@ -223,8 +223,17 @@ def cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags each experiment of ``repro benchmark`` takes (the matching
+#: ablations take table1's); passing it another is an error.
+_BENCHMARK_FLAGS = {"table1": ("sets", "values_per_column"), "em": ("sets",), "fig3": ("sizes",), "fd": ("sizes",)}
+
+
 def cmd_benchmark(args: argparse.Namespace) -> int:
     """``repro benchmark``: run one of the paper's experiments or ablations."""
+    takes = _BENCHMARK_FLAGS.get(args.experiment, _BENCHMARK_FLAGS["table1"])
+    for flag in ("sets", "values_per_column", "sizes"):
+        if getattr(args, flag) is not None and flag not in takes:
+            raise SystemExit(f"error: repro benchmark {args.experiment} does not take --{flag.replace('_', '-')}")
     from repro.evaluation import experiments
     from repro.evaluation.reporting import (
         format_markdown_table,
@@ -232,14 +241,16 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         format_scores_table,
     )
 
-    # An omitted --sets / --sizes leaves the experiment its own default.
-    sets = {} if args.sets is None else {"n_sets": args.sets}
+    # An omitted --sets / --values-per-column / --sizes leaves the experiment its own default.
+    scale = {} if args.sets is None else {"n_sets": args.sets}
+    if args.values_per_column is not None:
+        scale["values_per_column"] = args.values_per_column
     sizes = {} if args.sizes is None else {"sizes": args.sizes}
     if args.experiment == "table1":
-        scores = experiments.run_table1_experiment(values_per_column=args.values_per_column, **sets)
+        scores = experiments.run_table1_experiment(**scale)
         print(format_scores_table(scores))
     elif args.experiment == "em":
-        print(format_scores_table(experiments.run_downstream_em_experiment(**sets), label="Method"))
+        print(format_scores_table(experiments.run_downstream_em_experiment(**scale), label="Method"))
     elif args.experiment == "fig3":
         print(format_runtime_series(experiments.run_figure3_experiment(**sizes)))
     elif args.experiment == "fd":
@@ -254,7 +265,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             ))
     else:
         knob, values = experiments.MATCHING_ABLATIONS[args.experiment]
-        sweep = experiments.run_matching_sweep(knob, values, values_per_column=args.values_per_column, **sets)
+        sweep = experiments.run_matching_sweep(knob, values, **scale)
         rows = [
             [value, *(f"{x:.3f}" for x in (r.scores.precision, r.scores.recall, r.scores.f1, r.seconds)),
              f"{100 * r.pairs_scored_share:.1f}%", r.rewrites]
@@ -512,7 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     benchmark_parser.add_argument(
         "--sets", type=int, help="integration sets to run (default: 31, em: 4)"
     )
-    benchmark_parser.add_argument("--values-per-column", type=int, default=100)
+    benchmark_parser.add_argument(
+        "--values-per-column", type=int,
+        help="values per column of each set (table1 and the matching ablations; default: 100)",
+    )
     benchmark_parser.add_argument(
         "--sizes", type=int, nargs="+",
         help="input tuples per run (default: fig3 500 1000 1500 2000, fd 1000 8000; the paper's Figure 3: 5000 ... 30000)",

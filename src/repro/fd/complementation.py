@@ -9,11 +9,12 @@ coded tuples (:mod:`repro.table.coded`).  Every closed tuple is the union of
 a value-connected set of input tuples, so the closure adds one input at a
 time: a tuple is only compared with the *inputs* that agree with it or are
 null on its most selective column (in its component, when the components are
-known), found in value and null postings built once over the inputs — after
-the first generation, of those only the ones null or agreeing with it at a
-second column, the *cut* — plus duplicate elimination so the closure
-terminates.  Comparisons, merges and duplicate elimination run on tuples
-packed as bit-field words (:class:`~repro.table.coded.TupleIndex`).
+known), found in value and null postings built once over the inputs — of
+those only the ones whose non-null positions meet its own, read in runs of one
+such pattern, and after the first generation of those only the ones null or
+agreeing with it at a second column, the *cut* — plus duplicate elimination
+so the closure terminates.  Comparisons, merges and duplicate elimination run
+on tuples packed as bit-field words (:class:`~repro.table.coded.TupleIndex`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from repro.table import coded
-from repro.table.coded import CutPostings, PairPostings, TupleIndex, span_blocks
+from repro.table.coded import MeetingRuns, PairPostings, TupleIndex
 from repro.table.subsumption import subsumers, survivor
 from repro.utils.components import component_labels
 from repro.utils.sorting import stable_order
@@ -61,15 +62,19 @@ class ComplementationEngine:
     component)`` over the inputs; the engine takes its candidates from the
     position where that union is smallest — the same pairs ALITE's hash
     index on shared values finds, from far fewer candidates when a column
-    such as ``genres`` is low-cardinality.  It tests them on codes at one
-    position, the *cut* (where the most of a sample of the first
-    generation's candidates conflicted), and the rest on the words, every
-    position at once: "no conflict", "shares a value" and which side holds
-    only positions the other holds.  The cut is learned once and kept: the
-    first later generation that lists more than a block of candidates
-    orders each list's holders by their code at the cut, once
-    (:class:`~repro.table.coded.CutPostings`), and from then on a tuple
-    holding a code at the cut reads, of each list, only the holders null or
+    such as ``genres`` is low-cardinality.  Partners share a value, so their
+    position bits meet: at the first generation that lists a candidate, the
+    inputs' lists are ordered once more, by (pair, holder's position bits),
+    and a tuple reads, of each list, only the runs whose bits meet its own
+    (:class:`~repro.table.coded.MeetingRuns`) — never a candidate the meet
+    test would drop.  It tests the rest on codes at one position, the *cut*
+    (where the most of a sample of the first generation's candidates
+    conflicted), and then on the words, every position at once: "no
+    conflict", "shares a value" and which side holds only positions the other
+    holds.  The cut is learned once and kept: the first later generation
+    that lists more than a block of candidates orders the runs of each list
+    by their holders' code at the cut, once, and from then on a tuple holding
+    a code at the cut reads, of each list, only the meeting runs null or
     holding that code there — the candidates the cut would keep, never
     expanded to be dropped.  (Re-learned from those, the cut would drift:
     none of them conflicts there.)  A merge is the OR of two tuples' words,
@@ -187,7 +192,8 @@ class ComplementationEngine:
         subsumed = [np.empty(0, dtype=np.intp)]  # tuples another one strictly subsumes
         conflicting = np.zeros(width, dtype=np.int64)  # per position, in the first generation's samples
         cut = None  # learned on the first generation, then kept
-        split = None  # the inputs' lists ordered by their code at the cut, built once
+        runs = None  # the inputs' lists in runs by pattern, built at the first listing
+        split = False  # whether ``runs`` holds the lists ordered by their code at the cut too
         generation_start = 0
         while generation_start < len(known):
             count = len(known)
@@ -200,30 +206,23 @@ class ComplementationEngine:
             # the ones with smaller ids, a prefix of each list; for a merged
             # tuple all of them.
             pairs = postings.selective(data[:, owners], component[owners])
-            limit = np.minimum(owners, inputs)[:, None]
-            smaller = np.searchsorted(listed, pairs * inputs + limit) - postings.starts[pairs]
+            limit = np.minimum(owners, inputs)
+            smaller = np.searchsorted(listed, pairs * inputs + limit[:, None]) - postings.starts[pairs]
             candidates = int(smaller.sum())
             comparisons += candidates
             if not candidates:
                 continue
-            # After the first generation every owner is a merged tuple, which
-            # reads whole lists; once a generation lists more than a block,
-            # they are read from two positions, the listing one and the cut.
-            if split is None and cut is not None and candidates > coded.PAIR_BLOCK:
-                split = CutPostings(postings, data[cut, :inputs], int(codes_per_column[cut]))
-            if split is None:
-                starts, sizes, holders = postings.starts[pairs], smaller, postings.holders
-            else:
-                starts, sizes = split.spans(pairs, data[cut].take(owners))
-                holders = split.holders
-            for owner, index in span_blocks(starts, sizes):
-                owner, candidate = owners.take(owner), holders.take(index)
-                # Partners share a value, so their position bits meet; on a
-                # lake of several schemas most holders of a null do not meet
-                # the tuple anywhere and are dropped by this one test instead
-                # of riding through the cut and the word test.
-                meet = (pattern.take(owner) & pattern.take(candidate)) != 0
-                owner, candidate = owner[meet], candidate[meet]
+            # Of those, a tuple expands only the runs whose pattern meets its
+            # own.  After the first generation every owner is a merged tuple,
+            # which reads whole lists; once a generation lists more than a
+            # block, an owner holding a code at the cut reads only the runs
+            # null or holding that code there.
+            if runs is None:
+                runs = MeetingRuns(postings, pattern[:inputs])
+            if not split and cut is not None and candidates > coded.PAIR_BLOCK:
+                runs, split = runs.cut(data[cut, :inputs], int(codes_per_column[cut])), True
+            at_cut = data[cut].take(owners) if split else None
+            for owner, candidate in runs.meeting(owners, pairs, pattern.take(owners), limit, at_cut):
                 # The cut: the position where most of a sample of the first
                 # generation's candidates conflict so far, on codes; then
                 # every position at once, on the words.  The split lists only
@@ -232,7 +231,7 @@ class ComplementationEngine:
                     sample = slice(None, None, max(owner.size // CUT_SAMPLE, 1))
                     mine, theirs = data.take(owner[sample], axis=1), data.take(candidate[sample], axis=1)
                     conflicting += ((mine != theirs) & ((mine | theirs) >= 0)).sum(axis=1)
-                if split is None:
+                if not split:
                     position = int(np.argmax(conflicting)) if cut is None else cut
                     mine, theirs = data[position].take(owner), data[position].take(candidate)
                     clear = (mine == theirs) | ((mine | theirs) < 0)

@@ -16,6 +16,7 @@ keys the closure deduplicates by.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -209,58 +210,116 @@ class PairPostings:
         return chosen[:, None] if labels is None else np.stack((chosen, self.nulls(position, labels)), axis=1)
 
 
-class CutPostings:
-    """:class:`PairPostings`' lists with each pair's holders ordered by their code
-    at one position, the *cut*: null first, then code by code, each run in id order.
+class MeetingRuns:
+    """:class:`PairPostings`' lists over the inputs, each pair's holders in runs
+    whose *patterns* (a bit per non-null position, modulo 63) all meet a tuple
+    or none do: ordered by (pair, pattern), ids ascending inside each run.
 
-    A tuple holding code ``v`` at the cut conflicts there with every holder of
-    another code, so of each pair's holders it reads two runs, those null and
-    those holding ``v`` at the cut; a tuple null at the cut reads the pair's
-    whole list, the same holders as in :class:`PairPostings`, reordered.  One
-    stable sort of the holders, by (pair, code at the cut), builds it.
+    Partners share a value, so their patterns meet: a tuple reads, of a list,
+    only the runs whose pattern meets its own, and never expands a holder the
+    meet test would drop.  The holders of a value all hold its position, so
+    they all meet a tuple holding it: a value's list is one run; a null's list
+    runs by pattern.  A run belongs to a *group*, its pair; :meth:`cut` adds
+    a second copy of every list, grouped by (pair, holder's code at one
+    position, the *cut*) and in the same runs inside each group.  A tuple
+    holding code ``v`` at the cut conflicts with every holder of another code
+    there, so it reads the groups of each list null or holding ``v`` at the cut.
     """
 
-    def __init__(self, postings: PairPostings, at_cut: np.ndarray, codes: int) -> None:
-        """``at_cut``: the code of every tuple of ``postings`` at the cut, of ``codes``."""
-        self.starts, self.held_by, self.stride = postings.starts, postings.held_by, codes + 1
-        pair = np.repeat(np.arange(self.held_by.size), self.held_by)
-        cells = at_cut[postings.holders]
-        keys = pair * self.stride + cells + 1
-        order = stable_order(keys, self.held_by.size * self.stride)
-        self.holders, self.keys = postings.holders[order], keys[order]
-        self.nulls = np.bincount(pair[cells < 0], minlength=self.held_by.size)
+    def __init__(self, postings: PairPostings, patterns: np.ndarray) -> None:
+        """``patterns``: the pattern of every tuple of ``postings``."""
+        self.inputs, self.pairs, self.stride = patterns.size, postings.held_by.size, 0
+        distinct = sorted_unique(patterns.copy())
+        # The pattern of each rank; rank 0, a value's list, has every bit set.
+        self.meets = np.append(-1, distinct)
+        null = np.zeros(self.pairs + 1, dtype=bool)
+        null[postings.values - 1] = null[postings.first_null :] = True
+        pair = np.repeat(np.arange(self.pairs), postings.held_by)
+        # Only the nulls' lists, each contiguous, are reordered: by (pair, rank), ids ascending.
+        at = np.flatnonzero(null[pair])
+        ranks = np.zeros(pair.size, dtype=np.intp)
+        ranks[at] = np.searchsorted(distinct, patterns)[postings.holders[at]] + 1
+        order = np.arange(pair.size)
+        order[at] = at[stable_order(pair[at] * self.meets.size + ranks[at], self.pairs * self.meets.size)]
+        self._layout(pair, postings.holders[order], ranks[order])
+        # The runs of pair ``p``: ``first_runs[p]`` to ``first_runs[p + 1]``.
+        self.first_runs = np.append(0, np.cumsum(np.bincount(self.groups, minlength=self.pairs)))
 
-    def spans(self, pairs: np.ndarray, at_cut: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(tuples, 2k)`` spans of :attr:`holders` that tuples holding
-        ``at_cut`` at the cut read of their ``(tuples, k)`` ``pairs``, whole
-        runs: per pair, the holders null at the cut, then those holding the
-        tuple's code there (for a tuple null at the cut, the whole list, then
-        nothing)."""
-        whole = (at_cut < 0)[:, None]
-        keys = pairs * self.stride + at_cut[:, None] + 1
-        first = np.searchsorted(self.keys, keys)
-        sizes = np.searchsorted(self.keys, keys, side="right") - first
-        starts = np.stack((self.starts[pairs], np.where(whole, 0, first)), axis=2)
-        sizes = np.stack((np.where(whole, self.held_by[pairs], self.nulls[pairs]), np.where(whole, 0, sizes)), axis=2)
-        return starts.reshape(len(pairs), -1), sizes.reshape(len(pairs), -1)
+    def _layout(self, groups: np.ndarray, holders: np.ndarray, ranks: np.ndarray) -> None:
+        """Take ``holders`` of ``groups`` in (group, rank) order as the runs."""
+        self.holders, self.ranks = holders, ranks
+        self.starts = np.flatnonzero(first_of_runs(groups) | first_of_runs(ranks))
+        self.sizes = np.diff(self.starts, append=holders.size)
+        self.groups, self.patterns = groups[self.starts], self.meets[ranks[self.starts]]
+        # Each run's holders keyed (run, id), ascending: a search finds the ids below a limit.
+        self.keys = np.repeat(np.arange(self.starts.size), self.sizes) * self.inputs + holders
+
+    def cut(self, at_cut: np.ndarray, codes: int) -> "MeetingRuns":
+        """These runs, then the second copy: groups ``pairs + pair * (codes + 1)
+        + code + 1`` by each input's code ``at_cut`` (-1, null, first).  One
+        stable sort of the runs, already in rank order inside each pair."""
+        split = copy.copy(self)
+        split.stride = codes + 1
+        pair = np.repeat(self.groups, self.sizes)
+        keys = self.pairs + pair * split.stride + at_cut[self.holders] + 1
+        order = stable_order(keys, self.pairs * (split.stride + 1))
+        split._layout(
+            np.concatenate((pair, keys[order])),
+            np.concatenate((self.holders, self.holders[order])),
+            np.concatenate((self.ranks, self.ranks[order])),
+        )
+        # Each run's group, and where the next group's runs begin, past a
+        # sentinel; then where each pair's null group begins in the copy.
+        head = np.append(np.flatnonzero(first_of_runs(split.groups)), split.groups.size)
+        split.bounds = np.append(split.groups, np.iinfo(np.int64).max)
+        split.ends = np.append(np.repeat(head[1:], np.diff(head)), split.groups.size)
+        split.nulls = np.searchsorted(split.groups, self.pairs + np.arange(self.pairs) * split.stride)
+        return split
+
+    def meeting(
+        self, owners: np.ndarray, pairs: np.ndarray, patterns: np.ndarray, limits: np.ndarray, at_cut=None
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The holders of the ``(owners, k)`` ``pairs`` below each owner's limit
+        whose pattern meets the owner's, as ``(owner, holder)`` blocks of about
+        :data:`PAIR_BLOCK` (:func:`span_blocks`), ``owners`` ascending; the
+        runs are expanded in blocks first.  ``patterns`` and ``limits`` are the
+        owners'.  Given their codes ``at_cut``, an owner holding a code there
+        reads, of each pair's second copy, the groups null or holding it."""
+        first = self.first_runs[pairs]
+        counts = self.first_runs[pairs + 1] - first
+        if at_cut is not None:
+            null = self.pairs + pairs * self.stride
+            groups = np.concatenate((null, null + at_cut[:, None] + 1), 1)
+            start = np.concatenate((self.nulls[pairs], np.searchsorted(self.groups, groups[:, pairs.shape[1] :])), 1)
+            size = np.where(self.bounds[start] == groups, self.ends[start] - start, 0)
+            holds = (at_cut >= 0)[:, None]
+            first = np.where(holds, start, np.concatenate((first, first), 1))
+            counts = np.where(holds, size, np.concatenate((counts, np.zeros_like(counts)), 1))
+        readers = np.repeat(np.arange(owners.size), first.shape[1])
+        for reader, run in span_blocks(readers, first.ravel(), counts.ravel()):
+            meet = (self.patterns.take(run) & patterns.take(reader)) != 0
+            reader, run = reader[meet], run[meet]
+            starts, sizes = self.starts.take(run), self.sizes.take(run)
+            below = limits.take(reader) < self.inputs  # an input meets the inputs with smaller ids
+            key = run[below] * self.inputs + limits.take(reader[below])
+            sizes[below] = np.searchsorted(self.keys, key) - starts[below]
+            for reader, index in span_blocks(reader, starts, sizes):
+                yield owners.take(reader), self.holders.take(index)
 
 
-def span_blocks(starts: np.ndarray, sizes: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Expand ``(owners, k)`` spans ``starts[o, s] : starts[o, s] + sizes[o, s]``.
+def span_blocks(owners: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Expand the spans ``starts[s] : starts[s] + sizes[s]`` of owners ``owners[s]``, ascending.
 
     Yields ``(owner, index)`` arrays — every index of every span beside the
-    owner of the span, owners ascending, an owner's spans in order — in blocks
-    of about :data:`PAIR_BLOCK` entries that never split an owner: a block
-    starts at the owner holding every ``PAIR_BLOCK``-th entry.
+    span's owner, in span order — in blocks of about :data:`PAIR_BLOCK`
+    entries that never split an owner: a block starts at the first span of the
+    owner holding every ``PAIR_BLOCK``-th entry.
     """
-    per_owner = sizes.shape[1]
-    starts, sizes = starts.ravel(), sizes.ravel()
     ends = np.cumsum(sizes)
     offsets = ends - sizes
-    every = np.arange(0, int(sizes.sum()), PAIR_BLOCK)
-    first_spans = (np.searchsorted(offsets, every, side="right") - 1) // per_owner * per_owner
-    bounds = sorted_unique(first_spans).tolist()
-    owners = np.arange(sizes.size) // per_owner
+    every = np.arange(0, int(ends[-1]) if ends.size else 0, PAIR_BLOCK)
+    holding = owners[np.searchsorted(offsets, every, side="right") - 1]
+    bounds = np.searchsorted(owners, sorted_unique(holding)).tolist()
     shift = starts - offsets  # a span's indices are the numbers of its entries, shifted
     for low, high in zip(bounds, bounds[1:] + [sizes.size]):
         entries, counts = np.arange(offsets[low], ends[high - 1]), sizes[low:high]

@@ -52,9 +52,9 @@ def subsumers(inferior: np.ndarray, superior: np.ndarray) -> Tuple[np.ndarray, n
         return rows, rows
     codes_per_column = np.maximum(inferior.max(axis=1), superior.max(axis=1, initial=-1)) + 1
     postings = PairPostings(superior, codes_per_column)
-    rarest = postings.selective(inferior[:, rows])
+    rarest = postings.selective(inferior[:, rows])[:, 0]
     owners, found = [rows[:0]], [rows[:0]]
-    for owner, index in span_blocks(postings.starts[rarest], postings.held_by[rarest]):
+    for owner, index in span_blocks(np.arange(rows.size), postings.starts[rarest], postings.held_by[rarest]):
         owner, candidate = rows[owner], postings.holders[index]
         keep = offered[candidate] >= needed[owner]
         owner, candidate = owner[keep], candidate[keep]

@@ -356,6 +356,37 @@ class TestBenchmarkCommand:
         rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in lines[2:]]
         assert [row[0] for row in rows] == values
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fig3", "--sets", "3", "--values-per-column", "5", "--sizes", "80"], "--sets"),
+            (["fig3", "--values-per-column", "5"], "--values-per-column"),
+            (["fd", "--sets", "2"], "--sets"),
+            (["em", "--values-per-column", "5"], "--values-per-column"),
+            (["em", "--sizes", "80"], "--sizes"),
+            (["table1", "--sizes", "80"], "--sizes"),
+            (["threshold", "--sets", "2", "--sizes", "80"], "--sizes"),
+        ],
+    )
+    def test_a_flag_the_experiment_does_not_take_is_an_error(self, monkeypatch, argv, flag):
+        from repro.evaluation import experiments
+
+        for name in dir(experiments):
+            if name.startswith("run_"):
+                monkeypatch.setattr(experiments, name, lambda *args, **kwargs: pytest.fail("ran"))
+        with pytest.raises(SystemExit, match=f"repro benchmark {argv[0]} does not take {flag}$"):
+            main(["benchmark", *argv])
+
+    def test_values_per_column_omitted_leaves_the_default(self, monkeypatch, capsys):
+        from repro.evaluation import experiments
+
+        seen = []
+        monkeypatch.setattr(experiments, "run_table1_experiment", lambda **kwargs: seen.append(kwargs) or {})
+        monkeypatch.setattr(experiments, "run_matching_sweep", lambda knob, values, **kwargs: seen.append(kwargs) or {})
+        for argv in (["table1"], ["table1", "--values-per-column", "7"], ["blocking", "--sets", "2"]):
+            assert main(["benchmark", *argv]) == 0
+        assert seen == [{}, {"values_per_column": 7}, {"n_sets": 2}]
+
     def test_fd_ablation_small(self, capsys):
         assert main(["benchmark", "fd", "--sizes", "160"]) == 0
         captured = capsys.readouterr().out

@@ -41,10 +41,11 @@ first, fails it.  ``TestWordLayout`` holds the words against the per-position
 definitions; the closure inputs stretch columns to the edges of a field's
 width and fill words to their bit limits.
 
-After the first generation the kernel lists a tuple's candidates from two
-positions, its listing one and the cut (``CutPostings``).
-``TestTwoPositionListing`` holds that route against the sequential loop, spies
-on its one build, and counts what it expands.
+A tuple expands only the candidates whose pattern meets its own, read in
+runs of one pattern (``MeetingRuns``); after the first generation a tuple
+holding a code at the cut reads only the runs null or holding that code there.
+``TestMeetingRuns`` holds that route against the sequential loop, spies on its
+builds and on what each kind of owner reads, and counts what it expands.
 """
 
 from __future__ import annotations
@@ -734,44 +735,58 @@ class TestOnePassAgainstComponentsAlone:
 @contextmanager
 def kernel_events():
     """Record, in order, what the kernel does: each closure it starts
-    (``close``), each listing it expands (``expand``, the span sizes), each
-    :class:`~repro.table.coded.CutPostings` it builds (``build``, the
-    postings and the inputs' codes at the cut) and each read of one
-    (``read``, the owners' pairs and codes at the cut)."""
+    (``close``), each :class:`~repro.table.coded.MeetingRuns` it builds
+    (``build``, the postings and the inputs' patterns), each copy ordered by
+    the cut it adds (``split``, the inputs' codes at the cut) and each listing
+    it reads (``read``: the owners, their pairs, their codes at the cut or
+    ``None``, and the ``(owner, candidate)`` blocks it expands)."""
     events = []
     close_coded = ComplementationEngine.close_coded
 
-    class Spied(coded.CutPostings):
-        def __init__(self, postings, at_cut, codes):
-            events.append(("build", postings, at_cut.copy()))
-            super().__init__(postings, at_cut, codes)
+    class Spied(coded.MeetingRuns):
+        def __init__(self, postings, patterns):
+            events.append(("build", postings, patterns.copy()))
+            super().__init__(postings, patterns)
 
-        def spans(self, pairs, at_cut):
-            events.append(("read", pairs, at_cut))
-            return super().spans(pairs, at_cut)
+        def cut(self, at_cut, codes):
+            events.append(("split", at_cut.copy()))
+            return super().cut(at_cut, codes)
+
+        def meeting(self, owners, pairs, patterns, limits, at_cut=None):
+            read = ("read", owners, pairs, at_cut, [])
+            events.append(read)
+            for block in super().meeting(owners, pairs, patterns, limits, at_cut):
+                read[4].append(block)
+                yield block
 
     def spied_close(engine, *args):
         events.append(("close",))
         return close_coded(engine, *args)
 
-    def spied_blocks(starts, sizes):
-        events.append(("expand", int(sizes.sum())))
-        return coded.span_blocks(starts, sizes)
-
-    with patch.object(complementation, "CutPostings", Spied), patch.object(
+    with patch.object(complementation, "MeetingRuns", Spied), patch.object(
         ComplementationEngine, "close_coded", spied_close
-    ), patch.object(complementation, "span_blocks", spied_blocks):
+    ):
         yield events
 
 
-def builds_per_closure(events):
-    builds = []
+def per_closure(events, kind):
+    """How many events of ``kind`` each closure recorded."""
+    counts = []
     for event in events:
         if event[0] == "close":
-            builds.append(0)
-        elif event[0] == "build":
-            builds[-1] += 1
-    return builds
+            counts.append(0)
+        elif event[0] == kind:
+            counts[-1] += 1
+    return counts
+
+
+def builds_per_closure(events):
+    return per_closure(events, "split")
+
+
+def expanded(events):
+    """The candidates each listing expanded, in order."""
+    return [sum(owner.size for owner, _ in event[4]) for event in events if event[0] == "read"]
 
 
 def closure_in_order(rows):
@@ -790,18 +805,47 @@ def sequential_in_order(rows):
     return closed, provenance, marked
 
 
-def owner_kinds(events, codes):
+def the_cut(events, closed):
+    """The cut, from the inputs' codes there: positions with equal columns over
+    the inputs are equal over every merge too."""
+    (_, at_cut), = [event for event in events if event[0] == "split"]
+    return next(position for position in range(len(closed)) if np.array_equal(closed[position, : at_cut.size], at_cut))
+
+
+def owner_kinds(events, closed):
     """Which owners read the split lists: null at the cut, listed at the cut,
     listed elsewhere with a value at the cut."""
-    (_, postings, at_cut), = [event for event in events if event[0] == "build"]
-    distinct = codes[:, np.sort(np.unique(codes.T, axis=0, return_index=True)[1])]
-    cut = [position for position, column in enumerate(distinct) if (column == at_cut).all()]
+    (_, postings, _), = [event for event in events if event[0] == "build"]
+    cut = the_cut(events, closed)
     kinds = set()
-    for _, pairs, owner_at_cut in (event for event in events if event[0] == "read"):
-        at = np.isin(np.searchsorted(postings.values, pairs[:, 0], side="right") - 1, cut)
+    for _, _, pairs, owner_at_cut, _ in (event for event in events if event[0] == "read"):
+        if owner_at_cut is None:
+            continue
+        at = np.searchsorted(postings.values, pairs[:, 0], side="right") - 1 == cut
         kinds |= {"null"} if (owner_at_cut < 0).any() else set()
         kinds |= {"at the cut"} if (at & (owner_at_cut >= 0)).any() else set()
         kinds |= {"elsewhere"} if (~at & (owner_at_cut >= 0)).any() else set()
+    return kinds
+
+
+def meeting_kinds(events, closed, inputs):
+    """Which kinds of owner expanded candidates — an input, a merged tuple
+    before the lists are split, and after it one null at the cut or one
+    holding a code there — asserting that every candidate meets its owner and,
+    past the split, is null or agrees with it at the cut."""
+    patterns = position_bits(closed)
+    cut = the_cut(events, closed) if any(event[0] == "split" for event in events) else None
+    kinds = set()
+    for _, _, _, owner_at_cut, blocks in (event for event in events if event[0] == "read"):
+        for owner, candidate in (block for block in blocks if block[0].size):
+            assert ((patterns[owner] & patterns[candidate]) != 0).all()
+            if owner_at_cut is None:
+                kinds |= {"input" if owner.max() < inputs else "merged"}
+            else:
+                mine, theirs = closed[cut, owner], closed[cut, candidate]
+                assert ((mine < 0) | (theirs < 0) | (mine == theirs)).all()
+                kinds |= {"null at the cut"} if (mine < 0).any() else set()
+                kinds |= {"at the cut"} if (mine >= 0).any() else set()
     return kinds
 
 
@@ -824,18 +868,22 @@ def load_pipeline_workloads():
 
 
 class TestTwoPositionListing:
-    """After the first generation, which learns the cut, a tuple's candidates
-    are the holders of its two pairs that are null at the cut or hold its code
-    there: two runs of each list, ordered by (pair, code at the cut) once, the
-    first time a later generation lists more than a block.  Every owner then
-    is a merged tuple, which reads whole lists, so an input's smaller-id
-    prefix never meets the split lists.  With a block of 1, 5 or 7 pairs every
-    later generation of the block-parametrised tests above reads them too.
+    """A tuple expands, of its candidate lists, only the runs of holders whose
+    pattern meets its own: an input, of each run, the ones with smaller ids.
+    After the first generation, which learns the cut, a second copy of each
+    list ordered by (code at the cut, pattern) is added once, the first time
+    a later generation lists more than a block; from then on an owner holding
+    a code at the cut reads, of that copy, the runs null or holding its code
+    there.  With a block of 1, 5 or 7 pairs every later generation of the
+    block-parametrised tests above reads the copy too.
 
-    Mutations and the first test here that fails on each: the run of holders
-    null at the cut skipped (the closures differ), the lists split again in
-    every generation (the builds), the cut re-learned or taken from a sample
-    of the whole first generation (the count on 4 000 IMDB tuples)."""
+    Mutations and the first test here that fails on each: an input's runs
+    not cut to smaller ids, the groups of holders null at the cut skipped,
+    the lists split again in every generation (the first test); the meet
+    test dropped from the runs
+    (a candidate read that does not meet its owner); the cut re-learned or
+    taken from a sample of the whole first generation (the count on 4 000
+    IMDB tuples)."""
 
     def test_every_kind_of_owner_reads_the_split_lists(self):
         rng = random.Random(9)
@@ -843,9 +891,23 @@ class TestTwoPositionListing:
         with blocks_of(1), kernel_events() as events:
             closure = closure_in_order(rows)
         assert closure == sequential_in_order(rows)
-        assert owner_kinds(events, encode_rows(rows, 5)[0]) == {"null", "at the cut", "elsewhere"}
+        closed = ComplementationEngine().close_coded(encode_rows(rows, 5)[0])[0]
+        assert owner_kinds(events, closed) == {"null", "at the cut", "elsewhere"}
         kinds = [event[0] for event in events]
-        assert kinds.count("build") == 1 and kinds.index("expand") < kinds.index("build") < kinds.index("read")
+        assert kinds.count("build") == kinds.count("split") == 1
+        split = kinds.index("split")
+        assert kinds.index("build") < kinds.index("read") < split < kinds.index("read", split)
+
+    def test_every_kind_of_owner_reads_only_meeting_runs(self):
+        # Split at the second generation (a block of one pair), and never.
+        rng = random.Random(9)
+        rows = [tuple(rng.choice([NULL, NULL, "a", "b", "c"]) for _ in range(5)) for _ in range(12)]
+        kinds = {}
+        for block in (1, coded.PAIR_BLOCK):
+            with blocks_of(block), kernel_events() as events:
+                closed = ComplementationEngine().close_coded(encode_rows(rows, 5)[0])[0]
+            kinds[block] = meeting_kinds(events, closed, len(set(rows)))
+        assert kinds == {1: {"input", "null at the cut", "at the cut"}, coded.PAIR_BLOCK: {"input", "merged"}}
 
     @pytest.mark.parametrize("block", [1, 5, 7])
     @given(rows=st.one_of(generations_rows(), closure_inputs().map(decoded_rows).filter(bool)))
@@ -855,6 +917,7 @@ class TestTwoPositionListing:
             closure = closure_in_order(rows)
         assert closure == sequential_in_order(rows)
         assert builds_per_closure(events) in ([0], [1])
+        assert per_closure(events, "build") == [int(bool(expanded(events)))]
 
     @pytest.mark.parametrize("block", [1, 5])
     @given(rows=multi_component_rows())
@@ -868,19 +931,47 @@ class TestTwoPositionListing:
         assert result.statistics["components"] == components
         assert all(builds <= 1 for builds in builds_per_closure(events))
 
+    @BLOCKS
+    @pytest.mark.parametrize("width", [12, 70])
+    def test_every_input_its_own_pattern(self, block, width):
+        # Each input holds its own set of positions, so a list holds about as
+        # many runs as holders.  At 70 positions, 0 / 63, 1 / 64, ... share a
+        # bit of the pattern: tuples that only look alike must not merge.
+        rng = random.Random(width)
+        positions = list(range(width)) if width < 63 else [0, 1, 2, 3, 4, 5, 63, 64, 65, 66, 67, 68]
+        held = []
+        while len(held) < 20:
+            chosen = frozenset(rng.sample(positions, rng.randint(2, 4)))
+            if chosen not in held:
+                held.append(chosen)
+        rows = [tuple(rng.choice("abc") if p in chosen else NULL for p in range(width)) for chosen in held]
+        with blocks_of(block), kernel_events() as events:
+            closure = closure_in_order(rows)
+            result = get_algorithm("alite").integrate([Table("t", [f"c{p}" for p in range(width)], rows)])
+        assert closure == sequential_in_order(rows)
+        assert len(closure[0]) > 2 * len(rows)
+        (_, _, patterns), *_ = [event for event in events if event[0] == "build"]
+        distinct = np.unique(patterns).size
+        assert distinct == len(rows) if width < 63 else distinct < len(rows)
+        second = [event[0] for event in events].index("close", 1)
+        assert 0 < sum(expanded(events[second:])) <= result.statistics["complementation_comparisons"]
+
     def test_built_once_and_only_past_a_block(self):
         # The chain closes over 16 generations, each listing two candidates or
-        # more past the first: one build at a block of one pair, none at the
-        # real block.  IMDB lists more than a block after its first generation.
+        # more past the first: one split at a block of one pair, none at the
+        # real block; the runs are built once either way.  IMDB lists more
+        # than a block after its first generation.
         for block, builds in ((1, [1]), (coded.PAIR_BLOCK, [0])):
             with blocks_of(block), kernel_events() as events:
                 ComplementationEngine().close_coded(encode_rows(chain(17), 18)[0])
             assert builds_per_closure(events) == builds
+            assert per_closure(events, "build") == [1]
         with kernel_events() as events:
             get_algorithm("alite").integrate(ImdbBenchmark(13).tables(1000))
-        assert builds_per_closure(events) == [1]
+        assert builds_per_closure(events) == per_closure(events, "build") == [1]
         # The other workloads' closures list 439, 0 and 19 749 candidates on
-        # seed 13, under a block each: none splits its lists.
+        # seed 13, under a block each: none splits its lists, and Auto-Join's
+        # list none, so they build no runs either.
         workloads = load_pipeline_workloads()
         for name in ("serve_recurring", "autojoin_cold", "lake_mixed"):
             workload = workloads.build(name, 13)
@@ -888,12 +979,25 @@ class TestTwoPositionListing:
                 for tables in workload.requests:
                     engine.integrate(tables, **workload.overrides)
             assert builds_per_closure(events) == [0] * len(workload.requests), name
+            if name == "autojoin_cold":
+                assert per_closure(events, "build") == [0] * len(workload.requests)
+
+    def test_imdb_expands_exactly_the_meeting_candidates(self):
+        # Of 1 040 012 candidates listed on 1 000 IMDB tuples, 37 039 meet
+        # their owner (1 990 of the first generation's), and only those are
+        # expanded: 281 539 were, before the lists were read by pattern.
+        with kernel_events() as events:
+            result = get_algorithm("alite").integrate(ImdbBenchmark(13).tables(1000))
+        assert result.statistics["complementation_comparisons"] == 1_040_012
+        assert expanded(events)[0] == 1_990
+        assert sum(expanded(events)) == 37_039
 
     def test_the_cut_of_the_first_generation_keeps_most_candidates_unexpanded(self):
-        # 16 538 948 candidates listed on 4 000 IMDB tuples, 4 104 338 (24.8 %)
-        # expanded.  A cut learned from a sample that barely meets (position 8)
-        # expands almost all of them.
+        # 16 538 948 candidates listed on 4 000 IMDB tuples, 151 538 (0.9 %)
+        # expanded: 4 104 338 before the lists were read by pattern.  A cut
+        # learned from a sample that barely meets (position 8) expands far more.
         with kernel_events() as events:
             result = get_algorithm("alite").integrate(ImdbBenchmark(13).tables(4000))
-        expanded = sum(event[1] for event in events if event[0] == "expand")
-        assert expanded <= 0.3 * result.statistics["complementation_comparisons"]
+        count = sum(expanded(events))
+        assert count <= 0.3 * result.statistics["complementation_comparisons"]
+        assert count == 151_538
