@@ -261,7 +261,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             ]
             print(f"\n{label}\n")
             print(format_markdown_table(
-                ["Algorithm", "Seconds", "Output tuples", "Components", "Candidate rows examined"], rows
+                ["Algorithm", "Seconds", "Output tuples", "Components", "Candidate rows examined", "Candidates expanded"], rows
             ))
     else:
         knob, values = experiments.MATCHING_ABLATIONS[args.experiment]

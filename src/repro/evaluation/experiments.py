@@ -119,14 +119,19 @@ def run_figure3_experiment(
     return runtime_sweep(benchmark.tables, sizes=list(sizes), config=FuzzyFDConfig())
 
 
+#: The FD counters ``repro benchmark fd`` reports beside seconds and output tuples.
+FD_COUNTERS = ("components", "complementation_comparisons", "complementation_expanded")
+
+
 def run_fd_experiment(
     sizes: Sequence[int] = (1_000, 8_000),
     algorithms: Sequence[str] = ("alite", "incremental"),
     seed: int = 13,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Per size, on an IMDB sample and on a lake of 4 unrelated join groups:
-    each FD algorithm's seconds, output tuples, components and candidate rows
-    examined.  Raises unless the algorithms agree on rows and provenance."""
+    each FD algorithm's seconds, output tuples, components, candidate rows
+    examined and candidates expanded.  Raises unless the algorithms agree on
+    rows and provenance."""
     runs: Dict[str, Dict[str, Dict[str, float]]] = {}
     for size in sizes:
         for kind, tables in (("IMDB", ImdbBenchmark(seed=seed).tables(size)), ("multi-schema lake", multi_schema_lake(4, size // 8))):
@@ -138,7 +143,7 @@ def run_fd_experiment(
                 runs[label][name] = {
                     "seconds": time.perf_counter() - start,
                     "output_tuples": result.table.num_rows,
-                    **{key: result.statistics.get(key, float("nan")) for key in ("components", "complementation_comparisons")},
+                    **{key: result.statistics.get(key, float("nan")) for key in FD_COUNTERS},
                 }
                 outputs.add(frozenset(zip(result.table.rows, result.table.provenance)))
             if len(outputs) > 1:

@@ -45,6 +45,13 @@ def position_bits(columns: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce((columns >= 0) << bits, axis=0, initial=0)
 
 
+def grown(table: np.ndarray, kept: int, size: int) -> np.ndarray:
+    """A copy of ``table`` with ``size`` entries along its last axis, the first ``kept`` of them its own."""
+    larger = np.empty(table.shape[:-1] + (size,), table.dtype)
+    larger[..., :kept] = table[..., :kept]
+    return larger
+
+
 class ComplementationEngine:
     """Closes a set of same-schema tuples under pairwise complementation.
 
@@ -62,8 +69,10 @@ class ComplementationEngine:
     component)`` over the inputs; the engine takes its candidates from the
     position where that union is smallest — the same pairs ALITE's hash
     index on shared values finds, from far fewer candidates when a column
-    such as ``genres`` is low-cardinality.  Partners share a value, so their
-    position bits meet: at the first generation that lists a candidate, the
+    such as ``genres`` is low-cardinality.  That position is found once per
+    input; a merge holds its parents' positions with their codes, so it
+    inherits the smaller of their listing keys.  Partners share a value, so
+    their position bits meet: at the first generation that lists a candidate, the
     inputs' lists are ordered once more, by (pair, holder's position bits),
     and a tuple reads, of each list, only the runs whose bits meet its own
     (:class:`~repro.table.coded.MeetingRuns`) — never a candidate the meet
@@ -148,6 +157,17 @@ class ComplementationEngine:
         pair is tested — from ``t``'s side or, for two inputs, from the
         larger id's — and marks ``t``.  Provenance is not carried through: a
         closed tuple stems from the inputs it subsumes (:func:`subsumed_sources`).
+
+        Every known tuple keeps one *listing key*, ``size × width + position``
+        of its most selective position, ``size`` the inputs holding its value
+        there plus those null there in its component
+        (:meth:`~repro.table.coded.PairPostings.best`).  An input's key is
+        computed once, from its codes; a merge takes the smaller of its two
+        parents' keys — its positions are theirs, with the same codes and
+        label — so the first position on ties still wins, and a generation
+        gathers its owners' two pairs in proportion to its owners, not to
+        their cells.  Every input is below a merged owner's limit, so only
+        the inputs' list lengths are searched.
         """
         statistics = statistics if statistics is not None else {}
         width = codes.shape[0]
@@ -159,36 +179,45 @@ class ComplementationEngine:
         held = np.empty_like(words)  # the top bit of every non-null field
         pattern = np.empty(capacity, dtype=np.int64)  # one bit per non-null position, modulo 63
         component = np.empty(capacity, dtype=np.intp)  # the label of every known tuple
+        listing = np.empty(capacity, dtype=np.int64)  # the listing key of every known tuple
 
-        def add(tuple_words: np.ndarray, tuple_labels: np.ndarray, columns: Callable[[np.ndarray], np.ndarray]) -> None:
+        def add(
+            tuple_words: np.ndarray,
+            tuple_labels: np.ndarray,
+            columns: Callable[[np.ndarray], np.ndarray],
+            keys: Callable[[np.ndarray], np.ndarray],
+        ) -> None:
             """Append those of the tuples, given by their words, that are not
-            known yet; ``columns(fresh)`` codes the ones at ``fresh``."""
-            nonlocal data, words, held, pattern, component
+            known yet; ``columns(fresh)`` codes the ones at ``fresh`` and
+            ``keys(fresh)`` gives their listing keys."""
+            nonlocal data, words, held, pattern, component, listing
             start = len(known)
             fresh = known.add(tuple_words)[1]
             end = len(known)
-            if end > data.shape[1]:
-                tables = (data, words, held, pattern, component)
-                data, words, held, pattern, component = (
-                    np.empty(table.shape[:-1] + (2 * end,), table.dtype) for table in tables
-                )
-                for table, old in zip((data, words, held, pattern, component), tables):
-                    table[..., :start] = old[..., :start]
+            if end > data.shape[1]:  # one table at a time: each old one is freed before the next grows
+                data = grown(data, start, 2 * end)
+                words = grown(words, start, 2 * end)
+                held = grown(held, start, 2 * end)
+                pattern = grown(pattern, start, 2 * end)
+                component = grown(component, start, 2 * end)
+                listing = grown(listing, start, 2 * end)
             data[:, start:end] = columns(fresh)
             words[:, start:end] = tuple_words.take(fresh, axis=1)
             held[:, start:end] = known.held(words[:, start:end])
             pattern[start:end] = position_bits(data[:, start:end])
             component[start:end] = tuple_labels[fresh]
+            listing[start:end] = keys(fresh)
 
         labels = np.zeros(codes.shape[1], dtype=np.intp) if labels is None else labels
-        add(known.pack(codes), labels, lambda fresh: codes[:, fresh])
-        # Every tuple meets inputs only, so their postings are built once;
-        # ``listed`` keys each pair's holders (pair, id), in the order stored.
+        add(known.pack(codes), labels, lambda fresh: codes[:, fresh], lambda fresh: 0)
+        # Every tuple meets inputs only, so their postings are built once, and
+        # the inputs' listing keys with them; a merge inherits its key.
         inputs = len(known)
         postings = PairPostings(data[:, :inputs], codes_per_column, component[:inputs])
-        listed = np.repeat(np.arange(postings.held_by.size), postings.held_by) * inputs + postings.holders
+        listing[:inputs] = postings.best(data[:, :inputs], component[:inputs])
         merges = 0
         comparisons = 0
+        expanded = 0
         subsumed = [np.empty(0, dtype=np.intp)]  # tuples another one strictly subsumes
         conflicting = np.zeros(width, dtype=np.int64)  # per position, in the first generation's samples
         cut = None  # learned on the first generation, then kept
@@ -202,12 +231,16 @@ class ComplementationEngine:
             if not owners.size:
                 continue
             # Candidates of a tuple: the inputs holding its value or its
-            # component's null at its most selective position — for an input
-            # the ones with smaller ids, a prefix of each list; for a merged
-            # tuple all of them.
-            pairs = postings.selective(data[:, owners], component[owners])
+            # component's null at its listing key's position — for an input
+            # the ones with smaller ids, a prefix of each list found by one
+            # search of the lists keyed (pair, id); for a merged tuple all of them.
+            pairs = postings.listing(listing.take(owners), data, owners, component.take(owners))
             limit = np.minimum(owners, inputs)
-            smaller = np.searchsorted(listed, pairs * inputs + limit[:, None]) - postings.starts[pairs]
+            if owners[0] < inputs:
+                listed = np.repeat(np.arange(postings.held_by.size), postings.held_by) * inputs + postings.holders
+                smaller = np.searchsorted(listed, pairs * inputs + limit[:, None]) - postings.starts[pairs]
+            else:
+                smaller = postings.held_by[pairs]
             candidates = int(smaller.sum())
             comparisons += candidates
             if not candidates:
@@ -223,6 +256,7 @@ class ComplementationEngine:
                 runs, split = runs.cut(data[cut, :inputs], int(codes_per_column[cut])), True
             at_cut = data[cut].take(owners) if split else None
             for owner, candidate in runs.meeting(owners, pairs, pattern.take(owners), limit, at_cut):
+                expanded += owner.size
                 # The cut: the position where most of a sample of the first
                 # generation's candidates conflict so far, on codes; then
                 # every position at once, on the words.  The split lists only
@@ -256,11 +290,13 @@ class ComplementationEngine:
                     words.take(owner, axis=1) | words.take(candidate, axis=1),
                     component[owner],
                     lambda fresh: np.maximum(data.take(owner[fresh], axis=1), data.take(candidate[fresh], axis=1)),
+                    lambda fresh: np.minimum(listing.take(owner[fresh]), listing.take(candidate[fresh])),
                 )
             if cut is None:
                 cut = int(np.argmax(conflicting))
 
-        for name, value in (("comparisons", comparisons), ("merges", merges), ("tuples", len(known))):
+        counters = (("comparisons", comparisons), ("expanded", expanded), ("merges", merges), ("tuples", len(known)))
+        for name, value in counters:
             key = f"complementation_{name}"
             statistics[key] = statistics.get(key, 0.0) + float(value)
         closed = data[:, : len(known)]

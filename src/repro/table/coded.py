@@ -192,22 +192,39 @@ class PairPostings:
         at = np.searchsorted(self.null_keys, keys)
         return self.first_null + np.where(self.null_keys[at] == keys, at, self.null_keys.size - 1)
 
-    def selective(self, codes: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
-        """Per tuple of ``codes``, the pairs whose holders it may meet, ``(tuples, k)``:
-        its value at the non-null position (the first, on ties) with the fewest
-        holders and, given the tuples' component ``labels``, that position's
-        null in its component — whose holders then count towards the choice."""
+    def selective(self, codes: np.ndarray) -> np.ndarray:
+        """Per tuple of ``codes``, the pair of its value at the non-null position
+        (the first, on ties) with the fewest holders."""
         pairs = codes + self.values[:, None]
         sizes = self.held_by[pairs]
-        if labels is not None and self.components == 1:
+        sizes[codes < 0] = np.iinfo(sizes.dtype).max
+        return pairs[sizes.argmin(axis=0), np.arange(codes.shape[1])]
+
+    def best(self, codes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Per tuple of ``codes`` in its component ``labels``, its *listing key*
+        ``size × width + position``: of its non-null positions, the one (the
+        first, on ties) where its value and its component's null have the
+        fewest holders together, ``size`` of them; ``int64`` max for a tuple
+        without one.  A merge of two tuples of one component holds each
+        position of either with the same code, so its key is the smaller of theirs."""
+        pairs = codes + self.values[:, None]
+        sizes = self.held_by[pairs]
+        if self.components == 1:
             sizes += self.held_by[self.values - 1][:, None]
-        elif labels is not None:  # the nulls of the owner's component where the owner holds a value
+        else:  # the nulls of the tuple's component where it holds a value
             held, owner = np.nonzero(codes >= 0)
             sizes[held, owner] += self.held_by[self.nulls(held, labels[owner])]
-        sizes[codes < 0] = np.iinfo(sizes.dtype).max
-        position = sizes.argmin(axis=0)
-        chosen = pairs[position, np.arange(codes.shape[1])]
-        return chosen[:, None] if labels is None else np.stack((chosen, self.nulls(position, labels)), axis=1)
+        keys = sizes * codes.shape[0] + np.arange(codes.shape[0])[:, None]
+        keys[codes < 0] = np.iinfo(np.int64).max
+        return keys.min(axis=0, initial=np.iinfo(np.int64).max)
+
+    def listing(self, keys: np.ndarray, codes: np.ndarray, tuples: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The pairs whose holders the ``tuples`` of the code matrix ``codes`` may
+        meet, ``(tuples, 2)``, given their listing ``keys`` (:meth:`best`) and
+        component ``labels``: each one's code at its key's position and that
+        position's null in its component."""
+        positions = keys % self.values.size
+        return np.stack((codes[positions, tuples] + self.values[positions], self.nulls(positions, labels)), axis=1)
 
 
 class MeetingRuns:
@@ -283,8 +300,10 @@ class MeetingRuns:
         whose pattern meets the owner's, as ``(owner, holder)`` blocks of about
         :data:`PAIR_BLOCK` (:func:`span_blocks`), ``owners`` ascending; the
         runs are expanded in blocks first.  ``patterns`` and ``limits`` are the
-        owners'.  Given their codes ``at_cut``, an owner holding a code there
-        reads, of each pair's second copy, the groups null or holding it."""
+        owners'; a run is searched for an owner's limit only when that is below
+        the inputs (an input owner), else read whole.  Given their codes
+        ``at_cut``, an owner holding a code there reads, of each pair's second
+        copy, the groups null or holding it."""
         first = self.first_runs[pairs]
         counts = self.first_runs[pairs + 1] - first
         if at_cut is not None:
@@ -296,13 +315,15 @@ class MeetingRuns:
             first = np.where(holds, start, np.concatenate((first, first), 1))
             counts = np.where(holds, size, np.concatenate((counts, np.zeros_like(counts)), 1))
         readers = np.repeat(np.arange(owners.size), first.shape[1])
+        searched = bool((limits < self.inputs).any())
         for reader, run in span_blocks(readers, first.ravel(), counts.ravel()):
             meet = (self.patterns.take(run) & patterns.take(reader)) != 0
             reader, run = reader[meet], run[meet]
             starts, sizes = self.starts.take(run), self.sizes.take(run)
-            below = limits.take(reader) < self.inputs  # an input meets the inputs with smaller ids
-            key = run[below] * self.inputs + limits.take(reader[below])
-            sizes[below] = np.searchsorted(self.keys, key) - starts[below]
+            if searched:  # an input meets the inputs with smaller ids
+                below = limits.take(reader) < self.inputs
+                key = run[below] * self.inputs + limits.take(reader[below])
+                sizes[below] = np.searchsorted(self.keys, key) - starts[below]
             for reader, index in span_blocks(reader, starts, sizes):
                 yield owners.take(reader), self.holders.take(index)
 
@@ -313,13 +334,17 @@ def span_blocks(owners: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> It
     Yields ``(owner, index)`` arrays — every index of every span beside the
     span's owner, in span order — in blocks of about :data:`PAIR_BLOCK`
     entries that never split an owner: a block starts at the first span of the
-    owner holding every ``PAIR_BLOCK``-th entry.
+    owner holding every ``PAIR_BLOCK``-th entry.  Spans of at most
+    ``PAIR_BLOCK`` entries in all come as one block, found without that search.
     """
     ends = np.cumsum(sizes)
     offsets = ends - sizes
-    every = np.arange(0, int(ends[-1]) if ends.size else 0, PAIR_BLOCK)
-    holding = owners[np.searchsorted(offsets, every, side="right") - 1]
-    bounds = np.searchsorted(owners, sorted_unique(holding)).tolist()
+    total = int(ends[-1]) if ends.size else 0
+    if total <= PAIR_BLOCK:  # one block, or none
+        bounds = [0] if total else []
+    else:
+        holding = owners[np.searchsorted(offsets, np.arange(0, total, PAIR_BLOCK), side="right") - 1]
+        bounds = np.searchsorted(owners, sorted_unique(holding)).tolist()
     shift = starts - offsets  # a span's indices are the numbers of its entries, shifted
     for low, high in zip(bounds, bounds[1:] + [sizes.size]):
         entries, counts = np.arange(offsets[low], ends[high - 1]), sizes[low:high]

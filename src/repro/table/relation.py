@@ -142,13 +142,16 @@ class Relation:
         return list(zip(*columns)) if columns else [()] * self.num_rows
 
     def to_table(self) -> Table:
-        return Table(self.name, self.schema, self.decode(), provenance=self.provenance)
+        """The decoded table; its rows are taken as :meth:`decode` builds them."""
+        provenance = None if self.provenance is None else list(self.provenance)
+        return Table._trusted(self.name, self.schema, self.decode(), provenance)
 
 
 def outer_union(relations: Sequence[Relation]) -> Tuple[Schema, np.ndarray, List[List[object]]]:
     """The union schema, the codes of every row of ``relations`` over it, and
     one dictionary per output column: the relations' dictionaries merged in
-    order, so it is in first-seen order over the concatenated rows."""
+    order, so it is in first-seen order over the concatenated rows.  A column
+    of one relation keeps its dictionary and codes as they are."""
     schema = relations[0].schema
     for relation in relations[1:]:
         schema = schema.union(relation.schema)
@@ -156,6 +159,11 @@ def outer_union(relations: Sequence[Relation]) -> Tuple[Schema, np.ndarray, List
     codes, values = np.full((len(schema), offsets[-1]), -1, dtype=np.int32), []
     for position, column in enumerate(schema):
         held = [(index, relation.schema.position(column)) for index, relation in enumerate(relations) if column in relation.schema]
+        if len(held) == 1:
+            (index, at), = held
+            codes[position, offsets[index] : offsets[index + 1]] = relations[index].codes[at]
+            values.append(relations[index].values[at])
+            continue
         remap, merged = dictionary([value for index, at in held for value in relations[index].values[at]])
         start = 0
         for index, at in held:  # the first holder's codes stay as they are

@@ -52,7 +52,7 @@ def subsumers(inferior: np.ndarray, superior: np.ndarray) -> Tuple[np.ndarray, n
         return rows, rows
     codes_per_column = np.maximum(inferior.max(axis=1), superior.max(axis=1, initial=-1)) + 1
     postings = PairPostings(superior, codes_per_column)
-    rarest = postings.selective(inferior[:, rows])[:, 0]
+    rarest = postings.selective(inferior[:, rows])
     owners, found = [rows[:0]], [rows[:0]]
     for owner, index in span_blocks(np.arange(rows.size), postings.starts[rarest], postings.held_by[rarest]):
         owner, candidate = rows[owner], postings.holders[index]

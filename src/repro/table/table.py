@@ -125,6 +125,17 @@ class Table:
                 )
 
     # -- construction ------------------------------------------------------------
+    @classmethod
+    def _trusted(
+        cls, name: str, schema: Schema, rows: List[RowValues], provenance: Optional[List[Provenance]]
+    ) -> "Table":
+        """A table over ``rows`` that are already tuples aligned with ``schema``
+        and ``provenance`` that is already one frozenset per row, taken as they
+        are: the decoded form of a :class:`~repro.table.relation.Relation`."""
+        table = cls.__new__(cls)
+        table.name, table.schema, table._rows, table._provenance = name, schema, rows, provenance
+        return table
+
     def _coerce_row(self, row: Sequence[CellValue] | Mapping[str, CellValue]) -> RowValues:
         if isinstance(row, Mapping):
             return tuple(row.get(column, NULL) for column in self.schema)

@@ -100,6 +100,7 @@ class TestPartitionedStatistics:
         assert not [key for key in result.statistics if key.startswith("parallel")]
         assert sorted(result.statistics) == [
             "complementation_comparisons",
+            "complementation_expanded",
             "complementation_merges",
             "complementation_tuples",
             "components",

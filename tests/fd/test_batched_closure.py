@@ -44,8 +44,15 @@ width and fill words to their bit limits.
 A tuple expands only the candidates whose pattern meets its own, read in
 runs of one pattern (``MeetingRuns``); after the first generation a tuple
 holding a code at the cut reads only the runs null or holding that code there.
-``TestMeetingRuns`` holds that route against the sequential loop, spies on its
-builds and on what each kind of owner reads, and counts what it expands.
+``TestTwoPositionListing`` holds that route against the sequential loop, spies
+on its builds and on what each kind of owner reads, and counts what it expands
+(``complementation_expanded`` is that count).
+
+``TestWhatTheFdStageAlreadyHolds`` holds what the FD stage reuses instead of
+deriving again against what it replaced: every owner's inherited listing key
+against the key recomputed from its codes and label, ``span_blocks``' one
+block against the block-boundary search, the outer union against the
+re-dictionaried one and ``Relation.to_table`` against the coercing ``Table``.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ from repro.fd.complementation import ComplementationEngine, position_bits, subsu
 from repro.table import NULL, Table, remove_subsumed, subsumes
 from repro.table import coded
 from repro.table.coded import TupleIndex
-from repro.table.relation import Relation, sources
+from repro.table.relation import Relation, dictionary, outer_union, sources
 from repro.table.subsumption import reduce_coded, subsumers
 from test_complementation import close, encode_rows, low_cardinality_rows, reference_closure
 
@@ -990,7 +997,7 @@ class TestTwoPositionListing:
             result = get_algorithm("alite").integrate(ImdbBenchmark(13).tables(1000))
         assert result.statistics["complementation_comparisons"] == 1_040_012
         assert expanded(events)[0] == 1_990
-        assert sum(expanded(events)) == 37_039
+        assert sum(expanded(events)) == result.statistics["complementation_expanded"] == 37_039
 
     def test_the_cut_of_the_first_generation_keeps_most_candidates_unexpanded(self):
         # 16 538 948 candidates listed on 4 000 IMDB tuples, 151 538 (0.9 %)
@@ -1001,3 +1008,249 @@ class TestTwoPositionListing:
         count = sum(expanded(events))
         assert count <= 0.3 * result.statistics["complementation_comparisons"]
         assert count == 151_538
+
+
+@contextmanager
+def listing_events():
+    """Record, per closure, the inputs and labels ``PairPostings.best`` keys
+    and the keys it returns (``best``), the listing keys, tuples and labels of
+    each generation's owners as listed (``listed``), and the closed tuples."""
+    closures = []
+    close_coded, best, listing = ComplementationEngine.close_coded, coded.PairPostings.best, coded.PairPostings.listing
+
+    def spied_close(engine, *args):
+        closures.append({"listed": []})
+        closed, subsumed = close_coded(engine, *args)
+        closures[-1]["closed"] = closed.copy()
+        return closed, subsumed
+
+    def spied_best(postings, codes, labels):
+        keys = best(postings, codes, labels)
+        closures[-1]["best"] = (codes.copy(), labels.copy(), keys.copy())
+        return keys
+
+    def spied_listing(postings, keys, codes, tuples, labels):
+        closures[-1]["listed"].append((keys.copy(), tuples.copy(), labels.copy()))
+        return listing(postings, keys, codes, tuples, labels)
+
+    with patch.object(ComplementationEngine, "close_coded", spied_close), patch.object(
+        coded.PairPostings, "best", spied_best
+    ), patch.object(coded.PairPostings, "listing", spied_listing):
+        yield closures
+
+
+def selective_keys(inputs, input_labels, tuples, labels):
+    """The listing key of each of ``tuples`` (in components ``labels``), counted
+    on the ``inputs`` (in ``input_labels``): ``size × width + position`` of the
+    non-null position, the first on ties, with the fewest inputs holding the
+    tuple's code there or null there in its component, ``size`` of them."""
+    width = inputs.shape[0]
+    sizes = np.full(tuples.shape, np.iinfo(np.int64).max)
+    components = int(max(input_labels.max(initial=0), labels.max(initial=0))) + 1
+    for position in range(width):
+        column, held = inputs[position], tuples[position] >= 0
+        values = np.bincount(column[column >= 0], minlength=int(tuples[position].max(initial=-1)) + 1)
+        nulls = np.bincount(input_labels[column < 0], minlength=components)
+        sizes[position, held] = values[tuples[position, held]] + nulls[labels[held]]
+    position = sizes.argmin(axis=0)
+    return sizes[position, np.arange(tuples.shape[1])] * width + position
+
+
+def inherited_keys_checked(closure):
+    """Assert that every owner was listed under the key its codes and label
+    give, and that its label is its inputs'; return how many owners that was."""
+    inputs, input_labels, input_keys = closure["best"]
+    closed = closure["closed"]
+    none = np.empty(0, dtype=np.int64)
+    keys, tuples, labels = (np.concatenate(column) for column in zip((none, none, none), *closure["listed"]))
+    # Every known tuple holding a position is an owner of the one generation it is created in.
+    assert np.array_equal(tuples, np.flatnonzero(position_bits(closed)))
+    # An input is listed under its own label, a merge under the one of every input it stems from.
+    is_input = tuples < inputs.shape[1]
+    assert np.array_equal(labels[is_input], input_labels[tuples[is_input]])
+    sourced, holders = subsumers(inputs, closed[:, tuples])
+    assert np.array_equal(labels[holders], input_labels[sourced])
+    assert np.array_equal(keys, selective_keys(inputs, input_labels, closed[:, tuples], labels))
+    assert np.array_equal(keys[is_input], input_keys[tuples[is_input]])
+    return tuples.size
+
+
+def general_blocks(owners, starts, sizes, block):
+    """:func:`~repro.table.coded.span_blocks`' block-boundary search, taken at
+    every total: a block starts at the first span of the owner holding every
+    ``block``-th entry."""
+    ends = np.cumsum(sizes)
+    offsets = ends - sizes
+    every = np.arange(0, int(ends[-1]) if ends.size else 0, block)
+    holding = owners[np.searchsorted(offsets, every, side="right") - 1]
+    bounds = np.searchsorted(owners, np.unique(holding)).tolist()
+    shift = starts - offsets
+    for low, high in zip(bounds, bounds[1:] + [sizes.size]):
+        entries, counts = np.arange(offsets[low], ends[high - 1]), sizes[low:high]
+        yield np.repeat(owners[low:high], counts), entries + np.repeat(shift[low:high], counts)
+
+
+@st.composite
+def spans(draw):
+    """Owner-ascending spans, some empty, over a flat array of 1 000 entries."""
+    count = draw(st.integers(0, 40))
+    owners = np.array(sorted(draw(st.lists(st.integers(0, 15), min_size=count, max_size=count))), dtype=np.int64)
+    sizes = np.array(draw(st.lists(st.integers(0, 9), min_size=count, max_size=count)), dtype=np.int64)
+    starts = np.array([draw(st.integers(0, 1_000 - size)) for size in sizes.tolist()], dtype=np.int64)
+    return owners, starts, sizes
+
+
+#: Cells whose codes and spellings the union and the decoding must keep apart:
+#: booleans beside the numbers they equal, ints beside equal floats, nulls.
+UNION_CELLS = st.sampled_from([NULL, None, float("nan"), True, False, 0, 1, 1.0, 2, 2.5, "", "a", "1", "True"])
+
+
+@st.composite
+def relations_to_union(draw):
+    """Two to four coded relations over columns drawn from one small pool, so
+    that some columns have one holder and some several."""
+    relations = []
+    for index in range(draw(st.integers(2, 4))):
+        columns = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), unique=True, max_size=4))
+        rows = draw(st.lists(st.tuples(*[UNION_CELLS] * len(columns)), max_size=8))
+        relations.append(Relation.of(Table(f"t{index}", columns, rows)))
+    return relations
+
+
+def redictionaried_union(relations):
+    """The outer union as coded before a column of one relation kept its
+    dictionary: every column's dictionaries merged through ``dictionary``."""
+    schema = relations[0].schema
+    for relation in relations[1:]:
+        schema = schema.union(relation.schema)
+    offsets = np.cumsum([0] + [relation.num_rows for relation in relations]).tolist()
+    codes, values = np.full((len(schema), offsets[-1]), -1, dtype=np.int32), []
+    for position, column in enumerate(schema):
+        held = [(index, relation.schema.position(column)) for index, relation in enumerate(relations) if column in relation.schema]
+        remap, merged = dictionary([value for index, at in held for value in relations[index].values[at]])
+        start = 0
+        for index, at in held:
+            end, column = start + len(relations[index].values[at]), relations[index].codes[at]
+            remapped = np.array(remap[start:end] + [-1], dtype=np.int32)[column] if start else column
+            codes[position, offsets[index] : offsets[index + 1]] = remapped
+            start = end
+        values.append(merged)
+    return schema, codes, values
+
+
+class TestWhatTheFdStageAlreadyHolds:
+    """The FD stage reuses what it has derived once instead of deriving it again.
+
+    A known tuple's listing key (``PairPostings.best``) is computed once per
+    input and, for a merge, taken as the smaller of its parents' keys; a
+    merged owner's list lengths are the lists' sizes, unsearched;
+    ``span_blocks`` expands spans that fit one block without its boundary
+    search; the outer union keeps a column of one relation as it is coded; and
+    ``Relation.to_table`` takes the decoded rows without coercing them.  Each
+    against what it replaced: the key recomputed from the tuple's codes and
+    label, the boundary search, the re-dictionaried union, the coercing
+    constructor.
+
+    Mutations and the first test here that fails on each: a merge keyed by
+    the larger of its parents' keys, or by its owner's alone (the keys of the
+    IMDB closure); an input's list lengths not searched (the 12 / 12 counter
+    pin of ``test_complementation``)."""
+
+    def test_every_owner_is_listed_under_its_selective_key_on_imdb(self):
+        with listing_events() as closures:
+            result = get_algorithm("alite").integrate(ImdbBenchmark(13).tables(1000))
+        (closure,) = closures
+        assert inherited_keys_checked(closure) == result.statistics["complementation_tuples"] == 7_104
+
+    def test_every_owner_is_listed_under_its_selective_key_on_a_multi_schema_lake(self):
+        # Under incremental each component keys its own nulls: the labels count.
+        with listing_events() as closures:
+            result = get_algorithm("incremental").integrate(multi_schema_lake(4, 50))
+        (closure,) = closures
+        assert np.unique(closure["best"][1]).size > 100
+        assert inherited_keys_checked(closure) == result.statistics["complementation_tuples"]
+
+    @BLOCKS
+    @given(rows=st.one_of(generations_rows(), multi_component_rows()))
+    @settings(max_examples=40, deadline=None)
+    def test_every_owner_is_listed_under_its_selective_key(self, block, rows):
+        table = Table("t", [f"c{p}" for p in range(len(rows[0]))], rows)
+        with blocks_of(block), listing_events() as closures:
+            for name in ("alite", "incremental"):
+                get_algorithm(name).integrate([table])
+        for closure in closures:
+            inherited_keys_checked(closure)
+
+    @pytest.mark.parametrize("width", [64, 70, 130])
+    def test_past_63_positions(self, width):
+        # Positions past the pattern word's bits, and keys past width 63: the
+        # last position holds one of three values in every row, the fewest
+        # holders of a value and a null together.
+        rng = random.Random(width)
+        cells = [["a", NULL, NULL]] * 63 + [[NULL] * 4 + ["f"]] * (width - 64) + [["b", "c", "d"]]
+        rows = [tuple(map(rng.choice, cells)) for _ in range(16)]
+        with listing_events() as closures:
+            closure = closure_in_order(rows)
+        assert closure == sequential_in_order(rows)
+        (recorded,) = closures
+        assert inherited_keys_checked(recorded) > len(rows)
+        assert (np.concatenate([keys for keys, _, _ in recorded["listed"]]) % width == width - 1).all()
+
+    def test_zero_width(self):
+        # No position to key: every input keys int64 max and nothing is listed.
+        with listing_events() as closures:
+            result = get_algorithm("alite").integrate([Table("t", [], [(), (), ()])])
+        (closure,) = closures
+        inputs, _, keys = closure["best"]
+        assert inputs.shape == (0, 1) and keys.tolist() == [np.iinfo(np.int64).max]
+        assert closure["listed"] == []
+        assert (result.table.rows, result.table.provenance) == ([()], [frozenset({"t:0", "t:1", "t:2"})])
+
+    @given(drawn=spans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_block_is_the_general_path(self, drawn, data):
+        # Below the block the spans come as one block, without the boundary
+        # search; at and above it, in the blocks that search gives.
+        owners, starts, sizes = drawn
+        total = int(sizes.sum())
+        block = data.draw(st.sampled_from([1, 5, 7, max(total, 1), total + 1, coded.PAIR_BLOCK]))
+        with blocks_of(block):
+            found = list(coded.span_blocks(owners, starts, sizes))
+        expected = list(general_blocks(owners, starts, sizes, block))
+        assert len(found) == len(expected) == (1 if 0 < total <= block else len(expected))
+        for (owner, index), (want_owner, want_index) in zip(found, expected):
+            assert owner.dtype == want_owner.dtype and index.dtype == want_index.dtype
+            assert np.array_equal(owner, want_owner) and np.array_equal(index, want_index)
+        flat = np.concatenate([index for _, index in found]) if found else np.empty(0, dtype=np.int64)
+        assert np.array_equal(flat, np.concatenate([np.arange(s, s + n) for s, n in zip(starts, sizes)] + [flat[:0]]))
+
+    def test_one_block_at_the_real_block(self):
+        # A total of exactly PAIR_BLOCK entries is one block, one more is two.
+        for total, blocks in ((coded.PAIR_BLOCK, 1), (coded.PAIR_BLOCK + 1, 2)):
+            sizes = np.array([total // 2, total - total // 2])
+            owners, starts = np.arange(2), np.array([0, 7])
+            found = list(coded.span_blocks(owners, starts, sizes))
+            expected = list(general_blocks(owners, starts, sizes, coded.PAIR_BLOCK))
+            assert len(found) == len(expected) == blocks
+            assert all(np.array_equal(a, b) for got, want in zip(found, expected) for a, b in zip(got, want))
+
+    @given(relations=relations_to_union())
+    @settings(max_examples=200, deadline=None)
+    def test_outer_union_is_the_redictionaried_union(self, relations):
+        schema, codes, values = outer_union(relations)
+        want_schema, want_codes, want_values = redictionaried_union(relations)
+        assert schema == want_schema and codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes)
+        assert repr(values) == repr(want_values)
+
+    @given(relations=relations_to_union())
+    @settings(max_examples=200, deadline=None)
+    def test_to_table_is_the_coercing_table(self, relations):
+        schema, codes, values = outer_union(relations)
+        provenance = [frozenset({f"r{row}", "s"}) for row in range(codes.shape[1])]
+        for relation in (Relation("u", schema, codes, values), Relation("u", schema, codes, values, provenance)):
+            table = relation.to_table()
+            want = Table(relation.name, relation.schema, relation.decode(), provenance=relation.provenance)
+            assert table == want and repr(table.rows) == repr(want.rows)
+            assert all(type(row) is tuple and len(row) == len(schema) for row in table.rows)
+            assert (table.name, table.columns, table.provenance) == (want.name, want.columns, want.provenance)
+            assert relation.provenance is None or table.provenance is not relation.provenance

@@ -16,7 +16,9 @@ input tuples only, the ``rows`` / ``provenance`` / ``served`` digests of the
 ``imdb`` and ``merging`` cases (the same rows with the same provenance, in
 the input-partner loop's order) and the ``complementation_comparisons`` /
 ``complementation_merges`` of the ``imdb``, ``lake`` and ``merging`` cases
-(lower); run this file to print the current observations.
+(lower); ``complementation_expanded`` (what the closure expands) was added to
+every case's counters, no other value changing; run this file to print the
+current observations.
 
 The rest pins the encoding itself: ``Table → Relation → Table`` is the
 identity up to the null flavour (every null decodes to ``NULL``) and up to
