@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.config import FuzzyFDConfig
-from repro.core.value_matching import ColumnValues, ValueMatcher, ValueMatchingResult
+from repro.core.value_matching import ValueMatcher, ValueMatchingResult
 from repro.embeddings.base import EmbeddingCache, ValueEmbedder
 from repro.embeddings.resilient import ResilientEmbedder
 from repro.fd import FD_ALGORITHMS
@@ -83,11 +83,7 @@ NULLABLE_OVERRIDES = frozenset({"blocking_key_cap"})
 
 def _count_rewrites(value_matching: Dict[str, ValueMatchingResult]) -> int:
     """Distinct value rewrites across all aligned groups and columns."""
-    total = 0
-    for result in value_matching.values():
-        for column_id in result.column_order:
-            total += len(result.rewrite_map(column_id))
-    return total
+    return sum(len(replaced) for result in value_matching.values() for replaced in result.replacements.values())
 
 
 @dataclass
@@ -547,17 +543,16 @@ class IntegrationEngine:
         results: Dict[str, ValueMatchingResult] = {}
 
         for group in alignment.multi_table_groups():
-            columns: List[ColumnValues] = []
+            columns = []
             for member in group.members:
                 relation = rewritten[member.table]
                 # After alignment.apply() the column carries the group name.
-                values = relation.distinct_values(group.name)
+                values = relation.values[relation.schema.position(group.name)]
                 if values:
-                    counts = dict(zip(values, relation.counts(group.name).tolist()))
-                    columns.append(ColumnValues((member.table, group.name), values, counts))
+                    columns.append(((member.table, group.name), values, relation.counts(group.name).tolist()))
             if len(columns) < 2:
                 continue
-            result = matcher.match_columns(columns)
+            result = matcher.match_coded(columns)
             results[group.name] = result
             for (table, column), replacements in result.replacements.items():
                 if replacements:

@@ -20,16 +20,19 @@ before running the equi-join Full Disjunction.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import accumulate, chain, compress, repeat
+from operator import not_
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core.representatives import REPRESENTATIVE_POLICIES
 from repro.embeddings.base import ValueEmbedder
 from repro.embeddings.resilient import DEGRADED_MODES, EmbedderUnavailable
 from repro.matching.assignment import AssignmentSolver
-from repro.matching.bipartite import BipartiteValueMatcher, exact_first
+from repro.matching.bipartite import BipartiteValueMatcher, IndexMatches
 from repro.matching.ann import (
     DEFAULT_ANN_BITS,
     DEFAULT_ANN_TABLES,
@@ -60,7 +63,9 @@ ValueKey = Tuple[Hashable, object]
 
 @dataclass
 class ColumnValues:
-    """The values of one aligned column, as the matcher consumes them.
+    """The values of one aligned column, keyed by value: the form of
+    :meth:`ValueMatcher.match_columns` (the engine passes a coded column's
+    dictionary and counts by position to :meth:`ValueMatcher.match_coded`).
 
     Attributes
     ----------
@@ -71,7 +76,10 @@ class ColumnValues:
         within a column, equal strings mean the same thing).
     counts:
         Occurrence count of each value in the underlying column; used by the
-        frequency-based representative policy.  Defaults to 1 per value.
+        frequency-based representative policy.  Defaults to 1 per value.  A
+        dict cannot hold both ``True`` and ``1`` (or ``1.0``) as keys, so a
+        column holding both counts them as one; counts by position
+        (:meth:`ValueMatcher.match_coded`) keep them apart.
     """
 
     column_id: Hashable
@@ -91,19 +99,58 @@ class ColumnValues:
         return len(self.values)
 
 
-@dataclass
 class ValueMatchingResult:
-    """Outcome of matching one set of aligned columns."""
+    """Outcome of matching one set of aligned columns.
 
-    sets: List[ValueMatchSet]
-    column_order: Dict[Hashable, int]
-    statistics: Dict[str, float] = field(default_factory=dict)
-    #: Per column, ``{position of a value in the column: its representative}``
-    #: for the values the rewrite changes — what the engine remaps codes by.
-    replacements: Dict[Hashable, Dict[int, object]] = field(default_factory=dict)
+    ``sets`` is a list, or a function that builds it, called on first read:
+    the request path never reads the sets (the rewrite goes by
+    :attr:`replacements`), so it never pays for them.  ``==`` and ``repr``
+    read them, as a dataclass's would.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        sets: Union[List[ValueMatchSet], Callable[[], List[ValueMatchSet]]],
+        column_order: Dict[Hashable, int],
+        statistics: Optional[Dict[str, float]] = None,
+        replacements: Optional[Dict[Hashable, Dict[int, object]]] = None,
+    ) -> None:
+        self._sets = sets
+        self.column_order = column_order
+        self.statistics: Dict[str, float] = {} if statistics is None else statistics
+        #: Per column, ``{position of a value in the column: its representative}``
+        #: for the values the rewrite changes — what the engine remaps codes by.
+        self.replacements: Dict[Hashable, Dict[int, object]] = {} if replacements is None else replacements
+
+    @property
+    def sets(self) -> List[ValueMatchSet]:
+        """The match sets: members ordered by their ``(column, value)`` texts,
+        sets by their first member's."""
+        if callable(self._sets):
+            self._sets = self._sets()
+        return self._sets
+
+    def _fields(self) -> Tuple:
+        return self.sets, self.column_order, self.statistics, self.replacements
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        names = ("sets", "column_order", "statistics", "replacements")
+        return f"ValueMatchingResult({', '.join(f'{name}={value!r}' for name, value in zip(names, self._fields()))})"
 
     def rewrite_map(self, column_id: Hashable) -> Dict[object, object]:
-        """``value -> representative`` for one column (identity pairs omitted)."""
+        """``value -> representative`` for one column (identity pairs omitted).
+
+        A dict cannot hold both ``True`` and ``1`` (or ``1.0``) as keys, so
+        for a column holding both the map keeps one of them;
+        :attr:`replacements`, keyed by position, keeps both.
+        """
         mapping: Dict[object, object] = {}
         for match_set in self.sets:
             representative = cell_key(match_set.representative)
@@ -201,6 +248,7 @@ class ValueMatcher:
             self._routes += (obs.BLOCKING,)
             if semantic_blocking != "off":
                 self._routes += (obs.SEMANTIC,)
+        self._zeros = obs.zeros(self._routes)
         # The embedding-free fallback matcher of degraded_mode="surface",
         # built on first use (reuses the blocked matcher when blocking is on).
         self._degraded_matcher: Optional[BlockedValueMatcher] = None
@@ -243,72 +291,79 @@ class ValueMatcher:
 
     # -- public API ---------------------------------------------------------------
     def match_columns(self, columns: Sequence[ColumnValues]) -> ValueMatchingResult:
-        """Run the full sequential combined-column procedure over ``columns``.
+        """:meth:`match_coded` over :class:`ColumnValues`."""
+        return self.match_coded(
+            [(column.column_id, column.values, list(map(column.counts.__getitem__, column.values))) for column in columns]
+        )
+
+    def match_coded(self, columns: Sequence[Tuple[Hashable, Sequence[object], Sequence[int]]]) -> ValueMatchingResult:
+        """Run the full sequential combined-column procedure over ``columns``:
+        per column its id, its distinct non-null values (told apart as
+        :func:`~repro.table.relation.dictionary` tells them) and how often
+        each occurs, by position — what a coded relation's dictionary and
+        ``np.bincount`` of its codes already hold.
 
         Every value of every column is an *item*; items holding equal values
         share a code.  A group (of items) stands for one item, its representative.
         """
         if not columns:
-            return ValueMatchingResult(sets=[], column_order={})
+            return ValueMatchingResult([], {})
         start = time.perf_counter()
         # Cache, resilience and index-build counters are cumulative; the
         # change between two snapshots is this run's.  Concurrent requests
         # sharing one embedder can bleed into each other's deltas — the
         # counters are observability, not accounting.
         before = self._cumulative_counts()
-        column_order = {column.column_id: index for index, column in enumerate(columns)}
-        statistics = obs.merge(obs.zeros(self._routes), {"columns": len(columns), "values": sum(map(len, columns))})
-        ids = [column.column_id for column in columns]
-        values = list(chain.from_iterable(column.values for column in columns))
-        column_of = list(chain.from_iterable(repeat(index, len(column)) for index, column in enumerate(columns)))
-        bounds = list(accumulate(map(len, columns), initial=0))
+        ids = [column_id for column_id, _, _ in columns]
+        sizes = [len(column_values) for _, column_values, _ in columns]
+        column_order = {column_id: index for index, column_id in enumerate(ids)}
+        statistics = obs.merge(dict(self._zeros), {"columns": len(columns), "values": sum(sizes)})
+        values = list(chain.from_iterable(column_values for _, column_values, _ in columns))
+        column_of = list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+        bounds = list(accumulate(sizes, initial=0))
         codes, code_values = dictionary(values)
         frequency = [0] * len(code_values)  # of each value, over every column
-        for code, count in zip(codes, chain.from_iterable(map(column.counts.__getitem__, column.values) for column in columns)):
+        for code, count in zip(codes, chain.from_iterable(counts for _, _, counts in columns)):
             frequency[code] += count
         # A group stands for its member with the smallest policy key (the
         # first, on ties), so every item is ranked once.
         key = REPRESENTATIVE_POLICIES.get(self.representative_policy)
         ranks = list(map(key, column_of, values, map(frequency.__getitem__, codes)))
-        group = list(range(bounds[1])) + [-1] * (len(values) - bounds[1])  # the group of each item
-        stands = list(range(bounds[1]))  # the item each group stands for
+        fold = _Fold(values, codes, bounds[1])
+        group, stands = fold.group, fold.stands
         for index in range(1, len(columns)):
             low, high = bounds[index], bounds[index + 1]
-            matches, pair_counts = self._match_pair(values, codes, stands, low, high)
-            obs.merge(statistics, {"assignments": 1, "accepted_matches": len(matches), **pair_counts})
-            for chosen, item in matches:
-                group[item] = chosen
-                if ranks[item] < ranks[stands[chosen]]:
-                    stands[chosen] = item
-            for item in range(low, high):
-                if group[item] < 0:
-                    group[item] = len(stands)
-                    stands.append(item)
+            chosen, items, pair_counts = self._match_pair(fold, low, high)
+            obs.merge(statistics, {"assignments": 1, "accepted_matches": len(items), **pair_counts})
+            for at, item in zip(chosen, items):
+                group[item] = at
+                if ranks[item] < ranks[stands[at]]:
+                    fold.stand(at, item)
+            fold.open(low, high)
 
         statistics["elapsed_seconds"] = time.perf_counter() - start
         obs.merge(statistics, {"match_sets": len(stands)})
         obs.merge(statistics, obs.delta(before, self._cumulative_counts()))
+        stand_codes = list(map(codes.__getitem__, stands))
         replacements: Dict[Hashable, Dict[int, object]] = {column_id: {} for column_id in ids}
-        for item, at in enumerate(group):
-            if codes[stands[at]] != codes[item]:  # its group stands for another value
-                replacements[ids[column_of[item]]][item - bounds[column_of[item]]] = values[stands[at]]
+        for index, column_id in enumerate(ids):
+            low, high = bounds[index], bounds[index + 1]
+            replacements[column_id].update({
+                position: values[stands[at]]
+                for position, at, code in zip(range(high - low), group[low:high], codes[low:high])
+                if stand_codes[at] != code  # its group stands for another value
+            })
         return ValueMatchingResult(
-            _match_sets(ids, values, column_of, group, stands), column_order, statistics, replacements
+            partial(_match_sets, ids, values, column_of, group, stands), column_order, statistics, replacements
         )
 
-    def _match_pair(
-        self, values: List[object], codes: List[int], stands: List[int], low: int, high: int
-    ) -> Tuple[List[Tuple[int, int]], Dict[str, float]]:
+    def _match_pair(self, fold: "_Fold", low: int, high: int) -> Tuple[List[int], List[int], Dict[str, float]]:
         """The matches between the combined column (each group's representative)
-        and the items ``low:high`` as ``(group, item)`` pairs, and the pair's counters."""
-        left_values, right_values = [values[item] for item in stands], values[low:high]
-        keys = [codes[item] for item in stands], codes[low:high]
-        matcher = self._matcher_for(len(left_values), len(right_values))
+        and the items ``low:high`` as ``(groups, items)``, and the pair's counters."""
+        matcher = self._matcher_for(len(fold.stands), high - low)
+        exact = fold.exact_pairs(low, high) if self.exact_first else ([], [], range(low, high))
         try:
-            if self.exact_first:
-                found = exact_first(matcher.match_indices, left_values, right_values, keys)
-            else:
-                found = matcher.match_indices(left_values, right_values)
+            found = fold.match(matcher.match_indices, exact, skip_empty=matcher is self._matcher)
             pair_counts = self._pair_counts(matcher)
         except EmbedderUnavailable:
             # Breaker open.  Under "surface" the pair is re-matched without
@@ -317,20 +372,11 @@ class ValueMatcher:
             # the engine/service boundary.
             if self.degraded_mode != "surface":
                 raise
-            found = exact_first(self._degraded_fallback().match_degraded, left_values, right_values, keys)
+            if not self.exact_first:
+                exact = fold.exact_pairs(low, high)
+            found = fold.match(self._degraded_fallback().match_degraded, exact, skip_empty=False)
             pair_counts = {"degraded": 1, "degraded_assignments": 1}
-        matches = list(zip(*found))
-        if len(set(keys[0])) < len(keys[0]):
-            # Groups standing for equal values are one bucket to the fold: the
-            # bucket's matches, in (distance, left text, right text) order,
-            # take its groups in group order — not necessarily the groups the
-            # matcher paired them with position by position.
-            buckets: Dict[int, List[int]] = {}
-            for position, code in enumerate(keys[0]):
-                buckets.setdefault(code, []).append(position)
-            matches.sort(key=lambda match: (match[2], str(left_values[match[0]]), str(right_values[match[1]])))
-            matches = [(buckets[keys[0][left]].pop(0), right, distance) for left, right, distance in matches]
-        return [(left, low + right) for left, right, _ in matches], pair_counts
+        return (*fold.rebucket(*found), pair_counts)
 
     # -- helpers --------------------------------------------------------------------
     def _cumulative_counts(self) -> Dict[str, float]:
@@ -380,21 +426,118 @@ class ValueMatcher:
         return self._matcher
 
 
+class _Fold:
+    """The groups of a fold in progress, and which groups stand for each value.
+
+    ``group[item]`` is the group an item joined (``-1``: its column is not
+    folded in yet), ``stands[group]`` the item a group stands for, and
+    ``holders[code]`` the groups standing for a value, ascending — kept
+    across the fold, so a column pair pays for its own items, not for every
+    group again.  ``shared`` counts the values more than one group stands
+    for (only a fold without exact pairing makes any).
+    """
+
+    def __init__(self, values: List[object], codes: List[int], first: int) -> None:
+        self.values, self.codes = values, codes
+        self.stands = list(range(first))  # the first column's items, one group each
+        self.group = self.stands + [-1] * (len(values) - first)
+        self.holders: Dict[int, List[int]] = {code: [at] for at, code in enumerate(codes[:first])}
+        self.shared = 0
+
+    def open(self, low: int, high: int) -> None:
+        """A new group for each of the items ``low:high`` that joined none."""
+        group, stands, holders = self.group, self.stands, self.holders
+        for item, code in zip(range(low, high), self.codes[low:high]):
+            if group[item] < 0:
+                group[item] = len(stands)
+                held = holders.setdefault(code, [])
+                held.append(len(stands))
+                self.shared += len(held) == 2
+                stands.append(item)
+
+    def stand(self, at: int, item: int) -> None:
+        """Group ``at`` stands for ``item`` from now on."""
+        old, new = self.codes[self.stands[at]], self.codes[item]
+        self.stands[at] = item
+        if old != new:
+            held = self.holders[old]
+            held.remove(at)
+            self.shared -= len(held) == 1
+            if not held:
+                del self.holders[old]
+            held = self.holders.setdefault(new, [])
+            insort(held, at)
+            self.shared += len(held) == 2
+
+    def exact_pairs(self, low: int, high: int) -> Tuple[List[int], List[int], List[int]]:
+        """Items ``low:high`` paired with the first group standing for their
+        value, as ``(groups, items, the other items)``.  A column holds each
+        value once, so no two of its items want one group."""
+        held = list(map(self.holders.get, self.codes[low:high]))  # None, or a non-empty list
+        return (
+            [groups[0] for groups in held if groups],
+            list(compress(range(low, high), held)),
+            list(compress(range(low, high), map(not_, held))),
+        )
+
+    def match(
+        self, match: Callable[[List[object], List[object]], IndexMatches], exact: Tuple, skip_empty: bool
+    ) -> IndexMatches:
+        """``exact`` (:meth:`exact_pairs`) and ``match`` over the groups and
+        items it left, as ``(groups, items, distances)``; ``skip_empty`` skips
+        a ``match`` with nothing on one side (one that records nothing)."""
+        groups, items, rest = exact
+        count = len(self.stands)
+        if skip_empty and (not rest or len(groups) == count):
+            return groups, items, [0.0] * len(groups)
+        left = range(count)
+        if groups:
+            unpaired = bytearray(b"\x01") * count
+            for at in groups:
+                unpaired[at] = 0
+            left = list(compress(left, unpaired))
+        value = self.values.__getitem__
+        found = match(list(map(value, map(self.stands.__getitem__, left))), list(map(value, rest)))
+        return (
+            groups + [left[at] for at in found[0]],
+            items + [rest[at] for at in found[1]],
+            [0.0] * len(groups) + found[2],
+        )
+
+    def rebucket(self, groups: List[int], items: List[int], distances: List[float]) -> Tuple[List[int], List[int]]:
+        """``(groups, items)`` of the matches, once groups standing for equal
+        values are one bucket: the bucket's matches, in (distance, left text,
+        right text) order, take its groups in group order — not necessarily
+        the groups the matcher paired them with position by position."""
+        if self.shared:
+            codes, values, stands = self.codes, self.values, self.stands
+            buckets: Dict[int, List[int]] = {}
+            for match, at in enumerate(groups):
+                if len(self.holders[codes[stands[at]]]) > 1:
+                    buckets.setdefault(codes[stands[at]], []).append(match)
+            for code, matches in buckets.items():
+                matches.sort(key=lambda match: (distances[match], str(values[stands[groups[match]]]), str(values[items[match]])))
+                for match, at in zip(matches, self.holders[code]):
+                    groups[match] = at
+        return groups, items
+
+
 def _match_sets(
     ids: List[Hashable], values: List[object], column_of: List[int], group: List[int], stands: List[int]
 ) -> List[ValueMatchSet]:
     """The groups as match sets: members ordered by their ``(column, value)``
     texts, sets by their first member's (ties: the order of the groups)."""
     column_texts = [str(column_id) for column_id in ids]
-    keys = list(zip(map(ids.__getitem__, column_of), values))
+    texts = list(zip(map(column_texts.__getitem__, column_of), map(str, values)))
     members: List[List[int]] = [[] for _ in stands]
     for item, at in enumerate(group):
         members[at].append(item)  # in column order: sorted, if the column texts ascend
     if any(earlier >= later for earlier, later in zip(column_texts, column_texts[1:])):
         for items in members:
-            items.sort(key=lambda item: (column_texts[column_of[item]], str(values[item])))
-    first = [(column_texts[column_of[items[0]]], str(values[items[0]])) for items in members]
+            if len(items) > 1:
+                items.sort(key=texts.__getitem__)
+    first = [texts[items[0]] for items in members]
     return [
-        ValueMatchSet(list(map(keys.__getitem__, members[at])), values[stands[at]])
+        ValueMatchSet([(ids[column_of[item]], values[item]) for item in members[at]], values[stands[at]])
         for at in sorted(range(len(stands)), key=first.__getitem__)
     ]

@@ -50,28 +50,26 @@ def exact_first(
     match: Callable[[List[object], List[object]], IndexMatches],
     left_values: Sequence[object],
     right_values: Sequence[object],
-    keys: Optional[Tuple[Sequence[object], Sequence[object]]] = None,
 ) -> IndexMatches:
     """Identical values paired positionally first, then ``match`` on the rest.
 
     Each right value takes the first left position holding it that no earlier
     right value took, so surviving duplicates of a matched value still reach
-    ``match``.  ``keys`` (one per left, one per right value) say what counts
-    as identical; by default the values themselves.
+    ``match``.  (The Match Values fold pairs identical values from an index
+    it keeps across column pairs instead, :mod:`repro.core.value_matching`.)
     """
-    left_keys, right_keys = keys if keys is not None else (left_values, right_values)
     holders: Dict[object, List[int]] = {}
-    for at, key in enumerate(left_keys):
-        holders.setdefault(key, []).append(at)
+    for at, value in enumerate(left_values):
+        holders.setdefault(value, []).append(at)
     left, right, rest_right = [], [], []
-    for at, key in enumerate(right_keys):
-        if holders.get(key):
-            left.append(holders[key].pop(0))
+    for at, value in enumerate(right_values):
+        if holders.get(value):
+            left.append(holders[value].pop(0))
             right.append(at)
         else:
             rest_right.append(at)
     taken = set(left)
-    rest_left = [at for at in range(len(left_keys)) if at not in taken]
+    rest_left = [at for at in range(len(left_values)) if at not in taken]
     found = match([left_values[at] for at in rest_left], [right_values[at] for at in rest_right])
     return left + [rest_left[at] for at in found[0]], right + [rest_right[at] for at in found[1]], [0.0] * len(left) + found[2]
 

@@ -130,8 +130,12 @@ class Relation:
         entries = list(self.values[position])
         for code, value in replacements.items():
             entries[code] = value
+        values = list(self.values)
+        if len(set(entries)) == len(entries):  # no two are equal, even as True == 1: every code stays
+            values[position] = entries
+            return Relation(self.name, self.schema, self.codes, values, self.provenance)
         remap, merged = dictionary(entries)
-        codes, values = self.codes.copy(), list(self.values)
+        codes = self.codes.copy()
         codes[position] = np.array(remap + [-1], dtype=np.int32)[codes[position]]
         values[position] = merged
         return Relation(self.name, self.schema, codes, values, self.provenance)

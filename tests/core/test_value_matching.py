@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import IntegrationEngine
 from repro.core.representatives import available_policies, select_representative
 from repro.core.value_matching import ColumnValues, ValueMatcher
 from repro.embeddings import ExactEmbedder, MistralEmbedder
+from repro.table import Table
 
 
 @pytest.fixture(scope="module")
@@ -270,3 +272,25 @@ class TestBlockingRouting:
             tuple(match_set.members) for match_set in blocked.match_columns(columns).sets
         }
         assert exhaustive_sets == blocked_sets
+
+
+class TestBooleansAreNotTheirNumbers:
+    """A boolean is never the number it equals, so a column holding ``True``
+    and ``1`` counts and rewrites them apart (a dict keyed by value cannot)."""
+
+    def test_a_boolean_does_not_take_the_count_of_its_number(self):
+        # 1 occurs three times in a and "1" twice in b: 1 represents the set.
+        # Keyed by value, True's count of 1 overwrote 1's, and "1" won 2 to 1.
+        a = Table("a", ["k", "x"], [(1, "p"), (1, "q"), (1, "r"), (True, "s")])
+        b = Table("b", ["k", "y"], [("1", "u"), ("1", "v")])
+        for tables in ([a, b], [Table("a", ["k", "x"], a.rows[:3]), b]):
+            result = IntegrationEngine("paper").integrate(tables)
+            merged = [match_set for match_set in result.value_matching["k"].sets if len(match_set) > 1]
+            assert [repr(match_set.representative) for match_set in merged] == ["1"]
+
+    def test_both_rewrites_of_a_column_holding_true_and_one_count(self):
+        a = Table("a", ["k", "x"], [("1", "p"), ("True", "q"), ("1", "r"), ("True", "t")])
+        b = Table("b", ["k", "y"], [(1, "u"), (True, "v")])
+        result = IntegrationEngine("paper").integrate([a, b])
+        assert result.value_matching["k"].replacements[("b", "k")] == {0: "1", 1: "True"}
+        assert result.rewrites_applied() == 2
