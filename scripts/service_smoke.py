@@ -19,7 +19,8 @@ exercises the HTTP surface end to end:
    service.
 
 Then a second server boots with a hard-down chaos embedder
-(``--embedder chaos`` + ``REPRO_CHAOS_EMBED_FAILURES=all``) in
+(``--embedder chaos`` + ``REPRO_CHAOS_EMBED_FAILURES=all``; the chaos
+embedder carries its own breaker, which opens on the first failed call) in
 ``--degraded-mode surface``: ``POST /integrate`` must still answer 200 with
 ``degraded: true`` in its trace, and ``GET /healthz`` must report
 ``degraded`` — an open breaker never becomes an unhandled 500.
@@ -233,12 +234,6 @@ def main(argv: list[str] | None = None) -> int:
             "chaos",
             "--degraded-mode",
             "surface",
-            "--breaker-failure-threshold",
-            "1",
-            "--retry-max-attempts",
-            "1",
-            "--retry-backoff-ms",
-            "1",
             *extra_args,
         ],
         extra_env={"REPRO_CHAOS_EMBED_FAILURES": "all"},

@@ -119,10 +119,6 @@ _INTEGRATE_CONFIG_FLAGS = (
     "store_dir",
     "store_mode",
     "degraded_mode",
-    "retry_max_attempts",
-    "retry_backoff_ms",
-    "breaker_failure_threshold",
-    "breaker_reset_ms",
 )
 
 #: ``serve`` adds the default request deadline on top of the shared engine flags.
@@ -413,46 +409,11 @@ def _add_engine_config_flags(parser: argparse.ArgumentParser) -> None:
         default="off",
         choices=["off", "surface", "fail"],
         action=_TrackedStore,
-        help="what matching does while the embedder circuit breaker is open: "
+        help="what matching does while the circuit breaker of a wrapped embedder "
+        "(such as --embedder chaos) is open: "
         "off = propagate the error, surface = answer with exact + surface-"
         "blocking matches only (marked degraded), fail = typed unavailable "
         "error (HTTP 503 with Retry-After under serve)",
-    )
-    parser.add_argument(
-        "--retry-max-attempts",
-        dest="retry_max_attempts",
-        type=int,
-        default=3,
-        action=_TrackedStore,
-        help="embedding attempts per batch before the failure counts against "
-        "the circuit breaker (1 = no retries)",
-    )
-    parser.add_argument(
-        "--retry-backoff-ms",
-        dest="retry_backoff_ms",
-        type=float,
-        default=50.0,
-        action=_TrackedStore,
-        help="base backoff between embedding retries (doubles per attempt, "
-        "capped at 8x, with deterministic jitter)",
-    )
-    parser.add_argument(
-        "--breaker-failure-threshold",
-        dest="breaker_failure_threshold",
-        type=int,
-        default=5,
-        action=_TrackedStore,
-        help="consecutive embedding failures (after retries) that open the "
-        "circuit breaker",
-    )
-    parser.add_argument(
-        "--breaker-reset-ms",
-        dest="breaker_reset_ms",
-        type=float,
-        default=30_000.0,
-        action=_TrackedStore,
-        help="open window of the circuit breaker before a half-open probe "
-        "is admitted",
     )
 
 

@@ -31,7 +31,7 @@ from repro.matching.ann import (
 )
 from repro.embeddings.base import ValueEmbedder
 from repro.embeddings.registry import EMBEDDERS
-from repro.embeddings.resilient import DEGRADED_MODES, validate_resilience_knobs
+from repro.embeddings.resilient import DEGRADED_MODES
 from repro.fd import FD_ALGORITHMS
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.matching.assignment import ASSIGNMENT_SOLVERS, AssignmentSolver
@@ -164,23 +164,11 @@ class FuzzyFDConfig:
         (queue wait included), checked at stage boundaries
         (align → match → integrate); ``None`` (the default) means no
         deadline unless the request carries its own ``deadline_ms``.
-    retry_max_attempts:
-        Fault-tolerance: total attempts the engine's
-        :class:`~repro.embeddings.resilient.ResilientEmbedder` wrapper makes
-        per ``embed``/``embed_many`` call before counting the call as failed
-        (``1`` disables retries).
-    retry_backoff_ms:
-        Base delay of the capped exponential backoff between retry attempts
-        (doubled per attempt, capped at 8×, scaled by deterministic jitter).
-    breaker_failure_threshold:
-        Consecutive exhausted embedder calls after which the circuit breaker
-        opens and calls short-circuit with a typed
-        :class:`~repro.embeddings.resilient.EmbedderUnavailable`.
-    breaker_reset_ms:
-        How long the breaker stays open before going half-open and admitting
-        one probe call (success closes it, failure re-opens a full window).
     degraded_mode:
-        What a request does while the breaker is open: ``"off"`` (the
+        What a request does while the breaker of a wrapped embedder is open
+        (a :class:`~repro.embeddings.resilient.ResilientEmbedder` passed in
+        as ``embedder``, or the ``"chaos"`` registry embedder); a bare
+        embedder has no breaker, so the mode never engages.  ``"off"`` (the
         default) propagates ``EmbedderUnavailable`` to the caller,
         ``"surface"`` degrades value matching to exact + surface-blocking
         candidates without embeddings (results marked ``degraded`` in
@@ -210,10 +198,6 @@ class FuzzyFDConfig:
     store_mode: str = "off"
     service_max_pending: int = 32
     service_deadline_ms: Optional[float] = None
-    retry_max_attempts: int = 3
-    retry_backoff_ms: float = 50.0
-    breaker_failure_threshold: int = 5
-    breaker_reset_ms: float = 30_000.0
     degraded_mode: str = "off"
 
     def __post_init__(self) -> None:
@@ -278,12 +262,6 @@ class FuzzyFDConfig:
                 f"service_deadline_ms must be positive or None, "
                 f"got {self.service_deadline_ms}"
             )
-        validate_resilience_knobs(
-            retry_max_attempts=self.retry_max_attempts,
-            retry_backoff_ms=self.retry_backoff_ms,
-            breaker_failure_threshold=self.breaker_failure_threshold,
-            breaker_reset_ms=self.breaker_reset_ms,
-        )
         if self.degraded_mode not in DEGRADED_MODES:
             raise ValueError(
                 f"degraded_mode must be one of {list(DEGRADED_MODES)}, "

@@ -52,7 +52,6 @@ from repro import obs
 from repro.core.config import FuzzyFDConfig
 from repro.core.value_matching import ValueMatcher, ValueMatchingResult
 from repro.embeddings.base import EmbeddingCache, ValueEmbedder
-from repro.embeddings.resilient import ResilientEmbedder
 from repro.fd import FD_ALGORITHMS
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult
 from repro.matching.assignment import AssignmentSolver
@@ -72,8 +71,8 @@ MATCHER_KNOBS = (
 
 #: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides:
 #: the matcher's and ``store_mode`` (whether the request publishes its new
-#: embeddings).  The retry and breaker policy is the engine's, as the breaker
-#: state is.
+#: embeddings).  A wrapped embedder's retry and breaker policy is not a knob:
+#: it belongs to the instance the engine was given, as its breaker state does.
 REQUEST_OVERRIDES = (*MATCHER_KNOBS, "store_mode")
 
 #: Overrides for which ``None`` is a meaningful value (not "use the engine
@@ -190,22 +189,7 @@ class IntegrationEngine:
         elif isinstance(config, dict):
             config = FuzzyFDConfig.from_dict(config)
         self.config = config
-        resolved = config.resolve_embedder()
-        if not isinstance(resolved, ResilientEmbedder):
-            # Every engine embedder is fault-tolerant by construction: retries
-            # with deterministic backoff plus a circuit breaker, configured by
-            # the retry_*/breaker_* knobs.  A caller-supplied ResilientEmbedder
-            # passes through so its own (possibly test-injected) clock and
-            # knobs win.  The wrapper mirrors name/dimension/revision/cache, so store
-            # fingerprints and the cache attach below are unchanged.
-            resolved = ResilientEmbedder(
-                resolved,
-                retry_max_attempts=config.retry_max_attempts,
-                retry_backoff_ms=config.retry_backoff_ms,
-                breaker_failure_threshold=config.breaker_failure_threshold,
-                breaker_reset_ms=config.breaker_reset_ms,
-            )
-        self.embedder: ValueEmbedder = resolved
+        self.embedder: ValueEmbedder = config.resolve_embedder()
         self.solver: AssignmentSolver = config.resolve_solver()
         self.fd_algorithm: FullDisjunctionAlgorithm = config.resolve_fd_algorithm()
         #: The persistent artifact store, or ``None`` when persistence is off.
@@ -265,8 +249,9 @@ class IntegrationEngine:
         """Breaker state + cumulative retry/failure counters of the embedder.
 
         Always has a ``"state"`` key (``closed`` / ``open`` / ``half_open``);
-        the serving layer turns it into the three-state ``/healthz`` body
-        and the ``/stats`` breaker fields.
+        an embedder without a breaker (no ``describe``) is ``closed``.  The
+        serving layer turns it into the three-state ``/healthz`` body and the
+        ``/stats`` breaker fields.
         """
         describe = getattr(self.embedder, "describe", None)
         if callable(describe):

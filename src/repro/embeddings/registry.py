@@ -18,20 +18,10 @@ from repro.embeddings.llm import Llama3Embedder, MistralEmbedder
 from repro.embeddings.transformer import BertEmbedder, RobertaEmbedder
 from repro.registry import Registry
 
-def _resilient_embedder(inner: str = "mistral", **kwargs) -> ValueEmbedder:
-    """Factory for ``"resilient"``: an explicitly-wrapped inner embedder.
-
-    The engine wraps its resolved embedder automatically, so this name is
-    only needed to build a standalone wrapper (benchmarks, tests) or to
-    wrap a non-default inner model by name.
-    """
-    from repro.embeddings.resilient import ResilientEmbedder
-
-    return ResilientEmbedder(EMBEDDERS.create(inner), **kwargs)
-
 
 def _chaos_embedder(**kwargs) -> ValueEmbedder:
-    """Factory for ``"chaos"``: a fault-injecting embedder scripted via env.
+    """Factory for ``"chaos"``: a fault-injecting embedder scripted via env,
+    wrapped in a fail-fast circuit breaker.
 
     Used by the service smoke test and chaos CI job to boot ``repro serve``
     with an embedder that fails on an ``REPRO_CHAOS_*`` schedule; see
@@ -52,7 +42,6 @@ EMBEDDERS: Registry[Callable[..., ValueEmbedder]] = Registry(
         "roberta": RobertaEmbedder,
         "llama3": Llama3Embedder,
         "mistral": MistralEmbedder,
-        "resilient": _resilient_embedder,
         "chaos": _chaos_embedder,
     },
 )

@@ -36,7 +36,10 @@ they would to the bare embedder), and unknown attributes delegate to the
 inner instance, so engine code — and tests poking custom attributes — never
 notice the wrapping.  Breaker state, counters and the retry policy are
 shared by every thread using the wrapper (one backend, one health state, one
-policy): the engine configures them once, and no request overrides them.
+policy).  The engine embeds with the embedder it is given and never wraps one
+itself: a caller with a fallible backend builds the wrapper with its policy
+and passes the instance as ``FuzzyFDConfig.embedder``, and no request
+overrides that policy.
 
 ``sleep`` and ``clock`` are injectable so tests drive breaker transitions
 with a fake clock and assert backoff schedules without real sleeping.
@@ -47,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -136,11 +139,9 @@ def _jitter_factor(model_name: str, attempt: int) -> float:
 class ResilientEmbedder(DelegatingEmbedder):
     """Retry + circuit-breaker wrapper around any embedder (see module docs).
 
-    Parameters mirror the ``retry_*`` / ``breaker_*`` knobs of
-    :class:`~repro.core.config.FuzzyFDConfig`; the
-    :class:`~repro.core.engine.IntegrationEngine` applies this wrapper to
-    its resolved embedder automatically (never twice — an already-resilient
-    embedder passes through).
+    ``retry_max_attempts`` >= 1 (``1`` disables retries),
+    ``retry_backoff_ms`` >= 0, ``breaker_failure_threshold`` >= 1 and
+    ``breaker_reset_ms`` > 0; a wrapper never wraps another one.
     """
 
     def __init__(
@@ -156,12 +157,14 @@ class ResilientEmbedder(DelegatingEmbedder):
     ) -> None:
         if isinstance(inner, ResilientEmbedder):
             raise ValueError("refusing to wrap a ResilientEmbedder in another one")
-        validate_resilience_knobs(
-            retry_max_attempts=retry_max_attempts,
-            retry_backoff_ms=retry_backoff_ms,
-            breaker_failure_threshold=breaker_failure_threshold,
-            breaker_reset_ms=breaker_reset_ms,
-        )
+        if retry_max_attempts < 1:
+            raise ValueError(f"retry_max_attempts must be >= 1, got {retry_max_attempts}")
+        if retry_backoff_ms < 0:
+            raise ValueError(f"retry_backoff_ms must be >= 0, got {retry_backoff_ms}")
+        if breaker_failure_threshold < 1:
+            raise ValueError(f"breaker_failure_threshold must be >= 1, got {breaker_failure_threshold}")
+        if breaker_reset_ms <= 0:
+            raise ValueError(f"breaker_reset_ms must be positive, got {breaker_reset_ms}")
         super().__init__(inner)
         self.retry_max_attempts = retry_max_attempts
         self.retry_backoff_ms = retry_backoff_ms
@@ -327,25 +330,3 @@ class ResilientEmbedder(DelegatingEmbedder):
             f"ResilientEmbedder({self.inner!r}, state={self.state()!r}, "
             f"attempts={self.retry_max_attempts})"
         )
-
-
-def validate_resilience_knobs(
-    *,
-    retry_max_attempts: Optional[int] = None,
-    retry_backoff_ms: Optional[float] = None,
-    breaker_failure_threshold: Optional[int] = None,
-    breaker_reset_ms: Optional[float] = None,
-) -> None:
-    """Eager validation shared by the wrapper and the config."""
-    if retry_max_attempts is not None and retry_max_attempts < 1:
-        raise ValueError(
-            f"retry_max_attempts must be >= 1, got {retry_max_attempts}"
-        )
-    if retry_backoff_ms is not None and retry_backoff_ms < 0:
-        raise ValueError(f"retry_backoff_ms must be >= 0, got {retry_backoff_ms}")
-    if breaker_failure_threshold is not None and breaker_failure_threshold < 1:
-        raise ValueError(
-            f"breaker_failure_threshold must be >= 1, got {breaker_failure_threshold}"
-        )
-    if breaker_reset_ms is not None and breaker_reset_ms <= 0:
-        raise ValueError(f"breaker_reset_ms must be positive, got {breaker_reset_ms}")

@@ -40,7 +40,9 @@ def cosine_distance_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Cosine distance matrix between two row-wise embedding matrices.
 
     Inputs are assumed row-normalised (the :class:`ValueEmbedder` contract),
-    so the distance is simply ``1 - left @ right.T`` clipped to ``[0, 1]``.
+    so the distance is simply ``1 - left @ right.T`` clipped to ``[0, 1]``
+    (rounding can put a similarity just outside ``[-1, 1]``).  Both steps
+    run in place on the product, which is a fresh array.
     """
     if left.ndim != 2 or right.ndim != 2:
         raise ValueError("cosine_distance_matrix expects 2-D matrices")
@@ -48,8 +50,9 @@ def cosine_distance_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"embedding dimensions differ: {left.shape[1]} vs {right.shape[1]}"
         )
-    similarities = left @ right.T
-    return np.clip(1.0 - similarities, 0.0, 1.0)
+    distances = left @ right.T
+    np.subtract(1.0, distances, out=distances)
+    return distances.clip(0.0, 1.0, out=distances)
 
 
 class EmbeddingDistance(DistanceFunction):

@@ -4,8 +4,8 @@ The paper's pipeline operates over data-lake tables (CSV files).  This
 subpackage provides the relational machinery every other part of the library
 builds on: a :class:`~repro.table.table.Table` with named columns and nulls, a
 :class:`~repro.table.schema.Schema`, labelled nulls used by the Full
-Disjunction algorithms, relational operations (projection, selection, rename,
-natural/outer joins, outer union), tuple subsumption, and CSV/JSON I/O.
+Disjunction algorithms, relational operations (projection, the natural full
+outer join, outer union), tuple subsumption, and CSV I/O.
 
 It deliberately replaces pandas, which is not available in this environment,
 with a small purpose-built implementation (see ``docs/architecture.md``,
@@ -15,17 +15,9 @@ with a small purpose-built implementation (see ``docs/architecture.md``,
 from repro.table.nulls import NULL, LabeledNull, is_null, non_null
 from repro.table.schema import Schema
 from repro.table.table import Row, Table
-from repro.table.operations import (
-    concat_rows,
-    cross_product,
-    full_outer_join,
-    inner_join,
-    left_outer_join,
-    outer_union,
-    project,
-)
+from repro.table.operations import full_outer_join, outer_union, project
 from repro.table.subsumption import remove_subsumed, subsumes
-from repro.table.io import read_csv, read_json_records, write_csv, write_json_records
+from repro.table.io import read_csv, write_csv
 
 __all__ = [
     "Table",
@@ -36,16 +28,10 @@ __all__ = [
     "is_null",
     "non_null",
     "project",
-    "inner_join",
-    "left_outer_join",
     "full_outer_join",
     "outer_union",
-    "cross_product",
-    "concat_rows",
     "subsumes",
     "remove_subsumed",
     "read_csv",
     "write_csv",
-    "read_json_records",
-    "write_json_records",
 ]

@@ -1,4 +1,4 @@
-"""CSV and JSON I/O for tables.
+"""CSV I/O for tables.
 
 Data-lake tables in the paper's benchmarks are CSV files.  Empty strings are
 read back as nulls, and nulls are written as empty strings, which mirrors the
@@ -8,7 +8,6 @@ conventions of the public Auto-Join and ALITE benchmark files.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -46,34 +45,6 @@ def write_csv(table: Table, path: PathLike, *, delimiter: str = ",") -> Path:
         writer.writerow(list(table.columns))
         for values in table.rows:
             writer.writerow(["" if is_null(value) else value for value in values])
-    return path
-
-
-def read_json_records(path: PathLike, name: Optional[str] = None) -> Table:
-    """Read a JSON file containing a list of records into a table."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        records = json.load(handle)
-    if not isinstance(records, list):
-        raise ValueError(f"expected a JSON list of records in {path}")
-    cleaned = []
-    for record in records:
-        cleaned.append({key: (NULL if value is None else value) for key, value in record.items()})
-    return Table.from_dicts(name or path.stem, cleaned)
-
-
-def write_json_records(table: Table, path: PathLike) -> Path:
-    """Write a table as a JSON list of records (nulls become ``null``)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records = []
-    for values in table.rows:
-        record = {}
-        for column, value in zip(table.columns, values):
-            record[column] = None if is_null(value) else value
-        records.append(record)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(records, handle, indent=2, ensure_ascii=False)
     return path
 
 

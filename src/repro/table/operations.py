@@ -1,17 +1,16 @@
 """Relational operations over :class:`~repro.table.table.Table`.
 
-These implement the algebra the Full Disjunction algorithms are built from:
-projection, natural inner/outer joins (hash based), the
-outer union (schema union with labelled or plain nulls for missing
-attributes), and the cross product.  Joins are *natural*: tuples combine when
-they agree on every shared attribute on which both are non-null, and share at
-least one non-null attribute (the standard join-consistency condition used in
-the FD literature).
+These implement the algebra the Full Disjunction oracles are built from:
+projection, the natural full outer join (hash based) and the outer union
+(schema union with labelled or plain nulls for missing attributes).  The join
+is *natural*: tuples combine when they agree on every shared attribute on
+which both are non-null, and share at least one non-null attribute (the
+standard join-consistency condition used in the FD literature).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.table.nulls import NULL, fresh_labeled_null, is_null
 from repro.table.schema import Schema
@@ -25,27 +24,6 @@ from repro.table.table import CellValue, Provenance, RowValues, Table
 def project(table: Table, columns: Sequence[str]) -> Table:
     """Project ``table`` onto ``columns``."""
     return table.project(columns)
-
-
-def concat_rows(name: str, tables: Sequence[Table]) -> Table:
-    """Concatenate tables that share an identical schema."""
-    if not tables:
-        raise ValueError("concat_rows requires at least one table")
-    schema = tables[0].schema
-    for table in tables[1:]:
-        if table.schema != schema:
-            raise ValueError(
-                f"cannot concat tables with different schemas: "
-                f"{list(schema.columns)} vs {list(table.schema.columns)}"
-            )
-    rows: List[RowValues] = []
-    provenance: List[Provenance] = []
-    has_provenance = all(table.provenance is not None for table in tables)
-    for table in tables:
-        rows.extend(table.rows)
-        if has_provenance and table.provenance is not None:
-            provenance.extend(table.provenance)
-    return Table(name, schema, rows, provenance=provenance if has_provenance else None)
 
 
 # ---------------------------------------------------------------------------------
@@ -139,36 +117,18 @@ def _candidate_partners(
     return candidates
 
 
-def inner_join(left: Table, right: Table, name: Optional[str] = None) -> Table:
-    """Natural inner join of two tables on their shared attributes.
-
-    If the tables share no attributes the result is empty (this library never
-    silently falls back to a cross product).
-    """
-    return _join(left, right, keep_left=False, keep_right=False, name=name)
-
-
-def left_outer_join(left: Table, right: Table, name: Optional[str] = None) -> Table:
-    """Natural left outer join (all left tuples preserved)."""
-    return _join(left, right, keep_left=True, keep_right=False, name=name)
-
-
 def full_outer_join(left: Table, right: Table, name: Optional[str] = None) -> Table:
-    """Natural full outer join (all tuples of both sides preserved)."""
-    return _join(left, right, keep_left=True, keep_right=True, name=name)
+    """Natural full outer join (all tuples of both sides preserved).
 
-
-def _join(
-    left: Table,
-    right: Table,
-    *,
-    keep_left: bool,
-    keep_right: bool,
-    name: Optional[str],
-) -> Table:
+    Tables that share no attribute join no tuples: the result pads every
+    tuple of both sides (this library never falls back to a cross product).
+    """
     output_schema = left.schema.union(right.schema)
     shared_columns = left.schema.intersection(right.schema)
-    result_name = name or f"({left.name}⋈{right.name})"
+    shared_positions = [
+        (left.schema.position(column), right.schema.position(column)) for column in shared_columns
+    ]
+    right_index = _build_join_index(right, shared_columns)
 
     left_prov = left.provenance
     right_prov = right.provenance
@@ -177,53 +137,34 @@ def _join(
     rows: List[RowValues] = []
     provenance: List[Provenance] = []
     matched_right: set = set()
-
-    if shared_columns:
-        shared_positions = [
-            (left.schema.position(column), right.schema.position(column))
-            for column in shared_columns
-        ]
-        right_index = _build_join_index(right, shared_columns)
-        for left_id, left_values in enumerate(left.rows):
-            matched = False
-            for right_id in _candidate_partners(
-                left_values, left.schema, shared_columns, right_index
-            ):
-                right_values = right.rows[right_id]
-                if not join_consistent(left_values, right_values, shared_positions):
-                    continue
-                matched = True
-                matched_right.add(right_id)
-                rows.append(
-                    merge_rows(left_values, right_values, left.schema, right.schema, output_schema)
-                )
-                if has_prov:
-                    provenance.append(
-                        _merge_provenance(
-                            left_prov[left_id] if left_prov else None,
-                            right_prov[right_id] if right_prov else None,
-                        )
+    for left_id, left_values in enumerate(left.rows):
+        matched = False
+        for right_id in _candidate_partners(left_values, left.schema, shared_columns, right_index):
+            right_values = right.rows[right_id]
+            if not join_consistent(left_values, right_values, shared_positions):
+                continue
+            matched = True
+            matched_right.add(right_id)
+            rows.append(merge_rows(left_values, right_values, left.schema, right.schema, output_schema))
+            if has_prov:
+                provenance.append(
+                    _merge_provenance(
+                        left_prov[left_id] if left_prov else None,
+                        right_prov[right_id] if right_prov else None,
                     )
-            if not matched and keep_left:
-                rows.append(_pad_row(left_values, left.schema, output_schema))
-                if has_prov:
-                    provenance.append(_merge_provenance(left_prov[left_id] if left_prov else None, None))
-    elif keep_left:
-        for left_id, left_values in enumerate(left.rows):
+                )
+        if not matched:
             rows.append(_pad_row(left_values, left.schema, output_schema))
             if has_prov:
                 provenance.append(_merge_provenance(left_prov[left_id] if left_prov else None, None))
+    for right_id, right_values in enumerate(right.rows):
+        if right_id in matched_right:
+            continue
+        rows.append(_pad_row(right_values, right.schema, output_schema))
+        if has_prov:
+            provenance.append(_merge_provenance(None, right_prov[right_id] if right_prov else None))
 
-    if keep_right:
-        for right_id, right_values in enumerate(right.rows):
-            if right_id in matched_right:
-                continue
-            rows.append(_pad_row(right_values, right.schema, output_schema))
-            if has_prov:
-                provenance.append(
-                    _merge_provenance(None, right_prov[right_id] if right_prov else None)
-                )
-
+    result_name = name or f"({left.name}⋈{right.name})"
     return Table(result_name, output_schema, rows, provenance=provenance if has_prov else None)
 
 
@@ -233,19 +174,6 @@ def _pad_row(values: RowValues, schema: Schema, output_schema: Schema) -> RowVal
     for column in output_schema:
         padded.append(values[schema.position(column)] if column in schema else NULL)
     return tuple(padded)
-
-
-def cross_product(left: Table, right: Table, name: Optional[str] = None) -> Table:
-    """Cartesian product of two tables with disjoint schemas."""
-    shared = left.schema.intersection(right.schema)
-    if shared:
-        raise ValueError(f"cross_product requires disjoint schemas; shared columns: {shared}")
-    output_schema = left.schema.union(right.schema)
-    rows: List[RowValues] = []
-    for left_values in left.rows:
-        for right_values in right.rows:
-            rows.append(tuple(left_values) + tuple(right_values))
-    return Table(name or f"({left.name}×{right.name})", output_schema, rows)
 
 
 # ---------------------------------------------------------------------------------

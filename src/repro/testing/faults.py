@@ -25,8 +25,9 @@ The pieces:
 * :func:`corrupt_array_file` — truncates a published ``.npy`` in place, the
   store-corruption scenario (quarantine + rebuild).
 * :func:`chaos_embedder_from_env` — builds a scripted
-  :class:`FaultyEmbedder` from ``REPRO_CHAOS_*`` environment variables, so
-  a *subprocess* (``repro serve --embedder chaos``) can run a fault
+  :class:`FaultyEmbedder` from ``REPRO_CHAOS_*`` environment variables,
+  inside a fail-fast :class:`~repro.embeddings.resilient.ResilientEmbedder`,
+  so a *subprocess* (``repro serve --embedder chaos``) can run a fault
   scenario the parent scripted without any IPC.
 
 Injectors are thread-safe; call indices are global per operation, so
@@ -45,7 +46,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Seque
 import numpy as np
 
 from repro.embeddings.base import ValueEmbedder
-from repro.embeddings.resilient import DelegatingEmbedder
+from repro.embeddings.resilient import DelegatingEmbedder, ResilientEmbedder
 
 
 class TransientFault(RuntimeError):
@@ -205,9 +206,9 @@ class FaultyEmbedder(DelegatingEmbedder):
     """An embedder whose ``embed`` / ``embed_many`` consult a fault injector.
 
     Operations are named ``"embed"`` and ``"embed_many"``.  Place *inside* a
-    :class:`~repro.embeddings.resilient.ResilientEmbedder` (the engine wraps
-    automatically), so every retry attempt consults the schedule — exactly
-    how a flaky backend behaves.
+    :class:`~repro.embeddings.resilient.ResilientEmbedder` and pass that to
+    the engine, so every retry attempt consults the schedule — exactly how a
+    flaky backend behaves.
     """
 
     def __init__(self, inner: ValueEmbedder, injector: FaultInjector) -> None:
@@ -272,7 +273,7 @@ CHAOS_ENV_EMBED_LATENCY_MS = "REPRO_CHAOS_EMBED_LATENCY_MS"
 CHAOS_ENV_SEED = "REPRO_CHAOS_SEED"
 
 
-def chaos_embedder_from_env(**kwargs: object) -> FaultyEmbedder:
+def chaos_embedder_from_env(**kwargs: object) -> ResilientEmbedder:
     """Build the ``"chaos"`` registry embedder from ``REPRO_CHAOS_*`` vars.
 
     ``REPRO_CHAOS_INNER`` — inner embedder registry name (default
@@ -283,9 +284,11 @@ def chaos_embedder_from_env(**kwargs: object) -> FaultyEmbedder:
     ``REPRO_CHAOS_EMBED_LATENCY_MS`` — constant per-call latency.
     ``REPRO_CHAOS_SEED`` — the injector seed (default 0).
 
-    Both ``embed`` and ``embed_many`` get the same schedule.  This is how
-    the service smoke test boots a ``repro serve`` subprocess against a
-    failing backend without any IPC.
+    Both ``embed`` and ``embed_many`` get the same schedule.  The faulty
+    embedder comes wrapped in a fail-fast breaker — one attempt, no backoff,
+    open on the first exhausted call — so a hard-down schedule opens it on
+    the first request.  This is how the service smoke test boots a ``repro
+    serve`` subprocess against a failing backend without any IPC.
     """
     from repro.embeddings.registry import EMBEDDERS
 
@@ -305,4 +308,6 @@ def chaos_embedder_from_env(**kwargs: object) -> FaultyEmbedder:
     if spec or latency > 0:
         injector.script("embed", **schedule)
         injector.script("embed_many", **schedule)
-    return FaultyEmbedder(inner, injector)
+    return ResilientEmbedder(
+        FaultyEmbedder(inner, injector), retry_max_attempts=1, retry_backoff_ms=0, breaker_failure_threshold=1
+    )

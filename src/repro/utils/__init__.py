@@ -20,7 +20,6 @@ from repro.utils.executor import (
 from repro.utils.hashing import stable_hash
 from repro.utils.text import (
     character_ngrams,
-    damerau_levenshtein,
     jaccard_similarity,
     levenshtein,
     normalize_value,
@@ -40,6 +39,5 @@ __all__ = [
     "tokenize",
     "character_ngrams",
     "levenshtein",
-    "damerau_levenshtein",
     "jaccard_similarity",
 ]

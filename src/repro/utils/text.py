@@ -94,32 +94,6 @@ def levenshtein(left: object, right: object) -> int:
     return previous[-1]
 
 
-def damerau_levenshtein(left: object, right: object) -> int:
-    """Damerau-Levenshtein distance (edits plus adjacent transpositions)."""
-    a = normalize_value(left)
-    b = normalize_value(right)
-    if a == b:
-        return 0
-    rows = len(a) + 1
-    cols = len(b) + 1
-    dist = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        dist[i][0] = i
-    for j in range(cols):
-        dist[0][j] = j
-    for i in range(1, rows):
-        for j in range(1, cols):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            dist[i][j] = min(
-                dist[i - 1][j] + 1,
-                dist[i][j - 1] + 1,
-                dist[i - 1][j - 1] + cost,
-            )
-            if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
-                dist[i][j] = min(dist[i][j], dist[i - 2][j - 2] + 1)
-    return dist[-1][-1]
-
-
 def normalized_edit_similarity(left: object, right: object) -> float:
     """Edit-distance similarity scaled to [0, 1] (1 means identical)."""
     a = normalize_value(left)
@@ -141,37 +115,3 @@ def jaccard_similarity(left: Sequence[str] | Set[str], right: Sequence[str] | Se
         return 1.0
     return len(set_left & set_right) / len(union)
 
-
-def is_abbreviation_of(short: object, long: object) -> bool:
-    """Heuristic test whether ``short`` plausibly abbreviates ``long``.
-
-    Covers initialisms ("US" / "United States"), prefix truncation
-    ("Corp" / "Corporation"), and subsequence abbreviations ("Blvd" /
-    "Boulevard").  Used as a feature by lexical matchers and by the synthetic
-    benchmark's ground-truth audit.
-    """
-    s = normalize_value(short)
-    l = normalize_value(long)
-    if not s or not l or len(s) >= len(l):
-        return False
-    tokens = tokenize(l)
-    if len(tokens) > 1:
-        initials = "".join(token[0] for token in tokens)
-        if s.replace(".", "").replace(" ", "") == initials:
-            return True
-    compact_short = s.replace(".", "").replace(" ", "")
-    compact_long = l.replace(" ", "")
-    if compact_long.startswith(compact_short):
-        return True
-    return _is_subsequence(compact_short, compact_long)
-
-
-def _is_subsequence(needle: str, haystack: str) -> bool:
-    """Return whether ``needle`` appears in ``haystack`` as a subsequence."""
-    position = 0
-    for ch in needle:
-        position = haystack.find(ch, position)
-        if position < 0:
-            return False
-        position += 1
-    return True

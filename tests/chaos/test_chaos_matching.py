@@ -60,7 +60,6 @@ def _tables():
 def _config(**kwargs):
     kwargs.setdefault("max_workers", 2)
     kwargs.setdefault("parallel_backend", BACKEND)
-    kwargs.setdefault("retry_backoff_ms", 0.01)
     return FuzzyFDConfig(**kwargs)
 
 

@@ -69,7 +69,7 @@ class TestEagerValidation:
             ("exact_first", 0, "a boolean"),
             ("service_deadline_ms", True, "a number"),
             ("blocking_key_cap", "5", "an integer"),
-            ("retry_backoff_ms", None, "a number"),
+            ("threshold", None, "a number"),
             ("embedder", 5, "a name or an embedder"),
             ("fd_algorithm", ["alite"], "a name or an FD algorithm"),
             ("assignment_solver", None, "a name or an assignment solver"),

@@ -8,11 +8,11 @@ import pytest
 from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.core.engine import REQUEST_OVERRIDES
 from repro.embeddings import MistralEmbedder
+from repro.embeddings.registry import EMBEDDERS
 from repro.embeddings.resilient import (
     DelegatingEmbedder,
     EmbedderUnavailable,
     ResilientEmbedder,
-    validate_resilience_knobs,
 )
 from repro.table import Table
 from repro.testing import FaultInjector, FaultyEmbedder, TransientFault
@@ -87,9 +87,7 @@ class TestValidation:
         ],
     )
     def test_bad_knobs_rejected_eagerly(self, knobs):
-        with pytest.raises(ValueError):
-            validate_resilience_knobs(**knobs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(knobs))):
             ResilientEmbedder(MistralEmbedder(), **knobs)
 
 
@@ -224,12 +222,22 @@ class TestBreaker:
             wrapped._admit()
 
 
+#: The policy every engine wrapped its embedder in before engines stopped
+#: wrapping: three attempts, 50 ms backoff, open after 5 failures for 30 s.
+FORMER_DEFAULT_POLICY = dict(
+    retry_max_attempts=3, retry_backoff_ms=50, breaker_failure_threshold=5, breaker_reset_ms=30000
+)
+#: The counters only a wrapped embedder reports.
+RESILIENCE_COUNTERS = ("embedder_retries", "breaker_opens", "breaker_short_circuits")
+
+
 class TestEngineIntegration:
-    def test_engine_auto_wraps_with_config_knobs(self):
-        engine = IntegrationEngine(FuzzyFDConfig(retry_max_attempts=7))
-        assert isinstance(engine.embedder, ResilientEmbedder)
-        assert engine.embedder.retry_max_attempts == 7
-        assert engine.resilience_state()["state"] == "closed"
+    def test_the_engine_embeds_with_the_embedder_it_is_given(self):
+        embedder = MistralEmbedder()
+        assert IntegrationEngine(FuzzyFDConfig(embedder=embedder)).embedder is embedder
+        bare = IntegrationEngine()
+        assert not isinstance(bare.embedder, ResilientEmbedder)
+        assert bare.resilience_state() == {"state": "closed"}
 
     def test_caller_supplied_wrapper_passes_through(self):
         wrapped = ResilientEmbedder(MistralEmbedder(), retry_max_attempts=9)
@@ -237,9 +245,55 @@ class TestEngineIntegration:
         assert engine.embedder is wrapped
         assert engine.embedder.retry_max_attempts == 9
 
+    @pytest.mark.parametrize("store", ["off", "on"])
+    @pytest.mark.parametrize("preset", ["paper", "scale"])
+    def test_a_wrapper_around_a_healthy_embedder_changes_only_its_counters(
+        self, tmp_path, covid_tables, small_autojoin_sets, ordered_digest, preset, store
+    ):
+        # The former default wrapper beside a bare engine: the same rows, order,
+        # provenance, match sets and counters, request after request.  Under
+        # "scale" a cutoff of 1 sends every column pair down the blocked route.
+        knobs = {"blocking_cutoff": 1} if preset == "scale" else {}
+        requests = [covid_tables, small_autojoin_sets[0].tables(), covid_tables]
+        observed = {}
+        for name, embedder in (
+            ("wrapped", ResilientEmbedder(MistralEmbedder(), **FORMER_DEFAULT_POLICY)),
+            ("bare", MistralEmbedder()),
+        ):
+            if store == "on":
+                knobs.update(store_dir=str(tmp_path / name), store_mode="readwrite")
+            engine = IntegrationEngine(FuzzyFDConfig.preset(preset).replace(embedder=embedder, **knobs))
+            observed[name] = []
+            for tables in requests:
+                result = engine.integrate(tables)
+                counters = {key: value for key, value in result.timings.items() if not key.endswith("_seconds")}
+                if name == "wrapped":
+                    assert [counters.pop(key) for key in RESILIENCE_COUNTERS] == [0.0, 0.0, 0.0]
+                assert not set(RESILIENCE_COUNTERS) & set(counters)
+                observed[name].append((
+                    result.table.columns,
+                    ordered_digest(result.table.rows, result.table.provenance),
+                    {group: matched.sets for group, matched in result.value_matching.items()},
+                    counters,
+                ))
+        assert observed["wrapped"] == observed["bare"]
+        if store == "on":
+            assert observed["bare"][0][3]["store_published_rows"] > 0
+
+    def test_the_chaos_embedder_opens_its_breaker_on_its_first_call(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS_EMBED_FAILURES", "all")
+        chaos = EMBEDDERS.create("chaos")
+        with pytest.raises(EmbedderUnavailable):
+            chaos.embed_many(VALUES)
+        assert chaos.state() == "open"
+        assert chaos.injector.statistics()["embed_many"] == {"calls": 1, "injected": 1}
+        stats = chaos.resilience_stats()
+        assert (stats["retries"], stats["failures"], stats["breaker_opens"]) == (0, 1, 1)
+
 
 class TestEnginePolicy:
-    """Retry and breaker settings are the engine's, like its breaker state."""
+    """Retry and breaker settings belong to the wrapper the engine is given,
+    like its breaker state; no request overrides them."""
 
     @pytest.mark.parametrize(
         "knob, value",
@@ -260,12 +314,12 @@ class TestEnginePolicy:
 
     def test_the_engine_policy_serves_every_request(self):
         injector = FaultInjector().script("embed_many", fail_all=True)
-        engine = IntegrationEngine(FuzzyFDConfig(
-            embedder=FaultyEmbedder(MistralEmbedder(), injector),
+        engine = IntegrationEngine(FuzzyFDConfig(embedder=ResilientEmbedder(
+            FaultyEmbedder(MistralEmbedder(), injector),
             retry_max_attempts=2,
             retry_backoff_ms=0.01,
             breaker_failure_threshold=99,
-        ))
+        )))
         for values in (VALUES, ["Lisbon", "Porto"]):
             tables = [Table("a", ["City"], [(value,) for value in values]), Table("b", ["City"], [(values[0] + "n",)])]
             with pytest.raises(TransientFault):

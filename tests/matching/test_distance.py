@@ -40,6 +40,27 @@ class TestCosineDistanceMatrix:
         with pytest.raises(ValueError):
             cosine_distance_matrix(np.zeros(3), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_result_is_bit_equal_to_the_clipped_difference(self, dtype):
+        rng = np.random.default_rng(7)
+        left = rng.standard_normal((40, 32)).astype(dtype)
+        left /= np.linalg.norm(left, axis=1, keepdims=True)
+        right = rng.standard_normal((30, 32)).astype(dtype)
+        right /= np.linalg.norm(right, axis=1, keepdims=True)
+        # Rows equal to, and opposite to, rows of the other side, so some
+        # similarities round to just past 1 or -1 and the clip engages.
+        right[:10] = left[:10]
+        right[10:20] = -left[10:20]
+        scaled = left[:5] * dtype(1.0000001)
+        left = np.vstack([left, scaled])
+        similarities = left @ right.T
+        assert (similarities > 1.0).any() and (similarities < -1.0).any()
+        expected = np.clip(1.0 - left @ right.T, 0.0, 1.0)
+        actual = cosine_distance_matrix(left, right)
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
+        assert actual.min() == 0.0 and actual.max() == 1.0
+
 
 class TestLexicalDistances:
     def test_levenshtein_identity(self):

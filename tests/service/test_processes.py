@@ -228,7 +228,6 @@ def test_a_value_published_by_one_process_is_served_by_the_other(tmp_path, pool)
 def test_an_open_breaker_in_one_process_makes_every_process_report_degraded(tmp_path, pool):
     server = Server(
         tmp_path, "--processes", "2", "--embedder", "chaos", "--degraded-mode", "surface",
-        "--breaker-failure-threshold", "1", "--retry-max-attempts", "1", "--retry-backoff-ms", "1",
         env={"REPRO_CHAOS_EMBED_FAILURES": "all"},
     )
     try:

@@ -317,7 +317,6 @@ class TestNonFiniteEmbeddings:
             embedder=PoisonedEmbedder(),
             store_dir=str(store_dir),
             store_mode="readwrite",
-            retry_backoff_ms=0.0,
             **knobs,
         )
         engine = IntegrationEngine(config)
@@ -333,7 +332,7 @@ class TestNonFiniteEmbeddings:
 
         # Healed, the same engine serves the request; the all-zero row is at
         # distance 1 from everything, so "Toronto" only ever matches itself.
-        engine.embedder.inner.healed = True
+        engine.embedder.healed = True
         result = engine.integrate(tables)
         assert result.timings.get("store_published_rows", 0) > 0
         rewritten = {

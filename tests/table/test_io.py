@@ -1,11 +1,11 @@
-"""Tests for CSV / JSON table I/O."""
+"""Tests for CSV table I/O."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.table import NULL, Table, is_null, read_csv, write_csv
-from repro.table.io import load_directory, read_json_records, write_json_records
+from repro.table.io import load_directory
 
 
 @pytest.fixture()
@@ -50,20 +50,6 @@ class TestCsvRoundTrip:
         path = write_csv(table, tmp_path / "covid.tsv", delimiter="\t")
         loaded = read_csv(path, delimiter="\t")
         assert loaded.num_rows == 2
-
-
-class TestJsonRoundTrip:
-    def test_round_trip(self, table, tmp_path):
-        path = write_json_records(table, tmp_path / "covid.json")
-        loaded = read_json_records(path)
-        assert loaded.num_rows == table.num_rows
-        assert is_null(loaded.cell(0, "Rate"))
-
-    def test_rejects_non_list_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"a": 1}')
-        with pytest.raises(ValueError):
-            read_json_records(path)
 
 
 class TestDirectoryLoading:

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.utils.text import (
     character_ngrams,
-    damerau_levenshtein,
-    is_abbreviation_of,
     jaccard_similarity,
     levenshtein,
     normalize_value,
@@ -91,17 +89,6 @@ class TestLevenshtein:
         assert levenshtein(text, text) == 0
 
 
-class TestDamerauLevenshtein:
-    def test_transposition_counts_once(self):
-        assert damerau_levenshtein("berlin", "eberlin"[1:] + "") >= 0
-        assert damerau_levenshtein("abcd", "abdc") == 1
-        assert levenshtein("abcd", "abdc") == 2
-
-    @given(st.text(max_size=10), st.text(max_size=10))
-    def test_never_exceeds_levenshtein(self, left, right):
-        assert damerau_levenshtein(left, right) <= levenshtein(left, right)
-
-
 class TestSimilarities:
     def test_jaccard_identical(self):
         assert jaccard_similarity(["a", "b"], ["b", "a"]) == 1.0
@@ -118,28 +105,3 @@ class TestSimilarities:
     @given(st.text(max_size=12), st.text(max_size=12))
     def test_edit_similarity_bounds(self, left, right):
         assert 0.0 <= normalized_edit_similarity(left, right) <= 1.0
-
-
-class TestAbbreviation:
-    @pytest.mark.parametrize(
-        "short, long",
-        [
-            ("US", "United States"),
-            ("Corp", "Corporation"),
-            ("Blvd", "Boulevard"),
-            ("WHO", "World Health Organization"),
-        ],
-    )
-    def test_positive_cases(self, short, long):
-        assert is_abbreviation_of(short, long)
-
-    @pytest.mark.parametrize(
-        "short, long",
-        [
-            ("Paris", "London"),
-            ("Germany", "DE"),  # short must be the abbreviation
-            ("", "Anything"),
-        ],
-    )
-    def test_negative_cases(self, short, long):
-        assert not is_abbreviation_of(short, long)
