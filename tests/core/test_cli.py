@@ -82,6 +82,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", flag, "4"])
 
+    @pytest.mark.parametrize("command", ["integrate", "serve"])
+    @pytest.mark.parametrize(
+        "flag", ["--retry-max-attempts", "--retry-backoff-ms", "--breaker-failure-threshold", "--breaker-reset-ms"]
+    )
+    def test_the_resilience_flags_are_gone(self, command, flag, capsys):
+        # Retry and breaker settings belong to a wrapper the caller builds; the
+        # engine never wraps, so no command takes them.
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        assert flag not in capsys.readouterr().out
+        positional = ["x.csv"] if command == "integrate" else []
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, *positional, flag, "3"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_rejects_zero_processes_before_booting(self, capsys):
         with pytest.raises(SystemExit, match="--processes must be >= 1"):
             main(["serve", "--processes", "0"])

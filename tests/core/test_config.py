@@ -89,6 +89,18 @@ class TestEagerValidation:
         with pytest.raises(ValueError, match=message):
             FuzzyFDConfig().replace(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["retry_max_attempts", "retry_backoff_ms", "breaker_failure_threshold", "breaker_reset_ms"]
+    )
+    def test_a_removed_resilience_field_is_refused(self, field):
+        # The policy lives on a ResilientEmbedder the caller passes as
+        # ``embedder``; a config file that still names a field is refused by name.
+        assert field not in {f.name for f in dataclasses.fields(FuzzyFDConfig)}
+        with pytest.raises(TypeError, match=field):
+            FuzzyFDConfig(**{field: 1})
+        with pytest.raises(ValueError, match=rf"unknown configuration keys \['{field}'\]"):
+            FuzzyFDConfig.from_json(json.dumps({field: 1}))
+
     def test_numbers_of_the_narrower_kind_and_optional_nones_are_kept(self):
         config = FuzzyFDConfig(threshold=1, service_deadline_ms=250, blocking_key_cap=None, exact_first=False)
         assert (config.threshold, config.service_deadline_ms, config.blocking_key_cap, config.exact_first) == (1, 250, None, False)

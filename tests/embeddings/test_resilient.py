@@ -14,6 +14,8 @@ from repro.embeddings.resilient import (
     EmbedderUnavailable,
     ResilientEmbedder,
 )
+from repro.obs import BREAKER_COUNTERS
+from repro.service import IntegrationService
 from repro.table import Table
 from repro.testing import FaultInjector, FaultyEmbedder, TransientFault
 
@@ -289,6 +291,39 @@ class TestEngineIntegration:
         assert chaos.injector.statistics()["embed_many"] == {"calls": 1, "injected": 1}
         stats = chaos.resilience_stats()
         assert (stats["retries"], stats["failures"], stats["breaker_opens"]) == (0, 1, 1)
+
+
+    def test_the_chaos_embedder_without_a_schedule_embeds_like_its_inner(self, monkeypatch):
+        for variable in ("REPRO_CHAOS_INNER", "REPRO_CHAOS_EMBED_FAILURES", "REPRO_CHAOS_EMBED_LATENCY_MS"):
+            monkeypatch.delenv(variable, raising=False)
+        chaos = EMBEDDERS.create("chaos")
+        assert isinstance(chaos, ResilientEmbedder)
+        assert (chaos.retry_max_attempts, chaos.retry_backoff_ms, chaos.breaker_failure_threshold) == (1, 0, 1)
+        np.testing.assert_array_equal(chaos.embed_many(VALUES), MistralEmbedder().embed_many(VALUES))
+        assert chaos.state() == "closed"
+        assert chaos.injector.statistics()["embed_many"] == {"calls": 1, "injected": 0}
+
+    def test_a_bare_engine_serves_with_zero_breaker_counters(self):
+        # No wrapper, no breaker: the trace, /healthz and /stats read every
+        # resilience counter as 0 and the state as closed, as they did when the
+        # engine wrapped a healthy embedder.
+        service = IntegrationService(IntegrationEngine())
+        try:
+            tables = [Table("a", ["City"], [("Berlin",)]), Table("b", ["City"], [("Berlinn",)])]
+            response = service.integrate_sync(tables)
+            assert response.status == "ok"
+            assert {key: response.trace.counters[key] for key in RESILIENCE_COUNTERS} == dict.fromkeys(
+                RESILIENCE_COUNTERS, 0.0
+            )
+            health = service.health()
+            assert health["requests_served"] == 1
+            assert health["breaker"] == {
+                **dict.fromkeys(BREAKER_COUNTERS, 0), "state": "closed", "retry_after_ms": 0.0
+            }
+            stats = service.stats()
+            assert (stats.breaker_state, stats.embedder_retries, stats.breaker_opens) == ("closed", 0, 0)
+        finally:
+            service.close()
 
 
 class TestEnginePolicy:

@@ -34,6 +34,30 @@ def stats():
 
 
 class TestOuterJoins:
+    def test_joins_on_shared_column(self, cities, stats):
+        joined = full_outer_join(cities, stats)
+        assert joined.columns == ("City", "Country", "Cases")
+        by_city = {row["City"]: (row["Country"], row["Cases"]) for row in joined}
+        assert by_city["Berlin"] == ("DE", 10)
+        assert by_city["Boston"] == ("US", 20)
+
+    def test_unmatched_left_is_padded_with_nulls(self, cities, stats):
+        joined = full_outer_join(cities, stats)
+        lyon = next(row for row in joined if row["City"] == "Lyon")
+        assert lyon["Country"] == "FR"
+        assert is_null(lyon["Cases"])
+
+    def test_a_disagreement_on_any_shared_column_blocks_the_join(self):
+        # Join consistency: every shared attribute where both sides are non-null
+        # must agree, and a null on one side agrees with anything.
+        left = Table("l", ["k", "m", "x"], [("a", "p", 1), ("b", NULL, 2)])
+        right = Table("r", ["k", "m", "y"], [("a", "q", 3), ("b", "q", 4)])
+        assert full_outer_join(left, right).rows == [
+            ("a", "p", 1, NULL),
+            ("b", "q", 2, 4),
+            ("a", "q", NULL, 3),
+        ]
+
     def test_full_outer_preserves_both_sides(self, cities, stats):
         joined = full_outer_join(cities, stats)
         assert joined.num_rows == 4
