@@ -152,16 +152,9 @@ class FuzzyFDConfig:
         per-request override it decides publication only: ``"readwrite"``
         publishes the request's new embeddings, ``"read"`` and ``"off"``
         do not.
-    service_max_pending:
-        Admission bound of the in-process
-        :class:`~repro.service.IntegrationService`: requests admitted to wait
-        behind the one running request (queue time lands in the trace).
-        Beyond it, submissions are rejected with a typed
-        ``ServiceOverloaded`` (backpressure); ``0`` rejects whenever a
-        request runs.  A ``repro serve`` process never queues.
     service_deadline_ms:
         Default per-request deadline budget of the service in milliseconds
-        (queue wait included), checked at stage boundaries
+        (measured from submission), checked at stage boundaries
         (align → match → integrate); ``None`` (the default) means no
         deadline unless the request carries its own ``deadline_ms``.
     degraded_mode:
@@ -196,7 +189,6 @@ class FuzzyFDConfig:
     parallel_backend: str = "thread"
     store_dir: Optional[str] = None
     store_mode: str = "off"
-    service_max_pending: int = 32
     service_deadline_ms: Optional[float] = None
     degraded_mode: str = "off"
 
@@ -252,10 +244,6 @@ class FuzzyFDConfig:
         if self.store_mode not in STORE_MODES:
             raise ValueError(
                 f"store_mode must be one of {list(STORE_MODES)}, got {self.store_mode!r}"
-            )
-        if self.service_max_pending < 0:
-            raise ValueError(
-                f"service_max_pending must be >= 0, got {self.service_max_pending}"
             )
         if self.service_deadline_ms is not None and self.service_deadline_ms <= 0:
             raise ValueError(
@@ -399,8 +387,6 @@ PRESETS: Registry[Dict[str, Any]] = Registry(
             # Persistence engages once the caller supplies store_dir; the
             # preset only declares the intent to both attach and publish.
             "store_mode": "readwrite",
-            # A data-lake deployment queues more requests behind the running one.
-            "service_max_pending": 64,
             # A data-lake deployment prefers degraded answers over errors
             # while the embedding backend is down.
             "degraded_mode": "surface",

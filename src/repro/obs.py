@@ -110,10 +110,10 @@ for _counter in COUNTERS:
         SOURCES.setdefault(_kind, {})[_key] = _counter
 
 #: How a request ends: ``submitted == sum(outcomes) + in_flight`` at any instant.
-TERMINAL_OUTCOMES = ("served", "rejected", "deadline_exceeded", "failed", "unavailable")
+TERMINAL_OUTCOMES = ("served", "deadline_exceeded", "failed", "unavailable")
 #: The counters of one server process's scoreboard row, summed into ``/stats``.
 ROW_COUNTERS = (
-    "submitted", *TERMINAL_OUTCOMES, "in_flight", "executing", "degraded_served", "requests_served",
+    "submitted", *TERMINAL_OUTCOMES, "in_flight", "degraded_served", "requests_served",
 )
 #: The embedder breaker's counters (``ResilientEmbedder.describe``) a row carries.
 BREAKER_COUNTERS = (

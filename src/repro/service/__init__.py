@@ -1,14 +1,14 @@
 """The serving layer: a request/response boundary over one warm engine.
 
 ``repro.service`` wraps a single long-lived
-:class:`~repro.core.engine.IntegrationEngine` with admission control for
-in-process callers (bounded pending queue → :class:`ServiceOverloaded`),
-per-request deadlines checked at stage boundaries
-(→ :class:`DeadlineExceeded` with a partial trace), and per-request tracing
-(:class:`RequestTrace` on every response, aggregates via
-:meth:`IntegrationService.stats`).  The stdlib-only blocking HTTP server
-lives in :mod:`repro.service.http`; ``repro serve`` wires it to a config and
-an artifact store so restarts are warm.
+:class:`~repro.core.engine.IntegrationEngine` with per-request deadlines
+checked at stage boundaries (→ :class:`DeadlineExceeded` with a partial
+trace), per-request tracing (:class:`RequestTrace`, aggregates via
+:meth:`IntegrationService.stats`) and atomic accounting; every request runs
+on the calling thread (:meth:`IntegrationService.integrate_sync`).  The
+stdlib-only blocking HTTP server lives in :mod:`repro.service.http`;
+``repro serve`` wires it to a config and an artifact store so restarts are
+warm.
 """
 
 from repro.service.service import LATENCY_WINDOW, IntegrationService
@@ -19,7 +19,6 @@ from repro.service.types import (
     IntegrationResponse,
     RequestTrace,
     ServiceFailure,
-    ServiceOverloaded,
     ServiceResponse,
     ServiceStats,
     StageTracker,
@@ -31,7 +30,6 @@ __all__ = [
     "IntegrationResponse",
     "RequestTrace",
     "ServiceResponse",
-    "ServiceOverloaded",
     "DeadlineExceeded",
     "DeadlineExceededError",
     "EmbedderUnavailableResponse",

@@ -7,10 +7,9 @@ no new dependencies — exposing the three endpoints a deployment needs:
     Body: ``{"tables": [{"name", "columns", "rows"}, ...],
     "deadline_ms": <optional>, "overrides": {<optional REQUEST_OVERRIDES>}}``.
     Replies with the integrated table, the request trace and a ``status``;
-    the HTTP code mirrors the service outcome (200 ok, 503 overloaded,
-    504 deadline exceeded, 503 + ``Retry-After`` when the embedder breaker
-    is open under ``degraded_mode="fail"``, 400 bad request / pipeline
-    error).
+    the HTTP code mirrors the service outcome (200 ok, 504 deadline
+    exceeded, 503 + ``Retry-After`` when the embedder breaker is open under
+    ``degraded_mode="fail"``, 400 bad request / pipeline error).
 ``GET /stats``
     The :meth:`IntegrationService.stats` snapshot as JSON (including the
     embedder breaker state), aggregated over every server process.
@@ -55,7 +54,6 @@ from repro.service.types import (
     DeadlineExceeded,
     EmbedderUnavailableResponse,
     IntegrationResponse,
-    ServiceOverloaded,
     ServiceResponse,
 )
 from repro.table.relation import Relation
@@ -64,7 +62,6 @@ from repro.table.table import Table
 #: Service outcome ``status`` -> HTTP status line.
 STATUS_CODES = {
     "ok": (200, "OK"),
-    "overloaded": (503, "Service Unavailable"),
     "deadline_exceeded": (504, "Gateway Timeout"),
     "unavailable": (503, "Service Unavailable"),
     "error": (400, "Bad Request"),
@@ -165,9 +162,6 @@ def response_to_json(response: ServiceResponse) -> Dict[str, Any]:
     }
     if isinstance(response, IntegrationResponse) and response.result is not None:
         body["table"] = table_to_json(response.result.fd_result.relation)
-    elif isinstance(response, ServiceOverloaded):
-        body["pending"] = response.pending
-        body["max_pending"] = response.max_pending
     elif isinstance(response, DeadlineExceeded):
         body["stage"] = response.stage
         body["deadline_ms"] = response.deadline_ms

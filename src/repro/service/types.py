@@ -1,16 +1,16 @@
 """Typed request/response vocabulary of the integration service.
 
 The serving layer (:class:`~repro.service.IntegrationService`) never raises
-for operational outcomes — overload, deadline overrun and handler failure are
-*responses*, not exceptions, so a caller can pattern-match on ``status``
+for operational outcomes — deadline overrun, an unavailable embedder and
+handler failure are *responses*, not exceptions, so a caller can pattern-match on ``status``
 without wrapping every await in try/except.  The one exception type defined
 here, :class:`DeadlineExceededError`, is internal: the
 :class:`StageTracker` raises it inside the engine's ``on_stage`` hook and
 the service converts it into a :class:`DeadlineExceeded` response before it
 ever reaches a caller.
 
-Every response carries a :class:`RequestTrace` (``None`` only on
-:class:`ServiceOverloaded`, where no work ran).  The trace is assembled from
+A response that ran the pipeline to a result or a deadline carries a
+:class:`RequestTrace`; one that failed carries ``None``.  The trace is assembled from
 data the pipeline already records — stage wall-clock from the
 ``on_stage`` boundaries, the traced counters of :mod:`repro.obs` from the
 result's ``timings`` — so tracing adds no instrumentation to the hot path.
@@ -31,7 +31,7 @@ BREAKER_STATES = ("closed", "half_open", "open")
 
 @dataclass
 class RequestTrace:
-    """Per-request observability record attached to every service response.
+    """Per-request observability record of a service response.
 
     ``stage_seconds`` holds wall-clock per pipeline stage (``align`` /
     ``match`` / ``integrate``) in execution order; on a
@@ -42,6 +42,8 @@ class RequestTrace:
     ``raw_embed_calls`` is the number of values that reached the underlying
     embedding model this request: in-memory cache misses not absorbed by the
     durable store (``cache_misses - cache_store_hits``).
+    ``queue_wait_seconds`` is the time from submission to the pipeline's
+    start: admission only, since a request never waits behind another.
     """
 
     request_id: int
@@ -102,8 +104,8 @@ class StageTracker:
     ``"match"``, ``"integrate"``) and finally with ``"complete"``.  The
     tracker closes the previous stage's timing at every call, and — when a
     deadline was set — raises :class:`DeadlineExceededError` *before* the
-    next stage starts if the budget (measured from request submission, so
-    queue wait counts against it) has run out.  A request whose last stage
+    next stage starts if the budget (measured from request submission) has
+    run out.  A request whose last stage
     overruns still completes: ``"complete"`` only closes timings, because
     abandoning finished work buys nothing.
     """
@@ -148,15 +150,6 @@ class IntegrationResponse(ServiceResponse):
 
 
 @dataclass
-class ServiceOverloaded(ServiceResponse):
-    """Rejected at admission: the pending queue was full (backpressure)."""
-
-    pending: int = 0
-    max_pending: int = 0
-    status: str = "overloaded"
-
-
-@dataclass
 class DeadlineExceeded(ServiceResponse):
     """The deadline expired at a stage boundary; ``trace`` is partial."""
 
@@ -191,12 +184,10 @@ class ServiceStats:
     """Aggregate snapshot returned by :meth:`IntegrationService.stats`.
 
     At any instant ``submitted`` equals the sum of the terminal outcomes
-    (:data:`repro.obs.TERMINAL_OUTCOMES`: ``served``, ``rejected``,
-    ``deadline_exceeded``, ``failed``, ``unavailable``) plus ``in_flight`` —
-    the terminal counters and the in-flight gauge are updated under one lock
-    so no request is ever counted twice or dropped.
-    ``queued`` is ``in_flight - executing``: admitted requests waiting
-    behind the running one.  Under ``repro serve --processes N`` every field
+    (:data:`repro.obs.TERMINAL_OUTCOMES`: ``served``, ``deadline_exceeded``,
+    ``failed``, ``unavailable``) plus ``in_flight`` — the terminal counters
+    and the in-flight gauge are updated under one lock so no request is ever
+    counted twice or dropped.  Under ``repro serve --processes N`` every field
     is aggregated over the N server processes (:meth:`aggregate`): counters
     are sums, latency quantiles are taken over the union of the processes'
     windows, and ``breaker_state`` is the worst state of the live processes.
@@ -204,13 +195,10 @@ class ServiceStats:
 
     submitted: int = 0
     served: int = 0
-    rejected: int = 0
     deadline_exceeded: int = 0
     failed: int = 0
     unavailable: int = 0
     in_flight: int = 0
-    executing: int = 0
-    queued: int = 0
     latency_p50_seconds: float = 0.0
     latency_p99_seconds: float = 0.0
     #: Successful responses whose trace was marked degraded (subset of
@@ -240,7 +228,6 @@ class ServiceStats:
         breaker = aggregate_breaker(rows)
         return cls(
             **totals,
-            queued=totals["in_flight"] - totals["executing"],
             latency_p50_seconds=quantile(samples, 0.50),
             latency_p99_seconds=quantile(samples, 0.99),
             breaker_state=breaker["state"],

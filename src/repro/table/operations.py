@@ -1,11 +1,11 @@
 """Relational operations over :class:`~repro.table.table.Table`.
 
-These implement the algebra the Full Disjunction oracles are built from:
-projection, the natural full outer join (hash based) and the outer union
-(schema union with labelled or plain nulls for missing attributes).  The join
-is *natural*: tuples combine when they agree on every shared attribute on
-which both are non-null, and share at least one non-null attribute (the
-standard join-consistency condition used in the FD literature).
+These implement the algebra the Full Disjunction oracles are built from: the
+natural full outer join (hash based) and the outer union (schema union with
+labelled or plain nulls for missing attributes).  The join is *natural*:
+tuples combine when they agree on every shared attribute on which both are
+non-null, and share at least one non-null attribute (the standard
+join-consistency condition used in the FD literature).
 """
 
 from __future__ import annotations
@@ -15,16 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.table.nulls import NULL, fresh_labeled_null, is_null
 from repro.table.schema import Schema
 from repro.table.table import CellValue, Provenance, RowValues, Table
-
-# ---------------------------------------------------------------------------------
-# simple unary operations (a thin wrapper so callers can use a functional style)
-# ---------------------------------------------------------------------------------
-
-
-def project(table: Table, columns: Sequence[str]) -> Table:
-    """Project ``table`` onto ``columns``."""
-    return table.project(columns)
-
 
 # ---------------------------------------------------------------------------------
 # join machinery

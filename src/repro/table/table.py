@@ -148,42 +148,6 @@ class Table:
         return values
 
     @classmethod
-    def from_dicts(
-        cls,
-        name: str,
-        records: Sequence[Mapping[str, CellValue]],
-        columns: Optional[Sequence[str]] = None,
-    ) -> "Table":
-        """Build a table from a list of dictionaries.
-
-        When ``columns`` is omitted the schema is the union of keys in first-seen
-        order.
-        """
-        if columns is None:
-            ordered: List[str] = []
-            seen = set()
-            for record in records:
-                for key in record:
-                    if key not in seen:
-                        ordered.append(key)
-                        seen.add(key)
-            columns = ordered
-        return cls(name, columns, records)
-
-    @classmethod
-    def from_columns(
-        cls, name: str, column_data: Mapping[str, Sequence[CellValue]]
-    ) -> "Table":
-        """Build a table from a ``column -> values`` mapping (columns same length)."""
-        lengths = {len(values) for values in column_data.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"columns have unequal lengths: { {k: len(v) for k, v in column_data.items()} }")
-        length = lengths.pop() if lengths else 0
-        names = list(column_data)
-        rows = [tuple(column_data[column][i] for column in names) for i in range(length)]
-        return cls(name, names, rows)
-
-    @classmethod
     def empty(cls, name: str, columns: Sequence[str]) -> "Table":
         """An empty table with the given schema."""
         return cls(name, columns, [])
@@ -268,10 +232,6 @@ class Table:
         return nulls / len(self._rows)
 
     # -- transformation (all return new tables) -------------------------------------
-    def with_name(self, name: str) -> "Table":
-        """Return a copy of the table under a different name."""
-        return Table(name, self.schema, self._rows, provenance=self._provenance)
-
     def with_default_provenance(self, prefix: Optional[str] = None) -> "Table":
         """Attach singleton provenance ``{prefix:index}`` to every row.
 
@@ -282,21 +242,6 @@ class Table:
         provenance = [frozenset({f"{prefix}:{index}"}) for index in range(len(self._rows))]
         return Table(self.name, self.schema, self._rows, provenance=provenance)
 
-    def add_column(self, column: str, values: Sequence[CellValue]) -> "Table":
-        """Return a table with one extra column appended."""
-        if len(values) != len(self._rows):
-            raise ValueError(
-                f"column length {len(values)} does not match row count {len(self._rows)}"
-            )
-        schema = Schema(list(self.schema.columns) + [column])
-        rows = [tuple(row) + (values[index],) for index, row in enumerate(self._rows)]
-        return Table(self.name, schema, rows, provenance=self._provenance)
-
-    def drop_columns(self, columns: Sequence[str]) -> "Table":
-        """Return a table without the given columns."""
-        keep = [column for column in self.schema if column not in set(columns)]
-        return self.project(keep)
-
     def project(self, columns: Sequence[str]) -> "Table":
         """Return a table restricted to ``columns`` (keeps duplicates and order)."""
         positions = self.schema.positions(columns)
@@ -306,18 +251,6 @@ class Table:
     def rename(self, mapping: Dict[str, str]) -> "Table":
         """Return a table with columns renamed according to ``mapping``."""
         return Table(self.name, self.schema.renamed(mapping), self._rows, provenance=self._provenance)
-
-    def filter_rows(self, predicate: Callable[[Row], bool]) -> "Table":
-        """Return a table keeping only rows for which ``predicate`` is true."""
-        kept_rows: List[RowValues] = []
-        kept_prov: List[Provenance] = []
-        for index, values in enumerate(self._rows):
-            if predicate(Row(self.schema, values)):
-                kept_rows.append(values)
-                if self._provenance is not None:
-                    kept_prov.append(self._provenance[index])
-        provenance = kept_prov if self._provenance is not None else None
-        return Table(self.name, self.schema, kept_rows, provenance=provenance)
 
     def map_column(self, column: str, func: Callable[[CellValue], CellValue]) -> "Table":
         """Return a table with ``func`` applied to every non-null value of ``column``."""
@@ -343,51 +276,6 @@ class Table:
         """Return the first ``count`` rows as a new table."""
         provenance = self._provenance[:count] if self._provenance is not None else None
         return Table(self.name, self.schema, self._rows[:count], provenance=provenance)
-
-    def sample_rows(self, count: int, seed: int = 0) -> "Table":
-        """Return a deterministic sample of ``count`` rows (without replacement)."""
-        import random
-
-        if count >= len(self._rows):
-            return self
-        rng = random.Random(seed)
-        indexes = sorted(rng.sample(range(len(self._rows)), count))
-        rows = [self._rows[index] for index in indexes]
-        provenance = (
-            [self._provenance[index] for index in indexes] if self._provenance is not None else None
-        )
-        return Table(self.name, self.schema, rows, provenance=provenance)
-
-    def sorted_rows(self) -> "Table":
-        """Return a table with rows sorted deterministically (nulls first)."""
-        def key(values: RowValues) -> Tuple[str, ...]:
-            return tuple("" if is_null(value) else f"~{value!s}" for value in values)
-
-        order = sorted(range(len(self._rows)), key=lambda index: key(self._rows[index]))
-        rows = [self._rows[index] for index in order]
-        provenance = (
-            [self._provenance[index] for index in order] if self._provenance is not None else None
-        )
-        return Table(self.name, self.schema, rows, provenance=provenance)
-
-    def distinct_rows(self) -> "Table":
-        """Return a table with duplicate rows removed (first occurrence kept)."""
-        seen = set()
-        rows: List[RowValues] = []
-        provenance: List[Provenance] = []
-        for index, values in enumerate(self._rows):
-            if values in seen:
-                continue
-            seen.add(values)
-            rows.append(values)
-            if self._provenance is not None:
-                provenance.append(self._provenance[index])
-        return Table(
-            self.name,
-            self.schema,
-            rows,
-            provenance=provenance if self._provenance is not None else None,
-        )
 
     # -- export ----------------------------------------------------------------------
     def rows_as_set(self) -> frozenset:

@@ -90,11 +90,13 @@ class TestEagerValidation:
             FuzzyFDConfig().replace(**{field: value})
 
     @pytest.mark.parametrize(
-        "field", ["retry_max_attempts", "retry_backoff_ms", "breaker_failure_threshold", "breaker_reset_ms"]
+        "field",
+        ["retry_max_attempts", "retry_backoff_ms", "breaker_failure_threshold", "breaker_reset_ms", "service_max_pending"],
     )
     def test_a_removed_resilience_field_is_refused(self, field):
-        # The policy lives on a ResilientEmbedder the caller passes as
-        # ``embedder``; a config file that still names a field is refused by name.
+        # The retry policy lives on a ResilientEmbedder the caller passes as
+        # ``embedder``, and the service has no queue to bound; a config file
+        # that still names a field is refused by name.
         assert field not in {f.name for f in dataclasses.fields(FuzzyFDConfig)}
         with pytest.raises(TypeError, match=field):
             FuzzyFDConfig(**{field: 1})

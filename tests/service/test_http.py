@@ -81,22 +81,6 @@ class TestEndpoints:
         assert status == 400
         assert "deadline_ms" in body["error"]
 
-    def test_overloaded_maps_to_503(self, served):
-        server, service = served
-        # Take the in-flight gauge to the admission limit directly: a server
-        # process serves one connection at a time, so traffic never gets there.
-        service.max_pending = 0
-        with service._lock:
-            service._counts["in_flight"] = 1 + service.max_pending
-        try:
-            status, _, body = server.request("POST", "/integrate", INTEGRATE_BODY)
-        finally:
-            with service._lock:
-                service._counts["in_flight"] = 0
-        assert status == 503
-        assert body["status"] == "overloaded"
-        assert body["max_pending"] == 0
-
 
 def _post_raw(body: bytes, content_length: int | None = None) -> bytes:
     length = len(body) if content_length is None else content_length

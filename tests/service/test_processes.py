@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import IntegrationEngine
 from repro.datasets import AliteEmBenchmark, AutoJoinBenchmark
+from repro.obs import TERMINAL_OUTCOMES
 from repro.service.http import table_to_json
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="pre-forking needs os.fork")
@@ -192,11 +193,9 @@ class TestTwoProcesses:
         _closed_loop(two, pool, rounds=2)
         stats = two.stats()
         assert stats["submitted"] == stats["served"] == two.sent
-        assert stats["in_flight"] == stats["executing"] == stats["queued"] == 0
-        assert stats["submitted"] == (
-            stats["served"] + stats["rejected"] + stats["deadline_exceeded"]
-            + stats["failed"] + stats["in_flight"]
-        )
+        assert stats["in_flight"] == 0
+        outcomes = sum(stats[outcome] for outcome in TERMINAL_OUTCOMES)
+        assert stats["submitted"] == outcomes + stats["in_flight"]
         assert sum(entry["served"] for entry in stats["per_process"]) == stats["served"]
         assert stats["latency_p99_seconds"] >= stats["latency_p50_seconds"] > 0.0
 

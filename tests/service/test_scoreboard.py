@@ -6,9 +6,9 @@ writer) and the aggregate ``/stats`` / ``/healthz`` views.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import sys
+import threading
 
 import pytest
 
@@ -88,11 +88,11 @@ class TestScoreboard:
 class TestAggregation:
     def test_counters_sum_and_quantiles_span_every_process(self):
         rows = [
-            dict(_row(served=2, submitted=3, in_flight=1, executing=1), pid=1, alive=True, latencies=[0.1, 0.2]),
+            dict(_row(served=2, submitted=3, in_flight=1), pid=1, alive=True, latencies=[0.1, 0.2]),
             dict(_row(served=4, submitted=4), pid=2, alive=False, latencies=[0.3, 0.4, 0.5]),
         ]
         stats = ServiceStats.aggregate(rows)
-        assert (stats.submitted, stats.served, stats.in_flight, stats.queued) == (7, 6, 1, 0)
+        assert (stats.submitted, stats.served, stats.in_flight) == (7, 6, 1)
         assert (stats.processes, stats.processes_alive) == (2, 1)
         assert stats.latency_p50_seconds == 0.3
         assert [entry["served"] for entry in stats.per_process] == [2, 4]
@@ -123,29 +123,36 @@ class TestAggregation:
         service.close()
 
     def test_concurrent_requests_lose_no_update_in_the_shared_row(self):
-        # The loop thread and the service thread write one row, switching as
-        # often as the interpreter allows.
+        # A serving thread and a stats-reading thread both write the one row
+        # (a read publishes the breaker), switching as often as the
+        # interpreter allows.
         board = Scoreboard(1)
-        service = IntegrationService("fast", max_pending=64)
+        service = IntegrationService("fast")
         service.share(board, 0)
         tables = [
             Table("a", ["k", "x"], [("berlin", "1"), ("paris", "2")]),
             Table("b", ["k", "y"], [("berlinn", "3")]),
         ]
+        done = threading.Event()
 
-        async def burst():
-            return await asyncio.gather(*(service.integrate(tables) for _ in range(48)))
+        def read_stats():
+            while not done.is_set():
+                service.stats()
 
+        reader = threading.Thread(target=read_stats)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        reader.start()
         try:
-            responses = asyncio.run(asyncio.wait_for(burst(), timeout=60))
+            responses = [service.integrate_sync(tables) for _ in range(48)]
         finally:
+            done.set()
+            reader.join(timeout=60)
             sys.setswitchinterval(interval)
             service.close()
         assert all(response.status == "ok" for response in responses)
         [row] = board.rows()
-        assert (row["submitted"], row["served"], row["in_flight"], row["executing"]) == (48, 48, 0, 0)
+        assert (row["submitted"], row["served"], row["in_flight"]) == (48, 48, 0)
         assert len(row["latencies"]) == 48
 
     def test_a_shared_service_writes_its_row(self):

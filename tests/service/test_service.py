@@ -1,9 +1,9 @@
-"""IntegrationService behaviour: equivalence, admission, deadlines, tracing.
+"""IntegrationService behaviour: equivalence, deadlines, tracing, accounting.
 
-No pytest-asyncio here on purpose: every test drives the service with a
-fresh ``asyncio.run``, which doubles as a regression test that the service
-holds no loop-bound state (a second event loop must work as well as the
-first).
+No pytest-asyncio here on purpose: the tests that await the service drive it
+with a fresh ``asyncio.run``, which doubles as a regression test that the
+service holds no loop-bound state (a second event loop must work as well as
+the first).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.service import (
     IntegrationResponse,
     IntegrationService,
     ServiceFailure,
-    ServiceOverloaded,
 )
 from repro.service.http import table_to_json
 from repro.table import Table
@@ -50,20 +49,6 @@ class SlowEmbedder(MistralEmbedder):
 
     def _embed_texts(self, texts):
         time.sleep(self.delay_seconds * len(texts))
-        return super()._embed_texts(texts)
-
-
-class GatedEmbedder(MistralEmbedder):
-    """Embedder that blocks on an event — holds a request mid-flight on demand."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.started = threading.Event()
-        self.release = threading.Event()
-
-    def _embed_texts(self, texts):
-        self.started.set()
-        self.release.wait(timeout=30)
         return super()._embed_texts(texts)
 
 
@@ -103,6 +88,21 @@ class TestServiceEquivalence:
         assert isinstance(response, IntegrationResponse)
         assert response.status == "ok"
         assert _serialise(response.result.table) == _serialise(direct.table)
+
+    def test_async_entry_is_the_sync_path(self):
+        """``integrate`` awaits nothing: the same table and counters as
+        ``integrate_sync``, on the caller's thread, with no thread started."""
+        served = IntegrationService(FuzzyFDConfig())
+        awaited = IntegrationService(FuzzyFDConfig())
+        threads = threading.active_count()
+        for _ in range(3):
+            direct = served.integrate_sync(_tables())
+            response = asyncio.run(awaited.integrate(_tables()))
+            assert threading.active_count() == threads
+            assert isinstance(response, IntegrationResponse)
+            assert _serialise(response.result.table) == _serialise(direct.result.table)
+            assert response.trace.counters == direct.trace.counters
+        assert awaited.stats().served == served.stats().served == 3
 
     def test_request_overrides_reach_the_engine(self, covid_tables):
         engine = IntegrationEngine()
@@ -240,139 +240,6 @@ class TestDeadline:
         assert asyncio.run(serve()).status == "deadline_exceeded"
 
 
-class TestAdmissionControl:
-    def test_saturation_rejects_fast_and_counters_reconcile(self):
-        embedder = GatedEmbedder()
-        config = FuzzyFDConfig(embedder=embedder)
-
-        async def scenario():
-            service = IntegrationService(config, max_pending=1)
-            in_flight = [
-                asyncio.ensure_future(service.integrate(_tables())) for _ in range(2)
-            ]
-            # Let both coroutines through admission (their admission check is
-            # synchronous, before their first await).
-            await asyncio.sleep(0)
-            saturated = service.stats()
-            started = time.perf_counter()
-            rejected = await service.integrate(_tables())
-            rejection_seconds = time.perf_counter() - started
-            embedder.release.set()
-            served = await asyncio.gather(*in_flight)
-            return service, saturated, rejected, rejection_seconds, served
-
-        service, saturated, rejected, rejection_seconds, served = asyncio.run(scenario())
-        assert saturated.in_flight == 2  # 1 executing + 1 pending == capacity
-        assert isinstance(rejected, ServiceOverloaded)
-        assert rejected.max_pending == 1
-        assert rejection_seconds < 0.050  # the acceptance criterion
-        assert all(response.status == "ok" for response in served)
-
-        stats = service.stats()
-        assert stats.submitted == 3
-        outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
-        assert outcomes + stats.in_flight == stats.submitted
-        assert stats.served == 2 and stats.rejected == 1 and stats.in_flight == 0
-
-    def test_zero_pending_rejects_whenever_the_slot_is_busy(self):
-        embedder = GatedEmbedder()
-        config = FuzzyFDConfig(embedder=embedder)
-
-        async def scenario():
-            service = IntegrationService(config, max_pending=0)
-            first = asyncio.ensure_future(service.integrate(_tables()))
-            await asyncio.sleep(0)
-            rejected = await service.integrate(_tables())
-            embedder.release.set()
-            return rejected, await first
-
-        rejected, served = asyncio.run(scenario())
-        assert rejected.status == "overloaded"
-        assert served.status == "ok"
-
-    def test_queue_wait_lands_in_the_trace(self):
-        embedder = GatedEmbedder()
-        config = FuzzyFDConfig(embedder=embedder)
-
-        async def scenario():
-            service = IntegrationService(config, max_pending=4)
-            first = asyncio.ensure_future(service.integrate(_tables()))
-            await asyncio.sleep(0)
-
-            def _release_when_started():
-                embedder.started.wait(timeout=30)
-                time.sleep(0.05)
-                embedder.release.set()
-
-            threading.Thread(target=_release_when_started, daemon=True).start()
-            second = asyncio.ensure_future(service.integrate(_tables()))
-            return await asyncio.gather(first, second)
-
-        first, second = asyncio.run(scenario())
-        assert first.status == "ok" and second.status == "ok"
-        # The second request waited for the first's slot; the wait is charged
-        # to its trace, not hidden.
-        assert second.trace.queue_wait_seconds > 0.0
-
-
-class ThreadRecordingEmbedder(MistralEmbedder):
-    """Embedder that records the thread of every raw embed call."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.threads = []
-
-    def _embed_texts(self, texts):
-        self.threads.append(threading.current_thread())
-        return super()._embed_texts(texts)
-
-
-def _distinct_tables(index):
-    return [
-        Table(f"A{index}", ["City", "Rank"], [(f"town{index}a", "1"), (f"town{index}b", "2")]),
-        Table(f"B{index}", ["City", "Size"], [(f"town{index}aa", "9"), (f"town{index}bb", "8")]),
-    ]
-
-
-class TestServiceThread:
-    def test_async_requests_run_on_one_service_thread(self):
-        embedder = ThreadRecordingEmbedder()
-
-        async def serve():
-            service = IntegrationService(FuzzyFDConfig(embedder=embedder), max_pending=8)
-            responses = await asyncio.gather(*(service.integrate(_distinct_tables(index)) for index in range(4)))
-            service.close()
-            return responses
-
-        responses = asyncio.run(serve())
-        assert all(isinstance(response, IntegrationResponse) for response in responses)
-        # Each request embedded its own values, all on the one thread.
-        assert len(embedder.threads) >= 4
-        assert len(set(embedder.threads)) == 1
-        assert embedder.threads[0] is not threading.main_thread()
-        assert not embedder.threads[0].is_alive()  # close() stopped it
-
-    def test_sync_requests_never_start_the_service_thread(self):
-        embedder = ThreadRecordingEmbedder()
-        service = IntegrationService(FuzzyFDConfig(embedder=embedder))
-        for index in range(2):
-            assert isinstance(service.integrate_sync(_distinct_tables(index)), IntegrationResponse)
-        assert set(embedder.threads) == {threading.current_thread()}
-        assert service._executor is None
-        service.close()
-
-    def test_the_service_thread_outlives_each_event_loop(self):
-        embedder = ThreadRecordingEmbedder()
-        service = IntegrationService(FuzzyFDConfig(embedder=embedder))
-        for index in range(3):
-            response = asyncio.run(service.integrate(_distinct_tables(index)))
-            assert isinstance(response, IntegrationResponse)
-        assert len(set(embedder.threads)) == 1 and embedder.threads[0].is_alive()
-        service.close()
-        assert not embedder.threads[0].is_alive()
-        assert service.stats().served == 3
-
-
 class TestFailuresAndLifecycle:
     def test_pipeline_error_becomes_a_service_failure(self, covid_tables):
         async def serve():
@@ -390,14 +257,18 @@ class TestFailuresAndLifecycle:
             service = IntegrationService()
             await service.integrate(covid_tables)
             service.close()
-            return await service.integrate(covid_tables)
+            return service, await service.integrate(covid_tables)
 
-        response = asyncio.run(serve())
+        service, response = asyncio.run(serve())
         assert response.status == "error"
         assert "closed" in response.error
+        stats = service.stats()
+        outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
+        assert outcomes + stats.in_flight == stats.submitted == 2
+        assert (stats.served, stats.failed, stats.in_flight) == (1, 1, 0)
 
     def test_invalid_knobs_fail_fast(self):
-        with pytest.raises(ValueError, match="max_pending"):
-            IntegrationService(max_pending=-1)
+        with pytest.raises(TypeError, match="max_pending"):
+            IntegrationService(IntegrationEngine(), max_pending=1)
         with pytest.raises(ValueError, match="deadline_ms"):
             IntegrationService(deadline_ms=0.0)

@@ -55,6 +55,6 @@ class TestCsvRoundTrip:
 class TestDirectoryLoading:
     def test_loads_all_csvs_sorted(self, table, tmp_path):
         write_csv(table, tmp_path / "b.csv")
-        write_csv(table.with_name("other"), tmp_path / "a.csv")
+        write_csv(Table("other", table.columns, table.rows), tmp_path / "a.csv")
         tables = load_directory(tmp_path)
         assert [t.name for t in tables] == ["a", "b"]
