@@ -17,9 +17,11 @@ import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.embeddings import MistralEmbedder
+from repro.embeddings.resilient import EmbedderUnavailable
 from repro.obs import TERMINAL_OUTCOMES
 from repro.service import (
     DeadlineExceeded,
+    EmbedderUnavailableResponse,
     IntegrationResponse,
     IntegrationService,
     ServiceFailure,
@@ -49,6 +51,20 @@ class SlowEmbedder(MistralEmbedder):
 
     def _embed_texts(self, texts):
         time.sleep(self.delay_seconds * len(texts))
+        return super()._embed_texts(texts)
+
+
+class GatedEmbedder(MistralEmbedder):
+    """Embedder that blocks on an event — holds a request mid-flight on demand."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def _embed_texts(self, texts):
+        self.started.set()
+        self.release.wait(timeout=30)
         return super()._embed_texts(texts)
 
 
@@ -240,6 +256,109 @@ class TestDeadline:
         assert asyncio.run(serve()).status == "deadline_exceeded"
 
 
+class TestAdmission:
+    def test_queue_wait_is_admission_only(self):
+        """No request waits behind another: the wait ends before the first
+        stage starts and is a small part of the request's own time."""
+        service = IntegrationService(FuzzyFDConfig(embedder=SlowEmbedder(delay_seconds=0.01)))
+        trace = service.integrate_sync(_tables()).trace
+        assert 0.0 <= trace.queue_wait_seconds < trace.stage_seconds["match"]
+        assert trace.queue_wait_seconds + sum(trace.stage_seconds.values()) <= trace.total_seconds
+        assert trace.to_dict()["queue_wait_seconds"] == trace.queue_wait_seconds
+
+    def test_request_ids_increase_over_admitted_and_refused_requests(self):
+        service = IntegrationService()
+        ids = [service.integrate_sync(_tables()).request_id for _ in range(2)]
+        service.close()
+        ids.append(service.integrate_sync(_tables()).request_id)
+        assert ids == [1, 2, 3]
+
+    def test_a_closed_service_refuses_before_any_work(self):
+        embedder = CountingEmbedder()
+        service = IntegrationService(FuzzyFDConfig(embedder=embedder))
+        service.close()
+        response = service.integrate_sync(_tables())
+        assert isinstance(response, ServiceFailure) and response.trace is None
+        assert embedder.raw_embeds == 0
+        assert service.engine.requests_served == 0
+        assert service.health()["requests_served"] == 0
+
+    def test_a_running_request_finishes_after_close(self):
+        embedder = GatedEmbedder()
+        service = IntegrationService(FuzzyFDConfig(embedder=embedder))
+        responses = []
+        worker = threading.Thread(target=lambda: responses.append(service.integrate_sync(_tables())))
+        worker.start()
+        try:
+            assert embedder.started.wait(timeout=30)
+            running = service.stats()
+            service.close()
+        finally:
+            embedder.release.set()
+            worker.join(timeout=30)
+        assert (running.submitted, running.in_flight) == (1, 1)
+        assert [response.status for response in responses] == ["ok"]
+        assert service.integrate_sync(_tables()).status == "error"
+        stats = service.stats()
+        assert (stats.served, stats.failed, stats.in_flight) == (1, 1, 0)
+
+    def test_concurrent_callers_reconcile(self):
+        """Callers on several threads each run their own request; every one
+        is counted once."""
+        service = IntegrationService()
+        responses = []
+        threads = [
+            threading.Thread(target=lambda: responses.append(service.integrate_sync(_tables())))
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert [response.status for response in responses] == ["ok"] * 4
+        assert len({response.request_id for response in responses}) == 4
+        stats = service.stats()
+        outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
+        assert outcomes + stats.in_flight == stats.submitted == 4
+        assert stats.served == 4 and stats.in_flight == 0
+
+    def test_the_context_manager_closes_the_service(self):
+        async def serve():
+            async with IntegrationService() as service:
+                inside = await service.integrate(_tables())
+            return service, inside
+
+        service, inside = asyncio.run(serve())
+        assert inside.status == "ok"
+        assert service.integrate_sync(_tables()).status == "error"
+
+
+class TestRequestDeadline:
+    def test_a_request_deadline_replaces_the_service_default(self):
+        config = FuzzyFDConfig(
+            embedder=SlowEmbedder(delay_seconds=0.04), service_deadline_ms=75.0
+        )
+        service = IntegrationService(config)
+        response = service.integrate_sync(_tables(), deadline_ms=60_000.0)
+        assert response.status == "ok"
+        assert response.trace.deadline_ms == 60_000.0
+
+    def test_the_service_deadline_overrides_the_config(self):
+        config = FuzzyFDConfig(service_deadline_ms=75.0)
+        assert IntegrationService(config, deadline_ms=60_000.0).default_deadline_ms == 60_000.0
+        assert IntegrationService(config).default_deadline_ms == 75.0
+
+    def test_a_deadline_outcome_reconciles(self):
+        service = IntegrationService(FuzzyFDConfig(embedder=SlowEmbedder(delay_seconds=0.04)))
+        assert service.integrate_sync(_tables(), deadline_ms=75.0).status == "deadline_exceeded"
+        assert service.integrate_sync(_tables()).status == "ok"
+        stats = service.stats()
+        outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
+        assert outcomes + stats.in_flight == stats.submitted == 2
+        assert (stats.deadline_exceeded, stats.served) == (1, 1)
+        assert service.health()["requests_served"] == 1
+
+
 class TestFailuresAndLifecycle:
     def test_pipeline_error_becomes_a_service_failure(self, covid_tables):
         async def serve():
@@ -266,6 +385,29 @@ class TestFailuresAndLifecycle:
         outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
         assert outcomes + stats.in_flight == stats.submitted == 2
         assert (stats.served, stats.failed, stats.in_flight) == (1, 1, 0)
+
+    def test_an_unavailable_embedder_is_a_response(self):
+        class UnavailableEmbedder(MistralEmbedder):
+            def _embed_texts(self, texts):
+                raise EmbedderUnavailable("breaker open", retry_after_ms=250.0)
+
+        service = IntegrationService(FuzzyFDConfig(embedder=UnavailableEmbedder()))
+        response = service.integrate_sync(_tables())
+        assert isinstance(response, EmbedderUnavailableResponse)
+        assert response.retry_after_ms == 250.0
+        stats = service.stats()
+        outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
+        assert outcomes + stats.in_flight == stats.submitted == 1
+        assert stats.unavailable == 1
+
+    def test_the_service_serves_the_engine_it_is_given(self):
+        engine = IntegrationEngine()
+        service = IntegrationService(engine)
+        assert service.engine is engine
+        service.integrate_sync(_tables())
+        assert engine.requests_served == 1
+        built = IntegrationService("scale").engine.config
+        assert (built.fd_algorithm, built.degraded_mode) == ("incremental", "surface")
 
     def test_invalid_knobs_fail_fast(self):
         with pytest.raises(TypeError, match="max_pending"):

@@ -52,6 +52,12 @@ class TestTableConstruction:
         with pytest.raises(ValueError):
             Table("t", ["a", "b"], [(1,)])
 
+    def test_empty_has_the_schema_and_no_rows(self):
+        table = Table.empty("t", ["a", "b"])
+        assert table.columns == ("a", "b")
+        assert table.num_rows == 0
+        assert table.null_fraction("a") == 0.0
+
     def test_provenance_length_checked(self):
         with pytest.raises(ValueError):
             Table("t", ["a"], [(1,), (2,)], provenance=[{"x"}])
@@ -78,6 +84,12 @@ class TestTableAccess:
     def test_null_fraction(self, table):
         assert table.null_fraction("Cases") == pytest.approx(1 / 3)
         assert table.null_fraction("City") == 0.0
+
+    def test_row_get_and_is_null(self, table):
+        row = table.row(1)
+        assert row.get("City") == "Boston"
+        assert row.get("Missing", "fallback") == "fallback"
+        assert row.is_null("Cases") and not row.is_null("City")
 
     def test_iteration_yields_rows(self, table):
         assert [row["City"] for row in table] == ["Berlin", "Boston", "Berlin"]
@@ -111,6 +123,25 @@ class TestTableTransforms:
     def test_head(self, table):
         assert table.head(1).num_rows == 1
 
+    def test_head_past_the_end_keeps_every_row_and_its_provenance(self, table):
+        head = table.with_default_provenance().head(10)
+        assert head.rows == table.rows
+        assert head.provenance == [frozenset({"t:0"}), frozenset({"t:1"})]
+
+    def test_project_keeps_provenance_and_rejects_unknown_columns(self, table):
+        projected = table.with_default_provenance().project(["Country", "City"])
+        assert projected.rows == [("DE", "Berlin"), ("US", "Boston")]
+        assert projected.provenance == [frozenset({"t:0"}), frozenset({"t:1"})]
+        with pytest.raises(KeyError):
+            table.project(["Missing"])
+
+    def test_transforms_leave_the_source_table_unchanged(self, table):
+        before = list(table.rows)
+        table.map_column("City", str.upper)
+        table.replace_values("Country", {"DE": "Germany"})
+        table.rename({"City": "Town"})
+        assert table.rows == before and table.columns == ("City", "Country")
+
     def test_with_default_provenance(self, table):
         with_prov = table.with_default_provenance()
         assert with_prov.provenance == [frozenset({"t:0"}), frozenset({"t:1"})]
@@ -118,6 +149,28 @@ class TestTableTransforms:
     def test_same_rows_order_insensitive(self, table):
         shuffled = Table("other", ["Country", "City"], [("US", "Boston"), ("DE", "Berlin")])
         assert table.same_rows(shuffled)
+
+    def test_same_rows_tells_schemas_and_values_apart(self, table):
+        assert not table.same_rows(table.rename({"City": "Town"}))
+        assert not table.same_rows(table.replace_values("Country", {"DE": "Germany"}))
+
+    def test_rows_as_set_treats_labelled_nulls_as_null(self):
+        from repro.table.nulls import LabeledNull
+
+        labelled = Table("t", ["a", "b"], [(1, LabeledNull(7))])
+        plain = Table("u", ["a", "b"], [(1, NULL)])
+        assert labelled.rows_as_set() == plain.rows_as_set()
+        assert labelled.same_rows(plain)
+
+    def test_equality_compares_schema_and_rows_not_name(self, table):
+        assert table == Table("other", ["City", "Country"], table.rows)
+        assert table != Table("t", ["City", "Country"], list(reversed(table.rows)))
+
+    def test_pretty_string_truncates_past_max_rows(self):
+        table = Table("t", ["a"], [(index,) for index in range(5)])
+        lines = table.to_pretty_string(max_rows=2).splitlines()
+        assert len(lines) == 2 + 2 + 1
+        assert lines[-1] == "... (3 more rows)"
 
     def test_pretty_string_renders_nulls(self):
         table = Table("t", ["a"], [(NULL,)])
