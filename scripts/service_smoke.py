@@ -17,19 +17,12 @@ exercises the HTTP surface end to end:
    cell that overflows to infinity (``1e400``) and one with a numeric column
    name each get 400 naming the offending field, and never reach the
    service.
+6. ``GET /healthz`` still answers healthy, counting both served requests.
 
-Then a second server boots with a hard-down chaos embedder
-(``--embedder chaos`` + ``REPRO_CHAOS_EMBED_FAILURES=all``; the chaos
-embedder carries its own breaker, which opens on the first failed call) in
-``--degraded-mode surface``: ``POST /integrate`` must still answer 200 with
-``degraded: true`` in its trace, and ``GET /healthz`` must report
-``degraded`` — an open breaker never becomes an unhandled 500.
-
-Both servers run with ``--processes N`` when the script is given it (CI runs
+The server runs with ``--processes N`` when the script is given it (CI runs
 it with 1 and with 2): with two processes the second request may land on the
-process that did not embed the values, and ``/healthz`` may be answered by
-the process whose own breaker never opened — the checks above must hold
-anyway.
+process that did not embed the values, and ``/healthz`` and ``/stats`` may be
+answered by either process — the checks above must hold anyway.
 
 Exits non-zero (with the server log on stderr) on any failure, so the CI
 job fails loudly.  Run locally with ``python scripts/service_smoke.py
@@ -158,17 +151,14 @@ def assert_accounting_identity(stats: dict) -> None:
     )
 
 
-def serve(extra_args: list[str] | None = None, extra_env: dict | None = None, **popen_kwargs):
-    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
-    env.update(extra_env or {})
+def serve(extra_args: list[str]) -> subprocess.Popen:
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *(extra_args or [])],
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *extra_args],
         cwd=REPO_ROOT,
-        env=env,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        **popen_kwargs,
     )
 
 
@@ -215,57 +205,20 @@ def main(argv: list[str] | None = None) -> int:
             assert_accounting_identity(stats)
             silent.close()
 
+            health = request(port, "GET", "/healthz")
+            expect(health == {"status": "healthy", "requests_served": 2}, f"healthz after two requests said {health}")
+
             print(
                 f"service smoke OK: healthz + 2x integrate beside a silent connection + {len(BAD_BODIES)}x refused body"
-                " + stats, traces well-formed"
+                " + stats + healthz, traces well-formed"
             )
+            return 0
         finally:
             process.terminate()
             try:
                 process.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 process.kill()
-
-    # Degraded path: a hard-down embedder must surface as 200 + degraded,
-    # never an unhandled 500.
-    process = serve(
-        [
-            "--embedder",
-            "chaos",
-            "--degraded-mode",
-            "surface",
-            *extra_args,
-        ],
-        extra_env={"REPRO_CHAOS_EMBED_FAILURES": "all"},
-    )
-    try:
-        port = wait_for_port(process)
-
-        degraded = request(port, "POST", "/integrate", INTEGRATE_BODY)
-        expect(
-            degraded.get("status") == "ok",
-            f"degraded integrate said {degraded.get('status')}",
-        )
-        expect(
-            degraded.get("trace", {}).get("degraded") is True,
-            "open breaker did not mark the trace degraded",
-        )
-
-        health = request(port, "GET", "/healthz")
-        expect(
-            health.get("status") == "degraded",
-            f"healthz under open breaker said {health}",
-        )
-        assert_accounting_identity(request(port, "GET", "/stats"))
-
-        print("service smoke OK: chaos embedder served degraded, healthz degraded")
-        return 0
-    finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence
 
 from repro.core import PRESETS, FuzzyFDConfig, IntegrationEngine, available_presets
 from repro.core.value_matching import ColumnValues, ValueMatcher
+from repro.embeddings.base import DEGRADED_MODES
 from repro.embeddings.registry import EMBEDDERS, get_embedder
 from repro.fd import FD_ALGORITHMS
 from repro.registry import Registry, UnknownNameError
@@ -407,13 +408,12 @@ def _add_engine_config_flags(parser: argparse.ArgumentParser) -> None:
         "--degraded-mode",
         dest="degraded_mode",
         default="off",
-        choices=["off", "surface", "fail"],
+        choices=list(DEGRADED_MODES),
         action=_TrackedStore,
-        help="what matching does while the circuit breaker of a wrapped embedder "
-        "(such as --embedder chaos) is open: "
-        "off = propagate the error, surface = answer with exact + surface-"
-        "blocking matches only (marked degraded), fail = typed unavailable "
-        "error (HTTP 503 with Retry-After under serve)",
+        help="what a request does when the embedder raises EmbedderUnavailable "
+        "(the built-in embedders never do): off = propagate it (HTTP 503 "
+        "under serve), surface = answer with exact + surface-blocking "
+        "matches only (marked degraded)",
     )
 
 

@@ -29,9 +29,8 @@ from repro.matching.ann import (
     DEFAULT_ANN_TABLES,
     DEFAULT_ANN_TOP_K,
 )
-from repro.embeddings.base import ValueEmbedder
+from repro.embeddings.base import DEGRADED_MODES, ValueEmbedder
 from repro.embeddings.registry import EMBEDDERS
-from repro.embeddings.resilient import DEGRADED_MODES
 from repro.fd import FD_ALGORITHMS
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.matching.assignment import ASSIGNMENT_SOLVERS, AssignmentSolver
@@ -158,16 +157,13 @@ class FuzzyFDConfig:
         (align → match → integrate); ``None`` (the default) means no
         deadline unless the request carries its own ``deadline_ms``.
     degraded_mode:
-        What a request does while the breaker of a wrapped embedder is open
-        (a :class:`~repro.embeddings.resilient.ResilientEmbedder` passed in
-        as ``embedder``, or the ``"chaos"`` registry embedder); a bare
-        embedder has no breaker, so the mode never engages.  ``"off"`` (the
-        default) propagates ``EmbedderUnavailable`` to the caller,
-        ``"surface"`` degrades value matching to exact + surface-blocking
-        candidates without embeddings (results marked ``degraded`` in
-        statistics and traces), ``"fail"`` makes the service answer a typed
-        503 with a ``Retry-After`` derived from the breaker's remaining
-        open window.
+        What a request does when its embedder raises
+        :class:`~repro.embeddings.base.EmbedderUnavailable` (a caller's own
+        embedder over a remote backend; the built-in embedders never raise
+        it).  ``"off"`` (the default) propagates it, and the service answers
+        ``unavailable`` (HTTP 503); ``"surface"`` matches by exact pairing
+        plus surface-blocking candidates without embeddings, the result
+        marked ``degraded`` in statistics and traces.
     """
 
     embedder: Union[str, ValueEmbedder] = "mistral"
@@ -388,7 +384,7 @@ PRESETS: Registry[Dict[str, Any]] = Registry(
             # preset only declares the intent to both attach and publish.
             "store_mode": "readwrite",
             # A data-lake deployment prefers degraded answers over errors
-            # while the embedding backend is down.
+            # while a caller's embedding backend is down.
             "degraded_mode": "surface",
         },
     },

@@ -71,8 +71,7 @@ MATCHER_KNOBS = (
 
 #: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides:
 #: the matcher's and ``store_mode`` (whether the request publishes its new
-#: embeddings).  A wrapped embedder's retry and breaker policy is not a knob:
-#: it belongs to the instance the engine was given, as its breaker state does.
+#: embeddings).
 REQUEST_OVERRIDES = (*MATCHER_KNOBS, "store_mode")
 
 #: Overrides for which ``None`` is a meaningful value (not "use the engine
@@ -244,19 +243,6 @@ class IntegrationEngine:
         if self.store is None:
             return {}
         return self.store.statistics()
-
-    def resilience_state(self) -> Dict[str, Any]:
-        """Breaker state + cumulative retry/failure counters of the embedder.
-
-        Always has a ``"state"`` key (``closed`` / ``open`` / ``half_open``);
-        an embedder without a breaker (no ``describe``) is ``closed``.  The
-        serving layer turns it into the three-state ``/healthz`` body and the
-        ``/stats`` breaker fields.
-        """
-        describe = getattr(self.embedder, "describe", None)
-        if callable(describe):
-            return describe()
-        return {"state": "closed"}
 
     def __enter__(self) -> "IntegrationEngine":
         return self

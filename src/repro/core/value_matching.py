@@ -29,8 +29,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Un
 
 from repro import obs
 from repro.core.representatives import REPRESENTATIVE_POLICIES
-from repro.embeddings.base import ValueEmbedder
-from repro.embeddings.resilient import DEGRADED_MODES, EmbedderUnavailable
+from repro.embeddings.base import DEGRADED_MODES, EmbedderUnavailable, ValueEmbedder
 from repro.matching.assignment import AssignmentSolver
 from repro.matching.bipartite import BipartiteValueMatcher, IndexMatches
 from repro.matching.ann import (
@@ -309,10 +308,10 @@ class ValueMatcher:
         if not columns:
             return ValueMatchingResult([], {})
         start = time.perf_counter()
-        # Cache, resilience and index-build counters are cumulative; the
-        # change between two snapshots is this run's.  Concurrent requests
-        # sharing one embedder can bleed into each other's deltas — the
-        # counters are observability, not accounting.
+        # Cache and index-build counters are cumulative; the change between
+        # two snapshots is this run's.  Concurrent requests sharing one
+        # embedder can bleed into each other's deltas — the counters are
+        # observability, not accounting.
         before = self._cumulative_counts()
         ids = [column_id for column_id, _, _ in columns]
         sizes = [len(column_values) for _, column_values, _ in columns]
@@ -366,10 +365,10 @@ class ValueMatcher:
             found = fold.match(matcher.match_indices, exact, skip_empty=matcher is self._matcher)
             pair_counts = self._pair_counts(matcher)
         except EmbedderUnavailable:
-            # Breaker open.  Under "surface" the pair is re-matched without
-            # embeddings (exact + surface-blocking equality) and the result is
-            # marked degraded; any other mode propagates the typed error to
-            # the engine/service boundary.
+            # The embedder's backend is down.  Under "surface" the pair is
+            # re-matched without embeddings (exact + surface-blocking
+            # equality) and the result is marked degraded; under "off" the
+            # typed error reaches the engine/service boundary.
             if self.degraded_mode != "surface":
                 raise
             if not self.exact_first:
@@ -380,12 +379,9 @@ class ValueMatcher:
 
     # -- helpers --------------------------------------------------------------------
     def _cumulative_counts(self) -> Dict[str, float]:
-        """The embedder's cache and resilience counters and the semantic
-        blocker's index counters, by counter name."""
+        """The embedder's cache counters and the semantic blocker's index
+        counters, by counter name."""
         counts = obs.read("cache", self.embedder.cache.stats())
-        resilience = getattr(self.embedder, "resilience_stats", None)
-        if callable(resilience):
-            counts.update(obs.read("resilience", resilience()))
         semantic_blocker = getattr(self._blocked_matcher, "semantic_blocker", None)
         if semantic_blocker is not None:
             counts.update(obs.read("ann", semantic_blocker))

@@ -15,7 +15,7 @@ All embedders are deterministic: the same value always maps to the same
 vector, across processes and platforms.
 """
 
-from repro.embeddings.base import EmbeddingCache, ValueEmbedder
+from repro.embeddings.base import DEGRADED_MODES, EmbedderUnavailable, EmbeddingCache, ValueEmbedder
 from repro.embeddings.exact import ExactEmbedder
 from repro.embeddings.fasttext import FastTextEmbedder
 from repro.embeddings.finetuned import FineTunedEmbedder
@@ -32,18 +32,10 @@ from repro.embeddings.registry import (
     get_embedder,
     register_embedder,
 )
-from repro.embeddings.resilient import (
-    DEGRADED_MODES,
-    DelegatingEmbedder,
-    EmbedderUnavailable,
-    ResilientEmbedder,
-)
 
 __all__ = [
     "DEGRADED_MODES",
-    "DelegatingEmbedder",
     "EmbedderUnavailable",
-    "ResilientEmbedder",
     "ValueEmbedder",
     "EmbeddingCache",
     "ExactEmbedder",

@@ -24,6 +24,20 @@ def embedding_text(value: object) -> str:
 #: a knob — rows are bit-identical for any value (tests patch it to 1 / 2 / 7).
 EMBED_SLAB = 256
 
+#: What a request does when its embedder raises :class:`EmbedderUnavailable`
+#: (see :class:`~repro.core.config.FuzzyFDConfig.degraded_mode`): ``"off"``
+#: propagates it (the service answers ``unavailable``), ``"surface"`` matches
+#: by exact pairing plus surface blocking, without embeddings.
+DEGRADED_MODES = ("off", "surface")
+
+
+class EmbedderUnavailable(RuntimeError):
+    """Raised by an embedder whose backend is down.
+
+    The built-in embedders are in-process and never raise it; a caller's own
+    embedder over a remote backend does, from ``embed`` / ``embed_many``.
+    """
+
 
 class ValueEmbedder:
     """Maps cell values to fixed-dimension unit vectors.

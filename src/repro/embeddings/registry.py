@@ -19,19 +19,6 @@ from repro.embeddings.transformer import BertEmbedder, RobertaEmbedder
 from repro.registry import Registry
 
 
-def _chaos_embedder(**kwargs) -> ValueEmbedder:
-    """Factory for ``"chaos"``: a fault-injecting embedder scripted via env,
-    wrapped in a fail-fast circuit breaker.
-
-    Used by the service smoke test and chaos CI job to boot ``repro serve``
-    with an embedder that fails on an ``REPRO_CHAOS_*`` schedule; see
-    :func:`repro.testing.faults.chaos_embedder_from_env`.
-    """
-    from repro.testing.faults import chaos_embedder_from_env
-
-    return chaos_embedder_from_env(**kwargs)
-
-
 #: All embedding models, keyed by registry name.
 EMBEDDERS: Registry[Callable[..., ValueEmbedder]] = Registry(
     "embedding model",
@@ -42,7 +29,6 @@ EMBEDDERS: Registry[Callable[..., ValueEmbedder]] = Registry(
         "roberta": RobertaEmbedder,
         "llama3": Llama3Embedder,
         "mistral": MistralEmbedder,
-        "chaos": _chaos_embedder,
     },
 )
 

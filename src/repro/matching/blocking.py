@@ -681,7 +681,7 @@ class BlockedValueMatcher:
         """Embedding-free fallback: normalised surface equality, as index matches.
 
         The degraded path of ``degraded_mode="surface"``, used while the
-        embedder's circuit breaker is open, after the caller has paired the
+        embedder's backend is down, after the caller has paired the
         identical values.  It never calls the embedder (and never the ANN
         channel): the values are matched greedily one-to-one wherever a
         blocked candidate pair's *normalised* texts are equal (``"Berlin "``

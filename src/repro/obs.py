@@ -87,16 +87,7 @@ STORAGE: Tuple[Counter, ...] = (
             trace="store_corrupt_segments", label="Corrupt store segments quarantined"),
 )
 
-RESILIENCE: Tuple[Counter, ...] = (
-    Counter("embedder_retries", source="resilience.retries", trace="embedder_retries",
-            label="Embedder retries"),
-    Counter("breaker_opens", source="resilience.breaker_opens", trace="breaker_opens",
-            label="Breaker opens"),
-    Counter("breaker_short_circuits", source="resilience.breaker_short_circuits",
-            trace="breaker_short_circuits", label="Breaker short circuits"),
-)
-
-COUNTERS = MATCHING + STORAGE + RESILIENCE
+COUNTERS = MATCHING + STORAGE
 BY_NAME = {counter.name: counter for counter in COUNTERS}
 #: The counters ``FuzzyIntegrationResult.timings`` carries.
 REQUEST = frozenset(counter.name for counter in COUNTERS if counter.request)
@@ -114,11 +105,6 @@ TERMINAL_OUTCOMES = ("served", "deadline_exceeded", "failed", "unavailable")
 #: The counters of one server process's scoreboard row, summed into ``/stats``.
 ROW_COUNTERS = (
     "submitted", *TERMINAL_OUTCOMES, "in_flight", "degraded_served", "requests_served",
-)
-#: The embedder breaker's counters (``ResilientEmbedder.describe``) a row carries.
-BREAKER_COUNTERS = (
-    "retries", "failures", "breaker_opens", "breaker_closes", "breaker_short_circuits",
-    "half_open_probes", "consecutive_failures",
 )
 
 

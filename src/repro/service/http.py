@@ -8,16 +8,14 @@ no new dependencies — exposing the three endpoints a deployment needs:
     "deadline_ms": <optional>, "overrides": {<optional REQUEST_OVERRIDES>}}``.
     Replies with the integrated table, the request trace and a ``status``;
     the HTTP code mirrors the service outcome (200 ok, 504 deadline
-    exceeded, 503 + ``Retry-After`` when the embedder breaker is open under
-    ``degraded_mode="fail"``, 400 bad request / pipeline error).
+    exceeded, 503 when the embedder raised ``EmbedderUnavailable`` under
+    ``degraded_mode="off"``, 400 bad request / pipeline error).
 ``GET /stats``
-    The :meth:`IntegrationService.stats` snapshot as JSON (including the
-    embedder breaker state), aggregated over every server process.
+    The :meth:`IntegrationService.stats` snapshot as JSON, aggregated over
+    every server process.
 ``GET /healthz``
-    Three-state health driven by the embedder circuit breakers — the worst
-    state of the live server processes: ``"healthy"`` (closed, 200),
-    ``"degraded"`` (open but ``degraded_mode="surface"`` keeps answers
-    flowing, 200), or ``"unhealthy"`` (open with no degraded path, 503).
+    200 ``{"status": "healthy", "requests_served": n}`` while the server
+    answers at all.
 
 The body's rows decode straight into code columns
 (:class:`~repro.table.relation.Relation`), JSON ``null`` being a missing
@@ -50,12 +48,7 @@ from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.service.service import IntegrationService
-from repro.service.types import (
-    DeadlineExceeded,
-    EmbedderUnavailableResponse,
-    IntegrationResponse,
-    ServiceResponse,
-)
+from repro.service.types import DeadlineExceeded, IntegrationResponse, ServiceResponse
 from repro.table.relation import Relation
 from repro.table.table import Table
 
@@ -75,8 +68,8 @@ MAX_LINE_BYTES = 64 * 1024
 #: Seconds a client has to deliver one whole request (line, headers, body).
 REQUEST_READ_TIMEOUT_S = 30.0
 
-#: An answer as :func:`_encode_response` takes it: code, reason, body, headers.
-Answer = Tuple[int, str, Dict[str, Any], Dict[str, str]]
+#: An answer as :func:`_encode_response` takes it: code, reason, body.
+Answer = Tuple[int, str, Dict[str, Any]]
 
 
 class BadRequest(ValueError):
@@ -165,9 +158,6 @@ def response_to_json(response: ServiceResponse) -> Dict[str, Any]:
     elif isinstance(response, DeadlineExceeded):
         body["stage"] = response.stage
         body["deadline_ms"] = response.deadline_ms
-    elif isinstance(response, EmbedderUnavailableResponse):
-        body["error"] = response.error
-        body["retry_after_ms"] = response.retry_after_ms
     else:
         error = getattr(response, "error", None)
         if error:
@@ -231,52 +221,23 @@ def _read_request(connection: socket.socket) -> Optional[Tuple[str, str, bytes]]
     return method, path, bytes(buffer[start : start + content_length])
 
 
-def _encode_response(
-    code: int,
-    reason: str,
-    payload: Dict[str, Any],
-    headers: Optional[Dict[str, str]] = None,
-) -> bytes:
+def _encode_response(code: int, reason: str, payload: Dict[str, Any]) -> bytes:
     body = json.dumps(payload, default=str, allow_nan=False).encode("utf-8")
-    extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
     head = (
         f"HTTP/1.1 {code} {reason}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"{extra}"
         f"Connection: close\r\n\r\n"
     )
     return head.encode("latin-1") + body
 
 
-def _health_payload(service: IntegrationService) -> Answer:
-    """Three-state health: breaker closed / open-with-fallback / open-dark."""
-    payload: Dict[str, Any] = service.health()
-    if payload["breaker"]["state"] == "closed":
-        payload["status"] = "healthy"
-        return 200, "OK", payload, {}
-    # half_open counts like open: the embedder is not known-good yet, but a
-    # surface fallback still answers requests, so the pod should stay in
-    # rotation ("degraded") rather than be drained ("unhealthy").
-    if service.engine.config.degraded_mode == "surface":
-        payload["status"] = "degraded"
-        return 200, "OK", payload, {}
-    payload["status"] = "unhealthy"
-    retry_after = _retry_after_header(float(payload["breaker"]["retry_after_ms"]))
-    return 503, "Service Unavailable", payload, retry_after
-
-
-def _retry_after_header(retry_after_ms: float) -> Dict[str, str]:
-    """``Retry-After`` (whole seconds, >= 1) from a breaker window in ms."""
-    return {"Retry-After": str(max(1, math.ceil(retry_after_ms / 1000.0)))}
-
-
 def _dispatch(service: IntegrationService, method: str, path: str, body: bytes) -> Answer:
     path = path.split("?", 1)[0]
     if method == "GET" and path == "/healthz":
-        return _health_payload(service)
+        return 200, "OK", {"status": "healthy", **service.health()}
     if method == "GET" and path == "/stats":
-        return 200, "OK", service.stats().to_dict(), {}
+        return 200, "OK", service.stats().to_dict()
     if method == "POST" and path == "/integrate":
         try:
             payload = json.loads(body.decode("utf-8"), parse_constant=_no_constant)
@@ -297,11 +258,8 @@ def _dispatch(service: IntegrationService, method: str, path: str, body: bytes) 
             raise BadRequest(f"overrides: {exc}") from exc
         response = service.integrate_sync(tables, deadline_ms=deadline_ms, **overrides)
         code, reason = STATUS_CODES.get(response.status, (500, "Internal Server Error"))
-        headers: Dict[str, str] = {}
-        if isinstance(response, EmbedderUnavailableResponse):
-            headers = _retry_after_header(response.retry_after_ms)
-        return code, reason, response_to_json(response), headers
-    return 404, "Not Found", {"status": "error", "error": f"no route {method} {path}"}, {}
+        return code, reason, response_to_json(response)
+    return 404, "Not Found", {"status": "error", "error": f"no route {method} {path}"}
 
 
 def handle_connection(service: IntegrationService, connection: socket.socket) -> None:
@@ -313,12 +271,12 @@ def handle_connection(service: IntegrationService, connection: socket.socket) ->
                 return
             answer = _dispatch(service, *request)
         except BadRequest as exc:
-            answer = 400, "Bad Request", {"status": "error", "error": str(exc)}, {}
+            answer = 400, "Bad Request", {"status": "error", "error": str(exc)}
         except TimeoutError:
             answer = 408, "Request Timeout", {
                 "status": "error",
                 "error": f"request not read within {REQUEST_READ_TIMEOUT_S:g} s",
-            }, {}
+            }
         except OSError:  # the client went away mid-request
             return
         try:

@@ -27,8 +27,7 @@ What the processes share, and how:
 * **Embeddings** — the artifact store.  Each process publishes what it
   embedded after every request, and a process that misses re-attaches new
   segments before it embeds (``StoreBackedEmbeddingCache.fill_many``).
-* **Nothing else.**  Breakers and latency windows are per process; health
-  is the worst breaker state of the live processes.
+* **Nothing else.**  Latency windows are per process.
 
 Lifecycle: the children watch a pipe whose write end only process 0 holds
 and exit at its end of file, that is when process 0 ends, however it ends.
@@ -52,16 +51,13 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional
 
-from repro.obs import BREAKER_COUNTERS, ROW_COUNTERS
+from repro.obs import ROW_COUNTERS
 from repro.service import http
 from repro.service.service import LATENCY_WINDOW, IntegrationService
-from repro.service.types import BREAKER_STATES
 
-_INT_FIELDS = ROW_COUNTERS + BREAKER_COUNTERS
 _SEQUENCE = struct.Struct("<Q")
-#: pid, alive, latencies recorded, the counters, breaker state; then the
-#: breaker's remaining open window (ms) and the monotonic time of the write.
-_BODY = struct.Struct(f"<qqq{len(_INT_FIELDS)}qqdd")
+#: pid, alive, latencies recorded, then the counters.
+_BODY = struct.Struct(f"<qqq{len(ROW_COUNTERS)}q")
 _ALIVE_OFFSET = _SEQUENCE.size + 8
 _COUNT_OFFSET = _SEQUENCE.size + 16
 _RING_OFFSET = _SEQUENCE.size + _BODY.size
@@ -94,10 +90,7 @@ class Scoreboard:
         count = struct.unpack_from("<q", block, base + _COUNT_OFFSET)[0]
         slot = base + _RING_OFFSET + _LATENCY.size * (count % LATENCY_WINDOW)
         count += latency_seconds is not None
-        body = _BODY.pack(
-            os.getpid(), 1, count, *(row[name] for name in _INT_FIELDS),
-            BREAKER_STATES.index(row["breaker_state"]), row["retry_after_ms"], time.monotonic(),
-        )
+        body = _BODY.pack(os.getpid(), 1, count, *(row[name] for name in ROW_COUNTERS))
         sequence = _SEQUENCE.unpack_from(block, base)[0]
         _SEQUENCE.pack_into(block, base, sequence + 1)
         if latency_seconds is not None:
@@ -110,23 +103,15 @@ class Scoreboard:
         struct.pack_into("<q", self._block, index * ROW_BYTES + _ALIVE_OFFSET, 0)
 
     def rows(self) -> List[Dict[str, Any]]:
-        """A consistent copy of every row, with the breakers' windows aged to now."""
-        now = time.monotonic()
+        """A consistent copy of every row."""
         rows = []
         for index in range(self.processes):
             raw = self._copy(index * ROW_BYTES)
             pid, alive, count, *values = _BODY.unpack_from(raw, _SEQUENCE.size)
-            row: Dict[str, Any] = dict(zip(_INT_FIELDS, values))
-            state, retry_after_ms, written_at = values[len(_INT_FIELDS) :]
-            retry_after_ms -= (now - written_at) * 1000.0
-            state = BREAKER_STATES[state]
-            if state == "open" and retry_after_ms <= 0.0:
-                state = "half_open"  # what the breaker itself reports once its window passed
+            row: Dict[str, Any] = dict(zip(ROW_COUNTERS, values))
             row.update(
                 pid=pid,
                 alive=bool(alive),
-                breaker_state=state,
-                retry_after_ms=max(0.0, retry_after_ms) if state == "open" else 0.0,
                 latencies=list(
                     struct.unpack_from(f"<{min(count, LATENCY_WINDOW)}d", raw, _RING_OFFSET)
                 ),

@@ -32,8 +32,8 @@ import numpy as np
 
 from repro.core.config import FuzzyFDConfig
 from repro.core.engine import FuzzyIntegrationResult, IntegrationEngine
-from repro.embeddings.resilient import EmbedderUnavailable
-from repro.obs import BREAKER_COUNTERS, ROW_COUNTERS
+from repro.embeddings.base import EmbedderUnavailable
+from repro.obs import ROW_COUNTERS
 from repro.service.types import (
     DeadlineExceeded,
     DeadlineExceededError,
@@ -43,7 +43,6 @@ from repro.service.types import (
     ServiceResponse,
     ServiceStats,
     StageTracker,
-    aggregate_breaker,
     build_trace,
 )
 from repro.table.table import Table
@@ -94,10 +93,9 @@ class IntegrationService:
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._closed = False
         # The shared counters block of a pre-forked serve, and this process's
-        # row in it (see share()); the breaker as of the last finished request.
+        # row in it (see share()).
         self._board: Optional["Scoreboard"] = None
         self._row_index = 0
-        self._breaker: Dict[str, Any] = self.engine.resilience_state()
         # Boot, not the first request, binds the solver's compiled routine.
         self.engine.solver.solve(np.zeros((1, 1)))
 
@@ -114,9 +112,9 @@ class IntegrationService:
 
         Returns an :class:`IntegrationResponse` on success, a
         :class:`DeadlineExceeded` when the budget expires at a stage
-        boundary, an :class:`EmbedderUnavailableResponse` when an open
-        breaker has no degraded path, or a :class:`ServiceFailure` when the
-        pipeline raises or the service is closed.  ``overrides`` are the
+        boundary, an :class:`EmbedderUnavailableResponse` when the embedder
+        is down under ``degraded_mode="off"``, or a :class:`ServiceFailure`
+        when the pipeline raises or the service is closed.  ``overrides`` are the
         engine's per-request knobs (:data:`~repro.core.engine.REQUEST_OVERRIDES`);
         ``deadline_ms`` replaces the service default for this request only.
         """
@@ -183,18 +181,12 @@ class IntegrationService:
                 trace=trace,
             )
         except EmbedderUnavailable as exc:
-            # Under degraded_mode="surface" the matcher absorbs the open
-            # breaker, so reaching here means the policy is "off"/"fail":
-            # an operational outcome, answered as a response like every
-            # other one.
+            # Under degraded_mode="surface" the matcher absorbs a down
+            # embedder, so reaching here means "off": an operational
+            # outcome, answered as a response like every other one.
             total = time.perf_counter() - submitted_at
             self._finish("unavailable", total)
-            return EmbedderUnavailableResponse(
-                request_id=request_id,
-                error=str(exc),
-                retry_after_ms=exc.retry_after_ms,
-                trace=None,
-            )
+            return EmbedderUnavailableResponse(request_id=request_id, error=str(exc), trace=None)
         except Exception as exc:  # noqa: BLE001 — relayed, service stays up
             total = time.perf_counter() - submitted_at
             self._finish("failed", total)
@@ -210,8 +202,6 @@ class IntegrationService:
 
     def _finish(self, outcome: str, latency_seconds: float, *, degraded: bool = False) -> None:
         """Terminal accounting: ``outcome``'s counter up + gauge down under one lock."""
-        if self._board is not None:
-            self._breaker = self.engine.resilience_state()
         with self._lock:
             self._counts["in_flight"] -= 1
             self._counts[outcome] += 1
@@ -225,22 +215,16 @@ class IntegrationService:
         return ServiceStats.aggregate(self.rows())
 
     def health(self) -> Dict[str, Any]:
-        """``requests_served`` and the breaker view over the live processes."""
-        rows = self.rows()
-        return {
-            "requests_served": sum(row["requests_served"] for row in rows),
-            "breaker": aggregate_breaker(rows),
-        }
+        """``requests_served`` over every server process."""
+        return {"requests_served": sum(row["requests_served"] for row in self.rows())}
 
     def rows(self) -> List[Dict[str, Any]]:
         """Every server process's row: this one, or all N of a pre-forked serve."""
-        self._breaker = self.engine.resilience_state()
         with self._lock:
             own = self._row()
             own.update(pid=os.getpid(), alive=True, latencies=list(self._latencies))
             if self._board is None:
                 return [own]
-            self._publish()
         rows = self._board.rows()
         rows[self._row_index] = own
         return rows
@@ -257,15 +241,8 @@ class IntegrationService:
             self._publish()
 
     def _row(self) -> Dict[str, Any]:
-        """This process's counters and breaker (caller holds the lock)."""
-        breaker = self._breaker
-        return {
-            **self._counts,
-            **{name: int(breaker.get(name, 0)) for name in BREAKER_COUNTERS},
-            "requests_served": self.engine.requests_served,
-            "breaker_state": str(breaker.get("state", "closed")),
-            "retry_after_ms": float(breaker.get("retry_after_ms", 0.0)),
-        }
+        """This process's counters (caller holds the lock)."""
+        return {**self._counts, "requests_served": self.engine.requests_served}
 
     def _publish(self, latency_seconds: Optional[float] = None) -> None:
         """Write this process's row to the shared block, if any (caller holds the lock)."""

@@ -23,10 +23,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import FuzzyIntegrationResult
-from repro.obs import ANY, BREAKER_COUNTERS, ROW_COUNTERS, TRACED
-
-#: Breaker states from best to worst: health is the worst of the live processes.
-BREAKER_STATES = ("closed", "half_open", "open")
+from repro.obs import ANY, ROW_COUNTERS, TRACED
 
 
 @dataclass
@@ -168,14 +165,12 @@ class ServiceFailure(ServiceResponse):
 
 @dataclass
 class EmbedderUnavailableResponse(ServiceResponse):
-    """The embedder breaker is open and ``degraded_mode="fail"`` applies.
+    """The embedder raised ``EmbedderUnavailable`` under ``degraded_mode="off"``.
 
-    The HTTP adapter maps this to 503 with a ``Retry-After`` header derived
-    from ``retry_after_ms`` — the remaining open window of the breaker.
+    The HTTP adapter maps this to 503.
     """
 
     error: str = ""
-    retry_after_ms: float = 0.0
     status: str = "unavailable"
 
 
@@ -189,8 +184,8 @@ class ServiceStats:
     and the in-flight gauge are updated under one lock so no request is ever
     counted twice or dropped.  Under ``repro serve --processes N`` every field
     is aggregated over the N server processes (:meth:`aggregate`): counters
-    are sums, latency quantiles are taken over the union of the processes'
-    windows, and ``breaker_state`` is the worst state of the live processes.
+    are sums, and latency quantiles are taken over the union of the
+    processes' windows.
     """
 
     submitted: int = 0
@@ -204,16 +199,10 @@ class ServiceStats:
     #: Successful responses whose trace was marked degraded (subset of
     #: ``served``).
     degraded_served: int = 0
-    #: Current circuit-breaker state of the engine's embedder.
-    breaker_state: str = "closed"
-    #: Cumulative embedder retry / breaker-open counts over the engine's
-    #: lifetime (from the resilient wrapper, not per-request deltas).
-    embedder_retries: int = 0
-    breaker_opens: int = 0
     #: Server processes started, and those still running.
     processes: int = 1
     processes_alive: int = 1
-    #: ``pid`` / ``alive`` / ``served`` / ``breaker_state`` of each process.
+    #: ``pid`` / ``alive`` / ``served`` of each process.
     per_process: List[Dict[str, Any]] = field(default_factory=list)
 
     @classmethod
@@ -225,41 +214,17 @@ class ServiceStats:
             if name in cls.__dataclass_fields__
         }
         samples = sorted(latency for row in rows for latency in row["latencies"])
-        breaker = aggregate_breaker(rows)
         return cls(
             **totals,
             latency_p50_seconds=quantile(samples, 0.50),
             latency_p99_seconds=quantile(samples, 0.99),
-            breaker_state=breaker["state"],
-            embedder_retries=int(breaker["retries"]),
-            breaker_opens=int(breaker["breaker_opens"]),
             processes=len(rows),
             processes_alive=sum(bool(row["alive"]) for row in rows),
-            per_process=[
-                {name: row[name] for name in ("pid", "alive", "served", "breaker_state")}
-                for row in rows
-            ],
+            per_process=[{name: row[name] for name in ("pid", "alive", "served")} for row in rows],
         )
 
     #: Plain-JSON form (what ``/stats`` serialises).
     to_dict = asdict
-
-
-def aggregate_breaker(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """One breaker view over the server processes' rows (``/healthz``).
-
-    ``state`` is the worst state of the live processes and ``retry_after_ms``
-    their longest remaining open window; the counters are sums, except
-    ``consecutive_failures``, the longest current run of any live process.
-    """
-    live = [row for row in rows if row["alive"]]
-    view: Dict[str, Any] = {name: sum(row[name] for row in rows) for name in BREAKER_COUNTERS}
-    view["consecutive_failures"] = max((row["consecutive_failures"] for row in live), default=0)
-    view["state"] = max(
-        (row["breaker_state"] for row in live), key=BREAKER_STATES.index, default="closed"
-    )
-    view["retry_after_ms"] = max((row["retry_after_ms"] for row in live), default=0.0)
-    return view
 
 
 def trace_counters(timings: Mapping[str, float]) -> Dict[str, Any]:

@@ -1,19 +1,5 @@
-"""Deterministic fault injection for chaos testing (see :mod:`.faults`)."""
+"""Store corruption for the quarantine tests (see :mod:`.faults`)."""
 
-from repro.testing.faults import (
-    FaultInjector,
-    FaultyEmbedder,
-    FaultyStore,
-    TransientFault,
-    chaos_embedder_from_env,
-    corrupt_array_file,
-)
+from repro.testing.faults import corrupt_array_file
 
-__all__ = [
-    "FaultInjector",
-    "FaultyEmbedder",
-    "FaultyStore",
-    "TransientFault",
-    "chaos_embedder_from_env",
-    "corrupt_array_file",
-]
+__all__ = ["corrupt_array_file"]

@@ -1,17 +1,15 @@
-"""Chaos suite: fault-injected embedders through the full pipeline.
+"""A down embedder through the full pipeline.
 
-The scenarios the fault-tolerance layer must hold up under:
+An embedder over a remote backend raises ``EmbedderUnavailable`` while the
+backend is down (``DownEmbedder``, ``tests/conftest.py``).  The contract:
 
-* transient embedding failures masked by retries — output byte-identical to
-  a clean run;
-* a hard-down embedder with ``degraded_mode="surface"`` — answers keep
-  flowing from exact + surface-blocking matching, marked degraded;
-* breaker recovery — once the backend heals and the reset window elapses,
-  results are byte-identical to a never-failed run.
+* with ``degraded_mode="surface"`` answers keep flowing from exact pairing
+  plus surface blocking, marked degraded;
+* with ``degraded_mode="off"`` the typed error reaches the caller;
+* once the backend is back, results are byte-identical to a never-failed
+  engine.
 
-Every scenario is deterministic (scripted :class:`FaultInjector`, fake
-clock, no wall-time dependence) and runs on the thread backend with two
-workers.
+Every scenario runs on the thread backend with two workers.
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
-from repro.embeddings import MistralEmbedder
-from repro.embeddings.resilient import EmbedderUnavailable, ResilientEmbedder
+from repro.embeddings import EmbedderUnavailable, MistralEmbedder
 from repro.table import Table
-from repro.testing import FaultInjector, FaultyEmbedder
 
 BACKEND = "thread"
 
@@ -63,24 +59,12 @@ def _config(**kwargs):
     return FuzzyFDConfig(**kwargs)
 
 
-def _wrapped(injector, *, clock=None, **knobs):
-    """A resilient embedder over a fault-injected Mistral embedder."""
-    knobs.setdefault("retry_backoff_ms", 0.01)
-    kwargs = dict(knobs, sleep=lambda seconds: None)
-    if clock is not None:
-        kwargs["clock"] = clock
-    return ResilientEmbedder(FaultyEmbedder(MistralEmbedder(), injector), **kwargs)
+def _degraded(result) -> bool:
+    return any(vm.statistics.get("degraded", 0.0) > 0 for vm in result.value_matching.values())
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 500.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance_ms(self, ms: float) -> None:
-        self.now += ms / 1000.0
+def _city_sets(result):
+    return sorted(sorted(map(str, match_set.values())) for match_set in result.value_matching["City"].sets)
 
 
 @pytest.fixture()
@@ -88,143 +72,108 @@ def clean_result():
     return IntegrationEngine(_config()).integrate(_tables())
 
 
-class TestRetriesMaskTransientFailures:
-    def test_output_byte_identical_to_clean_run(self, clean_result):
-        injector = FaultInjector()
-        injector.script("embed_many", fail_cycle=(2, 3))
-        injector.script("embed", fail_cycle=(2, 3))
-        engine = IntegrationEngine(
-            _config(embedder=_wrapped(injector, retry_max_attempts=3))
-        )
-        result = engine.integrate(_tables())
-        assert result.table.columns == clean_result.table.columns
-        assert result.table.rows == clean_result.table.rows
-        # Faults genuinely fired and were masked by retries.
-        stats = injector.statistics()
-        assert any(op["injected"] > 0 for op in stats.values())
-        assert engine.resilience_state()["state"] == "closed"
-        assert engine.resilience_state()["retries"] > 0
-
-    def test_retry_counters_surface_in_match_statistics(self):
-        injector = FaultInjector().script("embed_many", fail_cycle=(1, 2))
-        engine = IntegrationEngine(
-            _config(embedder=_wrapped(injector, retry_max_attempts=2))
-        )
-        result = engine.integrate(_tables())
-        total_retries = sum(
-            vm.statistics.get("embedder_retries", 0.0)
-            for vm in result.value_matching.values()
-        )
-        assert total_retries > 0
-
-
-class TestOpenBreakerDegradedMode:
-    def test_surface_mode_serves_degraded_results(self):
-        injector = FaultInjector()
-        injector.script("embed_many", fail_all=True)
-        injector.script("embed", fail_all=True)
-        engine = IntegrationEngine(
-            _config(
-                embedder=_wrapped(
-                    injector, retry_max_attempts=1, breaker_failure_threshold=1
-                ),
-                degraded_mode="surface",
-            )
-        )
+class TestSurfaceMode:
+    def test_surface_mode_serves_degraded_results(self, down_embedder):
+        engine = IntegrationEngine(_config(embedder=down_embedder, degraded_mode="surface"))
         result = engine.integrate(_tables())
         # Exact matches still merge: Toronto/Boston/Barcelona appear once.
         city_values = {row[result.table.columns.index("City")] for row in result.table.rows}
         assert "Toronto" in city_values
-        assert any(
-            vm.statistics.get("degraded", 0.0) > 0
-            for vm in result.value_matching.values()
-        )
-        assert engine.resilience_state()["state"] == "open"
+        assert _degraded(result)
+        assert result.timings["degraded"] == 1.0
+        assert result.timings["degraded_assignments"] > 0
+        assert down_embedder.refused > 0
 
-    def test_off_mode_propagates_unavailability(self):
-        injector = FaultInjector()
-        injector.script("embed_many", fail_all=True)
-        injector.script("embed", fail_all=True)
-        engine = IntegrationEngine(
-            _config(
-                embedder=_wrapped(
-                    injector, retry_max_attempts=1, breaker_failure_threshold=1
-                ),
-                degraded_mode="off",
-            )
-        )
-        with pytest.raises(EmbedderUnavailable):
-            engine.integrate(_tables())
+    def test_surface_mode_pairs_normalised_equals_only(self, down_embedder):
+        engine = IntegrationEngine(_config(embedder=down_embedder, degraded_mode="surface"))
+        sets = _city_sets(engine.integrate(_tables()))
+        # "barcelona" normalises to "Barcelona"; "Berlinn" is a typo only an
+        # embedding could match to "Berlin".
+        assert ["Barcelona", "Barcelona", "barcelona"] in sets
+        assert ["Berlinn"] in sets and ["Berlin", "Berlin"] in sets
 
-    def test_per_request_override_enables_surface_mode(self):
-        injector = FaultInjector()
-        injector.script("embed_many", fail_all=True)
-        injector.script("embed", fail_all=True)
-        engine = IntegrationEngine(
-            _config(
-                embedder=_wrapped(
-                    injector, retry_max_attempts=1, breaker_failure_threshold=1
-                ),
-                degraded_mode="off",
-            )
-        )
-        result = engine.integrate(_tables(), degraded_mode="surface")
-        assert any(
-            vm.statistics.get("degraded", 0.0) > 0
-            for vm in result.value_matching.values()
-        )
+    def test_a_degraded_request_embeds_and_caches_nothing(self, down_embedder):
+        engine = IntegrationEngine(_config(embedder=down_embedder, degraded_mode="surface"))
+        result = engine.integrate(_tables())
+        assert len(down_embedder.cache) == 0
+        for name in ("cache_hits", "cache_misses", "cache_fills"):
+            assert result.timings[name] == 0.0, name
 
-
-class TestBreakerRecovery:
-    def test_recovery_restores_byte_identical_results(self, clean_result):
-        clock = FakeClock()
-        injector = FaultInjector()
-        injector.script("embed_many", fail_all=True)
-        injector.script("embed", fail_all=True)
-        engine = IntegrationEngine(
-            _config(
-                embedder=_wrapped(
-                    injector,
-                    clock=clock,
-                    retry_max_attempts=1,
-                    breaker_failure_threshold=1,
-                    breaker_reset_ms=1000.0,
-                ),
-                degraded_mode="surface",
-            )
-        )
-        degraded = engine.integrate(_tables())
-        assert any(
-            vm.statistics.get("degraded", 0.0) > 0
-            for vm in degraded.value_matching.values()
-        )
-        # The backend heals; once the reset window elapses the half-open
-        # probe succeeds and full-fidelity matching resumes.
-        injector.heal()
-        clock.advance_ms(1001.0)
-        recovered = engine.integrate(_tables())
-        assert engine.resilience_state()["state"] == "closed"
-        assert recovered.table.columns == clean_result.table.columns
-        assert recovered.table.rows == clean_result.table.rows
-        assert not any(
-            vm.statistics.get("degraded", 0.0) > 0
-            for vm in recovered.value_matching.values()
-        )
-
-
-class TestBackendDeterminism:
-    def test_fault_scenario_identical_across_serial_and_parallel(self):
+    def test_degraded_results_are_identical_across_serial_and_parallel(self, down_embedder):
         results = []
         for backend in ("serial", BACKEND):
-            injector = FaultInjector()
-            injector.script("embed_many", fail_cycle=(2, 3))
-            injector.script("embed", fail_cycle=(2, 3))
-            engine = IntegrationEngine(
-                _config(
-                    embedder=_wrapped(injector, retry_max_attempts=3),
-                    parallel_backend=backend,
-                )
-            )
+            embedder = type(down_embedder)()
+            engine = IntegrationEngine(_config(embedder=embedder, degraded_mode="surface", parallel_backend=backend))
             results.append(engine.integrate(_tables()))
         assert results[0].table.columns == results[1].table.columns
         assert results[0].table.rows == results[1].table.rows
+        assert _degraded(results[0]) and _degraded(results[1])
+
+    def test_a_degraded_scale_request_publishes_and_indexes_nothing(self, tmp_path, down_embedder):
+        config = FuzzyFDConfig.preset("scale").replace(embedder=down_embedder, store_dir=str(tmp_path))
+        engine = IntegrationEngine(config)
+        degraded = engine.integrate(_tables())
+        assert _degraded(degraded)
+        assert degraded.timings.get("store_published_rows", 0.0) == 0.0
+        assert degraded.timings.get("ann_index_builds", 0.0) == 0.0
+        down_embedder.down = False
+        recovered = engine.integrate(_tables())
+        clean = IntegrationEngine(FuzzyFDConfig.preset("scale")).integrate(_tables())
+        assert recovered.timings["store_published_rows"] > 0
+        assert recovered.table.rows == clean.table.rows
+        assert not _degraded(recovered)
+
+    def test_another_embedder_error_is_not_absorbed(self):
+        class BrokenEmbedder(MistralEmbedder):
+            def embed_many(self, values):
+                raise RuntimeError("model weights are corrupt")
+
+        engine = IntegrationEngine(_config(embedder=BrokenEmbedder(), degraded_mode="surface"))
+        with pytest.raises(RuntimeError, match="corrupt"):
+            engine.integrate(_tables())
+
+
+class TestOffMode:
+    def test_off_mode_propagates_unavailability(self, down_embedder):
+        engine = IntegrationEngine(_config(embedder=down_embedder, degraded_mode="off"))
+        with pytest.raises(EmbedderUnavailable):
+            engine.integrate(_tables())
+
+    def test_per_request_override_enables_surface_mode(self, down_embedder):
+        engine = IntegrationEngine(_config(embedder=down_embedder, degraded_mode="off"))
+        result = engine.integrate(_tables(), degraded_mode="surface")
+        assert _degraded(result)
+
+    def test_per_request_override_disables_surface_mode(self, down_embedder):
+        engine = IntegrationEngine(_config(embedder=down_embedder, degraded_mode="surface"))
+        with pytest.raises(EmbedderUnavailable):
+            engine.integrate(_tables(), degraded_mode="off")
+        assert _degraded(engine.integrate(_tables()))
+
+    def test_fail_is_no_longer_a_mode(self):
+        with pytest.raises(ValueError, match="degraded_mode"):
+            FuzzyFDConfig(degraded_mode="fail")
+
+
+class TestRecovery:
+    def test_recovery_restores_byte_identical_results(self, clean_result, down_embedder):
+        engine = IntegrationEngine(_config(embedder=down_embedder, degraded_mode="surface"))
+        degraded = engine.integrate(_tables())
+        assert _degraded(degraded)
+        # The backend comes back: the next request matches with embeddings.
+        down_embedder.down = False
+        recovered = engine.integrate(_tables())
+        assert recovered.table.columns == clean_result.table.columns
+        assert recovered.table.rows == clean_result.table.rows
+        assert recovered.table.provenance == clean_result.table.provenance
+        assert _city_sets(recovered) == _city_sets(clean_result)
+        assert not _degraded(recovered)
+
+    def test_an_off_engine_serves_again_once_the_backend_is_back(self, clean_result, down_embedder):
+        engine = IntegrationEngine(_config(embedder=down_embedder))
+        with pytest.raises(EmbedderUnavailable):
+            engine.integrate(_tables())
+        down_embedder.down = False
+        recovered = engine.integrate(_tables())
+        assert recovered.table.rows == clean_result.table.rows
+        assert engine.requests_served == 1

@@ -1,22 +1,16 @@
-"""Chaos suite: the serving layer under a failing embedder.
+"""The serving layer over a down embedder.
 
-An open breaker must never turn into an unhandled 500: under
-``degraded_mode="surface"`` requests keep succeeding (marked degraded in
-their trace, ``/healthz`` reports ``degraded``), under ``"fail"`` they get
-a typed 503 with a ``Retry-After`` derived from the breaker's remaining
-open window, and once the backend heals responses are byte-identical to a
-never-failed service.
+A down embedder (``DownEmbedder``, ``tests/conftest.py``) must never turn
+into an unhandled error: under ``degraded_mode="surface"`` requests keep
+succeeding, marked degraded in their trace; under ``"off"`` they get a typed
+``unavailable`` response; and once the backend is back, responses are
+byte-identical to a never-failed service.  The HTTP side of this contract is
+in ``tests/service/test_http.py``.
 """
 
 from __future__ import annotations
 
-import asyncio
-
-import pytest
-
 from repro.core import FuzzyFDConfig
-from repro.embeddings import MistralEmbedder
-from repro.embeddings.resilient import ResilientEmbedder
 from repro.obs import TERMINAL_OUTCOMES
 from repro.service import (
     EmbedderUnavailableResponse,
@@ -24,7 +18,6 @@ from repro.service import (
     IntegrationService,
 )
 from repro.table import Table
-from repro.testing import FaultInjector, FaultyEmbedder
 
 TABLES = [
     Table("T1", ["City"], [("Berlinn",), ("Toronto",), ("Barcelona",)]),
@@ -32,137 +25,81 @@ TABLES = [
 ]
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance_ms(self, ms: float) -> None:
-        self.now += ms / 1000.0
+def _service(embedder, degraded_mode):
+    return IntegrationService(FuzzyFDConfig(embedder=embedder, degraded_mode=degraded_mode))
 
 
-def _service(degraded_mode, *, clock=None, fail=True, breaker_reset_ms=60_000.0):
-    injector = FaultInjector()
-    if fail:
-        injector.script("embed_many", fail_all=True)
-        injector.script("embed", fail_all=True)
-    kwargs = dict(
-        retry_max_attempts=1,
-        retry_backoff_ms=0.01,
-        breaker_failure_threshold=1,
-        breaker_reset_ms=breaker_reset_ms,
-        sleep=lambda seconds: None,
-    )
-    if clock is not None:
-        kwargs["clock"] = clock
-    embedder = ResilientEmbedder(FaultyEmbedder(MistralEmbedder(), injector), **kwargs)
-    config = FuzzyFDConfig(embedder=embedder, degraded_mode=degraded_mode)
-    return IntegrationService(config), injector
-
-
-INTEGRATE_BODY = {
-    "tables": [
-        {"name": "T1", "columns": ["City"], "rows": [["Berlinn"], ["Toronto"]]},
-        {"name": "T2", "columns": ["City"], "rows": [["Berlin"], ["Toronto"]]},
-    ]
-}
+def _reconciles(stats) -> bool:
+    outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
+    return outcomes + stats.in_flight == stats.submitted
 
 
 class TestSurfaceMode:
-    def test_open_breaker_serves_degraded_not_errors(self):
-        async def main():
-            service, _ = _service("surface")
-            async with service:
-                response = await service.integrate(TABLES)
-                stats = service.stats()
-                return response, stats
-
-        response, stats = asyncio.run(main())
+    def test_a_down_embedder_serves_degraded_not_errors(self, down_embedder):
+        service = _service(down_embedder, "surface")
+        response = service.integrate_sync(TABLES)
+        stats = service.stats()
+        service.close()
         assert isinstance(response, IntegrationResponse)
         assert response.trace.degraded is True
-        assert response.trace.breaker_opens >= 1.0
-        assert stats.served == 1
-        assert stats.degraded_served == 1
-        assert stats.breaker_state == "open"
+        assert response.trace.raw_embed_calls == 0.0
+        assert (stats.served, stats.degraded_served, stats.unavailable) == (1, 1, 0)
 
-    def test_healthz_reports_degraded_while_integrate_stays_200(self, serve_http):
-        service, _ = _service("surface")
-        with serve_http(service) as server:
-            integrate = server.request("POST", "/integrate", INTEGRATE_BODY)
-            health = server.request("GET", "/healthz")
-            stats = server.request("GET", "/stats")
+    def test_recovery_is_byte_identical_to_clean_service(self, down_embedder):
+        clean = _service("mistral", "surface").integrate_sync(TABLES)
+        service = _service(down_embedder, "surface")
+        degraded = service.integrate_sync(TABLES)
+        down_embedder.down = False
+        recovered = service.integrate_sync(TABLES)
+        stats = service.stats()
         service.close()
-        status, _, body = integrate
-        assert status == 200
-        assert body["trace"]["degraded"] is True
-        status, _, body = health
-        assert status == 200
-        assert body["status"] == "degraded"
-        assert body["breaker"]["state"] in ("open", "half_open")
-        status, _, body = stats
-        assert body["breaker_state"] == "open"
-        assert body["degraded_served"] == 1
-
-    def test_recovery_is_byte_identical_to_clean_service(self):
-        async def main():
-            clean_service, _ = _service("surface", fail=False)
-            async with clean_service:
-                clean = await clean_service.integrate(TABLES)
-
-            clock = FakeClock()
-            service, injector = _service("surface", clock=clock, breaker_reset_ms=1000.0)
-            async with service:
-                degraded = await service.integrate(TABLES)
-                injector.heal()
-                clock.advance_ms(1001.0)
-                recovered = await service.integrate(TABLES)
-                breaker_state = service.stats().breaker_state
-            return clean, degraded, recovered, breaker_state
-
-        clean, degraded, recovered, breaker_state = asyncio.run(main())
         assert degraded.trace.degraded is True
         assert recovered.trace.degraded is False
-        assert breaker_state == "closed"
         assert recovered.result.table.rows == clean.result.table.rows
+        assert recovered.result.table.provenance == clean.result.table.provenance
+        assert (stats.served, stats.degraded_served) == (2, 1)
+
+    def test_a_request_override_turns_the_surface_route_off(self, down_embedder):
+        service = _service(down_embedder, "surface")
+        response = service.integrate_sync(TABLES, degraded_mode="off")
+        service.close()
+        assert isinstance(response, EmbedderUnavailableResponse)
 
 
-class TestFailMode:
-    def test_unavailable_response_with_retry_window(self):
-        async def main():
-            service, _ = _service("fail")
-            async with service:
-                first = await service.integrate(TABLES)
-                second = await service.integrate(TABLES)
-                stats = service.stats()
-            return first, second, stats
-
-        first, second, stats = asyncio.run(main())
-        # The very first request trips the breaker mid-flight and surfaces
-        # the typed outcome; later requests are short-circuited the same way.
+class TestOffMode:
+    def test_unavailable_response_without_a_trace(self, down_embedder):
+        service = _service(down_embedder, "off")
+        first = service.integrate_sync(TABLES)
+        second = service.integrate_sync(TABLES)
+        stats = service.stats()
+        service.close()
         for response in (first, second):
             assert isinstance(response, EmbedderUnavailableResponse)
             assert response.status == "unavailable"
-            assert response.retry_after_ms > 0.0
-        assert stats.unavailable == 2
-        assert stats.served == 0
+            assert response.error == "embedding backend is down"
+            assert response.trace is None
+            assert not hasattr(response, "retry_after_ms")
+        assert (stats.unavailable, stats.served, stats.failed) == (2, 0, 0)
         # unavailable is a terminal outcome: the accounting identity holds.
-        outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
-        assert outcomes + stats.in_flight == stats.submitted == 2
+        assert _reconciles(stats) and stats.submitted == 2
 
-    def test_http_503_with_retry_after_header(self, serve_http):
-        service, _ = _service("fail", breaker_reset_ms=45_000.0)
-        with serve_http(service) as server:
-            integrate = server.request("POST", "/integrate", INTEGRATE_BODY)
-            health = server.request("GET", "/healthz")
+    def test_a_request_override_turns_the_surface_route_on(self, down_embedder):
+        service = _service(down_embedder, "off")
+        response = service.integrate_sync(TABLES, degraded_mode="surface")
+        stats = service.stats()
         service.close()
-        status, headers, body = integrate
-        assert status == 503
-        assert body["status"] == "unavailable"
-        assert body["retry_after_ms"] > 0.0
-        assert 1 <= int(headers["retry-after"]) <= 45
-        status, headers, body = health
-        assert status == 503
-        assert body["status"] == "unhealthy"
-        assert "retry-after" in headers
+        assert response.status == "ok" and response.trace.degraded is True
+        assert stats.degraded_served == 1
+
+    def test_the_service_serves_again_once_the_backend_is_back(self, down_embedder):
+        clean = _service("mistral", "off").integrate_sync(TABLES)
+        service = _service(down_embedder, "off")
+        refused = service.integrate_sync(TABLES)
+        down_embedder.down = False
+        served = service.integrate_sync(TABLES)
+        stats = service.stats()
+        service.close()
+        assert refused.status == "unavailable"
+        assert served.status == "ok" and served.trace.degraded is False
+        assert served.result.table.rows == clean.result.table.rows
+        assert (stats.unavailable, stats.served) == (1, 1) and _reconciles(stats)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.embeddings import ExactEmbedder, FastTextEmbedder, MistralEmbedder
+from repro.embeddings import EmbedderUnavailable, ExactEmbedder, FastTextEmbedder, MistralEmbedder
 from repro.table import Table, is_null
 
 
@@ -183,6 +183,30 @@ def fasttext_embedder():
 def exact_embedder():
     """The equality-only embedder (regular-FD behaviour)."""
     return ExactEmbedder()
+
+
+class DownEmbedder(MistralEmbedder):
+    """Mistral behind a backend that can be down: while ``down`` is set,
+    ``embed`` / ``embed_many`` raise :class:`EmbedderUnavailable` before
+    touching the cache (``refused`` counts those calls).  Clearing ``down``
+    brings it back: it then embeds exactly as a fresh ``MistralEmbedder``."""
+
+    def __init__(self, down: bool = True) -> None:
+        super().__init__()
+        self.down = down
+        self.refused = 0
+
+    def embed_many(self, values):
+        if self.down:
+            self.refused += 1
+            raise EmbedderUnavailable("embedding backend is down")
+        return super().embed_many(values)
+
+
+@pytest.fixture()
+def down_embedder():
+    """A fresh :class:`DownEmbedder`, down."""
+    return DownEmbedder()
 
 
 @pytest.fixture(scope="session")

@@ -98,6 +98,25 @@ class TestParser:
             parser.parse_args([command, *positional, flag, "3"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["integrate", "serve"])
+    def test_degraded_mode_has_two_choices(self, command, capsys):
+        parser = build_parser()
+        positional = ["x.csv"] if command == "integrate" else []
+        args = parser.parse_args([command, *positional, "--degraded-mode", "surface"])
+        assert args.degraded_mode == "surface" and "degraded_mode" in args._explicit
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, *positional, "--degraded-mode", "fail"])
+        assert "invalid choice: 'fail'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["integrate", "serve"])
+    def test_the_help_names_no_breaker_and_no_chaos_embedder(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        out = " ".join(capsys.readouterr().out.lower().split())
+        assert "embedderunavailable" in out
+        for gone in ("breaker", "retry-after", "chaos", "fail ="):
+            assert gone not in out, gone
+
     def test_serve_rejects_zero_processes_before_booting(self, capsys):
         with pytest.raises(SystemExit, match="--processes must be >= 1"):
             main(["serve", "--processes", "0"])

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FuzzyFDConfig, available_presets
+from repro.core import FuzzyFDConfig, IntegrationEngine, available_presets
 from repro.embeddings import ExactEmbedder
 from repro.embeddings.base import ValueEmbedder
 from repro.fd import AliteFullDisjunction
@@ -94,7 +94,7 @@ class TestEagerValidation:
         ["retry_max_attempts", "retry_backoff_ms", "breaker_failure_threshold", "breaker_reset_ms", "service_max_pending"],
     )
     def test_a_removed_resilience_field_is_refused(self, field):
-        # The retry policy lives on a ResilientEmbedder the caller passes as
+        # A retry policy lives on the caller's own embedder, passed as
         # ``embedder``, and the service has no queue to bound; a config file
         # that still names a field is refused by name.
         assert field not in {f.name for f in dataclasses.fields(FuzzyFDConfig)}
@@ -102,6 +102,20 @@ class TestEagerValidation:
             FuzzyFDConfig(**{field: 1})
         with pytest.raises(ValueError, match=rf"unknown configuration keys \['{field}'\]"):
             FuzzyFDConfig.from_json(json.dumps({field: 1}))
+
+    def test_degraded_mode_is_off_or_surface(self):
+        for mode in ("off", "surface"):
+            assert FuzzyFDConfig.from_json(FuzzyFDConfig(degraded_mode=mode).to_json()).degraded_mode == mode
+        with pytest.raises(ValueError, match=r"degraded_mode must be one of \['off', 'surface'\], got 'fail'"):
+            FuzzyFDConfig(degraded_mode="fail")
+        with pytest.raises(ValueError, match="degraded_mode"):
+            FuzzyFDConfig.from_json(json.dumps({"degraded_mode": "fail"}))
+
+    def test_a_request_cannot_ask_for_the_removed_fail_mode(self):
+        engine = IntegrationEngine()
+        with pytest.raises(ValueError, match="degraded_mode"):
+            engine.effective_config({"degraded_mode": "fail"})
+        assert engine.effective_config({"degraded_mode": "surface"}).degraded_mode == "surface"
 
     def test_numbers_of_the_narrower_kind_and_optional_nones_are_kept(self):
         config = FuzzyFDConfig(threshold=1, service_deadline_ms=250, blocking_key_cap=None, exact_first=False)

@@ -7,7 +7,7 @@ import pytest
 from repro.core import IntegrationEngine
 from repro.core.representatives import available_policies, select_representative
 from repro.core.value_matching import ColumnValues, ValueMatcher
-from repro.embeddings import ExactEmbedder, MistralEmbedder
+from repro.embeddings import EmbedderUnavailable, ExactEmbedder, MistralEmbedder
 from repro.table import Table
 
 
@@ -272,6 +272,57 @@ class TestBlockingRouting:
             tuple(match_set.members) for match_set in blocked.match_columns(columns).sets
         }
         assert exhaustive_sets == blocked_sets
+
+
+class TestDegradedRoute:
+    """A down embedder (``DownEmbedder``, ``tests/conftest.py``) under
+    ``degraded_mode="surface"``: exact pairing plus normalised surface
+    equality on every route, and never an embedding."""
+
+    COLUMNS = [
+        ColumnValues("c1", ["Berlin", "Toronto", "Barcelona "]),
+        ColumnValues("c2", ["Berlinn", "toronto", "barcelona"]),
+        ColumnValues("c3", ["Toronto", "Madrid"]),
+    ]
+
+    @staticmethod
+    def _sets(result):
+        return sorted(sorted(map(repr, match_set.members)) for match_set in result.sets)
+
+    def test_the_mode_is_validated(self):
+        with pytest.raises(ValueError, match=r"degraded_mode must be one of \['off', 'surface'\]"):
+            ValueMatcher(MistralEmbedder(), degraded_mode="fail")
+
+    @pytest.mark.parametrize("blocking, semantic", [("off", "off"), ("on", "off"), ("on", "on"), ("auto", "auto")])
+    def test_every_route_degrades_alike(self, down_embedder, blocking, semantic):
+        matcher = ValueMatcher(down_embedder, blocking=blocking, semantic_blocking=semantic, degraded_mode="surface")
+        result = matcher.match_columns(self.COLUMNS)
+        merged = sorted(sorted(match_set.values()) for match_set in result.sets if len(match_set) > 1)
+        assert merged == [["Barcelona ", "barcelona"], ["Toronto", "Toronto", "toronto"]]
+        statistics = result.statistics
+        assert (statistics["degraded"], statistics["degraded_assignments"], statistics["assignments"]) == (1.0, 2.0, 2.0)
+        assert statistics.get("blocked_assignments", 0.0) == 0.0
+        assert statistics["cache_misses"] == statistics["cache_fills"] == 0.0
+        assert len(down_embedder.cache) == 0
+
+    def test_identical_values_pair_without_exact_first(self, down_embedder):
+        matcher = ValueMatcher(down_embedder, exact_first=False, degraded_mode="surface")
+        result = matcher.match_columns(self.COLUMNS)
+        assert ["Toronto", "Toronto", "toronto"] in [sorted(match_set.values()) for match_set in result.sets]
+
+    def test_off_propagates_the_error(self, down_embedder):
+        with pytest.raises(EmbedderUnavailable, match="down"):
+            ValueMatcher(down_embedder).match_columns(self.COLUMNS)
+
+    def test_a_matcher_recovers_as_a_healthy_one(self, down_embedder):
+        matcher = ValueMatcher(down_embedder, degraded_mode="surface")
+        degraded = matcher.match_columns(self.COLUMNS)
+        down_embedder.down = False
+        recovered = matcher.match_columns(self.COLUMNS)
+        healthy = ValueMatcher(MistralEmbedder()).match_columns(self.COLUMNS)
+        assert self._sets(recovered) == self._sets(healthy) != self._sets(degraded)
+        assert repr(recovered.replacements) == repr(healthy.replacements)
+        assert "degraded" not in recovered.statistics
 
 
 class TestBooleansAreNotTheirNumbers:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.embeddings import (
     BertEmbedder,
+    EmbedderUnavailable,
     EmbeddingCache,
     ExactEmbedder,
     FastTextEmbedder,
@@ -44,6 +45,40 @@ class TestRegistry:
         register_embedder("custom-exact", ExactEmbedder)
         assert get_embedder("custom-exact").name == "exact"
 
+    def test_the_chaos_embedder_is_gone(self):
+        assert "chaos" not in available_embedders()
+        with pytest.raises(ValueError, match="mistral"):
+            get_embedder("chaos")
+
+
+class TestEmbedderUnavailable:
+    """The one fault an embedder reports: its backend is down."""
+
+    def test_a_plain_runtime_error_with_a_message(self):
+        error = EmbedderUnavailable("backend is down")
+        assert isinstance(error, RuntimeError) and str(error) == "backend is down"
+        assert not hasattr(error, "retry_after_ms")
+        with pytest.raises(TypeError):
+            EmbedderUnavailable("backend is down", retry_after_ms=1.0)
+
+    def test_one_class_and_two_modes_on_every_import_path(self):
+        from repro import embeddings
+        from repro.embeddings import base
+
+        assert embeddings.EmbedderUnavailable is base.EmbedderUnavailable
+        assert embeddings.DEGRADED_MODES == base.DEGRADED_MODES == ("off", "surface")
+
+    def test_the_wrappers_and_the_fault_injector_are_gone(self):
+        import importlib
+
+        from repro import embeddings, testing
+
+        for name in ("ResilientEmbedder", "DelegatingEmbedder"):
+            assert not hasattr(embeddings, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.embeddings.resilient")
+        assert testing.__all__ == ["corrupt_array_file"]
+
 
 class TestEmbedderContract:
     @pytest.mark.parametrize("embedder_cls", ALL_EMBEDDERS)
@@ -74,6 +109,9 @@ class TestEmbedderContract:
         embedder = embedder_cls()
         assert embedder.embed("").shape == (embedder.dimension,)
         assert embedder.embed(None).shape == (embedder.dimension,)
+        # An in-process simulator never raises EmbedderUnavailable, whatever the cell.
+        matrix = embedder.embed_many(["\x00", "é" * 500, "Ⅻ ǅ ß", 3.5, True, -0.0])
+        assert matrix.shape == (6, embedder.dimension) and np.isfinite(matrix).all()
 
     @pytest.mark.parametrize("embedder_cls", ALL_EMBEDDERS)
     def test_identical_values_have_zero_distance(self, embedder_cls):

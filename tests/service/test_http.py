@@ -9,6 +9,8 @@ import time
 import pytest
 
 import repro.service.http as http_module
+from repro.core import FuzzyFDConfig
+from repro.embeddings import MistralEmbedder
 from repro.service import IntegrationService
 from repro.service.http import BadRequest, table_to_json, tables_from_json
 from repro.table import Table
@@ -32,13 +34,130 @@ INTEGRATE_BODY = {
 }
 
 
+class BrokenEmbedder(MistralEmbedder):
+    """Raises a plain ``RuntimeError`` (not ``EmbedderUnavailable``) while ``broken``."""
+
+    broken = True
+
+    def embed_many(self, values):
+        if self.broken:
+            raise RuntimeError("model weights are corrupt")
+        return super().embed_many(values)
+
+
+def _post(body):
+    """A call of ``TestEmbedderFaults._serve``: ``POST /integrate`` with ``body``."""
+    return lambda server: server.request("POST", "/integrate", body)
+
+
+def _get(path):
+    return lambda server: server.request("GET", path)
+
+
+class TestEmbedderFaults:
+    """What a failing embedder looks like over a socket: a typed JSON body,
+    never an unhandled 500, and a server that keeps serving."""
+
+    #: "Berlinn" and "Berlin" are left after exact pairing, so every request embeds.
+    BODY = {
+        "tables": [
+            {"name": "T1", "columns": ["City"], "rows": [["Berlinn"], ["Toronto"]]},
+            {"name": "T2", "columns": ["City"], "rows": [["Berlin"], ["Toronto"]]},
+        ]
+    }
+
+    def _serve(self, serve_http, embedder, degraded_mode, *calls):
+        service = IntegrationService(FuzzyFDConfig(embedder=embedder, degraded_mode=degraded_mode))
+        with serve_http(service) as server:
+            answers = [call(server) for call in calls]
+        service.close()
+        return answers
+
+    def test_an_embedder_error_is_a_typed_400_and_the_next_request_is_served(self, serve_http):
+        embedder = BrokenEmbedder()
+
+        def heal(server):
+            embedder.broken = False
+            return _post(self.BODY)(server)
+
+        failed, served, stats = self._serve(
+            serve_http, embedder, "surface",
+            _post(self.BODY),
+            heal,
+            _get("/stats"),
+        )
+        status, _, body = failed
+        assert status == 400
+        assert body["status"] == "error"
+        assert body["error"] == "RuntimeError: model weights are corrupt"
+        assert body["trace"] is None and "table" not in body
+        status, _, body = served
+        assert status == 200 and body["status"] == "ok" and body["trace"]["degraded"] is False
+        status, _, body = stats
+        assert (body["failed"], body["served"], body["submitted"], body["in_flight"]) == (1, 1, 2, 0)
+
+    def test_an_unavailable_embedder_under_off_is_a_503_without_retry_after(self, serve_http, down_embedder):
+        integrate, health, stats = self._serve(
+            serve_http, down_embedder, "off",
+            _post(self.BODY),
+            _get("/healthz"),
+            _get("/stats"),
+        )
+        status, headers, body = integrate
+        assert status == 503
+        assert "retry-after" not in headers
+        assert body == {"status": "unavailable", "request_id": 1, "trace": None, "error": "embedding backend is down"}
+        assert health[0] == 200 and health[2]["status"] == "healthy"
+        assert (stats[2]["unavailable"], stats[2]["served"], stats[2]["failed"]) == (1, 0, 0)
+
+    def test_an_unavailable_embedder_under_surface_is_a_degraded_200(self, serve_http, down_embedder):
+        integrate, health, stats = self._serve(
+            serve_http, down_embedder, "surface",
+            _post(self.BODY),
+            _get("/healthz"),
+            _get("/stats"),
+        )
+        status, headers, body = integrate
+        assert status == 200 and "retry-after" not in headers
+        assert body["status"] == "ok" and body["trace"]["degraded"] is True
+        assert health[0] == 200 and health[2] == {"status": "healthy", "requests_served": 1}
+        assert (stats[2]["served"], stats[2]["degraded_served"]) == (1, 1)
+
+    def test_a_request_override_picks_the_route_over_http(self, serve_http, down_embedder):
+        body = dict(self.BODY, overrides={"degraded_mode": "surface"})
+        surface, refused = self._serve(
+            serve_http, down_embedder, "off",
+            _post(body),
+            _post(dict(self.BODY, overrides={"degraded_mode": "fail"})),
+        )
+        assert surface[0] == 200 and surface[2]["trace"]["degraded"] is True
+        assert refused[0] == 400 and "degraded_mode" in refused[2]["error"]
+
+    def test_the_served_table_is_the_clean_one_once_the_backend_is_back(self, serve_http, down_embedder):
+        def heal(server):
+            down_embedder.down = False
+            return _post(self.BODY)(server)
+
+        degraded, recovered = self._serve(
+            serve_http, down_embedder, "surface",
+            _post(self.BODY),
+            heal,
+        )
+        (clean,) = self._serve(
+            serve_http, MistralEmbedder(), "surface",
+            _post(self.BODY),
+        )
+        assert degraded[2]["trace"]["degraded"] is True
+        assert recovered[2]["trace"]["degraded"] is False
+        assert recovered[2]["table"] == clean[2]["table"]
+
+
 class TestEndpoints:
     def test_healthz(self, served):
         status, _, body = served[0].request("GET", "/healthz")
         assert status == 200
         assert body["status"] == "healthy"
-        assert body["requests_served"] == 0
-        assert body["breaker"]["state"] == "closed"
+        assert body == {"status": "healthy", "requests_served": 0}
 
     def test_integrate_round_trip_with_trace(self, served):
         status, _, body = served[0].request("POST", "/integrate", INTEGRATE_BODY)

@@ -12,29 +12,29 @@ import threading
 
 import pytest
 
-from repro.obs import BREAKER_COUNTERS, ROW_COUNTERS
+from repro.obs import ROW_COUNTERS
 from repro.service import IntegrationService, ServiceStats
 from repro.service.processes import Scoreboard, default_processes
 from repro.service.service import LATENCY_WINDOW
-from repro.service.types import aggregate_breaker
 from repro.table import Table
 
 
-def _row(served=0, state="closed", retry_after_ms=0.0, **counters):
-    row = {name: 0 for name in ROW_COUNTERS + BREAKER_COUNTERS}
-    row.update(counters, served=served, breaker_state=state, retry_after_ms=retry_after_ms)
+def _row(served=0, **counters):
+    row = dict.fromkeys(ROW_COUNTERS, 0)
+    row.update(counters, served=served)
     return row
 
 
 class TestScoreboard:
     def test_rows_round_trip_and_start_alive(self):
         board = Scoreboard(3)
-        board.write(1, _row(served=7, submitted=9, in_flight=2, retries=4), 0.25)
+        board.write(1, _row(served=7, submitted=10, in_flight=2, unavailable=1, degraded_served=3), 0.25)
         rows = board.rows()
         assert [row["alive"] for row in rows] == [True, True, True]
         assert rows[1]["pid"] == os.getpid()
-        assert (rows[1]["served"], rows[1]["submitted"], rows[1]["in_flight"]) == (7, 9, 2)
-        assert rows[1]["retries"] == 4
+        assert (rows[1]["served"], rows[1]["submitted"], rows[1]["in_flight"]) == (7, 10, 2)
+        assert (rows[1]["unavailable"], rows[1]["degraded_served"]) == (1, 3)
+        assert set(rows[1]) == {*ROW_COUNTERS, "pid", "alive", "latencies"}
         assert rows[1]["latencies"] == [0.25]
         assert rows[0]["served"] == 0 and rows[0]["latencies"] == []
 
@@ -53,14 +53,6 @@ class TestScoreboard:
         latencies = board.rows()[0]["latencies"]
         assert len(latencies) == LATENCY_WINDOW
         assert sorted(latencies) == [float(i) for i in range(5, LATENCY_WINDOW + 5)]
-
-    def test_an_open_breaker_ages_to_half_open(self):
-        board = Scoreboard(2)
-        board.write(0, _row(state="open", retry_after_ms=60_000.0), None)
-        board.write(1, _row(state="open", retry_after_ms=0.0), None)
-        first, second = board.rows()
-        assert first["breaker_state"] == "open" and 0.0 < first["retry_after_ms"] <= 60_000.0
-        assert second["breaker_state"] == "half_open" and second["retry_after_ms"] == 0.0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs a second process")
     def test_readers_never_see_a_torn_row(self):
@@ -96,36 +88,25 @@ class TestAggregation:
         assert (stats.processes, stats.processes_alive) == (2, 1)
         assert stats.latency_p50_seconds == 0.3
         assert [entry["served"] for entry in stats.per_process] == [2, 4]
-        assert stats.to_dict()["per_process"][1] == {
-            "pid": 2, "alive": False, "served": 4, "breaker_state": "closed"
-        }
+        assert stats.to_dict()["per_process"][1] == {"pid": 2, "alive": False, "served": 4}
 
-    def test_health_is_the_worst_breaker_of_the_live_processes(self):
-        rows = [
-            dict(_row(state="closed", breaker_opens=1), pid=1, alive=True, latencies=[]),
-            dict(_row(state="half_open", breaker_opens=2, consecutive_failures=3), pid=2, alive=True, latencies=[]),
-            dict(_row(state="open", retry_after_ms=900.0), pid=3, alive=False, latencies=[]),
-        ]
-        view = aggregate_breaker(rows)
-        assert view["state"] == "half_open"  # the dead process's open breaker does not count
-        assert view["breaker_opens"] == 3
-        assert view["consecutive_failures"] == 3
-        assert view["retry_after_ms"] == 0.0
+    def test_stats_carry_outcomes_latencies_and_processes_only(self):
+        assert set(ServiceStats().to_dict()) == {
+            *(name for name in ROW_COUNTERS if name != "requests_served"),
+            "latency_p50_seconds", "latency_p99_seconds", "processes", "processes_alive", "per_process",
+        }
 
     def test_one_process_service_reports_itself(self):
         service = IntegrationService("fast")
         stats = service.stats()
         assert (stats.processes, stats.processes_alive) == (1, 1)
-        assert stats.per_process == [
-            {"pid": os.getpid(), "alive": True, "served": 0, "breaker_state": "closed"}
-        ]
-        assert service.health()["breaker"]["state"] == "closed"
+        assert stats.per_process == [{"pid": os.getpid(), "alive": True, "served": 0}]
+        assert service.health() == {"requests_served": 0}
         service.close()
 
     def test_concurrent_requests_lose_no_update_in_the_shared_row(self):
-        # A serving thread and a stats-reading thread both write the one row
-        # (a read publishes the breaker), switching as often as the
-        # interpreter allows.
+        # A serving thread writes the one row while a stats-reading thread
+        # copies it, switching as often as the interpreter allows.
         board = Scoreboard(1)
         service = IntegrationService("fast")
         service.share(board, 0)

@@ -16,8 +16,7 @@ import time
 import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
-from repro.embeddings import MistralEmbedder
-from repro.embeddings.resilient import EmbedderUnavailable
+from repro.embeddings import EmbedderUnavailable, MistralEmbedder
 from repro.obs import TERMINAL_OUTCOMES
 from repro.service import (
     DeadlineExceeded,
@@ -389,12 +388,12 @@ class TestFailuresAndLifecycle:
     def test_an_unavailable_embedder_is_a_response(self):
         class UnavailableEmbedder(MistralEmbedder):
             def _embed_texts(self, texts):
-                raise EmbedderUnavailable("breaker open", retry_after_ms=250.0)
+                raise EmbedderUnavailable("backend down")
 
         service = IntegrationService(FuzzyFDConfig(embedder=UnavailableEmbedder()))
         response = service.integrate_sync(_tables())
         assert isinstance(response, EmbedderUnavailableResponse)
-        assert response.retry_after_ms == 250.0
+        assert (response.status, response.error, response.trace) == ("unavailable", "backend down", None)
         stats = service.stats()
         outcomes = sum(getattr(stats, outcome) for outcome in TERMINAL_OUTCOMES)
         assert outcomes + stats.in_flight == stats.submitted == 1

@@ -29,13 +29,11 @@ import pytest
 
 from repro import obs
 from repro.core import FuzzyFDConfig
-from repro.embeddings import MistralEmbedder
-from repro.embeddings.resilient import ResilientEmbedder
+from conftest import DownEmbedder
 from repro.evaluation import format_cache_statistics, format_request_trace
 from repro.matching.blocking import BlockingStatistics
 from repro.service import IntegrationService, RequestTrace
 from repro.table import Table
-from repro.testing import FaultInjector, FaultyEmbedder
 
 HERE = Path(__file__).resolve().parent
 SNAPSHOT = HERE / "obs_snapshot.json"
@@ -80,19 +78,8 @@ TRACE_FIELDS = {"request_id", "status", "stage_seconds", "queue_wait_seconds", "
 
 
 def _hard_down(degraded_mode: str) -> FuzzyFDConfig:
-    """An engine config whose embedder always fails and trips the breaker at once."""
-    injector = FaultInjector()
-    injector.script("embed_many", fail_all=True)
-    injector.script("embed", fail_all=True)
-    embedder = ResilientEmbedder(
-        FaultyEmbedder(MistralEmbedder(), injector),
-        retry_max_attempts=1,
-        retry_backoff_ms=0.01,
-        breaker_failure_threshold=1,
-        breaker_reset_ms=60_000.0,
-        sleep=lambda seconds: None,
-    )
-    return FuzzyFDConfig(embedder=embedder, degraded_mode=degraded_mode)
+    """An engine config whose embedder's backend is down."""
+    return FuzzyFDConfig(embedder=DownEmbedder(), degraded_mode=degraded_mode)
 
 
 def _untimed(counts) -> dict:
@@ -137,7 +124,7 @@ def observe() -> dict:
             "scale_cold": _serve(scale),
             "scale_warm": _serve(scale),
             "degraded": _serve(_hard_down("surface")),
-            "fail": _serve(_hard_down("fail")),
+            "fail": _serve(_hard_down("off")),
         }
 
 
