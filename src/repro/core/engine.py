@@ -89,12 +89,16 @@ class FuzzyIntegrationResult:
     """Everything the pipeline produced, with a per-phase timing breakdown;
     ``rewritten`` is the FD's input, coded (``rewritten_tables``: decoded)."""
 
-    table: Table
     fd_result: FullDisjunctionResult
     alignment: ColumnAlignment
     value_matching: Dict[str, ValueMatchingResult] = field(default_factory=dict)
     rewritten: List[Relation] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def table(self) -> Table:
+        """The integrated table (``fd_result.table``, decoded on first read)."""
+        return self.fd_result.table
 
     @cached_property
     def rewritten_tables(self) -> List[Table]:
@@ -113,7 +117,7 @@ class FuzzyIntegrationResult:
     @property
     def output_tuple_count(self) -> int:
         """Number of tuples in the integrated table."""
-        return self.table.num_rows
+        return self.fd_result.output_tuple_count
 
     def rewrites_applied(self) -> int:
         """Number of distinct value rewrites applied across all columns."""
@@ -460,7 +464,6 @@ class IntegrationEngine:
             if on_stage is not None:
                 on_stage("complete")
             return FuzzyIntegrationResult(
-                table=fd_result.table,
                 fd_result=fd_result,
                 alignment=staged.alignment,
                 value_matching=staged.value_matching,

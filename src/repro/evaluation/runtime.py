@@ -72,7 +72,7 @@ def runtime_sweep(
                     input_tuples=actual_input,
                     method=method,
                     seconds=elapsed,
-                    output_tuples=result.table.num_rows,
+                    output_tuples=result.output_tuple_count,
                 )
             )
     return points

@@ -72,12 +72,14 @@ class ComplementationEngine:
     such as ``genres`` is low-cardinality.  That position is found once per
     input; a merge holds its parents' positions with their codes, so it
     inherits the smaller of their listing keys.  Partners share a value, so
-    their position bits meet: at the first generation that lists a candidate, the
-    inputs' lists are ordered once more, by (pair, holder's position bits),
-    and a tuple reads, of each list, only the runs whose bits meet its own
+    their position bits meet: at the first generation that lists more
+    candidates than the inputs have cells, the inputs' lists are ordered once
+    more, by (pair, holder's position bits), and a tuple reads, of each list,
+    only the runs whose bits meet its own
     (:class:`~repro.table.coded.MeetingRuns`) — never a candidate the meet
-    test would drop.  It tests the rest on codes at one position, the *cut*
-    (where the most of a sample of the first generation's candidates
+    test would drop; a generation before that tests the bits of every listed
+    holder (:meth:`~repro.table.coded.PairPostings.meeting`).  It tests the
+    rest on codes at one position, the *cut* (where the most of a sample of the first generation's candidates
     conflicted), and then on the words, every position at once: "no
     conflict", "shares a value" and which side holds only positions the other
     holds.  The cut is learned once and kept: the first later generation
@@ -116,18 +118,20 @@ class ComplementationEngine:
         codes: np.ndarray,
         statistics: Dict[str, float] | None = None,
         labels: np.ndarray | None = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Full Disjunction of coded tuples: closure, then subsumption removal.
 
-        Returns the surviving tuples, coded, and their provenance as pairs:
-        input ``inputs[k]`` is a source of survivor ``holders[k]``.  With
+        Returns the surviving tuples, coded, and the survivor (none or one
+        index) that takes the fully-null inputs' provenance; the rest of it
+        is the inputs each survivor subsumes (:func:`subsumed_sources`).  With
         ``labels`` — one per input in ``[0, inputs]``, equal within each
         connected component of the value-sharing graph — the survivors come
         label by label, each label's in closure order, and each tuple meets its
         own label's inputs only: what closing the labels one after the other
-        would list and test.
+        would list and test.  A merge never leaves its component, so a
+        survivor's label is that of every input it subsumes.
         """
-        closed, subsumed = self.close_coded(codes, statistics, labels)
+        closed, subsumed, closed_labels = self.close_coded(codes, statistics, labels)
         kept = np.flatnonzero(~subsumed)
         # Fully-null inputs ride on the survivor standing for the closure's
         # fully-null tuple, which the first other tuple absorbs, as in
@@ -135,22 +139,21 @@ class ComplementationEngine:
         empty = np.flatnonzero((closed < 0).all(axis=0)).tolist()
         starts = [int(index == 0) if subsumed[index] else index for index in empty]
         empty_to = np.searchsorted(kept, [survivor(closed, subsumed, start) for start in starts])
-        survivors = closed[:, kept]
-        inputs, holders, stem = subsumed_sources(survivors, codes, empty_to)
         if labels is not None:
-            order = stable_order(labels[stem], codes.shape[1] + 1)
-            survivors, holders = survivors[:, order], np.argsort(order)[holders]
-        return survivors, inputs, holders
+            order = stable_order(closed_labels[kept], codes.shape[1] + 1)
+            kept, empty_to = kept[order], np.argsort(order)[empty_to]
+        return closed[:, kept], empty_to
 
     def close_coded(
         self, codes: np.ndarray, statistics: Dict[str, float] | None = None, labels: np.ndarray | None = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`close` over a ``(width, rows)`` code matrix, coded in and out.
 
         With ``labels`` (:meth:`disjunction_coded`), a tuple meets its label's
         inputs only.  Also returns, per closed tuple, whether another closed
-        tuple strictly subsumes it.  If ``s`` strictly subsumes ``t``, some
-        input of ``s`` is not within ``t``, and one such input shares a value
+        tuple strictly subsumes it, and its label: that of the inputs it
+        merged.  If ``s`` strictly subsumes ``t``, some input of ``s`` is not
+        within ``t``, and one such input shares a value
         with ``t``: with an input of ``s`` within ``t`` if there is one (the
         inputs of ``s`` are value-connected), else at any position ``t``
         holds.  That input adds a value to ``t`` without conflict, and the
@@ -221,7 +224,7 @@ class ComplementationEngine:
         subsumed = [np.empty(0, dtype=np.intp)]  # tuples another one strictly subsumes
         conflicting = np.zeros(width, dtype=np.int64)  # per position, in the first generation's samples
         cut = None  # learned on the first generation, then kept
-        runs = None  # the inputs' lists in runs by pattern, built at the first listing
+        runs = None  # the inputs' lists in runs by pattern, built when a generation lists more than their cells
         split = False  # whether ``runs`` holds the lists ordered by their code at the cut too
         generation_start = 0
         while generation_start < len(known):
@@ -249,13 +252,23 @@ class ComplementationEngine:
             # own.  After the first generation every owner is a merged tuple,
             # which reads whole lists; once a generation lists more than a
             # block, an owner holding a code at the cut reads only the runs
-            # null or holding that code there.
-            if runs is None:
-                runs = MeetingRuns(postings, pattern[:inputs])
-            if not split and cut is not None and candidates > coded.PAIR_BLOCK:
-                runs, split = runs.cut(data[cut, :inputs], int(codes_per_column[cut])), True
-            at_cut = data[cut].take(owners) if split else None
-            for owner, candidate in runs.meeting(owners, pairs, pattern.take(owners), limit, at_cut):
+            # null or holding that code there.  Until a generation lists more
+            # candidates than the inputs have cells, the runs are not worth
+            # building: it reads its lists whole and tests every candidate's
+            # pattern — the same pairs, in another order.  That order would
+            # change the cut's sample past 2 × CUT_SAMPLE pairs, and the split
+            # needs the runs, so those generations build them.
+            whole = candidates < 2 * CUT_SAMPLE if cut is None else candidates <= coded.PAIR_BLOCK
+            if runs is None and whole and candidates <= width * inputs:
+                blocks = postings.meeting(owners, pairs, smaller, pattern)
+            else:
+                if runs is None:
+                    runs = MeetingRuns(postings, pattern[:inputs])
+                if not split and cut is not None and candidates > coded.PAIR_BLOCK:
+                    runs, split = runs.cut(data[cut, :inputs], int(codes_per_column[cut])), True
+                at_cut = data[cut].take(owners) if split else None
+                blocks = runs.meeting(owners, pairs, pattern.take(owners), limit, at_cut)
+            for owner, candidate in blocks:
                 expanded += owner.size
                 # The cut: the position where most of a sample of the first
                 # generation's candidates conflict so far, on codes; then
@@ -304,12 +317,10 @@ class ComplementationEngine:
         mask[np.concatenate(subsumed)] = True
         # A fully-null tuple is subsumed by any other; it is never a partner.
         mask[(closed < 0).all(axis=0)] = len(known) > 1
-        return closed, mask
+        return closed, mask, component[: len(known)]
 
 
-def subsumed_sources(
-    closed: np.ndarray, codes: np.ndarray, empty_to: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def subsumed_sources(closed: np.ndarray, codes: np.ndarray, empty_to: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Provenance of tuples ``closed`` of the closure of the inputs ``codes``,
     as pairs: input ``inputs[k]`` is a source of closed tuple ``holders[k]``.
 
@@ -317,16 +328,11 @@ def subsumed_sources(
     input is a partner of ``t`` whose merge is ``t`` itself, and every tuple
     merged into ``t`` is subsumed by ``t``, hence so are the inputs it stems
     from.  Fully-null inputs merge with nothing; the tuple ``empty_to`` (none
-    or one index) takes their sources.  Also returns, per closed tuple, one
-    input it stems from.
+    or one index) takes their sources.
     """
     inputs, holders = subsumers(codes, closed)
-    stem = np.zeros(closed.shape[1], dtype=np.int64)
-    stem[holders] = inputs
     empty = np.flatnonzero((codes < 0).all(axis=0))
-    inputs = np.concatenate((inputs, empty))
-    holders = np.concatenate((holders, np.repeat(empty_to, empty.size)))
-    return inputs, holders, stem
+    return np.concatenate((inputs, empty)), np.concatenate((holders, np.repeat(empty_to, empty.size)))
 
 
 def component_roots(codes: np.ndarray) -> np.ndarray:

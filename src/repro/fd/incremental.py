@@ -52,5 +52,4 @@ class IncrementalFullDisjunction(FullDisjunctionAlgorithm):
         empty, rows = np.flatnonzero(~informative), rows[informative[rows]]
         order = np.concatenate((empty, rows))
         labels = np.append(np.zeros(empty.size, dtype=np.intp), np.cumsum(first_of_runs(roots[rows])))
-        survivors, inputs, holders = self._engine.disjunction_coded(codes[:, order], statistics, labels)
-        return survivors, order[inputs], holders
+        return self._engine.disjunction_coded(codes[:, order], statistics, labels)

@@ -226,6 +226,21 @@ class PairPostings:
         positions = keys % self.values.size
         return np.stack((codes[positions, tuples] + self.values[positions], self.nulls(positions, labels)), axis=1)
 
+    def meeting(
+        self, owners: np.ndarray, pairs: np.ndarray, sizes: np.ndarray, patterns: np.ndarray
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The first ``sizes`` holders of each of the ``(owners, k)`` ``pairs``
+        whose pattern meets the owner's, as ``(owner, holder)`` blocks of about
+        :data:`PAIR_BLOCK` (:func:`span_blocks`), ``owners`` ascending:
+        every listed holder is read and tested, as :class:`MeetingRuns` would
+        yield them without ordering the lists by pattern first.  ``patterns``
+        holds every owner's and every holder's."""
+        readers = np.repeat(owners, pairs.shape[1])
+        for owner, index in span_blocks(readers, self.starts[pairs].ravel(), sizes.ravel()):
+            holder = self.holders.take(index)
+            meet = (patterns.take(owner) & patterns.take(holder)) != 0
+            yield owner[meet], holder[meet]
+
 
 class MeetingRuns:
     """:class:`PairPostings`' lists over the inputs, each pair's holders in runs

@@ -7,14 +7,14 @@ a dictionary of the column's distinct non-null values in first-seen order;
 ``1.0`` share a code and the first-seen spelling); a boolean is never the
 number it equals.  A request is encoded once, at its boundary, and every
 stage after that works on codes and dictionaries, provenance included, until
-the survivors are decoded, once: Python work scales with distinct values,
-never with cells.
+the survivors are decoded, once, when first read: Python work scales with
+distinct values, never with cells.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,15 +70,24 @@ class Relation:
     """A named relation as code columns over per-column value dictionaries:
     ``values[p][code]`` is the cell a code of column ``p`` stands for.
     ``provenance`` is ``None`` when row ``i`` is the tuple ``"{name}:{i}"``,
-    else one set of tuple ids per row.  Operations share unchanged arrays."""
+    else one set of tuple ids per row; given as a function that derives them,
+    it is called on the first read of :attr:`provenance` and its sets kept.
+    Operations share unchanged arrays."""
 
-    __slots__ = ("name", "schema", "codes", "values", "provenance")
+    __slots__ = ("name", "schema", "codes", "values", "_provenance")
 
-    def __init__(self, name: str, columns: Schema | Iterable[str], codes: np.ndarray,
-                 values: List[List[object]], provenance: Optional[List[Provenance]] = None) -> None:
+    def __init__(self, name: str, columns: Schema | Iterable[str], codes: np.ndarray, values: List[List[object]],
+                 provenance: Union[None, List[Provenance], Callable[[], List[Provenance]]] = None) -> None:
         self.name = str(name)
         self.schema = columns if isinstance(columns, Schema) else Schema(columns)
-        self.codes, self.values, self.provenance = codes, values, provenance
+        self.codes, self.values, self._provenance = codes, values, provenance
+
+    @property
+    def provenance(self) -> Optional[List[Provenance]]:
+        derive = self._provenance  # read once: a thread deriving beside this one may replace it
+        if callable(derive):
+            self._provenance = derive()
+        return self._provenance
 
     @classmethod
     def encode(cls, name: str, columns: Schema | Iterable[str], rows: Sequence[Sequence[object]],

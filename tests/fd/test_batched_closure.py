@@ -77,7 +77,7 @@ from repro.fd import (
     get_algorithm,
 )
 from repro.fd import complementation
-from repro.fd.complementation import ComplementationEngine, position_bits, subsumed_sources
+from repro.fd.complementation import ComplementationEngine, component_roots, position_bits, subsumed_sources
 from repro.table import NULL, Table, remove_subsumed, subsumes
 from repro.table import coded
 from repro.table.coded import TupleIndex
@@ -147,11 +147,37 @@ def chain_closure(links):
     }
 
 
+def chains(count, links):
+    """``count`` chains side by side on one schema, no value shared between
+    them: link ``k`` of chain ``c`` holds ``c.k`` and ``c.k+1`` in columns ``k`` and ``k + 1``."""
+    return [
+        tuple(f"{c}.{p}" if link <= p <= link + 1 else NULL for p in range(links + 1))
+        for c in range(count)
+        for link in range(links)
+    ]
+
+
+def listed_past_the_cells(rows):
+    """Whether the distinct ``rows``, as inputs, list more candidates — each
+    the inputs with smaller ids holding its value or null at its listing key's
+    position, recounted from the codes — than they have cells: the first
+    generation that does builds :class:`~repro.table.coded.MeetingRuns`."""
+    codes = encode_rows(list(dict.fromkeys(rows)), len(rows[0]))[0]
+    labels = np.zeros(codes.shape[1], dtype=np.intp)
+    keys = selective_keys(codes, labels, codes, labels)
+    listed = 0
+    for owner in np.flatnonzero((codes >= 0).any(axis=0)):
+        position = keys[owner] % codes.shape[0]
+        column = codes[position, :owner]
+        listed += int(np.count_nonzero((column == codes[position, owner]) | (column < 0)))
+    return listed > codes.size
+
+
 def closed_sets(rows):
     """The kernel's closure of ``rows`` as a set: row -> (provenance, strictly subsumed)."""
     codes, values = encode_rows(rows, len(rows[0]))
-    closed, subsumed = ComplementationEngine().close_coded(codes)
-    inputs, holders, _ = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
+    closed, subsumed, _ = ComplementationEngine().close_coded(codes)
+    inputs, holders = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
     decoded = Relation("closed", map(str, range(len(values))), closed, values).decode()
     provenance = sources(sources_of(rows), inputs, holders, closed.shape[1])
     return dict(zip(decoded, zip(provenance, subsumed.tolist())))
@@ -457,17 +483,18 @@ def tuple_batches(draw):
 def reduced_by_the_join(codes, provenance):
     """Full Disjunction as it was computed before the closure marked what it
     subsumes: a second subsumption join of the whole closure."""
-    closed, _ = ComplementationEngine().close_coded(codes)
+    closed = ComplementationEngine().close_coded(codes)[0]
     kept, stands_for = reduce_coded(closed)
     empty_to = np.searchsorted(kept, stands_for[(closed < 0).all(axis=0)])
     survivors = closed[:, kept]
-    inputs, holders, _ = subsumed_sources(survivors, codes, empty_to)
+    inputs, holders = subsumed_sources(survivors, codes, empty_to)
     return survivors, sources(provenance, inputs, holders, survivors.shape[1])
 
 
 def disjunction(codes, provenance):
-    """``disjunction_coded`` with its provenance pairs as sets of ``provenance``."""
-    survivors, inputs, holders = ComplementationEngine().disjunction_coded(codes)
+    """``disjunction_coded`` with the survivors' provenance as sets of ``provenance``."""
+    survivors, empty_to = ComplementationEngine().disjunction_coded(codes)
+    inputs, holders = subsumed_sources(survivors, codes, empty_to)
     return survivors, sources(provenance, inputs, holders, survivors.shape[1])
 
 
@@ -501,7 +528,7 @@ class TestSubsumedMaskAndDedup:
     def test_subsumed_mask_is_what_the_subsumption_join_finds(self, block, codes):
         provenance = sources_of(range(codes.shape[1]))
         with blocks_of(block):
-            closed, subsumed = ComplementationEngine().close_coded(codes)
+            closed, subsumed, _ = ComplementationEngine().close_coded(codes)
             kept, _ = reduce_coded(closed)
             survivors, sources = disjunction(codes, provenance)
             expected, expected_sources = reduced_by_the_join(codes, provenance)
@@ -512,7 +539,7 @@ class TestSubsumedMaskAndDedup:
         # The later tuple is subsumed (marked as the owner of the pair), then
         # the earlier one (marked as the candidate).
         for rows, subsumed in (([("k", "x"), ("k", NULL)], [False, True]), ([("k", NULL), ("k", "x")], [True, False])):
-            closed, mask = ComplementationEngine().close_coded(encode_rows(rows, 2)[0])
+            closed, mask, _ = ComplementationEngine().close_coded(encode_rows(rows, 2)[0])
             assert closed.shape[1] == 2 and mask.tolist() == subsumed
 
     def test_the_first_survivor_of_a_chain_takes_the_fully_null_rows(self):
@@ -543,9 +570,9 @@ class TestSubsumedMaskAndDedup:
     @settings(max_examples=40, deadline=None)
     def test_closure_and_bound_match_the_set_loop(self, block, codes):
         with blocks_of(block):
-            closed, subsumed = ComplementationEngine().close_coded(codes)
+            closed, subsumed, _ = ComplementationEngine().close_coded(codes)
             with patch.object(complementation, "TupleIndex", SetOfByteKeys):
-                expected_closed, expected_subsumed = ComplementationEngine().close_coded(codes)
+                expected_closed, expected_subsumed, _ = ComplementationEngine().close_coded(codes)
             assert np.array_equal(closed, expected_closed) and np.array_equal(subsumed, expected_subsumed)
             # The set loop raised on the first tuple past the bound: every bound
             # below the closure's size stops it inside a generation (and, with
@@ -679,7 +706,7 @@ class TestInputPartners:
         with patch.object(complementation, "PairPostings", Spied), patch.object(
             TupleIndex, "held", spied_held
         ), patch.object(complementation, "position_bits", spied_bits):
-            closed, _ = ComplementationEngine().close_coded(encode_rows(rows, 18)[0])
+            closed = ComplementationEngine().close_coded(encode_rows(rows, 18)[0])[0]
         assert built == [17]
         # The inputs, then what each generation adds: the runs one link longer.
         assert held == patterns == list(range(17, -1, -1))
@@ -799,8 +826,8 @@ def expanded(events):
 def closure_in_order(rows):
     """The kernel's closure of ``rows`` in id order: rows, provenance, strictly subsumed."""
     codes, values = encode_rows(rows, len(rows[0]))
-    closed, subsumed = ComplementationEngine().close_coded(codes)
-    inputs, holders, _ = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
+    closed, subsumed, _ = ComplementationEngine().close_coded(codes)
+    inputs, holders = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
     decoded = Relation("closed", map(str, range(len(values))), closed, values).decode()
     return decoded, sources(sources_of(rows), inputs, holders, closed.shape[1]), subsumed.tolist()
 
@@ -882,7 +909,10 @@ class TestTwoPositionListing:
     a later generation lists more than a block; from then on an owner holding
     a code at the cut reads, of that copy, the runs null or holding its code
     there.  With a block of 1, 5 or 7 pairs every later generation of the
-    block-parametrised tests above reads the copy too.
+    block-parametrised tests above reads the copy too.  The runs are built
+    at the first generation that lists more candidates than the inputs have
+    cells, so the spied cases here list more; a generation before that
+    tests every listed holder's pattern, which meets the same pairs.
 
     Mutations and the first test here that fails on each: an input's runs
     not cut to smaller ids, the groups of holders null at the cut skipped,
@@ -894,7 +924,8 @@ class TestTwoPositionListing:
 
     def test_every_kind_of_owner_reads_the_split_lists(self):
         rng = random.Random(9)
-        rows = [tuple(rng.choice([NULL, NULL, "a", "b", "c"]) for _ in range(5)) for _ in range(12)]
+        rows = [tuple(rng.choice([NULL, NULL, "a", "b", "c"]) for _ in range(5)) for _ in range(20)]
+        assert listed_past_the_cells(rows)
         with blocks_of(1), kernel_events() as events:
             closure = closure_in_order(rows)
         assert closure == sequential_in_order(rows)
@@ -908,7 +939,8 @@ class TestTwoPositionListing:
     def test_every_kind_of_owner_reads_only_meeting_runs(self):
         # Split at the second generation (a block of one pair), and never.
         rng = random.Random(9)
-        rows = [tuple(rng.choice([NULL, NULL, "a", "b", "c"]) for _ in range(5)) for _ in range(12)]
+        rows = [tuple(rng.choice([NULL, NULL, "a", "b", "c"]) for _ in range(5)) for _ in range(20)]
+        assert listed_past_the_cells(rows)
         kinds = {}
         for block in (1, coded.PAIR_BLOCK):
             with blocks_of(block), kernel_events() as events:
@@ -944,19 +976,29 @@ class TestTwoPositionListing:
         # Each input holds its own set of positions, so a list holds about as
         # many runs as holders.  At 70 positions, 0 / 63, 1 / 64, ... share a
         # bit of the pattern: tuples that only look alike must not merge.
+        # After the first 20, 180 inputs that share no value with any other,
+        # each closing to itself: enough that the inputs list more
+        # candidates than their cells, so the runs are built.
         rng = random.Random(width)
         positions = list(range(width)) if width < 63 else [0, 1, 2, 3, 4, 5, 63, 64, 65, 66, 67, 68]
         held = []
-        while len(held) < 20:
-            chosen = frozenset(rng.sample(positions, rng.randint(2, 4)))
-            if chosen not in held:
-                held.append(chosen)
+
+        def hold(count):
+            while len(held) < count:
+                chosen = frozenset(rng.sample(positions, rng.randint(2, 4)))
+                if chosen not in held:
+                    held.append(chosen)
+
+        hold(20)
         rows = [tuple(rng.choice("abc") if p in chosen else NULL for p in range(width)) for chosen in held]
+        hold(200)
+        rows += [tuple(f"{index}.{p}" if p in chosen else NULL for p in range(width)) for index, chosen in enumerate(held[20:])]
+        assert listed_past_the_cells(rows)
         with blocks_of(block), kernel_events() as events:
             closure = closure_in_order(rows)
             result = get_algorithm("alite").integrate([Table("t", [f"c{p}" for p in range(width)], rows)])
         assert closure == sequential_in_order(rows)
-        assert len(closure[0]) > 2 * len(rows)
+        assert len(closure[0]) - 180 > 2 * 20
         (_, _, patterns), *_ = [event for event in events if event[0] == "build"]
         distinct = np.unique(patterns).size
         assert distinct == len(rows) if width < 63 else distinct < len(rows)
@@ -964,21 +1006,26 @@ class TestTwoPositionListing:
         assert 0 < sum(expanded(events[second:])) <= result.statistics["complementation_comparisons"]
 
     def test_built_once_and_only_past_a_block(self):
-        # The chain closes over 16 generations, each listing two candidates or
-        # more past the first: one split at a block of one pair, none at the
-        # real block; the runs are built once either way.  IMDB lists more
-        # than a block after its first generation.
+        # Four chains side by side close over 7 generations, each listing two
+        # candidates or more past the first, which lists more than the inputs'
+        # cells: one split at a block of one pair, none at the real block; the
+        # runs are built once either way.  IMDB lists more than a block after
+        # its first generation.
+        rows = chains(4, 8)
+        assert listed_past_the_cells(rows)
         for block, builds in ((1, [1]), (coded.PAIR_BLOCK, [0])):
             with blocks_of(block), kernel_events() as events:
-                ComplementationEngine().close_coded(encode_rows(chain(17), 18)[0])
+                ComplementationEngine().close_coded(encode_rows(rows, 9)[0])
             assert builds_per_closure(events) == builds
             assert per_closure(events, "build") == [1]
         with kernel_events() as events:
             get_algorithm("alite").integrate(ImdbBenchmark(13).tables(1000))
         assert builds_per_closure(events) == per_closure(events, "build") == [1]
         # The other workloads' closures list 439, 0 and 19 749 candidates on
-        # seed 13, under a block each: none splits its lists, and Auto-Join's
-        # list none, so they build no runs either.
+        # seed 13, under a block each: none splits its lists.  Auto-Join's list
+        # none, and each served request lists fewer than its inputs' cells,
+        # so they build no runs either; the lake's first generation lists
+        # more than 2 × CUT_SAMPLE, so it builds them to learn the cut.
         workloads = load_pipeline_workloads()
         for name in ("serve_recurring", "autojoin_cold", "lake_mixed"):
             workload = workloads.build(name, 13)
@@ -986,8 +1033,38 @@ class TestTwoPositionListing:
                 for tables in workload.requests:
                     engine.integrate(tables, **workload.overrides)
             assert builds_per_closure(events) == [0] * len(workload.requests), name
-            if name == "autojoin_cold":
-                assert per_closure(events, "build") == [0] * len(workload.requests)
+            builds = [1] if name == "lake_mixed" else [0] * len(workload.requests)
+            assert per_closure(events, "build") == builds, name
+
+    @BLOCKS
+    @given(codes=closure_inputs(), components=st.booleans(), whole=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_reading_the_lists_whole_meets_the_pairs_the_runs_do(self, block, codes, components, whole):
+        # One postings index, its lists read both ways: every listed holder
+        # tested pattern by pattern, and the runs by pattern.  An input owner
+        # reads the holders with smaller ids; with ``whole`` every holder, as
+        # a merged owner does.
+        inputs = codes.shape[1]
+        labels = component_roots(codes) if components else np.zeros(inputs, dtype=np.intp)
+        labels = np.unique(labels, return_inverse=True)[1].reshape(-1)
+        postings = coded.PairPostings(codes, codes.max(axis=1, initial=-1) + 1, labels)
+        patterns = position_bits(codes)
+        owners = np.flatnonzero(patterns)
+        pairs = postings.listing(postings.best(codes, labels)[owners], codes, owners, labels[owners])
+        limit = np.full(owners.size, inputs) if whole else owners
+        listed = np.repeat(np.arange(postings.held_by.size), postings.held_by) * inputs + postings.holders
+        smaller = np.searchsorted(listed, pairs * inputs + limit[:, None]) - postings.starts[pairs]
+        with blocks_of(block):
+            read = list(postings.meeting(owners, pairs, smaller, patterns))
+            runs = list(coded.MeetingRuns(postings, patterns).meeting(owners, pairs, patterns[owners], limit))
+
+        def pair_list(blocks):
+            pairs = [pair for owner, holder in blocks for pair in zip(owner.tolist(), holder.tolist())]
+            assert [owner for owner, _ in pairs] == sorted(owner for owner, _ in pairs)  # as the closure adds merges
+            return sorted(pairs)
+
+        assert pair_list(read) == pair_list(runs)
+        assert all((patterns[owner] & patterns[holder]).all() for owner, holder in read)
 
     def test_imdb_expands_exactly_the_meeting_candidates(self):
         # Of 1 040 012 candidates listed on 1 000 IMDB tuples, 37 039 meet
@@ -1020,9 +1097,9 @@ def listing_events():
 
     def spied_close(engine, *args):
         closures.append({"listed": []})
-        closed, subsumed = close_coded(engine, *args)
-        closures[-1]["closed"] = closed.copy()
-        return closed, subsumed
+        closure = close_coded(engine, *args)
+        closures[-1]["closed"] = closure[0].copy()
+        return closure
 
     def spied_best(postings, codes, labels):
         keys = best(postings, codes, labels)

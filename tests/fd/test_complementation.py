@@ -29,7 +29,7 @@ def close(engine, rows, provenance, statistics=None):
         return [], []
     codes, values = encode_rows(rows, len(rows[0]))
     closed = engine.close_coded(codes, statistics)[0]
-    inputs, holders, _ = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
+    inputs, holders = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
     decoded = Relation("closed", map(str, range(len(values))), closed, values).decode()
     return decoded, sources(provenance, inputs, holders, closed.shape[1])
 
