@@ -3,9 +3,10 @@
 The package implements the paper's Fuzzy Full Disjunction operator together
 with every substrate it depends on: an in-memory relational table layer, Full
 Disjunction algorithms (including the ALITE substrate), simulated cell-value
-embedding models, bipartite fuzzy value matching, holistic schema matching,
-a downstream entity-matching pipeline, and seeded benchmark generators
-standing in for the Auto-Join, ALITE and IMDB benchmarks.
+embedding models, bipartite fuzzy value matching, column alignment by
+header name or by a caller-built alignment, a downstream entity-matching
+pipeline, and seeded benchmark generators standing in for the Auto-Join,
+ALITE and IMDB benchmarks.
 
 Quickstart
 ----------

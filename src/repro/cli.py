@@ -43,7 +43,6 @@ from repro.embeddings.base import DEGRADED_MODES
 from repro.embeddings.registry import EMBEDDERS, get_embedder
 from repro.fd import FD_ALGORITHMS
 from repro.registry import Registry, UnknownNameError
-from repro.schema_matching.strategies import ALIGNMENT_STRATEGIES
 from repro.table import Table, read_csv, write_csv
 from repro.table.io import load_directory
 
@@ -110,7 +109,6 @@ _INTEGRATE_CONFIG_FLAGS = (
     "embedder",
     "threshold",
     "fd_algorithm",
-    "alignment",
     "blocking",
     "semantic_blocking",
     "ann_top_k",
@@ -331,10 +329,6 @@ def _add_engine_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fd-algorithm", default="alite", type=_registry_name(FD_ALGORITHMS),
         action=_TrackedStore, help="full disjunction algorithm registry name",
-    )
-    parser.add_argument(
-        "--alignment", default="by_name", type=_registry_name(ALIGNMENT_STRATEGIES),
-        action=_TrackedStore, help="alignment strategy registry name",
     )
     parser.add_argument(
         "--blocking",

@@ -1,10 +1,11 @@
 """Fuzzy Full Disjunction — the paper's primary contribution.
 
-The pipeline: align columns, run the *Match Values* component over every set
-of aligned columns (embed cell values, bipartite-match value sets column pair
-by column pair, fold matches into a combined column and pick representative
-values), rewrite every cell with its representative, then apply the ordinary
-equi-join Full Disjunction.
+The pipeline: align columns (by header name, or by a caller-built
+:class:`~repro.schema_matching.ColumnAlignment`), run the *Match Values*
+component over every set of aligned columns (embed cell values,
+bipartite-match value sets column pair by column pair, fold matches into a
+combined column and pick representative values), rewrite every cell with its
+representative, then apply the ordinary equi-join Full Disjunction.
 
 Public entry points, from highest to lowest level:
 
@@ -24,7 +25,7 @@ Public entry points, from highest to lowest level:
   (``FuzzyFDConfig.preset("paper" | "fast" | "scale")``).
 
 Every extension point (embedding models, FD algorithms, assignment solvers,
-representative policies, alignment strategies) is a
+representative policies) is a
 :class:`repro.registry.Registry`; see the respective modules for the
 ``@register`` decorators.
 """

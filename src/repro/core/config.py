@@ -1,9 +1,9 @@
 """Configuration of the Fuzzy Full Disjunction pipeline.
 
 Every name-valued knob (embedder, assignment solver, FD algorithm,
-representative policy, alignment strategy) is validated *eagerly* at
-construction against its plugin registry, so a typo fails immediately with
-the valid names listed instead of exploding deep inside the pipeline.
+representative policy) is validated *eagerly* at construction against its
+plugin registry, so a typo fails immediately with the valid names listed
+instead of exploding deep inside the pipeline.
 
 Configurations serialise: :meth:`FuzzyFDConfig.to_dict` /
 :meth:`FuzzyFDConfig.from_dict` round-trip through plain dicts, and
@@ -35,7 +35,6 @@ from repro.fd import FD_ALGORITHMS
 from repro.fd.base import FullDisjunctionAlgorithm
 from repro.matching.assignment import ASSIGNMENT_SOLVERS, AssignmentSolver
 from repro.registry import Registry
-from repro.schema_matching.strategies import ALIGNMENT_STRATEGIES
 from repro.storage.store import STORE_MODES
 from repro.utils.executor import EXECUTOR_BACKENDS, ExecutorConfig
 
@@ -66,8 +65,8 @@ class FuzzyFDConfig:
     fd_algorithm:
         Full Disjunction substrate: a name of
         :data:`~repro.fd.FD_ALGORITHMS` (``"alite"`` as in the paper,
-        ``"incremental"``, its alias ``"partitioned"``, or the oracles
-        ``"naive"`` / ``"outer_join_sequence"``) or an instance.
+        ``"incremental"``, or the oracles ``"naive"`` /
+        ``"outer_join_sequence"``) or an instance.
     representative_policy:
         How the representative value of a match set is chosen;
         ``"frequency"`` (most frequent value, ties broken by earliest table)
@@ -118,12 +117,6 @@ class FuzzyFDConfig:
         inverted-file index everywhere).  Both are deterministic under the
         fixed seed and both are built in memory per request; neither is
         stored.
-    alignment:
-        Alignment strategy used when the caller does not pass an explicit
-        alignment: ``"by_name"`` groups equal headers (the Figure 1 setting),
-        ``"holistic"`` runs embedding-based holistic schema matching; any
-        strategy registered in
-        :data:`~repro.schema_matching.strategies.ALIGNMENT_STRATEGIES` works.
     max_workers:
         Worker bound of component solving inside one request.  ``1`` (the
         paper's single-threaded setting, the default) disables the pool;
@@ -180,7 +173,6 @@ class FuzzyFDConfig:
     ann_bits: int = DEFAULT_ANN_BITS
     ann_top_k: int = DEFAULT_ANN_TOP_K
     ann_index: str = "lsh"
-    alignment: str = "by_name"
     max_workers: int = 1
     parallel_backend: str = "thread"
     store_dir: Optional[str] = None
@@ -260,7 +252,6 @@ class FuzzyFDConfig:
         if isinstance(self.fd_algorithm, str):
             FD_ALGORITHMS.validate(self.fd_algorithm)
         REPRESENTATIVE_POLICIES.validate(self.representative_policy)
-        ALIGNMENT_STRATEGIES.validate(self.alignment)
 
     # -- resolution helpers -------------------------------------------------------
     def resolve_embedder(self) -> ValueEmbedder:

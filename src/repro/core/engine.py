@@ -56,7 +56,6 @@ from repro.fd import FD_ALGORITHMS
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult
 from repro.matching.assignment import AssignmentSolver
 from repro.schema_matching.alignment import ColumnAlignment
-from repro.schema_matching.strategies import ALIGNMENT_STRATEGIES
 from repro.storage.cache import StoreBackedEmbeddingCache
 from repro.storage.store import ArtifactStore
 from repro.table.relation import Relation
@@ -234,8 +233,8 @@ class IntegrationEngine:
         ``{"embedding_rows": n}`` — ``0`` when there is no store, it is
         read-only, or nothing new was embedded.  :meth:`integrate` already
         calls this after every request on a ``readwrite`` engine; explicit
-        calls matter for flows that only embed (e.g. :meth:`align` with the
-        holistic strategy).
+        calls matter for flows that embed without integrating (e.g.
+        :meth:`match` alone).
         """
         rows = 0
         if self._store_cache is not None:
@@ -262,18 +261,18 @@ class IntegrationEngine:
         )
 
     # -- stages --------------------------------------------------------------------
-    def align(self, tables: Sequence[Union[Table, Relation]], *, strategy: Optional[str] = None) -> AlignmentStage:
-        """Stage 1: code the input, align its columns and rename them canonically."""
+    def align(self, tables: Sequence[Union[Table, Relation]]) -> AlignmentStage:
+        """Stage 1: code the input and group its columns by header name."""
         if not tables:
             raise ValueError("align() requires at least one table")
-        align_fn = ALIGNMENT_STRATEGIES.get(strategy if strategy is not None else self.config.alignment)
         start = time.perf_counter()
         relations = encode_request(tables)
-        alignment = align_fn(relations, embedder=self.embedder)
+        alignment = ColumnAlignment.from_named_columns(relations)
         return AlignmentStage(alignment, alignment.apply(relations), {"alignment_seconds": time.perf_counter() - start})
 
     def apply_alignment(self, tables: Sequence[Union[Table, Relation]], alignment: ColumnAlignment) -> AlignmentStage:
-        """Stage 1 with a caller-supplied alignment (no strategy run)."""
+        """Stage 1 with a caller-supplied alignment; a member naming a table or
+        column the request lacks raises :class:`ValueError`."""
         start = time.perf_counter()
         relations = alignment.apply(encode_request(tables))
         return AlignmentStage(alignment, relations, {"alignment_seconds": time.perf_counter() - start})
@@ -336,7 +335,6 @@ class IntegrationEngine:
         *,
         fuzzy: bool = True,
         fd_algorithm: Union[str, FullDisjunctionAlgorithm, None] = None,
-        alignment_strategy: Optional[str] = None,
         on_stage: Optional[Callable[[str], None]] = None,
         **overrides: Any,
     ) -> FuzzyIntegrationResult:
@@ -371,8 +369,6 @@ class IntegrationEngine:
                     if key in overrides
                 }
                 rejected = sorted(overrides)
-                if alignment_strategy is not None:
-                    rejected.append("alignment_strategy")
                 if alignment is not None:
                     rejected.append("alignment")
                 if not fuzzy:
@@ -387,17 +383,9 @@ class IntegrationEngine:
                 effective = self.effective_config(executor_overrides)
             else:
                 if isinstance(tables, AlignmentStage):
-                    if alignment is not None or alignment_strategy is not None:
-                        rejected = [
-                            name
-                            for name, value in (
-                                ("alignment", alignment),
-                                ("alignment_strategy", alignment_strategy),
-                            )
-                            if value is not None
-                        ]
+                    if alignment is not None:
                         raise TypeError(
-                            f"argument(s) {rejected} cannot apply to an AlignmentStage — "
+                            "an explicit alignment cannot apply to an AlignmentStage — "
                             "alignment already ran; re-align the raw tables instead"
                         )
                     aligned = tables
@@ -405,19 +393,12 @@ class IntegrationEngine:
                     if not tables:
                         raise ValueError("integrate() requires at least one table")
                     tables = encode_request(tables)  # before the first stage is announced
+                    if on_stage is not None:
+                        on_stage("align")
                     if alignment is not None:
-                        if alignment_strategy is not None:
-                            raise TypeError(
-                                "pass either an explicit alignment or an "
-                                "alignment_strategy, not both"
-                            )
-                        if on_stage is not None:
-                            on_stage("align")
                         aligned = self.apply_alignment(tables, alignment)
                     else:
-                        if on_stage is not None:
-                            on_stage("align")
-                        aligned = self.align(tables, strategy=alignment_strategy)
+                        aligned = self.align(tables)
                 effective = self.effective_config(overrides)
                 if fuzzy:
                     if on_stage is not None:
@@ -548,7 +529,7 @@ def integrate(
     settings by default) and serves one request: the paper's Fuzzy Full
     Disjunction, or with ``fuzzy=False`` the regular, equi-join Full
     Disjunction baseline.  ``alignment`` is an optional pre-computed column
-    alignment; without it the configured strategy aligns the columns.
+    alignment; without it columns align by header name.
     Callers integrating *repeatedly* should hold an engine instead — it
     keeps the embedding cache warm.
 

@@ -5,11 +5,11 @@ introduced by Galindo-Legaria: it combines the tuples of a set of tables in a
 *maximal* way so that every input tuple is represented and no output tuple is
 subsumed by (i.e. strictly less informative than) another.
 
-This package registers five names for four implementations of the same
-semantics.  Two run outer union → complementation closure → subsumption
-removal through the one coded, generation-batched kernel of
-:mod:`repro.fd.complementation` and differ in which tuples a tuple may meet,
-hence in the order they list the result in; two are definition-level oracles:
+This package registers four implementations of the same semantics.  Two
+run outer union → complementation closure → subsumption removal through the
+one coded, generation-batched kernel of :mod:`repro.fd.complementation` and
+differ in which tuples a tuple may meet, hence in the order they list the
+result in; two are definition-level oracles:
 
 * :class:`~repro.fd.naive.NaiveFullDisjunction` (``naive``) — the
   definitional fixpoint; quadratic pair scanning, used as the reference
@@ -20,12 +20,11 @@ hence in the order they list the result in; two are definition-level oracles:
 * :class:`~repro.fd.alite.AliteFullDisjunction` (``alite``) — the paper's
   substrate [18]: posting-indexed complementation with duplicate elimination
   over the whole input at once, practical at the IMDB-benchmark scale.
-* :class:`~repro.fd.incremental.IncrementalFullDisjunction` (``incremental``,
-  also registered as ``partitioned``, the name of a retired worker-pool
-  variant that configurations may still carry) — labels the connected
-  components of the join-value graph and closes all of them in one pass of
-  the kernel, a tuple meeting only its own component's nulls; linear where
-  tables of unrelated schemas make the whole-input closure quadratic.
+* :class:`~repro.fd.incremental.IncrementalFullDisjunction` (``incremental``)
+  — labels the connected components of the join-value graph and closes all
+  of them in one pass of the kernel, a tuple meeting only its own
+  component's nulls; linear where tables of unrelated schemas make the
+  whole-input closure quadratic.
 """
 
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult
@@ -55,7 +54,6 @@ FD_ALGORITHMS = Registry(
         "outer_join_sequence": OuterJoinSequence,
         "alite": AliteFullDisjunction,
         "incremental": IncrementalFullDisjunction,
-        "partitioned": IncrementalFullDisjunction,
     },
 )
 

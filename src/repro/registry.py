@@ -1,8 +1,8 @@
 """One generic plugin registry behind every extension point.
 
-The pipeline has five knob families that are resolved by name — embedding
-models, Full Disjunction algorithms, assignment solvers, representative
-policies, and alignment strategies.  Each family is a module-level
+The pipeline has four knob families that are resolved by name — embedding
+models, Full Disjunction algorithms, assignment solvers and representative
+policies.  Each family is a module-level
 :class:`Registry` instance; registering a plugin is one decorator::
 
     from repro.embeddings.registry import EMBEDDERS

@@ -1,27 +1,16 @@
-"""Column alignment (holistic schema matching).
+"""Column alignment.
 
 Before tuples can be integrated, the pipeline must know which columns of the
-input tables align (represent the same attribute).  Data-lake tables have
-missing or unreliable headers, so ALITE — and therefore this reproduction —
-aligns columns holistically using column-content embeddings; a header-equality
-matcher is provided as the trivial baseline and for the paper's Figure 1
-setting where aligned columns share names.
+input tables align (represent the same attribute).  Columns align by header
+name — the paper's Figure 1 setting, where aligned columns share names — or
+by a :class:`ColumnAlignment` the caller builds, which names the columns that
+align across different headers.
 """
 
 from repro.schema_matching.alignment import AlignedColumn, ColumnAlignment, ColumnRef
-from repro.schema_matching.column_features import ColumnSignature, column_signature
-from repro.schema_matching.header import HeaderSchemaMatcher
-from repro.schema_matching.holistic import HolisticSchemaMatcher
-from repro.schema_matching.strategies import ALIGNMENT_STRATEGIES, available_strategies
 
 __all__ = [
     "ColumnRef",
     "AlignedColumn",
     "ColumnAlignment",
-    "ColumnSignature",
-    "column_signature",
-    "HeaderSchemaMatcher",
-    "HolisticSchemaMatcher",
-    "ALIGNMENT_STRATEGIES",
-    "available_strategies",
 ]

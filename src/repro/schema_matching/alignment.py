@@ -10,7 +10,7 @@ Disjunction integrates exactly the aligned columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.table.table import Table
 
@@ -79,13 +79,6 @@ class ColumnAlignment:
     def __iter__(self):
         return iter(self.groups)
 
-    def group_for(self, table: str, column: str) -> Optional[AlignedColumn]:
-        """The group containing ``table.column``, or ``None``."""
-        for group in self.groups:
-            if group.column_in(table) == column:
-                return group
-        return None
-
     def multi_table_groups(self) -> List[AlignedColumn]:
         """Groups spanning at least two tables — the only ones needing value matching."""
         return [group for group in self.groups if len(group) >= 2]
@@ -100,7 +93,19 @@ class ColumnAlignment:
         return mapping
 
     def apply(self, tables: Sequence[Table]) -> List[Table]:
-        """Rename every table's columns to the canonical aligned names."""
+        """Rename every table's columns to the canonical aligned names.
+
+        Every member must name a column of one of ``tables``: a member the
+        request lacks raises :class:`ValueError` here, before any value is
+        matched.
+        """
+        columns = {table.name: table.schema for table in tables}
+        for group in self.groups:
+            for member in group.members:
+                if member.table not in columns:
+                    raise ValueError(f"aligned group {group.name!r} names {member}, but the request has no table {member.table!r}")
+                if member.column not in columns[member.table]:
+                    raise ValueError(f"aligned group {group.name!r} names {member}, but table {member.table!r} has no column {member.column!r}")
         return [table.rename(self.rename_map(table.name)) for table in tables]
 
     def as_dict(self) -> Dict[str, List[str]]:

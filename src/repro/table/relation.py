@@ -105,7 +105,7 @@ class Relation:
             return table
         return cls.encode(table.name, table.schema, table.rows, table.provenance)
 
-    # -- what alignment strategies read --------------------------------------------
+    # -- shape and value counts -----------------------------------------------------
     @property
     def columns(self) -> Tuple[str, ...]:
         return self.schema.columns
@@ -113,13 +113,6 @@ class Relation:
     @property
     def num_rows(self) -> int:
         return self.codes.shape[1]
-
-    def distinct_values(self, column: str) -> List[object]:
-        return list(self.values[self.schema.position(column)])
-
-    def null_fraction(self, column: str) -> float:
-        rows = self.num_rows
-        return int(np.count_nonzero(self.codes[self.schema.position(column)] < 0)) / rows if rows else 0.0
 
     def counts(self, column: str) -> np.ndarray:
         """How many rows hold each value of ``column``, in dictionary order."""

@@ -224,13 +224,6 @@ class Table:
                 distinct.append(value)
         return distinct
 
-    def null_fraction(self, column: str) -> float:
-        """Fraction of rows whose value in ``column`` is null (0.0 for empty tables)."""
-        if not self._rows:
-            return 0.0
-        nulls = sum(1 for value in self.column(column) if is_null(value))
-        return nulls / len(self._rows)
-
     # -- transformation (all return new tables) -------------------------------------
     def with_default_provenance(self, prefix: Optional[str] = None) -> "Table":
         """Attach singleton provenance ``{prefix:index}`` to every row.

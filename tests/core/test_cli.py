@@ -99,6 +99,19 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["integrate", "serve"])
+    def test_the_alignment_flag_is_gone(self, command, capsys):
+        # Columns align by header name; an alignment across different headers
+        # is a ColumnAlignment the caller passes to the engine, not a flag.
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        assert "--alignment" not in capsys.readouterr().out
+        positional = ["x.csv"] if command == "integrate" else []
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, *positional, "--alignment", "by_name"])
+        assert "unrecognized arguments: --alignment by_name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["integrate", "serve"])
     def test_degraded_mode_has_two_choices(self, command, capsys):
         parser = build_parser()
         positional = ["x.csv"] if command == "integrate" else []
@@ -270,7 +283,7 @@ class TestConfigFlags:
             ("fd_algorithm", '{"fd_algorithm": ["alite"]}'),
             ("embedder", '{"embedder": 5}'),
             ("assignment_solver", '{"assignment_solver": null}'),
-            ("alignment", '{"alignment": {}}'),
+            ("representative_policy", '{"representative_policy": 5}'),
         ],
     )
     def test_config_json_name_knob_of_another_type_fails_cleanly(self, lake, knob, text):
@@ -303,6 +316,15 @@ class TestConfigFlags:
         captured = capsys.readouterr().err
         assert "unknown full disjunction algorithm 'quantum'" in captured
         assert "alite" in captured
+
+    def test_the_retired_partitioned_alias_fails_with_registry_names(self, lake, capsys):
+        _, paths = lake
+        with pytest.raises(SystemExit):
+            main(["integrate", *paths, "--fd-algorithm", "partitioned"])
+        assert (
+            "unknown full disjunction algorithm 'partitioned'; "
+            "available: ['alite', 'incremental', 'naive', 'outer_join_sequence']"
+        ) in capsys.readouterr().err
 
 
 class TestMatchCommand:

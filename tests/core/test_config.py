@@ -41,10 +41,15 @@ class TestEagerValidation:
         message = str(excinfo.value)
         assert "frequency" in message and "longest" in message
 
-    def test_unknown_alignment_strategy(self):
-        with pytest.raises(ValueError) as excinfo:
-            FuzzyFDConfig(alignment="guess")
-        assert "by_name" in str(excinfo.value)
+    def test_the_retired_partitioned_alias_is_an_unknown_fd_algorithm(self):
+        # ``partitioned`` named a retired worker-pool variant of
+        # ``incremental``; a config that still carries it is refused with
+        # the registry's error, which lists the four valid names.
+        message = r"unknown full disjunction algorithm 'partitioned'; available: \['alite', 'incremental', 'naive', 'outer_join_sequence'\]"
+        with pytest.raises(UnknownNameError, match=message):
+            FuzzyFDConfig(fd_algorithm="partitioned")
+        with pytest.raises(UnknownNameError, match=message):
+            FuzzyFDConfig.from_json(json.dumps({"fd_algorithm": "partitioned"}))
 
     def test_replace_revalidates(self):
         config = FuzzyFDConfig()
@@ -73,7 +78,7 @@ class TestEagerValidation:
             ("embedder", 5, "a name or an embedder"),
             ("fd_algorithm", ["alite"], "a name or an FD algorithm"),
             ("assignment_solver", None, "a name or an assignment solver"),
-            ("alignment", {}, "a string"),
+            ("ann_index", {}, "a string"),
             ("blocking", False, "a string"),
             ("store_dir", 5, "a string"),
         ],
@@ -91,15 +96,19 @@ class TestEagerValidation:
 
     @pytest.mark.parametrize(
         "field",
-        ["retry_max_attempts", "retry_backoff_ms", "breaker_failure_threshold", "breaker_reset_ms", "service_max_pending"],
+        ["retry_max_attempts", "retry_backoff_ms", "breaker_failure_threshold", "breaker_reset_ms", "service_max_pending",
+         "alignment"],
     )
-    def test_a_removed_resilience_field_is_refused(self, field):
+    def test_a_removed_field_is_refused(self, field):
         # A retry policy lives on the caller's own embedder, passed as
-        # ``embedder``, and the service has no queue to bound; a config file
+        # ``embedder``; the service has no queue to bound; columns align by
+        # name unless the request carries a ColumnAlignment.  A config file
         # that still names a field is refused by name.
         assert field not in {f.name for f in dataclasses.fields(FuzzyFDConfig)}
         with pytest.raises(TypeError, match=field):
-            FuzzyFDConfig(**{field: 1})
+            FuzzyFDConfig(**{field: "by_name"})
+        with pytest.raises(ValueError, match=rf"unknown configuration keys \['{field}'\]"):
+            FuzzyFDConfig.from_dict({field: "by_name"})
         with pytest.raises(ValueError, match=rf"unknown configuration keys \['{field}'\]"):
             FuzzyFDConfig.from_json(json.dumps({field: 1}))
 
@@ -126,7 +135,7 @@ class TestEagerValidation:
             st.sampled_from([f.name for f in dataclasses.fields(FuzzyFDConfig)]),
             st.one_of(
                 st.none(), st.booleans(), st.integers(-2, 1 << 40), st.floats(), st.text(max_size=3),
-                st.sampled_from(["alite", "scipy", "greedy", "mistral", "frequency", "holistic", "on", "auto", "thread", "read"]),
+                st.sampled_from(["alite", "scipy", "greedy", "mistral", "frequency", "partitioned", "on", "auto", "thread", "read"]),
                 st.sampled_from([ExactEmbedder(), GreedyAssignment(), AliteFullDisjunction()]),
                 st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
             ),
@@ -223,11 +232,11 @@ class TestEagerValidation:
         assert executor.backend == "thread"
         assert executor.max_workers == 3
 
-    def test_partitioned_fd_resolved_by_name_inherits_executor(self, covid_tables):
+    def test_incremental_fd_resolved_by_name_ignores_executor(self, covid_tables):
         # The FD stage takes no workers: whatever executor the config carries,
         # the algorithm resolved by name gives the same table and statistics.
         results = [
-            FuzzyFDConfig(fd_algorithm="partitioned", max_workers=workers, parallel_backend=backend)
+            FuzzyFDConfig(fd_algorithm="incremental", max_workers=workers, parallel_backend=backend)
             .resolve_fd_algorithm()
             .integrate(covid_tables)
             for workers, backend in ((1, "thread"), (5, "thread"), (2, "serial"))
@@ -261,7 +270,7 @@ class TestSerialisation:
             exact_first=False,
             blocking="auto",
             blocking_cutoff=1000,
-            alignment="holistic",
+            ann_index="ivf",
         )
         assert FuzzyFDConfig.from_dict(config.to_dict()) == config
 

@@ -89,12 +89,13 @@ class TestStages:
         with pytest.raises(ValueError):
             engine.integrate([])
 
-    def test_align_strategy_override(self, covid_tables):
+    def test_align_groups_columns_by_header_name(self, covid_tables):
         engine = IntegrationEngine()
         renamed = [covid_tables[0].rename({"City": "Municipality"})] + covid_tables[1:]
-        by_name = engine.align(renamed)  # Municipality stays its own group
-        holistic = engine.align(renamed, strategy="holistic")
-        assert len(holistic.alignment) < len(by_name.alignment)
+        groups = engine.align(renamed).alignment.as_dict()
+        assert groups["Municipality"] == ["T1.Municipality"]  # no header shared, no group
+        assert groups["City"] == ["T2.City", "T3.City"]
+        assert engine.embedding_cache.stats()["misses"] == 0  # aligning embeds nothing
 
 
 class TestRequestTables:
@@ -124,6 +125,33 @@ class TestRequestTables:
         result = IntegrationEngine().integrate(covid_tables)
         assert [table.name for table in result.rewritten_tables] == ["T1", "T2", "T3"]
         assert result.rewritten_tables is result.rewritten_tables  # decoded once
+
+
+class TestExplicitAlignment:
+    """A caller-built alignment is checked against the request's tables in
+    the alignment stage: a member the request lacks is named in a
+    ``ValueError`` before any value is embedded."""
+
+    TABLES = [Table("l", ["Town", "Pop"], [("Berlin", 3.6)]), Table("r", ["City", "Pop"], [("Berlinn", 3.6)])]
+
+    @pytest.mark.parametrize("member, message", [
+        (("t9", "City"), r"t9\.City.*no table 't9'"),
+        (("r", "C"), r"r\.C.*table 'r' has no column 'C'"),
+    ], ids=["missing-table", "missing-column"])
+    def test_a_member_the_request_lacks_fails_before_any_embedding(self, member, message):
+        from repro.schema_matching import AlignedColumn, ColumnAlignment, ColumnRef
+
+        alignment = ColumnAlignment([AlignedColumn("City", [ColumnRef("l", "Town"), ColumnRef(*member)])])
+        engine = IntegrationEngine()
+        before = engine.embedding_cache.stats()
+        stages = []
+        with pytest.raises(ValueError, match=message):
+            engine.integrate(self.TABLES, alignment=alignment, on_stage=stages.append)
+        with pytest.raises(ValueError, match=message):
+            engine.apply_alignment(self.TABLES, alignment)
+        assert stages == ["align"]
+        assert engine.embedding_cache.stats() == before
+        assert engine.requests_served == 0
 
 
 class TestPerRequestOverrides:
@@ -172,16 +200,6 @@ class TestPerRequestOverrides:
         matched = engine.match(engine.align(covid_tables))
         with pytest.raises(TypeError):
             engine.integrate(matched, threshold=0.99)
-        with pytest.raises(TypeError):
-            engine.integrate(matched, alignment_strategy="holistic")
-
-    def test_explicit_alignment_and_strategy_conflict(self, covid_tables):
-        from repro.schema_matching import ColumnAlignment
-
-        engine = IntegrationEngine()
-        alignment = ColumnAlignment.from_named_columns(covid_tables)
-        with pytest.raises(TypeError):
-            engine.integrate(covid_tables, alignment=alignment, alignment_strategy="holistic")
 
     def test_regular_integration(self, covid_tables):
         engine = IntegrationEngine()
@@ -213,7 +231,7 @@ class TestPerRequestOverrides:
         # Only the FD stage remains, and that is exactly what these steer.
         engine = IntegrationEngine()
         matched = engine.match(engine.align(covid_tables))
-        pooled = engine.integrate(matched, max_workers=4, fd_algorithm="partitioned")
+        pooled = engine.integrate(matched, max_workers=4, fd_algorithm="incremental")
         plain = engine.integrate(engine.match(engine.align(covid_tables)))
         assert pooled.table.same_rows(plain.table)
 
@@ -222,8 +240,6 @@ class TestPerRequestOverrides:
 
         engine = IntegrationEngine()
         aligned = engine.align(covid_tables)
-        with pytest.raises(TypeError, match="AlignmentStage"):
-            engine.integrate(aligned, alignment_strategy="holistic")
         with pytest.raises(TypeError, match="AlignmentStage"):
             engine.integrate(aligned, alignment=ColumnAlignment.from_named_columns(covid_tables))
 
@@ -403,40 +419,28 @@ class TestParallelConfigKnobs:
         assert serial.table.same_rows(pooled.table)
         assert engine.config.max_workers == 1  # engine config untouched
 
-    def test_partitioned_fd_inherits_engine_executor(self, covid_tables):
+    def test_incremental_fd_ignores_engine_executor(self, covid_tables):
         # The FD stage takes no workers: engines that differ only in executor
         # settings integrate to the same table with the same FD statistics.
-        plain = IntegrationEngine(FuzzyFDConfig(fd_algorithm="partitioned")).integrate(covid_tables)
+        plain = IntegrationEngine(FuzzyFDConfig(fd_algorithm="incremental")).integrate(covid_tables)
         pooled = IntegrationEngine(
-            FuzzyFDConfig(fd_algorithm="partitioned", max_workers=3)
+            FuzzyFDConfig(fd_algorithm="incremental", max_workers=3)
         ).integrate(covid_tables)
         assert (pooled.table.rows, pooled.table.provenance) == (plain.table.rows, plain.table.provenance)
         assert pooled.fd_result.statistics == plain.fd_result.statistics
 
     def test_fd_override_by_name_inherits_executor(self, covid_tables):
         engine = IntegrationEngine(FuzzyFDConfig(max_workers=2, parallel_backend="thread"))
-        result = engine.integrate(covid_tables, fd_algorithm="partitioned")
+        result = engine.integrate(covid_tables, fd_algorithm="incremental")
         assert result.fd_result.algorithm == "incremental"
         assert not [key for key in result.fd_result.statistics if key.startswith("parallel")]
-
-    def test_partitioned_request_lists_the_incremental_rows(self, covid_tables):
-        # ``partitioned`` is a registry alias: the same rows, order,
-        # provenance and counters as an ``incremental`` request.
-        engine = IntegrationEngine()
-        partitioned = engine.integrate(covid_tables, fd_algorithm="partitioned")
-        incremental = engine.integrate(covid_tables, fd_algorithm="incremental")
-        assert (partitioned.table.rows, partitioned.table.provenance) == (
-            incremental.table.rows,
-            incremental.table.provenance,
-        )
-        assert partitioned.fd_result.statistics == incremental.fd_result.statistics
 
     def test_request_executor_override_reaches_fd_stage(self):
         # 10 disjoint join keys -> 10 FD components.  Executor overrides stay
         # legal per request and change neither the table nor an FD counter.
         left = Table("L", ["k", "a"], [(f"k{i}", f"a{i}") for i in range(10)])
         right = Table("R", ["k", "b"], [(f"k{i}", f"b{i}") for i in range(10)])
-        engine = IntegrationEngine(FuzzyFDConfig(fd_algorithm="partitioned"))
+        engine = IntegrationEngine(FuzzyFDConfig(fd_algorithm="incremental"))
         default = engine.integrate([left, right])
         assert default.fd_result.statistics["components"] == 10.0
         for overrides in ({"max_workers": 4}, {"max_workers": 2, "parallel_backend": "serial"}):

@@ -8,7 +8,7 @@ from repro.core import FuzzyFDConfig, IntegrationEngine, integrate
 from repro.embeddings import ExactEmbedder, MistralEmbedder
 from repro.fd import AliteFullDisjunction
 from repro.testing.hungarian import HungarianAssignment
-from repro.schema_matching import ColumnAlignment
+from repro.schema_matching import AlignedColumn, ColumnAlignment, ColumnRef
 from repro.table import Table
 
 
@@ -39,10 +39,6 @@ class TestConfig:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             FuzzyFDConfig(threshold=0.0)
-
-    def test_invalid_alignment(self):
-        with pytest.raises(ValueError):
-            FuzzyFDConfig(alignment="guess")
 
     def test_invalid_blocking(self):
         with pytest.raises(ValueError):
@@ -95,23 +91,40 @@ class TestFuzzyFullDisjunction:
         assert result.rewrites_applied() >= 4
 
     def test_explicit_alignment_is_respected(self):
+        # l.Town and r.City share no header: only the caller's alignment
+        # puts them in one group, which takes the name "City".
         left = Table("l", ["Town"], [("Berlin",), ("Boston",)])
         right = Table("r", ["City", "Cases"], [("Berlinn", "10"), ("Madrid", "3")])
-        alignment = ColumnAlignment.from_named_columns([left.rename({"Town": "City"}), right])
-        result = IntegrationEngine().integrate(
-            [left.rename({"Town": "City"}), right], alignment=alignment
-        )
+        alignment = ColumnAlignment([
+            AlignedColumn("City", [ColumnRef("l", "Town"), ColumnRef("r", "City")]),
+            AlignedColumn("Cases", [ColumnRef("r", "Cases")]),
+        ])
+        result = IntegrationEngine().integrate([left, right], alignment=alignment)
+        assert result.table.columns == ("City", "Cases")
         berlin = next(row for row in result.table if row["Cases"] == "10")
         assert berlin["City"] in ("Berlin", "Berlinn")
+        assert frozenset({"l:0", "r:0"}) in result.table.provenance
         assert result.table.num_rows == 3
+        # Aligned by name, Town and City stay apart and Berlin is not merged.
+        assert IntegrationEngine().integrate([left, right]).table.num_rows == 4
 
-    def test_holistic_alignment_mode(self, covid_tables):
+    def test_figure_1_with_a_renamed_header_and_an_explicit_alignment(self, covid_tables):
+        # T1's City is headed "Municipality"; the caller aligns it with the
+        # other tables' City, and the request integrates as Figure 1 does.
         renamed = [covid_tables[0].rename({"City": "Municipality"})] + covid_tables[1:]
-        config = FuzzyFDConfig(alignment="holistic")
-        result = IntegrationEngine(config).integrate(renamed)
-        # The holistic matcher must have aligned Municipality with City for the
-        # Berlin tuples to integrate.
-        assert result.table.num_rows <= 7
+        alignment = ColumnAlignment([
+            AlignedColumn(group.name, [
+                ColumnRef("T1", "Municipality") if member == ColumnRef("T1", "City") else member
+                for member in group.members
+            ])
+            for group in ColumnAlignment.from_named_columns(covid_tables)
+        ])
+        engine = IntegrationEngine()
+        result = engine.integrate(renamed, alignment=alignment)
+        figure_1 = engine.integrate(covid_tables).table
+        assert result.table.columns == figure_1.columns
+        assert (result.table.rows, result.table.provenance) == (figure_1.rows, figure_1.provenance)
+        assert "Municipality" in engine.integrate(renamed).table.columns  # by name, it stays apart
 
     def test_exact_embedder_degenerates_to_regular_fd(self, covid_tables):
         fuzzy_exact = IntegrationEngine(FuzzyFDConfig(embedder=ExactEmbedder())).integrate(covid_tables)
@@ -166,7 +179,7 @@ class TestRegularFullDisjunction:
         assert "value_matching_seconds" not in result.timings
 
     def test_output_matches_alite_directly(self, covid_tables):
-        from repro.schema_matching import ColumnAlignment
+        from repro.schema_matching import AlignedColumn, ColumnAlignment, ColumnRef
 
         direct = AliteFullDisjunction().integrate(
             ColumnAlignment.from_named_columns(covid_tables).apply(covid_tables)

@@ -78,36 +78,22 @@ class TestRegistry:
 class TestBuiltinRegistries:
     """Every extension point resolves through the one Registry mechanism."""
 
-    def test_all_five_families_are_registries(self):
+    def test_all_four_families_and_the_presets_are_registries(self):
         from repro.core.config import PRESETS
         from repro.core.representatives import REPRESENTATIVE_POLICIES
         from repro.embeddings.registry import EMBEDDERS
         from repro.fd import FD_ALGORITHMS
         from repro.matching.assignment import ASSIGNMENT_SOLVERS
-        from repro.schema_matching.strategies import ALIGNMENT_STRATEGIES
 
         for registry in (
             EMBEDDERS,
             FD_ALGORITHMS,
             ASSIGNMENT_SOLVERS,
             REPRESENTATIVE_POLICIES,
-            ALIGNMENT_STRATEGIES,
             PRESETS,
         ):
             assert isinstance(registry, Registry)
             assert registry.names()
-
-    def test_alignment_strategies(self):
-        from repro.schema_matching.strategies import ALIGNMENT_STRATEGIES, available_strategies
-        from repro.table import Table
-
-        assert {"by_name", "header", "holistic"} <= set(available_strategies())
-        tables = [
-            Table("t1", ["City", "A"], [("Berlin", "1")]),
-            Table("t2", ["City", "B"], [("Paris", "2")]),
-        ]
-        alignment = ALIGNMENT_STRATEGIES.get("by_name")(tables)
-        assert {group.name for group in alignment} == {"City", "A", "B"}
 
     def test_custom_policy_plugs_into_value_matcher(self):
         from repro.core.representatives import REPRESENTATIVE_POLICIES, select_representative

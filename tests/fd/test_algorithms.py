@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fd import (
-    FD_ALGORITHMS,
     AliteFullDisjunction,
     IncrementalFullDisjunction,
     NaiveFullDisjunction,
@@ -41,7 +40,7 @@ def simple_tables():
 
 class TestRegistry:
     def test_all_registered(self):
-        assert set(available_algorithms()) >= {"naive", "alite", "incremental", "partitioned"}
+        assert set(available_algorithms()) >= {"naive", "alite", "incremental"}
 
     def test_get_algorithm_by_name(self):
         assert get_algorithm("alite").name == "alite"
@@ -56,17 +55,18 @@ class TestRegistry:
             "incremental",
             "naive",
             "outer_join_sequence",
-            "partitioned",
         ]
 
-    def test_retired_streaming_name_is_unknown(self):
-        # The lazy ``streaming`` enumeration is gone: a configuration naming
-        # it fails at lookup, not at the first request it serves.
-        with pytest.raises(ValueError):
-            get_algorithm("streaming")
+    @pytest.mark.parametrize("name", ["streaming", "partitioned"])
+    def test_retired_name_is_unknown(self, name):
+        # The lazy ``streaming`` enumeration and the ``partitioned`` alias of
+        # ``incremental`` are gone: a configuration naming either fails at
+        # lookup, not at the first request it serves.
+        with pytest.raises(ValueError, match="available: \\['alite', 'incremental', 'naive', 'outer_join_sequence'\\]"):
+            get_algorithm(name)
 
 
-class TestPartitionedStatistics:
+class TestIncrementalStatistics:
     def _disjoint_tables(self, n_components=10):
         left = Table("L", ["k", "a"], [(f"k{i}", f"a{i}") for i in range(n_components)])
         right = Table("R", ["k", "b"], [(f"k{i}", f"b{i}") for i in range(n_components)])
@@ -75,7 +75,7 @@ class TestPartitionedStatistics:
     def test_complementation_statistics_recorded(self):
         # Regression: the executor refactor must keep summing the closure
         # counters (the old parallel branch silently dropped them).
-        result = get_algorithm("partitioned").integrate(self._disjoint_tables())
+        result = get_algorithm("incremental").integrate(self._disjoint_tables())
         assert result.statistics["components"] == 10.0
         assert "complementation_comparisons" in result.statistics
         assert result.statistics["complementation_tuples"] >= 10.0
@@ -86,8 +86,8 @@ class TestPartitionedStatistics:
         from repro.core.config import FuzzyFDConfig
 
         tables = self._disjoint_tables()
-        serial = FuzzyFDConfig(fd_algorithm="partitioned", max_workers=1)
-        parallel = FuzzyFDConfig(fd_algorithm="partitioned", max_workers=4, parallel_backend="thread")
+        serial = FuzzyFDConfig(fd_algorithm="incremental", max_workers=1)
+        parallel = FuzzyFDConfig(fd_algorithm="incremental", max_workers=4, parallel_backend="thread")
         serial, parallel = (
             config.resolve_fd_algorithm().integrate(tables) for config in (serial, parallel)
         )
@@ -96,7 +96,7 @@ class TestPartitionedStatistics:
 
     def test_parallel_workers_recorded_when_pool_engages(self):
         # There is no pool to engage any more, and no trace of one in the counters.
-        result = get_algorithm("partitioned").integrate(self._disjoint_tables())
+        result = get_algorithm("incremental").integrate(self._disjoint_tables())
         assert not [key for key in result.statistics if key.startswith("parallel")]
         assert sorted(result.statistics) == [
             "complementation_comparisons",
@@ -108,20 +108,18 @@ class TestPartitionedStatistics:
         ]
 
     def test_configure_executor_keeps_the_constructor_threshold(self):
-        # The executor path is gone, constructor arguments and hook included:
-        # ``partitioned`` names the incremental algorithm itself.
-        assert FD_ALGORITHMS.get("partitioned") is IncrementalFullDisjunction
+        # The executor path is gone, constructor arguments and hook included.
         with pytest.raises(TypeError):
-            get_algorithm("partitioned", min_parallel_components=2)
+            get_algorithm("incremental", min_parallel_components=2)
         with pytest.raises(TypeError):
-            get_algorithm("partitioned", max_workers=3)
-        assert not hasattr(get_algorithm("partitioned"), "configure_executor")
+            get_algorithm("incremental", max_workers=3)
+        assert not hasattr(get_algorithm("incremental"), "configure_executor")
         tables = self._disjoint_tables(n_components=2)
-        partitioned = get_algorithm("partitioned").integrate(tables)
+        by_name = get_algorithm("incremental").integrate(tables)
         incremental = IncrementalFullDisjunction().integrate(tables)
-        assert partitioned.statistics["components"] == 2.0
-        assert partitioned.statistics == incremental.statistics
-        assert (partitioned.table.rows, partitioned.table.provenance) == (
+        assert by_name.statistics["components"] == 2.0
+        assert by_name.statistics == incremental.statistics
+        assert (by_name.table.rows, by_name.table.provenance) == (
             incremental.table.rows,
             incremental.table.provenance,
         )

@@ -352,20 +352,18 @@ class TestAlgorithmsAgainstTheSequentialLoop:
         # Tables joined on a first column that is never null: no list of
         # candidates is shorter than the holders of a tuple's key, whether a
         # null is posted for the whole input (alite) or per component
-        # (incremental, also under its alias ``partitioned``).
+        # (incremental).
         keys = random.Random(20).sample(range(1000), 150)
         tables = [
             Table(name, ["k", name], [(f"k{key}", f"{name}{key}") for key in keys[:size]])
             for name, size in (("a", 150), ("b", 150), ("c", 75))
         ]
-        statistics = {name: get_algorithm(name).integrate(tables).statistics for name in
-                      ("alite", "incremental", "partitioned")}
+        statistics = {name: get_algorithm(name).integrate(tables).statistics for name in ("alite", "incremental")}
         counters = ["outer_union_tuples"] + [f"complementation_{kind}" for kind in ("comparisons", "merges", "tuples")]
         for name, recorded in statistics.items():
             assert [recorded[key] for key in counters] == [statistics["alite"][key] for key in counters], name
             assert recorded["complementation_merges"] > 0
         assert statistics["alite"].get("components") is None
-        assert statistics["incremental"] == statistics["partitioned"]
         assert statistics["incremental"]["components"] > 1
 
     def test_component_algorithms_never_meet_the_other_schemas(self):
@@ -384,20 +382,19 @@ class TestAlgorithmsAgainstTheSequentialLoop:
         ]
         alite = get_algorithm("alite").integrate(tables)
         assert alite.statistics["complementation_comparisons"] > (2 * entities) ** 2
-        for name in ("incremental", "partitioned"):
-            result = get_algorithm(name).integrate(tables)
-            assert result.statistics["components"] == 2 * entities
-            assert result.statistics["complementation_comparisons"] == 3 * 2 * entities
-            assert sorted(zip(result.table.rows, map(sorted, result.table.provenance)), key=repr) == sorted(
-                zip(alite.table.rows, map(sorted, alite.table.provenance)), key=repr
-            )
+        result = get_algorithm("incremental").integrate(tables)
+        assert result.statistics["components"] == 2 * entities
+        assert result.statistics["complementation_comparisons"] == 3 * 2 * entities
+        assert sorted(zip(result.table.rows, map(sorted, result.table.provenance)), key=repr) == sorted(
+            zip(alite.table.rows, map(sorted, alite.table.provenance)), key=repr
+        )
 
     def test_fully_null_rows_ride_on_the_survivor_standing_for_the_first_row(self):
         # The first component has two survivors and its first row folds into
         # the second of them: that one takes the fully-null row's source,
         # whichever algorithm lists it.
         rows = [("k", NULL, NULL, "p"), ("j", "x", NULL, "p"), ("k", NULL, "y", NULL), (NULL,) * 4]
-        for name in ("alite", "incremental", "partitioned"):
+        for name in ("alite", "incremental"):
             result = get_algorithm(name).integrate([Table("t", list("abcd"), rows)]).table
             assert result.rows == [("j", "x", NULL, "p"), ("k", NULL, "y", "p")], name
             assert result.provenance == [frozenset({"t:1"}), frozenset({"t:0", "t:2", "t:3"})], name
@@ -406,7 +403,7 @@ class TestAlgorithmsAgainstTheSequentialLoop:
             assert (only_nulls.rows, only_nulls.provenance) == ([(NULL,)], [frozenset({"N:0", "N:1"})]), name
 
     def test_tables_without_columns(self):
-        for name in ("alite", "incremental", "partitioned"):
+        for name in ("alite", "incremental"):
             result = get_algorithm(name).integrate([Table("t", [], [(), ()])]).table
             assert (result.rows, result.provenance) == ([()], [frozenset({"t:0", "t:1"})])
 

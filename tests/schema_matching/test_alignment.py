@@ -1,26 +1,11 @@
-"""Tests for column alignment structures and schema matchers."""
+"""Tests for the column alignment structure."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.schema_matching import (
-    AlignedColumn,
-    ColumnAlignment,
-    ColumnRef,
-    HeaderSchemaMatcher,
-    HolisticSchemaMatcher,
-    column_signature,
-)
-from repro.embeddings import FastTextEmbedder
+from repro.schema_matching import AlignedColumn, ColumnAlignment, ColumnRef
 from repro.table import Table
-
-
-@pytest.fixture()
-def covid_renamed(covid_tables):
-    """Figure 1 tables with one header renamed, so headers alone are not enough."""
-    t1, t2, t3 = covid_tables
-    return [t1.rename({"City": "Municipality"}), t2, t3]
 
 
 class TestColumnAlignment:
@@ -59,73 +44,19 @@ class TestColumnAlignment:
                 [AlignedColumn("g", [ColumnRef("a", "x"), ColumnRef("a", "y")])]
             )
 
-    def test_group_for_lookup(self, covid_tables):
-        alignment = ColumnAlignment.from_named_columns(covid_tables)
-        group = alignment.group_for("T2", "VaxRate")
-        assert group is not None and len(group) == 1
-        assert alignment.group_for("T2", "missing") is None
 
+class TestApply:
+    """``apply`` renames the aligned columns and leaves the others; a member
+    the request lacks is ``tests/core/test_engine.py::TestExplicitAlignment``."""
 
-class TestHeaderMatcher:
-    def test_groups_by_normalised_header(self, covid_tables):
-        alignment = HeaderSchemaMatcher().align(covid_tables)
-        assert alignment.group_for("T1", "City").name == alignment.group_for("T3", "City").name
+    TABLES = [Table("l", ["Town", "Country"], [("Berlin", "Germany")]), Table("r", ["City"], [("Berlin",)])]
 
-    def test_case_insensitive_headers(self):
-        left = Table("l", ["city"], [("Berlin",)])
-        right = Table("r", ["City"], [("Boston",)])
-        alignment = HeaderSchemaMatcher().align([left, right])
-        assert len(alignment.multi_table_groups()) == 1
+    def test_a_canonical_name_taken_by_an_unaligned_column(self):
+        # l.Town becomes "Country", which l already holds unaligned.
+        alignment = ColumnAlignment([AlignedColumn("Country", [ColumnRef("l", "Town"), ColumnRef("r", "City")])])
+        with pytest.raises(ValueError, match="duplicate column name 'Country'"):
+            alignment.apply(self.TABLES)
 
-
-class TestColumnSignature:
-    def test_signature_fields(self, covid_tables):
-        signature = column_signature(covid_tables[0], "City", FastTextEmbedder())
-        assert signature.table == "T1"
-        assert signature.embedding.shape == (256,)
-        assert 0.0 <= signature.numeric_fraction <= 1.0
-        assert signature.distinct_fraction == 1.0
-
-    def test_numeric_column_detected(self):
-        table = Table("t", ["n"], [("1",), ("2.5",), ("3",)])
-        signature = column_signature(table, "n", FastTextEmbedder())
-        assert signature.numeric_fraction == 1.0
-
-    def test_similarity_of_same_content_columns_is_high(self):
-        left = Table("l", ["c"], [("Berlin",), ("Boston",), ("Toronto",)])
-        right = Table("r", ["d"], [("Berlin",), ("Toronto",), ("Madrid",)])
-        embedder = FastTextEmbedder()
-        sig_left = column_signature(left, "c", embedder)
-        sig_right = column_signature(right, "d", embedder)
-        unrelated = Table("u", ["x"], [("12",), ("85",), ("97",)])
-        sig_unrelated = column_signature(unrelated, "x", embedder)
-        assert sig_left.similarity(sig_right) > sig_left.similarity(sig_unrelated)
-
-
-class TestHolisticMatcher:
-    def test_aligns_city_columns_despite_renamed_header(self, covid_renamed):
-        alignment = HolisticSchemaMatcher().align(covid_renamed)
-        group = alignment.group_for("T1", "Municipality")
-        assert group is not None
-        members = {str(member) for member in group.members}
-        assert "T2.City" in members or "T3.City" in members
-
-    def test_never_groups_columns_of_same_table(self, covid_tables):
-        alignment = HolisticSchemaMatcher().align(covid_tables)
-        for group in alignment:
-            tables = group.tables()
-            assert len(tables) == len(set(tables))
-
-    def test_every_column_is_covered_exactly_once(self, covid_tables):
-        alignment = HolisticSchemaMatcher().align(covid_tables)
-        refs = [str(member) for group in alignment for member in group.members]
-        expected = [
-            f"{table.name}.{column}" for table in covid_tables for column in table.columns
-        ]
-        assert sorted(refs) == sorted(expected)
-
-    def test_header_bonus_helps_equal_headers(self, covid_tables):
-        alignment = HolisticSchemaMatcher().align(covid_tables)
-        city_group = alignment.group_for("T1", "City")
-        assert city_group is not None
-        assert len(city_group) >= 2
+    def test_unaligned_columns_keep_their_names(self):
+        alignment = ColumnAlignment([AlignedColumn("City", [ColumnRef("l", "Town"), ColumnRef("r", "City")])])
+        assert [table.columns for table in alignment.apply(self.TABLES)] == [("City", "Country"), ("City",)]

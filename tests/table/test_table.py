@@ -56,7 +56,7 @@ class TestTableConstruction:
         table = Table.empty("t", ["a", "b"])
         assert table.columns == ("a", "b")
         assert table.num_rows == 0
-        assert table.null_fraction("a") == 0.0
+        assert table.column("a") == []
 
     def test_provenance_length_checked(self):
         with pytest.raises(ValueError):
@@ -80,10 +80,6 @@ class TestTableAccess:
 
     def test_distinct_values_preserve_order(self, table):
         assert table.distinct_values("City") == ["Berlin", "Boston"]
-
-    def test_null_fraction(self, table):
-        assert table.null_fraction("Cases") == pytest.approx(1 / 3)
-        assert table.null_fraction("City") == 0.0
 
     def test_row_get_and_is_null(self, table):
         row = table.row(1)

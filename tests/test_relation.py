@@ -18,9 +18,9 @@ the input-partner loop's order) and the ``complementation_comparisons`` /
 ``complementation_merges`` of the ``imdb``, ``lake`` and ``merging`` cases
 (lower); ``complementation_expanded`` (what the closure expands) was added to
 every case's counters, no other value changing; run this file to print the
-current observations.  ``partitioned``, a registry alias of ``incremental``,
-ran here too until its entries were found equal to their ``incremental``
-twins and dropped; one test keeps the alias resolving.
+current observations.  ``partitioned``, once a registry alias of
+``incremental``, ran here too until its entries were found equal to their
+``incremental`` twins and dropped; the alias itself is gone.
 
 The rest pins the encoding itself: ``Table → Relation → Table`` is the
 identity up to the null flavour (every null decodes to ``NULL``) and up to
@@ -46,7 +46,6 @@ from repro.core import IntegrationEngine
 from repro.datasets import AliteEmBenchmark, AutoJoinBenchmark, Corruptor, ImdbBenchmark
 from repro.datasets import topic_names, topic_vocabulary
 from repro.datasets.corruptions import DEFAULT_PROFILES
-from repro.fd import IncrementalFullDisjunction, get_algorithm
 from repro.service import IntegrationService
 from repro.service.http import BadRequest, response_to_json, table_to_json, tables_from_json
 from repro.table import NULL, LabeledNull, Table, is_null
@@ -178,10 +177,6 @@ def test_the_row_path_observed_the_same(name):
     observed = observe()
     keys = [key for key in recorded if key.split("/")[0] == name]
     assert keys and {key: observed[key] for key in keys} == {key: recorded[key] for key in keys}
-
-
-def test_partitioned_is_still_incremental():
-    assert get_algorithm("partitioned").__class__ is IncrementalFullDisjunction
 
 
 # -- the encoding --------------------------------------------------------------------
