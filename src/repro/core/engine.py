@@ -77,6 +77,12 @@ REQUEST_OVERRIDES = (*MATCHER_KNOBS, "store_mode")
 #: default"): ``blocking_key_cap=None`` disables the frequent-key cap.
 NULLABLE_OVERRIDES = frozenset({"blocking_key_cap"})
 
+#: Refusal of a second alignment for a request that is already aligned.
+_ALIGNED_TWICE = (
+    "an explicit alignment cannot apply to an AlignmentStage — "
+    "alignment already ran; re-align the raw tables instead"
+)
+
 
 def _count_rewrites(value_matching: Dict[str, ValueMatchingResult]) -> int:
     """Distinct value rewrites across all aligned groups and columns."""
@@ -286,7 +292,8 @@ class IntegrationEngine:
         """Stage 2: fuzzy value matching + representative rewriting.
 
         ``aligned`` is the :class:`AlignmentStage` from :meth:`align` (or a
-        sequence of already-aligned tables plus an explicit ``alignment``).
+        sequence of already-aligned tables plus an explicit ``alignment``,
+        whose every member must be there under its group's name).
         ``overrides`` are the per-request knobs of :data:`REQUEST_OVERRIDES`.
         """
         effective = self.effective_config(overrides)
@@ -301,6 +308,8 @@ class IntegrationEngine:
     ) -> MatchStage:
         """:meth:`match` under the request lock, which the caller holds."""
         if isinstance(aligned, AlignmentStage):
+            if alignment is not None:
+                raise TypeError(_ALIGNED_TWICE)
             relations = aligned.relations
             alignment = aligned.alignment
             timings = dict(aligned.timings)
@@ -308,6 +317,7 @@ class IntegrationEngine:
             if alignment is None:
                 raise ValueError("match() needs an AlignmentStage or an explicit alignment")
             relations = encode_request(aligned)
+            alignment.check(relations, applied=True)
             timings = {}
 
         matcher = self._matcher_for(effective)
@@ -384,10 +394,7 @@ class IntegrationEngine:
             else:
                 if isinstance(tables, AlignmentStage):
                     if alignment is not None:
-                        raise TypeError(
-                            "an explicit alignment cannot apply to an AlignmentStage — "
-                            "alignment already ran; re-align the raw tables instead"
-                        )
+                        raise TypeError(_ALIGNED_TWICE)
                     aligned = tables
                 else:
                     if not tables:

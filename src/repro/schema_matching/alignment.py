@@ -99,14 +99,24 @@ class ColumnAlignment:
         request lacks raises :class:`ValueError` here, before any value is
         matched.
         """
+        self.check(tables)
+        return [table.rename(self.rename_map(table.name)) for table in tables]
+
+    def check(self, tables: Sequence[Table], applied: bool = False) -> None:
+        """Raise :class:`ValueError` naming the first member ``tables`` lack.
+
+        With ``applied`` the tables already carry the canonical names (the
+        output of :meth:`apply`), so a member's column is sought under its
+        group's name.
+        """
         columns = {table.name: table.schema for table in tables}
         for group in self.groups:
             for member in group.members:
                 if member.table not in columns:
                     raise ValueError(f"aligned group {group.name!r} names {member}, but the request has no table {member.table!r}")
-                if member.column not in columns[member.table]:
-                    raise ValueError(f"aligned group {group.name!r} names {member}, but table {member.table!r} has no column {member.column!r}")
-        return [table.rename(self.rename_map(table.name)) for table in tables]
+                column = group.name if applied else member.column
+                if column not in columns[member.table]:
+                    raise ValueError(f"aligned group {group.name!r} names {member}, but table {member.table!r} has no column {column!r}")
 
     def as_dict(self) -> Dict[str, List[str]]:
         """``canonical name -> ["table.column", ...]`` (for reports and tests)."""

@@ -153,6 +153,57 @@ class TestExplicitAlignment:
         assert engine.embedding_cache.stats() == before
         assert engine.requests_served == 0
 
+    @staticmethod
+    def town_is_city():
+        from repro.schema_matching import AlignedColumn, ColumnAlignment, ColumnRef
+
+        return ColumnAlignment([AlignedColumn("City", [ColumnRef("l", "Town"), ColumnRef("r", "City")])])
+
+    @pytest.mark.parametrize("tables, message", [
+        ([TABLES[1]], r"l\.Town.*no table 'l'"),
+        (TABLES, r"l\.Town.*table 'l' has no column 'City'"),
+    ], ids=["missing-table", "not-yet-applied"])
+    def test_match_checks_tables_against_the_alignment_before_any_embedding(self, tables, message):
+        # match() takes tables the alignment was already applied to, so a
+        # member's column is sought under its group's name.
+        engine = IntegrationEngine()
+        before = engine.embedding_cache.stats()
+        with pytest.raises(ValueError, match=message):
+            engine.match(tables, self.town_is_city())
+        assert engine.embedding_cache.stats() == before
+
+    def test_match_on_applied_tables_equals_match_on_the_alignment_stage(self):
+        alignment = self.town_is_city()
+        engine = IntegrationEngine()
+        staged = engine.match(engine.apply_alignment(self.TABLES, alignment))
+        direct = engine.match(alignment.apply(self.TABLES), alignment)
+        assert [relation.to_table().rows for relation in direct.relations] == [
+            relation.to_table().rows for relation in staged.relations
+        ] == [[("Berlin", 3.6)], [("Berlin", 3.6)]]
+        assert set(direct.value_matching) == {"City"} and direct.rewrites_applied() == 1
+
+    def test_match_refuses_an_alignment_beside_an_alignment_stage(self):
+        # The stage's own alignment would win and the caller's be dropped.
+        engine = IntegrationEngine()
+        with pytest.raises(TypeError, match="AlignmentStage"):
+            engine.match(engine.align(self.TABLES), self.town_is_city())
+
+    def test_an_explicit_alignment_reaches_the_regular_fd(self):
+        alignment = self.town_is_city()
+        tables = [
+            Table("l", ["Town", "Pop"], [("Berlin", 3.6), ("Paris", 2.1)]),
+            Table("r", ["City", "Mayor"], [("Berlin", "Wegner"), ("Berlinn", "X")]),
+        ]
+        result = IntegrationEngine().integrate(tables, alignment=alignment, fuzzy=False)
+        assert result.alignment is alignment and result.value_matching == {}
+        table = result.table
+        assert table.columns == ("City", "Pop", "Mayor")
+        assert dict(zip(table.rows, table.provenance)) == {
+            ("Berlin", 3.6, "Wegner"): frozenset({"l:0", "r:0"}),  # joined across headers, exact values only
+            ("Paris", 2.1, NULL): frozenset({"l:1"}),
+            ("Berlinn", NULL, "X"): frozenset({"r:1"}),
+        }
+
 
 class TestPerRequestOverrides:
     def test_threshold_override_does_not_mutate_engine(self, covid_tables):

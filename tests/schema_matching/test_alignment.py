@@ -6,6 +6,7 @@ import pytest
 
 from repro.schema_matching import AlignedColumn, ColumnAlignment, ColumnRef
 from repro.table import Table
+from repro.table.relation import Relation
 
 
 class TestColumnAlignment:
@@ -44,6 +45,15 @@ class TestColumnAlignment:
                 [AlignedColumn("g", [ColumnRef("a", "x"), ColumnRef("a", "y")])]
             )
 
+    def test_duplicate_group_name_rejected(self):
+        with pytest.raises(ValueError, match="duplicate aligned-column name 'g'"):
+            ColumnAlignment([AlignedColumn("g", [ColumnRef("a", "x")]), AlignedColumn("g", [ColumnRef("b", "y")])])
+
+    def test_aligned_column_lookups(self):
+        group = AlignedColumn("city", [ColumnRef("a", "Town"), ColumnRef("b", "City")])
+        assert group.tables() == ["a", "b"] and len(group) == 2
+        assert group.column_in("b") == "City" and group.column_in("c") is None
+
 
 class TestApply:
     """``apply`` renames the aligned columns and leaves the others; a member
@@ -60,3 +70,17 @@ class TestApply:
     def test_unaligned_columns_keep_their_names(self):
         alignment = ColumnAlignment([AlignedColumn("City", [ColumnRef("l", "Town"), ColumnRef("r", "City")])])
         assert [table.columns for table in alignment.apply(self.TABLES)] == [("City", "Country"), ("City",)]
+
+    def test_coded_relations_are_renamed_alike(self):
+        alignment = ColumnAlignment([AlignedColumn("City", [ColumnRef("l", "Town"), ColumnRef("r", "City")])])
+        coded = alignment.apply([Relation.of(table) for table in self.TABLES])
+        assert [(relation.columns, relation.to_table().rows) for relation in coded] == [
+            (table.columns, table.rows) for table in alignment.apply(self.TABLES)
+        ]
+
+    def test_check_of_applied_tables_seeks_the_canonical_names(self):
+        alignment = ColumnAlignment([AlignedColumn("City", [ColumnRef("l", "Town"), ColumnRef("r", "City")])])
+        alignment.check(alignment.apply(self.TABLES), applied=True)
+        alignment.check(self.TABLES)
+        with pytest.raises(ValueError, match="table 'l' has no column 'City'"):
+            alignment.check(self.TABLES, applied=True)

@@ -359,8 +359,10 @@ class TestHostileInput:
             ({"threshold": 2.0}, "threshold must be in (0, 1]"),
             ({"no_such_knob": 1}, "unknown per-request override(s) ['no_such_knob']"),
             ({"retry_max_attempts": 1}, "unknown per-request override(s) ['retry_max_attempts']"),
+            ({"alignment": "by_name"}, "unknown per-request override(s) ['alignment']"),
         ],
-        ids=["string", "boolean-number", "string-boolean", "float-integer", "out-of-range", "unknown", "engine-policy"],
+        ids=["string", "boolean-number", "string-boolean", "float-integer", "out-of-range", "unknown", "engine-policy",
+             "no-alignment-knob"],
     )
     def test_an_invalid_override_is_400_naming_the_field(self, served, overrides, named):
         server, service = served
