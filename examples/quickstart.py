@@ -146,7 +146,8 @@ def concurrency_api(tables: list[Table]) -> None:
           f"for parallel requests run `repro serve --processes N`")
 
     # The ``scale`` preset bundles the data-lake settings: blocking=auto,
-    # component-decomposed ("incremental") FD, 4 thread workers for matching.
+    # semantic blocking=auto, 4 thread workers for matching; its FD is alite,
+    # as in every preset.
     scaled = IntegrationEngine("scale").integrate(tables)
     print(f"  'scale' preset: {scaled.table.num_rows} tuples "
           f"(same rows: {scaled.table.same_rows(results[0].table)})")

@@ -64,9 +64,10 @@ class FuzzyFDConfig:
         ``"greedy"``).
     fd_algorithm:
         Full Disjunction substrate: a name of
-        :data:`~repro.fd.FD_ALGORITHMS` (``"alite"`` as in the paper,
-        ``"incremental"``, or the oracles ``"naive"`` /
-        ``"outer_join_sequence"``) or an instance.
+        :data:`~repro.fd.FD_ALGORITHMS` (``"alite"`` as in the paper, or the
+        oracles ``"naive"`` / ``"outer_join_sequence"``) or an instance.
+        ``alite`` labels the input's components itself where that pays, so
+        no preset chooses an FD algorithm.
     representative_policy:
         How the representative value of a match set is chosen;
         ``"frequency"`` (most frequent value, ties broken by earliest table)
@@ -350,10 +351,10 @@ class FuzzyFDConfig:
 
 #: Named operating points.  ``"paper"`` is the paper's exact configuration;
 #: ``"fast"`` trades effectiveness for speed (cheap surface embedder, greedy
-#: assignment); ``"scale"`` keeps the paper's models but engages blocking
-#: (with the semantic ANN channel on ``"auto"``), the component-decomposed
-#: (``incremental``) FD substrate and the parallel execution layer (4 thread
-#: workers, for component solving) for wide data-lake inputs;
+#: assignment); ``"scale"`` keeps the paper's models and FD but engages
+#: blocking (with the semantic ANN channel on ``"auto"``) and the parallel
+#: execution layer (4 thread workers, for component solving) for wide
+#: data-lake inputs;
 #: it also opts into ``store_mode="readwrite"`` so that a caller who supplies
 #: ``store_dir`` gets persistent, warm-startable state.
 PRESETS: Registry[Dict[str, Any]] = Registry(
@@ -368,7 +369,6 @@ PRESETS: Registry[Dict[str, Any]] = Registry(
         "scale": {
             "blocking": "auto",
             "semantic_blocking": "auto",
-            "fd_algorithm": "incremental",
             "max_workers": 4,
             "parallel_backend": "thread",
             # Persistence engages once the caller supplies store_dir; the

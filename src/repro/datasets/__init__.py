@@ -16,7 +16,7 @@ from repro.datasets.vocabularies import Vocabulary, topic_names, topic_vocabular
 from repro.datasets.autojoin import AutoJoinBenchmark, AutoJoinIntegrationSet
 from repro.datasets.alite_em import AliteEmBenchmark, EmIntegrationSet
 from repro.datasets.imdb import ImdbBenchmark
-from repro.datasets.lake import multi_schema_lake
+from repro.datasets.lake import join_triangle, multi_schema_lake
 
 __all__ = [
     "Vocabulary",
@@ -30,4 +30,5 @@ __all__ = [
     "EmIntegrationSet",
     "ImdbBenchmark",
     "multi_schema_lake",
+    "join_triangle",
 ]

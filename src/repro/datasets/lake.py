@@ -1,6 +1,5 @@
-"""A multi-schema lake: ``groups`` unrelated pairs of tables, each pair joined
-on a key of its own, so the input falls apart into two-tuple components (the
-FD ablation's opposite of the one-join IMDB benchmark)."""
+"""Inputs that fall apart into small components, the FD ablation's opposites
+of the one-join IMDB benchmark: a multi-schema lake and a join triangle."""
 
 from __future__ import annotations
 
@@ -19,4 +18,14 @@ def multi_schema_lake(groups: int = 4, entities: int = 1_000) -> List[Table]:
         )
         for group in range(groups)
         for side in ("left", "right")
+    ]
+
+
+def join_triangle(entities: int = 8_000) -> List[Table]:
+    """Tables ``ab``, ``bc`` and ``ca`` of ``entities`` tuples over the columns
+    they share pairwise, entity ``i``'s three tuples joining into one; each
+    tuple is null where the third table holds its keys."""
+    return [
+        Table(first + second, [first, second], [(f"{first}{index}", f"{second}{index}") for index in range(entities)])
+        for first, second in ("ab", "bc", "ca")
     ]

@@ -5,7 +5,7 @@ matching (:func:`run_downstream_em_experiment`) and Figure 3
 (:func:`run_figure3_experiment`).  Table 1 is :func:`run_matching_sweep` over
 the ``embedder`` knob; the value-matching ablations
 (:data:`MATCHING_ABLATIONS`) are the same loop over another knob, and
-:func:`run_fd_experiment` is the FD-algorithm ablation.
+:func:`run_fd_experiment` is the ablation of the FD closure's two routes.
 """
 
 from __future__ import annotations
@@ -13,17 +13,21 @@ from __future__ import annotations
 import time
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
+import numpy as np
+
 from repro.core import FuzzyFDConfig, integrate
 from repro.core.engine import MATCHER_KNOBS
 from repro.core.representatives import available_policies
 from repro.core.value_matching import ValueMatcher
-from repro.datasets import AliteEmBenchmark, AutoJoinBenchmark, ImdbBenchmark, multi_schema_lake
+from repro.datasets import AliteEmBenchmark, AutoJoinBenchmark, ImdbBenchmark, join_triangle, multi_schema_lake
 from repro.em import EntityMatchingPipeline
 from repro.em.metrics import EntityMatchingScores
 from repro.embeddings.registry import TABLE1_MODELS
 from repro.evaluation.metrics import MatchingScores, macro_average, score_integration_set
 from repro.evaluation.runtime import RuntimePoint, runtime_sweep
-from repro.fd import get_algorithm
+from repro.fd import AliteFullDisjunction, get_algorithm
+from repro.fd.base import Batch
+from repro.fd.complementation import component_ranks
 
 #: The value-matching ablations: the config knob each varies, and its values.
 MATCHING_ABLATIONS: Dict[str, Tuple[str, Tuple[object, ...]]] = {
@@ -123,29 +127,50 @@ def run_figure3_experiment(
 FD_COUNTERS = ("components", "complementation_comparisons", "complementation_expanded")
 
 
+class KernelRoute(AliteFullDisjunction):
+    """``alite`` with its closure's route forced: each component's labels, or
+    one label for every input, whatever the listing says."""
+
+    def __init__(self, labelled: bool) -> None:
+        super().__init__()
+        self.labelled = labelled
+        self.name = "alite, labelled" if labelled else "alite, unlabelled"
+
+    def _disjunction(self, codes: np.ndarray, statistics: Dict[str, float]) -> Batch:
+        statistics["outer_union_tuples"] = float(codes.shape[1])
+        labels = component_ranks(codes) if self.labelled else np.zeros(codes.shape[1], dtype=np.intp)
+        return self._engine.disjunction_coded(codes, statistics, labels)
+
+
 def run_fd_experiment(
     sizes: Sequence[int] = (1_000, 8_000),
-    algorithms: Sequence[str] = ("alite", "incremental"),
     seed: int = 13,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Per size, on an IMDB sample and on a lake of 4 unrelated join groups:
-    each FD algorithm's seconds, output tuples, components, candidate rows
-    examined and candidates expanded.  Raises unless the algorithms agree on
-    rows and provenance."""
+    """Per size, on an IMDB sample, on a lake of 4 unrelated join groups and on
+    a join triangle: the seconds, output tuples, components, candidate rows
+    examined and candidates expanded of ``alite`` and of its closure over the
+    route it did not take (:class:`KernelRoute`).  Raises unless the two agree
+    on rows and provenance."""
     runs: Dict[str, Dict[str, Dict[str, float]]] = {}
     for size in sizes:
-        for kind, tables in (("IMDB", ImdbBenchmark(seed=seed).tables(size)), ("multi-schema lake", multi_schema_lake(4, size // 8))):
-            label = f"{kind}, {size} tuples"
-            runs[label], outputs = {}, set()
-            for name in algorithms:
+        inputs = (
+            ("IMDB", ImdbBenchmark(seed=seed).tables(size)),
+            ("multi-schema lake", multi_schema_lake(4, size // 8)),
+            ("join triangle", join_triangle(size // 3)),
+        )
+        for kind, tables in inputs:
+            label, algorithm, outputs = f"{kind}, {size} tuples", get_algorithm("alite"), []
+            runs[label] = {}
+            for _ in range(2):  # alite, then the route it did not take
                 start = time.perf_counter()
-                result = get_algorithm(name).integrate(tables)
-                runs[label][name] = {
+                result = algorithm.integrate(tables)
+                runs[label][algorithm.name] = {
                     "seconds": time.perf_counter() - start,
                     "output_tuples": result.table.num_rows,
                     **{key: result.statistics.get(key, float("nan")) for key in FD_COUNTERS},
                 }
-                outputs.add(frozenset(zip(result.table.rows, result.table.provenance)))
-            if len(outputs) > 1:
-                raise AssertionError(f"the FD algorithms {list(algorithms)} integrate {label} to different tables")
+                outputs.append(frozenset(zip(result.table.rows, result.table.provenance)))
+                algorithm = KernelRoute(labelled="components" not in result.statistics)
+            if outputs[0] != outputs[1]:
+                raise AssertionError(f"alite and the route it did not take integrate {label} to different tables")
     return runs

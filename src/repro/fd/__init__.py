@@ -5,11 +5,10 @@ introduced by Galindo-Legaria: it combines the tuples of a set of tables in a
 *maximal* way so that every input tuple is represented and no output tuple is
 subsumed by (i.e. strictly less informative than) another.
 
-This package registers four implementations of the same semantics.  Two
-run outer union → complementation closure → subsumption removal through the
-one coded, generation-batched kernel of :mod:`repro.fd.complementation` and
-differ in which tuples a tuple may meet, hence in the order they list the
-result in; two are definition-level oracles:
+This package registers three implementations of the same semantics: one
+coded algorithm, which runs outer union → complementation closure →
+subsumption removal through the generation-batched kernel of
+:mod:`repro.fd.complementation`, and two definition-level oracles:
 
 * :class:`~repro.fd.naive.NaiveFullDisjunction` (``naive``) — the
   definitional fixpoint; quadratic pair scanning, used as the reference
@@ -19,18 +18,15 @@ result in; two are definition-level oracles:
   independently derived oracle.
 * :class:`~repro.fd.alite.AliteFullDisjunction` (``alite``) — the paper's
   substrate [18]: posting-indexed complementation with duplicate elimination
-  over the whole input at once, practical at the IMDB-benchmark scale.
-* :class:`~repro.fd.incremental.IncrementalFullDisjunction` (``incremental``)
-  — labels the connected components of the join-value graph and closes all
-  of them in one pass of the kernel, a tuple meeting only its own
-  component's nulls; linear where tables of unrelated schemas make the
-  whole-input closure quadratic.
+  over the whole input at once; where its unlabelled lists run long
+  (:data:`~repro.fd.complementation.LISTED_PER_CELL`), the kernel labels the
+  connected components and each tuple meets only its own component's nulls:
+  the same rows and provenance, listed component by component.
 """
 
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult
 from repro.fd.naive import NaiveFullDisjunction, OuterJoinSequence
 from repro.fd.alite import AliteFullDisjunction
-from repro.fd.incremental import IncrementalFullDisjunction
 from repro.registry import Registry
 
 __all__ = [
@@ -39,7 +35,6 @@ __all__ = [
     "NaiveFullDisjunction",
     "OuterJoinSequence",
     "AliteFullDisjunction",
-    "IncrementalFullDisjunction",
     "FD_ALGORITHMS",
     "get_algorithm",
     "available_algorithms",
@@ -53,7 +48,6 @@ FD_ALGORITHMS = Registry(
         "naive": NaiveFullDisjunction,
         "outer_join_sequence": OuterJoinSequence,
         "alite": AliteFullDisjunction,
-        "incremental": IncrementalFullDisjunction,
     },
 )
 

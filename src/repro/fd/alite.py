@@ -6,7 +6,11 @@ the resulting tuple set under *complementation* (merging join-consistent
 tuples), and finally drop subsumed tuples.  The complementation step here is
 posting-indexed — a tuple is only compared with the tuples that hold its most
 selective value or a null in that column — which is what makes the IMDB-scale
-runtime experiment (Figure 3) feasible.
+runtime experiment (Figure 3) feasible.  Where tables of unrelated schemas
+make those nulls most of what a tuple lists, the kernel labels the input's
+connected components and a tuple meets only its own component's nulls
+(:data:`~repro.fd.complementation.LISTED_PER_CELL`): the same rows and
+provenance, listed component by component.
 """
 
 from __future__ import annotations

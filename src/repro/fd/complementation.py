@@ -1,4 +1,4 @@
-"""Complementation closure — the engine behind the scalable FD algorithms.
+"""Complementation closure — the engine behind the coded FD algorithm.
 
 ALITE computes Full Disjunction by (1) outer-unioning the input tables,
 (2) repeatedly *complementing* pairs of tuples — merging any two tuples that
@@ -8,13 +8,14 @@ share at least one non-null value) — until no new tuple can be produced, and
 coded tuples (:mod:`repro.table.coded`).  Every closed tuple is the union of
 a value-connected set of input tuples, so the closure adds one input at a
 time: a tuple is only compared with the *inputs* that agree with it or are
-null on its most selective column (in its component, when the components are
-known), found in value and null postings built once over the inputs — of
-those only the ones whose non-null positions meet its own, read in runs of one
-such pattern, and after the first generation of those only the ones null or
-agreeing with it at a second column, the *cut* — plus duplicate elimination
-so the closure terminates.  Comparisons, merges and duplicate elimination run
-on tuples packed as bit-field words (:class:`~repro.table.coded.TupleIndex`).
+null on its most selective column (in its component, where the closure labels
+them: :data:`LISTED_PER_CELL`), found in value and null postings built once
+over the inputs — of those only the ones whose non-null positions meet its
+own, read in runs of one such pattern, and after the first generation of
+those only the ones null or agreeing with it at a second column, the *cut* —
+plus duplicate elimination so the closure terminates.  Comparisons, merges
+and duplicate elimination run on tuples packed as bit-field words
+(:class:`~repro.table.coded.TupleIndex`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,16 @@ from repro.utils.sorting import stable_order
 #: k-th (all of a smaller block), are tested at every position on codes; the
 #: position where most conflicted is the cut.
 CUT_SAMPLE = 256
+
+#: The closure labels components when its inputs' unlabelled lists sum to
+#: more than this many per non-null input cell; labels only shorten the null
+#: lists.  The pipeline workloads' requests read 0.5–2.5, where labelling costs
+#: more than it saves (their FD stage ×1.2–1.5 slower labelled); lakes of
+#: unrelated schemas and join triangles read thousands (3 000 on a 4-group lake
+#: of 8 000 tuples, 31 500 on 64 groups, 4 000 on a 3 × 8 000 triangle), where
+#: labels make the closure some 20× faster.  A 1 000-tuple IMDB sample reads
+#: 61 but is one component, which labels leave as it is.
+LISTED_PER_CELL = 16
 
 
 def position_bits(columns: np.ndarray) -> np.ndarray:
@@ -129,7 +140,10 @@ class ComplementationEngine:
         label by label, each label's in closure order, and each tuple meets its
         own label's inputs only: what closing the labels one after the other
         would list and test.  A merge never leaves its component, so a
-        survivor's label is that of every input it subsumes.
+        survivor's label is that of every input it subsumes.  Without
+        ``labels`` the closure picks them itself (:meth:`close_coded`); one
+        label for every input is the whole-input closure.  The rows and
+        provenance are the same whatever the labels.
         """
         closed, subsumed, closed_labels = self.close_coded(codes, statistics, labels)
         kept = np.flatnonzero(~subsumed)
@@ -139,23 +153,26 @@ class ComplementationEngine:
         empty = np.flatnonzero((closed < 0).all(axis=0)).tolist()
         starts = [int(index == 0) if subsumed[index] else index for index in empty]
         empty_to = np.searchsorted(kept, [survivor(closed, subsumed, start) for start in starts])
-        if labels is not None:
+        if closed_labels is not None:
             order = stable_order(closed_labels[kept], codes.shape[1] + 1)
             kept, empty_to = kept[order], np.argsort(order)[empty_to]
         return closed[:, kept], empty_to
 
     def close_coded(
         self, codes: np.ndarray, statistics: Dict[str, float] | None = None, labels: np.ndarray | None = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """:meth:`close` over a ``(width, rows)`` code matrix, coded in and out.
 
         With ``labels`` (:meth:`disjunction_coded`), a tuple meets its label's
-        inputs only.  Also returns, per closed tuple, whether another closed
-        tuple strictly subsumes it, and its label: that of the inputs it
-        merged.  If ``s`` strictly subsumes ``t``, some input of ``s`` is not
-        within ``t``, and one such input shares a value
-        with ``t``: with an input of ``s`` within ``t`` if there is one (the
-        inputs of ``s`` are value-connected), else at any position ``t``
+        inputs only.  Without them the closure labels the components itself
+        where the inputs' unlabelled listing keys say it pays
+        (:func:`worth_labelling`), reports their count as ``components`` and
+        keys the inputs again.  Also returns, per closed tuple, whether another
+        closed tuple strictly subsumes it and, unless the closure ran
+        unlabelled, its label: that of the inputs it merged.  If ``s`` strictly
+        subsumes ``t``, some input of ``s`` is not within ``t``, and one such
+        input shares a value with ``t``: with an input of ``s`` within ``t``
+        if there is one (the inputs of ``s`` are value-connected), else at any position ``t``
         holds.  That input adds a value to ``t`` without conflict, and the
         pair is tested — from ``t``'s side or, for two inputs, from the
         larger id's — and marks ``t``.  Provenance is not carried through: a
@@ -165,7 +182,7 @@ class ComplementationEngine:
         of its most selective position, ``size`` the inputs holding its value
         there plus those null there in its component
         (:meth:`~repro.table.coded.PairPostings.best`).  An input's key is
-        computed once, from its codes; a merge takes the smaller of its two
+        computed from its codes (again, where the closure labels); a merge takes the smaller of its two
         parents' keys — its positions are theirs, with the same codes and
         label — so the first position on ties still wins, and a generation
         gathers its owners' two pairs in proportion to its owners, not to
@@ -211,13 +228,19 @@ class ComplementationEngine:
             component[start:end] = tuple_labels[fresh]
             listing[start:end] = keys(fresh)
 
-        labels = np.zeros(codes.shape[1], dtype=np.intp) if labels is None else labels
-        add(known.pack(codes), labels, lambda fresh: codes[:, fresh], lambda fresh: 0)
+        add(known.pack(codes), np.zeros(codes.shape[1], dtype=np.intp) if labels is None else labels,
+            lambda fresh: codes[:, fresh], lambda fresh: 0)
         # Every tuple meets inputs only, so their postings are built once, and
         # the inputs' listing keys with them; a merge inherits its key.
         inputs = len(known)
         postings = PairPostings(data[:, :inputs], codes_per_column, component[:inputs])
         listing[:inputs] = postings.best(data[:, :inputs], component[:inputs])
+        ranks = None if labels is not None else worth_labelling(data[:, :inputs], listing[:inputs])
+        if ranks is not None:
+            statistics["components"] = float(ranks.max())
+            component[:inputs] = ranks
+            postings = PairPostings(data[:, :inputs], codes_per_column, component[:inputs])
+            listing[:inputs] = postings.best(data[:, :inputs], component[:inputs])
         merges = 0
         comparisons = 0
         expanded = 0
@@ -316,8 +339,8 @@ class ComplementationEngine:
         mask = np.zeros(len(known), dtype=bool)
         mask[np.concatenate(subsumed)] = True
         # A fully-null tuple is subsumed by any other; it is never a partner.
-        mask[(closed < 0).all(axis=0)] = len(known) > 1
-        return closed, mask, component[: len(known)]
+        mask[pattern[: len(known)] == 0] = len(known) > 1
+        return closed, mask, None if labels is None and ranks is None else component[: len(known)]
 
 
 def subsumed_sources(closed: np.ndarray, codes: np.ndarray, empty_to: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -335,6 +358,32 @@ def subsumed_sources(closed: np.ndarray, codes: np.ndarray, empty_to: np.ndarray
     return np.concatenate((inputs, empty)), np.concatenate((holders, np.repeat(empty_to, empty.size)))
 
 
+def worth_labelling(codes: np.ndarray, keys: np.ndarray) -> np.ndarray | None:
+    """The :func:`component_ranks` of the distinct inputs ``codes`` if their
+    unlabelled listing ``keys`` (:meth:`~repro.table.coded.PairPostings.best`)
+    list more than :data:`LISTED_PER_CELL` per non-null cell and there are
+    several components, else ``None``.  An input lists at most every input,
+    and over one column at most itself and the fully-null input."""
+    if codes.shape[1] <= LISTED_PER_CELL or codes.shape[0] == 1:
+        return None
+    listed = keys[keys < coded.NO_KEY] // codes.shape[0]
+    if listed.sum() <= LISTED_PER_CELL * np.count_nonzero(codes >= 0):
+        return None
+    ranks = component_ranks(codes)
+    return ranks if ranks.max() > 1 else None
+
+
+def component_ranks(codes: np.ndarray) -> np.ndarray:
+    """Per tuple of a code matrix, 0 if it is fully null, else the rank, from 1,
+    of its value-sharing component (:func:`component_roots`) among the
+    components in the order of their first tuples."""
+    roots = component_roots(codes)
+    informative = (codes >= 0).any(axis=0)
+    first = np.zeros(codes.shape[1], dtype=bool)
+    first[roots[informative]] = True
+    return np.where(informative, np.cumsum(first)[roots], 0)
+
+
 def component_roots(codes: np.ndarray) -> np.ndarray:
     """Per tuple of a code matrix, the smallest tuple id of its value-sharing component.
 
@@ -342,11 +391,11 @@ def component_roots(codes: np.ndarray) -> np.ndarray:
     column.  Complementation can never merge tuples across components (a merge
     requires a shared value, and merged tuples only carry values from their
     sources), so the closure of the whole input is the closures of its
-    components side by side — what lets the component algorithms keep every
-    tuple to its own component's.
+    components side by side — what lets the closure keep every tuple to its
+    own component's.
     """
-    position, row = np.nonzero(codes >= 0)
-    codes_per_column = codes.max(axis=1, initial=-1) + 1
-    value = codes[position, row] + (np.cumsum(codes_per_column) - codes_per_column)[position]
     count = codes.shape[1]
-    return component_labels(row, value, count, int(codes_per_column.sum()))[:count]
+    codes_per_column = codes.max(axis=1, initial=-1) + 1
+    held = np.flatnonzero(codes >= 0)  # cell ids, position-major: faster than a 2-D nonzero
+    value = codes.ravel()[held] + (np.cumsum(codes_per_column) - codes_per_column)[held // count]
+    return component_labels(held % count, value, count, int(codes_per_column.sum()))[:count]

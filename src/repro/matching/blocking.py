@@ -516,13 +516,16 @@ class BlockedValueMatcher:
     dropped into the Match Values component for very wide columns.  ``match``
     uses the component-wise engine described in the module docstring;
     ``match_dense`` is the same engine told not to decompose (one
-    prohibitive-cost matrix), for cross-validation and the ablation benchmark.
+    prohibitive-cost matrix).
 
     ``executor`` distributes the general (≥2×≥2) components over a worker
     pool; the default runs serially.  ``singleton_batching`` routes 1×1 / 1×N
     / N×1 components through one vectorised argmin pass instead of individual
-    solver calls; disabling it exists only so the ablation benchmark can
-    measure what the fast path saves.  Neither knob changes the matches.
+    solver calls.  Neither knob changes the matches.  ``match_dense`` and
+    ``singleton_batching=False`` are the references the fast paths are checked
+    against (``test_parallel_matching.py``, ``test_scored_edges.py``,
+    ``test_candidate_graph.py`` and ``test_blocking.py`` under
+    ``tests/matching``).
 
     ``semantic_blocker`` adds the ANN candidate channel (see
     :mod:`repro.matching.ann`): its embedding-neighbour pairs are unioned
@@ -573,8 +576,8 @@ class BlockedValueMatcher:
         self, left_values: Sequence[object], right_values: Sequence[object]
     ) -> List[ValueMatch]:
         """The same scored edges solved as *one* component: every used row and
-        column in a single prohibitive-cost matrix.  Kept for cross-validating
-        the decomposition and for the ablation benchmark; prefer :meth:`match`.
+        column in a single prohibitive-cost matrix: the reference the tests
+        check the decomposition against; prefer :meth:`match`.
         """
         return value_matches(left_values, right_values, *self.match_indices(left_values, right_values, False))
 

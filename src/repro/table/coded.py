@@ -17,6 +17,7 @@ keys the closure deduplicates by.
 from __future__ import annotations
 
 import copy
+from functools import cached_property
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -30,6 +31,9 @@ PAIR_BLOCK = 1 << 16
 #: Bits of a word's key: every key stays below ``2**62``, under the sentinel
 #: ``2**63 - 1`` that ends each word's sorted keys.
 KEY_BITS = 62
+
+#: ``2**63 - 1``, above every key (read once: ``np.iinfo`` builds an object per call).
+NO_KEY = np.iinfo(np.int64).max
 
 
 class TupleIndex:
@@ -80,7 +84,7 @@ class TupleIndex:
         self.multipliers = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
         self.low, self.high = np.array(low, dtype=np.int64), np.array(high, dtype=np.int64)
         # A sentinel above every key ends each word's sorted keys.
-        self.keys = [np.array([np.iinfo(np.int64).max])] * len(rows)
+        self.keys = [np.array([NO_KEY])] * len(rows)
         self.numbers = [np.array([-1])] * len(rows)
 
     def __len__(self) -> int:
@@ -88,7 +92,9 @@ class TupleIndex:
 
     def pack(self, columns: np.ndarray) -> np.ndarray:
         """The ``(words, n)`` words of the ``(width, n)`` coded tuples."""
-        return self.multipliers @ (columns.astype(np.int64) + 1)  # code 2**31 - 1 takes a 32-bit field
+        # Tuple-major, so each tuple's codes are adjacent for the product (4× faster at 192 × 64 000).
+        rows = np.ascontiguousarray(columns.T, dtype=np.int64) + 1  # code 2**31 - 1 takes a 32-bit field
+        return (rows @ self.multipliers.T).T
 
     def held(self, words: np.ndarray) -> np.ndarray:
         """The top bit of every non-null field of ``words``."""
@@ -171,7 +177,7 @@ class PairPostings:
         self.first_null = int((codes_per_column + 1).sum())
         several = labels is not None and labels.size and labels.min() < labels.max()
         self.components = int(labels.max()) + 1 if several else 1  # one: a null pair per position
-        self.null_keys = np.array([np.iinfo(np.int64).max])  # a sentinel above every key: the empty pair
+        self.null_keys = np.array([NO_KEY])  # a sentinel above every key: the empty pair
         pairs = codes + self.values[:, None]
         if self.components > 1:
             position, row = np.nonzero(codes < 0)
@@ -182,7 +188,14 @@ class PairPostings:
             pairs[position[order], row[order]] = self.first_null + np.cumsum(first) - 1
         self.held_by = np.bincount(pairs.ravel(), minlength=self.first_null + self.null_keys.size)
         self.starts = np.cumsum(self.held_by) - self.held_by
-        self.holders = stable_order(pairs.ravel(), self.held_by.size) % max(codes.shape[1], 1)
+        self._pairs = pairs
+
+    @cached_property
+    def holders(self) -> np.ndarray:
+        """The holders of every pair, in id order, sorted on first read: postings
+        read only for their list lengths (:meth:`best`) never sort their cells."""
+        pairs, self._pairs = self._pairs, None
+        return stable_order(pairs.ravel(), self.held_by.size) % max(pairs.shape[1], 1)
 
     def nulls(self, positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The pair of the null at each position in each tuple's component."""
@@ -215,8 +228,8 @@ class PairPostings:
             held, owner = np.nonzero(codes >= 0)
             sizes[held, owner] += self.held_by[self.nulls(held, labels[owner])]
         keys = sizes * codes.shape[0] + np.arange(codes.shape[0])[:, None]
-        keys[codes < 0] = np.iinfo(np.int64).max
-        return keys.min(axis=0, initial=np.iinfo(np.int64).max)
+        keys[codes < 0] = NO_KEY
+        return keys.min(axis=0, initial=NO_KEY)
 
     def listing(self, keys: np.ndarray, codes: np.ndarray, tuples: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """The pairs whose holders the ``tuples`` of the code matrix ``codes`` may
@@ -303,7 +316,7 @@ class MeetingRuns:
         # Each run's group, and where the next group's runs begin, past a
         # sentinel; then where each pair's null group begins in the copy.
         head = np.append(np.flatnonzero(first_of_runs(split.groups)), split.groups.size)
-        split.bounds = np.append(split.groups, np.iinfo(np.int64).max)
+        split.bounds = np.append(split.groups, NO_KEY)
         split.ends = np.append(np.repeat(head[1:], np.diff(head)), split.groups.size)
         split.nulls = np.searchsorted(split.groups, self.pairs + np.arange(self.pairs) * split.stride)
         return split

@@ -4,8 +4,7 @@ The utilities here are intentionally dependency-light: text normalisation and
 string-distance helpers, the array connected-component labelling
 (:mod:`repro.utils.components`) shared by the blocked matcher, the Full
 Disjunction algorithms and value and entity clustering, deterministic hashing
-used by the simulated embedding models, small timing helpers used by the
-benchmark harnesses, and the shared
+used by the simulated embedding models, and the shared
 parallel execution layer (:class:`~repro.utils.executor.ExecutorConfig` +
 :func:`~repro.utils.executor.run_partitioned`) behind every worker pool in
 the pipeline.
@@ -25,15 +24,12 @@ from repro.utils.text import (
     normalize_value,
     tokenize,
 )
-from repro.utils.timer import Timer, timed
 
 __all__ = [
     "EXECUTOR_BACKENDS",
     "ExecutorConfig",
     "partition_batches",
     "run_partitioned",
-    "Timer",
-    "timed",
     "stable_hash",
     "normalize_value",
     "tokenize",

@@ -323,7 +323,7 @@ class TestConfigFlags:
             main(["integrate", *paths, "--fd-algorithm", "partitioned"])
         assert (
             "unknown full disjunction algorithm 'partitioned'; "
-            "available: ['alite', 'incremental', 'naive', 'outer_join_sequence']"
+            "available: ['alite', 'naive', 'outer_join_sequence']"
         ) in capsys.readouterr().err
 
 
@@ -448,4 +448,5 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "fd", "--sizes", "160"]) == 0
         captured = capsys.readouterr().out
         assert "IMDB, 160 tuples" in captured and "multi-schema lake, 160 tuples" in captured
-        assert "| alite " in captured and "| incremental " in captured
+        assert "join triangle, 160 tuples" in captured
+        assert "| alite " in captured and "| alite, unlabelled " in captured and "| alite, labelled " in captured

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FuzzyFDConfig, IntegrationEngine, available_presets
+from repro.core.config import PRESETS
+from repro.datasets import multi_schema_lake
 from repro.embeddings import ExactEmbedder
 from repro.embeddings.base import ValueEmbedder
 from repro.fd import AliteFullDisjunction
@@ -42,10 +44,10 @@ class TestEagerValidation:
         assert "frequency" in message and "longest" in message
 
     def test_the_retired_partitioned_alias_is_an_unknown_fd_algorithm(self):
-        # ``partitioned`` named a retired worker-pool variant of
-        # ``incremental``; a config that still carries it is refused with
-        # the registry's error, which lists the four valid names.
-        message = r"unknown full disjunction algorithm 'partitioned'; available: \['alite', 'incremental', 'naive', 'outer_join_sequence'\]"
+        # ``partitioned`` named a retired worker-pool variant of the
+        # component-labelled closure; a config that still carries it is
+        # refused with the registry's error, which lists the three valid names.
+        message = r"unknown full disjunction algorithm 'partitioned'; available: \['alite', 'naive', 'outer_join_sequence'\]"
         with pytest.raises(UnknownNameError, match=message):
             FuzzyFDConfig(fd_algorithm="partitioned")
         with pytest.raises(UnknownNameError, match=message):
@@ -232,15 +234,17 @@ class TestEagerValidation:
         assert executor.backend == "thread"
         assert executor.max_workers == 3
 
-    def test_incremental_fd_resolved_by_name_ignores_executor(self, covid_tables):
+    def test_fd_resolved_by_name_ignores_executor(self):
         # The FD stage takes no workers: whatever executor the config carries,
-        # the algorithm resolved by name gives the same table and statistics.
+        # the algorithm resolved by name gives the same table and statistics,
+        # here over components it labels.
         results = [
-            FuzzyFDConfig(fd_algorithm="incremental", max_workers=workers, parallel_backend=backend)
+            FuzzyFDConfig(max_workers=workers, parallel_backend=backend)
             .resolve_fd_algorithm()
-            .integrate(covid_tables)
+            .integrate(multi_schema_lake(2, 20))
             for workers, backend in ((1, "thread"), (5, "thread"), (2, "serial"))
         ]
+        assert results[0].statistics["components"] == 40
         for result in results[1:]:
             assert result.table.rows == results[0].table.rows
             assert result.table.provenance == results[0].table.provenance
@@ -249,9 +253,7 @@ class TestEagerValidation:
 
     def test_fd_instance_keeps_its_own_executor(self, covid_tables):
         # A caller-supplied instance is passed through untouched.
-        from repro.fd import IncrementalFullDisjunction
-
-        algorithm = IncrementalFullDisjunction(result_name="mine")
+        algorithm = AliteFullDisjunction(result_name="mine")
         config = FuzzyFDConfig(fd_algorithm=algorithm, max_workers=7)
         assert config.resolve_fd_algorithm() is algorithm
         result = algorithm.integrate(covid_tables)
@@ -265,7 +267,7 @@ class TestSerialisation:
             embedder="fasttext",
             threshold=0.65,
             assignment_solver="greedy",
-            fd_algorithm="incremental",
+            fd_algorithm="outer_join_sequence",
             representative_policy="longest",
             exact_first=False,
             blocking="auto",
@@ -369,7 +371,9 @@ class TestPresets:
 
     def test_scale_preset(self):
         config = FuzzyFDConfig.preset("scale")
-        assert config.fd_algorithm == "incremental"
+        # alite labels components itself where they pay: no preset picks an FD
+        assert config.fd_algorithm == "alite"
+        assert not [name for name in available_presets() if "fd_algorithm" in PRESETS.get(name)]
         assert config.blocking == "auto"
         # the semantic ANN channel engages where surface keys lose recall
         assert config.semantic_blocking == "auto"

@@ -14,6 +14,7 @@ from repro.core import (
     MatchStage,
     integrate,
 )
+from repro.datasets import multi_schema_lake
 from repro.embeddings.llm import MistralEmbedder
 from repro.table import NULL, Table
 
@@ -221,8 +222,8 @@ class TestPerRequestOverrides:
 
     def test_fd_algorithm_override(self, covid_tables):
         engine = IntegrationEngine()
-        result = engine.integrate(covid_tables, fd_algorithm="incremental")
-        assert result.fd_result.algorithm == "incremental"
+        result = engine.integrate(covid_tables, fd_algorithm="naive")
+        assert result.fd_result.algorithm == "naive"
         assert engine.fd_algorithm.name == "alite"
 
     def test_invalid_override_name_fails_fast(self, covid_tables):
@@ -282,7 +283,7 @@ class TestPerRequestOverrides:
         # Only the FD stage remains, and that is exactly what these steer.
         engine = IntegrationEngine()
         matched = engine.match(engine.align(covid_tables))
-        pooled = engine.integrate(matched, max_workers=4, fd_algorithm="incremental")
+        pooled = engine.integrate(matched, max_workers=4, fd_algorithm="naive")
         plain = engine.integrate(engine.match(engine.align(covid_tables)))
         assert pooled.table.same_rows(plain.table)
 
@@ -470,32 +471,33 @@ class TestParallelConfigKnobs:
         assert serial.table.same_rows(pooled.table)
         assert engine.config.max_workers == 1  # engine config untouched
 
-    def test_incremental_fd_ignores_engine_executor(self, covid_tables):
+    def test_fd_ignores_engine_executor(self):
         # The FD stage takes no workers: engines that differ only in executor
-        # settings integrate to the same table with the same FD statistics.
-        plain = IntegrationEngine(FuzzyFDConfig(fd_algorithm="incremental")).integrate(covid_tables)
-        pooled = IntegrationEngine(
-            FuzzyFDConfig(fd_algorithm="incremental", max_workers=3)
-        ).integrate(covid_tables)
+        # settings integrate to the same table with the same FD statistics,
+        # here over components the closure labels.
+        lake = multi_schema_lake(2, 20)
+        plain = IntegrationEngine(FuzzyFDConfig()).integrate(lake)
+        pooled = IntegrationEngine(FuzzyFDConfig(max_workers=3)).integrate(lake)
+        assert plain.fd_result.statistics["components"] == 40
         assert (pooled.table.rows, pooled.table.provenance) == (plain.table.rows, plain.table.provenance)
         assert pooled.fd_result.statistics == plain.fd_result.statistics
 
     def test_fd_override_by_name_inherits_executor(self, covid_tables):
         engine = IntegrationEngine(FuzzyFDConfig(max_workers=2, parallel_backend="thread"))
-        result = engine.integrate(covid_tables, fd_algorithm="incremental")
-        assert result.fd_result.algorithm == "incremental"
+        result = engine.integrate(covid_tables, fd_algorithm="naive")
+        assert result.fd_result.algorithm == "naive"
         assert not [key for key in result.fd_result.statistics if key.startswith("parallel")]
 
     def test_request_executor_override_reaches_fd_stage(self):
-        # 10 disjoint join keys -> 10 FD components.  Executor overrides stay
-        # legal per request and change neither the table nor an FD counter.
-        left = Table("L", ["k", "a"], [(f"k{i}", f"a{i}") for i in range(10)])
-        right = Table("R", ["k", "b"], [(f"k{i}", f"b{i}") for i in range(10)])
-        engine = IntegrationEngine(FuzzyFDConfig(fd_algorithm="incremental"))
-        default = engine.integrate([left, right])
-        assert default.fd_result.statistics["components"] == 10.0
+        # Two unrelated join groups of 20 keys -> 40 FD components, which the
+        # closure labels.  Executor overrides stay legal per request and change
+        # neither the table nor an FD counter.
+        lake = multi_schema_lake(2, 20)
+        engine = IntegrationEngine(FuzzyFDConfig())
+        default = engine.integrate(lake)
+        assert default.fd_result.statistics["components"] == 40.0
         for overrides in ({"max_workers": 4}, {"max_workers": 2, "parallel_backend": "serial"}):
-            pooled = engine.integrate([left, right], **overrides)
+            pooled = engine.integrate(lake, **overrides)
             assert (pooled.table.rows, pooled.table.provenance) == (
                 default.table.rows,
                 default.table.provenance,

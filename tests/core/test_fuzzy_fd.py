@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine, integrate
 from repro.embeddings import ExactEmbedder, MistralEmbedder
+from repro.evaluation.experiments import KernelRoute
 from repro.fd import AliteFullDisjunction
 from repro.testing.hungarian import HungarianAssignment
 from repro.schema_matching import AlignedColumn, ColumnAlignment, ColumnRef
@@ -147,8 +148,8 @@ class TestFuzzyFullDisjunction:
         result = IntegrationEngine(config).integrate(covid_tables)
         assert result.table.num_rows == 5
 
-    def test_incremental_fd_algorithm_gives_same_figure1_result(self, covid_tables):
-        config = FuzzyFDConfig(fd_algorithm="incremental")
+    def test_the_labelled_fd_route_gives_same_figure1_result(self, covid_tables):
+        config = FuzzyFDConfig(fd_algorithm=KernelRoute(labelled=True))
         result = IntegrationEngine(config).integrate(covid_tables)
         assert result.table.num_rows == 5
 

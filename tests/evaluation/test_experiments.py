@@ -75,22 +75,30 @@ class TestMatchingAblations:
 
 
 class TestFdExperiment:
-    def test_the_algorithms_agree_and_components_close_apart(self):
+    def test_the_routes_agree_and_components_close_apart(self):
         runs = run_fd_experiment(sizes=(400,))
-        assert list(runs) == ["IMDB, 400 tuples", "multi-schema lake, 400 tuples"]
+        assert list(runs) == ["IMDB, 400 tuples", "multi-schema lake, 400 tuples", "join triangle, 400 tuples"]
+        # IMDB is one component, so alite closes it whole and the other route labels.
+        assert list(runs["IMDB, 400 tuples"]) == ["alite", "alite, labelled"]
+        for kind in ("multi-schema lake", "join triangle"):
+            runs_of = runs[f"{kind}, 400 tuples"]
+            assert list(runs_of) == ["alite", "alite, unlabelled"], kind
+            assert runs_of["alite"]["components"] == runs_of["alite"]["output_tuples"], kind
         lake = runs["multi-schema lake, 400 tuples"]
-        assert lake["alite"]["output_tuples"] == lake["incremental"]["output_tuples"] == 200
-        assert lake["incremental"]["complementation_comparisons"] * 10 < lake["alite"]["complementation_comparisons"]
+        assert lake["alite"]["output_tuples"] == lake["alite, unlabelled"]["output_tuples"] == 200
+        assert lake["alite"]["complementation_comparisons"] * 10 < lake["alite, unlabelled"]["complementation_comparisons"]
 
-    def test_disagreeing_algorithms_raise(self, monkeypatch):
+    def test_disagreeing_routes_raise(self, monkeypatch):
         real = experiments.get_algorithm
 
         class DropsARow:
+            name = "alite"
+
             def integrate(self, tables):
                 result = real("alite").integrate(tables)
                 result.table.rows.pop()
                 return result
 
-        monkeypatch.setattr(experiments, "get_algorithm", lambda name: DropsARow() if name == "drops" else real(name))
+        monkeypatch.setattr(experiments, "get_algorithm", lambda name: DropsARow())
         with pytest.raises(AssertionError, match="different tables"):
-            run_fd_experiment(sizes=(80,), algorithms=("alite", "drops"))
+            run_fd_experiment(sizes=(80,))

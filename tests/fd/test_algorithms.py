@@ -12,9 +12,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import multi_schema_lake
 from repro.fd import (
     AliteFullDisjunction,
-    IncrementalFullDisjunction,
     NaiveFullDisjunction,
     OuterJoinSequence,
     available_algorithms,
@@ -22,11 +22,14 @@ from repro.fd import (
 )
 from repro.table import NULL, Table, subsumes
 from repro.table.operations import outer_union
+from test_complementation import LabelledRoute
 
+#: The oracle, ``alite``, and ``alite`` with its labels forced on (the route
+#: it takes by itself on inputs whose lists run long).
 ALL_ALGORITHMS = [
     NaiveFullDisjunction,
     AliteFullDisjunction,
-    IncrementalFullDisjunction,
+    LabelledRoute,
 ]
 
 
@@ -40,7 +43,7 @@ def simple_tables():
 
 class TestRegistry:
     def test_all_registered(self):
-        assert set(available_algorithms()) >= {"naive", "alite", "incremental"}
+        assert set(available_algorithms()) >= {"naive", "alite", "outer_join_sequence"}
 
     def test_get_algorithm_by_name(self):
         assert get_algorithm("alite").name == "alite"
@@ -52,31 +55,31 @@ class TestRegistry:
     def test_registered_names(self):
         assert sorted(available_algorithms()) == [
             "alite",
-            "incremental",
             "naive",
             "outer_join_sequence",
         ]
 
-    @pytest.mark.parametrize("name", ["streaming", "partitioned"])
+    @pytest.mark.parametrize("name", ["streaming", "partitioned", "incremental"])
     def test_retired_name_is_unknown(self, name):
-        # The lazy ``streaming`` enumeration and the ``partitioned`` alias of
-        # ``incremental`` are gone: a configuration naming either fails at
-        # lookup, not at the first request it serves.
-        with pytest.raises(ValueError, match="available: \\['alite', 'incremental', 'naive', 'outer_join_sequence'\\]"):
+        # The lazy ``streaming`` enumeration, ``incremental`` (now the route
+        # ``alite`` takes by itself where labels pay) and its ``partitioned``
+        # alias are gone: a configuration naming one fails at lookup, not at
+        # the first request it serves.
+        with pytest.raises(ValueError, match="available: \\['alite', 'naive', 'outer_join_sequence'\\]"):
             get_algorithm(name)
 
 
-class TestIncrementalStatistics:
-    def _disjoint_tables(self, n_components=10):
-        left = Table("L", ["k", "a"], [(f"k{i}", f"a{i}") for i in range(n_components)])
-        right = Table("R", ["k", "b"], [(f"k{i}", f"b{i}") for i in range(n_components)])
-        return [left, right]
+class TestLabelledRouteStatistics:
+    def _disjoint_tables(self, n_components=40):
+        # Two unrelated join groups: every tuple is null at the other group's
+        # key, so the closure labels the components.
+        return multi_schema_lake(2, n_components // 2)
 
     def test_complementation_statistics_recorded(self):
         # Regression: the executor refactor must keep summing the closure
         # counters (the old parallel branch silently dropped them).
-        result = get_algorithm("incremental").integrate(self._disjoint_tables())
-        assert result.statistics["components"] == 10.0
+        result = get_algorithm("alite").integrate(self._disjoint_tables())
+        assert result.statistics["components"] == 40.0
         assert "complementation_comparisons" in result.statistics
         assert result.statistics["complementation_tuples"] >= 10.0
 
@@ -86,8 +89,8 @@ class TestIncrementalStatistics:
         from repro.core.config import FuzzyFDConfig
 
         tables = self._disjoint_tables()
-        serial = FuzzyFDConfig(fd_algorithm="incremental", max_workers=1)
-        parallel = FuzzyFDConfig(fd_algorithm="incremental", max_workers=4, parallel_backend="thread")
+        serial = FuzzyFDConfig(max_workers=1)
+        parallel = FuzzyFDConfig(max_workers=4, parallel_backend="thread")
         serial, parallel = (
             config.resolve_fd_algorithm().integrate(tables) for config in (serial, parallel)
         )
@@ -96,7 +99,7 @@ class TestIncrementalStatistics:
 
     def test_parallel_workers_recorded_when_pool_engages(self):
         # There is no pool to engage any more, and no trace of one in the counters.
-        result = get_algorithm("incremental").integrate(self._disjoint_tables())
+        result = get_algorithm("alite").integrate(self._disjoint_tables())
         assert not [key for key in result.statistics if key.startswith("parallel")]
         assert sorted(result.statistics) == [
             "complementation_comparisons",
@@ -110,18 +113,18 @@ class TestIncrementalStatistics:
     def test_configure_executor_keeps_the_constructor_threshold(self):
         # The executor path is gone, constructor arguments and hook included.
         with pytest.raises(TypeError):
-            get_algorithm("incremental", min_parallel_components=2)
+            get_algorithm("alite", min_parallel_components=2)
         with pytest.raises(TypeError):
-            get_algorithm("incremental", max_workers=3)
-        assert not hasattr(get_algorithm("incremental"), "configure_executor")
-        tables = self._disjoint_tables(n_components=2)
-        by_name = get_algorithm("incremental").integrate(tables)
-        incremental = IncrementalFullDisjunction().integrate(tables)
-        assert by_name.statistics["components"] == 2.0
-        assert by_name.statistics == incremental.statistics
+            get_algorithm("alite", max_workers=3)
+        assert not hasattr(get_algorithm("alite"), "configure_executor")
+        tables = self._disjoint_tables(n_components=36)
+        by_name = get_algorithm("alite").integrate(tables)
+        by_class = AliteFullDisjunction().integrate(tables)
+        assert by_name.statistics["components"] == 36.0
+        assert by_name.statistics == by_class.statistics
         assert (by_name.table.rows, by_name.table.provenance) == (
-            incremental.table.rows,
-            incremental.table.provenance,
+            by_class.table.rows,
+            by_class.table.provenance,
         )
 
 
@@ -158,7 +161,7 @@ class TestBasicBehaviour:
         with pytest.raises(ValueError):
             AliteFullDisjunction().integrate([])
 
-    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, IncrementalFullDisjunction])
+    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, LabelledRoute])
     def test_integrate_does_not_remove_subsumed_tuples_twice(self, algorithm_cls, monkeypatch):
         # The closure marks the tuples it subsumes: no subsumption self-join
         # runs after it, in the kernel or in integrate().
@@ -172,7 +175,7 @@ class TestBasicBehaviour:
         right = Table("R", ["k", "b"], [("1", "p"), ("3", "q"), ("4", "r")])
         assert algorithm_cls().integrate([left, right]).table.num_rows == 4
 
-    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, IncrementalFullDisjunction])
+    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, LabelledRoute])
     def test_outer_union_is_built_once(self, algorithm_cls, monkeypatch):
         import repro.fd.base as base
 
@@ -269,7 +272,7 @@ class TestAlgorithmsAgree:
         reference = NaiveFullDisjunction().integrate(simple_tables).table
         columns = list(reference.columns)
         expected = self._row_set(reference, columns)
-        for algorithm_cls in (AliteFullDisjunction, IncrementalFullDisjunction):
+        for algorithm_cls in (AliteFullDisjunction, LabelledRoute):
             actual = algorithm_cls().integrate(simple_tables).table
             assert self._row_set(actual, columns) == expected
 
@@ -308,10 +311,10 @@ class TestAlgorithmsAgree:
         ]
         reference = NaiveFullDisjunction().integrate(tables).table
         alite = AliteFullDisjunction().integrate(tables).table
-        incremental = IncrementalFullDisjunction().integrate(tables).table
+        labelled = LabelledRoute().integrate(tables).table
         columns = list(reference.columns)
         assert alite.project(columns).rows_as_set() == reference.rows_as_set()
-        assert incremental.project(columns).rows_as_set() == reference.rows_as_set()
+        assert labelled.project(columns).rows_as_set() == reference.rows_as_set()
 
     @given(
         left_rows=st.lists(
@@ -322,15 +325,15 @@ class TestAlgorithmsAgree:
         ),
     )
     @settings(max_examples=30, deadline=None)
-    def test_incremental_matches_alite_with_provenance_on_random_inputs(self, left_rows, right_rows):
+    def test_the_labelled_route_matches_alite_with_provenance_on_random_inputs(self, left_rows, right_rows):
         tables = [Table("L", ["k", "a"], left_rows), Table("R", ["k", "b"], right_rows)]
         if not left_rows and not right_rows:
             return
         alite = AliteFullDisjunction().integrate(tables).table
-        incremental = IncrementalFullDisjunction().integrate(tables).table
-        assert incremental.columns == alite.columns
-        assert incremental.num_rows == alite.num_rows
-        assert set(zip(incremental.rows, incremental.provenance)) == set(zip(alite.rows, alite.provenance))
+        labelled = LabelledRoute().integrate(tables).table
+        assert labelled.columns == alite.columns
+        assert labelled.num_rows == alite.num_rows
+        assert set(zip(labelled.rows, labelled.provenance)) == set(zip(alite.rows, alite.provenance))
 
 
 class TestPaperFigure1:
@@ -349,12 +352,12 @@ class TestPaperFigure1:
         assert boston["VaxRate"] == "62%"
         assert boston["TotalCases"] == "263K"
 
-    def test_incremental_equals_alite_on_figure1(self, covid_tables):
+    def test_the_labelled_route_equals_alite_on_figure1(self, covid_tables):
         # The components list the same nine tuples, each with the same sources.
-        incremental = IncrementalFullDisjunction().integrate(covid_tables).table
+        labelled = LabelledRoute().integrate(covid_tables).table
         alite = AliteFullDisjunction().integrate(covid_tables).table
-        assert incremental.num_rows == alite.num_rows == 9
-        assert set(zip(incremental.rows, incremental.provenance)) == set(zip(alite.rows, alite.provenance))
+        assert labelled.num_rows == alite.num_rows == 9
+        assert set(zip(labelled.rows, labelled.provenance)) == set(zip(alite.rows, alite.provenance))
 
 
 class TestSafetyLimits:

@@ -12,7 +12,8 @@ Four test-side references, none of which shares code with the kernel:
   kernel before it met inputs only: the same closed set, subsumed mask and
   provenance, in another order;
 * :func:`component_at_a_time` — the input-partner loop run on one connected
-  component after the other, which is what ``incremental`` lists.
+  component after the other, which is what the closure lists when it labels
+  the components.
 
 Mutations of the kernel and the first test here that fails on each (the
 pinned digests of ``test_complementation`` catch all three as well):
@@ -71,11 +72,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import IntegrationEngine
 from repro.datasets import multi_schema_lake
 from repro.datasets.imdb import ImdbBenchmark
-from repro.fd import (
-    AliteFullDisjunction,
-    IncrementalFullDisjunction,
-    get_algorithm,
-)
+from repro.fd import AliteFullDisjunction, get_algorithm
 from repro.fd import complementation
 from repro.fd.complementation import ComplementationEngine, component_roots, position_bits, subsumed_sources
 from repro.table import NULL, Table, remove_subsumed, subsumes
@@ -83,7 +80,7 @@ from repro.table import coded
 from repro.table.coded import TupleIndex
 from repro.table.relation import Relation, dictionary, outer_union, sources
 from repro.table.subsumption import reduce_coded, subsumers
-from test_complementation import close, encode_rows, low_cardinality_rows, reference_closure
+from test_complementation import LabelledRoute, UnlabelledRoute, close, encode_rows, low_cardinality_rows, reference_closure
 
 
 #: Pair blocks so small that every generation crosses block boundaries, and the real one.
@@ -348,31 +345,34 @@ class TestAlgorithmsAgainstTheSequentialLoop:
             result = AliteFullDisjunction().integrate([table]).table
         assert (result.rows, result.provenance) == reduced(closed, provenance)
 
-    def test_every_closure_algorithm_records_the_same_counters(self):
+    def test_both_routes_record_the_same_counters(self):
         # Tables joined on a first column that is never null: no list of
         # candidates is shorter than the holders of a tuple's key, whether a
-        # null is posted for the whole input (alite) or per component
-        # (incremental).
+        # null is posted for the whole input or per component.
         keys = random.Random(20).sample(range(1000), 150)
         tables = [
             Table(name, ["k", name], [(f"k{key}", f"{name}{key}") for key in keys[:size]])
             for name, size in (("a", 150), ("b", 150), ("c", 75))
         ]
-        statistics = {name: get_algorithm(name).integrate(tables).statistics for name in ("alite", "incremental")}
+        statistics = {
+            algorithm.name: algorithm.integrate(tables).statistics
+            for algorithm in (get_algorithm("alite"), LabelledRoute(), UnlabelledRoute())
+        }
         counters = ["outer_union_tuples"] + [f"complementation_{kind}" for kind in ("comparisons", "merges", "tuples")]
         for name, recorded in statistics.items():
             assert [recorded[key] for key in counters] == [statistics["alite"][key] for key in counters], name
             assert recorded["complementation_merges"] > 0
+        # Its lists are short: the closure does not label on its own.
         assert statistics["alite"].get("components") is None
-        assert statistics["incremental"]["components"] > 1
 
-    def test_component_algorithms_never_meet_the_other_schemas(self):
+    def test_labelled_components_never_meet_the_other_schemas(self):
         # Two unrelated join groups over different schemas.  Every tuple of
         # the second is null wherever the first holds a value, so closed
-        # together (alite) each is a candidate of all of the first: quadratic.
-        # With the nulls of each component posted apart, a tuple meets its own
-        # component only: exactly the three tests of each two-tuple component
-        # (tuple, tuple, their merge), and the same Full Disjunction.
+        # together each is a candidate of all of the first: quadratic.  With
+        # the nulls of each component posted apart, which is what ``alite``
+        # does here, a tuple meets its own component only: exactly the three
+        # tests of each two-tuple component (tuple, tuple, their merge), and
+        # the same Full Disjunction.
         entities = 500
         tables = [
             Table(f"{side}{group}", [f"k{group}", f"{side}{group}"],
@@ -380,9 +380,9 @@ class TestAlgorithmsAgainstTheSequentialLoop:
             for group in range(2)
             for side in "ab"
         ]
-        alite = get_algorithm("alite").integrate(tables)
+        alite = UnlabelledRoute().integrate(tables)
         assert alite.statistics["complementation_comparisons"] > (2 * entities) ** 2
-        result = get_algorithm("incremental").integrate(tables)
+        result = get_algorithm("alite").integrate(tables)
         assert result.statistics["components"] == 2 * entities
         assert result.statistics["complementation_comparisons"] == 3 * 2 * entities
         assert sorted(zip(result.table.rows, map(sorted, result.table.provenance)), key=repr) == sorted(
@@ -392,19 +392,20 @@ class TestAlgorithmsAgainstTheSequentialLoop:
     def test_fully_null_rows_ride_on_the_survivor_standing_for_the_first_row(self):
         # The first component has two survivors and its first row folds into
         # the second of them: that one takes the fully-null row's source,
-        # whichever algorithm lists it.
+        # whichever route lists it.
         rows = [("k", NULL, NULL, "p"), ("j", "x", NULL, "p"), ("k", NULL, "y", NULL), (NULL,) * 4]
-        for name in ("alite", "incremental"):
-            result = get_algorithm(name).integrate([Table("t", list("abcd"), rows)]).table
+        for algorithm in (get_algorithm("alite"), LabelledRoute()):
+            name = algorithm.name
+            result = algorithm.integrate([Table("t", list("abcd"), rows)]).table
             assert result.rows == [("j", "x", NULL, "p"), ("k", NULL, "y", "p")], name
             assert result.provenance == [frozenset({"t:1"}), frozenset({"t:0", "t:2", "t:3"})], name
             # With no tuple of information, the fully-null rows are one survivor.
-            only_nulls = get_algorithm(name).integrate([Table("N", ["k"], [(NULL,), (NULL,)])]).table
+            only_nulls = algorithm.integrate([Table("N", ["k"], [(NULL,), (NULL,)])]).table
             assert (only_nulls.rows, only_nulls.provenance) == ([(NULL,)], [frozenset({"N:0", "N:1"})]), name
 
     def test_tables_without_columns(self):
-        for name in ("alite", "incremental"):
-            result = get_algorithm(name).integrate([Table("t", [], [(), ()])]).table
+        for algorithm in (get_algorithm("alite"), LabelledRoute()):
+            result = algorithm.integrate([Table("t", [], [(), ()])]).table
             assert (result.rows, result.provenance) == ([()], [frozenset({"t:0", "t:1"})])
 
 
@@ -711,8 +712,8 @@ class TestInputPartners:
 
 
 class TestOnePassAgainstComponentsAlone:
-    """``incremental`` closes every component in one pass of the kernel, each
-    tuple meeting the holders of its own component's nulls only.
+    """With labels the kernel closes every component in one pass, each tuple
+    meeting the holders of its own component's nulls only.
 
     Mutations, each caught by the property test: one null posting shared by
     all components (a ``PairPostings`` that ignores its labels) fails the
@@ -724,7 +725,7 @@ class TestOnePassAgainstComponentsAlone:
     def test_one_pass_lists_and_counts_what_closing_each_component_alone_would(self, block, rows):
         columns = [f"c{p}" for p in range(len(rows[0]))]
         table = Table("t", columns, rows).with_default_provenance()
-        closed, provenance, components = component_at_a_time(table.rows, table.provenance)
+        closed, provenance, _ = component_at_a_time(table.rows, table.provenance)
         expected = reduced(closed, provenance)
         alone = sum(
             AliteFullDisjunction().integrate([Table("t", columns, [rows[index] for index in members])])
@@ -732,9 +733,8 @@ class TestOnePassAgainstComponentsAlone:
             for members in components_of(rows)
         )
         with blocks_of(block):
-            result = IncrementalFullDisjunction().integrate([table])
+            result = LabelledRoute().integrate([table])
         assert (result.table.rows, result.table.provenance) == expected
-        assert result.statistics["components"] == components
         assert result.statistics["complementation_comparisons"] == alone
 
     def test_one_pass_on_a_multi_schema_lake(self):
@@ -742,8 +742,9 @@ class TestOnePassAgainstComponentsAlone:
         # three tests per component, where the whole-input closure meets every
         # tuple of the other schemas through their nulls.
         tables = multi_schema_lake(4, 1_000)
-        alite = get_algorithm("alite").integrate(tables)
-        result = get_algorithm("incremental").integrate(tables)
+        alite = UnlabelledRoute().integrate(tables)
+        result = get_algorithm("alite").integrate(tables)
+        assert result.statistics["components"] == 4_000
         assert result.statistics["complementation_comparisons"] == 12_000
         assert result.statistics["complementation_comparisons"] * 100 < alite.statistics["complementation_comparisons"]
         assert rows_with_provenance(result.table) == rows_with_provenance(alite.table)
@@ -755,8 +756,7 @@ class TestOnePassAgainstComponentsAlone:
         n = (1 << 16) + 1
         left = Table("L", ["k", "a"], [(f"k{i}", f"a{i}") for i in range(n)])
         right = Table("R", ["k", "b"], [("r", "b")])
-        result = get_algorithm("incremental").integrate([left, right])
-        assert result.statistics["components"] == n + 1
+        result = LabelledRoute().integrate([left, right])
         assert result.table.rows == [(f"k{i}", f"a{i}", NULL) for i in range(n)] + [("r", NULL, "b")]
         assert result.table.provenance == [frozenset({f"L:{i}"}) for i in range(n)] + [frozenset({"R:0"})]
         alite = get_algorithm("alite").integrate([left, right]).table
@@ -821,9 +821,10 @@ def expanded(events):
 
 
 def closure_in_order(rows):
-    """The kernel's closure of ``rows`` in id order: rows, provenance, strictly subsumed."""
+    """The kernel's whole-input closure of ``rows`` (one label for every
+    input) in id order: rows, provenance, strictly subsumed."""
     codes, values = encode_rows(rows, len(rows[0]))
-    closed, subsumed, _ = ComplementationEngine().close_coded(codes)
+    closed, subsumed, _ = ComplementationEngine().close_coded(codes, {}, np.zeros(codes.shape[1], dtype=np.intp))
     inputs, holders = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
     decoded = Relation("closed", map(str, range(len(values))), closed, values).decode()
     return decoded, sources(sources_of(rows), inputs, holders, closed.shape[1]), subsumed.tolist()
@@ -958,13 +959,12 @@ class TestTwoPositionListing:
     @pytest.mark.parametrize("block", [1, 5])
     @given(rows=multi_component_rows())
     @settings(max_examples=40, deadline=None)
-    def test_several_components_under_incremental(self, block, rows):
+    def test_several_components_under_labels(self, block, rows):
         table = Table("t", [f"c{p}" for p in range(len(rows[0]))], rows).with_default_provenance()
-        closed, provenance, components = component_at_a_time(table.rows, table.provenance)
+        closed, provenance, _ = component_at_a_time(table.rows, table.provenance)
         with blocks_of(block), kernel_events() as events:
-            result = IncrementalFullDisjunction().integrate([table])
+            result = LabelledRoute().integrate([table])
         assert (result.table.rows, result.table.provenance) == reduced(closed, provenance)
-        assert result.statistics["components"] == components
         assert all(builds <= 1 for builds in builds_per_closure(events))
 
     @BLOCKS
@@ -993,7 +993,7 @@ class TestTwoPositionListing:
         assert listed_past_the_cells(rows)
         with blocks_of(block), kernel_events() as events:
             closure = closure_in_order(rows)
-            result = get_algorithm("alite").integrate([Table("t", [f"c{p}" for p in range(width)], rows)])
+            result = UnlabelledRoute().integrate([Table("t", [f"c{p}" for p in range(width)], rows)])
         assert closure == sequential_in_order(rows)
         assert len(closure[0]) - 180 > 2 * 20
         (_, _, patterns), *_ = [event for event in events if event[0] == "build"]
@@ -1237,9 +1237,11 @@ class TestWhatTheFdStageAlreadyHolds:
         assert inherited_keys_checked(closure) == result.statistics["complementation_tuples"] == 7_104
 
     def test_every_owner_is_listed_under_its_selective_key_on_a_multi_schema_lake(self):
-        # Under incremental each component keys its own nulls: the labels count.
+        # The closure labels this lake, so each component keys its own nulls:
+        # the labels count.
         with listing_events() as closures:
-            result = get_algorithm("incremental").integrate(multi_schema_lake(4, 50))
+            result = get_algorithm("alite").integrate(multi_schema_lake(4, 50))
+        assert result.statistics["components"] == 200
         (closure,) = closures
         assert np.unique(closure["best"][1]).size > 100
         assert inherited_keys_checked(closure) == result.statistics["complementation_tuples"]
@@ -1250,8 +1252,8 @@ class TestWhatTheFdStageAlreadyHolds:
     def test_every_owner_is_listed_under_its_selective_key(self, block, rows):
         table = Table("t", [f"c{p}" for p in range(len(rows[0]))], rows)
         with blocks_of(block), listing_events() as closures:
-            for name in ("alite", "incremental"):
-                get_algorithm(name).integrate([table])
+            for algorithm in (get_algorithm("alite"), LabelledRoute()):
+                algorithm.integrate([table])
         for closure in closures:
             inherited_keys_checked(closure)
 

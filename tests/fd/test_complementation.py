@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import ImdbBenchmark
+from repro.evaluation.experiments import KernelRoute
 from repro.fd import complementation
 from repro.fd.complementation import ComplementationEngine, subsumed_sources
 from repro.fd.naive import _join_consistent_same_schema, _merge_same_schema
@@ -32,6 +33,26 @@ def close(engine, rows, provenance, statistics=None):
     inputs, holders = subsumed_sources(closed, codes, np.flatnonzero((closed < 0).all(axis=0)))
     decoded = Relation("closed", map(str, range(len(values))), closed, values).decode()
     return decoded, sources(provenance, inputs, holders, closed.shape[1])
+
+
+class LabelledRoute(KernelRoute):
+    """``alite`` with its closure's labels forced on, whatever its listing:
+    every tuple meets only its own component's nulls."""
+
+    name = "alite, labelled"
+
+    def __init__(self) -> None:
+        super().__init__(labelled=True)
+
+
+class UnlabelledRoute(KernelRoute):
+    """``alite`` with one label for every input, whatever its listing: the
+    whole-input closure."""
+
+    name = "alite, unlabelled"
+
+    def __init__(self) -> None:
+        super().__init__(labelled=False)
 
 
 class TestJoinConsistency:

@@ -19,13 +19,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import IntegrationEngine
 from repro.fd import base, get_algorithm
-from repro.fd.complementation import ComplementationEngine, component_roots
+from repro.fd.complementation import ComplementationEngine, component_ranks
 from repro.service import IntegrationService
 from repro.service.http import table_to_json
 from repro.table import NULL, Table
 from repro.table.relation import Relation, outer_union, sources, tuple_ids
 from repro.table.subsumption import subsumers, survivor
-from repro.utils.sorting import first_of_runs, stable_order
+from repro.utils.sorting import stable_order
+from test_complementation import LabelledRoute
 
 
 def eager_disjunction(codes, labels=None):
@@ -50,23 +51,13 @@ def eager_disjunction(codes, labels=None):
     return survivors, inputs, holders
 
 
-def eager_integrate(algorithm, inputs):
-    """``algorithm``'s survivors and provenance, derived eagerly: ``alite``
-    over the outer union as it is, ``incremental`` over it permuted into its
-    components with their labels."""
+def eager_integrate(inputs, labelled):
+    """The survivors and provenance of ``inputs``, derived eagerly, over one
+    label for every input or, if ``labelled``, over their components' ranks."""
     relations = [Relation.of(table) for table in inputs]
     _, codes, _ = outer_union(relations)
-    if algorithm == "alite":
-        survivors, members, holders = eager_disjunction(codes)
-    else:
-        roots = component_roots(codes)
-        rows = stable_order(roots, roots.size)
-        informative = (codes >= 0).any(axis=0)
-        empty, rows = np.flatnonzero(~informative), rows[informative[rows]]
-        order = np.concatenate((empty, rows))
-        labels = np.append(np.zeros(empty.size, dtype=np.intp), np.cumsum(first_of_runs(roots[rows])))
-        survivors, members, holders = eager_disjunction(codes[:, order], labels)
-        members = order[members]
+    labels = component_ranks(codes) if labelled else np.zeros(codes.shape[1], dtype=np.intp)
+    survivors, members, holders = eager_disjunction(codes, labels)
     return survivors, sources(tuple_ids(relations), members, holders, survivors.shape[1])
 
 
@@ -99,13 +90,13 @@ class TestProvenanceOracle:
     # The first component's survivor is a merge, numbered after every input,
     # the second's an input: the labels, not the closure order, put it first.
     @example(tables=[Table("t", ["a", "b", "c"], [("0x", "0y", NULL), ("1x", NULL, NULL), ("0x", NULL, "0z")])],
-             algorithm="incremental")
-    @given(tables=lakes(), algorithm=st.sampled_from(["alite", "incremental"]))
+             forced=True)
+    @given(tables=lakes(), forced=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_derived_on_read_equals_the_eager_derivation(self, tables, algorithm):
-        expected_survivors, expected_provenance = eager_integrate(algorithm, tables)
-        result = get_algorithm(algorithm).integrate(tables)
-        # Rows in the same order: incremental's follow the closed tuples'
+    def test_derived_on_read_equals_the_eager_derivation(self, tables, forced):
+        result = (LabelledRoute() if forced else get_algorithm("alite")).integrate(tables)
+        expected_survivors, expected_provenance = eager_integrate(tables, forced or "components" in result.statistics)
+        # Rows in the same order: labelled, they follow the closed tuples'
         # labels where they followed the labels of the inputs they stem from.
         assert np.array_equal(result.relation.codes, expected_survivors)
         assert result.relation.provenance == expected_provenance

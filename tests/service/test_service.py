@@ -406,7 +406,7 @@ class TestFailuresAndLifecycle:
         service.integrate_sync(_tables())
         assert engine.requests_served == 1
         built = IntegrationService("scale").engine.config
-        assert (built.fd_algorithm, built.degraded_mode) == ("incremental", "surface")
+        assert (built.fd_algorithm, built.degraded_mode) == ("alite", "surface")
 
     def test_invalid_knobs_fail_fast(self):
         with pytest.raises(TypeError, match="max_pending"):
